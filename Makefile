@@ -1,6 +1,7 @@
 .PHONY: check test bench-fold bench-compare audit chaos shard trace mem
 
-# Tier-1 gate: vet + build + race-enabled tests + fold alloc regression.
+# Tier-1 gate: vet + build + race-enabled tests + non-race alloc gates +
+# the benchmark/ module's tests + advisory benchdiff.
 check:
 	sh scripts/check.sh
 

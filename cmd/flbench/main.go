@@ -9,7 +9,7 @@
 //	flbench -experiment boots   # ablation: bootstrap trial count sweep
 //	flbench -experiment k       # ablation: mini-batch granularity sweep
 //	flbench -experiment fold    # fold-path throughput (see BENCH_fold.json)
-//	flbench -experiment scaling # parallel scaling: pool vs per-batch spawn, P∈{1,2,4,8}
+//	flbench -experiment scaling # parallel scaling: worker pool at P∈{1,2,4,8}
 //	flbench -experiment shard   # sharded execution: coordinator + N∈{1,2,4,8} shard engines vs unsharded
 //	flbench -experiment audit   # statistical-correctness audit (BENCH_accuracy.json)
 //	flbench -experiment chaos   # robustness soak: seeded fault schedules (-schedules N)
@@ -38,7 +38,7 @@
 // with -json BENCH_fold.json demotes the file's previous "current"
 // measurement into "baselines" and installs the new one, so each PR
 // appends one point to the history. The scaling experiment writes its
-// pool-vs-spawn worker sweep into the same file's "scaling" series.
+// worker sweep into the same file's "scaling" series.
 // `-experiment fold -compare BENCH_fold.json` diffs a fresh run against
 // the committed trajectory and prints WARN lines for >10% ns/row
 // regressions (advisory: the exit status stays 0; see
@@ -311,7 +311,7 @@ func runFold(cfg bench.Config, jsonOut, label, compare string) error {
 	return nil
 }
 
-// runScaling measures the pool-vs-spawn worker sweep and optionally
+// runScaling measures the worker sweep and optionally
 // installs it as the BENCH_fold.json scaling series.
 func runScaling(cfg bench.Config, jsonOut, label string) error {
 	points, err := bench.ScalingBench(cfg)

@@ -46,12 +46,13 @@ type FoldBaseline struct {
 }
 
 // ScalingPoint is one parallel-scaling measurement: a fold scenario run
-// at a fixed worker count under either the persistent worker pool
-// ("pool") or the legacy per-batch goroutine-spawn runtime ("spawn").
+// at a fixed worker count. Runtime is always "pool" for new points; the
+// committed BENCH_fold.json also holds "spawn" points, the record of
+// the per-batch goroutine-spawn runtime the pool replaced.
 type ScalingPoint struct {
 	Scenario    string  `json:"scenario"`
 	Parallelism int     `json:"parallelism"`
-	Runtime     string  `json:"runtime"` // "pool" | "spawn"
+	Runtime     string  `json:"runtime"`
 	Rows        int     `json:"rows"`
 	NsPerRow    float64 `json:"ns_per_row"`
 	RowsPerSec  float64 `json:"rows_per_sec"`
@@ -60,7 +61,7 @@ type ScalingPoint struct {
 // FoldResult is the BENCH_fold.json document: the current measurement
 // plus every previous "current" this file has carried, so successive
 // PRs accumulate a perf trajectory. Scaling holds the parallel-scaling
-// series (P sweep, pool vs spawn) and Sharding the shard-topology
+// series (P sweep) and Sharding the shard-topology
 // sweep (N shard engines behind the coordinator) of the current label.
 type FoldResult struct {
 	GeneratedBy string         `json:"generated_by"`
@@ -173,14 +174,12 @@ func FoldBench(cfg Config) ([]FoldPoint, error) {
 	return out, nil
 }
 
-// ScalingBench sweeps the mini-batch runtime across worker counts
-// P∈{1,2,4,8}, comparing the persistent worker pool (cross-batch shard
-// reuse + parallel reclassification + pipelined weight prefetch)
-// against the legacy per-batch goroutine-spawn path on the sampled-all
-// scenarios (every tuple folds into all B replicas — the configuration
-// where per-batch shard setup cost is proportionally smallest, i.e. the
-// hardest one for the pool to win). ParallelThreshold is lowered to 512
-// so all worker counts engage on cfg.Rows/cfg.Batches-row batches.
+// ScalingBench sweeps the mini-batch runtime (persistent worker pool:
+// cross-batch stage reuse + parallel reclassification + pipelined
+// weight prefetch) across worker counts P∈{1,2,4,8} on the sampled-all
+// scenarios (every tuple folds into all B replicas). ParallelThreshold
+// is lowered to 512 so all worker counts engage on
+// cfg.Rows/cfg.Batches-row batches.
 func ScalingBench(cfg Config) ([]ScalingPoint, error) {
 	cfg = cfg.WithDefaults()
 	scenarios := []struct {
@@ -190,50 +189,40 @@ func ScalingBench(cfg Config) ([]ScalingPoint, error) {
 		{"single-key/sampled-all", `SELECT a, COUNT(x), SUM(x), AVG(x) FROM facts GROUP BY a`},
 		{"multi-key/sampled-all", `SELECT a, b, COUNT(x), SUM(x), AVG(x) FROM facts GROUP BY a, b`},
 	}
-	runtimes := []struct {
-		name  string
-		spawn bool
-	}{
-		{"pool", false},
-		{"spawn", true},
-	}
 	cat := foldBenchCatalog(cfg.Rows, cfg.EngineSeed())
 	var out []ScalingPoint
 	for _, sc := range scenarios {
 		for _, p := range []int{1, 2, 4, 8} {
-			for _, rt := range runtimes {
-				best := time.Duration(0)
-				for rep := 0; rep < FoldReps; rep++ {
-					q, err := plan.Compile(sc.sql, cat)
-					if err != nil {
-						return nil, fmt.Errorf("bench scaling %s: %w", sc.name, err)
-					}
-					eng, err := core.New(q, cat, core.Options{
-						Batches: cfg.Batches, Trials: cfg.Trials, Seed: cfg.EngineSeed(),
-						BootstrapSampleCap: -1,
-						Parallelism:        p, ParallelThreshold: 512,
-						PerBatchSpawn: rt.spawn,
-					})
-					if err != nil {
-						return nil, err
-					}
-					t0 := time.Now()
-					_, err = eng.Run(nil)
-					d := time.Since(t0)
-					eng.Close()
-					if err != nil {
-						return nil, err
-					}
-					if best == 0 || d < best {
-						best = d
-					}
+			best := time.Duration(0)
+			for rep := 0; rep < FoldReps; rep++ {
+				q, err := plan.Compile(sc.sql, cat)
+				if err != nil {
+					return nil, fmt.Errorf("bench scaling %s: %w", sc.name, err)
 				}
-				ns := float64(best.Nanoseconds()) / float64(cfg.Rows)
-				out = append(out, ScalingPoint{
-					Scenario: sc.name, Parallelism: p, Runtime: rt.name,
-					Rows: cfg.Rows, NsPerRow: ns, RowsPerSec: 1e9 / ns,
+				eng, err := core.New(q, cat, core.Options{
+					Batches: cfg.Batches, Trials: cfg.Trials, Seed: cfg.EngineSeed(),
+					BootstrapSampleCap: -1,
+					Parallelism:        p, ParallelThreshold: 512,
 				})
+				if err != nil {
+					return nil, err
+				}
+				t0 := time.Now()
+				_, err = eng.Run(nil)
+				d := time.Since(t0)
+				eng.Close()
+				if err != nil {
+					return nil, err
+				}
+				if best == 0 || d < best {
+					best = d
+				}
 			}
+			ns := float64(best.Nanoseconds()) / float64(cfg.Rows)
+			out = append(out, ScalingPoint{
+				Scenario: sc.name, Parallelism: p, Runtime: "pool",
+				Rows: cfg.Rows, NsPerRow: ns, RowsPerSec: 1e9 / ns,
+			})
 		}
 	}
 	return out, nil
@@ -374,27 +363,14 @@ func FormatFold(points []FoldPoint) string {
 }
 
 // FormatScaling renders the parallel-scaling series as an aligned
-// table, pairing pool and spawn rows per (scenario, P) with the pool's
-// advantage.
+// table.
 func FormatScaling(points []ScalingPoint) string {
 	s := "Parallel scaling (sampled-all, ParallelThreshold=512, best of reps)\n"
-	s += fmt.Sprintf("%-26s %4s %10s %12s %14s %10s\n",
-		"scenario", "P", "runtime", "ns/row", "rows/sec", "pool vs spawn")
-	spawn := map[string]float64{}
+	s += fmt.Sprintf("%-26s %4s %10s %12s %14s\n",
+		"scenario", "P", "runtime", "ns/row", "rows/sec")
 	for _, p := range points {
-		if p.Runtime == "spawn" {
-			spawn[fmt.Sprintf("%s/%d", p.Scenario, p.Parallelism)] = p.NsPerRow
-		}
-	}
-	for _, p := range points {
-		adv := ""
-		if p.Runtime == "pool" {
-			if sp, ok := spawn[fmt.Sprintf("%s/%d", p.Scenario, p.Parallelism)]; ok && p.NsPerRow > 0 {
-				adv = fmt.Sprintf("%+.1f%%", 100*(sp-p.NsPerRow)/p.NsPerRow)
-			}
-		}
-		s += fmt.Sprintf("%-26s %4d %10s %12.1f %14.0f %10s\n",
-			p.Scenario, p.Parallelism, p.Runtime, p.NsPerRow, p.RowsPerSec, adv)
+		s += fmt.Sprintf("%-26s %4d %10s %12.1f %14.0f\n",
+			p.Scenario, p.Parallelism, p.Runtime, p.NsPerRow, p.RowsPerSec)
 	}
 	return s
 }

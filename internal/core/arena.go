@@ -24,7 +24,7 @@ type weightArena struct {
 	cur    []uint8
 	chunks []*[]uint8 // every chunk ever handed out, for release
 	// bytes is the resource-ledger charge: capacity pinned by held
-	// chunks. Worker-local (no atomics); transferred by adopt at the
+	// chunks. Stage-local (no atomics); transferred by adopt at the
 	// batch barrier, zeroed by release.
 	bytes int64
 }
@@ -64,15 +64,10 @@ func (a *weightArena) release() {
 	a.bytes = 0
 }
 
-// adopt transfers o's chunks into a (after a worker table merge, the
-// runner's uncertain set owns slices allocated from worker arenas).
+// adopt transfers o's chunks into a (after a stage merge, the
+// destination's uncertain set owns slices allocated from o).
 func (a *weightArena) adopt(o *weightArena) {
 	a.chunks = append(a.chunks, o.chunks...)
 	a.bytes += o.bytes
 	o.chunks, o.cur, o.bytes = nil, nil, 0
-}
-
-// uncertainBufPool recycles worker uncertain-row buffers across batches.
-var uncertainBufPool = sync.Pool{
-	New: func() any { return new([]uncertainRow) },
 }

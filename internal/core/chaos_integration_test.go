@@ -169,6 +169,65 @@ func TestWorkerPanicReleasesBarrier(t *testing.T) {
 	}
 }
 
+// TestScatterLadder pins the one containment ladder directly: clean
+// parts are left alone, a part that errs, panics or was never submitted
+// is redone on the caller's goroutine with its cause, a panicking redo
+// is contained and retried, and an exhausted ladder reports its part.
+func TestScatterLadder(t *testing.T) {
+	p := newWorkerPool(3)
+	defer p.stop()
+	boom := errors.New("boom")
+	run := func(_ *workerCtx, i int) error {
+		switch i {
+		case 1:
+			return boom
+		case 2:
+			panic("part 2")
+		}
+		return nil
+	}
+	redone := map[int]int{}
+	part, err := p.scatter(3, 7, 0, run, func(i, attempt int, cause error) error {
+		redone[i]++
+		if _, panicked := cause.(*workerPanic); panicked != (i == 2) || (i == 1 && cause != boom) {
+			t.Errorf("part %d redone with cause %v", i, cause)
+		}
+		if i == 2 && attempt == 1 {
+			panic("redo panics once")
+		}
+		return nil
+	})
+	if part != -1 || err != nil {
+		t.Fatalf("scatter = (%d, %v), want (-1, nil)", part, err)
+	}
+	if redone[0] != 0 || redone[1] != 1 || redone[2] != 2 {
+		t.Fatalf("redo counts = %v, want part 1 once and part 2 twice", redone)
+	}
+	// Exhaustion: part 1 keeps failing; part 2's ladder never starts.
+	calls := 0
+	part, err = p.scatter(3, 7, 0, run, func(i, _ int, _ error) error {
+		calls++
+		return boom
+	})
+	if part != 1 || err != boom || calls != ladderAttempts {
+		t.Fatalf("exhausted scatter = (%d, %v) after %d redos, want (1, boom) after %d",
+			part, err, calls, ladderAttempts)
+	}
+	// A stopped pool runs nothing: every part is redone inline.
+	p.stop()
+	calls = 0
+	part, err = p.scatter(3, 7, 0, run, func(_, _ int, cause error) error {
+		calls++
+		if !errors.Is(cause, ErrKindPoolStopped) {
+			t.Errorf("cause = %v, want pool-stopped", cause)
+		}
+		return nil
+	})
+	if part != -1 || err != nil || calls != 3 {
+		t.Fatalf("stopped-pool scatter = (%d, %v) after %d redos, want (-1, nil) after 3", part, err, calls)
+	}
+}
+
 // TestOptionsValidate pins the satellite: explicitly negative or
 // impossible option values are rejected with a typed error, while zero
 // sentinels still resolve to defaults.

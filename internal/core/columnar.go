@@ -5,6 +5,7 @@ import (
 
 	"fluodb/internal/bootstrap"
 	"fluodb/internal/colstore"
+	"fluodb/internal/exec"
 	"fluodb/internal/expr"
 	"fluodb/internal/types"
 )
@@ -458,15 +459,16 @@ func memoHash(words []uint64) uint64 {
 }
 
 // colFeed sweeps rows[0:len) (= global rows baseIdx..) through the
-// columnar classify+fold path into the given targets. It returns false
-// — having touched nothing — when the batch is not aligned with the
-// columnar cache (or the kernels no longer compile against it), letting
-// the caller fall back to the row loop.
-func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, tab *onlineTable, uncertain *[]uncertainRow, arena *weightArena, folds *int64, acc *phaseAcc, cs *colScratch, pf *weightPrefetch) bool {
+// columnar classify+fold path into st. It returns false — having
+// touched nothing — when the batch is not aligned with the columnar
+// cache (or the kernels no longer compile against it), letting the
+// caller fall back to the row loop.
+func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf *weightPrefetch, st *stage) bool {
 	p := r.colPl
-	if p == nil || !p.ok || cs == nil {
+	if p == nil || !p.ok {
 		return false
 	}
+	te, tab, uncertain, arena, folds, acc, cs := st.te, st.tab, &st.uncertain, &st.arena, &st.folds, &st.acc, &st.cs
 	ct := p.ct
 	if ct == nil || !ct.Aligned(rows, baseIdx) {
 		return false
@@ -674,7 +676,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 				if d != triTrue {
 					*uncertain = append(*uncertain, uncertainRow{
 						row: seg.Rows[i], weights: arena.hold(weights), repW: repW})
-					r.sampledIdxValid = false
 					if prof {
 						acc.ns[phaseClassify] += int64(time.Since(t0))
 					}
@@ -727,7 +728,7 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 					t0 = t1
 				}
 				if p.hasDims {
-					for _, en := range r.colEntries(tab, cs, ct, seg, i) {
+					for _, en := range r.colEntries(st, ct, seg, i) {
 						r.colFold(tab, p, en, ct, seg, i, wf, repW)
 						*folds++
 					}
@@ -772,7 +773,7 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 				// Uncertain rows need this row's own joined lineage (the
 				// join memo retains the first-occurrence fact part, which
 				// may differ outside the memo columns): run the real join.
-				for _, jrow := range r.joiner.Join(seg.Rows[i]) {
+				for _, jrow := range st.joiner.Join(seg.Rows[i]) {
 					*uncertain = append(*uncertain, uncertainRow{
 						row: jrow, weights: arena.hold(weights), repW: repW})
 				}
@@ -780,7 +781,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 				*uncertain = append(*uncertain, uncertainRow{
 					row: seg.Rows[i], weights: arena.hold(weights), repW: repW})
 			}
-			r.sampledIdxValid = false
 			if prof {
 				acc.ns[phaseClassify] += int64(time.Since(t0))
 			}
@@ -871,8 +871,8 @@ func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Ta
 // entry list per distinct memo-key word combination for the current
 // sweep; the underlying join fan-out comes from the persistent join
 // memo (joinRows).
-func (r *blockRunner) colEntries(tab *onlineTable, cs *colScratch, ct *colstore.Table, seg *colstore.Segment, i int) []*onlineEntry {
-	p := r.colPl
+func (r *blockRunner) colEntries(st *stage, ct *colstore.Table, seg *colstore.Segment, i int) []*onlineEntry {
+	p, tab, cs := r.colPl, st.tab, &st.cs
 	stride := len(p.memoCols) + 1
 	n := len(cs.memoKeys)
 	if cap(cs.memoKeys) < n+stride {
@@ -916,7 +916,7 @@ func (r *blockRunner) colEntries(tab *onlineTable, cs *colScratch, ct *colstore.
 	}
 	// Miss: expand the join (memoized across sweeps) and resolve each
 	// joined row's entry canonically, in join order.
-	jlo, jcnt := cs.joinRows(r, words, h, seg.Rows[i])
+	jlo, jcnt := cs.joinRows(st.joiner, words, h, seg.Rows[i])
 	elo := int32(len(cs.entArena))
 	for _, jrow := range cs.jRows[jlo : jlo+jcnt] {
 		for k, c := range p.gbCols {
@@ -945,7 +945,7 @@ func (r *blockRunner) colEntries(tab *onlineTable, cs *colScratch, ct *colstore.
 // joiner (dims blocks never reuse join scratch), so holding them across
 // batches is safe; the steady state joins each distinct key combination
 // exactly once per query.
-func (cs *colScratch) joinRows(r *blockRunner, words []uint64, h uint64, fact types.Row) (int32, int32) {
+func (cs *colScratch) joinRows(jn *exec.Joiner, words []uint64, h uint64, fact types.Row) (int32, int32) {
 	stride := len(words)
 	if cs.jSlots != nil {
 		j := h & cs.jMask
@@ -968,7 +968,7 @@ func (cs *colScratch) joinRows(r *blockRunner, words []uint64, h uint64, fact ty
 			j = (j + 1) & cs.jMask
 		}
 	}
-	rows := r.joiner.Join(fact)
+	rows := jn.Join(fact)
 	off := int32(len(cs.jRows))
 	cs.jRows = append(cs.jRows, rows...)
 	n := len(cs.jKeys)

@@ -3,27 +3,26 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"time"
 
-	"fluodb/internal/retry"
 	"fluodb/internal/storage"
 	"fluodb/internal/types"
 )
 
 // The shard coordinator (DESIGN.md §17). With Options.Shards = N ≥ 1
 // the engine stops folding mini-batches itself: each (block, batch) is
-// split into N contiguous row slices by the deterministic partitioner
-// (storage.SliceRanges) and dispatched to N shard engines, whose
-// staging deltas merge back in shard order. The engine remains the
+// split into N contiguous row slices by the runtime's one splitter
+// (storage.SliceRanges) and dispatched to N shard engines over the
+// coordinator's own worker pool, whose stages merge back in shard order
+// through the runner's one mergeStage. The engine remains the
 // single authority for all cross-batch state — bindings, runner tables,
 // the uncertain cache, snapshots, checkpoints — so shards are
 // stateless compute and the coordinator's recovery ladder is sound:
 //
 //	rung 1  re-dispatch the failed slice to a replacement shard
-//	        (incarnation+1) under the shared bounded-backoff policy —
-//	        "re-step from the shard's last committed batch", which for
-//	        stateless shards is exactly redoing the slice;
+//	        (incarnation+1) under the runtime's one containment ladder
+//	        (workerPool.scatter) — "re-step from the shard's last
+//	        committed batch", which for stateless shards is exactly
+//	        redoing the slice;
 //	rung 2  respawn the whole topology under a fresh incarnation epoch
 //	        and restore the engine from its auto-kept checkpoint of the
 //	        last committed batch (engine.go shardRestore);
@@ -36,10 +35,6 @@ import (
 // row index — so the N-shard trajectory matches the single-engine run
 // for any N and any per-shard parallelism, pinned by the exact-fixture
 // bit-identity matrix in shard_test.go.
-
-// maxShardRedispatch bounds recovery rung 1 (attempts per failed
-// slice, each on a fresh incarnation).
-const maxShardRedispatch = 3
 
 // maxShardRestores bounds recovery rung 2 (checkpoint restores per
 // Step) before the coordinator declares the shard lost.
@@ -61,11 +56,13 @@ func (s *shardDown) Unwrap() error { return s.cause }
 
 // shardCoordinator owns the shard topology of one engine.
 type shardCoordinator struct {
-	eng     *Engine
-	n       int
-	shards  []ShardEngine
-	incs    []int // next/current incarnation per slot (monotone)
-	spawned bool
+	eng    *Engine
+	n      int
+	shards []ShardEngine
+	incs   []int // next/current incarnation per slot (monotone)
+	// pool dispatches slot i's Step on worker i; nil until the first
+	// feed and after stop.
+	pool *workerPool
 	// Per-slot progress for Snapshot.Shards and the dashboard: rows
 	// dispatched (across all blocks) and completed dispatches.
 	rows  []int64
@@ -78,13 +75,13 @@ func newShardCoordinator(e *Engine, n int) *shardCoordinator {
 		rows: make([]int64, n), steps: make([]int64, n)}
 }
 
-// ensure spawns the shard goroutines lazily (first feed) and arms the
-// finalizer backstop, mirroring ensurePool.
+// ensure spawns the topology lazily (first feed) and arms the finalizer
+// backstop, mirroring ensurePool.
 func (c *shardCoordinator) ensure() {
-	if c.spawned || c.eng.closed {
+	if c.pool != nil || c.eng.closed {
 		return
 	}
-	c.spawned = true
+	c.pool = newWorkerPool(c.n)
 	runtime.SetFinalizer(c.eng, (*Engine).Close)
 	for i := range c.shards {
 		c.shards[i] = newLocalShard(i, c.incs[i], c.eng.opt.Chaos)
@@ -123,7 +120,10 @@ func (c *shardCoordinator) stop() {
 			c.shards[i] = nil
 		}
 	}
-	c.spawned = false
+	if c.pool != nil {
+		c.pool.stop()
+		c.pool = nil
+	}
 }
 
 // feedBatch dispatches one (block, batch) across the shard topology and
@@ -142,68 +142,43 @@ func (c *shardCoordinator) feedBatch(r *blockRunner, rows []types.Row, baseIdx i
 	r.revalidateColPlan()
 	c.ensure()
 
-	tasks := make([]*ShardTask, c.n)
+	tasks := make([]ShardTask, c.n)
 	deltas := make([]*ShardDelta, c.n)
-	errs := make([]error, c.n)
-	var wg sync.WaitGroup
 	for i, rg := range storage.SliceRanges(len(rows), c.n) {
-		tasks[i] = &ShardTask{r: r, rows: rows[rg.Lo:rg.Hi], baseIdx: baseIdx + rg.Lo,
+		tasks[i] = ShardTask{r: r, rows: rows[rg.Lo:rg.Hi], baseIdx: baseIdx + rg.Lo,
 			ts: ts, pf: pf, workers: e.opt.Parallelism, thr: e.opt.ParallelThreshold}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			deltas[i], errs[i] = c.shards[i].Step(tasks[i])
-		}(i)
 	}
-	wg.Wait()
-
-	// Rung 1: each failed slice is redone on replacement shards with
-	// fresh incarnations, under the shared bounded-backoff policy. The
-	// jitter site is the slice coordinate, so concurrent ladders (and
-	// reruns of the same schedule) sleep deterministically.
-	pol := retry.Policy{Attempts: maxShardRedispatch, Base: time.Millisecond,
-		Cap: 8 * time.Millisecond, Seed: e.opt.Seed}
-	for i := range errs {
-		if errs[i] == nil {
-			continue
+	// Rung 1 is scatter's redo: each failed slice is redone on
+	// replacement shards with fresh incarnations (fresh chaos variates,
+	// fresh stages), on this goroutine.
+	failed, err := c.pool.scatter(c.n, e.opt.Seed, uint64(baseIdx), func(_ *workerCtx, i int) (err error) {
+		deltas[i], err = c.shards[i].Step(&tasks[i])
+		return err
+	}, func(i, attempt int, _ error) (err error) {
+		if attempt == 1 {
+			e.metrics.ShardKills++
 		}
-		e.metrics.ShardKills++
-		cause := errs[i]
-		site := uint64(baseIdx)<<8 ^ uint64(i)
-		rerr := pol.Do(site, func(attempt int) error {
-			c.respawn(i)
-			e.trace.Emit(Event{Kind: EvShardRespawn, Key: ts.name, Worker: i, Kept: attempt,
-				Note: fmt.Sprintf("re-dispatching rows [%d,+%d) to incarnation %d",
-					tasks[i].baseIdx, len(tasks[i].rows), c.incs[i])})
-			d, err := c.shards[i].Step(tasks[i])
-			if err != nil {
-				cause = err
-				return err
-			}
-			deltas[i], errs[i] = d, nil
-			return nil
-		})
-		if rerr != nil {
-			return &shardDown{shard: i, batch: e.batch, cause: cause}
-		}
+		c.respawn(i)
+		e.trace.Emit(Event{Kind: EvShardRespawn, Key: ts.name, Worker: i, Kept: attempt,
+			Note: fmt.Sprintf("re-dispatching rows [%d,+%d) to incarnation %d",
+				tasks[i].baseIdx, len(tasks[i].rows), c.incs[i])})
+		deltas[i], err = c.shards[i].Step(&tasks[i])
+		return err
+	})
+	if err != nil {
+		return &shardDown{shard: failed, batch: e.batch, cause: err}
 	}
 
-	// Merge in shard order: contiguous slices in slice order reproduce
-	// the serial group insertion order (and, with the per-shard
-	// sub-slice merge inside Step, the worker-pool order too).
+	// Merge in (shard, sub-slice) order: contiguous slices in slice order
+	// reproduce the serial group insertion order — and the worker-pool
+	// order too, a shard's stages being a pool's one level down.
 	for i, d := range deltas {
-		if d == nil {
-			continue
+		for _, st := range d.stages {
+			r.mergeStage(st)
 		}
-		r.tab.merge(d.tab)
-		r.uncertain = append(r.uncertain, d.uncertain...)
-		r.arena.adopt(&d.arena)
-		e.metrics.DeterministicFolds += d.folds
-		r.acc.merge(&d.acc)
 		c.rows[i] += int64(len(tasks[i].rows))
 		c.steps[i]++
 	}
-	r.sampledIdxValid = false
 	return nil
 }
 

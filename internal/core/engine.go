@@ -63,38 +63,38 @@ type Options struct {
 	// pay groups×Trials expression evaluations per refresh.
 	// 0 = default (50000); negative = unlimited.
 	SnapshotEvalBudget int
-	// Parallelism is the number of worker goroutines folding each
-	// mini-batch (FluoDB is a parallel online execution framework, §1).
-	// 0 = GOMAXPROCS; 1 = serial. Results are identical up to group
-	// ordering; full run-to-run determinism requires a fixed value.
+	// Parallelism is the number of persistent pool workers folding each
+	// mini-batch (FluoDB is a parallel online execution framework, §1):
+	// the batch splits into contiguous parts, each folded into a
+	// worker's private stage and merged back in worker order
+	// (parallel.go). 0 = GOMAXPROCS; 1 = serial. Results are identical
+	// up to group ordering; full run-to-run determinism requires a fixed
+	// value.
 	Parallelism int
-	// ParallelThreshold is the minimum shard size (rows) worth a worker:
-	// batches below 2×threshold run serially, and the worker count is
-	// clamped to rows/threshold. ≤0 resolves to the default (2048).
-	// Lower it to engage more workers on small batches (the scaling
-	// bench sweeps it); raise it when per-tuple work is very cheap.
+	// ParallelThreshold is the minimum part size (rows) worth a worker:
+	// batches below 2×threshold fold in place, and the part count is
+	// clamped to rows/threshold — for mini-batches, the slices inside a
+	// shard and uncertain-set reclassification alike. ≤0 resolves to the
+	// default (2048). Lower it to engage more workers on small batches
+	// (the scaling bench sweeps it); raise it when per-tuple work is
+	// very cheap.
 	ParallelThreshold int
 	// Shards routes every mini-batch through N shard engines behind the
 	// coordinator (coordinator.go): the batch splits into N contiguous
-	// row slices, each folded by one shard (with up to Parallelism-way
-	// parallelism inside the shard) and merged back in shard order. 0 =
-	// unsharded (the engine folds batches itself). The N-shard trajectory
-	// is bit-identical to the unsharded run for any N; a shard death is
-	// recovered by the coordinator's ladder (replacement re-dispatch,
-	// then checkpoint restore), so Shards is operational like
-	// Parallelism — it may differ between a checkpoint and its resume.
+	// row slices, each folded by one shard (the same partition → fold
+	// step one level down, with up to Parallelism workers of its own)
+	// and merged back in shard order. 0 = unsharded (the engine folds
+	// batches itself). The N-shard trajectory is bit-identical to the
+	// unsharded run for any N; a shard death is recovered by the
+	// coordinator's ladder (replacement re-dispatch, then checkpoint
+	// restore), so Shards is operational like Parallelism — it may
+	// differ between a checkpoint and its resume.
 	Shards int
 	// RowPath disables the columnar fold path (columnar.go), forcing the
 	// row-oriented per-tuple loop even for eligible blocks. The two paths
 	// are bit-identical by construction; this is the A/B switch the
 	// benchmarks and the bit-identity tests compare against.
 	RowPath bool
-	// PerBatchSpawn selects the legacy parallel runtime that spawns
-	// fresh goroutines and allocates fresh shard tables every mini-batch
-	// instead of using the persistent worker pool. Kept as the A/B
-	// baseline for the scaling benchmark; it also disables uncertain-set
-	// reclassification parallelism and weight prefetch.
-	PerBatchSpawn bool
 	// Seed makes the run deterministic.
 	Seed uint64
 	// Profile enables fine-grained phase timing inside the per-tuple

@@ -76,6 +76,14 @@ func foldBenchEnv(tb testing.TB, multiKey, profile, spanned bool) (*Engine, *blo
 	return eng, r, ts, eng.triEnv(), ts.batches[1]
 }
 
+// feedTuple folds one fact tuple into the runner's home stage — the
+// per-tuple entry the micro-benchmarks and the alloc gate drive.
+func (r *blockRunner) feedTuple(fact types.Row, weights []uint8, repW float64, te *triEnv) {
+	r.te = te
+	r.feedTupleTo(fact, weights, repW, &r.stage)
+	r.settle()
+}
+
 func benchFold(b *testing.B, multiKey, sampled bool) {
 	eng, r, ts, te, rows := foldBenchEnv(b, multiKey, false, false)
 	var weights []uint8

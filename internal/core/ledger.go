@@ -47,9 +47,6 @@ const uncertainRowBytes = int64(unsafe.Sizeof(uncertainRow{}))
 // memBytes is the colScratch resource charge: every reusable vector and
 // memo array the sweeper pins between batches.
 func (cs *colScratch) memBytes() int64 {
-	if cs == nil {
-		return 0
-	}
 	return int64(cap(cs.tri)) + int64(cap(cs.triU)) +
 		4*int64(cap(cs.sel)) + 4*int64(cap(cs.selU)) +
 		8*int64(cap(cs.wf)) + int64(cap(cs.wbuf)) +
@@ -62,30 +59,32 @@ func (cs *colScratch) memBytes() int64 {
 		24*int64(cap(cs.jRows))
 }
 
+// charge adds the stage's pinned bytes to the per-pool running totals.
+func (st *stage) charge(tables, arenas, uncertain, scratch *int64) {
+	*tables += st.tab.bytes
+	*arenas += st.arena.bytes
+	*uncertain += uncertainRowBytes * int64(cap(st.uncertain))
+	*scratch += st.cs.memBytes()
+}
+
 // collectResidency folds every charge counter into the ledger. Runs on
-// the controller at mini-batch boundaries; worker shards are parked
+// the controller at mini-batch boundaries; worker stages are parked
 // then (only prefetch fills may be in flight, and those touch nothing
-// read here — prefetch buffer sizes are recorded at launch time).
+// read here — prefetch buffer sizes are recorded at launch time). Shard
+// engines' stages are the shard's residency, not the engine's: what
+// they fold is charged here once it merges into the runner.
 func (e *Engine) collectResidency() {
 	var tables, arenas, uncertain, scratch int64
 	for _, r := range e.runners {
-		tables += r.tab.bytes
-		arenas += r.arena.bytes
-		uncertain += uncertainRowBytes * int64(cap(r.uncertain))
-		scratch += r.cs.memBytes()
-		scratch += int64(cap(r.wbuf)) + int64(cap(r.reclassBuf)) + 8*int64(cap(r.sampledIdx))
+		r.charge(&tables, &arenas, &uncertain, &scratch)
+		scratch += int64(cap(r.reclassBuf)) + 8*int64(cap(r.sampledIdx))
 	}
 	if e.pool != nil {
 		for _, wc := range e.pool.ctxs {
-			scratch += int64(cap(wc.wbuf))
-			for _, sh := range wc.shards {
-				if sh == nil {
-					continue
+			for _, st := range wc.stages {
+				if st != nil {
+					st.charge(&tables, &arenas, &uncertain, &scratch)
 				}
-				tables += sh.tab.bytes
-				arenas += sh.arena.bytes
-				uncertain += uncertainRowBytes * int64(cap(sh.uncertain))
-				scratch += sh.cs.memBytes()
 			}
 		}
 	}

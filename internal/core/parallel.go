@@ -3,29 +3,100 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"fluodb/internal/chaos"
-	"fluodb/internal/retry"
+	"fluodb/internal/exec"
+	"fluodb/internal/storage"
 	"fluodb/internal/types"
 )
 
-// Intra-batch parallelism. FluoDB is "a parallel online query execution
-// framework" (§1); here each mini-batch is sharded across the engine's
-// persistent workers (pool.go), each folding into a private aggregate
-// table and uncertain buffer, merged deterministically (worker 0..P−1)
-// afterwards. All aggregate states are mergeable by construction
-// (internal/agg), the CLT moments merge with the parallel-variance
-// formula, and per-tuple resamples are counter-based hashes, so the
-// statistics are identical to a serial run up to group insertion order.
+// Partition → fold → ordered merge. FluoDB is "a parallel online query
+// execution framework" (§1), and every form of parallelism here is one
+// step: split a mini-batch into contiguous parts (storage.SliceRanges,
+// sized by storage.ClampParts), fold each part into a private stage,
+// merge the stages in part order. All aggregate states are mergeable by
+// construction (internal/agg), the CLT moments merge with the
+// parallel-variance formula, and per-tuple resamples are counter-based
+// hashes of the global row index, so the statistics are identical to a
+// serial run up to group insertion order — which merging contiguous
+// parts in part order reproduces exactly.
 //
-// Worker shard state persists across batches: tables are reset (entry
-// free list), not reallocated, and the weights scratch, uncertain
-// buffers and classification environments are reused. The pre-pool
-// runtime that spawned fresh goroutines and tables per batch survives
-// as feedBatchSpawn behind Options.PerBatchSpawn, as the A/B baseline
-// for the scaling benchmark.
+// The step exists once. A runner folds single-part batches into its own
+// home stage; the engine folds multi-part batches on its worker pool
+// (feedBatchParallel); a shard engine is the same thing one level down,
+// over its own pool and stages (shard.go); and the coordinator merges
+// what shards return with the same mergeStage (coordinator.go). Failed
+// parts are redone by the one containment ladder, workerPool.scatter
+// (pool.go). Stages persist across batches: tables are recycled (entry
+// free list), not reallocated, and the uncertain buffer, joiner clone,
+// columnar scratch and classification environment are reused.
+
+// stage is one fold destination: everything a fold writes, private to
+// the goroutine folding into it and merged by its owner at the barrier.
+// The runner embeds one as its home stage (the authoritative cross-batch
+// state); pool workers and shard engines keep one per runner.
+type stage struct {
+	tab       *onlineTable
+	uncertain []uncertainRow
+	arena     weightArena
+	// joiner shares the (read-only) dimension hash tables but its one-row
+	// scratch is per-call state, so every stage owns a clone.
+	joiner *exec.Joiner
+	folds  int64
+	// acc holds per-stage phase times, merged at the barrier; phase
+	// breakdowns therefore sum worker time and may exceed batch wall
+	// time under parallel folding.
+	acc phaseAcc
+	cs  colScratch
+	// te is the classification environment of the fold in progress,
+	// bound by whoever drives the stage (the controller's per-batch
+	// environment for the home stage, the worker's refreshed one
+	// otherwise).
+	te *triEnv
+}
+
+// newStage builds a worker- or shard-side stage for r. A fresh stage is
+// also what a redone part folds into: a stage whose fold panicked may be
+// partial or poisoned and is dropped, never merged or recycled.
+func (r *blockRunner) newStage() *stage {
+	st := &stage{tab: newShardTable(r.eng.opt.Trials), joiner: r.joiner.CloneForWorker()}
+	st.tab.configure(r.cltKinds)
+	return st
+}
+
+// absorb merges src into dst and resets src for its next batch: the
+// uncertain rows now live in dst (the buffer is zeroed so dropped rows
+// stay collectable) and the table's entries return to its free list.
+func (dst *stage) absorb(src *stage) {
+	dst.tab.merge(src.tab)
+	dst.uncertain = append(dst.uncertain, src.uncertain...)
+	dst.arena.adopt(&src.arena)
+	dst.folds += src.folds
+	dst.acc.merge(&src.acc)
+	src.folds = 0
+	src.acc.reset()
+	for i := range src.uncertain {
+		src.uncertain[i] = uncertainRow{}
+	}
+	src.uncertain = src.uncertain[:0]
+	src.tab.recycle()
+}
+
+// mergeStage drains a worker or shard stage into the runner. Callers
+// merge in part order: with part boundaries fixed by row position this
+// reproduces the serial group insertion order exactly.
+func (r *blockRunner) mergeStage(st *stage) {
+	r.absorb(st)
+	r.settle()
+}
+
+// settle publishes what a fold into the home stage changed outside it.
+func (r *blockRunner) settle() {
+	r.eng.metrics.DeterministicFolds += r.folds
+	r.folds = 0
+	r.sampledIdxValid = false
+}
 
 // merge folds another accumulator into a (Chan et al. parallel
 // variance).
@@ -44,20 +115,17 @@ func (a *cltAcc) merge(b cltAcc) {
 	a.n = n
 }
 
-// feedShard folds rows[lo:hi) of a mini-batch into a private table and
-// uncertain buffer. te, tab, uncertain, arena, acc, the cs columnar
-// scratch and the wbuf weights scratch must be private to the worker;
-// the (possibly grown) scratch is returned for reuse. pf, when non-nil,
-// supplies prefetched subsample membership and weight vectors for the
-// whole batch (read-only, safely shared across shards). When the
-// block's columnar plan applies (and cs is provided), the shard is swept
-// by the vectorized classify/fold path instead of the row loop below —
-// bit-identically.
-func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, tab *onlineTable, uncertain *[]uncertainRow, arena *weightArena, folds *int64, acc *phaseAcc, wbuf []uint8, pf *weightPrefetch, cs *colScratch) []uint8 {
-	e := r.eng
-	if cs != nil && r.colFeed(rows, baseIdx, ts, te, tab, uncertain, arena, folds, acc, cs, pf) {
-		return wbuf
+// feedShard folds rows (global rows baseIdx..) into st on the calling
+// goroutine. pf, when non-nil, supplies prefetched subsample membership
+// and weight vectors for the whole batch (read-only, safely shared
+// across parts). When the block's columnar plan applies, the rows are
+// swept by the vectorized classify/fold path instead of the row loop
+// below — bit-identically.
+func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, pf *weightPrefetch, st *stage) {
+	if r.colFeed(rows, baseIdx, ts, pf, st) {
+		return
 	}
+	e := r.eng
 	prof := e.profile
 	trials := e.opt.Trials
 	for i, fact := range rows {
@@ -73,57 +141,33 @@ func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, 
 				repW = ts.invP
 			}
 		} else if e.sampled(ts, baseIdx+i) {
-			wbuf = e.weightsInto(wbuf, ts, baseIdx+i)
-			weights = wbuf
+			st.cs.wbuf = e.weightsInto(st.cs.wbuf, ts, baseIdx+i)
+			weights = st.cs.wbuf
 			repW = ts.invP
 		}
 		if prof {
-			acc.ns[phaseWeights] += int64(time.Since(t0))
+			st.acc.ns[phaseWeights] += int64(time.Since(t0))
 		}
-		r.feedTupleTo(fact, weights, repW, te, tab, uncertain, arena, folds, acc)
+		r.feedTupleTo(fact, weights, repW, st)
 	}
-	return wbuf
 }
 
-// feedBatchSerial folds a mini-batch on the caller's goroutine, reusing
-// the runner's weights scratch. Columnar-eligible blocks sweep the
-// batch through colFeed instead (bit-identical, see columnar.go).
+// foldOn folds rows into wc's persistent stage for r, on the calling
+// goroutine, under wc's refreshed classification environment.
+func (r *blockRunner) foldOn(wc *workerCtx, rows []types.Row, baseIdx int, ts *tableStream, pf *weightPrefetch) {
+	st := wc.stage(r)
+	st.te = wc.refresh(r.eng)
+	r.feedShard(rows, baseIdx, ts, pf, st)
+}
+
+// feedBatchSerial folds a mini-batch into the home stage on the
+// caller's goroutine.
 func (r *blockRunner) feedBatchSerial(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, pf *weightPrefetch) {
 	r.ensureColPlan()
 	r.revalidateColPlan()
-	if r.colPl.ok {
-		if r.cs == nil {
-			r.cs = &colScratch{}
-		}
-		if r.colFeed(rows, baseIdx, ts, te, r.tab, &r.uncertain, &r.arena,
-			&r.eng.metrics.DeterministicFolds, &r.acc, r.cs, pf) {
-			return
-		}
-	}
-	prof := r.eng.profile
-	trials := r.eng.opt.Trials
-	for i, fact := range rows {
-		var weights []uint8
-		repW := 0.0
-		var t0 time.Time
-		if prof {
-			t0 = time.Now()
-		}
-		if pf != nil {
-			if ri := baseIdx + i - pf.start; pf.sampled[ri] {
-				weights = pf.weights[ri*trials : (ri+1)*trials]
-				repW = ts.invP
-			}
-		} else if r.eng.sampled(ts, baseIdx+i) {
-			r.wbuf = r.eng.weightsInto(r.wbuf, ts, baseIdx+i)
-			weights = r.wbuf
-			repW = ts.invP
-		}
-		if prof {
-			r.acc.ns[phaseWeights] += int64(time.Since(t0))
-		}
-		r.feedTuple(fact, weights, repW, te)
-	}
+	r.te = te
+	r.feedShard(rows, baseIdx, ts, pf, &r.stage)
+	r.settle()
 }
 
 // chaosFault is the panic value of an injected fault, so containment
@@ -141,271 +185,80 @@ func panicNote(v any) string {
 	return s
 }
 
-// feedBatchParallel shards one mini-batch across the engine's workers.
-// It falls back to serial feeding for small batches, or when the shard
-// clamp leaves a single worker (one worker with full shard/merge
-// overhead would only be slower). A worker panic (injected or real) is
-// contained: the affected shard scratch is quarantined and the whole
-// batch is redone serially over the same shard boundaries, which is
-// bit-identical to a clean parallel pass by construction. Only when the
-// serial retries themselves keep panicking does a typed error surface.
+// feedBatchParallel folds one mini-batch across the engine's workers,
+// or into the home stage when the clamp leaves a single part (small
+// batch, Parallelism 1, closed engine). A worker panic (injected or
+// real) is contained by scatter: that worker's stage is quarantined and
+// its part alone is redone on a fresh stage on this goroutine — a part's
+// stage is a pure function of its rows and the batch's bindings, and the
+// merge below runs in worker order either way, so the outcome is
+// bit-identical to a clean pass. Only when a part's redo ladder is
+// exhausted does a typed error surface, with nothing merged.
 func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, pf *weightPrefetch) error {
 	e := r.eng
+	var pool *workerPool
+	workers := storage.ClampParts(len(rows), e.opt.Parallelism, e.opt.ParallelThreshold)
+	if workers > 1 {
+		pool = e.ensurePool()
+	}
+	if pool == nil {
+		r.feedBatchSerial(rows, baseIdx, ts, te, pf)
+		return nil
+	}
 	// Build the columnar plan on the controller before any worker can
-	// race to it (workers share the runner shallowly); re-acquire the
-	// encoding here too if a fault dropped it.
+	// race to it (workers share the runner); re-acquire the encoding here
+	// too if a fault dropped it.
 	r.ensureColPlan()
 	r.revalidateColPlan()
-	workers := e.opt.Parallelism
-	thr := e.opt.ParallelThreshold
-	if workers <= 1 || len(rows) < 2*thr {
-		r.feedBatchSerial(rows, baseIdx, ts, te, pf)
-		return nil
-	}
-	if max := len(rows) / thr; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		r.feedBatchSerial(rows, baseIdx, ts, te, pf)
-		return nil
-	}
-	if e.opt.PerBatchSpawn {
-		r.feedBatchSpawn(rows, baseIdx, ts, workers, pf)
-		return nil
-	}
-	pool := e.ensurePool()
-	if pool == nil { // engine closed: degrade to serial, stay correct
-		r.feedBatchSerial(rows, baseIdx, ts, te, pf)
-		return nil
-	}
+	parts := storage.SliceRanges(len(rows), workers)
 	inj := e.opt.Chaos
-	g := &taskGroup{}
-	size := len(rows) / workers
-	submitted := workers
-	for w := 0; w < workers; w++ {
-		lo := w * size
-		hi := lo + size
-		if w == workers-1 {
-			hi = len(rows)
-		}
-		err := pool.submit(w, g, func(wc *workerCtx) {
-			if inj != nil {
-				switch k := inj.ShardFault(ts.name, baseIdx, wc.id); k {
-				case chaos.KindPanic:
-					e.traceFault("panic", ts.name, wc.id, "injected worker panic")
-					panic(&chaosFault{kind: k})
-				case chaos.KindStraggler:
-					// A straggler is benign for correctness — merge order is
-					// fixed by worker index — but stresses barrier/scheduling.
-					e.traceFault("straggler", ts.name, wc.id, "injected straggler delay")
-					inj.Sleep()
-				case chaos.KindCorrupt:
-					// Poison the private shard (double-fold its rows) and then
-					// fail: the soak's bit-identity check proves the corrupted
-					// scratch is quarantined, never merged.
-					e.traceFault("corrupt", ts.name, wc.id, "injected shard corruption")
-					sh := wc.shard(r)
-					wte := wc.refresh(e)
-					wr := *r
-					wr.joiner = sh.joiner
-					wc.wbuf = wr.feedShard(rows[lo:hi], baseIdx+lo, ts, wte,
-						sh.tab, &sh.uncertain, &sh.arena, &sh.folds, &sh.acc, wc.wbuf, pf, sh.cs)
-					panic(&chaosFault{kind: k})
-				}
-			}
-			sh := wc.shard(r)
-			wte := wc.refresh(e)
-			sl := e.workerSlab(wc.id)
-			tsp := sl.Begin("task", e.spanFeed, e.spanBatchNo, r.b.ID)
-			wr := *r // shallow: shares block/engine, swaps per-worker scratch
-			wr.joiner = sh.joiner
-			wc.wbuf = wr.feedShard(rows[lo:hi], baseIdx+lo, ts, wte,
-				sh.tab, &sh.uncertain, &sh.arena, &sh.folds, &sh.acc, wc.wbuf, pf, sh.cs)
-			sl.End(tsp)
-		})
-		if err != nil {
-			// Pool stopped mid-submit: drain what made it onto the workers,
-			// then redo everything serially.
-			submitted = w
-			break
-		}
+	fold := func(wc *workerCtx, w int) {
+		r.foldOn(wc, rows[parts[w].Lo:parts[w].Hi], baseIdx+parts[w].Lo, ts, pf)
 	}
-	panics := g.wait()
-	if submitted < workers || len(panics) > 0 {
-		for _, p := range panics {
-			e.trace.Emit(Event{Kind: EvWorkerPanic, Key: ts.name, Worker: p.worker, Note: panicNote(p.val)})
+	_, err := pool.scatter(workers, e.opt.Seed, uint64(baseIdx), func(wc *workerCtx, w int) error {
+		switch k := inj.ShardFault(ts.name, baseIdx, wc.id); k {
+		case chaos.KindPanic:
+			e.traceFault("panic", ts.name, wc.id, "injected worker panic")
+			panic(&chaosFault{kind: k})
+		case chaos.KindStraggler:
+			// A straggler is benign for correctness — merge order is
+			// fixed by worker index — but stresses barrier/scheduling.
+			e.traceFault("straggler", ts.name, wc.id, "injected straggler delay")
+			inj.Sleep()
+		case chaos.KindCorrupt:
+			// Poison the private stage (double-fold its rows) and then
+			// fail: the soak's bit-identity check proves the corrupted
+			// stage is quarantined, never merged.
+			e.traceFault("corrupt", ts.name, wc.id, "injected shard corruption")
+			fold(wc, w)
+			panic(&chaosFault{kind: k})
 		}
-		// Any worker's shard for this runner may hold a partial or
-		// poisoned fold; discard them all and rebuild on the next batch.
-		pool.quarantine(r.idx)
-		return r.retrySerialShards(rows, baseIdx, ts, te, pf, workers, size)
-	}
-	// Drain worker shards in worker order (0..P−1): with shard
-	// boundaries fixed by row position this reproduces the group
-	// insertion order of the per-batch-spawn runtime exactly.
-	for w := 0; w < workers; w++ {
-		sh := pool.ctxs[w].shards[r.idx]
-		r.tab.merge(sh.tab)
-		r.uncertain = append(r.uncertain, sh.uncertain...)
-		r.arena.adopt(&sh.arena)
-		e.metrics.DeterministicFolds += sh.folds
-		sh.folds = 0
-		r.acc.merge(&sh.acc)
-		sh.acc.reset()
-		// The uncertain rows now live in r.uncertain; keep the worker
-		// buffer (zeroed so dropped rows stay collectable) and recycle
-		// the shard table's entries for the next batch.
-		for i := range sh.uncertain {
-			sh.uncertain[i] = uncertainRow{}
-		}
-		sh.uncertain = sh.uncertain[:0]
-		sh.tab.recycle()
-	}
-	r.sampledIdxValid = false
-	return nil
-}
-
-// maxShardRetries bounds the serial redo ladder after a contained
-// worker failure.
-const maxShardRetries = 3
-
-// retrySerialShards redoes a failed parallel batch on the controller's
-// goroutine under the shared bounded-backoff policy (internal/retry;
-// Seed 0 keeps the historical nominal ladder 1ms→2ms→4ms, cap 8ms).
-// Each attempt folds the exact shard partition of the failed pass into
-// fresh staging tables and merges them in worker order — float addition
-// is non-associative, so replaying the same shard plan (rather than one
-// flat serial fold) is what makes the retry bit-identical to a clean
-// parallel pass. Chaos injection never fires here (faults are keyed to
-// pool workers), so an injected schedule cannot livelock the redo.
-func (r *blockRunner) retrySerialShards(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, pf *weightPrefetch, workers, size int) error {
-	e := r.eng
-	var lastPanic any
-	pol := retry.Policy{Attempts: maxShardRetries, Base: time.Millisecond, Cap: 8 * time.Millisecond}
-	err := pol.Do(uint64(baseIdx), func(attempt int) error {
-		e.trace.Emit(Event{Kind: EvSerialRetry, Key: ts.name, Kept: attempt})
-		ssp := e.sctl.Begin("serial-retry", e.spanFeed, e.spanBatchNo, r.b.ID)
-		ok, pv := r.serialShardPass(rows, baseIdx, ts, te, pf, workers, size)
-		e.sctl.End(ssp)
-		if ok {
-			return nil
-		}
-		lastPanic = pv
-		return fmt.Errorf("attempt %d panicked", attempt)
-	})
-	if err == nil {
+		sl := e.workerSlab(wc.id)
+		tsp := sl.Begin("task", e.spanFeed, e.spanBatchNo, r.b.ID)
+		fold(wc, w)
+		sl.End(tsp)
 		return nil
-	}
-	return &QueryError{Kind: ErrKindWorkerPanic, Batch: e.batch, Worker: -1,
-		Note: fmt.Sprintf("parallel batch failed and %d serial retries panicked: %s", maxShardRetries, panicNote(lastPanic))}
-}
-
-// serialShardPass folds the batch's shard partition sequentially into
-// staging tables, committing into the runner only when every shard
-// completed — a panic mid-pass (necessarily a real bug, not injection)
-// discards the staging wholesale so the runner's own state is never
-// half-updated and the next attempt starts clean.
-func (r *blockRunner) serialShardPass(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, pf *weightPrefetch, workers, size int) (ok bool, panicVal any) {
-	e := r.eng
-	type staging struct {
-		tab       *onlineTable
-		uncertain []uncertainRow
-		arena     weightArena
-		folds     int64
-		acc       phaseAcc
-	}
-	outs := make([]staging, workers)
-	defer func() {
-		if v := recover(); v != nil {
-			panicVal = v
+	}, func(w, attempt int, cause error) error {
+		// Chaos never fires here (faults are keyed to pool tasks), so an
+		// injected schedule cannot livelock the redo.
+		if _, ok := cause.(*workerPanic); ok && attempt == 1 {
+			e.trace.Emit(Event{Kind: EvWorkerPanic, Key: ts.name, Worker: w, Note: cause.Error()})
 		}
-	}()
-	for w := 0; w < workers; w++ {
-		lo := w * size
-		hi := lo + size
-		if w == workers-1 {
-			hi = len(rows)
-		}
-		st := &outs[w]
-		st.tab = newShardTable(e.opt.Trials)
-		st.tab.configure(r.cltKinds)
-		if r.cs == nil {
-			r.cs = &colScratch{}
-		}
-		r.wbuf = r.feedShard(rows[lo:hi], baseIdx+lo, ts, te,
-			st.tab, &st.uncertain, &st.arena, &st.folds, &st.acc, r.wbuf, pf, r.cs)
+		e.trace.Emit(Event{Kind: EvSerialRetry, Key: ts.name, Worker: w, Kept: attempt})
+		ssp := e.sctl.Begin("serial-retry", e.spanFeed, e.spanBatchNo, r.b.ID)
+		defer e.sctl.End(ssp)
+		pool.ctxs[w].quarantine(r)
+		fold(pool.ctxs[w], w)
+		return nil
+	})
+	if err != nil {
+		return &QueryError{Kind: ErrKindWorkerPanic, Batch: e.batch, Worker: -1,
+			Note: fmt.Sprintf("parallel batch failed and %d serial retries panicked: %v", ladderAttempts, err)}
 	}
-	for w := 0; w < workers; w++ {
-		st := &outs[w]
-		r.tab.merge(st.tab)
-		r.uncertain = append(r.uncertain, st.uncertain...)
-		r.arena.adopt(&st.arena)
-		e.metrics.DeterministicFolds += st.folds
-		r.acc.merge(&st.acc)
+	for w := range parts {
+		r.mergeStage(pool.ctxs[w].stage(r))
 	}
-	r.sampledIdxValid = false
-	return true, nil
-}
-
-// feedBatchSpawn is the legacy parallel runtime: fresh goroutines,
-// tables and uncertain buffers every batch. workers has already been
-// clamped by feedBatchParallel.
-func (r *blockRunner) feedBatchSpawn(rows []types.Row, baseIdx int, ts *tableStream, workers int, pf *weightPrefetch) {
-	type shardOut struct {
-		tab       *onlineTable
-		uncertain *[]uncertainRow
-		arena     weightArena
-		folds     int64
-		// Per-worker phase times, merged into the runner's accumulator
-		// after the barrier; phase breakdowns therefore sum worker time
-		// and may exceed batch wall time under parallel folding.
-		acc phaseAcc
-	}
-	outs := make([]shardOut, workers)
-	// joiner shares dimension hash tables (read-only) but its one-row
-	// scratch is per-call state: give each worker a shallow copy.
-	var wg sync.WaitGroup
-	size := len(rows) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * size
-		hi := lo + size
-		if w == workers-1 {
-			hi = len(rows)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			wr := *r // shallow: shares joiner dims, block, engine
-			wr.joiner = r.joiner.CloneForWorker()
-			tab := newOnlineTable(r.eng.opt.Trials)
-			tab.configure(r.cltKinds)
-			wte := r.eng.triEnv()
-			unc := uncertainBufPool.Get().(*[]uncertainRow)
-			*unc = (*unc)[:0]
-			out := &outs[w]
-			out.tab = tab
-			out.uncertain = unc
-			// nil colScratch: the legacy baseline stays on the row path.
-			wr.feedShard(rows[lo:hi], baseIdx+lo, ts, wte, tab, unc, &out.arena, &out.folds, &out.acc, nil, pf, nil)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := range outs {
-		r.tab.merge(outs[w].tab)
-		r.uncertain = append(r.uncertain, *outs[w].uncertain...)
-		r.arena.adopt(&outs[w].arena)
-		r.eng.metrics.DeterministicFolds += outs[w].folds
-		r.acc.merge(&outs[w].acc)
-		// The uncertain rows now live in r.uncertain; recycle the worker
-		// buffer (zeroed so dropped rows stay collectable).
-		buf := *outs[w].uncertain
-		for i := range buf {
-			buf[i] = uncertainRow{}
-		}
-		*outs[w].uncertain = buf[:0]
-		uncertainBufPool.Put(outs[w].uncertain)
-	}
-	r.sampledIdxValid = false
+	return nil
 }
 
 // defaultParallelism resolves Parallelism 0.

@@ -113,8 +113,8 @@ func determinismOptions(seed uint64) Options {
 
 // TestParallelFoldBitIdentical sweeps the pooled runtime across
 // P∈{1,2,4,8} (pipelined weight prefetch included — it activates with
-// the pool) and the legacy per-batch-spawn runtime, asserting every
-// configuration reproduces the serial snapshots bit for bit.
+// the pool), asserting every configuration reproduces the serial
+// snapshots bit for bit.
 func TestParallelFoldBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -126,11 +126,6 @@ func TestParallelFoldBitIdentical(t *testing.T) {
 				compareSnapshots(t, fmt.Sprintf("pool P=%d", p),
 					serial, runSnapshots(t, cat, determinismSQL, o))
 			}
-			o := determinismOptions(seed)
-			o.Parallelism = 4
-			o.PerBatchSpawn = true
-			compareSnapshots(t, "spawn P=4",
-				serial, runSnapshots(t, cat, determinismSQL, o))
 		})
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "fluodb/internal/storage"
+
 // Pipelined bootstrap-weight generation. Per-tuple resamples are
 // counter-based hashes — a pure function of (seed, table, row index,
 // trial) independent of any engine state — so batch k+1's weight
@@ -57,10 +59,9 @@ func (pf *weightPrefetch) drain() bool {
 
 // launchPrefetch schedules batch bi's weight generation on the worker
 // pool for every streamed table. It is a no-op until the pool exists
-// (serial engines never pay for it) and under the legacy per-batch
-// spawn runtime.
+// (serial engines never pay for it).
 func (e *Engine) launchPrefetch(bi int) {
-	if e.pool == nil || e.closed || e.opt.PerBatchSpawn || bi >= e.opt.Batches {
+	if e.pool == nil || e.closed || bi >= e.opt.Batches {
 		return
 	}
 	if e.degradeRung >= 2 {
@@ -96,23 +97,13 @@ func (e *Engine) launchPrefetch(bi int) {
 		}
 		pf.weights = pf.weights[:n*trials]
 		pf.bytes = int64(cap(pf.sampled)) + int64(cap(pf.weights))
-		workers := e.pool.size()
-		if workers > n {
-			workers = n
-		}
-		size := n / workers
-		for w := 0; w < workers; w++ {
-			lo := w * size
-			hi := lo + size
-			if w == workers-1 {
-				hi = n
-			}
+		for w, rg := range storage.SliceRanges(n, storage.ClampParts(n, e.pool.size(), 1)) {
 			err := e.pool.submit(w, pf.fill, func(wc *workerCtx) {
 				// Fills overlap the controller's batch tail and outlive the
 				// batch span, so the span parents to the query span.
 				sl := e.workerSlab(wc.id)
 				psp := sl.Begin("prefetch", e.spanQuery, bi+1, -1)
-				for i := lo; i < hi; i++ {
+				for i := rg.Lo; i < rg.Hi; i++ {
 					s := e.sampled(ts, pf.start+i)
 					pf.sampled[i] = s
 					if s {

@@ -4,34 +4,33 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"time"
 
-	"fluodb/internal/exec"
 	"fluodb/internal/expr"
+	"fluodb/internal/retry"
 )
 
 // The persistent worker pool. PF-OLA's lesson (and our own PR 2
 // profiles) is that parallel OLA pays off only when estimation work is
-// overlapped with execution instead of re-set-up at every barrier: the
-// previous runtime re-spawned goroutines and re-allocated per-worker
-// group tables for every mini-batch, and ran reclassification and
-// bootstrap-weight generation serially on the controller. Here each
-// engine owns P long-lived workers, each with a reusable shard context
-// (group table reset — not reallocated — across batches, a refreshable
-// classification environment, weight arena, uncertain buffer, joiner
-// clone, phase accumulator). The controller feeds work descriptors over
-// per-worker channels; shard k always runs on worker k and results are
-// merged in worker order, so the pooled runtime is bit-identical to the
-// per-batch-spawn path it replaces (and to a serial run, up to the same
-// group-ordering caveats as before).
+// overlapped with execution instead of re-set-up at every barrier. Each
+// pool owns P long-lived workers, each with a reusable context (one
+// stage per runner — parallel.go — and a refreshable classification
+// environment). The controller feeds work descriptors over per-worker
+// channels; part k always runs on worker k and results are merged in
+// worker order, so a pooled fold is bit-identical to a serial run (up
+// to the group-ordering caveats of parallel.go). The engine owns one
+// pool; a shard engine folding sub-slices owns its own (shard.go), and
+// the coordinator dispatches shards over one more (coordinator.go) —
+// newWorkerPool is the only place the runtime creates goroutines.
 //
 // Fault containment: a task panic must not take down the worker (its
 // channel would deadlock every later barrier) or the process. Each task
 // runs under recover; the panic value and stack are recorded on the
-// task's group and surfaced to the controller at the barrier, which
-// quarantines the affected shard scratch and redoes the work serially.
+// task's group and surfaced at the barrier, where scatter quarantines
+// the affected stage and redoes the part.
 //
-// Lifecycle: the pool is created lazily on first parallel work and
-// stopped by Engine.Close. A finalizer backstops engines that are
+// Lifecycle: the engine's pool is created lazily on first parallel work
+// and stopped by Engine.Close. A finalizer backstops engines that are
 // dropped without Close — workers hold no reference to the engine
 // between tasks (contexts are delivered inside each task, and the task
 // value is cleared before the next blocking receive), so an abandoned
@@ -45,6 +44,8 @@ type workerPanic struct {
 	val    any
 	stack  []byte
 }
+
+func (p *workerPanic) Error() string { return panicNote(p.val) }
 
 // taskGroup is the submission barrier: a WaitGroup plus a panic
 // collector. wait() drains and returns any panics recovered while the
@@ -80,49 +81,34 @@ type poolTask struct {
 	ctx *workerCtx
 }
 
-// workerShard is one worker's per-block reusable fold state. Everything
-// here is private to the worker during a batch and drained by the
-// controller at the merge barrier.
-type workerShard struct {
-	tab       *onlineTable
-	uncertain []uncertainRow
-	arena     weightArena
-	joiner    *exec.Joiner
-	folds     int64
-	acc       phaseAcc
-	cs        *colScratch
-}
-
 // workerCtx is one worker's cross-batch scratch. It deliberately holds
 // no *Engine or *blockRunner: the pool must not keep an abandoned
 // engine reachable, or the shutdown finalizer could never run.
 type workerCtx struct {
 	id     int
 	te     *triEnv
-	wbuf   []uint8
-	shards []*workerShard
+	stages []*stage // by runner index
 }
 
-// shard returns (creating on first use) the worker's reusable fold
-// state for runner r. A quarantined shard slot (nil after a panic) is
-// simply rebuilt here on the next batch.
-func (wc *workerCtx) shard(r *blockRunner) *workerShard {
-	for len(wc.shards) <= r.idx {
-		wc.shards = append(wc.shards, nil)
+// stage returns (creating on first use) the worker's persistent stage
+// for runner r. A quarantined slot is simply rebuilt here.
+func (wc *workerCtx) stage(r *blockRunner) *stage {
+	for len(wc.stages) <= r.idx {
+		wc.stages = append(wc.stages, nil)
 	}
-	sh := wc.shards[r.idx]
-	if sh == nil {
-		sh = &workerShard{
-			tab: newShardTable(r.eng.opt.Trials),
-			// joiner shares the (read-only) dimension hash tables but its
-			// one-row scratch is per-call state: each worker owns a clone.
-			joiner: r.joiner.CloneForWorker(),
-			cs:     &colScratch{},
-		}
-		sh.tab.configure(r.cltKinds)
-		wc.shards[r.idx] = sh
+	if wc.stages[r.idx] == nil {
+		wc.stages[r.idx] = r.newStage()
 	}
-	return sh
+	return wc.stages[r.idx]
+}
+
+// quarantine discards the worker's stage for runner r after a contained
+// panic: a partially-folded table must never be merged or recycled, so
+// the slot is dropped for the collector.
+func (wc *workerCtx) quarantine(r *blockRunner) {
+	if r.idx < len(wc.stages) {
+		wc.stages[r.idx] = nil
+	}
 }
 
 // refresh returns the worker's classification environment, rebinding it
@@ -153,8 +139,8 @@ func (wc *workerCtx) refresh(e *Engine) *triEnv {
 }
 
 // workerPool is a set of long-lived worker goroutines with per-worker
-// task channels. Shard i of any batch is always submitted to worker i,
-// which pins shard scratch to one goroutine and makes merge order (and
+// task channels. Part i of any batch is always submitted to worker i,
+// which pins a stage to one goroutine and makes merge order (and
 // therefore output) deterministic.
 type workerPool struct {
 	chans []chan poolTask
@@ -245,16 +231,54 @@ func (p *workerPool) stop() {
 	}
 }
 
-// quarantine discards every worker's shard scratch for runner idx after
-// a contained panic: a partially-folded shard table must never be
-// merged or recycled, so the slots are dropped for the collector and
-// rebuilt clean on the next batch.
-func (p *workerPool) quarantine(idx int) {
-	for _, wc := range p.ctxs {
-		if idx < len(wc.shards) {
-			wc.shards[idx] = nil
+// ladderAttempts bounds every containment ladder: redos of a failed
+// part (on a fresh stage, or on a replacement shard incarnation) before
+// the failure escalates.
+const ladderAttempts = 3
+
+// scatter is the runtime's one dispatch → barrier → contain → redo
+// step. run(wc, i) executes part i of n on worker i; a part fails by
+// returning an error, panicking (contained, a *workerPanic) or never
+// being submitted (pool stopped). After the barrier every failed part
+// is redone on the calling goroutine, in part order, by redo(i, attempt,
+// cause) — panics contained again — under a bounded backoff (1→8 ms,
+// jitter a pure hash of seed, site and part, so reruns of a schedule
+// sleep identically). It returns the first part whose ladder was
+// exhausted with its last error, or (-1, nil).
+func (p *workerPool) scatter(n int, seed, site uint64, run func(wc *workerCtx, i int) error, redo func(i, attempt int, cause error) error) (int, error) {
+	errs := make([]error, n)
+	g := &taskGroup{}
+	for i := 0; i < n; i++ {
+		if err := p.submit(i, g, func(wc *workerCtx) { errs[i] = run(wc, i) }); err != nil {
+			// Pool stopped: this part and every later one never ran.
+			for j := i; j < n; j++ {
+				errs[j] = err
+			}
+			break
 		}
 	}
+	panics := g.wait()
+	for k := range panics {
+		errs[panics[k].worker] = &panics[k]
+	}
+	pol := retry.Policy{Attempts: ladderAttempts, Base: time.Millisecond, Cap: 8 * time.Millisecond, Seed: seed}
+	for i, cause := range errs {
+		if cause == nil {
+			continue
+		}
+		err := pol.Do(site<<8^uint64(i), func(attempt int) (err error) {
+			defer func() {
+				if v := recover(); v != nil {
+					err = &workerPanic{worker: i, val: v, stack: debug.Stack()}
+				}
+			}()
+			return redo(i, attempt, cause)
+		})
+		if err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
 }
 
 // ensurePool returns the engine's worker pool, creating it (and

@@ -7,10 +7,11 @@ import (
 	"fluodb/internal/testutil"
 )
 
-// pooledBatchEnv builds a warmed pooled engine over the fold catalog:
-// one Step creates the worker pool and every group, so repeated batch
-// feeds exercise the steady state.
-func pooledBatchEnv(tb testing.TB) (*Engine, *blockRunner, *tableStream, *triEnv) {
+// pooledBatchEnv builds a warmed parallel engine over the fold catalog
+// (shards > 0 routes batches through the coordinator): one Step creates
+// the workers and every group, so repeated batch feeds exercise the
+// steady state.
+func pooledBatchEnv(tb testing.TB, shards int) (*Engine, *blockRunner, *tableStream, *triEnv) {
 	cat := foldCatalog(3*8192, 71)
 	q, err := plan.Compile(`SELECT a, b, SUM(x), AVG(x) FROM facts GROUP BY a, b`, cat)
 	if err != nil {
@@ -18,7 +19,7 @@ func pooledBatchEnv(tb testing.TB) (*Engine, *blockRunner, *tableStream, *triEnv
 	}
 	eng, err := New(q, cat, Options{
 		Batches: 3, Trials: 100, Seed: 72,
-		Parallelism: 4, ParallelThreshold: 512,
+		Parallelism: 4, ParallelThreshold: 512, Shards: shards,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -30,55 +31,54 @@ func pooledBatchEnv(tb testing.TB) (*Engine, *blockRunner, *tableStream, *triEnv
 	return eng, r, eng.tables["facts"], eng.triEnv()
 }
 
-// TestPooledFeedBatchAllocs pins the pooled batch feed to amortized
-// ~zero allocations per tuple: after warmup, a batch costs only the
-// per-worker task closures (a handful of allocations amortized over
-// thousands of rows) — no fresh shard tables, goroutines, weight
-// scratch or uncertain buffers. The legacy spawn runtime allocated all
-// of those every batch; this gate keeps the pool honest.
+// TestPooledFeedBatchAllocs pins the parallel batch feed to amortized
+// ~zero allocations per tuple, through the engine's pool and through
+// the shard coordinator alike: after warmup, a batch costs only the
+// dispatch (task closures, part ranges — a handful of allocations
+// amortized over thousands of rows) — no fresh tables, goroutines,
+// joiner clones, columnar scratch or uncertain buffers, because every
+// level folds into persistent stages.
 func TestPooledFeedBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	eng, r, ts, te := pooledBatchEnv(t)
-	defer eng.Close()
-	rows := ts.batches[1]
-	// Warm the shard scratch (first pooled batch builds worker tables,
-	// joiner clones and classification environments).
-	r.feedBatchParallel(rows, ts.starts[1], ts, te, nil)
-	allocs := testing.AllocsPerRun(20, func() {
-		r.feedBatchParallel(rows, ts.starts[1], ts, te, nil)
-	})
-	perRow := allocs / float64(len(rows))
-	if perRow > 0.01 {
-		t.Fatalf("pooled batch feed allocates %.1f allocs/batch (%.4f/tuple) over %d rows, want ≤0.01/tuple",
-			allocs, perRow, len(rows))
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"pool", 0}, {"shards=2", 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, r, ts, te := pooledBatchEnv(t, c.shards)
+			defer eng.Close()
+			rows := ts.batches[1]
+			feed := func() {
+				var err error
+				if c.shards > 0 {
+					err = eng.coord.feedBatch(r, rows, ts.starts[1], ts, nil)
+				} else {
+					err = r.feedBatchParallel(rows, ts.starts[1], ts, te, nil)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm the stages (the first batch at this size builds worker
+			// tables, joiner clones and classification environments).
+			feed()
+			allocs := testing.AllocsPerRun(20, feed)
+			perRow := allocs / float64(len(rows))
+			if perRow > 0.01 {
+				t.Fatalf("batch feed allocates %.1f allocs/batch (%.4f/tuple) over %d rows, want ≤0.01/tuple",
+					allocs, perRow, len(rows))
+			}
+		})
 	}
 }
 
-// benchPooledBatch measures a full batch feed through either runtime;
-// the pooled path reuses warmed shard scratch, the spawn path pays
-// per-batch goroutine + shard-table setup.
-func benchPooledBatch(b *testing.B, spawn bool) {
-	cat := foldCatalog(3*8192, 71)
-	q, err := plan.Compile(`SELECT a, b, SUM(x), AVG(x) FROM facts GROUP BY a, b`, cat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := New(q, cat, Options{
-		Batches: 3, Trials: 100, Seed: 72,
-		Parallelism: 4, ParallelThreshold: 512,
-		PerBatchSpawn: spawn,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkFoldBatchPooled measures a full batch feed through the
+// pool, reusing warmed stages.
+func BenchmarkFoldBatchPooled(b *testing.B) {
+	eng, r, ts, te := pooledBatchEnv(b, 0)
 	defer eng.Close()
-	if _, err := eng.Step(); err != nil {
-		b.Fatal(err)
-	}
-	r := eng.runners[len(eng.runners)-1]
-	ts, te := eng.tables["facts"], eng.triEnv()
 	rows := ts.batches[1]
 	r.feedBatchParallel(rows, ts.starts[1], ts, te, nil)
 	b.ReportAllocs()
@@ -89,9 +89,6 @@ func benchPooledBatch(b *testing.B, spawn bool) {
 	}
 }
 
-func BenchmarkFoldBatchPooled(b *testing.B) { benchPooledBatch(b, false) }
-func BenchmarkFoldBatchSpawn(b *testing.B)  { benchPooledBatch(b, true) }
-
 // TestPoolLifecycleNoLeaks opens and closes many pooled engines and
 // requires the worker goroutines to drain back to the baseline — the
 // reusable leak check shared with the dashboard-disconnect and otrace
@@ -99,7 +96,7 @@ func BenchmarkFoldBatchSpawn(b *testing.B)  { benchPooledBatch(b, true) }
 func TestPoolLifecycleNoLeaks(t *testing.T) {
 	base := testutil.GoroutineBaseline()
 	for i := 0; i < 8; i++ {
-		eng, _, _, _ := pooledBatchEnv(t)
+		eng, _, _, _ := pooledBatchEnv(t, 0)
 		if _, err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +109,7 @@ func TestPoolLifecycleNoLeaks(t *testing.T) {
 // idempotent, and a closed engine degrades to serial feeding instead of
 // panicking on its stopped pool.
 func TestEngineCloseIdempotent(t *testing.T) {
-	eng, r, ts, te := pooledBatchEnv(t)
+	eng, r, ts, te := pooledBatchEnv(t, 0)
 	eng.Close()
 	eng.Close()
 	// The pooled path must fall back to serial on a closed engine.

@@ -9,6 +9,7 @@ import (
 	"fluodb/internal/expr"
 	"fluodb/internal/plan"
 	"fluodb/internal/sqlparser"
+	"fluodb/internal/storage"
 	"fluodb/internal/types"
 )
 
@@ -25,14 +26,18 @@ type uncertainRow struct {
 	repW    float64 // 0 when outside the bootstrap subsample, else 1/p
 }
 
-// blockRunner executes one lineage block online.
+// blockRunner executes one lineage block online. Its embedded home
+// stage (parallel.go) is the block's authoritative cross-batch state:
+// single-part batches fold straight into it, worker and shard stages
+// merge into it at the barrier, and only the controller goroutine ever
+// touches it.
 type blockRunner struct {
-	b      *plan.Block
-	eng    *Engine
-	joiner *exec.Joiner
+	stage
+	b   *plan.Block
+	eng *Engine
 	// idx is the runner's position in Engine.runners; worker contexts
-	// index their per-runner shard scratch by it (they must not hold
-	// runner pointers between tasks, see pool.go).
+	// index their per-runner stages by it (they must not hold runner
+	// pointers between tasks, see pool.go).
 	idx int
 
 	// WHERE split into certain conjuncts (no uncertain placeholders;
@@ -41,13 +46,6 @@ type blockRunner struct {
 	certainWhere   expr.Expr
 	uncertainWhere expr.Expr
 
-	tab       *onlineTable
-	uncertain []uncertainRow
-	// wbuf is the reusable per-tuple bootstrap-weights scratch (weights
-	// are consumed synchronously inside fold; uncertain rows that must
-	// retain them copy into the arena).
-	wbuf  []uint8
-	arena weightArena
 	// sampledIdx caches the indexes of uncertain rows inside the
 	// bootstrap subsample; trial overlays only visit those.
 	sampledIdx      []int
@@ -58,10 +56,8 @@ type blockRunner struct {
 
 	// colPl is the block's columnar-path eligibility plan (see
 	// columnar.go), built once on the controller and shared read-only by
-	// workers; cs is the serial path's columnar scratch (workers keep
-	// theirs in their shard state).
+	// workers.
 	colPl *colPlan
-	cs    *colScratch
 
 	// cltKinds classifies each aggregate for closed-form ranges;
 	// allCLT reports whether every aggregate in the block is estimable,
@@ -69,13 +65,6 @@ type blockRunner struct {
 	// bootstrap-subsample evidence at all.
 	cltKinds []cltKind
 	allCLT   bool
-
-	// acc is the block's per-batch phase-time scratch, flushed into the
-	// engine's cumulative profiles at the end of each Step. Parallel
-	// workers accumulate into per-shard copies merged at the batch
-	// boundary (see feedBatchParallel), so the serial owner is the only
-	// goroutine ever writing here.
-	acc phaseAcc
 }
 
 func newBlockRunner(b *plan.Block, eng *Engine) (*blockRunner, error) {
@@ -83,7 +72,7 @@ func newBlockRunner(b *plan.Block, eng *Engine) (*blockRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &blockRunner{b: b, eng: eng, joiner: j, tab: newOnlineTable(eng.opt.Trials)}
+	r := &blockRunner{b: b, eng: eng, stage: stage{joiner: j, tab: newOnlineTable(eng.opt.Trials)}}
 	r.cltKinds = make([]cltKind, len(b.Aggs))
 	r.allCLT = len(b.Aggs) > 0
 	for i := range b.Aggs {
@@ -232,22 +221,16 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 
 // reclassifyDecisions evaluates the uncertain predicate over the cached
 // uncertain set on the worker pool, one tri decision per row, or nil
-// when the set is too small (or parallelism is off / legacy spawn mode
-// is selected) — the caller then evaluates inline. Sharding uses the
-// same threshold-clamped split as the batch feed; decisions land in a
+// when the set is too small or parallelism is off — the caller then
+// evaluates inline. The split is the batch feed's; decisions land in a
 // fixed per-row buffer, so worker completion order cannot reorder them.
+// Decisions only fill a scratch buffer — no runner state is touched —
+// so a failed part is simply re-evaluated on this goroutine.
 func (r *blockRunner) reclassifyDecisions() []uint8 {
 	e := r.eng
 	n := len(r.uncertain)
-	workers := e.opt.Parallelism
-	thr := e.opt.ParallelThreshold
-	if workers <= 1 || e.opt.PerBatchSpawn || n < 2*thr {
-		return nil
-	}
-	if max := n / thr; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
+	workers := storage.ClampParts(n, e.opt.Parallelism, e.opt.ParallelThreshold)
+	if workers == 1 {
 		return nil
 	}
 	pool := e.ensurePool()
@@ -258,78 +241,58 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 		r.reclassBuf = make([]uint8, n)
 	}
 	buf := r.reclassBuf[:n]
-	unc := r.uncertain
-	where := r.uncertainWhere
-	inj := e.opt.Chaos
-	g := &taskGroup{}
-	size := n / workers
-	failed := false
-	for w := 0; w < workers; w++ {
-		lo := w * size
-		hi := lo + size
-		if w == workers-1 {
-			hi = n
-		}
-		err := pool.submit(w, g, func(wc *workerCtx) {
-			if inj != nil {
-				switch inj.ReclassFault(r.idx, e.batch, wc.id) {
-				case chaos.KindPanic:
-					e.traceFault("panic", "reclassify", wc.id, "injected reclassification panic")
-					panic(&chaosFault{kind: chaos.KindPanic})
-				case chaos.KindStraggler:
-					e.traceFault("straggler", "reclassify", wc.id, "injected reclassification straggler")
-					inj.Sleep()
-				}
-			}
-			wte := wc.refresh(e)
-			sl := e.workerSlab(wc.id)
-			tsp := sl.Begin("reclass-task", e.spanReclass, e.spanBatchNo, r.b.ID)
-			for i := lo; i < hi; i++ {
-				buf[i] = uint8(wte.evalTri(where, unc[i].row))
-			}
-			sl.End(tsp)
-		})
-		if err != nil {
-			failed = true
-			break
+	parts := storage.SliceRanges(n, workers)
+	decide := func(wc *workerCtx, w int) {
+		wte := wc.refresh(e)
+		for i := parts[w].Lo; i < parts[w].Hi; i++ {
+			buf[i] = uint8(wte.evalTri(r.uncertainWhere, r.uncertain[i].row))
 		}
 	}
-	panics := g.wait()
-	if failed || len(panics) > 0 {
-		// Decisions only fill a scratch buffer — no runner state was
-		// touched, so containment is simply "fall back to inline
-		// evaluation", which is bit-identical by definition.
-		for _, p := range panics {
-			e.trace.Emit(Event{Kind: EvWorkerPanic, Key: "reclassify", Worker: p.worker, Note: panicNote(p.val)})
+	inj := e.opt.Chaos
+	_, err := pool.scatter(workers, e.opt.Seed, uint64(e.batch), func(wc *workerCtx, w int) error {
+		switch inj.ReclassFault(r.idx, e.batch, wc.id) {
+		case chaos.KindPanic:
+			e.traceFault("panic", "reclassify", wc.id, "injected reclassification panic")
+			panic(&chaosFault{kind: chaos.KindPanic})
+		case chaos.KindStraggler:
+			e.traceFault("straggler", "reclassify", wc.id, "injected reclassification straggler")
+			inj.Sleep()
 		}
+		sl := e.workerSlab(wc.id)
+		tsp := sl.Begin("reclass-task", e.spanReclass, e.spanBatchNo, r.b.ID)
+		decide(wc, w)
+		sl.End(tsp)
+		return nil
+	}, func(w, attempt int, cause error) error {
+		if _, ok := cause.(*workerPanic); ok && attempt == 1 {
+			e.trace.Emit(Event{Kind: EvWorkerPanic, Key: "reclassify", Worker: w, Note: cause.Error()})
+		}
+		decide(pool.ctxs[w], w)
+		return nil
+	})
+	if err != nil {
 		return nil
 	}
 	return buf
 }
 
-// feedTuple pushes one fact tuple (with its per-trial bootstrap
+// feedTupleTo pushes one fact tuple (with its per-trial bootstrap
 // multiplicities and subsample weight) through join → certain filter →
-// classification. weights may live in a reusable scratch buffer: tuples
-// that stay uncertain copy them into the runner's arena.
-func (r *blockRunner) feedTuple(fact types.Row, weights []uint8, repW float64, te *triEnv) {
-	r.feedTupleTo(fact, weights, repW, te, r.tab, &r.uncertain, &r.arena,
-		&r.eng.metrics.DeterministicFolds, &r.acc)
-}
-
-// feedTupleTo is feedTuple with explicit fold targets, shared by the
-// serial path (runner-owned state) and parallel workers (shard-private
-// state). When profiling is enabled it splits the work into join, fold
-// and classify time via monotonic clock reads into acc — everything in
-// this function that is neither the join nor a fold counts as
-// classification. time.Now is allocation-free, so the profiled path
-// keeps the steady-state fold at 0 allocs/tuple.
-func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64, te *triEnv, tab *onlineTable, uncertain *[]uncertainRow, arena *weightArena, folds *int64, acc *phaseAcc) {
+// classification into st. weights may live in a reusable scratch
+// buffer: tuples that stay uncertain copy them into the stage's arena.
+// When profiling is enabled it splits the work into join, fold and
+// classify time via monotonic clock reads into the stage's accumulator
+// — everything in this function that is neither the join nor a fold
+// counts as classification. time.Now is allocation-free, so the
+// profiled path keeps the steady-state fold at 0 allocs/tuple.
+func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64, st *stage) {
 	prof := r.eng.profile
+	te, tab, acc := st.te, st.tab, &st.acc
 	var t0 time.Time
 	if prof {
 		t0 = time.Now()
 	}
-	rows := r.joiner.Join(fact)
+	rows := st.joiner.Join(fact)
 	if prof {
 		t1 := time.Now()
 		acc.ns[phaseJoin] += int64(t1.Sub(t0))
@@ -347,7 +310,7 @@ func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64,
 				t0 = t1
 			}
 			tab.fold(r.b, te.pointCtx, weights, repW)
-			*folds++
+			st.folds++
 			if prof {
 				t1 := time.Now()
 				acc.ns[phaseFold] += int64(t1.Sub(t0))
@@ -364,7 +327,7 @@ func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64,
 				t0 = t1
 			}
 			tab.fold(r.b, te.pointCtx, weights, repW)
-			*folds++
+			st.folds++
 			if prof {
 				t1 := time.Now()
 				acc.ns[phaseFold] += int64(t1.Sub(t0))
@@ -373,8 +336,7 @@ func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64,
 		case triFalse:
 			// dropped forever
 		default:
-			*uncertain = append(*uncertain, uncertainRow{row: row, weights: arena.hold(weights), repW: repW})
-			r.sampledIdxValid = false
+			st.uncertain = append(st.uncertain, uncertainRow{row: row, weights: st.arena.hold(weights), repW: repW})
 		}
 	}
 	if prof {

@@ -2,34 +2,33 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"fluodb/internal/chaos"
+	"fluodb/internal/storage"
 	"fluodb/internal/types"
 )
 
 // Sharded execution (DESIGN.md §17). A shard engine is one partition
 // executor behind the coordinator: it receives a contiguous slice of a
-// mini-batch for one lineage block and folds it into a private staging
-// delta — aggregate table, uncertain-set additions, adopted weight
-// chunks, fold count and phase times — which the coordinator merges in
-// shard order. Shards hold no cross-batch aggregate state of their own
-// (the engine's runner tables stay authoritative), which is what makes
-// a shard death recoverable: a replacement shard redoing the same slice
-// from the same committed state produces the same delta.
+// mini-batch for one lineage block and folds it into its own stages
+// (parallel.go), which the coordinator merges in shard order. Shards
+// hold no cross-batch aggregate state of their own (the engine's runner
+// tables stay authoritative; a merged stage is empty again), which is
+// what makes a shard death recoverable: a replacement shard redoing the
+// same slice from the same committed state produces the same stages.
 //
-// localShard is the goroutine-local implementation. The loop must not
-// retain engine references between requests (the request carries them),
-// so an abandoned engine stays finalizable and its Close backstop can
-// shut the shard goroutines down — the same discipline the worker pool
+// localShard is the in-process implementation: the engine's own
+// partition → fold step one level down, over the shard's own stages and
+// (for sub-slice parallelism) its own worker pool. It must not retain
+// engine references between requests (the request carries them), so an
+// abandoned engine stays finalizable and its Close backstop can shut
+// the shard's workers down — the same discipline the worker pool
 // follows (pool.go).
 
 // ShardEngine is the execution interface between the coordinator and
-// one shard. The goroutine-local implementation runs in-process;
-// process separation later means marshalling ShardTask slices and
-// deltas over a transport behind this same interface (the deterministic
-// hash partitioner in internal/storage is the placement half of that
-// stage).
+// one shard. The local implementation runs in-process; process
+// separation later means marshalling ShardTask slices and deltas over a
+// transport behind this same interface.
 type ShardEngine interface {
 	// ID is the shard's slot in the coordinator's topology.
 	ID() int
@@ -57,179 +56,99 @@ type ShardTask struct {
 	thr     int
 }
 
-// ShardDelta is the staged result of one ShardTask, mergeable into the
-// runner exactly like a pool worker's shard state (parallel.go).
+// ShardDelta is the staged result of one ShardTask: the shard's stages
+// in sub-slice order, each drained by the runner's mergeStage. Merging
+// contiguous sub-slices of contiguous slices in (shard, worker) order
+// reproduces the global serial group order (see DESIGN.md §17).
 type ShardDelta struct {
-	tab       *onlineTable
-	uncertain []uncertainRow
-	arena     weightArena
-	folds     int64
-	acc       phaseAcc
+	stages []*stage
 }
 
-// debugShardPanics, when set by a test, re-raises contained shard
-// panics so their stacks surface.
-var debugShardPanics bool
-
-// shardCall pairs a task with its reply channel.
-type shardCall struct {
-	task *ShardTask
-	resp chan shardResult
-}
-
-type shardResult struct {
-	delta *ShardDelta
-	err   error
-}
-
-// localShard is a goroutine-local ShardEngine: one persistent goroutine
-// consuming tasks from a channel. It deliberately holds no *Engine —
-// only the chaos injector (engine-independent) and its coordinates.
+// localShard is an in-process ShardEngine. Step runs on the caller's
+// goroutine (a coordinator pool worker, or the controller during a
+// re-dispatch); own is the fold context of single-part slices, pool the
+// lazily created workers of sub-sliced ones. It deliberately holds no
+// *Engine — only the chaos injector (engine-independent) and its
+// coordinates.
 type localShard struct {
-	id    int
-	inc   int
-	inj   *chaos.Injector
-	calls chan shardCall
-	done  chan struct{}
+	id   int
+	inc  int
+	inj  *chaos.Injector
+	dead bool
+	own  workerCtx
+	pool *workerPool
 }
 
 func newLocalShard(id, inc int, inj *chaos.Injector) *localShard {
-	s := &localShard{id: id, inc: inc, inj: inj,
-		calls: make(chan shardCall), done: make(chan struct{})}
-	go s.loop()
-	return s
+	return &localShard{id: id, inc: inc, inj: inj}
 }
 
 func (s *localShard) ID() int          { return s.id }
 func (s *localShard) Incarnation() int { return s.inc }
 
-// Step dispatches one task and waits for the delta. If the shard died
-// handling it (injected kill or loop exit), the error reports it.
-func (s *localShard) Step(t *ShardTask) (*ShardDelta, error) {
-	call := shardCall{task: t, resp: make(chan shardResult, 1)}
-	select {
-	case s.calls <- call:
-	case <-s.done:
+// Close stops the shard's workers; the shard accepts no further Steps.
+func (s *localShard) Close() {
+	s.dead = true
+	if s.pool != nil {
+		s.pool.stop()
+		s.pool = nil
+	}
+}
+
+// Step decides injected faults, then folds the task's slice — split
+// across up to t.workers sub-slices by the engine's own clamp, splitter
+// and containment ladder. A kill closes the shard: the coordinator must
+// spawn a replacement. A panic anywhere in the fold that outlives the
+// ladder is contained into an error: the coordinator treats it like a
+// shard death and redoes the slice on a replacement.
+func (s *localShard) Step(t *ShardTask) (delta *ShardDelta, err error) {
+	if s.dead {
 		return nil, fmt.Errorf("shard %d (incarnation %d): dead", s.id, s.inc)
 	}
-	res := <-call.resp
-	return res.delta, res.err
-}
-
-// Close shuts the shard goroutine down and waits for it to exit.
-func (s *localShard) Close() {
-	select {
-	case <-s.done: // already dead (killed or closed)
-	default:
-		close(s.calls)
-		<-s.done
+	r, e := t.r, t.r.eng
+	if s.inj.ShardKill(t.ts.name, t.baseIdx, s.id, s.inc) {
+		e.traceFault("shard-kill", t.ts.name, s.id,
+			fmt.Sprintf("injected shard death (incarnation %d)", s.inc))
+		s.Close()
+		return nil, fmt.Errorf("shard %d (incarnation %d): killed at %s[%d]", s.id, s.inc, t.ts.name, t.baseIdx)
 	}
-}
-
-// loop is the shard goroutine: take a task, decide injected faults,
-// fold, reply. A kill makes the goroutine exit after replying — the
-// shard is then dead and the coordinator must spawn a replacement.
-func (s *localShard) loop() {
-	defer close(s.done)
-	for call := range s.calls {
-		t := call.task
-		if s.inj.ShardKill(t.ts.name, t.baseIdx, s.id, s.inc) {
-			t.r.eng.traceFault("shard-kill", t.ts.name, s.id,
-				fmt.Sprintf("injected shard death (incarnation %d)", s.inc))
-			call.resp <- shardResult{err: fmt.Errorf(
-				"shard %d (incarnation %d): killed at %s[%d]", s.id, s.inc, t.ts.name, t.baseIdx)}
-			return
-		}
-		if s.inj.ShardStraggler(t.ts.name, t.baseIdx, s.id, s.inc) {
-			t.r.eng.traceFault("shard-straggler", t.ts.name, s.id,
-				fmt.Sprintf("injected shard delay (incarnation %d)", s.inc))
-			s.inj.Sleep()
-		}
-		delta, err := s.step(t)
-		call.resp <- shardResult{delta: delta, err: err}
+	if s.inj.ShardStraggler(t.ts.name, t.baseIdx, s.id, s.inc) {
+		e.traceFault("shard-straggler", t.ts.name, s.id,
+			fmt.Sprintf("injected shard delay (incarnation %d)", s.inc))
+		s.inj.Sleep()
 	}
-}
-
-// step folds the task's slice, splitting it across up to t.workers
-// sub-slices. Sub-slice deltas merge left-to-right, so the shard's
-// delta has the same group order as a serial fold of the whole slice —
-// and the coordinator's shard-order merge then reproduces the global
-// serial order (contiguous slices compose; see DESIGN.md §17). A panic
-// anywhere in the fold is contained into an error: the coordinator
-// treats it like a shard death and redoes the slice on a replacement.
-func (s *localShard) step(t *ShardTask) (delta *ShardDelta, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			if debugShardPanics {
-				panic(v)
-			}
 			delta, err = nil, fmt.Errorf("shard %d (incarnation %d): contained panic: %s",
 				s.id, s.inc, panicNote(v))
 		}
 	}()
-	n := len(t.rows)
-	workers := t.workers
-	if workers <= 1 || n < 2*t.thr {
-		workers = 1
-	} else if max := n / t.thr; workers > max {
-		workers = max
+	workers := storage.ClampParts(len(t.rows), t.workers, t.thr)
+	if workers == 1 {
+		r.foldOn(&s.own, t.rows, t.baseIdx, t.ts, t.pf)
+		return &ShardDelta{stages: []*stage{s.own.stage(r)}}, nil
 	}
-	if workers <= 1 {
-		return s.foldSlice(t, t.rows, t.baseIdx), nil
+	if s.pool == nil {
+		s.pool = newWorkerPool(t.workers)
 	}
-	subs := make([]*ShardDelta, workers)
-	panics := make([]any, workers)
-	var wg sync.WaitGroup
-	size := n / workers
-	for w := 0; w < workers; w++ {
-		lo := w * size
-		hi := lo + size
-		if w == workers-1 {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panics[w] = v
-				}
-			}()
-			subs[w] = s.foldSlice(t, t.rows[lo:hi], t.baseIdx+lo)
-		}(w, lo, hi)
+	parts := storage.SliceRanges(len(t.rows), workers)
+	fold := func(wc *workerCtx, w int) {
+		r.foldOn(wc, t.rows[parts[w].Lo:parts[w].Hi], t.baseIdx+parts[w].Lo, t.ts, t.pf)
 	}
-	wg.Wait()
-	for w := range panics {
-		if panics[w] != nil {
-			return nil, fmt.Errorf("shard %d (incarnation %d): contained panic: %s",
-				s.id, s.inc, panicNote(panics[w]))
-		}
+	_, err = s.pool.scatter(workers, e.opt.Seed, uint64(t.baseIdx), func(wc *workerCtx, w int) error {
+		fold(wc, w)
+		return nil
+	}, func(w, _ int, _ error) error {
+		s.pool.ctxs[w].quarantine(r)
+		fold(s.pool.ctxs[w], w)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("shard %d (incarnation %d): contained panic: %w", s.id, s.inc, err)
 	}
-	out := subs[0]
-	for w := 1; w < workers; w++ {
-		out.tab.merge(subs[w].tab)
-		out.uncertain = append(out.uncertain, subs[w].uncertain...)
-		out.arena.adopt(&subs[w].arena)
-		out.folds += subs[w].folds
-		out.acc.merge(&subs[w].acc)
+	delta = &ShardDelta{stages: make([]*stage, workers)}
+	for w := range delta.stages {
+		delta.stages[w] = s.pool.ctxs[w].stage(r)
 	}
-	return out, nil
-}
-
-// foldSlice folds one sub-slice into a fresh staging delta through the
-// shared feedShard primitive (columnar when the block's plan applies,
-// prefetched weights when the buffer covers the batch). The joiner
-// clone and classification environment are per-goroutine, exactly as in
-// the per-batch-spawn runtime.
-func (s *localShard) foldSlice(t *ShardTask, rows []types.Row, baseIdx int) *ShardDelta {
-	r := t.r
-	e := r.eng
-	d := &ShardDelta{tab: newShardTable(e.opt.Trials)}
-	d.tab.configure(r.cltKinds)
-	wr := *r // shallow: shares block/engine/plan, swaps per-goroutine scratch
-	wr.joiner = r.joiner.CloneForWorker()
-	wte := e.triEnv()
-	wr.feedShard(rows, baseIdx, t.ts, wte, d.tab, &d.uncertain, &d.arena,
-		&d.folds, &d.acc, nil, t.pf, &colScratch{})
-	return d
+	return delta, nil
 }

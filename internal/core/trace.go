@@ -40,11 +40,11 @@ const (
 	// EvFault: a chaos-injected fault fired (or a real worker panic was
 	// contained). Key carries the fault kind, Worker the affected worker.
 	EvFault = "fault-injected"
-	// EvWorkerPanic: a pool task panicked and was contained; the shard
-	// is quarantined and the batch redone serially.
+	// EvWorkerPanic: a pool task panicked and was contained; the
+	// worker's stage is quarantined and its part redone.
 	EvWorkerPanic = "worker-panic"
-	// EvSerialRetry: a failed parallel pass was redone serially (Kept
-	// carries the attempt number).
+	// EvSerialRetry: a failed part of a parallel pass was redone on the
+	// controller (Worker carries the part, Kept the attempt number).
 	EvSerialRetry = "serial-retry"
 	// EvEvict: the uncertain cache exceeded Options.MaxUncertainRows and
 	// the oldest cached tuples were force-resolved by point estimate

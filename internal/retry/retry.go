@@ -1,11 +1,11 @@
-// Package retry provides the small bounded-backoff policy shared by
-// the runtime's containment ladders: the serial redo of a failed
-// parallel batch (core/parallel.go) and the shard re-dispatch rung of
-// the coordinator's recovery ladder (core/coordinator.go). The policy
-// is deliberately tiny — attempts, a doubling backoff between a base
-// and a cap, and optional deterministic jitter — because the ladders it
-// backs must stay replayable: given the same seed and site, a retried
-// schedule sleeps the same intervals on every run.
+// Package retry provides the small bounded-backoff policy behind the
+// runtime's one containment ladder (core/pool.go scatter): the redo of
+// a failed part of a parallel batch, inside the engine or inside a
+// shard, and the shard re-dispatch rung of the coordinator's recovery
+// ladder. The policy is deliberately tiny — attempts, a doubling
+// backoff between a base and a cap, and optional deterministic jitter —
+// because the ladder it backs must stay replayable: given the same seed
+// and site, a retried schedule sleeps the same intervals on every run.
 package retry
 
 import (
@@ -25,8 +25,7 @@ type Policy struct {
 	Cap time.Duration
 	// Seed, when nonzero, enables deterministic jitter: each sleep is
 	// scaled into [50%, 100%] of its nominal value by a pure hash of
-	// (Seed, site, attempt). Zero keeps the exact nominal backoff —
-	// the mode the pre-existing serial-retry ladder pins in tests.
+	// (Seed, site, attempt). Zero keeps the exact nominal backoff.
 	Seed uint64
 }
 

@@ -1,15 +1,13 @@
 package storage
 
-// Deterministic partitioning primitives for sharded execution. The
-// coordinator (core/coordinator.go) splits every mini-batch into
-// contiguous per-shard row ranges with SliceRanges: contiguity is what
-// keeps the N-shard trajectory bit-identical to the single-engine run —
-// merging contiguous slices in slice order reproduces the serial group
-// insertion order exactly, for any N. HashShard is the content-keyed
-// placement function for the process-separable stage of the shard arc,
-// where rows are routed by key instead of position; it is deterministic
-// in (key, parts) so a re-planned or recovered topology routes every
-// row identically.
+// Deterministic partitioning for every partition → fold → ordered-merge
+// step in the runtime (core/parallel.go): pool workers, shard engines,
+// sub-slices inside a shard, parallel reclassification and weight
+// prefetch all split with SliceRanges, after sizing the split with
+// ClampParts. Contiguity is what keeps every topology's trajectory
+// bit-identical to the single-engine run — merging contiguous slices in
+// slice order reproduces the serial group insertion order exactly, for
+// any part count.
 
 // SliceRange is one shard's contiguous [Lo, Hi) row range.
 type SliceRange struct {
@@ -17,9 +15,8 @@ type SliceRange struct {
 }
 
 // SliceRanges partitions [0, n) into parts contiguous ranges, the last
-// absorbing the remainder (the same split rule the intra-batch worker
-// sharding uses, so shard and worker boundaries compose). parts ≤ 1 or
-// n ≤ 0 yield a single range covering everything.
+// absorbing the remainder. parts ≤ 1 or n ≤ 0 yield a single range
+// covering everything.
 func SliceRanges(n, parts int) []SliceRange {
 	if parts < 1 {
 		parts = 1
@@ -40,15 +37,19 @@ func SliceRanges(n, parts int) []SliceRange {
 	return out
 }
 
-// HashShard maps a 64-bit row or key hash onto [0, parts) with a
-// multiply-shift over the high bits (uniform for hash-distributed keys,
-// no modulo bias). Deterministic: the same key always lands on the same
-// shard for a given parts count.
-func HashShard(key uint64, parts int) int {
-	if parts <= 1 {
-		return 0
+// ClampParts sizes a split of n rows: at most parts, each part at least
+// minRows long, and a single part whenever n < 2·minRows (one part with
+// the full dispatch/merge overhead would only be slower than folding in
+// place). The result is always ≥ 1.
+func ClampParts(n, parts, minRows int) int {
+	if minRows < 1 {
+		minRows = 1
 	}
-	// Fibonacci scramble, then scale the high 32 bits into [0, parts).
-	h := key * 0x9E3779B97F4A7C15
-	return int((h >> 32) * uint64(parts) >> 32)
+	if parts <= 1 || n < 2*minRows {
+		return 1
+	}
+	if max := n / minRows; parts > max {
+		parts = max
+	}
+	return parts
 }

@@ -26,29 +26,22 @@ func TestSliceRanges(t *testing.T) {
 	if rs := SliceRanges(10, 0); len(rs) != 1 || rs[0] != (SliceRange{0, 10}) {
 		t.Fatalf("parts=0 must collapse to one full range, got %v", rs)
 	}
-}
-
-// TestHashShard checks determinism, range, and rough uniformity.
-func TestHashShard(t *testing.T) {
-	const parts = 8
-	var counts [parts]int
-	for i := uint64(0); i < 8000; i++ {
-		key := i * 0x243F6A8885A308D3 // arbitrary spread of key hashes
-		s := HashShard(key, parts)
-		if s != HashShard(key, parts) {
-			t.Fatal("HashShard not deterministic")
+	// The one worker clamp: a single part below 2·threshold rows, never
+	// more parts than n/threshold, never fewer than one.
+	for _, c := range []struct{ n, parts, minRows, want int }{
+		{0, 4, 512, 1},    // empty batch
+		{1023, 4, 512, 1}, // n < 2·threshold
+		{1024, 4, 512, 2}, // exactly two full parts
+		{8192, 8, 512, 8}, // parts ≤ n/threshold holds with room
+		{2047, 8, 512, 3}, // clamped to n/threshold
+		{8192, 1, 512, 1}, // serial stays serial
+		{8192, 0, 512, 1}, // unresolved parts
+		{3, 4, 1, 3},      // threshold 1: one row per part
+		{1, 4, 1, 1},      // a single row is never split
+		{100, 4, 0, 4},    // non-positive threshold behaves as 1
+	} {
+		if got := ClampParts(c.n, c.parts, c.minRows); got != c.want {
+			t.Fatalf("ClampParts(%d, %d, %d) = %d, want %d", c.n, c.parts, c.minRows, got, c.want)
 		}
-		if s < 0 || s >= parts {
-			t.Fatalf("HashShard(%d) = %d out of range", key, s)
-		}
-		counts[s]++
-	}
-	for s, c := range counts {
-		if c < 500 || c > 1500 { // 1000 expected per shard
-			t.Fatalf("shard %d got %d of 8000 keys (poor uniformity)", s, c)
-		}
-	}
-	if HashShard(12345, 1) != 0 || HashShard(12345, 0) != 0 {
-		t.Fatal("parts<=1 must map to shard 0")
 	}
 }

@@ -1,4 +1,4 @@
-.PHONY: check test bench-fold bench-compare audit chaos shard trace mem
+.PHONY: check test bench bench-e2e-compare bench-fold bench-compare audit chaos shard trace mem
 
 # Tier-1 gate: vet + build + race-enabled tests + non-race alloc gates +
 # the benchmark/ module's tests + advisory benchdiff.
@@ -7,6 +7,18 @@ check:
 
 test:
 	go test ./...
+
+# End-to-end benchmark (BENCHMARK.json, benchmark/README.md): SQL text →
+# first answer → target error → exact answer on five workloads. Pick one
+# with ARGS="--workload q18_membership --seed 1 --seconds 12 --trace 0";
+# --trace 1 prints the per-layer split, --out FILE keeps the result.
+bench:
+	bash benchmark/run.sh $(ARGS)
+
+# The before/after a perf PR reports: hold two --out files against the
+# bounds of BENCHMARK.json (make bench-e2e-compare A=parent.json B=change.json).
+bench-e2e-compare:
+	bash benchmark/run.sh --compare $(A) --against $(B)
 
 # Fold hot-path throughput; append -json/-label via ARGS to record a
 # new BENCH_fold.json entry.

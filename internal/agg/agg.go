@@ -174,9 +174,10 @@ func init() {
 
 // Pre-accumulated state constructors. The online engine keeps the
 // bootstrap replicas of CLT-estimable aggregates (SUM/COUNT/AVG) as flat
-// float banks instead of per-trial State sets; these constructors
-// materialize a State view of one bank cell wherever generic State-based
-// code (overlays, snapshots) needs it.
+// float banks instead of per-trial State sets and finalizes them as
+// floats; these constructors materialize the State one bank cell stands
+// for, which is what the engine's snapshot-evaluation oracle test folds
+// into to pin the float path to State semantics.
 
 // CountStateOf returns a COUNT state carrying total weight w.
 func CountStateOf(w float64) State { return &countState{w: w} }

@@ -50,6 +50,15 @@ func (g *groupBinding) repsFor(key string) []types.Value {
 	return vs
 }
 
+// repsForKey is repsFor for a key still sitting in a scratch buffer: a
+// hit probes the map without building the string.
+func (g *groupBinding) repsForKey(key []byte) []types.Value {
+	if vs, ok := g.reps[string(key)]; ok {
+		return vs
+	}
+	return g.repsFor(string(key))
+}
+
 // setBinding is the online membership of an IN-subquery. Per-trial
 // membership vectors are materialized lazily through repFn (only the
 // keys probed during snapshot error estimation pay for per-trial
@@ -76,6 +85,14 @@ func (s *setBinding) repsFor(key string) []bool {
 	ms := s.repFn(key)
 	s.reps[key] = ms
 	return ms
+}
+
+// repsForKey is repsFor for a key still sitting in a scratch buffer.
+func (s *setBinding) repsForKey(key []byte) []bool {
+	if ms, ok := s.reps[string(key)]; ok {
+		return ms
+	}
+	return s.repsFor(string(key))
 }
 
 // bindings is the full parameter environment of a query during online
@@ -217,33 +234,75 @@ func (b *bindings) pointCtx(row types.Row) *expr.Ctx {
 	return ctx
 }
 
-// trialCtx builds the expression context of bootstrap trial j.
-func (b *bindings) trialCtx(row types.Row, j int) *expr.Ctx {
-	ctx := &expr.Ctx{Row: row}
-	ctx.Scalars = make([]types.Value, len(b.scalars))
-	for i, s := range b.scalars {
-		ctx.Scalars[i] = s.reps[j]
-	}
-	ctx.Groups = make([]func(string) (types.Value, bool), len(b.groups))
-	for i := range b.groups {
-		g := b.groups[i]
-		ctx.Groups[i] = func(key string) (types.Value, bool) {
-			vs := g.repsFor(key)
-			if vs == nil {
-				return types.Null, false
+// ctxSet is a reusable set of expression contexts over the trial axis
+// (ctxs[0] binds the point estimates, ctxs[1+j] bootstrap trial j) for
+// the interpreter paths of snapshot-time evaluation. Contexts and lookup
+// closures are built once and survive bindings.reset — the closures
+// dereference the binding slot at call time, like workerPointCtx — and
+// refresh re-snapshots the by-value scalars, so a snapshot allocates no
+// contexts. Each runner owns one set: evaluating a runner may re-enter
+// the engine through a lazy replica lookup, but only into the runners it
+// depends on, never into itself, so a context's Row is never clobbered
+// under its user.
+type ctxSet struct {
+	b    *bindings
+	ctxs []*expr.Ctx
+}
+
+// point returns the point-estimate context.
+func (cs *ctxSet) point() *expr.Ctx { return cs.axis(1)[0] }
+
+// axis returns the contexts of axis columns [0,n), building the missing
+// ones.
+func (cs *ctxSet) axis(n int) []*expr.Ctx {
+	b := cs.b
+	for col := len(cs.ctxs); col < n; col++ {
+		if col == 0 {
+			cs.ctxs = append(cs.ctxs, b.workerPointCtx())
+			cs.snapshotScalars(col)
+			continue
+		}
+		j := col - 1
+		ctx := &expr.Ctx{Scalars: make([]types.Value, len(b.scalars))}
+		ctx.Groups = make([]func(string) (types.Value, bool), len(b.groups))
+		for i := range b.groups {
+			ctx.Groups[i] = func(key string) (types.Value, bool) {
+				vs := b.groups[i].repsFor(key)
+				if vs == nil {
+					return types.Null, false
+				}
+				return vs[j], true
 			}
-			return vs[j], true
+		}
+		ctx.SetsFns = make([]expr.SetLookup, len(b.sets))
+		for i := range b.sets {
+			ctx.SetsFns[i] = func(key string) bool {
+				ms := b.sets[i].repsFor(key)
+				return ms != nil && ms[j]
+			}
+		}
+		cs.ctxs = append(cs.ctxs, ctx)
+		cs.snapshotScalars(col)
+	}
+	return cs.ctxs[:n]
+}
+
+// refresh re-snapshots the scalar bindings into every context built so
+// far (once per evaluation window; see snapEval.prepare).
+func (cs *ctxSet) refresh() {
+	for col := range cs.ctxs {
+		cs.snapshotScalars(col)
+	}
+}
+
+func (cs *ctxSet) snapshotScalars(col int) {
+	for i, s := range cs.b.scalars {
+		if col == 0 {
+			cs.ctxs[col].Scalars[i] = s.point
+		} else {
+			cs.ctxs[col].Scalars[i] = s.reps[col-1]
 		}
 	}
-	ctx.SetsFns = make([]expr.SetLookup, len(b.sets))
-	for i := range b.sets {
-		s := b.sets[i]
-		ctx.SetsFns[i] = func(key string) bool {
-			ms := s.repsFor(key)
-			return ms != nil && ms[j]
-		}
-	}
-	return ctx
 }
 
 // triEnv builds the interval-semantics environment for tuple

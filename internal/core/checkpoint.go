@@ -567,7 +567,7 @@ func (e *Engine) restore(data []byte) error {
 				}
 				rn.uncertain = append(rn.uncertain, uncertainRow{row: row, weights: weights, repW: repW})
 			}
-			rn.sampledIdxValid = false
+			rn.invalidateEval()
 		}
 		e.batch = batch
 		// Table progress is a function of the batch index.

@@ -10,7 +10,6 @@ import (
 
 	"fluodb/internal/bootstrap"
 	"fluodb/internal/chaos"
-	"fluodb/internal/exec"
 	"fluodb/internal/expr"
 	"fluodb/internal/otrace"
 	"fluodb/internal/plan"
@@ -629,6 +628,15 @@ func adjustRep(point, rep types.Value, sqrtP float64) types.Value {
 	return types.NewFloat(p + (r-p)*sqrtP)
 }
 
+// adjustLane is adjustRep for a float replica lane, given the point
+// estimate as a float (pok false when it is not numeric).
+func adjustLane(pf float64, pok bool, rep, sqrtP float64) types.Value {
+	if sqrtP < 1 && pok {
+		rep = pf + (rep-pf)*sqrtP
+	}
+	return types.NewFloat(rep)
+}
+
 // scaleFor is the multiset multiplicity m = k/i of §2.2 for a block's
 // fact table: total rows over rows seen.
 func (e *Engine) scaleFor(b *plan.Block) float64 {
@@ -900,6 +908,11 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 			ts.seen = ts.starts[bi] + len(ts.batches[bi])
 		}
 	}
+	// Every binding is about to move: no snapshot-time evaluation of the
+	// previous batch may be reused.
+	for _, r := range e.runners {
+		r.invalidateEval()
+	}
 	for _, r := range e.runners {
 		te := e.triEnv()
 		t0 := time.Now()
@@ -1108,32 +1121,46 @@ func (e *Engine) paramRangeFor(te *triEnv, r *blockRunner, en *onlineEntry, post
 
 func (e *Engine) updateScalarBinding(r *blockRunner, scale float64, complete bool) bool {
 	b := r.b
-	mainO := r.overlayFor(-1)
-	entry := soleEntry(b, mainO)
-	pctx := e.bind.pointCtx(nil)
-	post := exec.PostRow(b, entry, scale)
+	ev := r.eval()
+	trials := e.opt.Trials
+	n := 1 + trials
+	var post types.Row
+	ev.eachVisible(n, func() {
+		ev.finalize(scale, 0, n)
+		post = ev.post(0, scale, nil)
+	})
+	pctx := ev.ctxs.point()
 	pctx.Row = post
 	point := b.Select[0].Eval(pctx)
 
 	sqrtP := e.tables[b.Input.Fact].sqrtP
-	reps := make([]types.Value, e.opt.Trials)
-	for j := 0; j < e.opt.Trials; j++ {
-		o := r.overlayFor(j)
-		en := soleEntry(b, o)
-		tctx := e.bind.trialCtx(nil, j)
-		tctx.Row = exec.PostRow(b, en, scale)
-		reps[j] = adjustRep(point, b.Select[0].Eval(tctx), sqrtP)
+	reps := make([]types.Value, trials)
+	if vals, null := ev.selectLanes(0, post, n); vals != nil {
+		pf, pok := point.AsFloat()
+		for j := range reps { // the zero Value is NULL
+			if !null[1+j] {
+				reps[j] = adjustLane(pf, pok, vals[1+j], sqrtP)
+			}
+		}
+	} else {
+		ctxs := ev.ctxs.axis(n)
+		var buf types.Row
+		for j := range reps {
+			buf = ev.post(1+j, scale, buf)
+			ctxs[1+j].Row = buf
+			reps[j] = adjustRep(point, b.Select[0].Eval(ctxs[1+j]), sqrtP)
+		}
 	}
 	var rng paramRange
 	if complete {
 		rng = pointOnlyRange(point)
 	} else {
-		// The global group's base entry holds the CLT moments; the
-		// overlay may have folded uncertain rows, whose exclusion from
-		// the moments only widens the range (conservative).
+		// The global group's table entry holds the CLT moments; cached
+		// uncertain rows are excluded from them, which only widens the
+		// range (conservative).
 		var baseEn *onlineEntry
-		if len(r.tab.order) > 0 {
-			baseEn = r.tab.m[r.tab.order[0]]
+		if len(r.tab.entries) > 0 {
+			baseEn = r.tab.entries[0]
 		}
 		te := e.triEnv()
 		boost := e.bind.scalars[b.ParamIdx].epsBoost
@@ -1143,20 +1170,10 @@ func (e *Engine) updateScalarBinding(r *blockRunner, scale float64, complete boo
 	return e.bind.updateScalar(b.ParamIdx, point, reps, rng)
 }
 
-// soleEntry fetches the single global-group entry of a scalar block
-// (creating an empty one when no rows qualified yet).
-func soleEntry(b *plan.Block, o *overlay) *exec.GroupEntry {
-	keys := o.keys()
-	if len(keys) == 0 {
-		return &exec.GroupEntry{States: newEntryStates(b)}
-	}
-	return o.entry(keys[0])
-}
-
 func (e *Engine) updateGroupBinding(r *blockRunner, scale float64, complete bool) bool {
 	b := r.b
-	mainO := r.overlayFor(-1)
-	pctx := e.bind.pointCtx(nil)
+	ev := r.eval()
+	pctx := ev.ctxs.point()
 	sqrtP := e.tables[b.Input.Fact].sqrtP
 	g := e.bind.groups[b.ParamIdx]
 	boost := g.epsBoost
@@ -1165,35 +1182,44 @@ func (e *Engine) updateGroupBinding(r *blockRunner, scale float64, complete bool
 	// for per-trial evaluation.
 	g.reps = map[string][]types.Value{}
 	g.repFn = e.makeGroupRepFn(r, scale, sqrtP)
+	if r.uncertainWhere != nil {
+		// A block with its own uncertain predicate can lose a group: one
+		// visible only through cached rows that have since been dropped.
+		// Its value and range must not outlive it — the parameter reads
+		// NULL again — so such a block republishes from scratch. Committed
+		// ranges persist: they belong to groups with deterministic support,
+		// which never vanish.
+		g.point, g.rng = map[string]types.Value{}, map[string]paramRange{}
+	}
 	te := e.triEnv()
 	var postBuf types.Row
 	var rngScratch []paramRange
 	failed := false
-	for _, key := range mainO.keys() {
-		en := mainO.entry(key)
-		if en == nil {
-			continue
-		}
-		postBuf = exec.PostRowInto(b, en, scale, postBuf)
+	ev.eachVisible(1, func() {
+		en, key := ev.en, ev.skey()
+		ev.finalize(scale, 0, 1)
+		postBuf = ev.post(0, scale, postBuf)
 		post := postBuf
 		pctx.Row = post
 		point := b.Select[0].Eval(pctx)
-		commit := e.groupSupport(r, key) >= e.opt.MinGroupSupport &&
-			(r.allCLT || e.groupSampledSupport(r, key) >= e.opt.MinGroupSupport)
+		// Support counts deterministically folded tuples only (cached
+		// uncertain rows excluded); ranges need at least two subsampled
+		// ones to carry dispersion.
+		commit := en != nil && en.n >= e.opt.MinGroupSupport &&
+			(r.allCLT || en.ns >= e.opt.MinGroupSupport)
 		var rng paramRange
 		switch {
 		case complete:
 			rng = pointOnlyRange(point)
 			commit = true // an exact value always classifies
 		case commit:
-			key := key
 			repsFn := func() []types.Value { return g.repsFor(key) }
-			rng, rngScratch = e.paramRangeFor(te, r, r.tab.m[key], post, point, repsFn, scale, boost, rngScratch)
+			rng, rngScratch = e.paramRangeFor(te, r, en, post, point, repsFn, scale, boost, rngScratch)
 		}
-		if e.bind.updateGroupEntry(b.ParamIdx, key, point, rng, commit || complete) {
+		if e.bind.updateGroupEntry(b.ParamIdx, key, point, rng, commit) {
 			failed = true
 		}
-	}
+	})
 	if failed {
 		// One widening per failing batch scan: per-key doubling would
 		// overshoot the slack exponentially when many marginal groups
@@ -1204,100 +1230,93 @@ func (e *Engine) updateGroupBinding(r *blockRunner, scale float64, complete bool
 }
 
 // makeGroupRepFn builds the lazy per-group replica evaluator for the
-// current batch: trial overlays and contexts are materialized on first
-// use and shared across keys.
+// current batch: the probed key's bucket alone is evaluated, and the
+// group's trial values are read from its bank row as float lanes.
 func (e *Engine) makeGroupRepFn(r *blockRunner, scale, sqrtP float64) func(string) []types.Value {
 	b := r.b
-	var trialOs []*overlay
-	var tctxs []*expr.Ctx
 	g := e.bind.groups[b.ParamIdx]
+	n := 1 + e.opt.Trials
+	var post types.Row
 	return func(key string) []types.Value {
-		if trialOs == nil {
-			trialOs = make([]*overlay, e.opt.Trials)
-			tctxs = make([]*expr.Ctx, e.opt.Trials)
-			for j := range trialOs {
-				trialOs[j] = r.overlayFor(j)
-				tctxs[j] = e.bind.trialCtx(nil, j)
+		ev := r.eval()
+		ev.loadKey(key, n)
+		ev.finalize(scale, 0, n)
+		point := g.point[key]                     // NULL when the group is unknown
+		reps := make([]types.Value, e.opt.Trials) // the zero Value is NULL
+		post = ev.post(0, scale, post)
+		if vals, null := ev.selectLanes(0, post, n); vals != nil {
+			pf, pok := point.AsFloat()
+			for j := range reps {
+				if ev.evidence(1+j) && !null[1+j] {
+					reps[j] = adjustLane(pf, pok, vals[1+j], sqrtP)
+				}
 			}
+			return reps
 		}
-		point := types.Null
-		if v, ok := g.point[key]; ok {
-			point = v
-		}
-		reps := make([]types.Value, e.opt.Trials)
+		ctxs := ev.ctxs.axis(n)
 		var buf types.Row
 		for j := range reps {
-			reps[j] = types.Null
-			if post, ok := trialOs[j].postInto(b, key, scale, buf); ok {
-				buf = post
-				tctxs[j].Row = post
-				reps[j] = adjustRep(point, b.Select[0].Eval(tctxs[j]), sqrtP)
+			if ev.evidence(1 + j) {
+				buf = ev.post(1+j, scale, buf)
+				ctxs[1+j].Row = buf
+				reps[j] = adjustRep(point, b.Select[0].Eval(ctxs[1+j]), sqrtP)
 			}
 		}
 		return reps
 	}
 }
 
-// groupSupport is the number of tuples deterministically folded into a
-// group (uncertain-set folds excluded).
-func (e *Engine) groupSupport(r *blockRunner, key string) int {
-	if en, ok := r.tab.m[key]; ok {
-		return en.n
-	}
-	return 0
-}
-
-// groupSampledSupport is the number of bootstrap-subsampled tuples
-// folded into a group; ranges need at least two to carry dispersion.
-func (e *Engine) groupSampledSupport(r *blockRunner, key string) int {
-	if en, ok := r.tab.m[key]; ok {
-		return en.ns
-	}
-	return 0
-}
-
 func (e *Engine) updateSetBinding(r *blockRunner, scale float64, complete bool) bool {
 	b := r.b
-	mainO := r.overlayFor(-1)
-	pctx := e.bind.pointCtx(nil)
+	ev := r.eval()
+	pctx := ev.ctxs.point()
 	te := e.triEnv()
 	sb := e.bind.sets[b.ParamIdx]
 	// Per-trial membership is provided lazily: only the keys probed by
 	// snapshot error estimation pay for per-trial evaluation.
 	sb.reps = map[string][]bool{}
 	sb.repFn = e.makeSetRepFn(r, scale)
+	if r.uncertainWhere != nil {
+		// As in updateGroupBinding: a key visible only through cached rows
+		// that have since been dropped is no member any more.
+		sb.point, sb.tri = map[string]bool{}, map[string]tri{}
+	}
 	fracSeen := 0.0
 	if ts := e.tables[b.Input.Fact]; ts.total > 0 {
 		fracSeen = float64(ts.seen) / float64(ts.total)
 	}
 	var postBuf types.Row
 	failed := false
-	for _, key := range mainO.keys() {
-		en := mainO.entry(key)
-		if en == nil {
-			continue
-		}
-		postBuf = exec.PostRowInto(b, en, scale, postBuf)
+	ev.eachVisible(1, func() {
+		en, key := ev.en, ev.skey()
+		ev.finalize(scale, 0, 1)
+		postBuf = ev.post(0, scale, postBuf)
 		post := postBuf
 		// Point membership.
 		pctx.Row = post
 		member := b.Having == nil || b.Having.Eval(pctx).Truthy()
+		// No HAVING: membership is monotone (key present → member) once a
+		// deterministically folded tuple backs the key.
+		t := triTrue
+		if en == nil {
+			t = triUnknown
+		}
 		// Tri-state membership via row ranges on the post-agg layout.
-		// Groups below the minimum support never classify
-		// deterministically (their bootstrap ranges are unreliable);
-		// once the table is fully consumed the point answer is exact.
-		t := triTrue // no HAVING: membership is monotone (key present → member)
+		// Groups below the minimum support (deterministically folded
+		// tuples only) never classify deterministically — their bootstrap
+		// ranges are unreliable; once the table is fully consumed the
+		// point answer is exact.
 		if b.Having != nil {
 			switch {
 			case complete:
 				t = triFromBool(member)
-			case e.groupSupport(r, key) < e.opt.MinGroupSupport ||
-				(!r.allCLT && e.groupSampledSupport(r, key) < e.opt.MinGroupSupport):
+			case en == nil || en.n < e.opt.MinGroupSupport ||
+				(!r.allCLT && en.ns < e.opt.MinGroupSupport):
 				t = triUnknown
 			default:
 				boost := sb.epsBoost
 				z := (cltZBase + e.opt.EpsilonSigma) * boost
-				te.rowRanges = e.setRowRanges(r, key, post, scale, fracSeen, z, boost, te.rowRanges)
+				te.rowRanges = e.setRowRanges(r, en, key, post, scale, fracSeen, z, boost, te.rowRanges)
 				t = te.evalTri(b.Having, post)
 				te.rowRanges = nil
 			}
@@ -1305,7 +1324,7 @@ func (e *Engine) updateSetBinding(r *blockRunner, scale float64, complete bool) 
 		if e.bind.updateSetEntry(b.ParamIdx, key, member, t) {
 			failed = true
 		}
-	}
+	})
 	if failed {
 		e.bind.sets[b.ParamIdx].epsBoost *= 2
 	}
@@ -1315,10 +1334,9 @@ func (e *Engine) updateSetBinding(r *blockRunner, scale float64, complete bool) 
 // setRowRanges builds the per-slot variation ranges for a set block's
 // group: exact points for key slots, CLT ranges for estimable
 // aggregates, bootstrap replica ranges as the fallback.
-func (e *Engine) setRowRanges(r *blockRunner, key string, post types.Row, scale, fracSeen, z, boost float64, out []paramRange) []paramRange {
+func (e *Engine) setRowRanges(r *blockRunner, baseEn *onlineEntry, key string, post types.Row, scale, fracSeen, z, boost float64, out []paramRange) []paramRange {
 	b := r.b
 	out = out[:0]
-	baseEn := r.tab.m[key]
 	var repVals [][]float64 // built lazily only if a fallback is needed
 	for c := range post {
 		if c < len(b.GroupBy) {
@@ -1347,20 +1365,24 @@ func (e *Engine) setRowRanges(r *blockRunner, key string, post types.Row, scale,
 }
 
 // setRepPostValues evaluates a set-block group's adjusted per-trial
-// post-aggregate values (the bootstrap fallback for non-CLT slots).
+// aggregate values, indexed by post-aggregate column (the bootstrap
+// fallback for non-CLT slots; key columns stay empty).
 func (e *Engine) setRepPostValues(r *blockRunner, key string, post types.Row, scale float64) [][]float64 {
 	b := r.b
 	sqrtP := e.tables[b.Input.Fact].sqrtP
 	extensive := extensiveSlots(b)
 	repVals := make([][]float64, len(post))
+	n := 1 + e.opt.Trials
+	ev := r.eval()
+	ev.loadKey(key, n)
+	ev.finalize(scale, 1, n)
 	var buf types.Row
-	for j := 0; j < e.opt.Trials; j++ {
-		tpost, ok := r.overlayFor(j).postInto(b, key, scale, buf)
-		if !ok {
+	for j := 1; j < n; j++ {
+		if !ev.evidence(j) {
 			continue
 		}
-		buf = tpost
-		for c := range buf {
+		buf = ev.post(j, scale, buf)
+		for c := len(b.GroupBy); c < len(buf); c++ {
 			v := buf[c]
 			if v.IsNull() && extensive[c] {
 				v = types.NewFloat(0)
@@ -1388,46 +1410,72 @@ func extensiveSlots(b *plan.Block) []bool {
 }
 
 // makeSetRepFn builds the lazy per-key, per-trial membership evaluator
-// for the current batch.
+// for the current batch. A probed key costs its own bucket — point row
+// included — never a pass over the block's whole uncertain set.
 func (e *Engine) makeSetRepFn(r *blockRunner, scale float64) func(string) []bool {
 	b := r.b
 	sqrtP := e.tables[b.Input.Fact].sqrtP
 	extensive := extensiveSlots(b)
-	var trialOs []*overlay
-	var tctxs []*expr.Ctx
+	nKeys := len(b.GroupBy)
+	n := 1 + e.opt.Trials
+	var post, inv types.Row
 	return func(key string) []bool {
-		if trialOs == nil {
-			trialOs = make([]*overlay, e.opt.Trials)
-			tctxs = make([]*expr.Ctx, e.opt.Trials)
-			for j := range trialOs {
-				trialOs[j] = r.overlayFor(j)
-				tctxs[j] = e.bind.trialCtx(nil, j)
-			}
-		}
+		ev := r.eval()
+		ev.loadKey(key, n)
+		ev.finalize(scale, 0, n)
 		// Point post row of the key, for the m-out-of-n adjustment.
-		var post types.Row
-		mainO := r.overlayFor(-1)
-		if en := mainO.entry(key); en != nil {
-			post = exec.PostRow(b, en, scale)
+		havePost := ev.visibleAtPoint()
+		if havePost {
+			post = ev.post(0, scale, post)
+		}
+		// adjust is the replica adjustment of post-aggregate column c: an
+		// empty extensive slot carries zero mass, and deviations from the
+		// point row shrink by √p.
+		adjust := func(c int, v types.Value) types.Value {
+			if v.IsNull() && extensive[c] {
+				v = types.NewFloat(0)
+			}
+			if havePost {
+				v = adjustRep(post[c], v, sqrtP)
+			}
+			return v
 		}
 		reps := make([]bool, e.opt.Trials)
+		if b.Having == nil {
+			for j := range reps {
+				reps[j] = ev.evidence(1 + j)
+			}
+			return reps
+		}
+		if ev.having != nil {
+			// HAVING over the trial lanes: adjust the slots in place, as
+			// floats, and hand the adjusted keys to the row-only subtrees.
+			inv = inv[:0]
+			for c := 0; c < nKeys && c < len(ev.key); c++ {
+				inv = append(inv, adjust(c, ev.key[c]))
+			}
+			ev.adjustSlots(post, havePost, extensive, sqrtP, n)
+			ev.env.row = inv
+			if t, ok := ev.having.tri(&ev.env, 1, n); ok {
+				for j := range reps {
+					reps[j] = ev.evidence(1+j) && t[1+j] == expr.TriTrue
+				}
+				return reps
+			}
+			ev.finalize(scale, 1, n) // undo the adjustment for the interpreter
+		}
+		ctxs := ev.ctxs.axis(n)
 		var buf types.Row
 		for j := range reps {
-			tpost, ok := trialOs[j].postInto(b, key, scale, buf)
-			if !ok {
+			if !ev.evidence(1 + j) {
 				continue
 			}
-			buf = tpost
+			buf = ev.post(1+j, scale, buf)
 			for c := range buf {
-				if buf[c].IsNull() && extensive[c] {
-					buf[c] = types.NewFloat(0)
-				}
-				if post != nil {
-					buf[c] = adjustRep(post[c], buf[c], sqrtP)
-				}
+				buf[c] = adjust(c, buf[c])
 			}
-			tctxs[j].Row = buf
-			reps[j] = b.Having == nil || b.Having.Eval(tctxs[j]).Truthy()
+			ctxs[1+j].Row = buf
+			reps[j] = b.Having.Eval(ctxs[1+j]).Truthy()
 		}
 		return reps
 	}
@@ -1446,6 +1494,3 @@ func buildRangeFromFloats(point types.Value, reps []float64, epsSigma float64, t
 	}
 	return buildRange(point, vals, epsSigma)
 }
-
-// ctxHolder keeps a reusable per-trial expression context.
-type ctxHolder struct{ ctx *expr.Ctx }

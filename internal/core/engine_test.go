@@ -594,6 +594,39 @@ func TestDeepNestingFinalMatchesExact(t *testing.T) {
 	rowsEqual(t, final.ValueRows(), exact.Rows, 0, 1e-9)
 }
 
+// TestNestedSetBlockWithUncertainRows nests three levels through an
+// IN-subquery that has its own uncertain predicate: the set block caches
+// uncertain rows, so every lazily probed key evaluates a bucket of them.
+// (The per-key membership evaluator used to re-fold the block's whole
+// uncertain set once per probed key.)
+func TestNestedSetBlockWithUncertainRows(t *testing.T) {
+	cat := synthCatalog(3000, 25, 41)
+	sql := `SELECT partkey, COUNT(*), SUM(extendedprice) FROM lineitem
+		WHERE orderkey IN (SELECT orderkey FROM lineitem
+			WHERE quantity > (SELECT AVG(quantity) FROM lineitem)
+			GROUP BY orderkey HAVING SUM(quantity) > 60)
+		GROUP BY partkey`
+	final, exact, eng := onlineVsExact(t, cat, sql, fastOpt)
+	rowsEqual(t, final.ValueRows(), exact.Rows, 1, 1e-9)
+	if v := eng.AuditInvariants(); len(v) != 0 {
+		t.Fatalf("deterministic-set violations: %+v", v)
+	}
+	if len(eng.q.Blocks) != 3 {
+		t.Fatalf("blocks = %d, want 3 (scalar → set → root)", len(eng.q.Blocks))
+	}
+	set := eng.runners[1]
+	if set.b.Kind != plan.SetBlock || set.uncertainWhere == nil {
+		t.Fatalf("block 1 is %v with uncertain predicate %v, want a set block with one", set.b.Kind, set.uncertainWhere)
+	}
+	cached := 0
+	for _, n := range eng.Metrics().UncertainPerBatch {
+		cached += n
+	}
+	if cached == 0 {
+		t.Fatal("no uncertain rows were ever cached; the regression exercises nothing")
+	}
+}
+
 // TestMixedParamsInOnePredicate combines a scalar and a correlated param
 // in one WHERE clause.
 func TestMixedParamsInOnePredicate(t *testing.T) {

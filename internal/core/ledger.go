@@ -77,7 +77,7 @@ func (e *Engine) collectResidency() {
 	var tables, arenas, uncertain, scratch int64
 	for _, r := range e.runners {
 		r.charge(&tables, &arenas, &uncertain, &scratch)
-		scratch += int64(cap(r.reclassBuf)) + 8*int64(cap(r.sampledIdx))
+		scratch += int64(cap(r.reclassBuf)) + r.ev.memBytes()
 	}
 	if e.pool != nil {
 		for _, wc := range e.pool.ctxs {

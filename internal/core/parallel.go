@@ -95,7 +95,7 @@ func (r *blockRunner) mergeStage(st *stage) {
 func (r *blockRunner) settle() {
 	r.eng.metrics.DeterministicFolds += r.folds
 	r.folds = 0
-	r.sampledIdxValid = false
+	r.invalidateEval()
 }
 
 // merge folds another accumulator into a (Chan et al. parallel

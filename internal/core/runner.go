@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"fluodb/internal/agg"
 	"fluodb/internal/chaos"
 	"fluodb/internal/exec"
 	"fluodb/internal/expr"
@@ -46,10 +45,10 @@ type blockRunner struct {
 	certainWhere   expr.Expr
 	uncertainWhere expr.Expr
 
-	// sampledIdx caches the indexes of uncertain rows inside the
-	// bootstrap subsample; trial overlays only visit those.
-	sampledIdx      []int
-	sampledIdxValid bool
+	// ev evaluates the block's current estimate — deterministic state
+	// plus the cached uncertain set — for snapshots and bindings
+	// (snapeval.go); created on first use.
+	ev *snapEval
 	// reclassBuf is the reusable per-row decision buffer of the parallel
 	// reclassification pass (one tri per cached uncertain row).
 	reclassBuf []uint8
@@ -120,22 +119,7 @@ func (r *blockRunner) reset() {
 	}
 	r.uncertain = nil
 	r.arena.release()
-	r.sampledIdxValid = false
-}
-
-// sampledUncertain returns the indexes of uncertain rows carrying
-// bootstrap weight, cached until the uncertain set next changes.
-func (r *blockRunner) sampledUncertain() []int {
-	if !r.sampledIdxValid {
-		r.sampledIdx = r.sampledIdx[:0]
-		for i := range r.uncertain {
-			if r.uncertain[i].repW > 0 {
-				r.sampledIdx = append(r.sampledIdx, i)
-			}
-		}
-		r.sampledIdxValid = true
-	}
-	return r.sampledIdx
+	r.invalidateEval()
 }
 
 // reclassify re-examines the cached uncertain set against the current
@@ -182,7 +166,7 @@ func (r *blockRunner) reclassify(te *triEnv) (folded, dropped int) {
 		// the chunks.
 		r.arena.release()
 	}
-	r.sampledIdxValid = false
+	r.invalidateEval()
 	return folded, dropped
 }
 
@@ -215,7 +199,7 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 	if len(r.uncertain) == 0 {
 		r.arena.release()
 	}
-	r.sampledIdxValid = false
+	r.invalidateEval()
 	return folded, dropped
 }
 
@@ -342,193 +326,4 @@ func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64,
 	if prof {
 		acc.ns[phaseClassify] += int64(time.Since(t0))
 	}
-}
-
-// overlay is a copy-on-write view of an onlineTable for one trial
-// (trial = -1 selects the main states). Snapshots fold the uncertain set
-// into the overlay without disturbing the deterministic base state.
-type overlay struct {
-	base    *onlineTable
-	trial   int
-	touched map[string]*exec.GroupEntry
-	extra   []string // keys created by uncertain rows, in order
-}
-
-func newOverlay(base *onlineTable, trial int) *overlay {
-	return &overlay{base: base, trial: trial, touched: map[string]*exec.GroupEntry{}}
-}
-
-// baseStates selects the right state set from a base entry. For banked
-// tables and trial >= 0 the returned states are freshly materialized
-// views of the bank cells (mutation-safe).
-func (o *overlay) baseStates(e *onlineEntry) []agg.State {
-	if o.trial < 0 {
-		return o.base.mainStates(e)
-	}
-	return o.base.trialStates(e, o.trial)
-}
-
-// entryFor returns a mutable entry for the key, cloning from base on
-// first touch.
-func (o *overlay) entryFor(b *plan.Block, key string, keyRow types.Row) *exec.GroupEntry {
-	if e, ok := o.touched[key]; ok {
-		return e
-	}
-	var states []agg.State
-	if be, ok := o.base.m[key]; ok {
-		src := o.baseStates(be)
-		states = make([]agg.State, len(src))
-		for i, s := range src {
-			states[i] = s.Clone()
-		}
-	} else {
-		states = newEntryStates(b)
-		o.extra = append(o.extra, key)
-	}
-	e := &exec.GroupEntry{Key: keyRow, States: states}
-	o.touched[key] = e
-	return e
-}
-
-// fold adds one row into the overlay with the given weight.
-func (o *overlay) fold(b *plan.Block, ctx *expr.Ctx, w float64) {
-	keyRow := make(types.Row, len(b.GroupBy))
-	cols := make([]int, len(b.GroupBy))
-	for i, g := range b.GroupBy {
-		keyRow[i] = g.Eval(ctx)
-		cols[i] = i
-	}
-	key := keyRow.KeyString(cols)
-	e := o.entryFor(b, key, keyRow)
-	for i := range b.Aggs {
-		e.States[i].Add(b.Aggs[i].Arg.Eval(ctx), w)
-	}
-}
-
-// keys lists all group keys (base order, then overlay-only keys).
-func (o *overlay) keys() []string {
-	if len(o.extra) == 0 {
-		return o.base.order
-	}
-	out := make([]string, 0, len(o.base.order)+len(o.extra))
-	out = append(out, o.base.order...)
-	out = append(out, o.extra...)
-	return out
-}
-
-// entry returns the (possibly overlaid) group entry for a key, or nil.
-func (o *overlay) entry(key string) *exec.GroupEntry {
-	if e, ok := o.touched[key]; ok {
-		return e
-	}
-	if be, ok := o.base.m[key]; ok {
-		return &exec.GroupEntry{Key: be.key, States: o.baseStates(be)}
-	}
-	return nil
-}
-
-// trialEntry is entry restricted to groups with bootstrap evidence: for
-// trial overlays it returns nil when the group has no subsampled tuples
-// (neither deterministic nor uncertain), so empty replica states are
-// never misread as values.
-func (o *overlay) trialEntry(key string) *exec.GroupEntry {
-	if e, ok := o.touched[key]; ok {
-		return e // uncertain folds only happen for sampled tuples in trials
-	}
-	if be, ok := o.base.m[key]; ok && (o.trial < 0 || be.ns > 0) {
-		return &exec.GroupEntry{Key: be.key, States: o.baseStates(be)}
-	}
-	return nil
-}
-
-// postInto writes the group's finalized post-aggregate row
-// [keys..., results...] into buf, under the same evidence rules as
-// trialEntry. It is the snapshot hot path: for banked tables the trial
-// results come straight from the bank floats — no state materialization,
-// no per-group allocation.
-func (o *overlay) postInto(b *plan.Block, key string, scale float64, buf types.Row) (types.Row, bool) {
-	if e, ok := o.touched[key]; ok {
-		return exec.PostRowInto(b, e, scale, buf), true
-	}
-	be, ok := o.base.m[key]
-	if !ok || (o.trial >= 0 && be.ns == 0) {
-		return buf, false
-	}
-	if o.base.banked {
-		t := o.base
-		bw, bv, stride, trial := be.mainW, be.mainV, 1, o.trial >= 0
-		if trial {
-			bw, bv = be.bankW[o.trial:], be.bankV[o.trial:]
-			stride = t.trials
-		}
-		buf = buf[:0]
-		buf = append(buf, be.key...)
-		for i, k := range t.cltKinds {
-			// Replica banks may be deduplicated across aggregates: route
-			// through the stream aliases (identity for the mains, which are
-			// always written per aggregate).
-			wi, vi := i, i
-			if trial {
-				wi, vi = t.bankW(i), t.bankV(i)
-			}
-			w := bw[wi*stride]
-			switch {
-			case k == cltCount:
-				buf = append(buf, types.NewFloat(w*scale))
-			case w == 0:
-				buf = append(buf, types.Null)
-			case k == cltSum:
-				buf = append(buf, types.NewFloat(bv[vi*stride]*scale))
-			default: // cltAvg
-				buf = append(buf, types.NewFloat(bv[vi*stride]/w))
-			}
-		}
-		return buf, true
-	}
-	states := be.main
-	if o.trial >= 0 {
-		states = be.reps[o.trial]
-	}
-	buf = buf[:0]
-	buf = append(buf, be.key...)
-	for _, s := range states {
-		buf = append(buf, s.Result(scale))
-	}
-	return buf, true
-}
-
-// overlayFor folds the runner's uncertain set (under the point bindings
-// for trial < 0, or trial j's bindings and Poisson weights otherwise)
-// into a copy-on-write view of its deterministic state.
-func (r *blockRunner) overlayFor(trial int) *overlay {
-	o := newOverlay(r.tab, trial)
-	var ctx *expr.Ctx
-	if trial < 0 {
-		ctx = r.eng.bind.pointCtx(nil)
-	} else {
-		ctx = r.eng.bind.trialCtx(nil, trial)
-	}
-	if trial < 0 {
-		for i := range r.uncertain {
-			u := &r.uncertain[i]
-			ctx.Row = u.row
-			if r.uncertainWhere != nil && !r.uncertainWhere.Eval(ctx).Truthy() {
-				continue
-			}
-			o.fold(r.b, ctx, 1)
-		}
-		return o
-	}
-	for _, i := range r.sampledUncertain() {
-		u := &r.uncertain[i]
-		if u.weights[trial] == 0 {
-			continue
-		}
-		ctx.Row = u.row
-		if r.uncertainWhere != nil && !r.uncertainWhere.Eval(ctx).Truthy() {
-			continue
-		}
-		o.fold(r.b, ctx, float64(u.weights[trial])*u.repW)
-	}
-	return o
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fluodb/internal/bootstrap"
-	"fluodb/internal/exec"
 	"fluodb/internal/expr"
 	"fluodb/internal/types"
 )
@@ -175,14 +174,13 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 		hasCI[c] = columnIsAggregated(se, len(b.GroupBy))
 	}
 
-	mainO := rr.overlayFor(-1)
-	keys := mainO.keys()
+	ev := rr.eval()
 	// Bound the per-snapshot error-estimation work: with many output
 	// groups, compute the CIs from a prefix of the trials (trials are
 	// exchangeable, so any subset is a valid — coarser — bootstrap).
 	effTrials := e.opt.Trials
 	if e.opt.SnapshotEvalBudget > 0 {
-		groups := len(keys)
+		groups := ev.numVisible()
 		if groups < 1 {
 			groups = 1
 		}
@@ -194,26 +192,18 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 			effTrials = e.opt.Trials
 		}
 	}
-	trialOs := make([]*overlay, effTrials)
-	for j := range trialOs {
-		trialOs[j] = rr.overlayFor(j)
-	}
-	pctx := e.bind.pointCtx(nil)
-	tctxs := make([]*expr.Ctx, effTrials)
-	for j := range tctxs {
-		tctxs[j] = e.bind.trialCtx(nil, j)
-	}
-	global := len(b.GroupBy) == 0
+	n := 1 + effTrials
+	pctx := ev.ctxs.point()
 	type scored struct {
 		cells []CellEstimate
 		point types.Row
 	}
 	var rows []scored
 
-	// Scratch reused across groups: trial post-rows, per-column replica
-	// values, and the point estimates as floats (for the m-out-of-n
-	// adjustment, applied inline to avoid boxing a Value per replica).
-	var tbuf types.Row
+	// Scratch reused across groups: post rows, per-column replica values,
+	// and the point estimates as floats (for the m-out-of-n adjustment,
+	// applied inline to avoid boxing a Value per replica).
+	var post, tbuf types.Row
 	repVals := make([][]float64, len(b.Select))
 	for c := range repVals {
 		if hasCI[c] {
@@ -222,41 +212,65 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	}
 	pointF := make([]float64, len(b.Select))
 	pointOk := make([]bool, len(b.Select))
+	interpret := make([]bool, len(b.Select))
 	adjust := ts.sqrtP < 1
-	emit := func(entry *exec.GroupEntry, trialPost func(j int, buf types.Row) (types.Row, bool)) {
-		post := exec.PostRow(b, entry, scale)
+	// push records one replica value of column c, with the m-out-of-n
+	// adjustment.
+	push := func(c int, f float64) {
+		if adjust && pointOk[c] {
+			f = pointF[c] + (f-pointF[c])*ts.sqrtP
+		}
+		repVals[c] = append(repVals[c], f)
+	}
+	// Score each visible group: the point row under the point
+	// bindings, then each CI column over the trial lanes — straight from
+	// the group's bank row when the column is lowered, else per trial
+	// through the interpreter. A trial counts only with evidence.
+	ev.eachVisible(n, func() {
+		ev.finalize(scale, 0, n)
+		post = ev.post(0, scale, post)
 		pctx.Row = post
 		if b.Having != nil && !b.Having.Eval(pctx).Truthy() {
 			return
 		}
 		point := make(types.Row, len(b.Select))
+		anyInterpret := false
 		for c, se := range b.Select {
 			pctx.Row = post
 			point[c] = se.Eval(pctx)
-			if hasCI[c] {
-				repVals[c] = repVals[c][:0]
-				pointF[c], pointOk[c] = point[c].AsFloat()
-			}
-		}
-		for j := 0; j < effTrials; j++ {
-			tpost, ok := trialPost(j, tbuf)
-			if !ok {
+			if !hasCI[c] {
 				continue
 			}
-			tbuf = tpost
-			for c, se := range b.Select {
-				if !hasCI[c] {
+			repVals[c] = repVals[c][:0]
+			pointF[c], pointOk[c] = point[c].AsFloat()
+			vals, null := ev.selectLanes(c, post, n)
+			interpret[c] = vals == nil
+			if vals == nil {
+				anyInterpret = true
+				continue
+			}
+			for j := 1; j < n; j++ {
+				if !null[j] && ev.evidence(j) {
+					push(c, vals[j])
+				}
+			}
+		}
+		if anyInterpret {
+			ctxs := ev.ctxs.axis(n)
+			for j := 1; j < n; j++ {
+				if !ev.evidence(j) {
 					continue
 				}
-				tctxs[j].Row = tpost
-				f, ok := se.Eval(tctxs[j]).AsFloat()
-				if !ok {
-					continue
+				tbuf = ev.post(j, scale, tbuf)
+				for c, se := range b.Select {
+					if !hasCI[c] || !interpret[c] {
+						continue
+					}
+					ctxs[j].Row = tbuf
+					if f, ok := se.Eval(ctxs[j]).AsFloat(); ok {
+						push(c, f)
+					}
 				}
-				if adjust && pointOk[c] {
-					f = pointF[c] + (f-pointF[c])*ts.sqrtP
-				}
-				repVals[c] = append(repVals[c], f)
 			}
 		}
 		cells := make([]CellEstimate, len(b.Select))
@@ -272,25 +286,7 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 			}
 		}
 		rows = append(rows, scored{cells: cells, point: point})
-	}
-
-	if global {
-		entry := soleEntry(b, mainO)
-		emit(entry, func(j int, buf types.Row) (types.Row, bool) {
-			return exec.PostRowInto(b, soleEntry(b, trialOs[j]), scale, buf), true
-		})
-	} else {
-		for _, key := range keys {
-			entry := mainO.entry(key)
-			if entry == nil {
-				continue
-			}
-			k := key
-			emit(entry, func(j int, buf types.Row) (types.Row, bool) {
-				return trialOs[j].postInto(b, k, scale, buf)
-			})
-		}
-	}
+	})
 
 	if len(b.OrderBy) > 0 {
 		sort.SliceStable(rows, func(i, j int) bool {

@@ -13,8 +13,8 @@ import (
 // The online group table is an open-addressing hash table keyed by the
 // group-by row itself (types.Row.HashKey + types.KeyEqual): the
 // steady-state lookup never materializes a canonical key string. The
-// string-keyed view (m, order) that parameter bindings, overlays and
-// snapshots navigate by is maintained only when a group is created —
+// string-keyed view (m, order) that parameter bindings and keyed replica
+// probes navigate by is maintained only when a group is created —
 // once per group, not once per tuple.
 //
 // For blocks whose aggregates are all CLT-estimable (SUM/COUNT/AVG,
@@ -69,8 +69,8 @@ type onlineTable struct {
 	// sized, linear probing. Kept below 7/8 load.
 	slots []int32
 	mask  uint64
-	// String-keyed view for binding/overlay/snapshot code; maintained at
-	// group creation only. Shard tables (worker-private, merged into a
+	// String-keyed view for binding code and keyed replica probes;
+	// maintained at group creation only. Shard tables (worker-private, merged into a
 	// runner table after every batch) have m == nil: they skip the
 	// string view entirely — skey is computed lazily at adoption time by
 	// merge — and recycle their entries across batches through free.
@@ -233,18 +233,27 @@ const (
 // find probes for an entry with the given hash whose key projection
 // equals keyRow on cols; nil on miss.
 func (t *onlineTable) find(hash uint64, keyRow types.Row, cols []int) *onlineEntry {
+	if i := t.findIdx(hash, keyRow, cols); i >= 0 {
+		return t.entries[i]
+	}
+	return nil
+}
+
+// findIdx is find returning the entry's position in entries (its
+// insertion rank), or -1 on miss.
+func (t *onlineTable) findIdx(hash uint64, keyRow types.Row, cols []int) int {
 	if t.slots == nil {
-		return nil
+		return -1
 	}
 	i := hash & t.mask
 	for {
 		s := t.slots[i]
 		if s == 0 {
-			return nil
+			return -1
 		}
 		e := t.entries[s-1]
 		if e.hash == hash && types.KeyEqual(e.key, keyRow, cols) {
-			return e
+			return int(s - 1)
 		}
 		i = (i + 1) & t.mask
 	}
@@ -440,49 +449,6 @@ func (t *onlineTable) foldBank(e *onlineEntry, i int, v types.Value, wf []float6
 		bw[j] += x
 		bv[j] += f * x
 	}
-}
-
-// mainStates returns the entry's main aggregate states, materializing a
-// State view of the banked accumulators when the table is banked.
-// Banked views are fresh objects: callers may mutate them freely.
-func (t *onlineTable) mainStates(e *onlineEntry) []agg.State {
-	if e.mainW == nil {
-		return e.main
-	}
-	out := make([]agg.State, len(t.cltKinds))
-	for i, k := range t.cltKinds {
-		switch k {
-		case cltCount:
-			out[i] = agg.CountStateOf(e.mainW[i])
-		case cltSum:
-			out[i] = agg.SumStateOf(e.mainV[i], e.mainW[i] > 0)
-		default: // cltAvg
-			out[i] = agg.AvgStateOf(e.mainV[i], e.mainW[i])
-		}
-	}
-	return out
-}
-
-// trialStates returns trial j's replica states, materializing a State
-// view of the bank cells when the table is banked. Banked views are
-// fresh objects: callers may mutate them freely.
-func (t *onlineTable) trialStates(e *onlineEntry, j int) []agg.State {
-	if e.bankW == nil {
-		return e.reps[j]
-	}
-	out := make([]agg.State, len(t.cltKinds))
-	for i, k := range t.cltKinds {
-		w := e.bankW[t.bankW(i)*t.trials+j]
-		switch k {
-		case cltCount:
-			out[i] = agg.CountStateOf(w)
-		case cltSum:
-			out[i] = agg.SumStateOf(e.bankV[t.bankV(i)*t.trials+j], w > 0)
-		default: // cltAvg
-			out[i] = agg.AvgStateOf(e.bankV[t.bankV(i)*t.trials+j], w)
-		}
-	}
-	return out
 }
 
 // bankW/bankV resolve aggregate i's physical replica-bank stream

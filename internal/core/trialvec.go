@@ -1,0 +1,523 @@
+package core
+
+import (
+	"fluodb/internal/expr"
+	"fluodb/internal/sqlparser"
+	"fluodb/internal/types"
+)
+
+// Expressions lowered over the trial axis. Snapshot-time evaluation asks
+// the same question 1+Trials times — under the point bindings and under
+// each bootstrap trial's — about one row. The interpreter answers it
+// with 1+Trials tree walks, each re-deriving the row's parameter key and
+// re-probing the binding maps. A lowered expression walks the tree once
+// per row: row-only subtrees are evaluated once, every parameter key is
+// resolved once to its whole replica vector, and the remaining work is
+// float and tri-state loops over the axis.
+//
+// The axis: column 0 binds the point estimates, column 1+j trial j.
+//
+// Exactness is the contract. Vector lanes carry float64 or NULL only;
+// that covers every value a CLT-estimable aggregate or arithmetic over
+// one can produce. A lane asked to carry anything else (an integer
+// MIN, a string) makes the node refuse at run time, and the caller
+// evaluates that row through the interpreter instead — as it does for
+// every expression shape compile refuses (CASE, calls, LIKE, %, IN
+// lists, params in a key position). Within lanes the operators are the
+// interpreter's own: Kleene AND/OR/NOT, NULL-propagating arithmetic with
+// x/0 = NULL, and types.Compare's float ordering (NaN compares equal).
+// AND/OR evaluate both sides; operands are pure, so the only observable
+// difference is which replica vectors get materialized (and cached).
+
+// tvEnv is what a lowered expression reads besides its own tree.
+type tvEnv struct {
+	bind *bindings
+	// row feeds the row-only subtrees and the parameter keys: a cached
+	// uncertain row for WHERE programs, a group's point post-aggregate
+	// row for HAVING/SELECT programs.
+	row types.Row
+	ctx expr.Ctx // parameter-free context over row
+	// scal holds each scalar parameter over the axis, refreshed once per
+	// evaluation window (snapEval.prepare).
+	scal []scalarVec
+	// slotF/slotNull hold the current group's finalized aggregate slots
+	// over the axis, indexed [agg*stride + column] (HAVING/SELECT
+	// programs only).
+	slotF    []float64
+	slotNull []bool
+	stride   int
+	key      []byte // parameter-key scratch
+}
+
+// scalarVec is one scalar parameter over the axis.
+type scalarVec struct {
+	f     []float64
+	null  []bool
+	clean bool // every non-NULL value is a float
+}
+
+// refreshScalars re-reads every scalar binding into axis vectors.
+func (env *tvEnv) refreshScalars(width int) {
+	b := env.bind
+	if env.scal == nil {
+		env.scal = make([]scalarVec, len(b.scalars))
+		for i := range env.scal {
+			env.scal[i] = scalarVec{f: make([]float64, width), null: make([]bool, width)}
+		}
+	}
+	for i, s := range b.scalars {
+		sv := &env.scal[i]
+		sv.clean = true
+		for col := 0; col < width; col++ {
+			v := s.point
+			if col > 0 {
+				v = types.Null
+				if col <= len(s.reps) {
+					v = s.reps[col-1]
+				}
+			}
+			sv.f[col], sv.null[col] = 0, true
+			switch v.Kind() {
+			case types.KindNull:
+			case types.KindFloat:
+				sv.f[col], sv.null[col] = v.Float(), false
+			default:
+				sv.clean = false
+			}
+		}
+	}
+}
+
+// tvBool is a lowered predicate: tri fills and returns its three-valued
+// truth (expr.TriTrue/TriFalse/TriNull) over columns [lo,hi). ok=false
+// refuses: a lane would have to carry a non-float value.
+type tvBool interface {
+	tri(env *tvEnv, lo, hi int) (t []uint8, ok bool)
+}
+
+// tvNum is a lowered numeric expression over columns [lo,hi).
+type tvNum interface {
+	num(env *tvEnv, lo, hi int) (f []float64, null []bool, ok bool)
+}
+
+// tvCompiler lowers expressions for one block. Columns at or beyond
+// slotBase are aggregate slots of the post-aggregate layout (varying
+// over the axis); WHERE programs pass a slotBase beyond any column.
+type tvCompiler struct {
+	bind     *bindings
+	width    int // axis width, 1+Trials
+	slotBase int
+	mem      int64 // bytes of lane scratch handed to nodes
+}
+
+// varies reports whether e's value can differ between axis columns.
+func (c *tvCompiler) varies(e expr.Expr) bool {
+	found := false
+	expr.Walk(e, func(x expr.Expr) bool {
+		switch n := x.(type) {
+		case *expr.ScalarParam, *expr.GroupParam, *expr.SetParam:
+			found = true
+		case *expr.Col:
+			found = found || n.Idx >= c.slotBase
+		}
+		return !found
+	})
+	return found
+}
+
+func (c *tvCompiler) floats() ([]float64, []bool) {
+	c.mem += 9 * int64(c.width)
+	return make([]float64, c.width), make([]bool, c.width)
+}
+
+func (c *tvCompiler) tris() []uint8 {
+	c.mem += int64(c.width)
+	return make([]uint8, c.width)
+}
+
+// pred lowers a predicate, or returns nil when its shape is outside the
+// lowered subset.
+func (c *tvCompiler) pred(e expr.Expr) tvBool {
+	if !c.varies(e) {
+		return &tvInv{e: e, t: c.tris()}
+	}
+	switch x := e.(type) {
+	case *expr.Binary:
+		switch x.Op {
+		case sqlparser.OpAnd, sqlparser.OpOr:
+			l, r := c.pred(x.L), c.pred(x.R)
+			if l == nil || r == nil {
+				return nil
+			}
+			return &tvLogic{and: x.Op == sqlparser.OpAnd, l: l, r: r, t: c.tris()}
+		case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe,
+			sqlparser.OpGt, sqlparser.OpGe:
+			l, r := c.num(x.L), c.num(x.R)
+			if l == nil || r == nil {
+				return nil
+			}
+			return &tvCmp{op: x.Op, l: l, r: r, t: c.tris()}
+		}
+	case *expr.Not:
+		if in := c.pred(x.X); in != nil {
+			return &tvNot{x: in, t: c.tris()}
+		}
+	case *expr.SetParam:
+		if x.Idx >= 0 && x.Idx < len(c.bind.sets) && !c.varies(x.X) {
+			return &tvSet{p: x, t: c.tris()}
+		}
+	}
+	return nil
+}
+
+// num lowers a numeric expression, or returns nil.
+func (c *tvCompiler) num(e expr.Expr) tvNum {
+	if !c.varies(e) {
+		n := &tvInv{e: e}
+		n.f, n.null = c.floats()
+		return n
+	}
+	switch x := e.(type) {
+	case *expr.Col:
+		return &tvSlot{a: x.Idx - c.slotBase}
+	case *expr.ScalarParam:
+		if x.Idx >= 0 && x.Idx < len(c.bind.scalars) {
+			return &tvScalar{idx: x.Idx}
+		}
+	case *expr.GroupParam:
+		if x.Idx < 0 || x.Idx >= len(c.bind.groups) {
+			return nil
+		}
+		for _, k := range x.Keys {
+			if c.varies(k) {
+				return nil
+			}
+		}
+		n := &tvGroup{p: x}
+		n.f, n.null = c.floats()
+		return n
+	case *expr.Neg:
+		if in := c.num(x.X); in != nil {
+			n := &tvNeg{x: in}
+			n.f, n.null = c.floats()
+			return n
+		}
+	case *expr.Binary:
+		switch x.Op {
+		case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
+			l, r := c.num(x.L), c.num(x.R)
+			if l == nil || r == nil {
+				return nil
+			}
+			n := &tvArith{op: x.Op, l: l, r: r}
+			n.f, n.null = c.floats()
+			return n
+		}
+	}
+	return nil
+}
+
+// tvInv is a subtree whose value is the same in every column: evaluated
+// once by the interpreter and broadcast.
+type tvInv struct {
+	e    expr.Expr
+	f    []float64
+	null []bool
+	t    []uint8
+}
+
+func (n *tvInv) eval(env *tvEnv) types.Value {
+	env.ctx.Row = env.row
+	return n.e.Eval(&env.ctx)
+}
+
+func (n *tvInv) tri(env *tvEnv, lo, hi int) ([]uint8, bool) {
+	t := triOf(n.eval(env))
+	for j := lo; j < hi; j++ {
+		n.t[j] = t
+	}
+	return n.t, true
+}
+
+func (n *tvInv) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+	v := n.eval(env)
+	f, isNum := v.AsFloat()
+	if !isNum && !v.IsNull() {
+		return nil, nil, false
+	}
+	for j := lo; j < hi; j++ {
+		n.f[j], n.null[j] = f, !isNum
+	}
+	return n.f, n.null, true
+}
+
+// triOf is the interpreter's truth of a value as a tri byte.
+func triOf(v types.Value) uint8 {
+	switch {
+	case v.IsNull():
+		return expr.TriNull
+	case v.Truthy():
+		return expr.TriTrue
+	}
+	return expr.TriFalse
+}
+
+func triOfBool(b bool) uint8 {
+	if b {
+		return expr.TriTrue
+	}
+	return expr.TriFalse
+}
+
+// tvSlot reads one finalized aggregate slot of the current group.
+type tvSlot struct{ a int }
+
+func (n *tvSlot) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+	base := n.a * env.stride
+	return env.slotF[base : base+env.stride], env.slotNull[base : base+env.stride], true
+}
+
+// tvScalar reads a scalar parameter's axis vector.
+type tvScalar struct{ idx int }
+
+func (n *tvScalar) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+	sv := &env.scal[n.idx]
+	return sv.f, sv.null, sv.clean
+}
+
+// appendParamKey appends the canonical key of keys evaluated over the
+// env's row — the bytes of expr.GroupParam.KeyString.
+func (env *tvEnv) appendParamKey(keys []expr.Expr) []byte {
+	env.ctx.Row = env.row
+	key := env.key[:0]
+	for i, k := range keys {
+		if i > 0 {
+			key = append(key, 0x1f)
+		}
+		key = types.AppendKey(key, k.Eval(&env.ctx))
+	}
+	env.key = key
+	return key
+}
+
+// tvGroup resolves a correlated parameter: one key derivation and one
+// probe per row, then the group's replica vector read as floats.
+type tvGroup struct {
+	p    *expr.GroupParam
+	f    []float64
+	null []bool
+}
+
+func (n *tvGroup) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+	key := env.appendParamKey(n.p.Keys)
+	g := env.bind.groups[n.p.Idx]
+	var vs []types.Value
+	if hi > 1 {
+		vs = g.repsForKey(key)
+	}
+	for j := lo; j < hi; j++ {
+		v := types.Null
+		if j == 0 {
+			v = g.point[string(key)] // a missing group reads as NULL
+		} else if vs != nil {
+			v = vs[j-1]
+		}
+		n.f[j], n.null[j] = 0, true
+		switch v.Kind() {
+		case types.KindNull:
+		case types.KindFloat:
+			n.f[j], n.null[j] = v.Float(), false
+		default:
+			return nil, nil, false
+		}
+	}
+	return n.f, n.null, true
+}
+
+// tvSet resolves an IN-subquery membership: one key per row, then the
+// key's per-trial membership vector.
+type tvSet struct {
+	p *expr.SetParam
+	t []uint8
+}
+
+func (n *tvSet) tri(env *tvEnv, lo, hi int) ([]uint8, bool) {
+	env.ctx.Row = env.row
+	x := n.p.X.Eval(&env.ctx)
+	if x.IsNull() {
+		for j := lo; j < hi; j++ {
+			n.t[j] = expr.TriNull
+		}
+		return n.t, true
+	}
+	key := types.AppendKey(env.key[:0], x)
+	env.key = key
+	s := env.bind.sets[n.p.Idx]
+	if lo == 0 {
+		n.t[0] = triOfBool(s.point[string(key)] != n.p.Negated)
+		lo = 1
+	}
+	if lo < hi {
+		ms := s.repsForKey(key)
+		for j := lo; j < hi; j++ {
+			n.t[j] = triOfBool((ms != nil && ms[j-1]) != n.p.Negated)
+		}
+	}
+	return n.t, true
+}
+
+type tvNeg struct {
+	x    tvNum
+	f    []float64
+	null []bool
+}
+
+func (n *tvNeg) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+	f, null, ok := n.x.num(env, lo, hi)
+	if !ok {
+		return nil, nil, false
+	}
+	for j := lo; j < hi; j++ {
+		n.f[j], n.null[j] = -f[j], null[j]
+	}
+	return n.f, n.null, true
+}
+
+type tvArith struct {
+	op   sqlparser.BinaryOp
+	l, r tvNum
+	f    []float64
+	null []bool
+}
+
+func (n *tvArith) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+	lf, ln, ok := n.l.num(env, lo, hi)
+	if !ok {
+		return nil, nil, false
+	}
+	rf, rn, ok := n.r.num(env, lo, hi)
+	if !ok {
+		return nil, nil, false
+	}
+	for j := lo; j < hi; j++ {
+		if ln[j] || rn[j] {
+			n.null[j] = true
+			continue
+		}
+		n.null[j] = false
+		switch n.op {
+		case sqlparser.OpAdd:
+			n.f[j] = lf[j] + rf[j]
+		case sqlparser.OpSub:
+			n.f[j] = lf[j] - rf[j]
+		case sqlparser.OpMul:
+			n.f[j] = lf[j] * rf[j]
+		default: // OpDiv
+			if rf[j] == 0 {
+				n.null[j] = true
+				continue
+			}
+			n.f[j] = lf[j] / rf[j]
+		}
+	}
+	return n.f, n.null, true
+}
+
+type tvCmp struct {
+	op   sqlparser.BinaryOp
+	l, r tvNum
+	t    []uint8
+}
+
+func (n *tvCmp) tri(env *tvEnv, lo, hi int) ([]uint8, bool) {
+	lf, ln, ok := n.l.num(env, lo, hi)
+	if !ok {
+		return nil, false
+	}
+	rf, rn, ok := n.r.num(env, lo, hi)
+	if !ok {
+		return nil, false
+	}
+	for j := lo; j < hi; j++ {
+		if ln[j] || rn[j] {
+			n.t[j] = expr.TriNull
+			continue
+		}
+		// types.Compare on two numerics that are not both integers.
+		a, b := lf[j], rf[j]
+		var holds bool
+		switch n.op {
+		case sqlparser.OpEq:
+			holds = !(a < b) && !(a > b)
+		case sqlparser.OpNe:
+			holds = a < b || a > b
+		case sqlparser.OpLt:
+			holds = a < b
+		case sqlparser.OpLe:
+			holds = !(a > b)
+		case sqlparser.OpGt:
+			holds = a > b
+		default: // OpGe
+			holds = !(a < b)
+		}
+		n.t[j] = triOfBool(holds)
+	}
+	return n.t, true
+}
+
+type tvLogic struct {
+	and  bool
+	l, r tvBool
+	t    []uint8
+}
+
+func (n *tvLogic) tri(env *tvEnv, lo, hi int) ([]uint8, bool) {
+	l, ok := n.l.tri(env, lo, hi)
+	if !ok {
+		return nil, false
+	}
+	r, ok := n.r.tri(env, lo, hi)
+	if !ok {
+		return nil, false
+	}
+	// Kleene: the absorbing value (false for AND, true for OR) wins, then
+	// NULL, else the neutral value.
+	absorb, neutral := expr.TriTrue, expr.TriFalse
+	if n.and {
+		absorb, neutral = expr.TriFalse, expr.TriTrue
+	}
+	for j := lo; j < hi; j++ {
+		switch {
+		case l[j] == absorb || r[j] == absorb:
+			n.t[j] = absorb
+		case l[j] == expr.TriNull || r[j] == expr.TriNull:
+			n.t[j] = expr.TriNull
+		default:
+			n.t[j] = neutral
+		}
+	}
+	return n.t, true
+}
+
+type tvNot struct {
+	x tvBool
+	t []uint8
+}
+
+func (n *tvNot) tri(env *tvEnv, lo, hi int) ([]uint8, bool) {
+	x, ok := n.x.tri(env, lo, hi)
+	if !ok {
+		return nil, false
+	}
+	for j := lo; j < hi; j++ {
+		switch x[j] {
+		case expr.TriTrue:
+			n.t[j] = expr.TriFalse
+		case expr.TriFalse:
+			n.t[j] = expr.TriTrue
+		default:
+			n.t[j] = expr.TriNull
+		}
+	}
+	return n.t, true
+}

@@ -1,7 +1,7 @@
-.PHONY: check test bench bench-e2e-compare bench-fold bench-compare audit chaos shard trace mem
+.PHONY: check test bench bench-e2e-compare bench-fold audit chaos shard trace mem
 
 # Tier-1 gate: vet + build + race-enabled tests + non-race alloc gates +
-# the benchmark/ module's tests + advisory benchdiff.
+# the benchmark/ module's tests.
 check:
 	sh scripts/check.sh
 
@@ -25,11 +25,6 @@ bench-e2e-compare:
 bench-fold:
 	go test ./internal/core -bench BenchmarkFold -benchmem
 	go run ./cmd/flbench -experiment fold -rows 100000 $(ARGS)
-
-# Advisory perf diff: fresh fold run vs the committed BENCH_fold.json;
-# warns above 10% ns/row regression, never fails (see benchdiff.sh).
-bench-compare:
-	sh scripts/benchdiff.sh
 
 # Statistical-correctness audit: 20 seeded replications measuring
 # empirical CI coverage, relative-error trajectories, and the

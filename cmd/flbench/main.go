@@ -39,10 +39,6 @@
 // measurement into "baselines" and installs the new one, so each PR
 // appends one point to the history. The scaling experiment writes its
 // worker sweep into the same file's "scaling" series.
-// `-experiment fold -compare BENCH_fold.json` diffs a fresh run against
-// the committed trajectory and prints WARN lines for >10% ns/row
-// regressions (advisory: the exit status stays 0; see
-// scripts/benchdiff.sh and `make bench-compare`).
 package main
 
 import (
@@ -64,7 +60,6 @@ func main() {
 		logFmt     = flag.String("logfmt", "text", "structured-log output: text|json (stderr)")
 		jsonOut    = flag.String("json", "", "write the experiment result as a JSON artifact (fold/scaling: updates a BENCH_fold.json trajectory; audit: defaults to BENCH_accuracy.json)")
 		label      = flag.String("label", "", "fold/scaling only: label for the -json entry (e.g. a PR name)")
-		compare    = flag.String("compare", "", "fold only: diff the fresh run against this committed BENCH_fold.json and print WARN lines for >10% ns/row regressions (always exits 0)")
 		rows       = flag.Int("rows", 100000, "fact-table rows per dataset (audit default: 20000)")
 		parts      = flag.Int("parts", 0, "distinct parts (default rows/150)")
 		batches    = flag.Int("batches", 10, "mini-batches (k)")
@@ -117,7 +112,7 @@ func main() {
 	var err error
 	switch {
 	case *experiment == "fold":
-		err = runFold(cfg, *jsonOut, *label, *compare)
+		err = runFold(cfg, *jsonOut, *label)
 	case *experiment == "scaling":
 		err = runScaling(cfg, *jsonOut, *label)
 	case *experiment == "shard":
@@ -275,29 +270,14 @@ func runTrace(cfg bench.Config, query, path, spansPath string) error {
 	return nil
 }
 
-// runFold measures fold-path throughput, optionally diffs it against a
-// committed trajectory (-compare, advisory) and optionally updates the
+// runFold measures fold-path throughput and optionally updates the
 // BENCH_fold.json perf trajectory (-json).
-func runFold(cfg bench.Config, jsonOut, label, compare string) error {
+func runFold(cfg bench.Config, jsonOut, label string) error {
 	points, err := bench.FoldBench(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Print(bench.FormatFold(points))
-	if compare != "" {
-		warnings, err := bench.CompareFold(compare, points, 10)
-		if err != nil {
-			// Advisory: a missing or unparsable baseline must not fail
-			// check.sh.
-			fmt.Printf("benchdiff: cannot compare against %s: %v\n", compare, err)
-		} else if len(warnings) == 0 {
-			fmt.Printf("benchdiff: no scenario regressed >10%% ns/row vs %s\n", compare)
-		} else {
-			for _, w := range warnings {
-				fmt.Println(w)
-			}
-		}
-	}
 	if jsonOut == "" {
 		return nil
 	}

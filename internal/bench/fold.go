@@ -312,43 +312,6 @@ func WriteShardJSON(path, label string, points []ShardPoint) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// CompareFold diffs freshly measured fold points against the committed
-// trajectory at path and returns one warning line per scenario whose
-// ns/row regressed by more than warnPct percent (plus a line per
-// scenario that cannot be compared). It never fails the caller: perf
-// diffs on shared machines are advisory.
-func CompareFold(path string, points []FoldPoint, warnPct float64) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var committed FoldResult
-	if err := json.Unmarshal(data, &committed); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	base := map[string]FoldPoint{}
-	for _, p := range committed.Current {
-		base[p.Scenario] = p
-	}
-	var warnings []string
-	for _, p := range points {
-		b, ok := base[p.Scenario]
-		if !ok {
-			warnings = append(warnings, fmt.Sprintf(
-				"NOTE  %-26s not in committed %s (label %q); no baseline to compare",
-				p.Scenario, path, committed.Label))
-			continue
-		}
-		delta := 100 * (p.NsPerRow - b.NsPerRow) / b.NsPerRow
-		if delta > warnPct {
-			warnings = append(warnings, fmt.Sprintf(
-				"WARN  %-26s %.1f ns/row vs committed %.1f (%+.1f%% > %.0f%% threshold)",
-				p.Scenario, p.NsPerRow, b.NsPerRow, delta, warnPct))
-		}
-	}
-	return warnings, nil
-}
-
 // FormatFold renders fold points as an aligned table, with each
 // scenario's dominant phases (from the profiled pass) alongside the
 // throughput numbers.

@@ -211,34 +211,11 @@ func (b *bindings) reset() {
 	}
 }
 
-// pointCtx builds the point-estimate expression context for a row.
-func (b *bindings) pointCtx(row types.Row) *expr.Ctx {
-	ctx := &expr.Ctx{Row: row}
-	ctx.Scalars = make([]types.Value, len(b.scalars))
-	for i, s := range b.scalars {
-		ctx.Scalars[i] = s.point
-	}
-	ctx.Groups = make([]func(string) (types.Value, bool), len(b.groups))
-	for i := range b.groups {
-		g := b.groups[i]
-		ctx.Groups[i] = func(key string) (types.Value, bool) {
-			v, ok := g.point[key]
-			return v, ok
-		}
-	}
-	ctx.SetsFns = make([]expr.SetLookup, len(b.sets))
-	for i := range b.sets {
-		s := b.sets[i]
-		ctx.SetsFns[i] = func(key string) bool { return s.point[key] }
-	}
-	return ctx
-}
-
 // ctxSet is a reusable set of expression contexts over the trial axis
 // (ctxs[0] binds the point estimates, ctxs[1+j] bootstrap trial j) for
 // the interpreter paths of snapshot-time evaluation. Contexts and lookup
 // closures are built once and survive bindings.reset — the closures
-// dereference the binding slot at call time, like workerPointCtx — and
+// dereference the binding slot at call time (newPointCtx) — and
 // refresh re-snapshots the by-value scalars, so a snapshot allocates no
 // contexts. Each runner owns one set: evaluating a runner may re-enter
 // the engine through a lazy replica lookup, but only into the runners it
@@ -258,7 +235,7 @@ func (cs *ctxSet) axis(n int) []*expr.Ctx {
 	b := cs.b
 	for col := len(cs.ctxs); col < n; col++ {
 		if col == 0 {
-			cs.ctxs = append(cs.ctxs, b.workerPointCtx())
+			cs.ctxs = append(cs.ctxs, b.newPointCtx())
 			cs.snapshotScalars(col)
 			continue
 		}
@@ -305,52 +282,13 @@ func (cs *ctxSet) snapshotScalars(col int) {
 	}
 }
 
-// triEnv builds the interval-semantics environment for tuple
-// classification.
-func (b *bindings) triEnv() *triEnv {
-	te := &triEnv{pointCtx: b.pointCtx(nil)}
-	te.scalarRanges = make([]paramRange, len(b.scalars))
-	for i, s := range b.scalars {
-		te.scalarRanges[i] = s.rng
-	}
-	te.groupRanges = make([]func(string) paramRange, len(b.groups))
-	for i := range b.groups {
-		g := b.groups[i]
-		te.groupRanges[i] = func(key string) paramRange {
-			if r, ok := g.rng[key]; ok {
-				return r
-			}
-			if g.complete {
-				// Missing group on a fully-consumed table: the nested
-				// aggregate is NULL for this key, so predicates fail.
-				return paramRange{status: rsNull}
-			}
-			return paramRange{status: rsUnknown}
-		}
-	}
-	te.setTri = make([]func(string) tri, len(b.sets))
-	for i := range b.sets {
-		s := b.sets[i]
-		te.setTri[i] = func(key string) tri {
-			if t, ok := s.tri[key]; ok {
-				return t
-			}
-			if s.complete {
-				return triFalse
-			}
-			return triUnknown
-		}
-	}
-	return te
-}
-
-// workerPointCtx builds a point-estimate context for a persistent
-// worker. Unlike pointCtx, the group and set lookups dereference the
-// binding slot (b.groups[i], b.sets[i]) at call time: reset() replaces
-// the binding structs wholesale during failure-recovery replay, which
-// would strand closures that captured the old pointers. Scalar values
-// are by-value snapshots; refreshTriEnv re-fills them before each task.
-func (b *bindings) workerPointCtx() *expr.Ctx {
+// newPointCtx builds a persistent point-estimate context. The group and
+// set lookups dereference the binding slot (b.groups[i], b.sets[i]) at
+// call time: reset() replaces the binding structs wholesale during
+// failure-recovery replay, which would strand closures that captured
+// the old pointers. Scalar values are by-value snapshots; refreshTriEnv
+// (or ctxSet.refresh) re-fills them before each use.
+func (b *bindings) newPointCtx() *expr.Ctx {
 	ctx := &expr.Ctx{Scalars: make([]types.Value, len(b.scalars))}
 	ctx.Groups = make([]func(string) (types.Value, bool), len(b.groups))
 	for i := range b.groups {
@@ -366,11 +304,13 @@ func (b *bindings) workerPointCtx() *expr.Ctx {
 	return ctx
 }
 
-// workerTriEnv is triEnv for a persistent worker: group/set lookups are
-// dynamic (they survive bindings.reset), the scalar snapshots are
-// filled by refreshTriEnv before each batch of tasks.
-func (b *bindings) workerTriEnv() *triEnv {
-	te := &triEnv{pointCtx: b.workerPointCtx()}
+// newTriEnv builds a persistent interval-semantics environment for
+// tuple classification — one per goroutine that classifies (the
+// controller's, Engine.triEnv; one per pool worker): group/set lookups
+// are dynamic (they survive bindings.reset), the scalar snapshots are
+// filled by refreshTriEnv before each use.
+func (b *bindings) newTriEnv() *triEnv {
+	te := &triEnv{pointCtx: b.newPointCtx()}
 	te.scalarRanges = make([]paramRange, len(b.scalars))
 	te.groupRanges = make([]func(string) paramRange, len(b.groups))
 	for i := range b.groups {
@@ -403,7 +343,7 @@ func (b *bindings) workerTriEnv() *triEnv {
 	return te
 }
 
-// refreshTriEnv re-snapshots the by-value state of a worker triEnv —
+// refreshTriEnv re-snapshots the by-value state of a triEnv —
 // scalar points and variation ranges — from the current bindings.
 // Everything else in the environment reads the live bindings at call
 // time and needs no refresh.

@@ -12,15 +12,15 @@ import (
 
 // The columnar fold path. When a block's mini-batch hot loop is shaped
 // right — banked (all-CLT) aggregates over fact columns, plain-column
-// group keys, dimension joins keyed on plain fact columns, a
-// vectorizable certain WHERE, and (when present) an uncertain WHERE
-// whose tri-state classification compiles — each shard sweeps whole
-// colstore segments instead of walking boxed rows: the certain
-// predicate runs as a compiled kernel, the uncertain predicate as a
-// compiled tri-state kernel under the batch's injected variation
-// ranges, and the surviving rows split into certainly-in / uncertain
-// runs. Certainly-in rows feed the banked accumulators straight from
-// the typed banks; group keys resolve through a word-code memo that
+// group keys, dimension joins keyed on plain fact columns and a
+// vectorizable certain WHERE — each shard sweeps whole colstore
+// segments instead of walking boxed rows: the certain predicate runs as
+// a compiled kernel, the uncertain predicate as a compiled tri-state
+// kernel under the batch's injected variation ranges (or, where it does
+// not compile, through the interpreter per surviving row), and the
+// surviving rows split into certainly-in / uncertain runs.
+// Certainly-in rows feed the banked accumulators straight from the
+// typed banks; group keys resolve through a word-code memo that
 // touches the canonical (hash + KeyEqual) path once per distinct key
 // per sweep, and dimension fan-out resolves through a persistent join
 // memo keyed by the same word codes (dimension tables are read once and
@@ -240,11 +240,11 @@ func (r *blockRunner) buildColPlan() *colPlan {
 		p.reason = "where:uncompilable"
 		return p
 	}
-	// Without dims, an uncompilable uncertain predicate degrades to the
-	// per-row classification inside the sweep (variant B in colFeed);
-	// with dims the sweep classifies fact rows before joining, which is
-	// only sound through the (fact-column-only, by construction)
-	// tri-state kernel.
+	// Without dims, an uncompilable uncertain predicate classifies
+	// through the interpreted evalTri inside the sweep (colSelect); with
+	// dims the sweep classifies fact rows before joining, which is only
+	// sound through the (fact-column-only, by construction) tri-state
+	// kernel.
 	if p.hasDims && r.uncertainWhere != nil && expr.CompileTriKernel(r.uncertainWhere, ct) == nil {
 		p.reason = "uncertain:uncompilable"
 		return p
@@ -331,17 +331,16 @@ type colScratch struct {
 	selU      []int32
 	wf        []float64
 	wbuf      []uint8
-	// Group memo: open-addressed map from the key's word codes (one
-	// 64-bit physical code per memo column plus a null-bit word) to the
-	// resolved table entry (no-dims: memoEntries) or entry list (dims:
-	// entArena[memoOff:memoOff+memoCnt]). Word codes are equal for
-	// identical stored values but may differ for values that merely
-	// compare equal (-0.0 vs 0.0), so a memo miss resolves through the
-	// canonical entryCurrent path — the memo is pure memoization, never
-	// identity. Reset per sweep: entries are recycled between batches.
-	memoKeys    []uint64 // stride = len(memo key columns)+1
-	memoSlots   []int32  // 1-based into memo rows
-	memoMask    uint64
+	// Group memo: the key's word codes (one 64-bit physical code per memo
+	// column plus a null-bit word) → the resolved table entry (no-dims:
+	// memoEntries) or entry list (dims: entArena[memoOff:memoOff+memoCnt]).
+	// Word codes are equal for identical stored values but may differ for
+	// values that merely compare equal (-0.0 vs 0.0), so a memo miss
+	// resolves through the canonical entryCurrent path — the memo is pure
+	// memoization, never identity. Reset per sweep: entries may be
+	// recycled by shard tables between batches, so cached pointers never
+	// outlive the colFeed call that resolved them.
+	memo        wordMemo
 	memoEntries []*onlineEntry
 	memoOff     []int32
 	memoCnt     []int32
@@ -354,99 +353,109 @@ type colScratch struct {
 	// the dim extensions of a retained row are ever read — the rest of
 	// its fact part belongs to the first-occurrence row and may differ
 	// from the current row's.
-	jKeys  []uint64
-	jSlots []int32
-	jMask  uint64
-	jOff   []int32
-	jCnt   []int32
-	jRows  []types.Row
-	sole   *onlineEntry // cached sole entry of scalar blocks
+	jmemo wordMemo
+	jOff  []int32
+	jCnt  []int32
+	jRows []types.Row
+	sole  *onlineEntry // cached sole entry of scalar blocks
 	// sweeps counts columnar segment sweeps (observability for tests and
 	// the alloc gate: proves the fast path actually engaged).
 	sweeps int64
 }
 
-// memoReset clears the group memo for a new sweep. Entries may be
-// recycled by shard tables between batches, so cached pointers never
-// outlive the colFeed call that resolved them. The join memo is NOT
-// reset here: joined rows stay valid as long as the encoding does.
-func (cs *colScratch) memoReset() {
-	for i := range cs.memoSlots {
-		cs.memoSlots[i] = 0
-	}
-	cs.memoKeys = cs.memoKeys[:0]
-	cs.memoEntries = cs.memoEntries[:0]
-	cs.memoOff = cs.memoOff[:0]
-	cs.memoCnt = cs.memoCnt[:0]
-	for i := range cs.entArena {
-		cs.entArena[i] = nil
-	}
-	cs.entArena = cs.entArena[:0]
-	cs.sole = nil
+// wordMemo is an open-addressed index over fixed-stride word-code keys:
+// entry e's key is keys[e*stride:(e+1)*stride], slots holds 1-based
+// entry indices (0 = empty), and the payload lives with the owner in
+// arrays indexed by entry. A lookup stages its key past len(keys), so a
+// miss adds it without copying.
+type wordMemo struct {
+	keys   []uint64
+	slots  []int32
+	mask   uint64
+	stride int
 }
 
-// jreset clears the join memo (the encoding changed: dictionary codes
-// may have moved, so the cached words are meaningless).
-func (cs *colScratch) jreset() {
-	for i := range cs.jSlots {
-		cs.jSlots[i] = 0
-	}
-	cs.jKeys = cs.jKeys[:0]
-	cs.jOff = cs.jOff[:0]
-	cs.jCnt = cs.jCnt[:0]
-	for i := range cs.jRows {
-		cs.jRows[i] = nil
-	}
-	cs.jRows = cs.jRows[:0]
+// entries is the number of keys held.
+func (m *wordMemo) entries() int { return len(m.keys) / m.stride }
+
+// reset drops every entry, keeps the capacity and sets the key width.
+func (m *wordMemo) reset(stride int) {
+	clear(m.slots)
+	m.keys = m.keys[:0]
+	m.stride = stride
 }
 
-func (cs *colScratch) memoGrow(stride int) {
-	n := len(cs.memoSlots) * 2
+// stage returns the scratch key past the last entry for the caller to
+// fill before find/add.
+func (m *wordMemo) stage() []uint64 {
+	n := len(m.keys)
+	if cap(m.keys) < n+m.stride {
+		grown := make([]uint64, n, (n+m.stride)*2+m.stride)
+		copy(grown, m.keys)
+		m.keys = grown
+	}
+	return m.keys[n : n+m.stride]
+}
+
+// find returns the entry whose key equals words (h = memoHash(words)),
+// or -1. An empty table probes nothing.
+func (m *wordMemo) find(words []uint64, h uint64) int {
+	for j := h & m.mask; len(m.slots) != 0; j = (j + 1) & m.mask {
+		e := int(m.slots[j]) - 1
+		if e < 0 {
+			break
+		}
+		match := true
+		for x, w := range m.keys[e*m.stride : (e+1)*m.stride] {
+			if w != words[x] {
+				match = false
+				break
+			}
+		}
+		if match {
+			return e
+		}
+	}
+	return -1
+}
+
+// add appends words (absent, by a find miss) as the next entry and
+// returns its index, growing the slot table at 7/8 load.
+func (m *wordMemo) add(words []uint64, h uint64) int {
+	e := m.entries()
+	if (e+1)*8 > len(m.slots)*7 {
+		m.grow()
+	}
+	copy(m.stage(), words) // a no-op when words is the staged key itself
+	m.keys = m.keys[:len(m.keys)+m.stride]
+	m.insert(h, e)
+	return e
+}
+
+// insert claims the first free slot on h's probe chain for entry e.
+func (m *wordMemo) insert(h uint64, e int) {
+	j := h & m.mask
+	for m.slots[j] != 0 {
+		j = (j + 1) & m.mask
+	}
+	m.slots[j] = int32(e + 1)
+}
+
+// grow doubles the slot table and rehashes the held entries.
+func (m *wordMemo) grow() {
+	n := len(m.slots) * 2
 	if n < 64 {
 		n = 64
 	}
-	if cap(cs.memoSlots) >= n {
-		cs.memoSlots = cs.memoSlots[:n]
-		for i := range cs.memoSlots {
-			cs.memoSlots[i] = 0
-		}
+	if cap(m.slots) >= n {
+		m.slots = m.slots[:n]
+		clear(m.slots)
 	} else {
-		cs.memoSlots = make([]int32, n)
+		m.slots = make([]int32, n)
 	}
-	cs.memoMask = uint64(n - 1)
-	rows := len(cs.memoKeys) / stride
-	for e := 0; e < rows; e++ {
-		h := memoHash(cs.memoKeys[e*stride : (e+1)*stride])
-		i := h & cs.memoMask
-		for cs.memoSlots[i] != 0 {
-			i = (i + 1) & cs.memoMask
-		}
-		cs.memoSlots[i] = int32(e + 1)
-	}
-}
-
-func (cs *colScratch) jGrow(stride int) {
-	n := len(cs.jSlots) * 2
-	if n < 64 {
-		n = 64
-	}
-	if cap(cs.jSlots) >= n {
-		cs.jSlots = cs.jSlots[:n]
-		for i := range cs.jSlots {
-			cs.jSlots[i] = 0
-		}
-	} else {
-		cs.jSlots = make([]int32, n)
-	}
-	cs.jMask = uint64(n - 1)
-	rows := len(cs.jKeys) / stride
-	for e := 0; e < rows; e++ {
-		h := memoHash(cs.jKeys[e*stride : (e+1)*stride])
-		i := h & cs.jMask
-		for cs.jSlots[i] != 0 {
-			i = (i + 1) & cs.jMask
-		}
-		cs.jSlots[i] = int32(e + 1)
+	m.mask = uint64(n - 1)
+	for e, n := 0, m.entries(); e < n; e++ {
+		m.insert(memoHash(m.keys[e*m.stride:(e+1)*m.stride]), e)
 	}
 }
 
@@ -458,17 +467,43 @@ func memoHash(words []uint64) uint64 {
 	return h
 }
 
+// stageKey stages segment-local row i's physical key over cols in m:
+// one word code per column plus a null-bit word.
+func stageKey(m *wordMemo, ct *colstore.Table, seg *colstore.Segment, cols []int, i int) ([]uint64, uint64) {
+	words := m.stage()
+	var nulls uint64
+	for k, c := range cols {
+		w, null := ct.KeyWord(seg, c, i)
+		if null {
+			nulls |= 1 << uint(k)
+			w = 0
+		}
+		words[k] = w
+	}
+	words[len(cols)] = nulls
+	return words, memoHash(words)
+}
+
 // colFeed sweeps rows[0:len) (= global rows baseIdx..) through the
-// columnar classify+fold path into st. It returns false — having
-// touched nothing — when the batch is not aligned with the columnar
-// cache (or the kernels no longer compile against it), letting the
-// caller fall back to the row loop.
-func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf *weightPrefetch, st *stage) bool {
+// columnar pipeline into st: per segment range, select (classify every
+// row into certainly-in / uncertain / gone), then weigh and fold the
+// certainly-in run, then weigh and cache the uncertain run. It returns
+// false — having touched nothing — when the batch is not aligned with
+// the columnar cache (or the kernels no longer compile against it),
+// letting the caller fall back to the row loop.
+//
+// Splitting the row loop's per-row classify→weigh→fold/cache into
+// per-segment stages changes no value: a tri decision is a pure function
+// of (row, this batch's bindings), weights are counter hashes of the row
+// index, folds touch only the table and cache appends only the uncertain
+// buffer and arena — so each of the two runs sees its rows in the same
+// ascending order, against the same state, as the interleaved loop.
+func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, st *stage) bool {
 	p := r.colPl
 	if p == nil || !p.ok {
 		return false
 	}
-	te, tab, uncertain, arena, folds, acc, cs := st.te, st.tab, &st.uncertain, &st.arena, &st.folds, &st.acc, &st.cs
+	te, tab, acc, cs := st.te, st.tab, &st.acc, &st.cs
 	ct := p.ct
 	if ct == nil || !ct.Aligned(rows, baseIdx) {
 		return false
@@ -486,7 +521,10 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf
 		if r.uncertainWhere != nil {
 			cs.triK = expr.CompileTriKernel(r.uncertainWhere, ct)
 		}
-		cs.jreset()
+		cs.jmemo.reset(len(p.memoCols) + 1)
+		cs.jOff, cs.jCnt = cs.jOff[:0], cs.jCnt[:0]
+		clear(cs.jRows)
+		cs.jRows = cs.jRows[:0]
 		cs.kernelCT, cs.kernelVer = ct, ct.Version()
 	}
 	if r.certainWhere != nil && cs.kernel == nil {
@@ -502,9 +540,8 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf
 		return true
 	}
 
-	e := r.eng
-	prof := e.profile
-	trials := e.opt.Trials
+	prof := r.eng.profile
+	trials := ws.trials
 	if cap(cs.tri) < ct.SegSize {
 		cs.tri = make([]uint8, ct.SegSize)
 	}
@@ -517,7 +554,17 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf
 	if cap(cs.wbuf) < trials {
 		cs.wbuf = make([]uint8, trials)
 	}
-	cs.memoReset()
+	// New sweep, new group memo (the join memo persists).
+	if p.hasDims {
+		cs.memo.reset(len(p.memoCols) + 1)
+	} else {
+		cs.memo.reset(len(p.gbCols) + 1)
+	}
+	cs.memoEntries = cs.memoEntries[:0]
+	cs.memoOff, cs.memoCnt = cs.memoOff[:0], cs.memoCnt[:0]
+	clear(cs.entArena)
+	cs.entArena = cs.entArena[:0]
+	cs.sole = nil
 	tab.initKeyScratch(r.b)
 	if useTri {
 		// Inject the batch's variation ranges for the row-free parameter
@@ -527,19 +574,9 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf
 			cs.triK.SetRange(s, pr.r.Lo, pr.r.Hi, uint8(pr.status))
 		}
 	}
-
-	// wlut maps a Poisson(1) multiplicity (≤ 8; 16 slots so the masked
-	// index elides bounds checks) to its pre-scaled float weight — the
-	// identical float64(k)·repW product the row path computes per draw.
-	// Every certainly-folded row consumes its weights only as these
-	// floats, so the uint8 round trip survives solely for rows that stay
-	// uncertain (their byte vectors are retained) and for prefetched
-	// batches — the direct path re-qualifies per row, not per plan.
-	var wlut [16]float64
-	for k := range wlut {
-		wlut[k] = float64(k) * ts.invP
-	}
-	fused := p.fuse && pf == nil && !prof && (r.uncertainWhere == nil || useTri)
+	// The fused kernel generates its weights inside the fold loop, so it
+	// needs them inline (no prefetch) and unattributed (no profile).
+	fused := p.fuse && ws.pf == nil && !prof
 
 	g := baseIdx
 	end := baseIdx + len(rows)
@@ -556,172 +593,27 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf
 		if prof {
 			t0 = time.Now()
 		}
-		// Classify the whole segment range in one pass per kernel; the
-		// selections preserve ascending row order, which is what keeps
-		// accumulator addition sequences, group creation order and the
-		// uncertain cache identical to the row loop. Rows failing the
-		// certain filter are gone; survivors split into certainly-in
-		// (sel) and uncertain (selU) runs.
-		sel := cs.sel[:0]
-		selU := cs.selU[:0]
-		switch {
-		case cs.kernel != nil && useTri:
-			tri := cs.tri[:seg.N]
-			cs.kernel.EvalInto(tri, seg, lo, hi)
-			tu := cs.triU[:seg.N]
-			cs.triK.EvalInto(tu, seg, lo, hi)
-			for i := lo; i < hi; i++ {
-				if tri[i] != expr.TriTrue {
-					continue
-				}
-				switch tu[i] {
-				case expr.TriTrue:
-					sel = append(sel, int32(i))
-				case expr.TriNull:
-					selU = append(selU, int32(i))
-				}
-			}
-		case cs.kernel != nil:
-			tri := cs.tri[:seg.N]
-			cs.kernel.EvalInto(tri, seg, lo, hi)
-			for i := lo; i < hi; i++ {
-				if tri[i] == expr.TriTrue {
-					sel = append(sel, int32(i))
-				}
-			}
-		case useTri:
-			tu := cs.triU[:seg.N]
-			cs.triK.EvalInto(tu, seg, lo, hi)
-			for i := lo; i < hi; i++ {
-				switch tu[i] {
-				case expr.TriTrue:
-					sel = append(sel, int32(i))
-				case expr.TriNull:
-					selU = append(selU, int32(i))
-				}
-			}
-		default:
-			for i := lo; i < hi; i++ {
-				sel = append(sel, int32(i))
-			}
-		}
-		cs.sel, cs.selU = sel, selU
+		r.colSelect(st, seg, lo, hi, useTri)
 		if prof {
-			t1 := time.Now()
-			acc.ns[phaseClassify] += int64(t1.Sub(t0))
+			acc.ns[phaseClassify] += int64(time.Since(t0))
 		}
 
+		// Certainly-in run: fold straight from the banks.
 		if fused {
-			// The uncertain run (selU) still executes below: fusing only
-			// collapses the certainly-in folds.
-			for _, si := range sel {
+			for _, si := range cs.sel {
 				i := int(si)
 				gi := seg.Base + i
-				en := r.colEntry(tab, cs, ct, seg, i)
-				r.colFoldFused(tab, p, en, seg, i, e.sampled(ts, gi),
-					ts.weightBase+uint64(gi)*uint64(trials), &wlut)
-				*folds++
-			}
-		} else if r.uncertainWhere != nil && !useTri {
-			// Variant B: the uncertain predicate did not compile, so each
-			// certain-filtered row classifies through the interpreted
-			// evalTri — decided BEFORE weight materialization (both are
-			// pure per-row functions, so the reorder changes no value):
-			// certainly-out rows skip weight generation entirely, and
-			// certainly-in rows take the direct float path.
-			for _, si := range sel {
-				i := int(si)
-				gi := seg.Base + i
-				if prof {
-					t0 = time.Now()
-				}
-				d := te.evalTri(r.uncertainWhere, seg.Rows[i])
-				if prof {
-					t1 := time.Now()
-					acc.ns[phaseClassify] += int64(t1.Sub(t0))
-					t0 = t1
-				}
-				if d == triFalse {
-					continue
-				}
-				repW := 0.0
-				var weights []uint8
-				var wf []float64
-				if pf != nil {
-					if ri := gi - pf.start; pf.sampled[ri] {
-						weights = pf.weights[ri*trials : (ri+1)*trials]
-						repW = ts.invP
-					}
-				} else if e.sampled(ts, gi) {
-					repW = ts.invP
-					if d == triTrue {
-						// Fold-only consumption: prescale straight to floats via
-						// the lut. float64(uint8(p)) == float64(p) for the Poisson
-						// range, so the accumulator additions are bit-identical.
-						wf = cs.wf[:trials]
-						base := ts.weightBase + uint64(gi)*uint64(trials)
-						for j := range wf {
-							wf[j] = wlut[bootstrap.PoissonAt(base+uint64(j))&15]
-						}
-					} else {
-						cs.wbuf = e.weightsInto(cs.wbuf, ts, gi)
-						weights = cs.wbuf
-					}
-				}
-				if prof {
-					t1 := time.Now()
-					acc.ns[phaseWeights] += int64(t1.Sub(t0))
-					t0 = t1
-				}
-				if d != triTrue {
-					*uncertain = append(*uncertain, uncertainRow{
-						row: seg.Rows[i], weights: arena.hold(weights), repW: repW})
-					if prof {
-						acc.ns[phaseClassify] += int64(time.Since(t0))
-					}
-					continue
-				}
-				if repW > 0 && wf == nil && len(weights) > 0 {
-					wf = cs.wf[:len(weights)]
-					for j, w := range weights {
-						wf[j] = float64(w) * repW
-					}
-				}
-				en := r.colEntry(tab, cs, ct, seg, i)
-				r.colFold(tab, p, en, ct, seg, i, wf, repW)
-				*folds++
-				if prof {
-					acc.ns[phaseFold] += int64(time.Since(t0))
-				}
+				r.colFoldFused(tab, p, r.colEntry(tab, cs, ct, seg, i), seg, i, ws.e.sampled(ws.ts, gi),
+					ws.ts.weightBase+uint64(gi)*uint64(trials), &ws.wlut)
+				st.folds++
 			}
 		} else {
-			// Certainly-in run: fold straight from the banks with direct
-			// float weights (uint8 only for prefetched batches).
-			for _, si := range sel {
+			for _, si := range cs.sel {
 				i := int(si)
-				gi := seg.Base + i
 				if prof {
 					t0 = time.Now()
 				}
-				repW := 0.0
-				var wf []float64
-				if pf != nil {
-					if ri := gi - pf.start; pf.sampled[ri] {
-						ws := pf.weights[ri*trials : (ri+1)*trials]
-						repW = ts.invP
-						wf = cs.wf[:trials]
-						for j, w := range ws {
-							wf[j] = float64(w) * repW
-						}
-					}
-				} else if e.sampled(ts, gi) {
-					repW = ts.invP
-					wf = cs.wf[:trials]
-					base := ts.weightBase + uint64(gi)*uint64(trials)
-					for j := range wf {
-						wf[j] = wlut[bootstrap.PoissonAt(base+uint64(j))&15]
-					}
-				}
+				wf, repW := ws.floats(seg.Base + i)
 				if prof {
 					t1 := time.Now()
 					acc.ns[phaseWeights] += int64(t1.Sub(t0))
@@ -730,12 +622,11 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf
 				if p.hasDims {
 					for _, en := range r.colEntries(st, ct, seg, i) {
 						r.colFold(tab, p, en, ct, seg, i, wf, repW)
-						*folds++
+						st.folds++
 					}
 				} else {
-					en := r.colEntry(tab, cs, ct, seg, i)
-					r.colFold(tab, p, en, ct, seg, i, wf, repW)
-					*folds++
+					r.colFold(tab, p, r.colEntry(tab, cs, ct, seg, i), ct, seg, i, wf, repW)
+					st.folds++
 				}
 				if prof {
 					acc.ns[phaseFold] += int64(time.Since(t0))
@@ -744,26 +635,12 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf
 		}
 		// Uncertain run: these rows retain their byte weight vectors and
 		// cache their joined lineage, exactly as the row path would.
-		// (Empty unless the tri kernel classified — variant B caches its
-		// uncertain rows inline.)
-		for _, si := range selU {
+		for _, si := range cs.selU {
 			i := int(si)
-			gi := seg.Base + i
 			if prof {
 				t0 = time.Now()
 			}
-			repW := 0.0
-			var weights []uint8
-			if pf != nil {
-				if ri := gi - pf.start; pf.sampled[ri] {
-					weights = pf.weights[ri*trials : (ri+1)*trials]
-					repW = ts.invP
-				}
-			} else if e.sampled(ts, gi) {
-				cs.wbuf = e.weightsInto(cs.wbuf, ts, gi)
-				weights = cs.wbuf
-				repW = ts.invP
-			}
+			weights, repW := ws.bytes(seg.Base + i)
 			if prof {
 				t1 := time.Now()
 				acc.ns[phaseWeights] += int64(t1.Sub(t0))
@@ -774,12 +651,10 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf
 				// join memo retains the first-occurrence fact part, which
 				// may differ outside the memo columns): run the real join.
 				for _, jrow := range st.joiner.Join(seg.Rows[i]) {
-					*uncertain = append(*uncertain, uncertainRow{
-						row: jrow, weights: arena.hold(weights), repW: repW})
+					st.cache(jrow, weights, repW)
 				}
 			} else {
-				*uncertain = append(*uncertain, uncertainRow{
-					row: seg.Rows[i], weights: arena.hold(weights), repW: repW})
+				st.cache(seg.Rows[i], weights, repW)
 			}
 			if prof {
 				acc.ns[phaseClassify] += int64(time.Since(t0))
@@ -789,58 +664,59 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, pf
 	return true
 }
 
+// colSelect classifies segment rows [lo,hi) into cs.sel (certainly-in)
+// and cs.selU (uncertain), both in ascending row order — which is what
+// keeps accumulator addition sequences, group creation order and the
+// uncertain cache identical to the row loop. Rows failing the certain
+// kernel are gone; survivors classify under the uncertain predicate by
+// the tri-state kernel's vector when it compiled (and applies: useTri),
+// else by the interpreted evalTri per row.
+func (r *blockRunner) colSelect(st *stage, seg *colstore.Segment, lo, hi int, useTri bool) {
+	cs := &st.cs
+	var pass, tu []uint8
+	if cs.kernel != nil {
+		pass = cs.tri[:seg.N]
+		cs.kernel.EvalInto(pass, seg, lo, hi)
+	}
+	if useTri {
+		tu = cs.triU[:seg.N]
+		cs.triK.EvalInto(tu, seg, lo, hi)
+	}
+	sel, selU := cs.sel[:0], cs.selU[:0]
+	for i := lo; i < hi; i++ {
+		if pass != nil && pass[i] != expr.TriTrue {
+			continue
+		}
+		d := expr.TriTrue
+		if tu != nil {
+			d = tu[i]
+		} else if r.uncertainWhere != nil {
+			d = uint8(st.te.evalTri(r.uncertainWhere, seg.Rows[i]))
+		}
+		switch d {
+		case expr.TriTrue:
+			sel = append(sel, int32(i))
+		case expr.TriNull:
+			selU = append(selU, int32(i))
+		}
+	}
+	cs.sel, cs.selU = sel, selU
+}
+
 // colEntry resolves the group entry of segment-local row i through the
 // word-code memo, falling back to the canonical hash path on a miss so
 // entry identity (and creation order) matches the row loop exactly.
 func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Table, seg *colstore.Segment, i int) *onlineEntry {
 	p := r.colPl
-	nk := len(p.gbCols)
-	if nk == 0 {
+	if len(p.gbCols) == 0 {
 		if cs.sole == nil {
 			cs.sole = tab.entryCurrent(r.b)
 		}
 		return cs.sole
 	}
-	stride := nk + 1
-	// Build the physical key: one word code per column + a null-bit word.
-	n := len(cs.memoKeys)
-	if cap(cs.memoKeys) < n+stride {
-		grown := make([]uint64, n, (n+stride)*2+stride)
-		copy(grown, cs.memoKeys)
-		cs.memoKeys = grown
-	}
-	words := cs.memoKeys[n : n+stride]
-	var nulls uint64
-	for k, c := range p.gbCols {
-		w, null := ct.KeyWord(seg, c, i)
-		if null {
-			nulls |= 1 << uint(k)
-			w = 0
-		}
-		words[k] = w
-	}
-	words[nk] = nulls
-	h := memoHash(words)
-	if cs.memoSlots != nil {
-		j := h & cs.memoMask
-		for {
-			s := cs.memoSlots[j]
-			if s == 0 {
-				break
-			}
-			cand := cs.memoKeys[int(s-1)*stride : int(s)*stride]
-			match := true
-			for x := 0; x < stride; x++ {
-				if cand[x] != words[x] {
-					match = false
-					break
-				}
-			}
-			if match {
-				return cs.memoEntries[s-1]
-			}
-			j = (j + 1) & cs.memoMask
-		}
+	words, h := stageKey(&cs.memo, ct, seg, p.gbCols, i)
+	if e := cs.memo.find(words, h); e >= 0 {
+		return cs.memoEntries[e]
 	}
 	// Miss: materialize the key row from the aliased source tuple (the
 	// exact Values the row path would have used) and resolve canonically.
@@ -849,18 +725,8 @@ func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Ta
 		tab.keyRow[k] = row[c]
 	}
 	en := tab.entryCurrent(r.b)
-	// Insert into the memo.
-	if (len(cs.memoEntries)+1)*8 > len(cs.memoSlots)*7 {
-		cs.memoGrow(stride)
-	}
-	cs.memoKeys = cs.memoKeys[:n+stride]
+	cs.memo.add(words, h)
 	cs.memoEntries = append(cs.memoEntries, en)
-	idx := int32(len(cs.memoEntries))
-	j := h & cs.memoMask
-	for cs.memoSlots[j] != 0 {
-		j = (j + 1) & cs.memoMask
-	}
-	cs.memoSlots[j] = idx
 	return en
 }
 
@@ -873,46 +739,10 @@ func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Ta
 // memo (joinRows).
 func (r *blockRunner) colEntries(st *stage, ct *colstore.Table, seg *colstore.Segment, i int) []*onlineEntry {
 	p, tab, cs := r.colPl, st.tab, &st.cs
-	stride := len(p.memoCols) + 1
-	n := len(cs.memoKeys)
-	if cap(cs.memoKeys) < n+stride {
-		grown := make([]uint64, n, (n+stride)*2+stride)
-		copy(grown, cs.memoKeys)
-		cs.memoKeys = grown
-	}
-	words := cs.memoKeys[n : n+stride]
-	var nulls uint64
-	for k, c := range p.memoCols {
-		w, null := ct.KeyWord(seg, c, i)
-		if null {
-			nulls |= 1 << uint(k)
-			w = 0
-		}
-		words[k] = w
-	}
-	words[stride-1] = nulls
-	h := memoHash(words)
-	if cs.memoSlots != nil {
-		j := h & cs.memoMask
-		for {
-			s := cs.memoSlots[j]
-			if s == 0 {
-				break
-			}
-			cand := cs.memoKeys[int(s-1)*stride : int(s)*stride]
-			match := true
-			for x := 0; x < stride; x++ {
-				if cand[x] != words[x] {
-					match = false
-					break
-				}
-			}
-			if match {
-				off := cs.memoOff[s-1]
-				return cs.entArena[off : off+cs.memoCnt[s-1]]
-			}
-			j = (j + 1) & cs.memoMask
-		}
+	words, h := stageKey(&cs.memo, ct, seg, p.memoCols, i)
+	if e := cs.memo.find(words, h); e >= 0 {
+		off := cs.memoOff[e]
+		return cs.entArena[off : off+cs.memoCnt[e]]
 	}
 	// Miss: expand the join (memoized across sweeps) and resolve each
 	// joined row's entry canonically, in join order.
@@ -924,18 +754,9 @@ func (r *blockRunner) colEntries(st *stage, ct *colstore.Table, seg *colstore.Se
 		}
 		cs.entArena = append(cs.entArena, tab.entryCurrent(r.b))
 	}
-	if (len(cs.memoOff)+1)*8 > len(cs.memoSlots)*7 {
-		cs.memoGrow(stride)
-	}
-	cs.memoKeys = cs.memoKeys[:n+stride]
+	cs.memo.add(words, h)
 	cs.memoOff = append(cs.memoOff, elo)
 	cs.memoCnt = append(cs.memoCnt, int32(len(cs.entArena))-elo)
-	idx := int32(len(cs.memoOff))
-	j := h & cs.memoMask
-	for cs.memoSlots[j] != 0 {
-		j = (j + 1) & cs.memoMask
-	}
-	cs.memoSlots[j] = idx
 	return cs.entArena[elo:]
 }
 
@@ -946,52 +767,15 @@ func (r *blockRunner) colEntries(st *stage, ct *colstore.Table, seg *colstore.Se
 // batches is safe; the steady state joins each distinct key combination
 // exactly once per query.
 func (cs *colScratch) joinRows(jn *exec.Joiner, words []uint64, h uint64, fact types.Row) (int32, int32) {
-	stride := len(words)
-	if cs.jSlots != nil {
-		j := h & cs.jMask
-		for {
-			s := cs.jSlots[j]
-			if s == 0 {
-				break
-			}
-			cand := cs.jKeys[int(s-1)*stride : int(s)*stride]
-			match := true
-			for x := 0; x < stride; x++ {
-				if cand[x] != words[x] {
-					match = false
-					break
-				}
-			}
-			if match {
-				return cs.jOff[s-1], cs.jCnt[s-1]
-			}
-			j = (j + 1) & cs.jMask
-		}
+	if e := cs.jmemo.find(words, h); e >= 0 {
+		return cs.jOff[e], cs.jCnt[e]
 	}
 	rows := jn.Join(fact)
 	off := int32(len(cs.jRows))
 	cs.jRows = append(cs.jRows, rows...)
-	n := len(cs.jKeys)
-	if cap(cs.jKeys) < n+stride {
-		grown := make([]uint64, n, (n+stride)*2+stride)
-		copy(grown, cs.jKeys)
-		cs.jKeys = grown
-	}
-	copy(cs.jKeys[n:n+stride], words)
-	if (len(cs.jOff)+1)*8 > len(cs.jSlots)*7 {
-		cs.jKeys = cs.jKeys[:n+stride]
-		cs.jGrow(stride)
-	} else {
-		cs.jKeys = cs.jKeys[:n+stride]
-	}
+	cs.jmemo.add(words, h)
 	cs.jOff = append(cs.jOff, off)
 	cs.jCnt = append(cs.jCnt, int32(len(rows)))
-	idx := int32(len(cs.jOff))
-	j := h & cs.jMask
-	for cs.jSlots[j] != 0 {
-		j = (j + 1) & cs.jMask
-	}
-	cs.jSlots[j] = idx
 	return off, int32(len(rows))
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"fluodb/internal/bootstrap"
@@ -93,8 +94,9 @@ func columnarCatalog(n int, seed uint64) *storage.Catalog {
 
 // columnarQueries span the eligibility space: plain fold, vectorized
 // certain WHERE (numeric, string/LIKE, IS NULL, AND/OR), scalar blocks,
-// and an uncertain nested-subquery predicate (per-row fallback on
-// selected rows).
+// uncertain nested-subquery predicates that compile to the tri-state
+// kernel (scalar parameter) and ones that classify through the
+// interpreted evalTri inside the sweep (correlated, IN-set).
 var columnarQueries = []struct {
 	name string
 	sql  string
@@ -106,6 +108,10 @@ var columnarQueries = []struct {
 	{"scalar", `SELECT COUNT(x), SUM(x), AVG(x) FROM facts WHERE b < 12`},
 	{"uncertain", `SELECT a, COUNT(x), SUM(x) FROM facts
 		WHERE b >= 2 AND x < (SELECT 0.9 * AVG(x) FROM facts) GROUP BY a`},
+	{"correlated", `SELECT a, COUNT(x), SUM(x) FROM facts
+		WHERE x < (SELECT 0.9 * AVG(x) FROM facts f2 WHERE f2.b = facts.b) GROUP BY a`},
+	{"in-set", `SELECT a, COUNT(x), SUM(x) FROM facts
+		WHERE b IN (SELECT b FROM facts GROUP BY b HAVING AVG(x) > 490) GROUP BY a`},
 	{"dims-join", `SELECT cat, COUNT(x), SUM(x), AVG(x) FROM facts f
 		JOIN bdim d ON f.b = d.bkey GROUP BY cat`},
 	{"dims-chain", `SELECT region, cat, COUNT(x), SUM(x) FROM facts f
@@ -295,11 +301,15 @@ func TestColumnarDimsFoldAllocs(t *testing.T) {
 // returns the pieces to drive feedBatchSerial by hand over aligned
 // chunks of the second mini-batch.
 func columnarBenchEnv(tb testing.TB, multiKey, sampledAll, profile bool) (*Engine, *blockRunner, *tableStream, *triEnv) {
-	cat := foldCatalog(20000, 71)
 	sql := `SELECT a, SUM(x), AVG(x) FROM facts GROUP BY a`
 	if multiKey {
 		sql = `SELECT a, b, SUM(x), AVG(x) FROM facts GROUP BY a, b`
 	}
+	return columnarBenchEnvSQL(tb, sql, sampledAll, profile)
+}
+
+func columnarBenchEnvSQL(tb testing.TB, sql string, sampledAll, profile bool) (*Engine, *blockRunner, *tableStream, *triEnv) {
+	cat := foldCatalog(20000, 71)
 	q, err := plan.Compile(sql, cat)
 	if err != nil {
 		tb.Fatal(err)
@@ -384,10 +394,13 @@ func TestColumnarFoldAllocs(t *testing.T) {
 }
 
 // benchFoldColumnar measures the columnar fold in ns/row by feeding
-// aligned chunks through feedBatchSerial; compare with RowPath variants
-// of the same shape via scripts/benchdiff.sh.
+// aligned chunks through feedBatchSerial.
 func benchFoldColumnar(b *testing.B, multiKey, sampledAll bool) {
 	_, r, ts, te := columnarBenchEnv(b, multiKey, sampledAll, false)
+	benchFeedChunks(b, r, ts, te)
+}
+
+func benchFeedChunks(b *testing.B, r *blockRunner, ts *tableStream, te *triEnv) {
 	rows := ts.batches[1]
 	base := ts.starts[1]
 	const chunk = 512
@@ -401,6 +414,9 @@ func benchFoldColumnar(b *testing.B, multiKey, sampledAll bool) {
 		}
 		r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te, nil)
 		off += chunk
+		// Re-fed rows would pile up in the uncertain cache: drop them.
+		r.uncertain = r.uncertain[:0]
+		r.arena.release()
 	}
 }
 
@@ -408,6 +424,22 @@ func BenchmarkFoldColumnarSingleKey(b *testing.B)        { benchFoldColumnar(b, 
 func BenchmarkFoldColumnarSingleKeySampled(b *testing.B) { benchFoldColumnar(b, false, true) }
 func BenchmarkFoldColumnarMultiKey(b *testing.B)         { benchFoldColumnar(b, true, false) }
 func BenchmarkFoldColumnarMultiKeySampled(b *testing.B)  { benchFoldColumnar(b, true, true) }
+
+// BenchmarkFoldColumnarCorrelated sweeps a Q17-shaped root block: the
+// per-group correlated threshold refuses the tri-state kernel, so every
+// certain-filter survivor classifies through the interpreted evalTri,
+// certainly-in rows fold and uncertain rows are cached with weights.
+func BenchmarkFoldColumnarCorrelated(b *testing.B) {
+	_, r, ts, te := columnarBenchEnvSQL(b, `SELECT SUM(x) FROM facts f
+		WHERE x < (SELECT 0.5 * AVG(x) FROM facts i WHERE i.b = f.b)`, false, false)
+	if r.uncertainWhere == nil || !r.colPl.ok {
+		b.Fatal("bench query must sweep columnar with an uncertain predicate")
+	}
+	benchFeedChunks(b, r, ts, te)
+	if r.cs.triK != nil {
+		b.Fatal("correlated predicate compiled to a tri kernel")
+	}
+}
 
 // BenchmarkClassifyColumnar measures the vectorized predicate kernel in
 // ns/row over whole segments (the WHERE of a typical filtered fold).
@@ -441,5 +473,145 @@ func BenchmarkClassifyColumnar(b *testing.B) {
 				break
 			}
 		}
+	}
+}
+
+// TestColumnarInterpretedClassifier pins that the correlated and IN-set
+// shapes of columnarQueries really sweep columnar with the interpreted
+// classifier (their GroupParam/SetParam predicates refuse the tri-state
+// kernel) and really cache uncertain rows — so the bit-identity matrix
+// above covers that path against the row loop.
+func TestColumnarInterpretedClassifier(t *testing.T) {
+	cat := columnarCatalog(3*8192, 7)
+	for _, q := range columnarQueries {
+		if q.name != "correlated" && q.name != "in-set" {
+			continue
+		}
+		t.Run(q.name, func(t *testing.T) {
+			pq, err := plan.Compile(q.sql, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := New(pq, cat, columnarOptions(7, 1, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			r := eng.runners[len(eng.runners)-1]
+			if r.b != eng.q.Root {
+				t.Fatal("last runner is not the root block")
+			}
+			cached := 0
+			for {
+				if _, err := eng.Step(); err == ErrDone {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				cached += len(r.uncertain)
+			}
+			if got := r.colPl.verdict(); !strings.HasPrefix(got, "columnar") {
+				t.Fatalf("root verdict = %q, want columnar*", got)
+			}
+			if r.cs.sweeps == 0 {
+				t.Fatal("root block never swept a segment")
+			}
+			if r.cs.triK != nil {
+				t.Fatal("uncertain predicate compiled to a tri kernel: the interpreted classifier is not covered")
+			}
+			if cached == 0 {
+				t.Fatal("the root block never cached an uncertain row")
+			}
+		})
+	}
+}
+
+// TestWordMemo drives the one open-addressed word-code memo (group and
+// join memo alike) through clustered collisions, growth and reset: after
+// every add exactly one slot per entry is occupied, an entry keeps its
+// index across growths, and reset drops entries but not capacity.
+func TestWordMemo(t *testing.T) {
+	for _, stride := range []int{1, 3} {
+		t.Run(fmt.Sprintf("stride=%d", stride), func(t *testing.T) {
+			fill := func(words []uint64, k uint64) uint64 {
+				for x := range words {
+					words[x] = k*31 + uint64(x)*k
+				}
+				return memoHash(words)
+			}
+			// 40 keys that share one home slot while the table has 64
+			// slots (a forced probe chain), then a plain run long enough
+			// for several growths.
+			var ks []uint64
+			probe := make([]uint64, stride)
+			for k := uint64(1); len(ks) < 40; k++ {
+				if fill(probe, k)&63 == 5 {
+					ks = append(ks, k)
+				}
+			}
+			for k := uint64(1) << 40; len(ks) < 1040; k++ {
+				ks = append(ks, k)
+			}
+			var m wordMemo
+			m.reset(stride)
+			check := func(n int) {
+				t.Helper()
+				occupied := 0
+				for _, s := range m.slots {
+					if s != 0 {
+						occupied++
+					}
+				}
+				if m.entries() != n || occupied != n {
+					t.Fatalf("after %d adds: %d entries, %d occupied slots", n, m.entries(), occupied)
+				}
+			}
+			growths := 0
+			for i, k := range ks {
+				words := m.stage()
+				h := fill(words, k)
+				if e := m.find(words, h); e != -1 {
+					t.Fatalf("key %d found at %d before it was added", i, e)
+				}
+				size := len(m.slots)
+				if e := m.add(words, h); e != i {
+					t.Fatalf("add %d returned index %d", i, e)
+				}
+				check(i + 1)
+				if len(m.slots) != size {
+					growths++
+					for j, kj := range ks[:i+1] {
+						if e := m.find(probe, fill(probe, kj)); e != j {
+							t.Fatalf("after growth to %d slots: key %d found at %d", len(m.slots), j, e)
+						}
+					}
+				}
+			}
+			if growths < 4 {
+				t.Fatalf("only %d growths", growths)
+			}
+			// A key copied in from elsewhere (the join memo's case) adds
+			// like a staged one.
+			h := fill(probe, 7<<50)
+			if e := m.add(probe, h); e != len(ks) || m.find(probe, h) != e {
+				t.Fatalf("foreign key landed at %d", e)
+			}
+			check(len(ks) + 1)
+
+			slotCap, keyCap, size := cap(m.slots), cap(m.keys), len(m.slots)
+			m.reset(stride)
+			check(0)
+			if cap(m.slots) != slotCap || cap(m.keys) != keyCap || len(m.slots) != size {
+				t.Fatal("reset changed capacity")
+			}
+			if e := m.find(probe, fill(probe, ks[0])); e != -1 {
+				t.Fatalf("reset kept key 0 at %d", e)
+			}
+			words := m.stage()
+			if e := m.add(words, fill(words, ks[3])); e != 0 {
+				t.Fatalf("first add after reset returned %d", e)
+			}
+			check(1)
+		})
 	}
 }

@@ -295,6 +295,9 @@ type Engine struct {
 	// Memoized per-node expression facts (plans are immutable).
 	hpCache  map[expr.Expr]bool
 	colCache map[expr.Expr]bool
+	// te is the controller's persistent classification environment
+	// (triEnv()).
+	te *triEnv
 	// Profiling state: profile gates fine per-tuple phase timing;
 	// stepAcc accrues engine-level phases (recompute) for the batch in
 	// flight; blockAcc[i] is runner i's cumulative profile; cumAcc the
@@ -355,20 +358,34 @@ type Engine struct {
 	ckBytes       int64
 }
 
-// triEnv builds the classification environment with memoized
-// expression walks.
+// triEnv returns the controller's classification environment, rebound
+// to the current parameter estimates. It is built once; every call
+// re-snapshots the scalar values/ranges (group and set lookups read the
+// live bindings), so a caller holds it only until the next call.
 func (e *Engine) triEnv() *triEnv {
-	te := e.bind.triEnv()
-	// The caches are fully populated at construction (warmExprCaches)
-	// and read-only afterwards, so worker goroutines may share them.
+	if e.te == nil {
+		e.te = e.newTriEnv()
+	}
+	e.bind.refreshTriEnv(e.te)
+	return e.te
+}
+
+// newTriEnv builds a classification environment with memoized
+// expression walks. The caches are fully populated at construction
+// (warmExprCaches) and read-only afterwards, so worker goroutines may
+// share them; the memos capture the maps, not the engine (worker
+// contexts must not keep an abandoned engine reachable, see pool.go).
+func (e *Engine) newTriEnv() *triEnv {
+	te := e.bind.newTriEnv()
+	hp, hc := e.hpCache, e.colCache
 	te.hp = func(x expr.Expr) bool {
-		if v, ok := e.hpCache[x]; ok {
+		if v, ok := hp[x]; ok {
 			return v
 		}
 		return expr.HasParams(x)
 	}
 	te.hc = func(x expr.Expr) bool {
-		if v, ok := e.colCache[x]; ok {
+		if v, ok := hc[x]; ok {
 			return v
 		}
 		return hasCols(x)

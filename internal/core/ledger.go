@@ -50,11 +50,11 @@ func (cs *colScratch) memBytes() int64 {
 	return int64(cap(cs.tri)) + int64(cap(cs.triU)) +
 		4*int64(cap(cs.sel)) + 4*int64(cap(cs.selU)) +
 		8*int64(cap(cs.wf)) + int64(cap(cs.wbuf)) +
-		8*int64(cap(cs.memoKeys)) + 4*int64(cap(cs.memoSlots)) +
+		8*int64(cap(cs.memo.keys)) + 4*int64(cap(cs.memo.slots)) +
 		8*int64(cap(cs.memoEntries)) +
 		4*int64(cap(cs.memoOff)) + 4*int64(cap(cs.memoCnt)) +
 		8*int64(cap(cs.entArena)) +
-		8*int64(cap(cs.jKeys)) + 4*int64(cap(cs.jSlots)) +
+		8*int64(cap(cs.jmemo.keys)) + 4*int64(cap(cs.jmemo.slots)) +
 		4*int64(cap(cs.jOff)) + 4*int64(cap(cs.jCnt)) +
 		24*int64(cap(cs.jRows))
 }

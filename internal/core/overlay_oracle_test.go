@@ -231,6 +231,16 @@ func (o *overlay) postInto(b *plan.Block, key string, scale float64, buf types.R
 	return buf, true
 }
 
+// oraclePointCtx builds a fresh point-estimate context over the current
+// bindings.
+func oraclePointCtx(b *bindings) *expr.Ctx {
+	ctx := b.newPointCtx()
+	for i, s := range b.scalars {
+		ctx.Scalars[i] = s.point
+	}
+	return ctx
+}
+
 // overlayFor folds the runner's uncertain set (under the point bindings
 // for trial < 0, or trial j's bindings and Poisson weights otherwise)
 // into a copy-on-write view of its deterministic state.
@@ -238,7 +248,7 @@ func (r *blockRunner) overlayFor(trial int) *overlay {
 	o := newOverlay(r.tab, trial)
 	var ctx *expr.Ctx
 	if trial < 0 {
-		ctx = r.eng.bind.pointCtx(nil)
+		ctx = oraclePointCtx(r.eng.bind)
 	} else {
 		ctx = r.eng.bind.trialCtx(nil, trial)
 	}
@@ -308,7 +318,7 @@ func oracleRows(e *Engine) [][]CellEstimate {
 	for j := range trialOs {
 		trialOs[j] = rr.overlayFor(j)
 	}
-	pctx := e.bind.pointCtx(nil)
+	pctx := oraclePointCtx(e.bind)
 	tctxs := make([]*expr.Ctx, effTrials)
 	for j := range tctxs {
 		tctxs[j] = e.bind.trialCtx(nil, j)
@@ -390,7 +400,7 @@ func oracleRows(e *Engine) [][]CellEstimate {
 func oracleScalar(e *Engine, r *blockRunner) (types.Value, []types.Value) {
 	b := r.b
 	scale := e.scaleFor(b)
-	pctx := e.bind.pointCtx(nil)
+	pctx := oraclePointCtx(e.bind)
 	pctx.Row = exec.PostRow(b, oracleSoleEntry(b, r.overlayFor(-1)), scale)
 	point := b.Select[0].Eval(pctx)
 	sqrtP := e.tables[b.Input.Fact].sqrtP

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"fluodb/internal/bootstrap"
 	"fluodb/internal/chaos"
 	"fluodb/internal/exec"
 	"fluodb/internal/storage"
@@ -115,36 +116,109 @@ func (a *cltAcc) merge(b cltAcc) {
 	a.n = n
 }
 
+// cache retains an uncertain row with its lineage. weights may live in
+// reusable scratch, so the stage's arena takes a copy.
+func (st *stage) cache(row types.Row, weights []uint8, repW float64) {
+	st.uncertain = append(st.uncertain, uncertainRow{row: row, weights: st.arena.hold(weights), repW: repW})
+}
+
+// weightSource resolves one fold's bootstrap draws: global row gi →
+// (in the subsample?, per-trial multiplicities), from the batch's
+// prefetched block when there is one and by inline derivation otherwise
+// — the same counter hashes either way. It lives for one feedShard call
+// (a stage must not retain the *Engine, see workerCtx); its buffers are
+// the stage's.
+type weightSource struct {
+	e      *Engine
+	ts     *tableStream
+	pf     *weightPrefetch
+	cs     *colScratch
+	trials int
+	// wlut maps a Poisson(1) multiplicity (≤ 8; 16 slots so the masked
+	// index elides bounds checks) to its pre-scaled float weight — the
+	// identical float64(k)·repW product the byte form yields per draw.
+	wlut [16]float64
+}
+
+func (r *blockRunner) newWeightSource(ts *tableStream, pf *weightPrefetch, st *stage) weightSource {
+	ws := weightSource{e: r.eng, ts: ts, pf: pf, cs: &st.cs, trials: r.eng.opt.Trials}
+	for k := range ws.wlut {
+		ws.wlut[k] = float64(k) * ts.invP
+	}
+	return ws
+}
+
+// draw reports subsample membership of row gi and, for a sampled row of
+// a prefetched batch, its prefetched multiplicities (nil: derive inline).
+func (ws *weightSource) draw(gi int) (sampled bool, pre []uint8) {
+	pf := ws.pf
+	if pf == nil {
+		return ws.e.sampled(ws.ts, gi), nil
+	}
+	if ri := gi - pf.start; pf.sampled[ri] {
+		return true, pf.weights[ri*ws.trials : (ri+1)*ws.trials]
+	}
+	return false, nil
+}
+
+// bytes returns row gi's multiplicities and replica weight (nil, 0
+// outside the subsample) — the form the row loop folds and every cached
+// uncertain row retains. Valid until the next call.
+func (ws *weightSource) bytes(gi int) ([]uint8, float64) {
+	sampled, w := ws.draw(gi)
+	if !sampled {
+		return nil, 0
+	}
+	if w == nil {
+		ws.cs.wbuf = ws.e.weightsInto(ws.cs.wbuf, ws.ts, gi)
+		w = ws.cs.wbuf
+	}
+	return w, ws.ts.invP
+}
+
+// floats returns row gi's multiplicities pre-scaled by the replica
+// weight, for folds that consume them only as float addends: inline
+// draws go straight through wlut, skipping the byte round trip
+// (float64(uint8(k)) == float64(k) over the Poisson range, so the
+// accumulator additions are bit-identical). Valid until the next call.
+func (ws *weightSource) floats(gi int) ([]float64, float64) {
+	sampled, pre := ws.draw(gi)
+	if !sampled {
+		return nil, 0
+	}
+	repW := ws.ts.invP
+	wf := ws.cs.wf[:ws.trials]
+	if pre != nil {
+		for j, w := range pre {
+			wf[j] = float64(w) * repW
+		}
+		return wf, repW
+	}
+	base := ws.ts.weightBase + uint64(gi)*uint64(ws.trials)
+	for j := range wf {
+		wf[j] = ws.wlut[bootstrap.PoissonAt(base+uint64(j))&15]
+	}
+	return wf, repW
+}
+
 // feedShard folds rows (global rows baseIdx..) into st on the calling
 // goroutine. pf, when non-nil, supplies prefetched subsample membership
 // and weight vectors for the whole batch (read-only, safely shared
 // across parts). When the block's columnar plan applies, the rows are
-// swept by the vectorized classify/fold path instead of the row loop
+// swept by the vectorized pipeline (colFeed) instead of the row loop
 // below — bit-identically.
 func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, pf *weightPrefetch, st *stage) {
-	if r.colFeed(rows, baseIdx, ts, pf, st) {
+	ws := r.newWeightSource(ts, pf, st)
+	if r.colFeed(rows, baseIdx, &ws, st) {
 		return
 	}
-	e := r.eng
-	prof := e.profile
-	trials := e.opt.Trials
+	prof := r.eng.profile
 	for i, fact := range rows {
-		var weights []uint8
-		repW := 0.0
 		var t0 time.Time
 		if prof {
 			t0 = time.Now()
 		}
-		if pf != nil {
-			if ri := baseIdx + i - pf.start; pf.sampled[ri] {
-				weights = pf.weights[ri*trials : (ri+1)*trials]
-				repW = ts.invP
-			}
-		} else if e.sampled(ts, baseIdx+i) {
-			st.cs.wbuf = e.weightsInto(st.cs.wbuf, ts, baseIdx+i)
-			weights = st.cs.wbuf
-			repW = ts.invP
-		}
+		weights, repW := ws.bytes(baseIdx + i)
 		if prof {
 			st.acc.ns[phaseWeights] += int64(time.Since(t0))
 		}

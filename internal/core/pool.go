@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"fluodb/internal/expr"
 	"fluodb/internal/retry"
 )
 
@@ -111,28 +110,12 @@ func (wc *workerCtx) quarantine(r *blockRunner) {
 	}
 }
 
-// refresh returns the worker's classification environment, rebinding it
-// to the engine's current parameter estimates. The environment is built
-// once per worker; per-batch refresh only re-snapshots the scalar
-// values/ranges (group and set lookups read the live bindings). Its
-// expression-fact memos capture the engine's read-only cache maps, not
-// the engine itself.
+// refresh returns the worker's classification environment (built once
+// per worker, Engine.newTriEnv), rebound to the engine's current
+// parameter estimates.
 func (wc *workerCtx) refresh(e *Engine) *triEnv {
 	if wc.te == nil {
-		wc.te = e.bind.workerTriEnv()
-		hp, hc := e.hpCache, e.colCache
-		wc.te.hp = func(x expr.Expr) bool {
-			if v, ok := hp[x]; ok {
-				return v
-			}
-			return expr.HasParams(x)
-		}
-		wc.te.hc = func(x expr.Expr) bool {
-			if v, ok := hc[x]; ok {
-				return v
-			}
-			return hasCols(x)
-		}
+		wc.te = e.newTriEnv()
 	}
 	e.bind.refreshTriEnv(wc.te)
 	return wc.te

@@ -320,7 +320,7 @@ func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64,
 		case triFalse:
 			// dropped forever
 		default:
-			st.uncertain = append(st.uncertain, uncertainRow{row: row, weights: st.arena.hold(weights), repW: repW})
+			st.cache(row, weights, repW)
 		}
 	}
 	if prof {

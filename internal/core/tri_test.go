@@ -221,7 +221,7 @@ func TestGroupRangeLookupStatuses(t *testing.T) {
 		},
 	}
 	b := &bindings{groups: []*groupBinding{g}}
-	te := b.triEnv()
+	te := b.newTriEnv()
 	if pr := te.groupRanges[0]("k1"); pr.status != rsOK {
 		t.Error("known group")
 	}

@@ -15,7 +15,6 @@
 #                   imports internal/core but is invisible to the root
 #                   ./... patterns; its tests are the only thing that
 #                   notices an engine API change breaking it
-#   benchdiff       advisory fold ns/row diff vs BENCH_fold.json
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -33,8 +32,5 @@ go test ./internal/core -run Allocs -count=1
 
 echo "== benchmark module (cd benchmark && go test ./...)"
 (cd benchmark && go test ./...)
-
-echo "== benchdiff (advisory, never fails the gate)"
-sh scripts/benchdiff.sh || true
 
 echo "== check OK"

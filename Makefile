@@ -33,7 +33,8 @@ audit:
 	go run ./cmd/flbench -experiment audit $(ARGS)
 
 # Robustness soak: 1000+ deterministically seeded fault schedules
-# (worker panics, stragglers, shard corruption, prefetch loss) against
+# (worker panics, stragglers, shard corruption, segment-cache drops,
+# shard kills and stragglers) against
 # the chaos-hardened runtime; every run must be bit-identical to its
 # fault-free reference, every checkpoint round-trip byte-identical, and
 # no goroutine may leak. Scale with ARGS="-schedules 5000".
@@ -48,9 +49,11 @@ shard:
 	go run ./cmd/flbench -experiment shard $(ARGS)
 
 # Memory observability: per-pool ledger residency across scenarios and
-# worker counts, GC telemetry, and a forced walk down the MaxMemoryBytes
-# degradation ladder verified bit-identical against the unbudgeted run
-# (the command fails on divergence). Record with ARGS="-json mem.json".
+# worker counts, GC telemetry, and a forced walk down the two-rung
+# MaxMemoryBytes degradation ladder (segment cache, then uncertain
+# eviction) verified bit-identical against the unbudgeted run (the
+# command fails on divergence or when the walk stops below the top
+# rung). Record with ARGS="-json mem.json".
 mem:
 	go run ./cmd/flbench -experiment mem $(ARGS)
 

@@ -212,8 +212,8 @@ func runMem(cfg bench.Config, jsonOut string) error {
 		slog.Info("budget ladder walked", "experiment", "mem",
 			"budget_bytes", b.BudgetBytes, "final_rung", b.FinalRung,
 			"bit_identical", b.BitIdentical)
-		if !b.BitIdentical {
-			return fmt.Errorf("budget-degraded run diverged from unbudgeted reference: %s", b.Mismatch)
+		if err := b.Check(); err != nil {
+			return err
 		}
 	}
 	if jsonOut != "" {

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"fluodb/internal/chaos"
 )
 
 // tiny keeps unit tests fast; shapes are asserted, not absolute times.
@@ -235,14 +237,14 @@ func TestAsciiChart(t *testing.T) {
 	}
 }
 
-// TestChaosGate is the CI slice of the robustness soak: enough seeded
-// schedules to cover every (profile, mode, query) combination several
-// times over, small enough to run under -race in the tier-1 suite. The
-// full soak is `flbench -experiment chaos` (or `make chaos`).
+// TestChaosGate is the CI slice of the robustness soak: one pass over
+// every (profile, mode, query) combination of the rotation, small enough
+// to run under -race in the tier-1 suite. The full soak is `flbench
+// -experiment chaos` (or `make chaos`).
 func TestChaosGate(t *testing.T) {
-	n := 90 // covers the 11-profile × 3-mode × 2-query rotation
+	n := len(allChaosProfiles) * len(chaosModes) * len(chaosQueries)
 	if testing.Short() {
-		n = 33
+		n = len(allChaosProfiles) * len(chaosModes) // first query only
 	}
 	res, err := ChaosSoak(tiny, n)
 	if err != nil {
@@ -251,12 +253,22 @@ func TestChaosGate(t *testing.T) {
 	if res.BitIdentical != res.Schedules {
 		t.Fatalf("%d/%d schedules bit-identical", res.BitIdentical, res.Schedules)
 	}
-	var fired int64
-	for _, c := range res.FaultCounts {
-		fired += c
-	}
-	if fired == 0 {
-		t.Fatal("soak fired no faults")
+	// Every fault kind some profile in the rotation enables must have
+	// fired at least once.
+	for _, p := range allChaosProfiles {
+		probs := map[chaos.Kind]float64{
+			chaos.KindPanic: p.cfg.PanicProb, chaos.KindStraggler: p.cfg.StragglerProb,
+			chaos.KindCorrupt: p.cfg.CorruptProb, chaos.KindSegSeal: p.cfg.SegSealDropProb,
+			chaos.KindShardKill: p.cfg.ShardKillProb, chaos.KindShardStraggler: p.cfg.ShardStragglerProb,
+		}
+		if len(probs) != len(chaos.Kinds()) {
+			t.Fatalf("gate maps %d fault kinds, chaos has %d", len(probs), len(chaos.Kinds()))
+		}
+		for k, prob := range probs {
+			if prob > 0 && res.FaultCounts[k.String()] == 0 {
+				t.Errorf("fault kind %s (enabled by profile %s) never fired", k, p.name)
+			}
+		}
 	}
 	if res.CheckpointRoundTrips == 0 || res.CancelResumes == 0 {
 		t.Fatalf("modes not exercised: %+v", res.ModeCounts)
@@ -264,6 +276,11 @@ func TestChaosGate(t *testing.T) {
 	out := FormatChaos(res)
 	if !strings.Contains(out, "bit-identical") {
 		t.Fatalf("FormatChaos output malformed:\n%s", out)
+	}
+	for _, k := range chaos.Kinds() {
+		if !strings.Contains(out, k.String()) {
+			t.Fatalf("FormatChaos omits fault kind %s:\n%s", k, out)
+		}
 	}
 }
 

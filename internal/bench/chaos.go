@@ -40,34 +40,31 @@ var chaosProfiles = []chaosProfile{
 	{name: "panic", cfg: chaos.Config{PanicProb: 0.3}},
 	{name: "straggler", cfg: chaos.Config{StragglerProb: 0.5, StragglerDelay: 50 * time.Microsecond}},
 	{name: "corrupt", cfg: chaos.Config{CorruptProb: 0.3}},
-	{name: "prefetch-drop", cfg: chaos.Config{PrefetchDropProb: 0.5}},
 	// mixed also runs with the span-timeline tracer attached: the
 	// observability layer must neither perturb bit-identity nor emit a
 	// malformed trace while absorbing every fault kind at once.
 	{name: "mixed", cfg: chaos.Config{PanicProb: 0.15, StragglerProb: 0.2, CorruptProb: 0.15,
-		PrefetchDropProb: 0.25, StragglerDelay: 50 * time.Microsecond}},
-	// colstress targets the columnar hot path's fallback seams: prefetch
-	// drops force the in-loop weight regeneration branch of the segment
-	// sweep, panics force worker containment and shard re-feeds, corrupt
-	// flips rows so reclassification re-runs — all while the reference
-	// ran on the row path, so any divergence between the two fold
-	// implementations under faults is caught, not just fault handling.
-	{name: "colstress", cfg: chaos.Config{PanicProb: 0.2, CorruptProb: 0.1, PrefetchDropProb: 0.5}},
+		StragglerDelay: 50 * time.Microsecond}},
+	// colstress targets the columnar hot path's fallback seams: panics
+	// force worker containment and shard re-feeds, corrupt flips rows so
+	// reclassification re-runs — all while the reference ran on the row
+	// path, so any divergence between the two fold implementations under
+	// faults is caught, not just fault handling.
+	{name: "colstress", cfg: chaos.Config{PanicProb: 0.2, CorruptProb: 0.1}},
 	// segseal targets the incremental segment-seal seam: the columnar
 	// segment cache is dropped between batches, forcing an incremental
-	// re-encode plus kernel recompilation mid-query, layered with
-	// prefetch drops so the rebuilt sweep also regenerates weights
-	// in-loop. The reference still runs the row path, so the re-encoded
-	// segments must reproduce it bit for bit.
-	{name: "segseal", cfg: chaos.Config{SegSealDropProb: 0.5, PrefetchDropProb: 0.25}},
+	// re-encode plus kernel recompilation mid-query. The reference still
+	// runs the row path, so the re-encoded segments must reproduce it bit
+	// for bit.
+	{name: "segseal", cfg: chaos.Config{SegSealDropProb: 0.5}},
 }
 
 // shardChaosProfiles are the sharded-topology fault mixes: injected
 // shard deaths (recovered by replacement incarnations and, when a
 // slice exhausts its retry budget, by a rolling-checkpoint restore),
 // shard stragglers (benign for correctness — the coordinator merges in
-// shard order regardless of completion order), and a mix layering
-// prefetch drops on top. Kill probabilities are chosen so rung 1
+// shard order regardless of completion order), and a mix of the two.
+// Kill probabilities are chosen so rung 1
 // absorbs nearly every death (a slice is lost only after 4 consecutive
 // kills across incarnations, ~p⁴) while still firing kills in most
 // schedules.
@@ -77,7 +74,7 @@ var shardChaosProfiles = []chaosProfile{
 	{name: "shard-straggler", shards: 4, cfg: chaos.Config{ShardStragglerProb: 0.5,
 		StragglerDelay: 50 * time.Microsecond}},
 	{name: "shard-mixed", shards: 4, cfg: chaos.Config{ShardKillProb: 0.15,
-		ShardStragglerProb: 0.2, PrefetchDropProb: 0.25, StragglerDelay: 50 * time.Microsecond}},
+		ShardStragglerProb: 0.2, StragglerDelay: 50 * time.Microsecond}},
 }
 
 // allChaosProfiles is the full rotation `flbench -experiment chaos`
@@ -243,7 +240,7 @@ func runSchedule(env *chaosEnv, profs []chaosProfile, i int, r *ChaosResult) err
 	r.Profiles[prof.name]++
 	defer func() {
 		counts := inj.Counts()
-		for k := chaos.Kind(1); int(k) < len(counts); k++ {
+		for _, k := range chaos.Kinds() {
 			r.FaultCounts[k.String()] += counts[k]
 		}
 	}()
@@ -426,9 +423,8 @@ func FormatChaos(r *ChaosResult) string {
 	fmt.Fprintf(&b, "  span-traced runs:       %d (exports validated)\n", r.SpanRuns)
 	fmt.Fprintf(&b, "  goroutines before/after: %d/%d\n", r.GoroutinesBefore, r.GoroutinesAfter)
 	b.WriteString("  faults fired:\n")
-	for _, k := range []string{"panic", "straggler", "corrupt", "prefetch-drop", "segseal",
-		"shard-kill", "shard-straggler"} {
-		fmt.Fprintf(&b, "    %-15s %d\n", k, r.FaultCounts[k])
+	for _, k := range chaos.Kinds() {
+		fmt.Fprintf(&b, "    %-15s %d\n", k, r.FaultCounts[k.String()])
 	}
 	b.WriteString("  schedules by profile:")
 	for _, p := range allChaosProfiles {

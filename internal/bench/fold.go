@@ -175,9 +175,9 @@ func FoldBench(cfg Config) ([]FoldPoint, error) {
 }
 
 // ScalingBench sweeps the mini-batch runtime (persistent worker pool:
-// cross-batch stage reuse + parallel reclassification + pipelined
-// weight prefetch) across worker counts P∈{1,2,4,8} on the sampled-all
-// scenarios (every tuple folds into all B replicas). ParallelThreshold
+// cross-batch stage reuse + parallel reclassification + weights derived
+// inside each worker's fold) across worker counts P∈{1,2,4,8} on the
+// sampled-all scenarios (every tuple folds into all B replicas). ParallelThreshold
 // is lowered to 512 so all worker counts engage on
 // cfg.Rows/cfg.Batches-row batches.
 func ScalingBench(cfg Config) ([]ScalingPoint, error) {

@@ -45,11 +45,27 @@ type MemBudget struct {
 	FinalRung       int   `json:"final_rung"`
 	BudgetEvictions int64 `json:"budget_evictions"`
 	// BitIdentical reports whether every budgeted snapshot's rows matched
-	// the unbudgeted run exactly (must be true; rungs 1-2 are
-	// bit-identical fallbacks and rung 3 evicts only on uncertain-heavy
-	// queries).
+	// the unbudgeted run exactly (must be true; rung 1 is a bit-identical
+	// fallback and rung 2 evicts only on uncertain-heavy queries).
 	BitIdentical bool   `json:"bit_identical"`
 	Mismatch     string `json:"mismatch,omitempty"`
+}
+
+// memTopRung is the top rung of the MaxMemoryBytes ladder (1 = segment
+// cache dropped, 2 = uncertain eviction).
+const memTopRung = 2
+
+// Check reports a budget walk that diverged from the unbudgeted run or
+// ended below the ladder's top rung.
+func (b *MemBudget) Check() error {
+	if !b.BitIdentical {
+		return fmt.Errorf("budget-degraded run diverged from unbudgeted reference: %s", b.Mismatch)
+	}
+	if b.FinalRung < memTopRung {
+		return fmt.Errorf("budget walk (%d-byte budget) ended at rung %d, below the top rung %d",
+			b.BudgetBytes, b.FinalRung, memTopRung)
+	}
+	return nil
 }
 
 // MemResult is the whole experiment.

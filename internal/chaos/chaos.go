@@ -1,15 +1,15 @@
 // Package chaos provides deterministic fault injection for the query
 // runtime. An Injector decides — as a pure function of its seed and the
 // fault site — whether a worker panic, straggler delay, row corruption,
-// or prefetch-buffer drop fires at a given (table, batch, worker)
-// coordinate. Determinism is the point: a fault schedule is replayable
-// from its seed alone, so a chaos soak that finds a divergence hands
-// the exact failing schedule to the developer, and the engine's own
-// failure-recovery replay re-encounters (and re-contains) the same
-// faults at the same sites.
+// segment-cache drop or shard death fires at a given (table, batch,
+// worker) coordinate. Determinism is the point: a fault schedule is
+// replayable from its seed alone, so a chaos soak that finds a
+// divergence hands the exact failing schedule to the developer, and the
+// engine's own failure-recovery replay re-encounters (and re-contains)
+// the same faults at the same sites.
 //
 // The injector only *decides*; the runtime *performs* the fault (panics
-// on the worker, sleeps, flips a row, drops a buffer) so that injection
+// on the worker, sleeps, flips a row, drops a cache) so that injection
 // sites stay inside the code paths whose containment they test.
 package chaos
 
@@ -33,9 +33,6 @@ const (
 	KindStraggler
 	// KindCorrupt flags a shard's rows for corruption before folding.
 	KindCorrupt
-	// KindPrefetchDrop invalidates a prefetched weight buffer, forcing
-	// the feed path back to inline weight derivation.
-	KindPrefetchDrop
 	// KindSegSeal drops a block's columnar segment cache between batches,
 	// forcing an incremental re-encode plus kernel recompilation on the
 	// segment-seal seam.
@@ -51,6 +48,16 @@ const (
 	numKinds int = iota
 )
 
+// Kinds lists every fault kind (KindNone excluded) in Kind order — the
+// index order of Counts.
+func Kinds() []Kind {
+	ks := make([]Kind, 0, numKinds-1)
+	for k := KindPanic; int(k) < numKinds; k++ {
+		ks = append(ks, k)
+	}
+	return ks
+}
+
 // String names the fault kind for traces and soak reports.
 func (k Kind) String() string {
 	switch k {
@@ -62,8 +69,6 @@ func (k Kind) String() string {
 		return "straggler"
 	case KindCorrupt:
 		return "corrupt"
-	case KindPrefetchDrop:
-		return "prefetch-drop"
 	case KindSegSeal:
 		return "segseal"
 	case KindShardKill:
@@ -91,9 +96,6 @@ type Config struct {
 	// CorruptProb is the probability that a shard's rows are corrupted
 	// before folding.
 	CorruptProb float64
-	// PrefetchDropProb is the per-(table,batch) probability that a
-	// completed prefetch buffer is invalidated before consumption.
-	PrefetchDropProb float64
 	// SegSealDropProb is the per-(table,batch) probability that a
 	// block's columnar segment cache is dropped before the batch feeds,
 	// exercising incremental re-encode + kernel recompile mid-query.
@@ -155,7 +157,6 @@ const (
 	saltPanic     = 0x9E3779B97F4A7C15
 	saltStraggler = 0xC2B2AE3D27D4EB4F
 	saltCorrupt   = 0x165667B19E3779F9
-	saltPrefetch  = 0x27D4EB2F165667C5
 	saltReclass   = 0x85EBCA77C2B2AE63
 	saltSegSeal   = 0xA0761D6478BD642F
 	saltShardKill = 0xD6E8FEB86659FD93
@@ -213,19 +214,6 @@ func (in *Injector) ReclassFault(block, batch, w int) Kind {
 		return KindStraggler
 	}
 	return KindNone
-}
-
-// PrefetchDrop reports whether the prefetched weight buffer for
-// (table, batch) should be invalidated before consumption.
-func (in *Injector) PrefetchDrop(table string, batch int) bool {
-	if in == nil {
-		return false
-	}
-	if in.decide(siteHash(saltPrefetch, table, batch, 0), in.cfg.PrefetchDropProb) {
-		in.counts[KindPrefetchDrop].Add(1)
-		return true
-	}
-	return false
 }
 
 // shardSite packs a shard coordinate into the siteHash b slot. The

@@ -6,7 +6,7 @@ import "testing"
 // function of (seed, site), so two injectors with the same config agree
 // everywhere and replay re-encounters the same schedule.
 func TestDeterministic(t *testing.T) {
-	cfg := Config{Seed: 42, PanicProb: 0.1, StragglerProb: 0.1, CorruptProb: 0.1, PrefetchDropProb: 0.1}
+	cfg := Config{Seed: 42, PanicProb: 0.1, StragglerProb: 0.1, CorruptProb: 0.1, SegSealDropProb: 0.1}
 	a, b := New(cfg), New(cfg)
 	for batch := 0; batch < 64; batch++ {
 		for w := 0; w < 8; w++ {
@@ -17,8 +17,8 @@ func TestDeterministic(t *testing.T) {
 				t.Fatalf("reclass site (%d,%d): %v vs %v", batch, w, got, want)
 			}
 		}
-		if got, want := a.PrefetchDrop("facts", batch), b.PrefetchDrop("facts", batch); got != want {
-			t.Fatalf("prefetch site %d: %v vs %v", batch, got, want)
+		if got, want := a.SegSealDrop("facts", batch), b.SegSealDrop("facts", batch); got != want {
+			t.Fatalf("segseal site %d: %v vs %v", batch, got, want)
 		}
 	}
 }
@@ -55,8 +55,8 @@ func TestZeroAndNil(t *testing.T) {
 				t.Fatalf("nil injector fired %v", k)
 			}
 		}
-		if zero.PrefetchDrop("facts", batch) || nilInj.PrefetchDrop("facts", batch) {
-			t.Fatal("prefetch drop fired with zero probability")
+		if zero.SegSealDrop("facts", batch) || nilInj.SegSealDrop("facts", batch) {
+			t.Fatal("segseal drop fired with zero probability")
 		}
 	}
 	if nilInj.Fired() != 0 || zero.Fired() != 0 {
@@ -91,7 +91,11 @@ func TestRates(t *testing.T) {
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		KindNone: "none", KindPanic: "panic", KindStraggler: "straggler",
-		KindCorrupt: "corrupt", KindPrefetchDrop: "prefetch-drop",
+		KindCorrupt: "corrupt", KindSegSeal: "segseal", KindShardKill: "shard-kill",
+		KindShardStraggler: "shard-straggler",
+	}
+	if len(Kinds()) != len(want)-1 {
+		t.Fatalf("Kinds() has %d kinds, test names %d", len(Kinds()), len(want)-1)
 	}
 	for k, s := range want {
 		if k.String() != s {

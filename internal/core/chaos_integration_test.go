@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"fluodb/internal/chaos"
@@ -39,13 +40,13 @@ func TestChaosPanicContainment(t *testing.T) {
 }
 
 // TestChaosAllFaultKinds layers panics, stragglers, shard corruption
-// and prefetch drops in one run and still demands bit-identity.
+// and segment-cache drops in one run and still demands bit-identity.
 func TestChaosAllFaultKinds(t *testing.T) {
 	cat := determinismCatalog(6*2048, 313)
 	clean := runSnapshots(t, cat, chaosSQL, chaosOptions(nil))
 	inj := chaos.New(chaos.Config{
 		Seed: 99, PanicProb: 0.15, StragglerProb: 0.2,
-		CorruptProb: 0.15, PrefetchDropProb: 0.3,
+		CorruptProb: 0.15, SegSealDropProb: 0.3,
 	})
 	faulty := runSnapshots(t, cat, chaosSQL, chaosOptions(inj))
 	if inj.Fired() == 0 {
@@ -119,16 +120,14 @@ func TestChaosSegSealDrop(t *testing.T) {
 // closed channel.
 func TestPoolSubmitAfterStop(t *testing.T) {
 	p := newWorkerPool(2)
-	g := &taskGroup{}
-	if err := p.submit(0, g, func(*workerCtx) {}); err != nil {
+	var wg sync.WaitGroup
+	if err := p.submit(0, &wg, func(*workerCtx) {}); err != nil {
 		t.Fatalf("submit before stop: %v", err)
 	}
-	if panics := g.wait(); panics != nil {
-		t.Fatalf("unexpected panics: %v", panics)
-	}
+	wg.Wait()
 	p.stop()
 	p.stop() // idempotent
-	err := p.submit(0, g, func(*workerCtx) {})
+	err := p.submit(0, &wg, func(*workerCtx) {})
 	var qe *QueryError
 	if !errors.As(err, &qe) || qe.Kind != ErrKindPoolStopped {
 		t.Fatalf("submit after stop: got %v, want ErrKindPoolStopped", err)
@@ -136,36 +135,44 @@ func TestPoolSubmitAfterStop(t *testing.T) {
 }
 
 // TestWorkerPanicReleasesBarrier checks containment mechanics directly:
-// a panicking task must still release the barrier and surface its
-// panic value (a bare WaitGroup would deadlock here).
+// a panicking part must still release the scatter barrier and reach its
+// redo with the panic value, worker and stack as the cause (a worker
+// that died instead would deadlock here).
 func TestWorkerPanicReleasesBarrier(t *testing.T) {
 	p := newWorkerPool(2)
 	defer p.stop()
-	g := &taskGroup{}
-	if err := p.submit(0, g, func(*workerCtx) { panic("boom") }); err != nil {
+	var cause *workerPanic
+	_, err := p.scatter(2, 1, 0, func(_ *workerCtx, i int) error {
+		if i == 0 {
+			panic("boom")
+		}
+		return nil
+	}, func(i, _ int, c error) error {
+		if i != 0 || cause != nil {
+			t.Errorf("unexpected redo of part %d (cause %v)", i, c)
+		}
+		cause, _ = c.(*workerPanic)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.submit(1, g, func(*workerCtx) {}); err != nil {
-		t.Fatal(err)
+	if cause == nil || cause.worker != 0 || cause.val != "boom" {
+		t.Fatalf("panic record = %+v", cause)
 	}
-	panics := g.wait()
-	if len(panics) != 1 {
-		t.Fatalf("got %d panics, want 1", len(panics))
-	}
-	if panics[0].worker != 0 || panics[0].val != "boom" {
-		t.Fatalf("panic record = %+v", panics[0])
-	}
-	if len(panics[0].stack) == 0 {
+	if len(cause.stack) == 0 {
 		t.Fatal("panic stack not captured")
 	}
 	// The pool must stay serviceable for the next barrier.
-	g2 := &taskGroup{}
 	ran := false
-	if err := p.submit(0, g2, func(*workerCtx) { ran = true }); err != nil {
-		t.Fatal(err)
-	}
-	if panics := g2.wait(); panics != nil || !ran {
-		t.Fatalf("pool dead after contained panic (ran=%v, panics=%v)", ran, panics)
+	if _, err := p.scatter(1, 1, 0, func(*workerCtx, int) error {
+		ran = true
+		return nil
+	}, func(i, _ int, c error) error {
+		t.Errorf("clean part %d redone: %v", i, c)
+		return nil
+	}); err != nil || !ran {
+		t.Fatalf("pool dead after contained panic (ran=%v, err=%v)", ran, err)
 	}
 }
 

@@ -43,7 +43,7 @@ import (
 
 const (
 	ckMagic   = "FLCP1"
-	ckVersion = 1
+	ckVersion = 2 // 2: the persisted degradation rung counts the two-rung memory ladder
 
 	ckModeFull   = 0
 	ckModeReplay = 1
@@ -642,12 +642,8 @@ func (e *Engine) restore(data []byte) error {
 		e.setDegradeRung(1)
 		e.dropSegmentCache()
 	}
-	if mDegradeRung >= 2 && e.degradeRung < 2 {
+	if mDegradeRung >= 2 {
 		e.setDegradeRung(2)
-		e.dropPrefetch()
-	}
-	if mDegradeRung >= 3 && e.degradeRung < 3 {
-		e.setDegradeRung(3)
 	}
 	e.updateDegradeReason()
 	e.metrics.DegradeRung = e.degradeRung

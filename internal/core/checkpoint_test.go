@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"fluodb/internal/chaos"
@@ -173,7 +175,7 @@ func TestCheckpointRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantCkErr := func(label string, data []byte, opt Options, query *plan.Query) {
+	wantCkErr := func(label string, data []byte, opt Options, query *plan.Query) error {
 		t.Helper()
 		res, err := Resume(query, cat, opt, data)
 		if err == nil {
@@ -184,6 +186,7 @@ func TestCheckpointRejections(t *testing.T) {
 		if !errors.As(err, &qe) || qe.Kind != ErrKindCheckpoint {
 			t.Fatalf("%s: got %v, want ErrKindCheckpoint", label, err)
 		}
+		return err
 	}
 
 	wantCkErr("empty", nil, o, q)
@@ -193,6 +196,16 @@ func TestCheckpointRejections(t *testing.T) {
 	corrupt := append([]byte(nil), ck...)
 	corrupt[len(corrupt)-1] ^= 0xFF
 	wantCkErr("trailing corruption", corrupt, o, q)
+
+	// Version 1 persisted a degradation rung of a different ladder: it is
+	// refused by the version check, not the checksum (the trailer is
+	// recomputed over the rewritten version byte).
+	v1 := append([]byte(nil), ck...)
+	v1[len(ckMagic)] = 1
+	binary.LittleEndian.PutUint64(v1[len(v1)-8:], ckSum(v1[:len(v1)-8]))
+	if err := wantCkErr("version 1 refused", v1, o, q); !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version 1 refused by %v, want the version check", err)
+	}
 
 	// Fingerprint: different statistical configuration must be refused.
 	o2 := o

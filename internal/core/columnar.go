@@ -574,9 +574,9 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 			cs.triK.SetRange(s, pr.r.Lo, pr.r.Hi, uint8(pr.status))
 		}
 	}
-	// The fused kernel generates its weights inside the fold loop, so it
-	// needs them inline (no prefetch) and unattributed (no profile).
-	fused := p.fuse && ws.pf == nil && !prof
+	// The fused kernel generates its weights inside the fold loop, so
+	// they stay unattributed: the profiled pass keeps the split loops.
+	fused := p.fuse && !prof
 
 	g := baseIdx
 	end := baseIdx + len(rows)

@@ -274,7 +274,7 @@ func TestColumnarDimsFoldAllocs(t *testing.T) {
 			const chunk = 512
 			// Warm the full batch so the join memo holds every key combo
 			// the alloc loop can encounter.
-			r.feedBatchSerial(rows, base, ts, te, nil)
+			r.feedBatchSerial(rows, base, ts, te)
 			sweeps := r.cs.sweeps
 			if sweeps == 0 {
 				t.Fatal("columnar dims path did not engage")
@@ -284,7 +284,7 @@ func TestColumnarDimsFoldAllocs(t *testing.T) {
 				if off+chunk > len(rows) {
 					off = 0
 				}
-				r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te, nil)
+				r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te)
 				off += chunk
 			})
 			if allocs != 0 {
@@ -366,7 +366,7 @@ func TestColumnarFoldAllocs(t *testing.T) {
 				base := ts.starts[1]
 				const chunk = 512
 				// Warm up: sizes scratch, kernel, memo, group entries.
-				r.feedBatchSerial(rows[:chunk], base, ts, te, nil)
+				r.feedBatchSerial(rows[:chunk], base, ts, te)
 				sweeps := r.cs.sweeps
 				if sweeps == 0 {
 					t.Fatal("columnar path did not engage")
@@ -376,7 +376,7 @@ func TestColumnarFoldAllocs(t *testing.T) {
 					if off+chunk > len(rows) {
 						off = 0
 					}
-					r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te, nil)
+					r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te)
 					off += chunk
 				})
 				if allocs != 0 {
@@ -404,7 +404,7 @@ func benchFeedChunks(b *testing.B, r *blockRunner, ts *tableStream, te *triEnv) 
 	rows := ts.batches[1]
 	base := ts.starts[1]
 	const chunk = 512
-	r.feedBatchSerial(rows[:chunk], base, ts, te, nil)
+	r.feedBatchSerial(rows[:chunk], base, ts, te)
 	b.ReportAllocs()
 	b.ResetTimer()
 	off := 0
@@ -412,7 +412,7 @@ func benchFeedChunks(b *testing.B, r *blockRunner, ts *tableStream, te *triEnv) 
 		if off+chunk > len(rows) {
 			off = 0
 		}
-		r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te, nil)
+		r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te)
 		off += chunk
 		// Re-fed rows would pile up in the uncertain cache: drop them.
 		r.uncertain = r.uncertain[:0]

@@ -131,7 +131,7 @@ func (c *shardCoordinator) stop() {
 // returned *shardDown means rung 1 is exhausted for that slice and
 // nothing was merged — the runner's state is exactly as before the
 // call, so a checkpoint restore can redo the whole batch.
-func (c *shardCoordinator) feedBatch(r *blockRunner, rows []types.Row, baseIdx int, ts *tableStream, pf *weightPrefetch) error {
+func (c *shardCoordinator) feedBatch(r *blockRunner, rows []types.Row, baseIdx int, ts *tableStream) error {
 	e := c.eng
 	if len(rows) == 0 {
 		return nil
@@ -146,7 +146,7 @@ func (c *shardCoordinator) feedBatch(r *blockRunner, rows []types.Row, baseIdx i
 	deltas := make([]*ShardDelta, c.n)
 	for i, rg := range storage.SliceRanges(len(rows), c.n) {
 		tasks[i] = ShardTask{r: r, rows: rows[rg.Lo:rg.Hi], baseIdx: baseIdx + rg.Lo,
-			ts: ts, pf: pf, workers: e.opt.Parallelism, thr: e.opt.ParallelThreshold}
+			ts: ts, workers: e.opt.Parallelism, thr: e.opt.ParallelThreshold}
 	}
 	// Rung 1 is scatter's redo: each failed slice is redone on
 	// replacement shards with fresh incarnations (fresh chaos variates,

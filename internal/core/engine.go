@@ -117,23 +117,24 @@ type Options struct {
 	MaxUncertainRows int
 	// MaxMemoryBytes is a soft budget on the bytes the query pins across
 	// its accounted pools (group tables, weight arenas, uncertain cache,
-	// prefetch buffers, columnar scratch, segment cache; see
-	// Snapshot.Resources). 0 = unbudgeted. When a mini-batch commits
-	// over budget, a deterministic degradation ladder engages — drop the
-	// columnar segment cache, then disable weight prefetch, then evict
-	// uncertain tuples through the MaxUncertainRows path — each rung
-	// falling back to a bit-identical slower/leaner mode (ledger.go).
+	// columnar scratch, segment cache; see Snapshot.Resources). 0 =
+	// unbudgeted. When a mini-batch commits over budget, a deterministic
+	// degradation ladder engages — drop the columnar segment cache, then
+	// evict uncertain tuples through the MaxUncertainRows path — each
+	// rung falling back to a bit-identical slower/leaner mode
+	// (ledger.go).
 	// Like Parallelism, the budget is operational: it may differ between
 	// a checkpoint and its resume.
 	MaxMemoryBytes int64
 	// Chaos, when non-nil, injects deterministic faults (worker panics,
-	// stragglers, shard corruption, prefetch drops) into the runtime for
-	// robustness testing. Production queries leave it nil.
+	// stragglers, shard corruption, segment-cache drops, shard deaths)
+	// into the runtime for robustness testing. Production queries leave
+	// it nil.
 	Chaos *chaos.Injector
 	// Spans, when non-nil, records a hierarchical execution timeline —
-	// query → mini-batch → phase → per-worker shard task, plus prefetch
-	// fills, serial retries, reclassification and checkpoint/resume —
-	// into preallocated per-track slabs (internal/otrace, DESIGN.md
+	// query → mini-batch → phase → per-worker shard task, plus serial
+	// retries, reclassification and checkpoint/resume — into
+	// preallocated per-track slabs (internal/otrace, DESIGN.md
 	// §14). Ring Tracer events mirror onto the timeline as instant
 	// events; a Tracer is created internally when only Spans is set.
 	// Span edges are batch/phase-granular: the per-tuple hot path is
@@ -232,7 +233,7 @@ type Metrics struct {
 	// UncertainEvictions counts cached uncertain tuples force-resolved
 	// by the MaxUncertainRows cap or the MaxMemoryBytes budget; nonzero
 	// marks snapshots Degraded. BudgetEvictions is the subset forced by
-	// the memory budget (ladder rung 3); the cap-driven share is the
+	// the memory budget (ladder rung 2); the cap-driven share is the
 	// difference (the reason split behind
 	// gola_uncertain_evictions{reason}).
 	UncertainEvictions int64
@@ -307,12 +308,10 @@ type Engine struct {
 	stepAcc  phaseAcc
 	blockAcc []phaseAcc
 	cumAcc   phaseAcc
-	// Persistent parallel runtime (see pool.go / pipeline.go): pool is
-	// the lazily created worker pool, prefetch the per-table
-	// double-buffered bootstrap-weight pipeline, closed the Close latch.
-	pool     *workerPool
-	closed   bool
-	prefetch map[string]*weightPrefetch
+	// Persistent parallel runtime (see pool.go): pool is the lazily
+	// created worker pool, closed the Close latch.
+	pool   *workerPool
+	closed bool
 	// Sharded execution (coordinator.go / shard.go): coord owns the
 	// shard topology when Options.Shards > 0; shardCkpt is the rolling
 	// checkpoint of the last committed batch that recovery rung 2
@@ -328,7 +327,7 @@ type Engine struct {
 	// Span timeline state (spans.go): sctl is the controller-track
 	// slab; the spanQuery/spanTop/spanBatch/spanFeed/spanReclass fields
 	// carry the currently open ancestry so deeper layers (worker tasks,
-	// prefetch fills, retries) parent their spans without plumbing IDs
+	// retries) parent their spans without plumbing IDs
 	// through every signature. spanBatchNo is the 1-based batch stamped
 	// onto worker spans.
 	spans       *otrace.Tracer
@@ -443,8 +442,7 @@ func New(q *plan.Query, cat *storage.Catalog, opt Options) (*Engine, error) {
 			"(projection-only queries have no converging result to refine)")
 	}
 	e := &Engine{q: q, cat: cat, opt: opt, tables: map[string]*tableStream{},
-		hpCache: map[expr.Expr]bool{}, colCache: map[expr.Expr]bool{},
-		prefetch: map[string]*weightPrefetch{}}
+		hpCache: map[expr.Expr]bool{}, colCache: map[expr.Expr]bool{}}
 	e.bind = newBindings(len(q.ScalarBlocks), len(q.GroupBlocks), len(q.SetBlocks), opt.Trials)
 	for _, b := range q.Blocks {
 		if _, ok := e.tables[b.Input.Fact]; ok {
@@ -820,7 +818,6 @@ func (e *Engine) shardRestore(sd *shardDown, attempt int) error {
 	e.trace.Emit(Event{Kind: EvShardRestore, Worker: sd.shard, Kept: attempt,
 		Note: fmt.Sprintf("restoring committed batch %d after: %v", e.batch, sd.cause)})
 	e.coord.respawnAll()
-	e.invalidatePrefetch()
 	if e.shardCkpt == nil {
 		// replayUpTo resets all online state before reprocessing, so this
 		// is the no-checkpoint fallback and the batch-0 clean reset both.
@@ -967,9 +964,9 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 			e.spanFeed = fsp
 			var err error
 			if e.coord != nil && !e.closed {
-				err = e.coord.feedBatch(r, rows, ts.starts[bi], ts, e.prefetched(ts, bi))
+				err = e.coord.feedBatch(r, rows, ts.starts[bi], ts)
 			} else {
-				err = r.feedBatchParallel(rows, ts.starts[bi], ts, te, e.prefetched(ts, bi))
+				err = r.feedBatchParallel(rows, ts.starts[bi], ts, te)
 			}
 			e.sctl.End(fsp)
 			e.spanFeed = 0
@@ -995,9 +992,6 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 	// to a bit-identical path anyway (ledger.go).
 	e.enforceUncertainBudget()
 	e.enforceMemoryBudget()
-	// Pipeline the next batch's bootstrap weights onto the workers while
-	// the controller runs this batch's snapshot tail.
-	e.launchPrefetch(bi + 1)
 	return true, nil
 }
 
@@ -1036,10 +1030,6 @@ func (e *Engine) replayUpTo(upto int) error {
 	shardRespawns := 0
 	for attempt := 0; attempt < 16; attempt++ {
 	retry:
-		// Weight prefetch may hold (or still be filling) a buffer for a
-		// batch the replay restarts behind; drain and discard it so the
-		// replayed prefix re-pipelines from batch 0.
-		e.invalidatePrefetch()
 		if attempt == 15 {
 			// Guaranteed termination: repeated failures mean the
 			// variation ranges cannot be trusted for this workload;

@@ -9,7 +9,7 @@ import (
 // Resource ledger glue (DESIGN.md §15). The engine charges bytes at its
 // existing allocation seams — weight-arena chunk acquisition
 // (arena.go), group-table bank/slot growth (table.go), uncertain-cache
-// and prefetch/scratch array growth — into worker-local plain int64
+// and scratch array growth — into worker-local plain int64
 // counters that already travel through the batch barriers (merge/adopt
 // transfer them with the state they describe). Once per committed
 // mini-batch the controller folds those counters into a
@@ -18,7 +18,7 @@ import (
 // no per-tuple arithmetic, 0 allocs/tuple with the ledger on.
 //
 // On top of the ledger sits the soft budget Options.MaxMemoryBytes with
-// a three-rung degradation ladder, evaluated at the same deterministic
+// a two-rung degradation ladder, evaluated at the same deterministic
 // pre-commit point as the uncertain-cache cap (end of processBatch, so
 // failure-recovery replay re-degrades identically). Every rung falls
 // back to a path that is bit-identical by construction:
@@ -26,9 +26,7 @@ import (
 //	rung 1 — drop the columnar segment cache: colFeed reports
 //	         ineligibility and the row loop takes over (the PR 6
 //	         equivalence gates pin the two paths bit-identical);
-//	rung 2 — disable weight prefetch: consumers derive weights inline,
-//	         byte-identical because resamples are pure counter hashes;
-//	rung 3 — run the existing MaxUncertainRows eviction path against
+//	rung 2 — run the existing MaxUncertainRows eviction path against
 //	         the remaining overage (reason "budget" instead of "cap").
 //
 // Rungs latch for the rest of the query: un-degrading mid-run would
@@ -68,11 +66,11 @@ func (st *stage) charge(tables, arenas, uncertain, scratch *int64) {
 }
 
 // collectResidency folds every charge counter into the ledger. Runs on
-// the controller at mini-batch boundaries; worker stages are parked
-// then (only prefetch fills may be in flight, and those touch nothing
-// read here — prefetch buffer sizes are recorded at launch time). Shard
-// engines' stages are the shard's residency, not the engine's: what
-// they fold is charged here once it merges into the runner.
+// the controller at mini-batch boundaries, where worker stages are
+// parked: every pool task runs inside a scatter barrier, so none is in
+// flight here. Shard engines' stages are the shard's residency, not the
+// engine's: what they fold is charged here once it merges into the
+// runner.
 func (e *Engine) collectResidency() {
 	var tables, arenas, uncertain, scratch int64
 	for _, r := range e.runners {
@@ -88,10 +86,6 @@ func (e *Engine) collectResidency() {
 			}
 		}
 	}
-	var prefetch int64
-	for _, pf := range e.prefetch {
-		prefetch += pf.bytes
-	}
 	var segs int64
 	for _, r := range e.runners {
 		if t, ok := e.cat.Get(r.b.Input.Fact); ok {
@@ -102,7 +96,6 @@ func (e *Engine) collectResidency() {
 	e.ledger.Set(resource.WeightArenas, arenas)
 	e.ledger.Set(resource.UncertainCache, uncertain)
 	e.ledger.Set(resource.ColumnarScratch, scratch)
-	e.ledger.Set(resource.Prefetch, prefetch)
 	e.ledger.Set(resource.SegmentCache, segs)
 	e.ledger.Set(resource.Checkpoint, e.ckBytes)
 }
@@ -138,11 +131,10 @@ func (e *Engine) observeResources(snap *Snapshot) {
 }
 
 // Degradation reason strings, ordered by rung; combined ladder states
-// concatenate ("budget:segcache+prefetch+evict"), and cap-driven
+// concatenate ("budget:segcache+evict"), and cap-driven
 // evictions append their own tag so Snapshot.Degraded names every cause.
 const (
 	degradeSegCache = "segcache"
-	degradePrefetch = "prefetch"
 	degradeEvict    = "evict"
 )
 
@@ -155,9 +147,6 @@ func (e *Engine) updateDegradeReason() {
 		budget = degradeSegCache
 	}
 	if e.degradeRung >= 2 {
-		budget += "+" + degradePrefetch
-	}
-	if e.degradeRung >= 3 {
 		budget += "+" + degradeEvict
 	}
 	reason := ""
@@ -196,18 +185,8 @@ func (e *Engine) enforceMemoryBudget() {
 			return
 		}
 	}
-	if e.degradeRung < 2 {
-		e.setDegradeRung(2)
-		e.dropPrefetch()
-		e.collectResidency()
-		if e.ledger.Total() <= budget {
-			return
-		}
-	}
-	if e.degradeRung < 3 {
-		e.setDegradeRung(3)
-	}
-	// Rung 3: shed uncertain-cache residency through the existing
+	e.setDegradeRung(2)
+	// Rung 2: shed uncertain-cache residency through the existing
 	// eviction path. Evict enough of the oldest cached tuples to cover
 	// the overage (at least one whole cache's worth of headway is not
 	// forced — eviction frees header+arena bytes gradually and the
@@ -237,9 +216,7 @@ func (e *Engine) setDegradeRung(rung int) {
 	case 1:
 		note = "budget rung 1: columnar segment cache dropped (row path takes over)"
 	case 2:
-		note = "budget rung 2: weight prefetch disabled (inline derivation)"
-	case 3:
-		note = "budget rung 3: uncertain-cache eviction engaged"
+		note = "budget rung 2: uncertain-cache eviction engaged"
 	}
 	e.trace.Emit(Event{Kind: EvDegrade, Kept: rung, Note: note})
 }
@@ -258,18 +235,6 @@ func (e *Engine) dropSegmentCache() {
 		if t, ok := e.cat.Get(r.b.Input.Fact); ok {
 			t.DropColumnar()
 		}
-	}
-}
-
-// dropPrefetch is rung 2: drain in-flight fills, discard the buffers
-// and keep launchPrefetch off for the rest of the query (its guard
-// checks degradeRung). Consumers fall back to inline weight derivation,
-// byte-identical by counter purity.
-func (e *Engine) dropPrefetch() {
-	for _, pf := range e.prefetch {
-		pf.drain()
-		pf.valid = false
-		pf.sampled, pf.weights, pf.bytes = nil, nil, 0
 	}
 }
 

@@ -76,7 +76,7 @@ func TestLedgerGroundTruth(t *testing.T) {
 		t.Fatalf("Resources group-tables %d < runner charge %d", u.GroupTableBytes, tab.bytes)
 	}
 	sum := u.GroupTableBytes + u.WeightArenaBytes + u.UncertainBytes +
-		u.PrefetchBytes + u.ColScratchBytes + u.SegCacheBytes + u.CheckpointBytes
+		u.ColScratchBytes + u.SegCacheBytes + u.CheckpointBytes
 	if u.TotalBytes != sum {
 		t.Fatalf("TotalBytes %d != pool sum %d", u.TotalBytes, sum)
 	}
@@ -136,11 +136,11 @@ func TestLedgerCollectAllocs(t *testing.T) {
 }
 
 // TestBudgetDegradeBitIdentical is the acceptance gate: a 1-byte soft
-// budget forces all three degradation rungs from the first batch, and
-// the run must stay bit-identical to the unbudgeted run — across seeds
-// and worker counts. Rungs 1–2 are bit-identical fallbacks by
-// construction and rung 3 has nothing to evict on an aggregate-only
-// query, so only answer-preserving machinery may engage.
+// budget forces both degradation rungs from the first batch, and the
+// run must stay bit-identical to the unbudgeted run — across seeds and
+// worker counts. Rung 1 is a bit-identical fallback by construction and
+// rung 2 has nothing to evict on an aggregate-only query, so only
+// answer-preserving machinery may engage.
 func TestBudgetDegradeBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{411, 1213} {
 		for _, p := range []int{1, 2, 4, 8} {
@@ -159,8 +159,8 @@ func TestBudgetDegradeBitIdentical(t *testing.T) {
 
 			label := "budget-degrade"
 			compareSnapshots(t, label, clean, got)
-			if rung := eng.Resources().DegradeRung; rung != 3 {
-				t.Fatalf("%s seed=%d P=%d: final rung %d, want 3", label, seed, p, rung)
+			if rung := eng.Resources().DegradeRung; rung != 2 {
+				t.Fatalf("%s seed=%d P=%d: final rung %d, want 2", label, seed, p, rung)
 			}
 			if ev := eng.Metrics().BudgetEvictions; ev != 0 {
 				t.Fatalf("%s: aggregate-only query evicted %d uncertain tuples", label, ev)
@@ -170,10 +170,10 @@ func TestBudgetDegradeBitIdentical(t *testing.T) {
 			// (1-byte budget engages everything on batch 1, then latches),
 			// and the Degraded reason names each rung.
 			for i, s := range got {
-				if s.Resources.DegradeRung != 3 {
-					t.Fatalf("%s: batch %d rung %d, want 3", label, i+1, s.Resources.DegradeRung)
+				if s.Resources.DegradeRung != 2 {
+					t.Fatalf("%s: batch %d rung %d, want 2", label, i+1, s.Resources.DegradeRung)
 				}
-				if want := "budget:segcache+prefetch+evict"; s.Degraded != want {
+				if want := "budget:segcache+evict"; s.Degraded != want {
 					t.Fatalf("%s: batch %d Degraded = %q, want %q", label, i+1, s.Degraded, want)
 				}
 			}
@@ -184,8 +184,8 @@ func TestBudgetDegradeBitIdentical(t *testing.T) {
 					rungs = append(rungs, ev.Kept)
 				}
 			}
-			if len(rungs) != 3 || rungs[0] != 1 || rungs[1] != 2 || rungs[2] != 3 {
-				t.Fatalf("%s: EvDegrade rungs = %v, want [1 2 3]", label, rungs)
+			if len(rungs) != 2 || rungs[0] != 1 || rungs[1] != 2 {
+				t.Fatalf("%s: EvDegrade rungs = %v, want [1 2]", label, rungs)
 			}
 		}
 	}
@@ -234,8 +234,8 @@ func TestBudgetCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	if res.degradeRung != 3 {
-		t.Fatalf("resumed engine rung %d, want 3 re-engaged", res.degradeRung)
+	if res.degradeRung != 2 {
+		t.Fatalf("resumed engine rung %d, want 2 re-engaged", res.degradeRung)
 	}
 	for !res.Done() {
 		s, err := res.Step()
@@ -248,13 +248,13 @@ func TestBudgetCheckpointResume(t *testing.T) {
 	if got := res.Resources().PeakBytes; got < peak/2 {
 		t.Fatalf("peak did not survive resume: %d vs original %d", got, peak)
 	}
-	if res.Metrics().DegradeRung != 3 {
+	if res.Metrics().DegradeRung != 2 {
 		t.Fatal("resumed metrics lost the degradation rung")
 	}
 }
 
 // TestBudgetEvictionReason: under an uncertain-heavy workload a tiny
-// budget reaches rung 3 with real evictions, splitting the metrics by
+// budget reaches rung 2 with real evictions, splitting the metrics by
 // reason and naming both causes in Degraded when the row cap also
 // fires.
 func TestBudgetEvictionReason(t *testing.T) {
@@ -274,7 +274,7 @@ func TestBudgetEvictionReason(t *testing.T) {
 			m.UncertainEvictions, m.BudgetEvictions)
 	}
 	last := snaps[len(snaps)-1]
-	if !strings.Contains(last.Degraded, "budget:segcache+prefetch+evict") {
+	if !strings.Contains(last.Degraded, "budget:segcache+evict") {
 		t.Fatalf("Degraded = %q, want budget ladder named", last.Degraded)
 	}
 	if last.Resources.BudgetEvictions != m.BudgetEvictions {

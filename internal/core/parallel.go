@@ -122,16 +122,14 @@ func (st *stage) cache(row types.Row, weights []uint8, repW float64) {
 	st.uncertain = append(st.uncertain, uncertainRow{row: row, weights: st.arena.hold(weights), repW: repW})
 }
 
-// weightSource resolves one fold's bootstrap draws: global row gi →
-// (in the subsample?, per-trial multiplicities), from the batch's
-// prefetched block when there is one and by inline derivation otherwise
-// — the same counter hashes either way. It lives for one feedShard call
-// (a stage must not retain the *Engine, see workerCtx); its buffers are
-// the stage's.
+// weightSource derives one fold's bootstrap draws: global row gi →
+// (in the subsample?, per-trial multiplicities), as counter hashes
+// computed by the goroutine that folds or caches the row. It lives for
+// one feedShard call (a stage must not retain the *Engine, see
+// workerCtx); its buffers are the stage's.
 type weightSource struct {
 	e      *Engine
 	ts     *tableStream
-	pf     *weightPrefetch
 	cs     *colScratch
 	trials int
 	// wlut maps a Poisson(1) multiplicity (≤ 8; 16 slots so the masked
@@ -140,75 +138,48 @@ type weightSource struct {
 	wlut [16]float64
 }
 
-func (r *blockRunner) newWeightSource(ts *tableStream, pf *weightPrefetch, st *stage) weightSource {
-	ws := weightSource{e: r.eng, ts: ts, pf: pf, cs: &st.cs, trials: r.eng.opt.Trials}
+func (r *blockRunner) newWeightSource(ts *tableStream, st *stage) weightSource {
+	ws := weightSource{e: r.eng, ts: ts, cs: &st.cs, trials: r.eng.opt.Trials}
 	for k := range ws.wlut {
 		ws.wlut[k] = float64(k) * ts.invP
 	}
 	return ws
 }
 
-// draw reports subsample membership of row gi and, for a sampled row of
-// a prefetched batch, its prefetched multiplicities (nil: derive inline).
-func (ws *weightSource) draw(gi int) (sampled bool, pre []uint8) {
-	pf := ws.pf
-	if pf == nil {
-		return ws.e.sampled(ws.ts, gi), nil
-	}
-	if ri := gi - pf.start; pf.sampled[ri] {
-		return true, pf.weights[ri*ws.trials : (ri+1)*ws.trials]
-	}
-	return false, nil
-}
-
 // bytes returns row gi's multiplicities and replica weight (nil, 0
 // outside the subsample) — the form the row loop folds and every cached
 // uncertain row retains. Valid until the next call.
 func (ws *weightSource) bytes(gi int) ([]uint8, float64) {
-	sampled, w := ws.draw(gi)
-	if !sampled {
+	if !ws.e.sampled(ws.ts, gi) {
 		return nil, 0
 	}
-	if w == nil {
-		ws.cs.wbuf = ws.e.weightsInto(ws.cs.wbuf, ws.ts, gi)
-		w = ws.cs.wbuf
-	}
-	return w, ws.ts.invP
+	ws.cs.wbuf = ws.e.weightsInto(ws.cs.wbuf, ws.ts, gi)
+	return ws.cs.wbuf, ws.ts.invP
 }
 
 // floats returns row gi's multiplicities pre-scaled by the replica
-// weight, for folds that consume them only as float addends: inline
-// draws go straight through wlut, skipping the byte round trip
+// weight, for folds that consume them only as float addends: draws go
+// straight through wlut, skipping the byte round trip
 // (float64(uint8(k)) == float64(k) over the Poisson range, so the
 // accumulator additions are bit-identical). Valid until the next call.
 func (ws *weightSource) floats(gi int) ([]float64, float64) {
-	sampled, pre := ws.draw(gi)
-	if !sampled {
+	if !ws.e.sampled(ws.ts, gi) {
 		return nil, 0
 	}
-	repW := ws.ts.invP
 	wf := ws.cs.wf[:ws.trials]
-	if pre != nil {
-		for j, w := range pre {
-			wf[j] = float64(w) * repW
-		}
-		return wf, repW
-	}
 	base := ws.ts.weightBase + uint64(gi)*uint64(ws.trials)
 	for j := range wf {
 		wf[j] = ws.wlut[bootstrap.PoissonAt(base+uint64(j))&15]
 	}
-	return wf, repW
+	return wf, ws.ts.invP
 }
 
 // feedShard folds rows (global rows baseIdx..) into st on the calling
-// goroutine. pf, when non-nil, supplies prefetched subsample membership
-// and weight vectors for the whole batch (read-only, safely shared
-// across parts). When the block's columnar plan applies, the rows are
-// swept by the vectorized pipeline (colFeed) instead of the row loop
-// below — bit-identically.
-func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, pf *weightPrefetch, st *stage) {
-	ws := r.newWeightSource(ts, pf, st)
+// goroutine. When the block's columnar plan applies, the rows are swept
+// by the vectorized pipeline (colFeed) instead of the row loop below —
+// bit-identically.
+func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, st *stage) {
+	ws := r.newWeightSource(ts, st)
 	if r.colFeed(rows, baseIdx, &ws, st) {
 		return
 	}
@@ -228,19 +199,19 @@ func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, 
 
 // foldOn folds rows into wc's persistent stage for r, on the calling
 // goroutine, under wc's refreshed classification environment.
-func (r *blockRunner) foldOn(wc *workerCtx, rows []types.Row, baseIdx int, ts *tableStream, pf *weightPrefetch) {
+func (r *blockRunner) foldOn(wc *workerCtx, rows []types.Row, baseIdx int, ts *tableStream) {
 	st := wc.stage(r)
 	st.te = wc.refresh(r.eng)
-	r.feedShard(rows, baseIdx, ts, pf, st)
+	r.feedShard(rows, baseIdx, ts, st)
 }
 
 // feedBatchSerial folds a mini-batch into the home stage on the
 // caller's goroutine.
-func (r *blockRunner) feedBatchSerial(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, pf *weightPrefetch) {
+func (r *blockRunner) feedBatchSerial(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv) {
 	r.ensureColPlan()
 	r.revalidateColPlan()
 	r.te = te
-	r.feedShard(rows, baseIdx, ts, pf, &r.stage)
+	r.feedShard(rows, baseIdx, ts, &r.stage)
 	r.settle()
 }
 
@@ -268,7 +239,7 @@ func panicNote(v any) string {
 // merge below runs in worker order either way, so the outcome is
 // bit-identical to a clean pass. Only when a part's redo ladder is
 // exhausted does a typed error surface, with nothing merged.
-func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, pf *weightPrefetch) error {
+func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv) error {
 	e := r.eng
 	var pool *workerPool
 	workers := storage.ClampParts(len(rows), e.opt.Parallelism, e.opt.ParallelThreshold)
@@ -276,7 +247,7 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 		pool = e.ensurePool()
 	}
 	if pool == nil {
-		r.feedBatchSerial(rows, baseIdx, ts, te, pf)
+		r.feedBatchSerial(rows, baseIdx, ts, te)
 		return nil
 	}
 	// Build the columnar plan on the controller before any worker can
@@ -287,7 +258,7 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 	parts := storage.SliceRanges(len(rows), workers)
 	inj := e.opt.Chaos
 	fold := func(wc *workerCtx, w int) {
-		r.foldOn(wc, rows[parts[w].Lo:parts[w].Hi], baseIdx+parts[w].Lo, ts, pf)
+		r.foldOn(wc, rows[parts[w].Lo:parts[w].Hi], baseIdx+parts[w].Lo, ts)
 	}
 	_, err := pool.scatter(workers, e.opt.Seed, uint64(baseIdx), func(wc *workerCtx, w int) error {
 		switch k := inj.ShardFault(ts.name, baseIdx, wc.id); k {

@@ -112,9 +112,10 @@ func determinismOptions(seed uint64) Options {
 }
 
 // TestParallelFoldBitIdentical sweeps the pooled runtime across
-// P∈{1,2,4,8} (pipelined weight prefetch included — it activates with
-// the pool), asserting every configuration reproduces the serial
-// snapshots bit for bit.
+// P∈{1,2,4,8}, asserting every configuration reproduces the serial
+// snapshots bit for bit. Weights are derived inside each worker's fold,
+// so at P∈{2,4,8} this pins the fused kernel against the serial run on
+// every batch.
 func TestParallelFoldBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -132,9 +133,10 @@ func TestParallelFoldBitIdentical(t *testing.T) {
 
 // TestRecomputeReplayBitIdentical forces a variation-range failure
 // mid-run and asserts the replayed parallel result is byte-identical to
-// a serial run — the guard for prefetch invalidation and pool draining
-// across replayUpTo (meaningful under -race too: replay overlaps the
-// in-flight prefetch of the batch that failed).
+// a serial run — the guard for stage reuse across replayUpTo, with the
+// fused kernel folding every pooled batch at P=4 (meaningful
+// under -race too: no pool work is in flight when replay resets the
+// runners).
 //
 // The fixture streams an ascending integer measure, so the scalar
 // subquery's prefix AVG drifts upward monotonically: a range committed

@@ -23,10 +23,14 @@ import (
 // newWorkerPool is the only place the runtime creates goroutines.
 //
 // Fault containment: a task panic must not take down the worker (its
-// channel would deadlock every later barrier) or the process. Each task
-// runs under recover; the panic value and stack are recorded on the
-// task's group and surfaced at the barrier, where scatter quarantines
-// the affected stage and redoes the part.
+// channel would deadlock every later barrier) or the process. scatter
+// is submit's only caller, so every pool task runs inside a scatter
+// barrier: the task recovers its own panic into the part's error slot
+// (value and stack), the barrier still releases, and scatter
+// quarantines the affected stage and redoes the part. No pool work is
+// therefore in flight between barriers — collectResidency, Close,
+// replay and checkpoint all read worker state at batch boundaries on
+// that guarantee.
 //
 // Lifecycle: the engine's pool is created lazily on first parallel work
 // and stopped by Engine.Close. A finalizer backstops engines that are
@@ -37,7 +41,7 @@ import (
 // submit after stop returns ErrPoolStopped (never panics); callers fall
 // back to the serial path.
 
-// workerPanic is one recovered task panic, captured for the barrier.
+// workerPanic is one recovered task panic: the part's failure cause.
 type workerPanic struct {
 	worker int
 	val    any
@@ -46,37 +50,19 @@ type workerPanic struct {
 
 func (p *workerPanic) Error() string { return panicNote(p.val) }
 
-// taskGroup is the submission barrier: a WaitGroup plus a panic
-// collector. wait() drains and returns any panics recovered while the
-// group's tasks ran.
-type taskGroup struct {
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	panics []workerPanic
-}
-
-func (g *taskGroup) record(worker int, val any, stack []byte) {
-	g.mu.Lock()
-	g.panics = append(g.panics, workerPanic{worker: worker, val: val, stack: stack})
-	g.mu.Unlock()
-}
-
-// wait blocks for every submitted task and returns recovered panics
-// (nil when all tasks completed cleanly).
-func (g *taskGroup) wait() []workerPanic {
-	g.wg.Wait()
-	g.mu.Lock()
-	p := g.panics
-	g.panics = nil
-	g.mu.Unlock()
-	return p
+// recoverPart turns a panic of part i into its error slot. Deferred by
+// every task and redo, so a panic never escapes a scatter barrier.
+func recoverPart(i int, slot *error) {
+	if v := recover(); v != nil {
+		*slot = &workerPanic{worker: i, val: v, stack: debug.Stack()}
+	}
 }
 
 // poolTask is one unit of work: fn runs on the worker's goroutine with
-// the worker's reusable context; g is the submitter's barrier.
+// the worker's reusable context; wg is the submitter's barrier.
 type poolTask struct {
 	fn  func(*workerCtx)
-	g   *taskGroup
+	wg  *sync.WaitGroup
 	ctx *workerCtx
 }
 
@@ -141,9 +127,9 @@ func newWorkerPool(size int) *workerPool {
 		ctxs:  make([]*workerCtx, size),
 	}
 	for i := range p.chans {
-		// A small buffer lets the controller enqueue the whole batch's
-		// shards (and async prefetch work) without blocking.
-		ch := make(chan poolTask, 4)
+		// scatter sends each worker at most one task per barrier, so one
+		// slot lets the controller enqueue every part without blocking.
+		ch := make(chan poolTask, 1)
 		p.chans[i] = ch
 		p.ctxs[i] = &workerCtx{id: i}
 		go poolWorker(ch)
@@ -160,42 +146,27 @@ func poolWorker(ch chan poolTask) {
 		if !ok {
 			return
 		}
-		runPoolTask(t)
+		t.fn(t.ctx)
+		t.wg.Done()
 		t = poolTask{}
 		_ = t
 	}
 }
 
-// runPoolTask executes one task under panic containment: a panicking fn
-// is recorded on its group (with the stack for diagnostics) and the
-// barrier is still released, so the controller observes the failure
-// instead of deadlocking on a dead worker.
-func runPoolTask(t poolTask) {
-	defer func() {
-		if v := recover(); v != nil {
-			t.g.record(t.ctx.id, v, debug.Stack())
-		}
-		t.g.wg.Done()
-	}()
-	t.fn(t.ctx)
-}
-
-// size returns the number of workers.
-func (p *workerPool) size() int { return len(p.chans) }
-
-// submit schedules fn on worker w under the given barrier. After stop
+// submit schedules fn on worker w under the given barrier; fn must not
+// panic (scatter's tasks recover into their part's slot). After stop
 // it returns ErrPoolStopped without touching the closed channels; the
 // caller runs the work serially instead. Holding the read lock across
 // the send cannot deadlock stop: workers drain buffered tasks before
 // exiting, so a blocked send always completes.
-func (p *workerPool) submit(w int, g *taskGroup, fn func(*workerCtx)) error {
+func (p *workerPool) submit(w int, wg *sync.WaitGroup, fn func(*workerCtx)) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.stopped {
 		return ErrPoolStopped
 	}
-	g.wg.Add(1)
-	p.chans[w] <- poolTask{fn: fn, g: g, ctx: p.ctxs[w]}
+	wg.Add(1)
+	p.chans[w] <- poolTask{fn: fn, wg: wg, ctx: p.ctxs[w]}
 	return nil
 }
 
@@ -230,9 +201,12 @@ const ladderAttempts = 3
 // exhausted with its last error, or (-1, nil).
 func (p *workerPool) scatter(n int, seed, site uint64, run func(wc *workerCtx, i int) error, redo func(i, attempt int, cause error) error) (int, error) {
 	errs := make([]error, n)
-	g := &taskGroup{}
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		if err := p.submit(i, g, func(wc *workerCtx) { errs[i] = run(wc, i) }); err != nil {
+		if err := p.submit(i, &wg, func(wc *workerCtx) {
+			defer recoverPart(i, &errs[i])
+			errs[i] = run(wc, i)
+		}); err != nil {
 			// Pool stopped: this part and every later one never ran.
 			for j := i; j < n; j++ {
 				errs[j] = err
@@ -240,21 +214,14 @@ func (p *workerPool) scatter(n int, seed, site uint64, run func(wc *workerCtx, i
 			break
 		}
 	}
-	panics := g.wait()
-	for k := range panics {
-		errs[panics[k].worker] = &panics[k]
-	}
+	wg.Wait()
 	pol := retry.Policy{Attempts: ladderAttempts, Base: time.Millisecond, Cap: 8 * time.Millisecond, Seed: seed}
 	for i, cause := range errs {
 		if cause == nil {
 			continue
 		}
 		err := pol.Do(site<<8^uint64(i), func(attempt int) (err error) {
-			defer func() {
-				if v := recover(); v != nil {
-					err = &workerPanic{worker: i, val: v, stack: debug.Stack()}
-				}
-			}()
+			defer recoverPart(i, &err)
 			return redo(i, attempt, cause)
 		})
 		if err != nil {
@@ -287,11 +254,8 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	// Pipelined prefetch work may still be in flight on the workers;
-	// drain it before closing their channels.
-	for _, pf := range e.prefetch {
-		pf.drain()
-	}
+	// Every pool task ran inside a scatter barrier that has returned, so
+	// nothing is in flight on the workers when their channels close.
 	if e.pool != nil {
 		e.pool.stop()
 		e.pool = nil

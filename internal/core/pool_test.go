@@ -53,9 +53,9 @@ func TestPooledFeedBatchAllocs(t *testing.T) {
 			feed := func() {
 				var err error
 				if c.shards > 0 {
-					err = eng.coord.feedBatch(r, rows, ts.starts[1], ts, nil)
+					err = eng.coord.feedBatch(r, rows, ts.starts[1], ts)
 				} else {
-					err = r.feedBatchParallel(rows, ts.starts[1], ts, te, nil)
+					err = r.feedBatchParallel(rows, ts.starts[1], ts, te)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -80,12 +80,12 @@ func BenchmarkFoldBatchPooled(b *testing.B) {
 	eng, r, ts, te := pooledBatchEnv(b, 0)
 	defer eng.Close()
 	rows := ts.batches[1]
-	r.feedBatchParallel(rows, ts.starts[1], ts, te, nil)
+	r.feedBatchParallel(rows, ts.starts[1], ts, te)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(rows)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.feedBatchParallel(rows, ts.starts[1], ts, te, nil)
+		r.feedBatchParallel(rows, ts.starts[1], ts, te)
 	}
 }
 
@@ -113,7 +113,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	eng.Close()
 	eng.Close()
 	// The pooled path must fall back to serial on a closed engine.
-	r.feedBatchParallel(ts.batches[1], ts.starts[1], ts, te, nil)
+	r.feedBatchParallel(ts.batches[1], ts.starts[1], ts, te)
 	if eng.pool != nil {
 		t.Fatal("closed engine rebuilt its worker pool")
 	}

@@ -51,7 +51,6 @@ type ShardTask struct {
 	rows    []types.Row
 	baseIdx int
 	ts      *tableStream
-	pf      *weightPrefetch
 	workers int
 	thr     int
 }
@@ -125,7 +124,7 @@ func (s *localShard) Step(t *ShardTask) (delta *ShardDelta, err error) {
 	}()
 	workers := storage.ClampParts(len(t.rows), t.workers, t.thr)
 	if workers == 1 {
-		r.foldOn(&s.own, t.rows, t.baseIdx, t.ts, t.pf)
+		r.foldOn(&s.own, t.rows, t.baseIdx, t.ts)
 		return &ShardDelta{stages: []*stage{s.own.stage(r)}}, nil
 	}
 	if s.pool == nil {
@@ -133,7 +132,7 @@ func (s *localShard) Step(t *ShardTask) (delta *ShardDelta, err error) {
 	}
 	parts := storage.SliceRanges(len(t.rows), workers)
 	fold := func(wc *workerCtx, w int) {
-		r.foldOn(wc, t.rows[parts[w].Lo:parts[w].Hi], t.baseIdx+parts[w].Lo, t.ts, t.pf)
+		r.foldOn(wc, t.rows[parts[w].Lo:parts[w].Hi], t.baseIdx+parts[w].Lo, t.ts)
 	}
 	_, err = s.pool.scatter(workers, e.opt.Seed, uint64(t.baseIdx), func(wc *workerCtx, w int) error {
 		fold(wc, w)

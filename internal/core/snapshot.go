@@ -58,9 +58,9 @@ type Snapshot struct {
 	InterruptReason string
 	// Degraded names every degradation in force, empty when none:
 	// "budget:..." lists the MaxMemoryBytes ladder rungs engaged
-	// (segcache, prefetch, evict), "cap:evict" marks MaxUncertainRows
-	// evictions. The answer is still a valid estimate — budget rungs 1-2
-	// are bit-identical fallbacks, and evictions trade deterministic-set
+	// (segcache, evict), "cap:evict" marks MaxUncertainRows evictions.
+	// The answer is still a valid estimate — budget rung 1 is a
+	// bit-identical fallback, and evictions trade deterministic-set
 	// precision for bounded memory.
 	Degraded string
 	// Resources is this batch's memory observation: per-pool byte

@@ -22,9 +22,11 @@ import (
 //	│   └── ranges            controller track, per block
 //	├── recompute             wraps failure-recovery replays
 //	├── snapshot              result materialization
-//	├── checkpoint / resume
-//	└── prefetch              worker tracks; fills overlap the batch
-//	                          tail, so they parent to the query span
+//	└── checkpoint / resume
+//
+// Worker-track spans exist only under a feed or reclassify span of their
+// own batch: every pool task runs inside a workerPool.scatter barrier,
+// so none outlives the phase that submitted it.
 //
 // Span edges fire at batch/phase granularity — never per tuple — so
 // the fold hot path is untouched and the steady state allocates

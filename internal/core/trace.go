@@ -51,9 +51,9 @@ const (
 	// (Folded/Dropped counts, Kept = rows remaining).
 	EvEvict = "uncertain-evict"
 	// EvDegrade: the MaxMemoryBytes soft budget engaged a degradation
-	// rung (Kept = rung: 1 segment cache dropped, 2 prefetch disabled,
-	// 3 uncertain eviction; Note describes it). Every rung falls back to
-	// a bit-identical path, so answers are unchanged.
+	// rung (Kept = rung: 1 segment cache dropped, 2 uncertain eviction;
+	// Note describes it). Rung 1 falls back to a bit-identical path;
+	// rung 2 trades deterministic-set precision, never the answer.
 	EvDegrade = "mem-degrade"
 	// EvInterrupt: a deadline or cancellation stopped the prefix; the
 	// last committed snapshot became the bounded-time answer.

@@ -50,7 +50,7 @@ type Server struct {
 	detFlips   *metrics.Counter
 	violations *metrics.Counter
 	// Uncertain evictions split by cause: reason="cap" is the
-	// MaxUncertainRows row-count cap, reason="budget" is rung 3 of the
+	// MaxUncertainRows row-count cap, reason="budget" is rung 2 of the
 	// MaxMemoryBytes degradation ladder.
 	evictionsCap    *metrics.Counter
 	evictionsBudget *metrics.Counter
@@ -110,7 +110,7 @@ func New(cat *storage.Catalog, opt core.Options) *Server {
 		"Committed deterministic decisions contradicted in flight (recovered by replay).")
 	s.violations = s.reg.Counter("gola_invariant_violations_total",
 		"Committed decisions still contradicted when the invariant audit ran (bugs).")
-	const evictHelp = "Uncertain tuples force-resolved by a budget, by reason: cap = MaxUncertainRows, budget = MaxMemoryBytes degradation rung 3 (degraded precision)."
+	const evictHelp = "Uncertain tuples force-resolved by a budget, by reason: cap = MaxUncertainRows, budget = MaxMemoryBytes degradation rung 2 (degraded precision)."
 	s.evictionsCap = s.reg.Counter(`gola_uncertain_evictions{reason="cap"}`, evictHelp)
 	s.evictionsBudget = s.reg.Counter(`gola_uncertain_evictions{reason="budget"}`, evictHelp)
 	s.relErr = s.reg.Histogram("gola_relative_error",
@@ -147,7 +147,7 @@ func New(cat *storage.Catalog, opt core.Options) *Server {
 	s.memPeak = s.reg.Gauge("gola_mem_peak_bytes",
 		"High-water total ledger residency of the most recent query (bytes).")
 	s.degradeRung = s.reg.Gauge("gola_mem_degrade_rung",
-		"Highest MaxMemoryBytes degradation rung engaged (0 none, 1 segment cache dropped, 2 prefetch disabled, 3 uncertain eviction).")
+		"Highest MaxMemoryBytes degradation rung engaged (0 none, 1 segment cache dropped, 2 uncertain eviction).")
 	s.gcPauseNS = s.reg.Counter("gola_gc_pause_ns_total",
 		"GC pause nanoseconds elapsed during dashboard query mini-batches.")
 	s.gcCycles = s.reg.Counter("gola_gc_cycles_total",
@@ -383,8 +383,8 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 		}
 		u := snap.Resources
 		for i, v := range [...]int64{u.GroupTableBytes, u.WeightArenaBytes,
-			u.UncertainBytes, u.PrefetchBytes, u.ColScratchBytes,
-			u.SegCacheBytes, u.CheckpointBytes} {
+			u.UncertainBytes, u.ColScratchBytes, u.SegCacheBytes,
+			u.CheckpointBytes} {
 			s.memPool[i].Set(v)
 		}
 		s.memTotal.Set(u.TotalBytes)

@@ -570,10 +570,10 @@ func TestMemPayloadAndMetrics(t *testing.T) {
 		if sj.Mem.PeakBytes < sj.Mem.TotalBytes {
 			t.Fatalf("batch %d: peak %d below total %d", sj.Batch, sj.Mem.PeakBytes, sj.Mem.TotalBytes)
 		}
-		if sj.Mem.DegradeRung != 3 || sj.Mem.BudgetBytes != 1 {
-			t.Fatalf("batch %d: budget state %+v, want rung 3 under 1-byte budget", sj.Batch, sj.Mem)
+		if sj.Mem.DegradeRung != 2 || sj.Mem.BudgetBytes != 1 {
+			t.Fatalf("batch %d: budget state %+v, want rung 2 under 1-byte budget", sj.Batch, sj.Mem)
 		}
-		if sj.Degraded != "budget:segcache+prefetch+evict" {
+		if sj.Degraded != "budget:segcache+evict" {
 			t.Fatalf("batch %d: Degraded = %q", sj.Batch, sj.Degraded)
 		}
 	}
@@ -590,13 +590,12 @@ func TestMemPayloadAndMetrics(t *testing.T) {
 		`gola_mem_bytes{pool="group-tables"}`,
 		`gola_mem_bytes{pool="weight-arenas"}`,
 		`gola_mem_bytes{pool="uncertain-cache"}`,
-		`gola_mem_bytes{pool="prefetch"}`,
 		`gola_mem_bytes{pool="col-scratch"}`,
 		`gola_mem_bytes{pool="segment-cache"}`,
 		`gola_mem_bytes{pool="checkpoint"}`,
 		"# TYPE gola_mem_total_bytes gauge",
 		"# TYPE gola_mem_peak_bytes gauge",
-		"gola_mem_degrade_rung 3",
+		"gola_mem_degrade_rung 2",
 		"# TYPE gola_gc_pause_ns_total counter",
 		"# TYPE gola_gc_cycles_total counter",
 		"# TYPE gola_gc_heap_live_bytes gauge",

@@ -352,14 +352,14 @@ func TestEngineRegistryConformance(t *testing.T) {
 func TestMemFamiliesConformance(t *testing.T) {
 	r := NewRegistry()
 	pools := []string{"group-tables", "weight-arenas", "uncertain-cache",
-		"prefetch", "col-scratch", "segment-cache", "checkpoint"}
+		"col-scratch", "segment-cache", "checkpoint"}
 	for i, p := range pools {
 		r.Gauge(fmt.Sprintf("gola_mem_bytes{pool=%q}", p),
 			"Resource-ledger residency per pool (bytes).").Set(int64(100 * (i + 1)))
 	}
-	r.Gauge("gola_mem_total_bytes", "Total ledger residency (bytes).").Set(2800)
+	r.Gauge("gola_mem_total_bytes", "Total ledger residency (bytes).").Set(2100)
 	r.Gauge("gola_mem_peak_bytes", "High-water ledger residency (bytes).").Set(4096)
-	r.Gauge("gola_mem_degrade_rung", "Highest degradation rung engaged.").Set(3)
+	r.Gauge("gola_mem_degrade_rung", "Highest degradation rung engaged.").Set(2)
 	r.Counter("gola_gc_pause_ns_total", "GC pause nanoseconds.").Add(12345)
 	r.Counter("gola_gc_cycles_total", "GC cycles.").Add(7)
 	r.Gauge("gola_gc_heap_live_bytes", "Live heap bytes.").Set(1 << 20)

@@ -1,8 +1,8 @@
 // Package otrace records hierarchical spans for online queries:
-// query → mini-batch → phase → per-worker shard task, plus prefetch
-// fills, serial-retry ladders, reclassification passes and
-// checkpoint/resume edges. It follows the same discipline as the
-// phase profiler (DESIGN.md §9): span edges happen at batch/phase
+// query → mini-batch → phase → per-worker shard task, plus serial-retry
+// ladders, reclassification passes and checkpoint/resume edges. It
+// follows the same discipline as the phase profiler (DESIGN.md §9):
+// span edges happen at batch/phase
 // granularity — never per tuple — each edge costs one monotonic clock
 // read, and spans land in preallocated per-track slabs so the steady
 // state allocates nothing. Every method is nil-safe: a nil *Tracer or

@@ -1,8 +1,8 @@
 // Package resource implements the per-query memory ledger behind
 // fluodb's soft memory budgets: byte counters for every pool an online
 // query pins (group-table banks, weight arenas, the uncertain cache,
-// prefetch buffers, columnar scratch, the segment cache, checkpoint
-// encode buffers) plus a process-level GC sampler over runtime/metrics.
+// columnar scratch, the segment cache, checkpoint encode buffers) plus
+// a process-level GC sampler over runtime/metrics.
 //
 // The ledger itself is passive arithmetic: the engine charges bytes at
 // its existing allocation seams (worker-local plain int64 counters,
@@ -29,9 +29,6 @@ const (
 	// UncertainCache: the uncertainRow slices themselves (headers +
 	// replay metadata; weight bytes are counted under WeightArenas).
 	UncertainCache
-	// Prefetch: double-buffered sampled/weights arrays filled for batch
-	// k+1 during batch k.
-	Prefetch
 	// ColumnarScratch: per-worker tri-state/selection/weight vectors of
 	// the vectorized classify/fold path.
 	ColumnarScratch
@@ -48,7 +45,6 @@ var categoryNames = [NumCategories]string{
 	"group-tables",
 	"weight-arenas",
 	"uncertain-cache",
-	"prefetch",
 	"col-scratch",
 	"segment-cache",
 	"checkpoint",
@@ -162,7 +158,6 @@ type Usage struct {
 	GroupTableBytes  int64 `json:"group_tables"`
 	WeightArenaBytes int64 `json:"weight_arenas"`
 	UncertainBytes   int64 `json:"uncertain"`
-	PrefetchBytes    int64 `json:"prefetch"`
 	ColScratchBytes  int64 `json:"col_scratch"`
 	SegCacheBytes    int64 `json:"segment_cache"`
 	CheckpointBytes  int64 `json:"checkpoint,omitempty"`
@@ -181,8 +176,7 @@ type Usage struct {
 	AllocBytes    int64 `json:"alloc_bytes,omitempty"`
 	// Budget state: the soft budget (0 = unbudgeted), the highest
 	// degradation rung engaged (0 = none, 1 = segment cache dropped,
-	// 2 = prefetch disabled, 3 = uncertain eviction), and tuples
-	// evicted for budget reasons.
+	// 2 = uncertain eviction), and tuples evicted for budget reasons.
 	BudgetBytes     int64 `json:"budget,omitempty"`
 	DegradeRung     int   `json:"degrade_rung,omitempty"`
 	BudgetEvictions int64 `json:"budget_evictions,omitempty"`
@@ -198,7 +192,6 @@ func (l *Ledger) Snapshot() Usage {
 		GroupTableBytes:  l.bytes[GroupTables],
 		WeightArenaBytes: l.bytes[WeightArenas],
 		UncertainBytes:   l.bytes[UncertainCache],
-		PrefetchBytes:    l.bytes[Prefetch],
 		ColScratchBytes:  l.bytes[ColumnarScratch],
 		SegCacheBytes:    l.bytes[SegmentCache],
 		CheckpointBytes:  l.bytes[Checkpoint],

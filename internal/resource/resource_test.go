@@ -13,7 +13,6 @@ func TestCategoryNames(t *testing.T) {
 		GroupTables:     "group-tables",
 		WeightArenas:    "weight-arenas",
 		UncertainCache:  "uncertain-cache",
-		Prefetch:        "prefetch",
 		ColumnarScratch: "col-scratch",
 		SegmentCache:    "segment-cache",
 		Checkpoint:      "checkpoint",
@@ -96,13 +95,13 @@ func TestLedgerPeaks(t *testing.T) {
 // reports PeakBytes >= TotalBytes.
 func TestSnapshotFields(t *testing.T) {
 	l := &Ledger{}
-	vals := []int64{1, 2, 4, 8, 16, 32, 64} // one per category
+	vals := []int64{1, 2, 4, 8, 16, 32} // one per category
 	for c := Category(0); c < NumCategories; c++ {
 		l.Set(c, vals[c])
 	}
 	u := l.Snapshot() // no Observe: peak must still cover the live total
 	got := []int64{u.GroupTableBytes, u.WeightArenaBytes, u.UncertainBytes,
-		u.PrefetchBytes, u.ColScratchBytes, u.SegCacheBytes, u.CheckpointBytes}
+		u.ColScratchBytes, u.SegCacheBytes, u.CheckpointBytes}
 	var sum int64
 	for c := range vals {
 		if got[c] != vals[c] {

@@ -50,9 +50,9 @@ type Tracer = core.Tracer
 func NewTracer(capacity int) *Tracer { return core.NewTracer(capacity) }
 
 // SpanTracer records a hierarchical execution timeline — query →
-// mini-batch → phase → per-worker shard task, plus prefetch fills,
-// retries and checkpoint/resume — exportable as Chrome trace-event
-// JSON (Perfetto-loadable) or JSONL. Attach one via
+// mini-batch → phase → per-worker shard task, plus retries,
+// reclassification and checkpoint/resume — exportable as Chrome
+// trace-event JSON (Perfetto-loadable) or JSONL. Attach one via
 // OnlineOptions.Spans; ring Tracer events mirror onto the timeline as
 // instant events.
 type SpanTracer = otrace.Tracer
@@ -112,9 +112,10 @@ var ErrPoolStopped = core.ErrPoolStopped
 func IsInterrupted(err error) bool { return core.IsInterrupted(err) }
 
 // ChaosConfig configures deterministic fault injection: seeded
-// probabilities for worker panics, stragglers, shard-state corruption
-// and prefetch invalidation. All decisions are pure functions of
-// (Seed, site), so a failing schedule replays exactly from its seed.
+// probabilities for worker panics, stragglers, shard-state corruption,
+// segment-cache drops and shard deaths. All decisions are pure
+// functions of (Seed, site), so a failing schedule replays exactly from
+// its seed.
 type ChaosConfig = chaos.Config
 
 // ChaosInjector injects faults at the runtime's instrumented sites.

@@ -1,7 +1,7 @@
 .PHONY: check test bench bench-e2e-compare bench-fold audit chaos shard trace mem
 
 # Tier-1 gate: vet + build + race-enabled tests + non-race alloc gates +
-# the benchmark/ module's tests.
+# a 10 s FuzzNumKernel smoke run + the benchmark/ module's tests.
 check:
 	sh scripts/check.sh
 

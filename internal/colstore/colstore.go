@@ -75,6 +75,14 @@ func (c *Col) Null(i int) bool {
 // HasNulls reports whether the segment holds any NULL in this column.
 func (c *Col) HasNulls() bool { return c.nulls != nil }
 
+// NullWords returns the NULL bitmap, bit i%64 of word i/64 for row i
+// (nil when no row is NULL).
+func (c *Col) NullWords() []uint64 { return c.nulls }
+
+// SetNullWords installs w as the NULL bitmap (nil: no NULLs). Computed
+// columns (expr.NumKernel) assemble theirs from their operands' words.
+func (c *Col) SetNullWords(w []uint64) { c.nulls = w }
+
 func (c *Col) setNull(i, n int) {
 	if c.nulls == nil {
 		c.nulls = make([]uint64, (n+63)/64)

@@ -11,16 +11,17 @@ import (
 )
 
 // The columnar fold path. When a block's mini-batch hot loop is shaped
-// right — banked (all-CLT) aggregates over fact columns, plain-column
-// group keys, dimension joins keyed on plain fact columns and a
-// vectorizable certain WHERE — each shard sweeps whole colstore
-// segments instead of walking boxed rows: the certain predicate runs as
-// a compiled kernel, the uncertain predicate as a compiled tri-state
-// kernel under the batch's injected variation ranges (or, where it does
-// not compile, through the interpreter per surviving row), and the
-// surviving rows split into certainly-in / uncertain runs.
-// Certainly-in rows feed the banked accumulators straight from the
-// typed banks; group keys resolve through a word-code memo that
+// right — banked (all-CLT) aggregates over fact columns or arithmetic
+// on them, plain-column group keys, dimension joins keyed on plain fact
+// columns and a vectorizable certain WHERE — each shard sweeps whole
+// colstore segments instead of walking boxed rows: the certain
+// predicate runs as a compiled kernel, the uncertain predicate as a
+// compiled tri-state kernel under the batch's injected variation ranges
+// (or, where it does not compile, through the interpreter per surviving
+// row), and the surviving rows split into certainly-in / uncertain
+// runs. Certainly-in rows feed the banked accumulators straight from
+// the typed banks (an arithmetic argument's computed by a numeric
+// kernel per segment range); group keys resolve through a word-code memo that
 // touches the canonical (hash + KeyEqual) path once per distinct key
 // per sweep, and dimension fan-out resolves through a persistent join
 // memo keyed by the same word codes (dimension tables are read once and
@@ -60,10 +61,18 @@ type colPlan struct {
 	// gbCols is the joined-schema column of each GROUP BY expression
 	// (fact-schema when the block has no dims).
 	gbCols []int
-	// aggCols is the fact-schema column of each aggregate argument, -1
-	// for constant arguments; aggFloats flags float banks (else int).
+	// aggCols is the column each aggregate argument reads — a fact-schema
+	// column, a virtual computed column compBase+k, or -1 for a constant;
+	// aggFloats flags float banks (else int).
 	aggCols   []int
 	aggFloats []bool
+	// Virtual computed columns: the distinct compilable expression
+	// arguments (deduplicated by expr.NumKernel.Key), read as columns
+	// compBase+k. Each sweeper compiles them (colScratch.numK) and
+	// evaluates them per segment range into its own kernel banks, so an
+	// aggregate over `x * y` folds from a typed bank like one over `x`.
+	compBase int
+	exprs    []expr.Expr
 	// Constant-argument values, pre-gated: aggConstNull flags SQL NULL,
 	// aggConstF holds the AsFloat value, aggConstOK its validity.
 	aggConstNull []bool
@@ -71,21 +80,21 @@ type colPlan struct {
 	aggConstOK   []bool
 	// Bank-stream aliases: aliasW[i]/aliasV[i] name the aggregate whose
 	// physical bank cells carry aggregate i's replica stream. Aggregates
-	// over the same plain column receive bit-identical bank additions —
-	// COUNT/SUM/AVG all add Σ w·repW to W (their gates coincide on clean
-	// columns: SUM/AVG arguments are numeric by eligibility, so non-NULL
-	// ⟺ folds), and SUM/AVG both add Σ v·w·repW to V — so the columnar
-	// fold writes each distinct stream once; reads redirect through the
-	// same aliases (installed on the runner table).
+	// over the same plain or computed column receive bit-identical bank
+	// additions — COUNT/SUM/AVG all add Σ w·repW to W (their gates
+	// coincide: SUM/AVG arguments are numeric by eligibility and computed
+	// columns are numeric or NULL, so non-NULL ⟺ folds), and SUM/AVG both
+	// add Σ v·w·repW to V — so the columnar fold writes each distinct
+	// stream once; reads redirect through the same aliases (installed on
+	// the runner table).
 	aliasW []int
 	aliasV []int
-	// Fused kernel shape: when every aggregate reads the same plain
-	// column, the whole bank fold collapses to at most one W stream and
-	// one V stream, and weight generation fuses into the fold loop.
-	// fuse is that eligibility; fuseCol the shared column; fusePrimV the
-	// V-stream owner (-1 when all aggregates are COUNTs).
+	// Fused kernel shape: when every aggregate reads the same (plain or
+	// computed) column, the whole bank fold collapses to at most one W
+	// stream and one V stream, and weight generation fuses into the fold
+	// loop. fuse is that eligibility; fusePrimV the V-stream owner (-1
+	// when all aggregates are COUNTs).
 	fuse      bool
-	fuseCol   int
 	fusePrimV int
 }
 
@@ -200,6 +209,11 @@ func (r *blockRunner) buildColPlan() *colPlan {
 		// memo key columns.
 		p.gbCols = append(p.gbCols, c.Idx)
 	}
+	na := len(b.Aggs)
+	p.aggCols, p.aggFloats = make([]int, na), make([]bool, na)
+	p.aggConstNull, p.aggConstF, p.aggConstOK = make([]bool, na), make([]float64, na), make([]bool, na)
+	p.compBase = factW
+	computed := map[string]int{} // NumKernel.Key → virtual column
 	for i := range b.Aggs {
 		switch a := b.Aggs[i].Arg.(type) {
 		case *expr.Col:
@@ -219,21 +233,30 @@ func (r *blockRunner) buildColPlan() *colPlan {
 				p.reason = "agg:non-numeric"
 				return p
 			}
-			p.aggCols = append(p.aggCols, a.Idx)
-			p.aggFloats = append(p.aggFloats, k == types.KindFloat)
-			p.aggConstNull = append(p.aggConstNull, false)
-			p.aggConstF = append(p.aggConstF, 0)
-			p.aggConstOK = append(p.aggConstOK, false)
+			p.aggCols[i] = a.Idx
+			p.aggFloats[i] = k == types.KindFloat
 		case *expr.Const:
-			f, fok := a.V.AsFloat()
-			p.aggCols = append(p.aggCols, -1)
-			p.aggFloats = append(p.aggFloats, false)
-			p.aggConstNull = append(p.aggConstNull, a.V.IsNull())
-			p.aggConstF = append(p.aggConstF, f)
-			p.aggConstOK = append(p.aggConstOK, fok)
+			p.aggCols[i] = -1
+			p.aggConstNull[i] = a.V.IsNull()
+			p.aggConstF[i], p.aggConstOK[i] = a.V.AsFloat()
 		default:
-			p.reason = "agg:expr-arg"
-			return p
+			if readsDims(a, factW) {
+				p.reason = "agg:dim-column"
+				return p
+			}
+			k := expr.CompileNumKernel(a, ct)
+			if k == nil {
+				p.reason = "agg:expr-arg"
+				return p
+			}
+			c, seen := computed[k.Key()]
+			if !seen {
+				c = factW + len(p.exprs)
+				computed[k.Key()] = c
+				p.exprs = append(p.exprs, a)
+			}
+			p.aggCols[i] = c
+			p.aggFloats[i] = k.Kind() == types.KindFloat
 		}
 	}
 	if r.certainWhere != nil && expr.CompileKernel(r.certainWhere, ct) == nil {
@@ -253,8 +276,8 @@ func (r *blockRunner) buildColPlan() *colPlan {
 	p.ok = true
 
 	// Bank-stream dedup: alias each aggregate's W (and, for SUM/AVG, V)
-	// stream to the first aggregate over the same plain column. Constant
-	// arguments keep their own streams (identity).
+	// stream to the first aggregate over the same plain or computed
+	// column. Constant arguments keep their own streams (identity).
 	p.aliasW = make([]int, len(b.Aggs))
 	p.aliasV = make([]int, len(b.Aggs))
 	for i := range p.aliasW {
@@ -285,14 +308,14 @@ func (r *blockRunner) buildColPlan() *colPlan {
 	r.tab.bankOfW = p.aliasW
 	r.tab.bankOfV = p.aliasV
 
-	// Fused-kernel eligibility: one shared plain column means one W
-	// stream (owned by aggregate 0) and at most one V stream. Dims
-	// blocks fold once per joined row, so they keep the generic loop.
+	// Fused-kernel eligibility: one shared (plain or computed) column
+	// means one W stream (owned by aggregate 0) and at most one V
+	// stream. Dims blocks fold once per joined row, so they keep the
+	// generic loop.
 	p.fuse = !p.hasDims
-	p.fuseCol = p.aggCols[0]
 	p.fusePrimV = -1
 	for i, c := range p.aggCols {
-		if c < 0 || c != p.fuseCol {
+		if c < 0 || c != p.aggCols[0] {
 			p.fuse = false
 			break
 		}
@@ -309,6 +332,19 @@ func (r *blockRunner) buildColPlan() *colPlan {
 		p.reason = "columnar"
 	}
 	return p
+}
+
+// readsDims reports whether e reads a joined dimension column (one past
+// the fact schema's factW columns).
+func readsDims(e expr.Expr, factW int) bool {
+	dims := false
+	expr.Walk(e, func(x expr.Expr) bool {
+		if c, ok := x.(*expr.Col); ok && c.Idx >= factW {
+			dims = true
+		}
+		return !dims
+	})
+	return dims
 }
 
 // colScratch is one sweeper's (serial runner or worker shard) reusable
@@ -331,6 +367,12 @@ type colScratch struct {
 	selU      []int32
 	wf        []float64
 	wbuf      []uint8
+	// numK compiles the plan's computed columns (exprs) behind the same
+	// gate as kernel/triK; args holds each aggregate's argument column
+	// for the segment range being folded (resolveArgs): a stored bank, a
+	// numK bank, or nil for a constant.
+	numK []*expr.NumKernel
+	args []*colstore.Col
 	// Group memo: the key's word codes (one 64-bit physical code per memo
 	// column plus a null-bit word) → the resolved table entry (no-dims:
 	// memoEntries) or entry list (dims: entArena[memoOff:memoOff+memoCnt]).
@@ -521,6 +563,10 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 		if r.uncertainWhere != nil {
 			cs.triK = expr.CompileTriKernel(r.uncertainWhere, ct)
 		}
+		cs.numK = cs.numK[:0]
+		for _, x := range p.exprs {
+			cs.numK = append(cs.numK, expr.CompileNumKernel(x, ct))
+		}
 		cs.jmemo.reset(len(p.memoCols) + 1)
 		cs.jOff, cs.jCnt = cs.jOff[:0], cs.jCnt[:0]
 		clear(cs.jRows)
@@ -529,6 +575,11 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 	}
 	if r.certainWhere != nil && cs.kernel == nil {
 		return false
+	}
+	for _, k := range cs.numK {
+		if k == nil {
+			return false
+		}
 	}
 	// Tri-state kernels replicate evalTri only under row-free parameter
 	// ranges; set-block HAVING classification (rowRanges) stays per-row.
@@ -553,6 +604,9 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 	}
 	if cap(cs.wbuf) < trials {
 		cs.wbuf = make([]uint8, trials)
+	}
+	if len(cs.args) != len(p.aggCols) {
+		cs.args = make([]*colstore.Col, len(p.aggCols))
 	}
 	// New sweep, new group memo (the join memo persists).
 	if p.hasDims {
@@ -598,12 +652,23 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 			acc.ns[phaseClassify] += int64(time.Since(t0))
 		}
 
-		// Certainly-in run: fold straight from the banks.
+		// Certainly-in run: fold straight from the banks, stored or
+		// computed over the run's span.
+		if n := len(cs.sel); n > 0 {
+			if prof {
+				t0 = time.Now()
+			}
+			cs.resolveArgs(p, seg, int(cs.sel[0]), int(cs.sel[n-1])+1)
+			if prof {
+				acc.ns[phaseFold] += int64(time.Since(t0))
+			}
+		}
 		if fused {
+			col := cs.args[0]
 			for _, si := range cs.sel {
 				i := int(si)
 				gi := seg.Base + i
-				r.colFoldFused(tab, p, r.colEntry(tab, cs, ct, seg, i), seg, i, ws.e.sampled(ws.ts, gi),
+				r.colFoldFused(tab, p, r.colEntry(tab, cs, ct, seg, i), col, i, ws.e.sampled(ws.ts, gi),
 					ws.ts.weightBase+uint64(gi)*uint64(trials), &ws.wlut)
 				st.folds++
 			}
@@ -621,11 +686,11 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 				}
 				if p.hasDims {
 					for _, en := range r.colEntries(st, ct, seg, i) {
-						r.colFold(tab, p, en, ct, seg, i, wf, repW)
+						r.colFold(tab, p, en, cs.args, i, wf, repW)
 						st.folds++
 					}
 				} else {
-					r.colFold(tab, p, r.colEntry(tab, cs, ct, seg, i), ct, seg, i, wf, repW)
+					r.colFold(tab, p, r.colEntry(tab, cs, ct, seg, i), cs.args, i, wf, repW)
 					st.folds++
 				}
 				if prof {
@@ -779,13 +844,35 @@ func (cs *colScratch) joinRows(jn *exec.Joiner, words []uint64, h uint64, fact t
 	return off, int32(len(rows))
 }
 
+// resolveArgs points cs.args at each aggregate's argument column for
+// segment rows [lo,hi), once per range so the fold loops read banks
+// without a per-row branch on where they live: a stored column is
+// seg's own bank, a computed one is evaluated into its kernel's bank
+// (once per distinct expression — aliased aggregates share their
+// owner's column), a constant is nil.
+func (cs *colScratch) resolveArgs(p *colPlan, seg *colstore.Segment, lo, hi int) {
+	for a, c := range p.aggCols {
+		switch {
+		case c < 0:
+			cs.args[a] = nil
+		case p.aliasW[a] != a:
+			cs.args[a] = cs.args[p.aliasW[a]]
+		case c < p.compBase:
+			cs.args[a] = &seg.Cols[c]
+		default:
+			cs.args[a] = cs.numK[c-p.compBase].Eval(seg, lo, hi)
+		}
+	}
+}
+
 // colFold adds segment-local row i into the entry's banked accumulators
-// straight from the column banks, mirroring onlineTable.fold/foldBank
-// cell for cell: same per-aggregate order, same gating, same pre-scaled
-// weight values — so every float addition is bit-identical. Deduplicated
-// bank streams (plan aliases) are written once, by their owning
-// aggregate; reads resolve through the same aliases.
-func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, ct *colstore.Table, seg *colstore.Segment, i int, wf []float64, repW float64) {
+// straight from the argument banks (resolveArgs), mirroring
+// onlineTable.fold/foldBank cell for cell: same per-aggregate order,
+// same gating, same pre-scaled weight values — so every float addition
+// is bit-identical. Deduplicated bank streams (plan aliases) are written
+// once, by their owning aggregate; reads resolve through the same
+// aliases.
+func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args []*colstore.Col, i int, wf []float64, repW float64) {
 	e.n++
 	if repW > 0 {
 		e.ns++
@@ -796,8 +883,8 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, ct *
 			// COUNT folds any non-NULL input: only the null bitmap is read
 			// (the column may be a string column with no numeric bank).
 			var null bool
-			if c := p.aggCols[a]; c >= 0 {
-				null = seg.Cols[c].Null(i)
+			if col := args[a]; col != nil {
+				null = col.Null(i)
 			} else {
 				null = p.aggConstNull[a]
 			}
@@ -817,8 +904,7 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, ct *
 		// plan's kind gate exclude everything else).
 		var f float64
 		var fok bool
-		if c := p.aggCols[a]; c >= 0 {
-			col := &seg.Cols[c]
+		if col := args[a]; col != nil {
 			if !col.Null(i) {
 				if p.aggFloats[a] {
 					f, fok = col.Floats[i], true
@@ -862,20 +948,20 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, ct *
 }
 
 // colFoldFused is the single-column fast kernel: when every aggregate
-// reads the same plain column there is exactly one W stream (aggregate
-// 0's) and at most one V stream, and the tuple's Poisson weights are
-// consumed nowhere else — so weight generation, pre-scaling and the
-// bank folds collapse into one loop with no intermediate buffer. wlut
-// maps a Poisson(1) multiplicity to float64(k)·repW (the same two-step
+// reads the same column col (stored or computed) there is exactly one W
+// stream (aggregate 0's) and at most one V stream, and the tuple's
+// Poisson weights are consumed nowhere else — so weight generation,
+// pre-scaling and the bank folds collapse into one loop with no
+// intermediate buffer. wlut maps a Poisson(1) multiplicity to
+// float64(k)·repW (the same two-step
 // computation the generic path performs, so every addition is
 // bit-identical). Used only off the profiled path: the split phase
 // attribution (weights vs fold) needs the unfused loops.
-func (r *blockRunner) colFoldFused(tab *onlineTable, p *colPlan, e *onlineEntry, seg *colstore.Segment, i int, sampled bool, wbase uint64, wlut *[16]float64) {
+func (r *blockRunner) colFoldFused(tab *onlineTable, p *colPlan, e *onlineEntry, col *colstore.Col, i int, sampled bool, wbase uint64, wlut *[16]float64) {
 	e.n++
 	if sampled {
 		e.ns++
 	}
-	col := &seg.Cols[p.fuseCol]
 	null := col.Null(i)
 	var f float64
 	if !null && p.fusePrimV >= 0 {

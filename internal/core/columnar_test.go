@@ -10,6 +10,7 @@ import (
 	"fluodb/internal/plan"
 	"fluodb/internal/storage"
 	"fluodb/internal/types"
+	"fluodb/internal/workload"
 )
 
 // The columnar path (columnar.go) is pinned to be bit-identical to the
@@ -96,33 +97,47 @@ func columnarCatalog(n int, seed uint64) *storage.Catalog {
 // certain WHERE (numeric, string/LIKE, IS NULL, AND/OR), scalar blocks,
 // uncertain nested-subquery predicates that compile to the tri-state
 // kernel (scalar parameter) and ones that classify through the
-// interpreted evalTri inside the sweep (correlated, IN-set).
+// interpreted evalTri inside the sweep (correlated, IN-set), and
+// arithmetic aggregate arguments folded from computed columns.
+//
+// reassoc marks queries whose addends are not integral (x / b): a
+// parallel merge reassociates their sums, so the row-path reference for
+// P > 1 runs at the same parallelism, over the identical partition.
 var columnarQueries = []struct {
-	name string
-	sql  string
+	name    string
+	sql     string
+	reassoc bool
 }{
-	{"group-fold", `SELECT a, b, COUNT(x), SUM(x), AVG(x) FROM facts GROUP BY a, b`},
-	{"certain-where", `SELECT a, COUNT(x), SUM(x) FROM facts WHERE x < 600 AND b >= 4 GROUP BY a`},
-	{"string-where", `SELECT b, COUNT(x), AVG(x) FROM facts WHERE s LIKE 'a%' OR s = 'beta' GROUP BY b`},
-	{"null-where", `SELECT a, COUNT(x) FROM facts WHERE x IS NOT NULL AND b IS NOT NULL GROUP BY a`},
-	{"scalar", `SELECT COUNT(x), SUM(x), AVG(x) FROM facts WHERE b < 12`},
+	{"group-fold", `SELECT a, b, COUNT(x), SUM(x), AVG(x) FROM facts GROUP BY a, b`, false},
+	{"certain-where", `SELECT a, COUNT(x), SUM(x) FROM facts WHERE x < 600 AND b >= 4 GROUP BY a`, false},
+	{"string-where", `SELECT b, COUNT(x), AVG(x) FROM facts WHERE s LIKE 'a%' OR s = 'beta' GROUP BY b`, false},
+	{"null-where", `SELECT a, COUNT(x) FROM facts WHERE x IS NOT NULL AND b IS NOT NULL GROUP BY a`, false},
+	{"scalar", `SELECT COUNT(x), SUM(x), AVG(x) FROM facts WHERE b < 12`, false},
 	{"uncertain", `SELECT a, COUNT(x), SUM(x) FROM facts
-		WHERE b >= 2 AND x < (SELECT 0.9 * AVG(x) FROM facts) GROUP BY a`},
+		WHERE b >= 2 AND x < (SELECT 0.9 * AVG(x) FROM facts) GROUP BY a`, false},
 	{"correlated", `SELECT a, COUNT(x), SUM(x) FROM facts
-		WHERE x < (SELECT 0.9 * AVG(x) FROM facts f2 WHERE f2.b = facts.b) GROUP BY a`},
+		WHERE x < (SELECT 0.9 * AVG(x) FROM facts f2 WHERE f2.b = facts.b) GROUP BY a`, false},
 	{"in-set", `SELECT a, COUNT(x), SUM(x) FROM facts
-		WHERE b IN (SELECT b FROM facts GROUP BY b HAVING AVG(x) > 490) GROUP BY a`},
+		WHERE b IN (SELECT b FROM facts GROUP BY b HAVING AVG(x) > 490) GROUP BY a`, false},
 	{"dims-join", `SELECT cat, COUNT(x), SUM(x), AVG(x) FROM facts f
-		JOIN bdim d ON f.b = d.bkey GROUP BY cat`},
+		JOIN bdim d ON f.b = d.bkey GROUP BY cat`, false},
 	{"dims-chain", `SELECT region, cat, COUNT(x), SUM(x) FROM facts f
 		JOIN bdim d ON f.b = d.bkey
 		JOIN adim e ON f.a = e.akey
-		WHERE x < 700 GROUP BY region, cat`},
+		WHERE x < 700 GROUP BY region, cat`, false},
 	{"dims-mixed-keys", `SELECT a, cat, COUNT(x), SUM(x), AVG(x) FROM facts f
-		JOIN bdim d ON f.b = d.bkey GROUP BY a, cat`},
+		JOIN bdim d ON f.b = d.bkey GROUP BY a, cat`, false},
 	{"dims-uncertain", `SELECT cat, COUNT(x), SUM(x) FROM facts f
 		JOIN bdim d ON f.b = d.bkey
-		WHERE x < (SELECT 0.9 * AVG(x) FROM facts) GROUP BY cat`},
+		WHERE x < (SELECT 0.9 * AVG(x) FROM facts) GROUP BY cat`, false},
+	{"expr-q11", `SELECT a, SUM(x * b) FROM facts GROUP BY a
+		HAVING SUM(x * b) > (SELECT SUM(x * b) * 0.1 FROM facts)`, false},
+	{"expr-div", `SELECT a, AVG(x / b) FROM facts GROUP BY a`, true},
+	{"expr-count-neg", `SELECT a, COUNT(b - 3), SUM(-b) FROM facts GROUP BY a`, false},
+	{"expr-uncertain", `SELECT a, COUNT(x), SUM(x * b) FROM facts
+		WHERE x < (SELECT 0.9 * AVG(x) FROM facts) GROUP BY a`, false},
+	{"expr-dims", `SELECT cat, SUM(x * b), AVG(x + b) FROM facts f
+		JOIN bdim d ON f.b = d.bkey GROUP BY cat`, false},
 }
 
 func columnarOptions(seed uint64, parallelism int, rowPath bool) Options {
@@ -137,9 +152,9 @@ func columnarOptions(seed uint64, parallelism int, rowPath bool) Options {
 
 // TestColumnarBitIdentical asserts the columnar classify/fold path
 // reproduces the row path's snapshots bit for bit across seeds and
-// P∈{1,2,4,8}. The row-path reference runs serially; the parallel row
-// path is itself pinned to serial by TestParallelFoldBitIdentical, so
-// this covers the full matrix.
+// P∈{1,2,4,8}. The row-path reference runs serially (at the same P for
+// reassoc queries); the parallel row path is itself pinned to serial by
+// TestParallelFoldBitIdentical, so this covers the full matrix.
 func TestColumnarBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
 		cat := columnarCatalog(3*8192, seed)
@@ -147,6 +162,9 @@ func TestColumnarBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", q.name, seed), func(t *testing.T) {
 				ref := runSnapshots(t, cat, q.sql, columnarOptions(seed, 1, true))
 				for _, p := range []int{1, 2, 4, 8} {
+					if q.reassoc && p > 1 {
+						ref = runSnapshots(t, cat, q.sql, columnarOptions(seed, p, true))
+					}
 					got := runSnapshots(t, cat, q.sql, columnarOptions(seed, p, false))
 					compareSnapshots(t, fmt.Sprintf("columnar P=%d", p), ref, got)
 				}
@@ -214,7 +232,15 @@ func TestColumnarPlanEligibility(t *testing.T) {
 		{`SELECT a, SUM(x) FROM facts GROUP BY a`, true, "rowpath:forced"},
 		{`SELECT b + 1, SUM(x) FROM facts GROUP BY b + 1`, false, "rowpath:group:expr-key"},
 		{`SELECT a, MIN(x) FROM facts GROUP BY a`, false, "rowpath:agg:not-estimable"},
-		{`SELECT a, SUM(x + 1) FROM facts GROUP BY a`, false, "rowpath:agg:expr-arg"},
+		{`SELECT a, SUM(x + 1) FROM facts GROUP BY a`, false, "columnar:fused"},
+		{`SELECT a, SUM(x * b), AVG(x * b) FROM facts GROUP BY a`, false, "columnar:fused"},
+		{`SELECT a, SUM(x), SUM(x * b) FROM facts GROUP BY a`, false, "columnar"},
+		{`SELECT a, SUM(CASE WHEN b > 3 THEN x ELSE 0 END) FROM facts GROUP BY a`,
+			false, "rowpath:agg:expr-arg"},
+		{`SELECT cat, SUM(x + bkey) FROM facts f JOIN bdim d ON f.b = d.bkey GROUP BY cat`,
+			false, "rowpath:agg:dim-column"},
+		{`SELECT cat, SUM(x * b) FROM facts f JOIN bdim d ON f.b = d.bkey GROUP BY cat`,
+			false, "columnar:dims"},
 		{`SELECT cat, SUM(x) FROM facts f JOIN bdim d ON f.b = d.bkey GROUP BY cat`,
 			false, "columnar:dims"},
 		{`SELECT region, cat, SUM(x) FROM facts f
@@ -229,6 +255,15 @@ func TestColumnarPlanEligibility(t *testing.T) {
 		if got := verdict(tc.sql, tc.rowPath); got != tc.want {
 			t.Errorf("verdict(%q) = %q, want %q", tc.sql, got, tc.want)
 		}
+	}
+	// Two aggregates over one expression share one computed column and,
+	// through the bank aliases, one W and one V stream.
+	p := build(`SELECT a, SUM(x * b), AVG(x * b), COUNT(b * x) FROM facts GROUP BY a`, false).colPl
+	if len(p.exprs) != 2 || p.aggCols[0] != p.aggCols[1] || p.aggCols[2] == p.aggCols[0] {
+		t.Fatalf("computed columns %v over %d expressions, want x*b shared and b*x apart", p.aggCols, len(p.exprs))
+	}
+	if p.aliasW[1] != 0 || p.aliasV[1] != 0 || p.aliasW[2] != 2 {
+		t.Fatalf("aliases W=%v V=%v, want SUM and AVG on one stream", p.aliasW, p.aliasV)
 	}
 }
 
@@ -301,12 +336,21 @@ func TestColumnarDimsFoldAllocs(t *testing.T) {
 // returns the pieces to drive feedBatchSerial by hand over aligned
 // chunks of the second mini-batch.
 func columnarBenchEnv(tb testing.TB, multiKey, sampledAll, profile bool) (*Engine, *blockRunner, *tableStream, *triEnv) {
-	sql := `SELECT a, SUM(x), AVG(x) FROM facts GROUP BY a`
+	sql := columnarSingleKeySQL
 	if multiKey {
-		sql = `SELECT a, b, SUM(x), AVG(x) FROM facts GROUP BY a, b`
+		sql = columnarMultiKeySQL
 	}
 	return columnarBenchEnvSQL(tb, sql, sampledAll, profile)
 }
+
+// The fold shapes the alloc gate and the fold benchmarks drive; the
+// expression shape folds two aggregates over one computed column (the
+// fused kernel reading a NumKernel bank).
+const (
+	columnarSingleKeySQL = `SELECT a, SUM(x), AVG(x) FROM facts GROUP BY a`
+	columnarMultiKeySQL  = `SELECT a, b, SUM(x), AVG(x) FROM facts GROUP BY a, b`
+	columnarExprSQL      = `SELECT a, SUM(x * b), AVG(x * b) FROM facts GROUP BY a`
+)
 
 func columnarBenchEnvSQL(tb testing.TB, sql string, sampledAll, profile bool) (*Engine, *blockRunner, *tableStream, *triEnv) {
 	cat := foldCatalog(20000, 71)
@@ -338,20 +382,22 @@ func columnarBenchEnvSQL(tb testing.TB, sql string, sampledAll, profile bool) (*
 
 // TestColumnarFoldAllocs pins the steady-state columnar fold to zero
 // allocations per chunk (and therefore per tuple) after warmup, plain
-// and profiled, for both subsample modes. It also asserts the columnar
-// path actually engaged (segment sweeps advanced).
+// and profiled, for both subsample modes and for a computed argument.
+// It also asserts the columnar path actually engaged (segment sweeps
+// advanced).
 func TestColumnarFoldAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	for _, tc := range []struct {
 		name       string
-		multiKey   bool
+		sql        string
 		sampledAll bool
 	}{
-		{"single-key", false, false},
-		{"single-key/sampled-all", false, true},
-		{"multi-key/sampled-all", true, true},
+		{"single-key", columnarSingleKeySQL, false},
+		{"single-key/sampled-all", columnarSingleKeySQL, true},
+		{"multi-key/sampled-all", columnarMultiKeySQL, true},
+		{"expr-arg/sampled-all", columnarExprSQL, true},
 	} {
 		for _, mode := range []struct {
 			name    string
@@ -361,7 +407,11 @@ func TestColumnarFoldAllocs(t *testing.T) {
 			{"profiled", true},
 		} {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				_, r, ts, te := columnarBenchEnv(t, tc.multiKey, tc.sampledAll, mode.profile)
+				_, r, ts, te := columnarBenchEnvSQL(t, tc.sql, tc.sampledAll, mode.profile)
+				if tc.sql == columnarExprSQL && (r.colPl.verdict() != "columnar:fused" || len(r.colPl.exprs) != 1) {
+					t.Fatalf("verdict %q over %d computed columns, want columnar:fused over 1",
+						r.colPl.verdict(), len(r.colPl.exprs))
+				}
 				rows := ts.batches[1]
 				base := ts.starts[1]
 				const chunk = 512
@@ -424,6 +474,13 @@ func BenchmarkFoldColumnarSingleKey(b *testing.B)        { benchFoldColumnar(b, 
 func BenchmarkFoldColumnarSingleKeySampled(b *testing.B) { benchFoldColumnar(b, false, true) }
 func BenchmarkFoldColumnarMultiKey(b *testing.B)         { benchFoldColumnar(b, true, false) }
 func BenchmarkFoldColumnarMultiKeySampled(b *testing.B)  { benchFoldColumnar(b, true, true) }
+
+// BenchmarkFoldColumnarExpr folds SUM/AVG(x * b) through the computed-
+// column kernel (compare BenchmarkFoldColumnarSingleKey for its cost).
+func BenchmarkFoldColumnarExpr(b *testing.B) {
+	_, r, ts, te := columnarBenchEnvSQL(b, columnarExprSQL, false, false)
+	benchFeedChunks(b, r, ts, te)
+}
 
 // BenchmarkFoldColumnarCorrelated sweeps a Q17-shaped root block: the
 // per-group correlated threshold refuses the tri-state kernel, so every
@@ -613,5 +670,45 @@ func TestWordMemo(t *testing.T) {
 			}
 			check(1)
 		})
+	}
+}
+
+// TestSuiteColumnarVerdicts pins the columnar verdict of every block of
+// the paper's evaluation suite (block order as Metrics().BlockPhases
+// lists it: subqueries first, root last), so a change that silently
+// sends a suite block back to the row path fails here. C1's FLOOR(...)
+// group key and C2's STDDEV threshold are the shapes still outside.
+func TestSuiteColumnarVerdicts(t *testing.T) {
+	want := map[string][]string{
+		"SBI": {"columnar:fused", "columnar:fused"},
+		"C1":  {"columnar:fused", "rowpath:group:expr-key"},
+		"C2":  {"rowpath:agg:not-estimable", "columnar"},
+		"C3":  {"columnar:fused", "columnar"},
+		"Q11": {"columnar:fused", "columnar:fused"},
+		"Q17": {"columnar:fused", "columnar:fused"},
+		"Q18": {"columnar:fused", "columnar:fused"},
+		"Q20": {"columnar:fused", "columnar"},
+	}
+	cats := map[string]*storage.Catalog{
+		"conviva": workload.ConvivaCatalog(2000, 1),
+		"tpch":    workload.TPCHCatalog(3000, 40, 1),
+	}
+	for _, q := range workload.Suite() {
+		pq, err := plan.Compile(q.SQL, cats[q.Dataset])
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(pq, cats[q.Dataset], Options{Batches: 2, Trials: 10, Seed: 1, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, bp := range eng.Metrics().BlockPhases {
+			got = append(got, bp.Columnar)
+		}
+		eng.Close()
+		if fmt.Sprint(got) != fmt.Sprint(want[q.Name]) {
+			t.Errorf("%s: block verdicts %q, want %q", q.Name, got, want[q.Name])
+		}
 	}
 }

@@ -42,10 +42,16 @@ type ResourceUsage = resource.Usage
 // row to its table's batch storage).
 const uncertainRowBytes = int64(unsafe.Sizeof(uncertainRow{}))
 
-// memBytes is the colScratch resource charge: every reusable vector and
-// memo array the sweeper pins between batches.
+// memBytes is the colScratch resource charge: every reusable vector,
+// memo array and computed-column bank the sweeper pins between batches.
 func (cs *colScratch) memBytes() int64 {
-	return int64(cap(cs.tri)) + int64(cap(cs.triU)) +
+	var banks int64
+	for _, k := range cs.numK {
+		if k != nil {
+			banks += k.MemBytes()
+		}
+	}
+	return banks + int64(cap(cs.tri)) + int64(cap(cs.triU)) +
 		4*int64(cap(cs.sel)) + 4*int64(cap(cs.selU)) +
 		8*int64(cap(cs.wf)) + int64(cap(cs.wbuf)) +
 		8*int64(cap(cs.memo.keys)) + 4*int64(cap(cs.memo.slots)) +

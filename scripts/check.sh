@@ -11,6 +11,8 @@
 #                   gates (steady-state fold, parallel batch feed,
 #                   columnar sweeps, ledger collection) skip themselves
 #                   under it and need this one plain run
+#   fuzz smoke      10 s of FuzzNumKernel: computed aggregate-argument
+#                   columns vs per-row Eval on generated trees and data
 #   benchmark/      the end-to-end benchmark is a nested module that
 #                   imports internal/core but is invisible to the root
 #                   ./... patterns; its tests are the only thing that
@@ -29,6 +31,9 @@ go test -race ./...
 
 echo "== alloc gates (go test ./internal/core -run Allocs, no -race)"
 go test ./internal/core -run Allocs -count=1
+
+echo "== fuzz smoke (FuzzNumKernel, 10s)"
+go test ./internal/expr -run '^$' -fuzz FuzzNumKernel -fuzztime 10s
 
 echo "== benchmark module (cd benchmark && go test ./...)"
 (cd benchmark && go test ./...)

@@ -1,4 +1,4 @@
-.PHONY: check test bench bench-e2e-compare bench-fold audit chaos shard trace mem
+.PHONY: check test bench bench-e2e-compare bench-fold audit chaos trace mem
 
 # Tier-1 gate: vet + build + race-enabled tests + non-race alloc gates +
 # a 10 s FuzzNumKernel smoke run + the benchmark/ module's tests.
@@ -33,20 +33,12 @@ audit:
 	go run ./cmd/flbench -experiment audit $(ARGS)
 
 # Robustness soak: 1000+ deterministically seeded fault schedules
-# (worker panics, stragglers, shard corruption, segment-cache drops,
-# shard kills and stragglers) against
-# the chaos-hardened runtime; every run must be bit-identical to its
+# (worker panics, stragglers, stage corruption, segment-cache drops)
+# against the chaos-hardened runtime; every run must be bit-identical to its
 # fault-free reference, every checkpoint round-trip byte-identical, and
 # no goroutine may leak. Scale with ARGS="-schedules 5000".
 chaos:
 	go run ./cmd/flbench -experiment chaos $(ARGS)
-
-# Sharded execution sweep: fold throughput through the coordinator at
-# N∈{1,2,4,8} shard engines vs the unsharded baseline, every topology
-# verified bit-identical (the command fails on divergence). Record into
-# BENCH_fold.json with ARGS="-json BENCH_fold.json -label <name>".
-shard:
-	go run ./cmd/flbench -experiment shard $(ARGS)
 
 # Memory observability: per-pool ledger residency across scenarios and
 # worker counts, GC telemetry, and a forced walk down the two-rung

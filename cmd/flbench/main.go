@@ -10,7 +10,6 @@
 //	flbench -experiment k       # ablation: mini-batch granularity sweep
 //	flbench -experiment fold    # fold-path throughput (see BENCH_fold.json)
 //	flbench -experiment scaling # parallel scaling: worker pool at P∈{1,2,4,8}
-//	flbench -experiment shard   # sharded execution: coordinator + N∈{1,2,4,8} shard engines vs unsharded
 //	flbench -experiment audit   # statistical-correctness audit (BENCH_accuracy.json)
 //	flbench -experiment chaos   # robustness soak: seeded fault schedules (-schedules N)
 //	flbench -experiment mem     # resource-ledger residency + budget degradation ladder
@@ -56,7 +55,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig3a|fig3b|t1|t2|eps|boots|k|fold|scaling|shard|audit|chaos|mem|all")
+		experiment = flag.String("experiment", "all", "fig3a|fig3b|t1|t2|eps|boots|k|fold|scaling|audit|chaos|mem|all")
 		logFmt     = flag.String("logfmt", "text", "structured-log output: text|json (stderr)")
 		jsonOut    = flag.String("json", "", "write the experiment result as a JSON artifact (fold/scaling: updates a BENCH_fold.json trajectory; audit: defaults to BENCH_accuracy.json)")
 		label      = flag.String("label", "", "fold/scaling only: label for the -json entry (e.g. a PR name)")
@@ -115,8 +114,6 @@ func main() {
 		err = runFold(cfg, *jsonOut, *label)
 	case *experiment == "scaling":
 		err = runScaling(cfg, *jsonOut, *label)
-	case *experiment == "shard":
-		err = runShard(cfg, *jsonOut, *label)
 	case *experiment == "audit":
 		err = runAudit(cfg, rowsSet, *reps, *jsonOut)
 	case *experiment == "chaos":
@@ -306,30 +303,6 @@ func runScaling(cfg bench.Config, jsonOut, label string) error {
 		return err
 	}
 	fmt.Printf("wrote %s scaling series\n", jsonOut)
-	return nil
-}
-
-// runShard measures the coordinator's shard-topology sweep (every
-// sharded run verified bit-identical to the unsharded baseline) and
-// optionally installs it as the BENCH_fold.json sharding series.
-func runShard(cfg bench.Config, jsonOut, label string) error {
-	points, err := bench.ShardBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatShard(points))
-	for _, p := range points {
-		if !p.BitIdentical {
-			return fmt.Errorf("shard sweep: %s N=%d diverged from the unsharded run", p.Scenario, p.Shards)
-		}
-	}
-	if jsonOut == "" {
-		return nil
-	}
-	if err := bench.WriteShardJSON(jsonOut, label, points); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s sharding series\n", jsonOut)
 	return nil
 }
 

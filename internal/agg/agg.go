@@ -381,7 +381,7 @@ func (s *distinctState) Merge(o State) {
 			s.seen[k] = true
 		}
 	}
-	// Values already folded into os.inner may double-count across shards
+	// Values already folded into os.inner may double-count across parts
 	// for non-COUNT aggregates; FluoDB only parallelizes DISTINCT via
 	// key-partitioned streams, so Merge only needs the union of keys for
 	// COUNT. For COUNT the result derives from len(seen), handled below.

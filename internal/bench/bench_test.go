@@ -242,9 +242,9 @@ func TestAsciiChart(t *testing.T) {
 // to run under -race in the tier-1 suite. The full soak is `flbench
 // -experiment chaos` (or `make chaos`).
 func TestChaosGate(t *testing.T) {
-	n := len(allChaosProfiles) * len(chaosModes) * len(chaosQueries)
+	n := len(chaosProfiles) * len(chaosModes) * len(chaosQueries)
 	if testing.Short() {
-		n = len(allChaosProfiles) * len(chaosModes) // first query only
+		n = len(chaosProfiles) * len(chaosModes) // first query only
 	}
 	res, err := ChaosSoak(tiny, n)
 	if err != nil {
@@ -255,11 +255,10 @@ func TestChaosGate(t *testing.T) {
 	}
 	// Every fault kind some profile in the rotation enables must have
 	// fired at least once.
-	for _, p := range allChaosProfiles {
+	for _, p := range chaosProfiles {
 		probs := map[chaos.Kind]float64{
 			chaos.KindPanic: p.cfg.PanicProb, chaos.KindStraggler: p.cfg.StragglerProb,
 			chaos.KindCorrupt: p.cfg.CorruptProb, chaos.KindSegSeal: p.cfg.SegSealDropProb,
-			chaos.KindShardKill: p.cfg.ShardKillProb, chaos.KindShardStraggler: p.cfg.ShardStragglerProb,
 		}
 		if len(probs) != len(chaos.Kinds()) {
 			t.Fatalf("gate maps %d fault kinds, chaos has %d", len(probs), len(chaos.Kinds()))
@@ -281,35 +280,5 @@ func TestChaosGate(t *testing.T) {
 		if !strings.Contains(out, k.String()) {
 			t.Fatalf("FormatChaos omits fault kind %s:\n%s", k, out)
 		}
-	}
-}
-
-// TestShardChaosGate is the sharded slice of the soak: 60 schedules of
-// shard kills, stragglers, and mixes, every one run through the
-// coordinator and checked bit-identical against the fault-free
-// unsharded row-path reference — across plain, cancel+resume, and
-// checkpoint round-trip modes. Shard deaths must be absorbed by the
-// recovery ladder (replacement incarnations, then rolling-checkpoint
-// restores), never surfacing to the caller.
-func TestShardChaosGate(t *testing.T) {
-	n := 60 // covers 4 shard profiles × 3 modes × 2 queries repeatedly
-	if testing.Short() {
-		n = 24
-	}
-	res, err := ShardChaosSoak(tiny, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BitIdentical != res.Schedules {
-		t.Fatalf("%d/%d schedules bit-identical", res.BitIdentical, res.Schedules)
-	}
-	if res.FaultCounts["shard-kill"] == 0 {
-		t.Fatal("soak fired no shard kills")
-	}
-	if res.FaultCounts["shard-straggler"] == 0 {
-		t.Fatal("soak fired no shard stragglers")
-	}
-	if res.CheckpointRoundTrips == 0 || res.CancelResumes == 0 {
-		t.Fatalf("modes not exercised: %+v", res.ModeCounts)
 	}
 }

@@ -24,18 +24,13 @@ import (
 // seed replays the exact same faults at the exact same (batch, worker)
 // sites, so any failure is reproducible in isolation.
 
-// chaosProfile is one fault mix. shards > 0 runs the schedule on a
-// sharded topology (coordinator + N shard engines, core's Options.Shards)
-// instead of the worker pool alone, so the bit-identity check also
-// covers the coordinator's merge and its kill/recover ladder.
+// chaosProfile is one fault mix.
 type chaosProfile struct {
-	name   string
-	shards int
-	cfg    chaos.Config
+	name string
+	cfg  chaos.Config
 }
 
-// chaosProfiles are the pool-runtime fault mixes the soak rotates
-// through.
+// chaosProfiles are the fault mixes the soak rotates through.
 var chaosProfiles = []chaosProfile{
 	{name: "panic", cfg: chaos.Config{PanicProb: 0.3}},
 	{name: "straggler", cfg: chaos.Config{StragglerProb: 0.5, StragglerDelay: 50 * time.Microsecond}},
@@ -46,7 +41,7 @@ var chaosProfiles = []chaosProfile{
 	{name: "mixed", cfg: chaos.Config{PanicProb: 0.15, StragglerProb: 0.2, CorruptProb: 0.15,
 		StragglerDelay: 50 * time.Microsecond}},
 	// colstress targets the columnar hot path's fallback seams: panics
-	// force worker containment and shard re-feeds, corrupt flips rows so
+	// force worker containment and part redos, corrupt flips rows so
 	// reclassification re-runs — all while the reference ran on the row
 	// path, so any divergence between the two fold implementations under
 	// faults is caught, not just fault handling.
@@ -58,28 +53,6 @@ var chaosProfiles = []chaosProfile{
 	// for bit.
 	{name: "segseal", cfg: chaos.Config{SegSealDropProb: 0.5}},
 }
-
-// shardChaosProfiles are the sharded-topology fault mixes: injected
-// shard deaths (recovered by replacement incarnations and, when a
-// slice exhausts its retry budget, by a rolling-checkpoint restore),
-// shard stragglers (benign for correctness — the coordinator merges in
-// shard order regardless of completion order), and a mix of the two.
-// Kill probabilities are chosen so rung 1
-// absorbs nearly every death (a slice is lost only after 4 consecutive
-// kills across incarnations, ~p⁴) while still firing kills in most
-// schedules.
-var shardChaosProfiles = []chaosProfile{
-	{name: "shard-kill", shards: 2, cfg: chaos.Config{ShardKillProb: 0.2}},
-	{name: "shard-kill-wide", shards: 4, cfg: chaos.Config{ShardKillProb: 0.2}},
-	{name: "shard-straggler", shards: 4, cfg: chaos.Config{ShardStragglerProb: 0.5,
-		StragglerDelay: 50 * time.Microsecond}},
-	{name: "shard-mixed", shards: 4, cfg: chaos.Config{ShardKillProb: 0.15,
-		ShardStragglerProb: 0.2, StragglerDelay: 50 * time.Microsecond}},
-}
-
-// allChaosProfiles is the full rotation `flbench -experiment chaos`
-// runs: pool faults and shard faults interleaved.
-var allChaosProfiles = append(append([]chaosProfile{}, chaosProfiles...), shardChaosProfiles...)
 
 // chaosModes are the run shapes: a plain run compared snapshot-for-
 // snapshot; a deadline cancellation mid-prefix followed by a resume; a
@@ -112,39 +85,10 @@ type ChaosResult struct {
 
 // chaosEnv is the fixed workload the soak runs every schedule against.
 type chaosEnv struct {
-	cat       *storage.Catalog
-	qs        []*plan.Query
-	refs      [][]*core.Snapshot // fault-free reference snapshots per query
-	shardRefs map[[2]int][]*core.Snapshot
-	opt       core.Options
-}
-
-// refFor returns the fault-free reference trajectory for query qi on
-// the given topology. Unsharded schedules check against the row-path
-// reference (a cross-path equivalence check). Sharded schedules check
-// against a fault-free run of the same topology, built on demand and
-// cached: bootstrap trial sums are float folds whose leaf partition is
-// the shard×worker split, so an N-shard run matches an unsharded run
-// only up to the last ulp of the CI/RSD statistics on this catalog.
-// (The exact-arithmetic fixtures in core's shard tests pin the full
-// sharded-vs-unsharded bit-identity; here the soak's claim is that
-// faults never perturb the sharded trajectory at all.)
-func (env *chaosEnv) refFor(qi, shards int) ([]*core.Snapshot, error) {
-	if shards == 0 {
-		return env.refs[qi], nil
-	}
-	key := [2]int{qi, shards}
-	if ref, ok := env.shardRefs[key]; ok {
-		return ref, nil
-	}
-	opt := env.opt
-	opt.Shards = shards
-	ref, err := runAll(env.qs[qi], env.cat, opt)
-	if err != nil {
-		return nil, fmt.Errorf("building N=%d reference for query %d: %w", shards, qi, err)
-	}
-	env.shardRefs[key] = ref
-	return ref, nil
+	cat  *storage.Catalog
+	qs   []*plan.Query
+	refs [][]*core.Snapshot // fault-free reference snapshots per query
+	opt  core.Options
 }
 
 func chaosBase(cfg Config) (*chaosEnv, error) {
@@ -158,7 +102,6 @@ func chaosBase(cfg Config) (*chaosEnv, error) {
 			Batches: 4, Trials: 16, Seed: cfg.EngineSeed(),
 			Parallelism: 4, ParallelThreshold: 64,
 		},
-		shardRefs: map[[2]int][]*core.Snapshot{},
 	}
 	// References run fault-free on the legacy row-at-a-time fold path;
 	// scheduled runs use the default (columnar) path. Every bit-identical
@@ -214,22 +157,17 @@ func snapsEqual(a, b []*core.Snapshot) error {
 }
 
 // runSchedule executes one seeded schedule and verifies its contract.
-func runSchedule(env *chaosEnv, profs []chaosProfile, i int, r *ChaosResult) error {
-	prof := profs[i%len(profs)]
-	mode := chaosModes[(i/len(profs))%len(chaosModes)]
-	qi := (i / (len(profs) * len(chaosModes))) % len(env.qs)
-	q := env.qs[qi]
-	ref, err := env.refFor(qi, prof.shards)
-	if err != nil {
-		return err
-	}
+func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
+	prof := chaosProfiles[i%len(chaosProfiles)]
+	mode := chaosModes[(i/len(chaosProfiles))%len(chaosModes)]
+	qi := (i / (len(chaosProfiles) * len(chaosModes))) % len(env.qs)
+	q, ref := env.qs[qi], env.refs[qi]
 
 	ccfg := prof.cfg
 	ccfg.Seed = uint64(i)*0x9E3779B97F4A7C15 + 1
 	inj := chaos.New(ccfg)
 	opt := env.opt
 	opt.Chaos = inj
-	opt.Shards = prof.shards
 	var spans *otrace.Tracer
 	if prof.name == "mixed" {
 		spans = otrace.NewTracer(0)
@@ -364,28 +302,13 @@ func runSchedule(env *chaosEnv, profs []chaosProfile, i int, r *ChaosResult) err
 }
 
 // ChaosSoak runs the given number of seeded fault schedules across the
-// full profile rotation (pool and shard faults) and fails on the first
-// contract violation: a non-bit-identical answer, a mis-typed error, a
-// broken checkpoint round-trip, or leaked goroutines.
+// profile rotation and fails on the first contract violation: a
+// non-bit-identical answer, a mis-typed error, a broken checkpoint
+// round-trip, or leaked goroutines.
 func ChaosSoak(cfg Config, schedules int) (*ChaosResult, error) {
 	if schedules <= 0 {
 		schedules = 1000
 	}
-	return soak(cfg, schedules, allChaosProfiles)
-}
-
-// ShardChaosSoak is the soak restricted to the sharded-topology
-// profiles: every schedule runs through the coordinator, so kills,
-// replacement incarnations, and checkpoint restores dominate. This is
-// the CI gate's target (TestShardChaosGate).
-func ShardChaosSoak(cfg Config, schedules int) (*ChaosResult, error) {
-	if schedules <= 0 {
-		schedules = 60
-	}
-	return soak(cfg, schedules, shardChaosProfiles)
-}
-
-func soak(cfg Config, schedules int, profs []chaosProfile) (*ChaosResult, error) {
 	env, err := chaosBase(cfg)
 	if err != nil {
 		return nil, err
@@ -399,7 +322,7 @@ func soak(cfg Config, schedules int, profs []chaosProfile) (*ChaosResult, error)
 	r.GoroutinesBefore = testutil.GoroutineBaseline()
 	start := time.Now()
 	for i := 0; i < schedules; i++ {
-		if err := runSchedule(env, profs, i, r); err != nil {
+		if err := runSchedule(env, i, r); err != nil {
 			return r, err
 		}
 	}
@@ -427,7 +350,7 @@ func FormatChaos(r *ChaosResult) string {
 		fmt.Fprintf(&b, "    %-15s %d\n", k, r.FaultCounts[k.String()])
 	}
 	b.WriteString("  schedules by profile:")
-	for _, p := range allChaosProfiles {
+	for _, p := range chaosProfiles {
 		if n := r.Profiles[p.name]; n > 0 {
 			fmt.Fprintf(&b, " %s=%d", p.name, n)
 		}

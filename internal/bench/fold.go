@@ -61,15 +61,13 @@ type ScalingPoint struct {
 // FoldResult is the BENCH_fold.json document: the current measurement
 // plus every previous "current" this file has carried, so successive
 // PRs accumulate a perf trajectory. Scaling holds the parallel-scaling
-// series (P sweep) and Sharding the shard-topology
-// sweep (N shard engines behind the coordinator) of the current label.
+// series (P sweep) of the current label.
 type FoldResult struct {
 	GeneratedBy string         `json:"generated_by"`
 	GoVersion   string         `json:"go_version"`
 	Label       string         `json:"label"`
 	Current     []FoldPoint    `json:"current"`
 	Scaling     []ScalingPoint `json:"scaling,omitempty"`
-	Sharding    []ShardPoint   `json:"sharding,omitempty"`
 	Baselines   []FoldBaseline `json:"baselines,omitempty"`
 }
 
@@ -246,7 +244,6 @@ func WriteFoldJSON(path, label string, points []FoldPoint) error {
 			res.Baselines = append(old.Baselines, FoldBaseline{Label: old.Label, Points: old.Current})
 			if old.Label == label {
 				res.Scaling = old.Scaling
-				res.Sharding = old.Sharding
 			}
 		}
 	}
@@ -271,40 +268,12 @@ func WriteScalingJSON(path, label string, points []ScalingPoint) error {
 		if err := json.Unmarshal(prev, &old); err == nil {
 			res.Current = old.Current
 			res.Baselines = old.Baselines
-			res.Sharding = old.Sharding
 			if label == "" {
 				res.Label = old.Label
 			}
 		}
 	}
 	res.Scaling = points
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteShardJSON installs the shard-topology sweep into an existing (or
-// fresh) BENCH_fold.json, leaving every other series untouched.
-func WriteShardJSON(path, label string, points []ShardPoint) error {
-	res := FoldResult{
-		GeneratedBy: "cmd/flbench -experiment fold",
-		GoVersion:   runtime.Version(),
-		Label:       label,
-	}
-	if prev, err := os.ReadFile(path); err == nil {
-		var old FoldResult
-		if err := json.Unmarshal(prev, &old); err == nil {
-			res.Current = old.Current
-			res.Baselines = old.Baselines
-			res.Scaling = old.Scaling
-			if label == "" {
-				res.Label = old.Label
-			}
-		}
-	}
-	res.Sharding = points
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err

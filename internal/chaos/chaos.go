@@ -1,7 +1,7 @@
 // Package chaos provides deterministic fault injection for the query
 // runtime. An Injector decides — as a pure function of its seed and the
-// fault site — whether a worker panic, straggler delay, row corruption,
-// segment-cache drop or shard death fires at a given (table, batch,
+// fault site — whether a worker panic, straggler delay, stage
+// corruption or segment-cache drop fires at a given (table, batch,
 // worker) coordinate. Determinism is the point: a fault schedule is
 // replayable from its seed alone, so a chaos soak that finds a
 // divergence hands the exact failing schedule to the developer, and the
@@ -27,23 +27,16 @@ type Kind int
 const (
 	// KindNone reports "no fault at this site".
 	KindNone Kind = iota
-	// KindPanic makes a pool worker panic mid-shard.
+	// KindPanic makes a pool worker panic mid-fold.
 	KindPanic
-	// KindStraggler delays a worker, simulating a stuck or slow shard.
+	// KindStraggler delays a worker, simulating a stuck or slow part.
 	KindStraggler
-	// KindCorrupt flags a shard's rows for corruption before folding.
+	// KindCorrupt poisons a worker's private stage before it fails.
 	KindCorrupt
 	// KindSegSeal drops a block's columnar segment cache between batches,
 	// forcing an incremental re-encode plus kernel recompilation on the
 	// segment-seal seam.
 	KindSegSeal
-	// KindShardKill kills a shard engine mid-dispatch: the shard
-	// goroutine exits without producing its delta, exercising the
-	// coordinator's re-dispatch → checkpoint-restore recovery ladder.
-	KindShardKill
-	// KindShardStraggler delays a shard engine's mini-batch step,
-	// simulating an overloaded or slow shard behind the coordinator.
-	KindShardStraggler
 
 	numKinds int = iota
 )
@@ -71,10 +64,6 @@ func (k Kind) String() string {
 		return "corrupt"
 	case KindSegSeal:
 		return "segseal"
-	case KindShardKill:
-		return "shard-kill"
-	case KindShardStraggler:
-		return "shard-straggler"
 	}
 	return fmt.Sprintf("chaos.Kind(%d)", int(k))
 }
@@ -88,29 +77,18 @@ type Config struct {
 	// identical decisions at every site.
 	Seed uint64
 	// PanicProb is the per-(table,batch,worker) probability of a worker
-	// panic during a shard feed.
+	// panic during a part fold.
 	PanicProb float64
-	// StragglerProb is the probability of a straggler delay at a shard
+	// StragglerProb is the probability of a straggler delay at a fold
 	// or reclassification site.
 	StragglerProb float64
-	// CorruptProb is the probability that a shard's rows are corrupted
-	// before folding.
+	// CorruptProb is the probability that a worker's stage is corrupted
+	// before its part fails.
 	CorruptProb float64
 	// SegSealDropProb is the per-(table,batch) probability that a
 	// block's columnar segment cache is dropped before the batch feeds,
 	// exercising incremental re-encode + kernel recompile mid-query.
 	SegSealDropProb float64
-	// ShardKillProb is the per-(table, batch, shard, incarnation)
-	// probability that a shard engine dies mid-dispatch. The incarnation
-	// is part of the site, so a replacement shard redoing the same slice
-	// draws a fresh variate — probability 1 therefore kills every
-	// incarnation and exhausts the coordinator's whole recovery ladder.
-	ShardKillProb float64
-	// ShardStragglerProb is the per-(table, batch, shard, incarnation)
-	// probability that a shard engine sleeps StragglerDelay before its
-	// step (benign for correctness: the coordinator merges deltas in
-	// shard order regardless of arrival order).
-	ShardStragglerProb float64
 	// StragglerDelay is how long an injected straggler sleeps
 	// (default 100µs — long enough to reorder goroutine scheduling,
 	// short enough for thousand-schedule soaks).
@@ -159,8 +137,6 @@ const (
 	saltCorrupt   = 0x165667B19E3779F9
 	saltReclass   = 0x85EBCA77C2B2AE63
 	saltSegSeal   = 0xA0761D6478BD642F
-	saltShardKill = 0xD6E8FEB86659FD93
-	saltShardSlow = 0x2545F4914F6CDD1D
 )
 
 // siteHash folds a fault-site coordinate into one word. name
@@ -174,12 +150,12 @@ func siteHash(salt uint64, name string, a, b int) uint64 {
 	return bootstrap.Mix64(h ^ uint64(b)<<1 ^ 0xB5)
 }
 
-// ShardFault reports the fault (if any) to inject into worker w's shard
+// WorkerFault reports the fault (if any) to inject into worker w's part
 // of the batch starting at global row index start of table. Repeated
 // calls at the same coordinate give the same answer; the serial retry
 // path never calls it, so a contained fault does not re-fire during the
 // bit-identical redo.
-func (in *Injector) ShardFault(table string, start, w int) Kind {
+func (in *Injector) WorkerFault(table string, start, w int) Kind {
 	if in == nil {
 		return KindNone
 	}
@@ -214,42 +190,6 @@ func (in *Injector) ReclassFault(block, batch, w int) Kind {
 		return KindStraggler
 	}
 	return KindNone
-}
-
-// shardSite packs a shard coordinate into the siteHash b slot. The
-// incarnation advances on every respawn (and every checkpoint-restore
-// epoch), so the kill decision for a redone slice is an independent
-// draw from the one that killed its predecessor.
-func shardSite(shard, incarnation int) int {
-	return shard<<16 | (incarnation & 0xFFFF)
-}
-
-// ShardKill reports whether the shard engine (shard, incarnation)
-// should die while stepping the mini-batch starting at global row index
-// start of table. Deterministic and side-effect-free apart from the
-// fire counter, like every other decision.
-func (in *Injector) ShardKill(table string, start, shard, incarnation int) bool {
-	if in == nil {
-		return false
-	}
-	if in.decide(siteHash(saltShardKill, table, start, shardSite(shard, incarnation)), in.cfg.ShardKillProb) {
-		in.counts[KindShardKill].Add(1)
-		return true
-	}
-	return false
-}
-
-// ShardStraggler reports whether the shard engine (shard, incarnation)
-// should sleep before stepping the mini-batch starting at start.
-func (in *Injector) ShardStraggler(table string, start, shard, incarnation int) bool {
-	if in == nil {
-		return false
-	}
-	if in.decide(siteHash(saltShardSlow, table, start, shardSite(shard, incarnation)), in.cfg.ShardStragglerProb) {
-		in.counts[KindShardStraggler].Add(1)
-		return true
-	}
-	return false
 }
 
 // SegSealDrop reports whether the columnar segment cache of (table,

@@ -10,8 +10,8 @@ func TestDeterministic(t *testing.T) {
 	a, b := New(cfg), New(cfg)
 	for batch := 0; batch < 64; batch++ {
 		for w := 0; w < 8; w++ {
-			if got, want := a.ShardFault("facts", batch*512, w), b.ShardFault("facts", batch*512, w); got != want {
-				t.Fatalf("shard site (%d,%d): %v vs %v", batch, w, got, want)
+			if got, want := a.WorkerFault("facts", batch*512, w), b.WorkerFault("facts", batch*512, w); got != want {
+				t.Fatalf("worker site (%d,%d): %v vs %v", batch, w, got, want)
 			}
 			if got, want := a.ReclassFault(1, batch, w), b.ReclassFault(1, batch, w); got != want {
 				t.Fatalf("reclass site (%d,%d): %v vs %v", batch, w, got, want)
@@ -31,7 +31,7 @@ func TestSeedsDiffer(t *testing.T) {
 	diff := 0
 	for batch := 0; batch < 256; batch++ {
 		for w := 0; w < 4; w++ {
-			if a.ShardFault("facts", batch*512, w) != b.ShardFault("facts", batch*512, w) {
+			if a.WorkerFault("facts", batch*512, w) != b.WorkerFault("facts", batch*512, w) {
 				diff++
 			}
 		}
@@ -48,10 +48,10 @@ func TestZeroAndNil(t *testing.T) {
 	zero := New(Config{Seed: 7})
 	for batch := 0; batch < 128; batch++ {
 		for w := 0; w < 4; w++ {
-			if k := zero.ShardFault("facts", batch, w); k != KindNone {
+			if k := zero.WorkerFault("facts", batch, w); k != KindNone {
 				t.Fatalf("zero-prob injector fired %v", k)
 			}
-			if k := nilInj.ShardFault("facts", batch, w); k != KindNone {
+			if k := nilInj.WorkerFault("facts", batch, w); k != KindNone {
 				t.Fatalf("nil injector fired %v", k)
 			}
 		}
@@ -75,7 +75,7 @@ func TestRates(t *testing.T) {
 	fired := 0
 	const sites = 4000
 	for i := 0; i < sites; i++ {
-		if in.ShardFault("facts", i*512, i%8) == KindPanic {
+		if in.WorkerFault("facts", i*512, i%8) == KindPanic {
 			fired++
 		}
 	}
@@ -91,8 +91,7 @@ func TestRates(t *testing.T) {
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		KindNone: "none", KindPanic: "panic", KindStraggler: "straggler",
-		KindCorrupt: "corrupt", KindSegSeal: "segseal", KindShardKill: "shard-kill",
-		KindShardStraggler: "shard-straggler",
+		KindCorrupt: "corrupt", KindSegSeal: "segseal",
 	}
 	if len(Kinds()) != len(want)-1 {
 		t.Fatalf("Kinds() has %d kinds, test names %d", len(Kinds()), len(want)-1)

@@ -39,7 +39,7 @@ func TestChaosPanicContainment(t *testing.T) {
 	compareSnapshots(t, "panic-chaos", clean, faulty)
 }
 
-// TestChaosAllFaultKinds layers panics, stragglers, shard corruption
+// TestChaosAllFaultKinds layers panics, stragglers, stage corruption
 // and segment-cache drops in one run and still demands bit-identity.
 func TestChaosAllFaultKinds(t *testing.T) {
 	cat := determinismCatalog(6*2048, 313)

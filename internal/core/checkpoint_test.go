@@ -237,7 +237,7 @@ func TestCheckpointRejections(t *testing.T) {
 // may be resumed by a pooled one — parallelism is execution strategy,
 // not state, so the fingerprint admits it. The continuations agree on
 // groups and point estimates; bit-identity is NOT promised across a
-// parallelism change (shard merges sum floats in a different order), so
+// parallelism change (part merges sum floats in a different order), so
 // CIs are only required to be numerically close.
 func TestCheckpointCrossParallelism(t *testing.T) {
 	cat := determinismCatalog(6*2048, 353)

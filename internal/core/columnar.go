@@ -13,7 +13,7 @@ import (
 // The columnar fold path. When a block's mini-batch hot loop is shaped
 // right — banked (all-CLT) aggregates over fact columns or arithmetic
 // on them, plain-column group keys, dimension joins keyed on plain fact
-// columns and a vectorizable certain WHERE — each shard sweeps whole
+// columns and a vectorizable certain WHERE — each fold part sweeps whole
 // colstore segments instead of walking boxed rows: the certain
 // predicate runs as a compiled kernel, the uncertain predicate as a
 // compiled tri-state kernel under the batch's injected variation ranges
@@ -303,8 +303,8 @@ func (r *blockRunner) buildColPlan() *colPlan {
 		}
 	}
 	// Aliased reads must be installed on the runner table before the
-	// first snapshot; workers fold into shard tables through the plan's
-	// aliases and merge cell-wise, so shard tables need no read aliases.
+	// first snapshot; workers fold into stage tables through the plan's
+	// aliases and merge cell-wise, so stage tables need no read aliases.
 	r.tab.bankOfW = p.aliasW
 	r.tab.bankOfV = p.aliasV
 
@@ -347,7 +347,7 @@ func readsDims(e expr.Expr, factW int) bool {
 	return dims
 }
 
-// colScratch is one sweeper's (serial runner or worker shard) reusable
+// colScratch is one sweeper's (serial runner or worker stage) reusable
 // columnar state: the compiled kernels (per-sweeper — kernels own
 // scratch and are not goroutine-safe), tri/selection vectors, weight
 // scratch, the group-key word memo, and the persistent join memo.
@@ -380,7 +380,7 @@ type colScratch struct {
 	// values that merely compare equal (-0.0 vs 0.0), so a memo miss
 	// resolves through the canonical entryCurrent path — the memo is pure
 	// memoization, never identity. Reset per sweep: entries may be
-	// recycled by shard tables between batches, so cached pointers never
+	// recycled by stage tables between batches, so cached pointers never
 	// outlive the colFeed call that resolved them.
 	memo        wordMemo
 	memoEntries []*onlineEntry

@@ -33,7 +33,7 @@ func columnarCatalog(n int, seed uint64) *storage.Catalog {
 	))
 	as := []string{"aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh"}
 	ss := []string{"alpha", "beta", "gamma", ""}
-	// First rows enumerate all groups so shard 0 fixes insertion order.
+	// First rows enumerate all groups so part 0 fixes insertion order.
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 16; j++ {
 			_ = t.Append(types.Row{
@@ -178,10 +178,10 @@ func TestColumnarBitIdentical(t *testing.T) {
 // direct float-weight generation (vs the uint8 round trip) under
 // non-integral 1/p scaling. The row-path reference runs at the SAME
 // parallelism: under a cap, replica folds scale by a non-integral 1/p,
-// so serial and sharded runs legitimately reassociate differently (a
+// so serial and parallel runs legitimately reassociate differently (a
 // pre-existing property of the parallel merge, independent of this
 // path) — the columnar claim is bit-identity against the row path over
-// the identical shard partition.
+// the identical split into parts.
 func TestColumnarSubsampleBitIdentical(t *testing.T) {
 	cat := columnarCatalog(2*8192, 5)
 	for _, q := range columnarQueries {

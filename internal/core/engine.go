@@ -72,23 +72,11 @@ type Options struct {
 	Parallelism int
 	// ParallelThreshold is the minimum part size (rows) worth a worker:
 	// batches below 2×threshold fold in place, and the part count is
-	// clamped to rows/threshold — for mini-batches, the slices inside a
-	// shard and uncertain-set reclassification alike. ≤0 resolves to the
-	// default (2048). Lower it to engage more workers on small batches
-	// (the scaling bench sweeps it); raise it when per-tuple work is
-	// very cheap.
+	// clamped to rows/threshold — for mini-batches and uncertain-set
+	// reclassification alike. ≤0 resolves to the default (2048). Lower it
+	// to engage more workers on small batches (the scaling bench sweeps
+	// it); raise it when per-tuple work is very cheap.
 	ParallelThreshold int
-	// Shards routes every mini-batch through N shard engines behind the
-	// coordinator (coordinator.go): the batch splits into N contiguous
-	// row slices, each folded by one shard (the same partition → fold
-	// step one level down, with up to Parallelism workers of its own)
-	// and merged back in shard order. 0 = unsharded (the engine folds
-	// batches itself). The N-shard trajectory is bit-identical to the
-	// unsharded run for any N; a shard death is recovered by the
-	// coordinator's ladder (replacement re-dispatch, then checkpoint
-	// restore), so Shards is operational like Parallelism — it may
-	// differ between a checkpoint and its resume.
-	Shards int
 	// RowPath disables the columnar fold path (columnar.go), forcing the
 	// row-oriented per-tuple loop even for eligible blocks. The two paths
 	// are bit-identical by construction; this is the A/B switch the
@@ -127,12 +115,11 @@ type Options struct {
 	// a checkpoint and its resume.
 	MaxMemoryBytes int64
 	// Chaos, when non-nil, injects deterministic faults (worker panics,
-	// stragglers, shard corruption, segment-cache drops, shard deaths)
-	// into the runtime for robustness testing. Production queries leave
-	// it nil.
+	// stragglers, worker-stage corruption, segment-cache drops) into the
+	// runtime for robustness testing. Production queries leave it nil.
 	Chaos *chaos.Injector
 	// Spans, when non-nil, records a hierarchical execution timeline —
-	// query → mini-batch → phase → per-worker shard task, plus serial
+	// query → mini-batch → phase → per-worker fold task, plus serial
 	// retries, reclassification and checkpoint/resume — into
 	// preallocated per-track slabs (internal/otrace, DESIGN.md
 	// §14). Ring Tracer events mirror onto the timeline as instant
@@ -170,9 +157,6 @@ func (o Options) Validate() error {
 	}
 	if o.ParallelThreshold < 0 {
 		return bad("ParallelThreshold", o.ParallelThreshold)
-	}
-	if o.Shards < 0 {
-		return bad("Shards", o.Shards)
 	}
 	if o.MaxUncertainRows < 0 {
 		return bad("MaxUncertainRows", o.MaxUncertainRows)
@@ -247,16 +231,6 @@ type Metrics struct {
 	DegradeRung  int
 	GCPauseNS    int64
 	GCCycles     int64
-	// Sharded-execution counters (coordinator.go): Shards is the
-	// configured topology width (0 = unsharded); ShardKills counts slices
-	// whose shard died or failed mid-fold; ShardRespawns counts
-	// replacement incarnations spawned by recovery rung 1; ShardRestores
-	// counts rung-2 checkpoint restores (whole-topology respawn + roll
-	// back to the last committed batch).
-	Shards        int
-	ShardKills    int64
-	ShardRespawns int64
-	ShardRestores int64
 	// Phases is the cumulative per-phase time breakdown across the run;
 	// PhasePerBatch holds one breakdown per processed batch (aligned
 	// with BatchDurations). Fine phases require Options.Profile.
@@ -312,12 +286,6 @@ type Engine struct {
 	// created worker pool, closed the Close latch.
 	pool   *workerPool
 	closed bool
-	// Sharded execution (coordinator.go / shard.go): coord owns the
-	// shard topology when Options.Shards > 0; shardCkpt is the rolling
-	// checkpoint of the last committed batch that recovery rung 2
-	// restores from.
-	coord     *shardCoordinator
-	shardCkpt []byte
 	// Fault surfaces: fatal latches a QueryError that exhausted
 	// containment (the engine refuses further Steps); lastSnap is the
 	// most recent committed snapshot, returned as the bounded-time
@@ -546,10 +514,6 @@ func New(q *plan.Query, cat *storage.Catalog, opt Options) (*Engine, error) {
 			e.bind.setBlocks[r.b.ParamIdx] = r.b.ID
 		}
 	}
-	if opt.Shards > 0 {
-		e.coord = newShardCoordinator(e, opt.Shards)
-		e.metrics.Shards = opt.Shards
-	}
 	return e, nil
 }
 
@@ -702,44 +666,32 @@ func (e *Engine) StepContext(ctx context.Context) (*Snapshot, error) {
 		}
 	}
 	start := time.Now()
-	// Shard recovery loop (rungs 2–3 of the coordinator's ladder;
-	// coordinator.go). Unsharded engines take exactly one iteration: the
-	// only error that re-enters the loop is a *shardDown, which only the
-	// coordinator produces. After a bounded number of checkpoint restores
-	// the shard is declared lost.
-	restores := 0
-	for perr := e.stepOnce(); perr != nil; {
-		var sd *shardDown
-		if !errors.As(perr, &sd) {
-			e.fatal = perr
-			return nil, perr
-		}
-		if restores >= maxShardRestores {
-			qe := &QueryError{Kind: ErrKindShardLost, Batch: e.batch,
-				Worker: sd.shard, Err: sd.cause,
-				Note: fmt.Sprintf("recovery ladder exhausted after %d checkpoint restores", restores)}
-			e.fatal = qe
-			return nil, qe
-		}
-		restores++
-		if rerr := e.shardRestore(sd, restores); rerr != nil {
-			perr = rerr // classify the restore failure on the next pass
-			continue
-		}
-		perr = e.stepOnce()
+	ok, err := e.processBatch(e.batch)
+	if err == nil && !ok {
+		// Variation-range failure: recompute over all data seen so far
+		// with re-widened ranges (§3.2) — the controller replays the
+		// processed prefix; per-tuple resamples are regenerated
+		// deterministically so the statistics are unchanged.
+		e.metrics.Recomputes++
+		e.trace.Emit(Event{Kind: EvRecompute, Note: "variation-range failure; replaying processed prefix"})
+		rs := time.Now()
+		rsp := e.sctl.Begin("recompute", e.spanQuery, e.batch+1, -1)
+		oldTop := e.spanTop
+		e.spanTop = rsp
+		err = e.replayUpTo(e.batch)
+		e.spanTop = oldTop
+		e.sctl.End(rsp)
+		e.stepAcc.ns[phaseRecompute] += int64(time.Since(rs))
+	}
+	if err != nil {
+		e.fatal = err
+		return nil, err
 	}
 	e.batch++
 	e.metrics.Batches = e.batch
 	dur := time.Since(start)
 	e.metrics.BatchDurations = append(e.metrics.BatchDurations, dur)
 	e.metrics.UncertainPerBatch = append(e.metrics.UncertainPerBatch, e.UncertainRows())
-	if e.coord != nil {
-		// Roll the recovery checkpoint forward to the state just
-		// committed, so a later shard loss redoes at most one batch.
-		if ck, cerr := e.Checkpoint(); cerr == nil {
-			e.shardCkpt = ck
-		}
-	}
 
 	// Flush this batch's phase accumulators: per-runner scratch into the
 	// cumulative per-block profiles and the batch total. Replay work is
@@ -774,64 +726,6 @@ func (e *Engine) StepContext(ctx context.Context) (*Snapshot, error) {
 	}
 	e.lastSnap = snap
 	return snap, nil
-}
-
-// stepOnce runs the current mini-batch once: feed every block, and on a
-// variation-range failure recompute over all data seen so far with
-// re-widened ranges (§3.2) — the controller replays the processed
-// prefix; per-tuple resamples are regenerated deterministically so the
-// statistics are unchanged. Extracted from StepContext so the shard
-// recovery loop can redo the whole batch after a checkpoint restore.
-func (e *Engine) stepOnce() error {
-	ok, perr := e.processBatch(e.batch)
-	if perr != nil {
-		return perr
-	}
-	if !ok {
-		e.metrics.Recomputes++
-		e.trace.Emit(Event{Kind: EvRecompute, Note: "variation-range failure; replaying processed prefix"})
-		rs := time.Now()
-		rsp := e.sctl.Begin("recompute", e.spanQuery, e.batch+1, -1)
-		oldTop := e.spanTop
-		e.spanTop = rsp
-		rerr := e.replayUpTo(e.batch)
-		e.spanTop = oldTop
-		e.sctl.End(rsp)
-		e.stepAcc.ns[phaseRecompute] += int64(time.Since(rs))
-		if rerr != nil {
-			return rerr
-		}
-	}
-	return nil
-}
-
-// shardRestore is recovery rung 2: the whole shard topology respawns
-// under a fresh incarnation epoch and the engine's online state rolls
-// back to the last committed mini-batch — from the rolling checkpoint
-// when one exists, else by deterministic replay of the committed prefix
-// (which before the first commit collapses to a clean reset). The
-// caller then redoes the current batch; because every statistic is a
-// counter-based function of committed state, the redone trajectory is
-// identical to an undisturbed run (DESIGN.md §17).
-func (e *Engine) shardRestore(sd *shardDown, attempt int) error {
-	e.metrics.ShardRestores++
-	e.trace.Emit(Event{Kind: EvShardRestore, Worker: sd.shard, Kept: attempt,
-		Note: fmt.Sprintf("restoring committed batch %d after: %v", e.batch, sd.cause)})
-	e.coord.respawnAll()
-	if e.shardCkpt == nil {
-		// replayUpTo resets all online state before reprocessing, so this
-		// is the no-checkpoint fallback and the batch-0 clean reset both.
-		return e.replayUpTo(e.batch - 1)
-	}
-	// restore expects construction-fresh state (it only overwrites).
-	e.bind.reset()
-	for _, r := range e.runners {
-		r.reset()
-	}
-	for _, ts := range e.tables {
-		ts.seen = 0
-	}
-	return e.restore(e.shardCkpt)
 }
 
 // boundedSnapshot materializes the bounded-time answer for an
@@ -962,12 +856,7 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 			}
 			fsp := e.sctl.Begin("feed", bsp, bi+1, r.b.ID)
 			e.spanFeed = fsp
-			var err error
-			if e.coord != nil && !e.closed {
-				err = e.coord.feedBatch(r, rows, ts.starts[bi], ts)
-			} else {
-				err = r.feedBatchParallel(rows, ts.starts[bi], ts, te)
-			}
+			err := r.feedBatchParallel(rows, ts.starts[bi], ts, te)
 			e.sctl.End(fsp)
 			e.spanFeed = 0
 			if err != nil {
@@ -1011,25 +900,12 @@ func (e *Engine) enforceUncertainBudget() {
 	}
 }
 
-// maxReplayShardRespawns bounds how many shard deaths one replay will
-// absorb before giving up (each respawn restarts the replay attempt
-// from reset state under fresh incarnations, so under probabilistic
-// fault injection each retry draws new variates).
-const maxReplayShardRespawns = 8
-
 // replayUpTo resets all online state and reprocesses batches 0..upto.
 // Epsilon boosts persist across attempts, guaranteeing termination. A
 // non-nil error means a containment-exhausting fault aborted the
-// replay. In sharded mode a shard lost mid-replay (its re-dispatch
-// budget exhausted) does not abort: the topology respawns and the
-// replay attempt restarts — replay is itself the recovery ladder's
-// restore primitive, so it must absorb shard deaths rather than bounce
-// them back (this is what keeps Resume-from-checkpoint recoverable
-// under kill chaos, not just Step).
+// replay.
 func (e *Engine) replayUpTo(upto int) error {
-	shardRespawns := 0
 	for attempt := 0; attempt < 16; attempt++ {
-	retry:
 		if attempt == 15 {
 			// Guaranteed termination: repeated failures mean the
 			// variation ranges cannot be trusted for this workload;
@@ -1051,15 +927,6 @@ func (e *Engine) replayUpTo(upto int) error {
 		for bi := 0; bi <= upto; bi++ {
 			bok, err := e.processBatch(bi)
 			if err != nil {
-				var sd *shardDown
-				if errors.As(err, &sd) && shardRespawns < maxReplayShardRespawns {
-					shardRespawns++
-					e.metrics.ShardRestores++
-					e.trace.Emit(Event{Kind: EvShardRestore, Worker: sd.shard, Kept: shardRespawns,
-						Note: fmt.Sprintf("shard lost during replay; topology respawned: %v", sd.cause)})
-					e.coord.respawnAll()
-					goto retry // does not consume a range-failure attempt
-				}
 				return err
 			}
 			if !bok {

@@ -29,10 +29,6 @@ const (
 	ErrKindInterrupted ErrorKind = "interrupted"
 	// ErrKindCheckpoint reports a malformed or mismatched checkpoint.
 	ErrKindCheckpoint ErrorKind = "checkpoint"
-	// ErrKindShardLost reports a shard engine whose death exhausted the
-	// coordinator's recovery ladder (re-dispatch to replacement shards,
-	// then checkpoint restore): the query cannot make progress.
-	ErrKindShardLost ErrorKind = "shard-lost"
 )
 
 // Error makes a kind usable as an errors.Is target.

@@ -16,7 +16,6 @@ func TestErrorKindSentinels(t *testing.T) {
 		ErrKindPoolStopped,
 		ErrKindInterrupted,
 		ErrKindCheckpoint,
-		ErrKindShardLost,
 	}
 	for _, k := range kinds {
 		qe := &QueryError{Kind: k, Batch: 3, Worker: 1, Note: "probe"}
@@ -43,9 +42,9 @@ func TestErrorKindSentinels(t *testing.T) {
 // keeps both matchable: the kind sentinel via Is, the cause via the
 // standard Unwrap chain.
 func TestErrorKindUnwrapChain(t *testing.T) {
-	cause := errors.New("shard 2 (incarnation 5): dead")
-	qe := &QueryError{Kind: ErrKindShardLost, Batch: 1, Worker: 2, Err: cause}
-	if !errors.Is(qe, ErrKindShardLost) {
+	cause := errors.New("worker 2: contained panic")
+	qe := &QueryError{Kind: ErrKindWorkerPanic, Batch: 1, Worker: 2, Err: cause}
+	if !errors.Is(qe, ErrKindWorkerPanic) {
 		t.Fatal("kind sentinel lost when Err is set")
 	}
 	if !errors.Is(qe, cause) {

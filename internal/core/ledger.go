@@ -74,9 +74,7 @@ func (st *stage) charge(tables, arenas, uncertain, scratch *int64) {
 // collectResidency folds every charge counter into the ledger. Runs on
 // the controller at mini-batch boundaries, where worker stages are
 // parked: every pool task runs inside a scatter barrier, so none is in
-// flight here. Shard engines' stages are the shard's residency, not the
-// engine's: what they fold is charged here once it merges into the
-// runner.
+// flight here.
 func (e *Engine) collectResidency() {
 	var tables, arenas, uncertain, scratch int64
 	for _, r := range e.runners {

@@ -25,18 +25,16 @@ import (
 //
 // The step exists once. A runner folds single-part batches into its own
 // home stage; the engine folds multi-part batches on its worker pool
-// (feedBatchParallel); a shard engine is the same thing one level down,
-// over its own pool and stages (shard.go); and the coordinator merges
-// what shards return with the same mergeStage (coordinator.go). Failed
-// parts are redone by the one containment ladder, workerPool.scatter
-// (pool.go). Stages persist across batches: tables are recycled (entry
-// free list), not reallocated, and the uncertain buffer, joiner clone,
-// columnar scratch and classification environment are reused.
+// (feedBatchParallel) and merges them with mergeStage. Failed parts are
+// redone by the one containment ladder, workerPool.scatter (pool.go).
+// Stages persist across batches: tables are recycled (entry free list),
+// not reallocated, and the uncertain buffer, joiner clone, columnar
+// scratch and classification environment are reused.
 
 // stage is one fold destination: everything a fold writes, private to
 // the goroutine folding into it and merged by its owner at the barrier.
 // The runner embeds one as its home stage (the authoritative cross-batch
-// state); pool workers and shard engines keep one per runner.
+// state); pool workers keep one per runner.
 type stage struct {
 	tab       *onlineTable
 	uncertain []uncertainRow
@@ -57,11 +55,11 @@ type stage struct {
 	te *triEnv
 }
 
-// newStage builds a worker- or shard-side stage for r. A fresh stage is
-// also what a redone part folds into: a stage whose fold panicked may be
-// partial or poisoned and is dropped, never merged or recycled.
+// newStage builds a worker-side stage for r. A fresh stage is also what
+// a redone part folds into: a stage whose fold panicked may be partial
+// or poisoned and is dropped, never merged or recycled.
 func (r *blockRunner) newStage() *stage {
-	st := &stage{tab: newShardTable(r.eng.opt.Trials), joiner: r.joiner.CloneForWorker()}
+	st := &stage{tab: newStageTable(r.eng.opt.Trials), joiner: r.joiner.CloneForWorker()}
 	st.tab.configure(r.cltKinds)
 	return st
 }
@@ -84,7 +82,7 @@ func (dst *stage) absorb(src *stage) {
 	src.tab.recycle()
 }
 
-// mergeStage drains a worker or shard stage into the runner. Callers
+// mergeStage drains a worker stage into the runner. Callers
 // merge in part order: with part boundaries fixed by row position this
 // reproduces the serial group insertion order exactly.
 func (r *blockRunner) mergeStage(st *stage) {
@@ -125,7 +123,7 @@ func (st *stage) cache(row types.Row, weights []uint8, repW float64) {
 // weightSource derives one fold's bootstrap draws: global row gi →
 // (in the subsample?, per-trial multiplicities), as counter hashes
 // computed by the goroutine that folds or caches the row. It lives for
-// one feedShard call (a stage must not retain the *Engine, see
+// one feedPart call (a stage must not retain the *Engine, see
 // workerCtx); its buffers are the stage's.
 type weightSource struct {
 	e      *Engine
@@ -174,11 +172,11 @@ func (ws *weightSource) floats(gi int) ([]float64, float64) {
 	return wf, ws.ts.invP
 }
 
-// feedShard folds rows (global rows baseIdx..) into st on the calling
+// feedPart folds rows (global rows baseIdx..) into st on the calling
 // goroutine. When the block's columnar plan applies, the rows are swept
 // by the vectorized pipeline (colFeed) instead of the row loop below —
 // bit-identically.
-func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, st *stage) {
+func (r *blockRunner) feedPart(rows []types.Row, baseIdx int, ts *tableStream, st *stage) {
 	ws := r.newWeightSource(ts, st)
 	if r.colFeed(rows, baseIdx, &ws, st) {
 		return
@@ -202,7 +200,7 @@ func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, 
 func (r *blockRunner) foldOn(wc *workerCtx, rows []types.Row, baseIdx int, ts *tableStream) {
 	st := wc.stage(r)
 	st.te = wc.refresh(r.eng)
-	r.feedShard(rows, baseIdx, ts, st)
+	r.feedPart(rows, baseIdx, ts, st)
 }
 
 // feedBatchSerial folds a mini-batch into the home stage on the
@@ -211,7 +209,7 @@ func (r *blockRunner) feedBatchSerial(rows []types.Row, baseIdx int, ts *tableSt
 	r.ensureColPlan()
 	r.revalidateColPlan()
 	r.te = te
-	r.feedShard(rows, baseIdx, ts, &r.stage)
+	r.feedPart(rows, baseIdx, ts, &r.stage)
 	r.settle()
 }
 
@@ -261,7 +259,7 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 		r.foldOn(wc, rows[parts[w].Lo:parts[w].Hi], baseIdx+parts[w].Lo, ts)
 	}
 	_, err := pool.scatter(workers, e.opt.Seed, uint64(baseIdx), func(wc *workerCtx, w int) error {
-		switch k := inj.ShardFault(ts.name, baseIdx, wc.id); k {
+		switch k := inj.WorkerFault(ts.name, baseIdx, wc.id); k {
 		case chaos.KindPanic:
 			e.traceFault("panic", ts.name, wc.id, "injected worker panic")
 			panic(&chaosFault{kind: k})
@@ -274,7 +272,7 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 			// Poison the private stage (double-fold its rows) and then
 			// fail: the soak's bit-identity check proves the corrupted
 			// stage is quarantined, never merged.
-			e.traceFault("corrupt", ts.name, wc.id, "injected shard corruption")
+			e.traceFault("corrupt", ts.name, wc.id, "injected stage corruption")
 			fold(wc, w)
 			panic(&chaosFault{kind: k})
 		}

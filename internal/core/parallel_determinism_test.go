@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"fluodb/internal/bootstrap"
+	"fluodb/internal/chaos"
 	"fluodb/internal/plan"
 	"fluodb/internal/storage"
 	"fluodb/internal/types"
 )
 
 // Parallel mini-batch folding must be a pure implementation detail: with
-// the same seed, a sharded run merges to bit-identical snapshots as a
+// the same seed, a parallel run merges to bit-identical snapshots as a
 // serial run — group estimates, confidence intervals, RSDs, and group
 // insertion order.
 //
@@ -20,7 +21,7 @@ import (
 // approximate: measures are integer-valued (so every fold is an exact
 // float64 add and reassociation cannot round differently), the bootstrap
 // subsample is unbounded (sqrtP = 1, so no m-out-of-n rescaling), and
-// the first rows enumerate every group (so shard 0 — merged first —
+// the first rows enumerate every group (so part 0 — merged first —
 // fixes the same insertion order the serial run sees).
 
 // determinismCatalog enumerates all 8×16 (a, b) groups in the first 128
@@ -143,6 +144,11 @@ func TestParallelFoldBitIdentical(t *testing.T) {
 // against an early prefix must fail as later batches arrive. Integer
 // measures keep every float operation exact (see the package comment on
 // determinismCatalog), so bit-identity is a meaningful assertion.
+//
+// A third leg injects worker panics at P=4. Fault sites are keyed to
+// (table, batch, worker), so the replay re-encounters the faults of the
+// prefix it re-folds and must contain each one again; the pinned
+// (seed, probability) pair fires at least one panic inside a replay.
 func TestRecomputeReplayBitIdentical(t *testing.T) {
 	const sql = `SELECT a, COUNT(x), SUM(x) FROM drift
 		WHERE x < (SELECT 0.6 * AVG(x) FROM drift) GROUP BY a`
@@ -201,4 +207,30 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 		t.Fatalf("recompute count: serial %d, parallel %d", sRec, pRec)
 	}
 	compareSnapshots(t, "recompute P=4", serial, parallel)
+
+	o := opts(4)
+	o.Chaos = chaos.New(chaos.Config{Seed: 5, PanicProb: 0.3})
+	o.Tracer = NewTracer(0)
+	faulty, fRec := recomputes(t, o)
+	if o.Chaos.Counts()[chaos.KindPanic] == 0 {
+		t.Fatal("panic chaos fired no panics")
+	}
+	if fRec != sRec {
+		t.Fatalf("recompute count: serial %d, chaos P=4 %d", sRec, fRec)
+	}
+	// A panic traced after a recompute event, at a batch no later than
+	// the one being recomputed, fired inside the replay.
+	replayBatch, replayPanics := 0, 0
+	for _, ev := range o.Tracer.Events() {
+		switch {
+		case ev.Kind == EvRecompute:
+			replayBatch = max(replayBatch, ev.Batch)
+		case ev.Kind == EvFault && ev.Key == "panic" && ev.Batch <= replayBatch:
+			replayPanics++
+		}
+	}
+	if replayPanics == 0 {
+		t.Fatal("no panic fired inside a recompute replay")
+	}
+	compareSnapshots(t, "recompute P=4 under panic chaos", serial, faulty)
 }

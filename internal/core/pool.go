@@ -18,9 +18,8 @@ import (
 // channels; part k always runs on worker k and results are merged in
 // worker order, so a pooled fold is bit-identical to a serial run (up
 // to the group-ordering caveats of parallel.go). The engine owns one
-// pool; a shard engine folding sub-slices owns its own (shard.go), and
-// the coordinator dispatches shards over one more (coordinator.go) —
-// newWorkerPool is the only place the runtime creates goroutines.
+// pool — newWorkerPool is the only place the runtime creates
+// goroutines.
 //
 // Fault containment: a task panic must not take down the worker (its
 // channel would deadlock every later barrier) or the process. scatter
@@ -186,8 +185,7 @@ func (p *workerPool) stop() {
 }
 
 // ladderAttempts bounds every containment ladder: redos of a failed
-// part (on a fresh stage, or on a replacement shard incarnation) before
-// the failure escalates.
+// part on a fresh stage before the failure escalates.
 const ladderAttempts = 3
 
 // scatter is the runtime's one dispatch → barrier → contain → redo
@@ -259,9 +257,6 @@ func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.stop()
 		e.pool = nil
-	}
-	if e.coord != nil {
-		e.coord.stop()
 	}
 	runtime.SetFinalizer(e, nil)
 }

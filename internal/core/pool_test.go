@@ -7,11 +7,10 @@ import (
 	"fluodb/internal/testutil"
 )
 
-// pooledBatchEnv builds a warmed parallel engine over the fold catalog
-// (shards > 0 routes batches through the coordinator): one Step creates
-// the workers and every group, so repeated batch feeds exercise the
-// steady state.
-func pooledBatchEnv(tb testing.TB, shards int) (*Engine, *blockRunner, *tableStream, *triEnv) {
+// pooledBatchEnv builds a warmed parallel engine over the fold catalog:
+// one Step creates the workers and every group, so repeated batch feeds
+// exercise the steady state.
+func pooledBatchEnv(tb testing.TB) (*Engine, *blockRunner, *tableStream, *triEnv) {
 	cat := foldCatalog(3*8192, 71)
 	q, err := plan.Compile(`SELECT a, b, SUM(x), AVG(x) FROM facts GROUP BY a, b`, cat)
 	if err != nil {
@@ -19,7 +18,7 @@ func pooledBatchEnv(tb testing.TB, shards int) (*Engine, *blockRunner, *tableStr
 	}
 	eng, err := New(q, cat, Options{
 		Batches: 3, Trials: 100, Seed: 72,
-		Parallelism: 4, ParallelThreshold: 512, Shards: shards,
+		Parallelism: 4, ParallelThreshold: 512,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -31,53 +30,41 @@ func pooledBatchEnv(tb testing.TB, shards int) (*Engine, *blockRunner, *tableStr
 	return eng, r, eng.tables["facts"], eng.triEnv()
 }
 
-// TestPooledFeedBatchAllocs pins the parallel batch feed to amortized
-// ~zero allocations per tuple, through the engine's pool and through
-// the shard coordinator alike: after warmup, a batch costs only the
-// dispatch (task closures, part ranges — a handful of allocations
-// amortized over thousands of rows) — no fresh tables, goroutines,
-// joiner clones, columnar scratch or uncertain buffers, because every
-// level folds into persistent stages.
+// TestPooledFeedBatchAllocs pins the parallel batch feed through the
+// engine's pool to amortized ~zero allocations per tuple: after warmup,
+// a batch costs only the dispatch (task closures, part ranges — a
+// handful of allocations amortized over thousands of rows) — no fresh
+// tables, goroutines, joiner clones, columnar scratch or uncertain
+// buffers, because every worker folds into persistent stages.
 func TestPooledFeedBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	for _, c := range []struct {
-		name   string
-		shards int
-	}{{"pool", 0}, {"shards=2", 2}} {
-		t.Run(c.name, func(t *testing.T) {
-			eng, r, ts, te := pooledBatchEnv(t, c.shards)
-			defer eng.Close()
-			rows := ts.batches[1]
-			feed := func() {
-				var err error
-				if c.shards > 0 {
-					err = eng.coord.feedBatch(r, rows, ts.starts[1], ts)
-				} else {
-					err = r.feedBatchParallel(rows, ts.starts[1], ts, te)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+	t.Run("pool", func(t *testing.T) {
+		eng, r, ts, te := pooledBatchEnv(t)
+		defer eng.Close()
+		rows := ts.batches[1]
+		feed := func() {
+			if err := r.feedBatchParallel(rows, ts.starts[1], ts, te); err != nil {
+				t.Fatal(err)
 			}
-			// Warm the stages (the first batch at this size builds worker
-			// tables, joiner clones and classification environments).
-			feed()
-			allocs := testing.AllocsPerRun(20, feed)
-			perRow := allocs / float64(len(rows))
-			if perRow > 0.01 {
-				t.Fatalf("batch feed allocates %.1f allocs/batch (%.4f/tuple) over %d rows, want ≤0.01/tuple",
-					allocs, perRow, len(rows))
-			}
-		})
-	}
+		}
+		// Warm the stages (the first batch at this size builds worker
+		// tables, joiner clones and classification environments).
+		feed()
+		allocs := testing.AllocsPerRun(20, feed)
+		perRow := allocs / float64(len(rows))
+		if perRow > 0.01 {
+			t.Fatalf("batch feed allocates %.1f allocs/batch (%.4f/tuple) over %d rows, want ≤0.01/tuple",
+				allocs, perRow, len(rows))
+		}
+	})
 }
 
 // BenchmarkFoldBatchPooled measures a full batch feed through the
 // pool, reusing warmed stages.
 func BenchmarkFoldBatchPooled(b *testing.B) {
-	eng, r, ts, te := pooledBatchEnv(b, 0)
+	eng, r, ts, te := pooledBatchEnv(b)
 	defer eng.Close()
 	rows := ts.batches[1]
 	r.feedBatchParallel(rows, ts.starts[1], ts, te)
@@ -96,7 +83,7 @@ func BenchmarkFoldBatchPooled(b *testing.B) {
 func TestPoolLifecycleNoLeaks(t *testing.T) {
 	base := testutil.GoroutineBaseline()
 	for i := 0; i < 8; i++ {
-		eng, _, _, _ := pooledBatchEnv(t, 0)
+		eng, _, _, _ := pooledBatchEnv(t)
 		if _, err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +96,7 @@ func TestPoolLifecycleNoLeaks(t *testing.T) {
 // idempotent, and a closed engine degrades to serial feeding instead of
 // panicking on its stopped pool.
 func TestEngineCloseIdempotent(t *testing.T) {
-	eng, r, ts, te := pooledBatchEnv(t, 0)
+	eng, r, ts, te := pooledBatchEnv(t)
 	eng.Close()
 	eng.Close()
 	// The pooled path must fall back to serial on a closed engine.

@@ -24,7 +24,7 @@ import (
 //     zero reads when disabled.
 //
 // Accumulators are plain int64 arrays owned by exactly one goroutine:
-// each parallel worker carries its own phaseAcc in its shard output and
+// each parallel worker carries its own phaseAcc in its stage and
 // the runner merges them at the batch boundary, so enabling the
 // profiler keeps the steady-state fold at 0 allocs/tuple (pinned by
 // TestFoldSteadyStateAllocs' profiled subtests).

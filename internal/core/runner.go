@@ -27,9 +27,8 @@ type uncertainRow struct {
 
 // blockRunner executes one lineage block online. Its embedded home
 // stage (parallel.go) is the block's authoritative cross-batch state:
-// single-part batches fold straight into it, worker and shard stages
-// merge into it at the barrier, and only the controller goroutine ever
-// touches it.
+// single-part batches fold straight into it, worker stages merge into
+// it at the barrier, and only the controller goroutine ever touches it.
 type blockRunner struct {
 	stage
 	b   *plan.Block

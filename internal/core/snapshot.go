@@ -72,18 +72,6 @@ type Snapshot struct {
 	// fit behind ETA (converge.go). Zero-valued when no batch has
 	// committed (e.g. an interrupted first batch).
 	Convergence ConvergencePoint
-	// Shards is the per-shard progress of the coordinator topology
-	// (coordinator.go), nil for unsharded engines. An Incarnation above 0
-	// means the slot was respawned after an injected or real death.
-	Shards []ShardStat
-}
-
-// ShardStat is one shard slot's progress inside a sharded engine.
-type ShardStat struct {
-	ID          int   `json:"id"`
-	Incarnation int   `json:"incarnation"`
-	Rows        int64 `json:"rows"`
-	Steps       int64 `json:"steps"`
 }
 
 // RSD returns the mean relative standard deviation across all cells
@@ -153,9 +141,6 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	}
 	if ts.total > 0 {
 		snap.FractionProcessed = float64(ts.seen) / float64(ts.total)
-	}
-	if e.coord != nil {
-		snap.Shards = e.coord.progress()
 	}
 	for i, r := range e.runners {
 		snap.Blocks = append(snap.Blocks, BlockStat{

@@ -17,7 +17,7 @@ import (
 //	│   ├── reclassify        controller track, per block
 //	│   │   └── reclass-task  worker tracks (parallel tri-decisions)
 //	│   ├── feed              controller track, per block
-//	│   │   ├── task          worker tracks (shard folds)
+//	│   │   ├── task          worker tracks (part folds)
 //	│   │   └── serial-retry  controller track (containment redo)
 //	│   └── ranges            controller track, per block
 //	├── recompute             wraps failure-recovery replays

@@ -70,8 +70,8 @@ type onlineTable struct {
 	slots []int32
 	mask  uint64
 	// String-keyed view for binding code and keyed replica probes;
-	// maintained at group creation only. Shard tables (worker-private, merged into a
-	// runner table after every batch) have m == nil: they skip the
+	// maintained at group creation only. Stage tables (worker-private, merged
+	// into a runner table after every batch) have m == nil: they skip the
 	// string view entirely — skey is computed lazily at adoption time by
 	// merge — and recycle their entries across batches through free.
 	m     map[string]*onlineEntry
@@ -120,10 +120,10 @@ func newOnlineTable(trials int) *onlineTable {
 	return &onlineTable{m: map[string]*onlineEntry{}, trials: trials}
 }
 
-// newShardTable builds a worker-private shard table: no string-keyed
-// view (nobody navigates a shard by key string; merge computes skey at
-// adoption), entries recycled batch to batch via recycle().
-func newShardTable(trials int) *onlineTable {
+// newStageTable builds a worker-private stage table: no string-keyed
+// view (nobody navigates a worker stage by key string; merge computes
+// skey at adoption), entries recycled batch to batch via recycle().
+func newStageTable(trials int) *onlineTable {
 	return &onlineTable{trials: trials}
 }
 
@@ -165,7 +165,7 @@ func (t *onlineTable) newEntry(b *plan.Block, key types.Row, hash uint64) *onlin
 	if n := len(t.free); n > 0 {
 		// Recycled (banked-only, see recycle) entry: zero the
 		// accumulators, take over the key. The bank slices keep their
-		// backing arrays — this is the cross-batch allocation the shard
+		// backing arrays — this is the cross-batch allocation the stage
 		// tables exist to avoid.
 		e := t.free[n-1]
 		t.free = t.free[:n-1]
@@ -504,10 +504,11 @@ func (e *onlineEntry) mergeEntry(o *onlineEntry) {
 	}
 }
 
-// merge folds a worker table into t, preserving t's insertion order for
-// existing groups and appending new groups in the worker's order.
-// Adopted entries (new groups moving wholesale into t) are nil'ed out
-// of o so a following o.recycle() cannot hand them back out.
+// merge folds a worker stage table into t, a runner table, preserving
+// t's insertion order for existing groups and appending new groups in
+// the worker's order. Adopted entries (new groups moving wholesale into
+// t) are nil'ed out of o so a following o.recycle() cannot hand them
+// back out.
 func (t *onlineTable) merge(o *onlineTable) {
 	cols := t.cols
 	if cols == nil {
@@ -523,19 +524,14 @@ func (t *onlineTable) merge(o *onlineTable) {
 		e := t.find(oe.hash, oe.key, cols)
 		if e == nil {
 			t.insert(oe)
-			if t.m != nil {
-				if oe.skey == "" && len(oe.key) > 0 {
-					// Shard tables skip the string key; compute it once, at
-					// adoption. (A scalar block's sole group legitimately has
-					// skey "", and recomputing it would yield "" again.)
-					oe.skey = oe.key.KeyString(cols)
-				}
-				t.m[oe.skey] = oe
-				t.order = append(t.order, oe.skey)
+			if oe.skey == "" && len(oe.key) > 0 {
+				// Stage tables skip the string key; compute it once, at
+				// adoption. (A scalar block's sole group legitimately has
+				// skey "", and recomputing it would yield "" again.)
+				oe.skey = oe.key.KeyString(cols)
 			}
-			// A keyless destination (a shard table adopting another
-			// shard's sub-delta inside a shard engine) keeps deferring
-			// the string key to its own adoption into the runner table.
+			t.m[oe.skey] = oe
+			t.order = append(t.order, oe.skey)
 			o.entries[k] = nil
 			continue
 		}
@@ -543,7 +539,7 @@ func (t *onlineTable) merge(o *onlineTable) {
 	}
 }
 
-// recycle resets a shard table for the next batch: entries not adopted
+// recycle resets a stage table for the next batch: entries not adopted
 // by the merge target return to the free list (banked tables only —
 // generic agg.States have no reset), probe slots clear, the entry list
 // truncates. The backing arrays all survive, so a steady-state batch

@@ -61,13 +61,6 @@ const (
 	// EvCheckpoint / EvResume: engine state was serialized / restored.
 	EvCheckpoint = "checkpoint"
 	EvResume     = "resume"
-	// EvShardRespawn: the coordinator replaced a dead/failed shard with a
-	// fresh incarnation and re-dispatched its slice (recovery rung 1;
-	// Worker is the shard slot, Kept the ladder attempt).
-	EvShardRespawn = "shard-respawn"
-	// EvShardRestore: rung 1 exhausted — the whole topology was respawned
-	// and the engine restored from its last-commit checkpoint (rung 2).
-	EvShardRestore = "shard-restore"
 	// EvColPlan: a block's columnar-eligibility verdict, emitted once on
 	// the first batch. Note carries the verdict — the engaged flavor
 	// ("columnar", "columnar:fused", "columnar:dims") or the

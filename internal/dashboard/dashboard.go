@@ -75,12 +75,6 @@ type Server struct {
 	gcCycles    *metrics.Counter
 	heapLive    *metrics.Gauge
 	heapGoal    *metrics.Gauge
-	// Sharded-execution families (Metrics.Shard*): topology width of the
-	// most recent query plus the coordinator's fault/recovery ledger.
-	shardCount    *metrics.Gauge
-	shardKills    *metrics.Counter
-	shardRespawns *metrics.Counter
-	shardRestores *metrics.Counter
 	// spans holds the most recent query's span timeline for /trace.
 	spans atomic.Pointer[otrace.Tracer]
 
@@ -156,14 +150,6 @@ func New(cat *storage.Catalog, opt core.Options) *Server {
 		"Live heap bytes at the most recent mini-batch boundary.")
 	s.heapGoal = s.reg.Gauge("gola_gc_heap_goal_bytes",
 		"GC heap goal bytes at the most recent mini-batch boundary.")
-	s.shardCount = s.reg.Gauge("gola_shard_count",
-		"Shard engines behind the coordinator for the most recent query (0 = unsharded).")
-	s.shardKills = s.reg.Counter("gola_shard_kills_total",
-		"Shard engines lost mid-dispatch (died or panicked) across all queries.")
-	s.shardRespawns = s.reg.Counter("gola_shard_respawns_total",
-		"Replacement shard incarnations spawned by the coordinator's recovery ladder.")
-	s.shardRestores = s.reg.Counter("gola_shard_restores_total",
-		"Whole-topology respawn + rolling-checkpoint restores (recovery rung 2).")
 	s.log = slog.Default()
 	return s
 }
@@ -251,10 +237,6 @@ type SnapshotJSON struct {
 	Conv       *core.ConvergencePoint `json:"conv,omitempty"`
 	ETASeconds float64                `json:"eta_s,omitempty"`
 	ETAKnown   bool                   `json:"eta_known,omitempty"`
-	// Shards is the per-shard progress of a sharded execution (rows
-	// folded, steps served, current incarnation per slot); absent when
-	// the query runs unsharded.
-	Shards []core.ShardStat `json:"shards,omitempty"`
 }
 
 // BlockJS profiles one lineage block on the wire. PhaseMS is the
@@ -332,7 +314,6 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var prevRows, prevCapEvict, prevBudgetEvict int64
 	var prevRecomputes, prevFlips int
-	var prevKills, prevRespawns, prevRestores int64
 	for !eng.Done() {
 		snap, err := eng.StepContext(ctx)
 		if core.IsInterrupted(err) {
@@ -357,11 +338,6 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 		s.evictionsBudget.Add(m.BudgetEvictions - prevBudgetEvict)
 		prevRows, prevRecomputes, prevFlips = m.RowsProcessed, m.Recomputes, m.DetFlips
 		prevCapEvict, prevBudgetEvict = capEvict, m.BudgetEvictions
-		s.shardCount.Set(int64(m.Shards))
-		s.shardKills.Add(m.ShardKills - prevKills)
-		s.shardRespawns.Add(m.ShardRespawns - prevRespawns)
-		s.shardRestores.Add(m.ShardRestores - prevRestores)
-		prevKills, prevRespawns, prevRestores = m.ShardKills, m.ShardRespawns, m.ShardRestores
 		s.uncertain.Set(int64(snap.UncertainRows))
 		s.batchSeconds.Observe(snap.Elapsed)
 		for i, d := range snap.Phases.Durations() {
@@ -434,7 +410,6 @@ func EncodeSnapshot(snap *core.Snapshot) SnapshotJSON {
 	if u := snap.Resources; u.TotalBytes > 0 || u.PeakBytes > 0 {
 		out.Mem = &u
 	}
-	out.Shards = snap.Shards
 	if snap.Convergence.Batch > 0 {
 		c := snap.Convergence
 		out.Conv = &c

@@ -616,79 +616,3 @@ func TestMemPayloadAndMetrics(t *testing.T) {
 		t.Fatal("mem total gauge never set")
 	}
 }
-
-// TestShardPayloadAndMetrics: a sharded query's SSE events carry the
-// per-shard progress slots, and /metrics the gola_shard_* families.
-// Kill chaos is injected so the fault/recovery counters move — the
-// answer must still stream to completion (the coordinator's ladder
-// absorbs every death).
-func TestShardPayloadAndMetrics(t *testing.T) {
-	cat := workload.ConvivaCatalog(2000, 9)
-	s := New(cat, core.Options{Batches: 5, Trials: 10, Seed: 3, Shards: 2,
-		Chaos: chaos.New(chaos.Config{Seed: 41, ShardKillProb: 0.4})})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/query?sql=" +
-		"SELECT+country,+AVG(play_time)+FROM+sessions+GROUP+BY+country")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var snaps []SnapshotJSON
-	for sc.Scan() {
-		if !strings.HasPrefix(sc.Text(), "data: ") {
-			continue
-		}
-		var sj SnapshotJSON
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(sc.Text(), "data: ")), &sj); err != nil {
-			t.Fatal(err)
-		}
-		if sj.Err != "" {
-			t.Fatalf("error event: %s", sj.Err)
-		}
-		snaps = append(snaps, sj)
-	}
-	resp.Body.Close()
-	if len(snaps) != 5 {
-		t.Fatalf("snapshots = %d, want 5", len(snaps))
-	}
-	for _, sj := range snaps {
-		if len(sj.Shards) != 2 {
-			t.Fatalf("batch %d: shard slots = %d, want 2", sj.Batch, len(sj.Shards))
-		}
-		for i, st := range sj.Shards {
-			if st.ID != i {
-				t.Fatalf("batch %d: slot %d reports ID %d", sj.Batch, i, st.ID)
-			}
-		}
-	}
-
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	text := string(mbody)
-	for _, want := range []string{
-		"# TYPE gola_shard_count gauge",
-		"gola_shard_count 2",
-		"# TYPE gola_shard_kills_total counter",
-		"# TYPE gola_shard_respawns_total counter",
-		"# TYPE gola_shard_restores_total counter",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, text)
-		}
-	}
-	// The pinned (seed, prob) schedule fires kills; each kill spawns a
-	// replacement incarnation, so both counters must have moved.
-	if strings.Contains(text, "gola_shard_kills_total 0\n") {
-		t.Fatal("kill chaos fired no shard kills")
-	}
-	if strings.Contains(text, "gola_shard_respawns_total 0\n") {
-		t.Fatal("shard kills recovered without respawns")
-	}
-}

@@ -1,5 +1,5 @@
 // Package otrace records hierarchical spans for online queries:
-// query → mini-batch → phase → per-worker shard task, plus serial-retry
+// query → mini-batch → phase → per-worker fold task, plus serial-retry
 // ladders, reclassification passes and checkpoint/resume edges. It
 // follows the same discipline as the phase profiler (DESIGN.md §9):
 // span edges happen at batch/phase

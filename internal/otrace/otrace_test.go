@@ -164,7 +164,7 @@ func TestChromeTraceExportRoundTrip(t *testing.T) {
 	w := tr.Slab(2)
 	task := w.Begin("task", f, 0, 0)
 	time.Sleep(time.Millisecond)
-	tr.Instant("fault-injected", 2, 0, 7, "site=shard")
+	tr.Instant("fault-injected", 2, 0, 7, "site=worker")
 	w.End(task)
 	ctl.End(f)
 	ctl.End(b)

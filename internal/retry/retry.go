@@ -1,11 +1,10 @@
 // Package retry provides the small bounded-backoff policy behind the
 // runtime's one containment ladder (core/pool.go scatter): the redo of
-// a failed part of a parallel batch, inside the engine or inside a
-// shard, and the shard re-dispatch rung of the coordinator's recovery
-// ladder. The policy is deliberately tiny — attempts, a doubling
-// backoff between a base and a cap, and optional deterministic jitter —
-// because the ladder it backs must stay replayable: given the same seed
-// and site, a retried schedule sleeps the same intervals on every run.
+// a failed part of a parallel batch or reclassification pass. The
+// policy is deliberately tiny — attempts, a doubling backoff between a
+// base and a cap, and optional deterministic jitter — because the
+// ladder it backs must stay replayable: given the same seed and site, a
+// retried schedule sleeps the same intervals on every run.
 package retry
 
 import (

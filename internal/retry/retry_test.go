@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestBackoffLadder pins the no-jitter ladder the serial-shard retry
+// TestBackoffLadder pins the no-jitter ladder the serial part retry
 // relies on: 0, base, 2·base, … capped.
 func TestBackoffLadder(t *testing.T) {
 	p := Policy{Attempts: 6, Base: time.Millisecond, Cap: 8 * time.Millisecond}

@@ -1,15 +1,14 @@
 package storage
 
 // Deterministic partitioning for every partition → fold → ordered-merge
-// step in the runtime (core/parallel.go): pool workers, shard engines,
-// sub-slices inside a shard and parallel reclassification all split
-// with SliceRanges, after sizing the split with ClampParts. Contiguity
-// is what keeps every topology's trajectory bit-identical to the
-// single-engine run — merging contiguous slices in slice order
-// reproduces the serial group insertion order exactly, for any part
-// count.
+// step in the runtime (core/parallel.go): pool workers and parallel
+// reclassification both split with SliceRanges, after sizing the split
+// with ClampParts. Contiguity is what keeps every parallel trajectory
+// bit-identical to the serial run — merging contiguous slices in slice
+// order reproduces the serial group insertion order exactly, for any
+// part count.
 
-// SliceRange is one shard's contiguous [Lo, Hi) row range.
+// SliceRange is one part's contiguous [Lo, Hi) row range.
 type SliceRange struct {
 	Lo, Hi int
 }

@@ -50,7 +50,7 @@ type Tracer = core.Tracer
 func NewTracer(capacity int) *Tracer { return core.NewTracer(capacity) }
 
 // SpanTracer records a hierarchical execution timeline — query →
-// mini-batch → phase → per-worker shard task, plus retries,
+// mini-batch → phase → per-worker fold task, plus retries,
 // reclassification and checkpoint/resume — exportable as Chrome
 // trace-event JSON (Perfetto-loadable) or JSONL. Attach one via
 // OnlineOptions.Spans; ring Tracer events mirror onto the timeline as
@@ -94,12 +94,7 @@ const (
 	ErrKindPoolStopped    = core.ErrKindPoolStopped
 	ErrKindInterrupted    = core.ErrKindInterrupted
 	ErrKindCheckpoint     = core.ErrKindCheckpoint
-	ErrKindShardLost      = core.ErrKindShardLost
 )
-
-// ShardStat is one shard slot's progress inside a sharded query
-// (OnlineOptions.Shards > 0); see Snapshot.Shards.
-type ShardStat = core.ShardStat
 
 // ErrPoolStopped is returned by internal pool submission after Close;
 // callers see it only wrapped in a QueryError if a race made a Step
@@ -112,8 +107,8 @@ var ErrPoolStopped = core.ErrPoolStopped
 func IsInterrupted(err error) bool { return core.IsInterrupted(err) }
 
 // ChaosConfig configures deterministic fault injection: seeded
-// probabilities for worker panics, stragglers, shard-state corruption,
-// segment-cache drops and shard deaths. All decisions are pure
+// probabilities for worker panics, stragglers, worker-stage corruption
+// and segment-cache drops. All decisions are pure
 // functions of (Seed, site), so a failing schedule replays exactly from
 // its seed.
 type ChaosConfig = chaos.Config

@@ -4,8 +4,8 @@
 #   go vet          static checks
 #   go build        the whole tree compiles
 #   go test -race   the full suite under the race detector — every
-#                   determinism, replay, checkpoint, chaos, shard-matrix,
-#                   ledger, span, audit and conformance test runs here
+#                   determinism, replay, checkpoint, chaos, ledger,
+#                   span, audit and conformance test runs here
 #   alloc gates     go test ./internal/core -run Allocs without -race:
 #                   race instrumentation allocates, so the allocation
 #                   gates (steady-state fold, parallel batch feed,

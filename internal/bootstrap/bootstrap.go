@@ -96,8 +96,7 @@ func (r *RNG) Poisson1() int {
 // poisson1Lut maps the top 8 bits of a draw to its multiplicity when
 // every draw in that bucket resolves to the same k (all but the ~8
 // buckets a threshold falls inside; those hold 0xFF and take the scan).
-// One predictable L1 load replaces a data-dependent compare chain,
-// which the weight-generation loop hits Trials times per sampled tuple.
+// One predictable L1 load replaces a data-dependent compare chain.
 var poisson1Lut = func() [256]uint8 {
 	var lut [256]uint8
 	for b := range lut {
@@ -141,9 +140,59 @@ func Mix64(x uint64) uint64 {
 }
 
 // PoissonAt derives the Poisson(1) multiplicity for a given counter key
-// (deterministic; see Mix64).
+// (deterministic; see Mix64): one hash per draw. The engine's weight
+// stream is PoissonLanes; this single-draw form stays for the benchmark
+// module's bootstrap.poisson_ns_per_weight micro-measurement.
 func PoissonAt(key uint64) int {
 	return poissonFromBits(Mix64(key))
+}
+
+// laneCuts is the Poisson(1) CDF at 16-bit resolution: a lane value v
+// draws the smallest k with v < laneCuts[k]. Each cut is P(X ≤ k)·2¹⁶
+// rounded to the nearest integer, so every probability is within 2⁻¹⁶
+// of Poisson(1)'s; the last cut is 2¹⁶, truncating the tail P(X ≥ 8)
+// ≈ 1.0·10⁻⁵ < 2⁻¹⁶ into k = 7.
+var laneCuts = func() [8]uint32 {
+	var out [8]uint32
+	p, cum := math.Exp(-1), 0.0
+	for k := range out {
+		if k > 0 {
+			p /= float64(k)
+		}
+		cum += p
+		out[k] = uint32(math.Round(cum * (1 << 16)))
+	}
+	out[len(out)-1] = 1 << 16
+	return out
+}()
+
+// laneLut is laneCuts inverted at every lane value: one load per draw.
+// A 4096-entry table on the top 12 bits (4 KiB instead of 64 KiB) would
+// stay in L1, but resolving its ambiguous buckets costs enough code that
+// PoissonLanes would no longer inline — and an out-of-line call in the
+// fused fold spills the bank cells it keeps in registers.
+var laneLut = func() [1 << 16]uint8 {
+	var lut [1 << 16]uint8
+	k := 0
+	for v := range lut {
+		for uint32(v) >= laneCuts[k] {
+			k++
+		}
+		lut[v] = uint8(k)
+	}
+	return lut
+}()
+
+// PoissonLanes derives four independent Poisson(1) multiplicities from
+// one hash: lane l is bits [16l, 16l+16) of Mix64(key), inverted through
+// the 16-bit CDF (laneCuts). Every value is in 0..7. This is the engine's
+// one bootstrap weight stream — the byte weights cached uncertain rows
+// retain, the float weights of the generic fold and the fused run kernel
+// all read it, so replay, resume, serial and parallel runs draw identical
+// multiplicities.
+func PoissonLanes(key uint64) (k0, k1, k2, k3 uint8) {
+	h := Mix64(key)
+	return laneLut[uint16(h)], laneLut[uint16(h>>16)], laneLut[uint16(h>>32)], laneLut[h>>48]
 }
 
 // Mean returns the arithmetic mean (0 for empty input).

@@ -264,6 +264,96 @@ func BenchmarkPoissonAt(b *testing.B) {
 	}
 }
 
+// BenchmarkPoissonLanes times the engine's weight stream per weight
+// (four draws per hash; compare BenchmarkPoissonAt's one).
+func BenchmarkPoissonLanes(b *testing.B) {
+	var sum uint8
+	for i := 0; i < b.N; i++ {
+		k0, k1, k2, k3 := PoissonLanes(uint64(i))
+		sum += k0 + k1 + k2 + k3
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N), "ns/weight")
+	if sum == 0 && b.N > 1000 {
+		b.Fatal("all-zero draws")
+	}
+}
+
+// TestPoissonLanesDistribution enumerates every 16-bit lane value: the
+// lane CDF must reproduce Poisson(1) to within 2⁻¹⁶ per multiplicity,
+// put at most 2⁻¹⁶ of its mass at 8 or above, and keep the mean (the
+// expected replica weight) within 2⁻¹⁵ of 1.
+func TestPoissonLanesDistribution(t *testing.T) {
+	var count [9]int
+	for v := range laneLut {
+		count[min(int(laneLut[v]), 8)]++
+	}
+	const n = 1 << 16
+	pmf := math.Exp(-1)
+	mean := 0.0
+	for k := 0; k <= 7; k++ {
+		if k > 0 {
+			pmf /= float64(k)
+		}
+		p := float64(count[k]) / n
+		if d := math.Abs(p - pmf); d > 1.0/n {
+			t.Errorf("P(%d) = %v, Poisson(1) %v: off by %v > 2⁻¹⁶", k, p, pmf, d)
+		}
+		mean += float64(k) * p
+	}
+	if p8 := float64(count[8]) / n; p8 > 1.0/n {
+		t.Errorf("P(≥8) = %v > 2⁻¹⁶", p8)
+	}
+	if d := math.Abs(mean - 1); d > 2.0/n {
+		t.Errorf("mean %v off 1 by %v > 2⁻¹⁵", mean, d)
+	}
+	// PoissonLanes reads the four lanes of one Mix64, low lane first.
+	for key := uint64(0); key < 1000; key++ {
+		h := Mix64(key)
+		k0, k1, k2, k3 := PoissonLanes(key)
+		if k0 != laneLut[uint16(h)] || k1 != laneLut[uint16(h>>16)] ||
+			k2 != laneLut[uint16(h>>32)] || k3 != laneLut[uint16(h>>48)] {
+			t.Fatalf("PoissonLanes(%d) = %d %d %d %d disagrees with the lanes of Mix64", key, k0, k1, k2, k3)
+		}
+	}
+}
+
+// TestPoissonLanesIndependence checks the two adjacencies the weight
+// stream relies on for independent trials — lanes of one word (trials
+// 4q..4q+3 of a row) and lane 3 of word w against lane 0 of word w+1
+// (trials 4q+3 and 4q+4) — for sample correlation |r| < 4/√n over 2²⁰
+// consecutive keys.
+func TestPoissonLanesIndependence(t *testing.T) {
+	const n = 1 << 20
+	type moments struct{ sx, sy, sxx, syy, sxy float64 }
+	var pairs [4]moments // (0,1), (1,2), (2,3), (3 of w, 0 of w+1)
+	add := func(m *moments, x, y uint8) {
+		fx, fy := float64(x), float64(y)
+		m.sx += fx
+		m.sy += fy
+		m.sxx += fx * fx
+		m.syy += fy * fy
+		m.sxy += fx * fy
+	}
+	_, _, _, prev3 := PoissonLanes(0)
+	for key := uint64(1); key <= n; key++ {
+		k0, k1, k2, k3 := PoissonLanes(key)
+		add(&pairs[0], k0, k1)
+		add(&pairs[1], k1, k2)
+		add(&pairs[2], k2, k3)
+		add(&pairs[3], prev3, k0)
+		prev3 = k3
+	}
+	bound := 4 / math.Sqrt(n)
+	for i, m := range pairs {
+		cov := m.sxy/n - (m.sx/n)*(m.sy/n)
+		vx := m.sxx/n - (m.sx/n)*(m.sx/n)
+		vy := m.syy/n - (m.sy/n)*(m.sy/n)
+		if r := cov / math.Sqrt(vx*vy); math.Abs(r) >= bound {
+			t.Errorf("lane pair %d: correlation %v, want |r| < %v", i, r, bound)
+		}
+	}
+}
+
 func BenchmarkPercentileCI(b *testing.B) {
 	r := NewRNG(1)
 	reps := make([]float64, 100)

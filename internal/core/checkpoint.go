@@ -43,7 +43,7 @@ import (
 
 const (
 	ckMagic   = "FLCP1"
-	ckVersion = 2 // 2: the persisted degradation rung counts the two-rung memory ladder
+	ckVersion = 3 // 3: four Poisson(1) multiplicities per hash
 
 	ckModeFull   = 0
 	ckModeReplay = 1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -197,14 +198,19 @@ func TestCheckpointRejections(t *testing.T) {
 	corrupt[len(corrupt)-1] ^= 0xFF
 	wantCkErr("trailing corruption", corrupt, o, q)
 
-	// Version 1 persisted a degradation rung of a different ladder: it is
+	// Version 1 persisted a degradation rung of a different ladder, and
+	// version 2 was written under the one-hash-per-weight stream (a
+	// replay-mode resume would regenerate different weights): both are
 	// refused by the version check, not the checksum (the trailer is
 	// recomputed over the rewritten version byte).
-	v1 := append([]byte(nil), ck...)
-	v1[len(ckMagic)] = 1
-	binary.LittleEndian.PutUint64(v1[len(v1)-8:], ckSum(v1[:len(v1)-8]))
-	if err := wantCkErr("version 1 refused", v1, o, q); !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("version 1 refused by %v, want the version check", err)
+	for _, v := range []byte{1, 2} {
+		old := append([]byte(nil), ck...)
+		old[len(ckMagic)] = v
+		binary.LittleEndian.PutUint64(old[len(old)-8:], ckSum(old[:len(old)-8]))
+		label := fmt.Sprintf("version %d refused", v)
+		if err := wantCkErr(label, old, o, q); !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Fatalf("%s by %v, want the version check", label, err)
+		}
 	}
 
 	// Fingerprint: different statistical configuration must be refused.

@@ -367,6 +367,12 @@ type colScratch struct {
 	selU      []int32
 	wf        []float64
 	wbuf      []uint8
+	// runKey/runF gather one run's sampled, non-NULL rows for the fused
+	// kernel's bank fold (colFoldRuns): each row's first weight key and
+	// argument value. They grow to the longest gathered run (at most a
+	// segment) and are reused, so the steady state allocates nothing.
+	runKey []uint64
+	runF   []float64
 	// numK compiles the plan's computed columns (exprs) behind the same
 	// gate as kernel/triK; args holds each aggregate's argument column
 	// for the segment range being folded (resolveArgs): a stored bank, a
@@ -628,8 +634,9 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 			cs.triK.SetRange(s, pr.r.Lo, pr.r.Hi, uint8(pr.status))
 		}
 	}
-	// The fused kernel generates its weights inside the fold loop, so
-	// they stay unattributed: the profiled pass keeps the split loops.
+	// The fused run kernel derives each weight inside its bank fold,
+	// where no per-row clock can split the two: the profiled pass keeps
+	// the split loops so weights and fold stay attributed.
 	fused := p.fuse && !prof
 
 	g := baseIdx
@@ -664,14 +671,7 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 			}
 		}
 		if fused {
-			col := cs.args[0]
-			for _, si := range cs.sel {
-				i := int(si)
-				gi := seg.Base + i
-				r.colFoldFused(tab, p, r.colEntry(tab, cs, ct, seg, i), col, i, ws.e.sampled(ws.ts, gi),
-					ws.ts.weightBase+uint64(gi)*uint64(trials), &ws.wlut)
-				st.folds++
-			}
+			r.colFoldRuns(st, ws, seg)
 		} else {
 			for _, si := range cs.sel {
 				i := int(si)
@@ -947,58 +947,141 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args
 	}
 }
 
-// colFoldFused is the single-column fast kernel: when every aggregate
-// reads the same column col (stored or computed) there is exactly one W
-// stream (aggregate 0's) and at most one V stream, and the tuple's
-// Poisson weights are consumed nowhere else — so weight generation,
-// pre-scaling and the bank folds collapse into one loop with no
-// intermediate buffer. wlut maps a Poisson(1) multiplicity to
-// float64(k)·repW (the same two-step
-// computation the generic path performs, so every addition is
-// bit-identical). Used only off the profiled path: the split phase
-// attribution (weights vs fold) needs the unfused loops.
-func (r *blockRunner) colFoldFused(tab *onlineTable, p *colPlan, e *onlineEntry, col *colstore.Col, i int, sampled bool, wbase uint64, wlut *[16]float64) {
-	e.n++
-	if sampled {
-		e.ns++
-	}
-	null := col.Null(i)
-	var f float64
-	if !null && p.fusePrimV >= 0 {
-		if p.aggFloats[p.fusePrimV] {
+// colFoldRuns is the fused generate+fold kernel over the certainly-in
+// selection cs.sel when every aggregate reads one column (plan.fuse):
+// there is then one W stream (aggregate 0's) and at most one V stream
+// (fusePrimV's), and a row's weights are consumed nowhere else, so they
+// are generated where they are folded, with no per-row weight vector.
+//
+// It walks sel in runs — maximal stretches of consecutive rows resolving
+// to the same entry (the whole selection when the block has no GROUP
+// BY). A run's rows fold their main state (n, ns, mainW, mainV, clt) in
+// row order; its sampled, non-NULL rows are gathered into cs.runKey/runF
+// and added to the banks (foldRun) when the next row resolves to another
+// entry or the selection ends. Every bank cell still receives
+// the same additions in the same row order as a per-row loop over
+// ws.floats, so the kernel is bit-identical to the generic and row paths.
+func (r *blockRunner) colFoldRuns(st *stage, ws *weightSource, seg *colstore.Segment) {
+	p, tab, cs := r.colPl, st.tab, &st.cs
+	col, trials := cs.args[0], tab.trials
+	wantF := p.fusePrimV >= 0
+	floats := wantF && p.aggFloats[p.fusePrimV]
+	keys, fs := cs.runKey[:0], cs.runF[:0]
+	var en *onlineEntry
+	for _, si := range cs.sel {
+		i := int(si)
+		if e := r.colEntry(tab, cs, p.ct, seg, i); e != en {
+			// A run ends: its gathered rows fold into its entry's banks.
+			// The length check stays here, not in foldRun: grouped blocks
+			// end a run on almost every row and rarely gather one.
+			if len(keys) > 0 {
+				p.foldRun(en, keys, fs, trials, &ws.wlut)
+				keys, fs = keys[:0], fs[:0]
+			}
+			en = e
+		}
+		gi := seg.Base + i
+		sampled := ws.e.sampled(ws.ts, gi)
+		en.n++
+		if sampled {
+			en.ns++
+		}
+		if col.Null(i) {
+			continue
+		}
+		var f float64
+		switch {
+		case floats:
 			f = col.Floats[i]
-		} else {
+		case wantF:
 			f = float64(col.Ints[i])
 		}
-	}
-	if !null {
 		for a := range p.aggCols {
+			en.mainW[a]++
 			if tab.cltKinds[a] == cltCount {
-				e.mainW[a]++
-				e.clt[a].add(1)
+				en.clt[a].add(1)
 			} else {
-				e.mainW[a]++
-				e.mainV[a] += f
-				e.clt[a].add(f)
+				en.mainV[a] += f
+				en.clt[a].add(f)
 			}
 		}
-	}
-	if !sampled || null {
-		return
-	}
-	trials := tab.trials
-	bw := e.bankW[:trials]
-	if p.fusePrimV >= 0 {
-		base := p.fusePrimV * trials
-		bv := e.bankV[base : base+trials]
-		for j := 0; j < trials; j++ {
-			x := wlut[bootstrap.PoissonAt(wbase+uint64(j))&15]
-			bw[j] += x
-			bv[j] += f * x
+		if sampled {
+			keys = append(keys, ws.ts.weightKey(gi, trials))
+			fs = append(fs, f)
 		}
+	}
+	if len(keys) > 0 {
+		p.foldRun(en, keys, fs, trials, &ws.wlut)
+	}
+	cs.runKey, cs.runF = keys, fs
+	st.folds += int64(len(cs.sel))
+}
+
+// foldRun adds one run's gathered rows to entry en's fused W stream and,
+// when the plan has one, its V stream.
+func (p *colPlan) foldRun(en *onlineEntry, keys []uint64, fs []float64, trials int, wlut *[16]float64) {
+	var bv []float64
+	if p.fusePrimV >= 0 {
+		bv = en.bankV[p.fusePrimV*trials : (p.fusePrimV+1)*trials]
+	}
+	foldLanes(en.bankW[:trials], bv, keys, fs, wlut)
+}
+
+// foldLanes adds the gathered rows' weights into the bank cells: bw[j]
+// += x and, when bv is non-nil, bv[j] += f·x, where x = wlut[k] for
+// row r's trial-j multiplicity k (lane j&3 of keys[r] + j>>2). The loop
+// runs trial-block-outer, row-inner: four W and four V cells live in
+// registers across the rows, and each row's four draws come from one
+// hash. Each cell sees its additions in row order, as a per-row fold
+// would add them.
+func foldLanes(bw, bv []float64, keys []uint64, fs []float64, wlut *[16]float64) {
+	fs = fs[:len(keys)]
+	full := len(bw) &^ 3
+	for j := 0; j < full; j += 4 {
+		q := uint64(j >> 2)
+		w0, w1, w2, w3 := bw[j], bw[j+1], bw[j+2], bw[j+3]
+		if bv == nil {
+			for _, key := range keys {
+				k0, k1, k2, k3 := bootstrap.PoissonLanes(key + q)
+				w0 += wlut[k0&15]
+				w1 += wlut[k1&15]
+				w2 += wlut[k2&15]
+				w3 += wlut[k3&15]
+			}
+			bw[j], bw[j+1], bw[j+2], bw[j+3] = w0, w1, w2, w3
+			continue
+		}
+		v := bv[j : j+4 : j+4]
+		v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
+		for r, key := range keys {
+			k0, k1, k2, k3 := bootstrap.PoissonLanes(key + q)
+			x0, x1, x2, x3 := wlut[k0&15], wlut[k1&15], wlut[k2&15], wlut[k3&15]
+			f := fs[r]
+			w0 += x0
+			w1 += x1
+			w2 += x2
+			w3 += x3
+			v0 += f * x0
+			v1 += f * x1
+			v2 += f * x2
+			v3 += f * x3
+		}
+		bw[j], bw[j+1], bw[j+2], bw[j+3] = w0, w1, w2, w3
+		v[0], v[1], v[2], v[3] = v0, v1, v2, v3
+	}
+	if full == len(bw) {
 		return
 	}
-	for j := 0; j < trials; j++ {
-		bw[j] += wlut[bootstrap.PoissonAt(wbase+uint64(j))&15]
+	// Trial tail: the last key's first len(bw)-full lanes.
+	q := uint64(full >> 2)
+	for r, key := range keys {
+		k0, k1, k2, k3 := bootstrap.PoissonLanes(key + q)
+		x := [4]float64{wlut[k0&15], wlut[k1&15], wlut[k2&15], wlut[k3&15]}
+		for l := range bw[full:] {
+			bw[full+l] += x[l]
+			if bv != nil {
+				bv[full+l] += fs[r] * x[l]
+			}
+		}
 	}
 }

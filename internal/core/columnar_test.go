@@ -98,7 +98,10 @@ func columnarCatalog(n int, seed uint64) *storage.Catalog {
 // uncertain nested-subquery predicates that compile to the tri-state
 // kernel (scalar parameter) and ones that classify through the
 // interpreted evalTri inside the sweep (correlated, IN-set), and
-// arithmetic aggregate arguments folded from computed columns.
+// arithmetic aggregate arguments folded from computed columns. The
+// scalar shapes fold their whole selection as one run of the fused
+// kernel: over a column with NULLs, over a computed column that is NULL
+// wherever either operand is, and as a W-only (COUNT) stream.
 //
 // reassoc marks queries whose addends are not integral (x / b): a
 // parallel merge reassociates their sums, so the row-path reference for
@@ -113,6 +116,8 @@ var columnarQueries = []struct {
 	{"string-where", `SELECT b, COUNT(x), AVG(x) FROM facts WHERE s LIKE 'a%' OR s = 'beta' GROUP BY b`, false},
 	{"null-where", `SELECT a, COUNT(x) FROM facts WHERE x IS NOT NULL AND b IS NOT NULL GROUP BY a`, false},
 	{"scalar", `SELECT COUNT(x), SUM(x), AVG(x) FROM facts WHERE b < 12`, false},
+	{"scalar-expr-nulls", `SELECT SUM(x * b), AVG(x * b) FROM facts`, false},
+	{"scalar-count", `SELECT COUNT(x) FROM facts WHERE s LIKE 'a%'`, false},
 	{"uncertain", `SELECT a, COUNT(x), SUM(x) FROM facts
 		WHERE b >= 2 AND x < (SELECT 0.9 * AVG(x) FROM facts) GROUP BY a`, false},
 	{"correlated", `SELECT a, COUNT(x), SUM(x) FROM facts
@@ -150,22 +155,48 @@ func columnarOptions(seed uint64, parallelism int, rowPath bool) Options {
 	}
 }
 
+// columnarTrialTails are trial counts off the fused kernel's four-trial
+// blocks: a lone partial block (1, 3) and a tail after full blocks (41).
+var columnarTrialTails = []int{1, 3, 41}
+
 // TestColumnarBitIdentical asserts the columnar classify/fold path
-// reproduces the row path's snapshots bit for bit across seeds and
-// P∈{1,2,4,8}. The row-path reference runs serially (at the same P for
-// reassoc queries); the parallel row path is itself pinned to serial by
+// reproduces the row path's snapshots bit for bit across seeds, trial
+// counts (40 at every seed, columnarTrialTails at one) and P∈{1,2,4,8}.
+// The row-path reference runs serially (at the same P for reassoc
+// queries); the parallel row path is itself pinned to serial by
 // TestParallelFoldBitIdentical, so this covers the full matrix.
 func TestColumnarBitIdentical(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 23} {
-		cat := columnarCatalog(3*8192, seed)
+	type config struct {
+		seed   uint64
+		trials int
+	}
+	matrix := []config{{1, 40}, {7, 40}, {23, 40}}
+	for _, trials := range columnarTrialTails {
+		matrix = append(matrix, config{7, trials})
+	}
+	cats := map[uint64]*storage.Catalog{}
+	for _, c := range matrix {
+		if cats[c.seed] == nil {
+			cats[c.seed] = columnarCatalog(3*8192, c.seed)
+		}
+		cat := cats[c.seed]
+		opts := func(p int, rowPath bool) Options {
+			o := columnarOptions(c.seed, p, rowPath)
+			o.Trials = c.trials
+			return o
+		}
 		for _, q := range columnarQueries {
-			t.Run(fmt.Sprintf("%s/seed=%d", q.name, seed), func(t *testing.T) {
-				ref := runSnapshots(t, cat, q.sql, columnarOptions(seed, 1, true))
+			name := fmt.Sprintf("%s/seed=%d", q.name, c.seed)
+			if c.trials != 40 {
+				name += fmt.Sprintf("/trials=%d", c.trials)
+			}
+			t.Run(name, func(t *testing.T) {
+				ref := runSnapshots(t, cat, q.sql, opts(1, true))
 				for _, p := range []int{1, 2, 4, 8} {
 					if q.reassoc && p > 1 {
-						ref = runSnapshots(t, cat, q.sql, columnarOptions(seed, p, true))
+						ref = runSnapshots(t, cat, q.sql, opts(p, true))
 					}
-					got := runSnapshots(t, cat, q.sql, columnarOptions(seed, p, false))
+					got := runSnapshots(t, cat, q.sql, opts(p, false))
 					compareSnapshots(t, fmt.Sprintf("columnar P=%d", p), ref, got)
 				}
 			})
@@ -184,18 +215,25 @@ func TestColumnarBitIdentical(t *testing.T) {
 // the identical split into parts.
 func TestColumnarSubsampleBitIdentical(t *testing.T) {
 	cat := columnarCatalog(2*8192, 5)
-	for _, q := range columnarQueries {
-		t.Run(q.name, func(t *testing.T) {
-			for _, p := range []int{1, 4} {
-				or := columnarOptions(5, p, true)
-				or.BootstrapSampleCap = 3000
-				ref := runSnapshots(t, cat, q.sql, or)
-				oc := columnarOptions(5, p, false)
-				oc.BootstrapSampleCap = 3000
-				compareSnapshots(t, fmt.Sprintf("capped P=%d", p),
-					ref, runSnapshots(t, cat, q.sql, oc))
+	for _, trials := range append([]int{40}, columnarTrialTails...) {
+		for _, q := range columnarQueries {
+			name := q.name
+			if trials != 40 {
+				name += fmt.Sprintf("/trials=%d", trials)
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				for _, p := range []int{1, 4} {
+					opts := func(rowPath bool) Options {
+						o := columnarOptions(5, p, rowPath)
+						o.Trials = trials
+						o.BootstrapSampleCap = 3000
+						return o
+					}
+					compareSnapshots(t, fmt.Sprintf("capped P=%d", p),
+						runSnapshots(t, cat, q.sql, opts(true)), runSnapshots(t, cat, q.sql, opts(false)))
+				}
+			})
+		}
 	}
 }
 
@@ -235,6 +273,8 @@ func TestColumnarPlanEligibility(t *testing.T) {
 		{`SELECT a, SUM(x + 1) FROM facts GROUP BY a`, false, "columnar:fused"},
 		{`SELECT a, SUM(x * b), AVG(x * b) FROM facts GROUP BY a`, false, "columnar:fused"},
 		{`SELECT a, SUM(x), SUM(x * b) FROM facts GROUP BY a`, false, "columnar"},
+		{`SELECT SUM(x * b), AVG(x * b) FROM facts`, false, "columnar:fused"},
+		{`SELECT COUNT(x) FROM facts WHERE s LIKE 'a%'`, false, "columnar:fused"},
 		{`SELECT a, SUM(CASE WHEN b > 3 THEN x ELSE 0 END) FROM facts GROUP BY a`,
 			false, "rowpath:agg:expr-arg"},
 		{`SELECT cat, SUM(x + bkey) FROM facts f JOIN bdim d ON f.b = d.bkey GROUP BY cat`,

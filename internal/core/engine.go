@@ -563,19 +563,26 @@ func (e *Engine) Options() Options { return e.opt }
 // derivation is a pure function of (seed, table, row index, trial), so
 // failure-recovery replay regenerates identical resamples.
 func (e *Engine) weightsInto(buf []uint8, ts *tableStream, rowIdx int) []uint8 {
-	if cap(buf) < e.opt.Trials {
-		buf = make([]uint8, e.opt.Trials)
+	trials := e.opt.Trials
+	if cap(buf) < trials {
+		buf = make([]uint8, trials)
 	}
-	buf = buf[:e.opt.Trials]
-	base := ts.weightBase + uint64(rowIdx)*uint64(e.opt.Trials)
-	for j := range buf {
-		p := bootstrap.PoissonAt(base + uint64(j))
-		if p > 255 {
-			p = 255
-		}
-		buf[j] = uint8(p)
+	buf = buf[:trials]
+	key := ts.weightKey(rowIdx, trials)
+	for j := 0; j < trials; j += 4 {
+		var ks [4]uint8
+		ks[0], ks[1], ks[2], ks[3] = bootstrap.PoissonLanes(key)
+		copy(buf[j:], ks[:])
+		key++
 	}
 	return buf
+}
+
+// weightKey is row rowIdx's first weight hash key: trial j of the row
+// is lane j&3 of bootstrap.PoissonLanes(weightKey + j>>2), so a row
+// spends ⌈trials/4⌉ consecutive keys.
+func (ts *tableStream) weightKey(rowIdx, trials int) uint64 {
+	return ts.weightBase + uint64(rowIdx)*uint64((trials+3)/4)
 }
 
 // weightsFor is weightsInto with a fresh buffer.

@@ -54,6 +54,7 @@ func (cs *colScratch) memBytes() int64 {
 	return banks + int64(cap(cs.tri)) + int64(cap(cs.triU)) +
 		4*int64(cap(cs.sel)) + 4*int64(cap(cs.selU)) +
 		8*int64(cap(cs.wf)) + int64(cap(cs.wbuf)) +
+		8*int64(cap(cs.runKey)) + 8*int64(cap(cs.runF)) +
 		8*int64(cap(cs.memo.keys)) + 4*int64(cap(cs.memo.slots)) +
 		8*int64(cap(cs.memoEntries)) +
 		4*int64(cap(cs.memoOff)) + 4*int64(cap(cs.memoCnt)) +

@@ -130,7 +130,7 @@ type weightSource struct {
 	ts     *tableStream
 	cs     *colScratch
 	trials int
-	// wlut maps a Poisson(1) multiplicity (≤ 8; 16 slots so the masked
+	// wlut maps a Poisson(1) multiplicity (≤ 7; 16 slots so the masked
 	// index elides bounds checks) to its pre-scaled float weight — the
 	// identical float64(k)·repW product the byte form yields per draw.
 	wlut [16]float64
@@ -165,9 +165,12 @@ func (ws *weightSource) floats(gi int) ([]float64, float64) {
 		return nil, 0
 	}
 	wf := ws.cs.wf[:ws.trials]
-	base := ws.ts.weightBase + uint64(gi)*uint64(ws.trials)
-	for j := range wf {
-		wf[j] = ws.wlut[bootstrap.PoissonAt(base+uint64(j))&15]
+	key := ws.ts.weightKey(gi, ws.trials)
+	for j := 0; j < len(wf); j += 4 {
+		k0, k1, k2, k3 := bootstrap.PoissonLanes(key)
+		x := [4]float64{ws.wlut[k0&15], ws.wlut[k1&15], ws.wlut[k2&15], ws.wlut[k3&15]}
+		copy(wf[j:], x[:])
+		key++
 	}
 	return wf, ws.ts.invP
 }

@@ -149,9 +149,11 @@ func TestParallelFoldBitIdentical(t *testing.T) {
 // (table, batch, worker), so the replay re-encounters the faults of the
 // prefix it re-folds and must contain each one again; the pinned
 // (seed, probability) pair fires at least one panic inside a replay.
+//
+// Every leg runs twice: with a grouped root, and with a scalar root whose
+// certainly-in selection folds as one run of the fused kernel under the
+// full bootstrap.
 func TestRecomputeReplayBitIdentical(t *testing.T) {
-	const sql = `SELECT a, COUNT(x), SUM(x) FROM drift
-		WHERE x < (SELECT 0.6 * AVG(x) FROM drift) GROUP BY a`
 	cat := storage.NewCatalog()
 	tb := storage.NewTable("drift", types.NewSchema(
 		"a", types.KindString,
@@ -176,61 +178,73 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 			ParallelThreshold:  256,
 		}
 	}
-	recomputes := func(t *testing.T, o Options) ([]*Snapshot, int) {
-		q, err := plan.Compile(sql, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := New(q, cat, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		var snaps []*Snapshot
-		for {
-			snap, err := eng.Step()
-			if err == ErrDone {
-				return snaps, eng.Metrics().Recomputes
+	for _, tc := range []struct{ name, sql string }{
+		{"grouped", `SELECT a, COUNT(x), SUM(x) FROM drift
+			WHERE x < (SELECT 0.6 * AVG(x) FROM drift) GROUP BY a`},
+		{"scalar", `SELECT COUNT(x), SUM(x), AVG(x) FROM drift
+			WHERE x < (SELECT 0.6 * AVG(x) FROM drift)`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recomputes := func(t *testing.T, o Options) ([]*Snapshot, int) {
+				q, err := plan.Compile(tc.sql, cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := New(q, cat, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				if v := eng.runners[len(eng.runners)-1].colPl.verdict(); v != "columnar:fused" {
+					t.Fatalf("root verdict %q, want columnar:fused", v)
+				}
+				var snaps []*Snapshot
+				for {
+					snap, err := eng.Step()
+					if err == ErrDone {
+						return snaps, eng.Metrics().Recomputes
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					snaps = append(snaps, snap)
+				}
 			}
-			if err != nil {
-				t.Fatal(err)
+			serial, sRec := recomputes(t, opts(1))
+			parallel, pRec := recomputes(t, opts(4))
+			if sRec == 0 {
+				t.Fatal("fixture chosen to force a variation-range failure reported Recomputes = 0")
 			}
-			snaps = append(snaps, snap)
-		}
-	}
-	serial, sRec := recomputes(t, opts(1))
-	parallel, pRec := recomputes(t, opts(4))
-	if sRec == 0 {
-		t.Fatal("fixture chosen to force a variation-range failure reported Recomputes = 0")
-	}
-	if sRec != pRec {
-		t.Fatalf("recompute count: serial %d, parallel %d", sRec, pRec)
-	}
-	compareSnapshots(t, "recompute P=4", serial, parallel)
+			if sRec != pRec {
+				t.Fatalf("recompute count: serial %d, parallel %d", sRec, pRec)
+			}
+			compareSnapshots(t, "recompute P=4", serial, parallel)
 
-	o := opts(4)
-	o.Chaos = chaos.New(chaos.Config{Seed: 5, PanicProb: 0.3})
-	o.Tracer = NewTracer(0)
-	faulty, fRec := recomputes(t, o)
-	if o.Chaos.Counts()[chaos.KindPanic] == 0 {
-		t.Fatal("panic chaos fired no panics")
+			o := opts(4)
+			o.Chaos = chaos.New(chaos.Config{Seed: 5, PanicProb: 0.3})
+			o.Tracer = NewTracer(0)
+			faulty, fRec := recomputes(t, o)
+			if o.Chaos.Counts()[chaos.KindPanic] == 0 {
+				t.Fatal("panic chaos fired no panics")
+			}
+			if fRec != sRec {
+				t.Fatalf("recompute count: serial %d, chaos P=4 %d", sRec, fRec)
+			}
+			// A panic traced after a recompute event, at a batch no later than
+			// the one being recomputed, fired inside the replay.
+			replayBatch, replayPanics := 0, 0
+			for _, ev := range o.Tracer.Events() {
+				switch {
+				case ev.Kind == EvRecompute:
+					replayBatch = max(replayBatch, ev.Batch)
+				case ev.Kind == EvFault && ev.Key == "panic" && ev.Batch <= replayBatch:
+					replayPanics++
+				}
+			}
+			if replayPanics == 0 {
+				t.Fatal("no panic fired inside a recompute replay")
+			}
+			compareSnapshots(t, "recompute P=4 under panic chaos", serial, faulty)
+		})
 	}
-	if fRec != sRec {
-		t.Fatalf("recompute count: serial %d, chaos P=4 %d", sRec, fRec)
-	}
-	// A panic traced after a recompute event, at a batch no later than
-	// the one being recomputed, fired inside the replay.
-	replayBatch, replayPanics := 0, 0
-	for _, ev := range o.Tracer.Events() {
-		switch {
-		case ev.Kind == EvRecompute:
-			replayBatch = max(replayBatch, ev.Batch)
-		case ev.Kind == EvFault && ev.Key == "panic" && ev.Batch <= replayBatch:
-			replayPanics++
-		}
-	}
-	if replayPanics == 0 {
-		t.Fatal("no panic fired inside a recompute replay")
-	}
-	compareSnapshots(t, "recompute P=4 under panic chaos", serial, faulty)
 }

@@ -24,10 +24,10 @@
 // BENCH_accuracy.json even without -json.
 //
 // -trace out.jsonl runs one suite query (default Q17, pick another with
-// -tracequery) with the engine's event tracer and phase profiler on and
-// dumps the structured G-OLA events — range commits/failures, uncertain
-// flips, recompute triggers — as JSON Lines, followed by the per-phase
-// profile on stdout. -tracecap overrides the event-ring capacity.
+// -tracequery) with Options.Profile on and dumps the engine's
+// structured G-OLA events — range commits/failures, uncertain flips,
+// recompute triggers — as JSON Lines, followed by the per-phase profile
+// on stdout.
 // -spans out.json additionally (or instead) records the run's span
 // timeline — query → mini-batch → phase → worker task, with ring events
 // as instants — and writes it as Chrome trace-event JSON; open the file
@@ -70,7 +70,6 @@ func main() {
 		format     = flag.String("format", "table", "table|csv (csv: plot-ready series for fig3a/fig3b)")
 		traceOut   = flag.String("trace", "", "run one traced query and write G-OLA events to this JSONL file")
 		traceQuery = flag.String("tracequery", "Q17", "suite query for -trace")
-		traceCap   = flag.Int("tracecap", 0, "trace only: event-ring capacity (0: 64k default)")
 		spansOut   = flag.String("spans", "", "run one traced query and write its span timeline to this file as Chrome trace-event JSON (open in ui.perfetto.dev); combines with -trace")
 	)
 	flag.Parse()
@@ -85,7 +84,7 @@ func main() {
 	}
 	cfg := bench.Config{
 		Rows: *rows, Parts: *parts, Batches: *batches, Trials: *trials,
-		RowPath: *rowPath, TraceCap: *traceCap,
+		RowPath: *rowPath,
 	}
 	if *seed != "" {
 		v, err := strconv.ParseUint(*seed, 10, 64)

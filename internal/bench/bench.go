@@ -35,9 +35,6 @@ type Config struct {
 	// row-at-a-time fold path (core.Options.RowPath), the A/B baseline
 	// for the columnar hot path. Honored by the fold experiment.
 	RowPath bool
-	// TraceCap overrides the event-ring capacity of traced runs
-	// (flbench -tracecap); 0 keeps the 64k default.
-	TraceCap int
 }
 
 // WithDefaults fills unset fields.

@@ -116,7 +116,7 @@ func chaosBase(cfg Config) (*chaosEnv, error) {
 			return nil, err
 		}
 		env.qs = append(env.qs, q)
-		ref, err := runAll(q, env.cat, refOpt)
+		ref, _, err := runAll(q, env.cat, refOpt)
 		if err != nil {
 			return nil, err
 		}
@@ -126,21 +126,21 @@ func chaosBase(cfg Config) (*chaosEnv, error) {
 }
 
 // runAll drains a fresh engine and returns every snapshot.
-func runAll(q *plan.Query, cat *storage.Catalog, opt core.Options) ([]*core.Snapshot, error) {
+func runAll(q *plan.Query, cat *storage.Catalog, opt core.Options) ([]*core.Snapshot, *otrace.Tracer, error) {
 	eng, err := core.New(q, cat, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer eng.Close()
 	var snaps []*core.Snapshot
 	for !eng.Done() {
 		s, err := eng.Step()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		snaps = append(snaps, s)
 	}
-	return snaps, nil
+	return snaps, eng.Spans(), nil
 }
 
 // snapsEqual demands bit-identical result rows (values, CIs, RSDs).
@@ -158,24 +158,23 @@ func snapsEqual(a, b []*core.Snapshot) error {
 
 // runSchedule executes one seeded schedule and verifies its contract.
 func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
-	prof := chaosProfiles[i%len(chaosProfiles)]
+	mix := chaosProfiles[i%len(chaosProfiles)]
 	mode := chaosModes[(i/len(chaosProfiles))%len(chaosModes)]
 	qi := (i / (len(chaosProfiles) * len(chaosModes))) % len(env.qs)
 	q, ref := env.qs[qi], env.refs[qi]
 
-	ccfg := prof.cfg
+	ccfg := mix.cfg
 	ccfg.Seed = uint64(i)*0x9E3779B97F4A7C15 + 1
 	inj := chaos.New(ccfg)
 	opt := env.opt
 	opt.Chaos = inj
-	var spans *otrace.Tracer
-	if prof.name == "mixed" {
-		spans = otrace.NewTracer(0)
-		opt.Spans = spans
-	}
+	// The mixed profile also records span timelines: every engine the
+	// schedule builds adds its own to timelines.
+	opt.Profile = mix.name == "mixed"
+	var timelines []*otrace.Tracer
 
 	r.ModeCounts[mode]++
-	r.Profiles[prof.name]++
+	r.Profiles[mix.name]++
 	defer func() {
 		counts := inj.Counts()
 		for _, k := range chaos.Kinds() {
@@ -185,12 +184,13 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 
 	switch mode {
 	case "plain":
-		got, err := runAll(q, env.cat, opt)
+		got, spans, err := runAll(q, env.cat, opt)
+		timelines = append(timelines, spans)
 		if err != nil {
-			return fmt.Errorf("schedule %d (%s/%s): %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s): %w", i, mix.name, mode, err)
 		}
 		if err := snapsEqual(ref, got); err != nil {
-			return fmt.Errorf("schedule %d (%s/%s): %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s): %w", i, mix.name, mode, err)
 		}
 		r.BitIdentical++
 
@@ -200,12 +200,13 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 			return err
 		}
 		defer eng.Close()
+		timelines = append(timelines, eng.Spans())
 		stop := i % (env.opt.Batches + 1) // cancel after 0..Batches batches
 		var got []*core.Snapshot
 		for b := 0; b < stop; b++ {
 			s, err := eng.Step()
 			if err != nil {
-				return fmt.Errorf("schedule %d (%s/%s) step %d: %w", i, prof.name, mode, b, err)
+				return fmt.Errorf("schedule %d (%s/%s) step %d: %w", i, mix.name, mode, b, err)
 			}
 			got = append(got, s)
 		}
@@ -214,25 +215,25 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 		bounded, err := eng.StepContext(ctx)
 		if !eng.Done() {
 			if !core.IsInterrupted(err) {
-				return fmt.Errorf("schedule %d (%s/%s): cancelled step returned %v", i, prof.name, mode, err)
+				return fmt.Errorf("schedule %d (%s/%s): cancelled step returned %v", i, mix.name, mode, err)
 			}
 			if bounded == nil || !bounded.Interrupted {
-				return fmt.Errorf("schedule %d (%s/%s): bounded answer not marked Interrupted", i, prof.name, mode)
+				return fmt.Errorf("schedule %d (%s/%s): bounded answer not marked Interrupted", i, mix.name, mode)
 			}
 			if stop > 0 && !reflect.DeepEqual(bounded.Rows, got[stop-1].Rows) {
-				return fmt.Errorf("schedule %d (%s/%s): bounded answer != last committed snapshot", i, prof.name, mode)
+				return fmt.Errorf("schedule %d (%s/%s): bounded answer != last committed snapshot", i, mix.name, mode)
 			}
 		}
 		// Resume to completion; the whole stream must match the reference.
 		for !eng.Done() {
 			s, err := eng.Step()
 			if err != nil {
-				return fmt.Errorf("schedule %d (%s/%s) resume: %w", i, prof.name, mode, err)
+				return fmt.Errorf("schedule %d (%s/%s) resume: %w", i, mix.name, mode, err)
 			}
 			got = append(got, s)
 		}
 		if err := snapsEqual(ref, got); err != nil {
-			return fmt.Errorf("schedule %d (%s/%s) post-cancel: %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s) post-cancel: %w", i, mix.name, mode, err)
 		}
 		r.BitIdentical++
 		r.CancelResumes++
@@ -243,61 +244,66 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 			return err
 		}
 		defer eng.Close()
+		timelines = append(timelines, eng.Spans())
 		k := 1 + i%env.opt.Batches // checkpoint after 1..Batches batches
 		var got []*core.Snapshot
 		for b := 0; b < k; b++ {
 			s, err := eng.Step()
 			if err != nil {
-				return fmt.Errorf("schedule %d (%s/%s) step %d: %w", i, prof.name, mode, b, err)
+				return fmt.Errorf("schedule %d (%s/%s) step %d: %w", i, mix.name, mode, b, err)
 			}
 			got = append(got, s)
 		}
 		ck1, err := eng.Checkpoint()
 		if err != nil {
-			return fmt.Errorf("schedule %d (%s/%s) checkpoint: %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s) checkpoint: %w", i, mix.name, mode, err)
 		}
 		res, err := core.Resume(q, env.cat, opt, ck1)
 		if err != nil {
-			return fmt.Errorf("schedule %d (%s/%s) resume: %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s) resume: %w", i, mix.name, mode, err)
 		}
 		defer res.Close()
+		timelines = append(timelines, res.Spans())
 		ck2, err := res.Checkpoint()
 		if err != nil {
-			return fmt.Errorf("schedule %d (%s/%s) re-checkpoint: %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s) re-checkpoint: %w", i, mix.name, mode, err)
 		}
 		if !bytes.Equal(ck1, ck2) {
 			return fmt.Errorf("schedule %d (%s/%s): checkpoint round-trip not byte-identical (%d vs %d bytes)",
-				i, prof.name, mode, len(ck1), len(ck2))
+				i, mix.name, mode, len(ck1), len(ck2))
 		}
 		for !res.Done() {
 			s, err := res.Step()
 			if err != nil {
-				return fmt.Errorf("schedule %d (%s/%s) continue: %w", i, prof.name, mode, err)
+				return fmt.Errorf("schedule %d (%s/%s) continue: %w", i, mix.name, mode, err)
 			}
 			got = append(got, s)
 		}
 		if err := snapsEqual(ref, got); err != nil {
-			return fmt.Errorf("schedule %d (%s/%s) post-resume: %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s) post-resume: %w", i, mix.name, mode, err)
 		}
 		r.BitIdentical++
 		r.CheckpointRoundTrips++
 	}
-	if spans != nil {
-		// The fault-riddled run already matched the reference bit-for-bit
-		// above; now its timeline must also be structurally sound and
-		// export to valid, correctly nested Chrome trace JSON.
+	if !opt.Profile {
+		return nil
+	}
+	// The fault-riddled run already matched the reference bit-for-bit
+	// above; now its timelines must also be structurally sound and
+	// export to valid, correctly nested Chrome trace JSON.
+	for _, spans := range timelines {
 		if err := otrace.ValidateNesting(spans.Spans()); err != nil {
-			return fmt.Errorf("schedule %d (%s/%s): span nesting under faults: %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s): span nesting under faults: %w", i, mix.name, mode, err)
 		}
 		var buf bytes.Buffer
 		if err := spans.WriteChromeTrace(&buf); err != nil {
-			return fmt.Errorf("schedule %d (%s/%s): span export: %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s): span export: %w", i, mix.name, mode, err)
 		}
 		if _, _, err := otrace.ValidateChromeJSON(buf.Bytes()); err != nil {
-			return fmt.Errorf("schedule %d (%s/%s): exported trace invalid: %w", i, prof.name, mode, err)
+			return fmt.Errorf("schedule %d (%s/%s): exported trace invalid: %w", i, mix.name, mode, err)
 		}
-		r.SpanRuns++
 	}
+	r.SpanRuns++
 	return nil
 }
 

@@ -129,10 +129,10 @@ func FoldBench(cfg Config) ([]FoldPoint, error) {
 	var out []FoldPoint
 	for _, sc := range scenarios {
 		best := time.Duration(0)
-		// rep -1 is the profiled pass: phase timers on, excluded from
-		// the throughput measurement (clock reads cost hot-loop time).
-		var profiled core.Metrics
-		for rep := -1; rep < FoldReps; rep++ {
+		// Phases are collected on every run, so the best rep's metrics
+		// carry the breakdown.
+		var bestM core.Metrics
+		for rep := 0; rep < FoldReps; rep++ {
 			q, err := plan.Compile(sc.sql, cat)
 			if err != nil {
 				return nil, fmt.Errorf("bench fold %s: %w", sc.name, err)
@@ -140,7 +140,7 @@ func FoldBench(cfg Config) ([]FoldPoint, error) {
 			eng, err := core.New(q, cat, core.Options{
 				Batches: cfg.Batches, Trials: cfg.Trials, Seed: cfg.EngineSeed(),
 				BootstrapSampleCap: sc.sampleCap, Parallelism: 1,
-				Profile: rep < 0, RowPath: cfg.RowPath,
+				RowPath: cfg.RowPath,
 			})
 			if err != nil {
 				return nil, err
@@ -152,21 +152,17 @@ func FoldBench(cfg Config) ([]FoldPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			if rep < 0 {
-				profiled = eng.Metrics()
-				continue
-			}
 			if best == 0 || d < best {
-				best = d
+				best, bestM = d, eng.Metrics()
 			}
 		}
 		ns := float64(best.Nanoseconds()) / float64(cfg.Rows)
 		out = append(out, FoldPoint{
 			Scenario: sc.name, Rows: cfg.Rows, Batches: cfg.Batches, Trials: cfg.Trials,
 			NsPerRow: ns, RowsPerSec: 1e9 / ns,
-			Recomputes:        profiled.Recomputes,
-			UncertainPerBatch: profiled.UncertainPerBatch,
-			PhaseMS:           profiled.Phases.Milliseconds(),
+			Recomputes:        bestM.Recomputes,
+			UncertainPerBatch: bestM.UncertainPerBatch,
+			PhaseMS:           bestM.Phases.Milliseconds(),
 		})
 	}
 	return out, nil
@@ -282,7 +278,7 @@ func WriteScalingJSON(path, label string, points []ScalingPoint) error {
 }
 
 // FormatFold renders fold points as an aligned table, with each
-// scenario's dominant phases (from the profiled pass) alongside the
+// scenario's phase breakdown (from the best rep) alongside the
 // throughput numbers.
 func FormatFold(points []FoldPoint) string {
 	s := "Fold-path throughput (Parallelism=1, steady-state group-by)\n"

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"fluodb/internal/core"
-	"fluodb/internal/otrace"
 	"fluodb/internal/plan"
 	"fluodb/internal/workload"
 )
@@ -29,16 +28,11 @@ type TraceResult struct {
 	DroppedSpans int
 }
 
-// traceCapacity bounds the captured ring; 64k events comfortably holds
-// every commit of the suite queries at benchmark scale.
-const traceCapacity = 1 << 16
-
 // TraceRun executes one suite query (default Q17, the nested
-// non-monotonic workload) with tracing and profiling enabled, streaming
-// the retained events to w as JSONL. When spansW is non-nil the run
-// also records a span timeline and writes it there as Chrome
-// trace-event JSON (Perfetto-loadable), with the ring events attached
-// as instants.
+// non-monotonic workload) with Options.Profile, streaming the engine's
+// retained ring events to w as JSONL. When spansW is non-nil it also
+// writes the run's span timeline there as Chrome trace-event JSON
+// (Perfetto-loadable), with the ring events attached as instants.
 func TraceRun(cfg Config, queryName string, w, spansW io.Writer) (*TraceResult, error) {
 	cfg = cfg.WithDefaults()
 	if queryName == "" {
@@ -53,26 +47,16 @@ func TraceRun(cfg Config, queryName string, w, spansW io.Writer) (*TraceResult, 
 	if err != nil {
 		return nil, err
 	}
-	ringCap := cfg.TraceCap
-	if ringCap <= 0 {
-		ringCap = traceCapacity
-	}
-	tracer := core.NewTracer(ringCap)
-	opt := core.Options{
+	eng, err := core.New(q, cat, core.Options{
 		Batches: cfg.Batches, Trials: cfg.Trials, Seed: cfg.EngineSeed(),
-		Profile: true, Tracer: tracer,
-	}
-	var spans *otrace.Tracer
-	if spansW != nil {
-		spans = otrace.NewTracer(0)
-		spans.SetLabel(wq.Name + ": " + wq.SQL)
-		opt.Spans = spans
-	}
-	eng, err := core.New(q, cat, opt)
+		Profile: true,
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
+	tracer, spans := eng.Events(), eng.Spans()
+	spans.SetLabel(wq.Name + ": " + wq.SQL)
 	if _, err := eng.Run(nil); err != nil {
 		return nil, err
 	}
@@ -90,7 +74,7 @@ func TraceRun(cfg Config, queryName string, w, spansW io.Writer) (*TraceResult, 
 		res.Events++
 		res.ByKind[ev.Kind]++
 	}
-	if spans != nil {
+	if spansW != nil {
 		if err := spans.WriteChromeTrace(spansW); err != nil {
 			return nil, err
 		}

@@ -69,10 +69,9 @@ func TestChaosSegSealDrop(t *testing.T) {
 	clean := runSnapshots(t, cat, sql, o)
 
 	inj := chaos.New(chaos.Config{Seed: 5, SegSealDropProb: 0.5})
-	tr := NewTracer(0)
 	of := o
 	of.Chaos = inj
-	of.Tracer = tr
+	of.Profile = true
 	q, err := plan.Compile(sql, cat)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +98,7 @@ func TestChaosSegSealDrop(t *testing.T) {
 		t.Fatal("columnar plan did not re-engage after a segment-cache drop")
 	}
 	segFaults, colPlans := 0, 0
-	for _, ev := range tr.Events() {
+	for _, ev := range eng.Events().Events() {
 		if ev.Kind == EvFault && ev.Key == "segseal" {
 			segFaults++
 		}
@@ -397,10 +396,9 @@ func TestUncertainEvictionTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer(0)
 	eng, err := New(q, cat, Options{
 		Batches: 6, Trials: 32, Seed: 411,
-		Parallelism: 1, MaxUncertainRows: 32, Tracer: tr,
+		Parallelism: 1, MaxUncertainRows: 32, Profile: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +413,7 @@ func TestUncertainEvictionTraced(t *testing.T) {
 		t.Skip("no evictions under this workload")
 	}
 	evicts := 0
-	for _, ev := range tr.Events() {
+	for _, ev := range eng.Events().Events() {
 		if ev.Kind == EvEvict {
 			evicts++
 			if ev.Folded+ev.Dropped == 0 {
@@ -432,12 +430,11 @@ func TestUncertainEvictionTraced(t *testing.T) {
 // EvWorkerPanic / EvSerialRetry events.
 func TestChaosTraceEvents(t *testing.T) {
 	cat := determinismCatalog(6*2048, 311)
-	tr := NewTracer(0)
 	o := chaosOptions(chaos.New(chaos.Config{Seed: 7, PanicProb: 0.3}))
-	o.Tracer = tr
-	runSnapshots(t, cat, chaosSQL, o)
+	o.Profile = true
+	_, eng := runEngine(t, cat, chaosSQL, o)
 	var faults, contained, retries int
-	for _, ev := range tr.Events() {
+	for _, ev := range eng.Events().Events() {
 		switch ev.Kind {
 		case EvFault:
 			faults++

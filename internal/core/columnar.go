@@ -597,7 +597,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 		return true
 	}
 
-	prof := r.eng.profile
 	trials := ws.trials
 	if cap(cs.tri) < ct.SegSize {
 		cs.tri = make([]uint8, ct.SegSize)
@@ -634,13 +633,13 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 			cs.triK.SetRange(s, pr.r.Lo, pr.r.Hi, uint8(pr.status))
 		}
 	}
-	// The fused run kernel derives each weight inside its bank fold,
-	// where no per-row clock can split the two: the profiled pass keeps
-	// the split loops so weights and fold stay attributed.
-	fused := p.fuse && !prof
-
+	// Phases are timed per segment sweep, in the kernels every run
+	// executes: classify is the selection plus the uncertain run's
+	// caching, fold is argument resolution plus the fold kernel with the
+	// weight derivation it interleaves.
 	g := baseIdx
 	end := baseIdx + len(rows)
+	t0 := time.Now()
 	for g < end {
 		seg, lo := ct.Segment(g)
 		hi := lo + (end - g)
@@ -650,40 +649,21 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 		g += hi - lo
 		cs.sweeps++
 
-		var t0 time.Time
-		if prof {
-			t0 = time.Now()
-		}
 		r.colSelect(st, seg, lo, hi, useTri)
-		if prof {
-			acc.ns[phaseClassify] += int64(time.Since(t0))
-		}
+		t1 := time.Now()
+		acc.ns[phaseClassify] += int64(t1.Sub(t0))
 
 		// Certainly-in run: fold straight from the banks, stored or
 		// computed over the run's span.
 		if n := len(cs.sel); n > 0 {
-			if prof {
-				t0 = time.Now()
-			}
 			cs.resolveArgs(p, seg, int(cs.sel[0]), int(cs.sel[n-1])+1)
-			if prof {
-				acc.ns[phaseFold] += int64(time.Since(t0))
-			}
 		}
-		if fused {
+		if p.fuse {
 			r.colFoldRuns(st, ws, seg)
 		} else {
 			for _, si := range cs.sel {
 				i := int(si)
-				if prof {
-					t0 = time.Now()
-				}
 				wf, repW := ws.floats(seg.Base + i)
-				if prof {
-					t1 := time.Now()
-					acc.ns[phaseWeights] += int64(t1.Sub(t0))
-					t0 = t1
-				}
 				if p.hasDims {
 					for _, en := range r.colEntries(st, ct, seg, i) {
 						r.colFold(tab, p, en, cs.args, i, wf, repW)
@@ -693,24 +673,15 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 					r.colFold(tab, p, r.colEntry(tab, cs, ct, seg, i), cs.args, i, wf, repW)
 					st.folds++
 				}
-				if prof {
-					acc.ns[phaseFold] += int64(time.Since(t0))
-				}
 			}
 		}
+		t0 = time.Now()
+		acc.ns[phaseFold] += int64(t0.Sub(t1))
 		// Uncertain run: these rows retain their byte weight vectors and
 		// cache their joined lineage, exactly as the row path would.
 		for _, si := range cs.selU {
 			i := int(si)
-			if prof {
-				t0 = time.Now()
-			}
 			weights, repW := ws.bytes(seg.Base + i)
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseWeights] += int64(t1.Sub(t0))
-				t0 = t1
-			}
 			if p.hasDims {
 				// Uncertain rows need this row's own joined lineage (the
 				// join memo retains the first-occurrence fact part, which
@@ -721,11 +692,9 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 			} else {
 				st.cache(seg.Rows[i], weights, repW)
 			}
-			if prof {
-				acc.ns[phaseClassify] += int64(time.Since(t0))
-			}
 		}
 	}
+	acc.ns[phaseClassify] += int64(time.Since(t0))
 	return true
 }
 

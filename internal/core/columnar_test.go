@@ -237,6 +237,61 @@ func TestColumnarSubsampleBitIdentical(t *testing.T) {
 	}
 }
 
+// TestProfileRunsSameKernels: Options.Profile observes the kernels the
+// untraced run executes. For every columnar query at P∈{1,2}, the
+// profiled and unprofiled runs agree on each block's columnar verdict
+// and segment-sweep count and produce bit-identical snapshots at every
+// batch, and every columnar:fused block gathers its runs into the run
+// scratch (so the fused kernel ran) under Profile as well.
+func TestProfileRunsSameKernels(t *testing.T) {
+	cat := columnarCatalog(2*8192, 5)
+	for _, q := range columnarQueries {
+		t.Run(q.name, func(t *testing.T) {
+			for _, p := range []int{1, 2} {
+				plain, pe := runEngine(t, cat, q.sql, columnarOptions(5, p, false))
+				o := columnarOptions(5, p, false)
+				o.Profile = true
+				profiled, ee := runEngine(t, cat, q.sql, o)
+				compareSnapshots(t, fmt.Sprintf("Profile P=%d", p), plain, profiled)
+				for i, r := range ee.runners {
+					pr := pe.runners[i]
+					if got, want := r.colPl.verdict(), pr.colPl.verdict(); got != want {
+						t.Fatalf("P=%d block %d: verdict %q under Profile, %q without", p, r.b.ID, got, want)
+					}
+					sweeps, want := int64(0), int64(0)
+					runs := false
+					for _, st := range runnerStages(ee, r) {
+						sweeps += st.cs.sweeps
+						runs = runs || cap(st.cs.runKey) > 0
+					}
+					for _, st := range runnerStages(pe, pr) {
+						want += st.cs.sweeps
+					}
+					if sweeps != want {
+						t.Fatalf("P=%d block %d: %d sweeps under Profile, %d without", p, r.b.ID, sweeps, want)
+					}
+					if r.colPl.verdict() == "columnar:fused" && !runs {
+						t.Fatalf("P=%d block %d: fused kernel never ran under Profile", p, r.b.ID)
+					}
+				}
+			}
+		})
+	}
+}
+
+// runnerStages returns r's home stage and each pool worker's stage for r.
+func runnerStages(e *Engine, r *blockRunner) []*stage {
+	out := []*stage{&r.stage}
+	if e.pool != nil {
+		for _, wc := range e.pool.ctxs {
+			if r.idx < len(wc.stages) && wc.stages[r.idx] != nil {
+				out = append(out, wc.stages[r.idx])
+			}
+		}
+	}
+	return out
+}
+
 // TestColumnarPlanEligibility pins the fallback decisions: expression
 // group keys, non-CLT aggregates and RowPath must all reject the plan,
 // while the plain fold shape accepts it.
@@ -402,10 +457,7 @@ func columnarBenchEnvSQL(tb testing.TB, sql string, sampledAll, profile bool) (*
 	if sampledAll {
 		opt.BootstrapSampleCap = -1
 	}
-	if profile {
-		opt.Profile = true
-		opt.Tracer = NewTracer(0)
-	}
+	opt.Profile = profile
 	eng, err := New(q, cat, opt)
 	if err != nil {
 		tb.Fatal(err)
@@ -422,9 +474,10 @@ func columnarBenchEnvSQL(tb testing.TB, sql string, sampledAll, profile bool) (*
 
 // TestColumnarFoldAllocs pins the steady-state columnar fold to zero
 // allocations per chunk (and therefore per tuple) after warmup, plain
-// and profiled, for both subsample modes and for a computed argument.
-// It also asserts the columnar path actually engaged (segment sweeps
-// advanced).
+// and with Profile (event ring and span timeline attached), for both
+// subsample modes and for a computed argument. It also asserts the
+// columnar path actually engaged (segment sweeps advanced) and that the
+// always-on phase profile recorded fold time.
 func TestColumnarFoldAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -439,15 +492,15 @@ func TestColumnarFoldAllocs(t *testing.T) {
 		{"multi-key/sampled-all", columnarMultiKeySQL, true},
 		{"expr-arg/sampled-all", columnarExprSQL, true},
 	} {
-		for _, mode := range []struct {
+		for _, cfg := range []struct {
 			name    string
 			profile bool
 		}{
 			{"plain", false},
 			{"profiled", true},
 		} {
-			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				_, r, ts, te := columnarBenchEnvSQL(t, tc.sql, tc.sampledAll, mode.profile)
+			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) {
+				_, r, ts, te := columnarBenchEnvSQL(t, tc.sql, tc.sampledAll, cfg.profile)
 				if tc.sql == columnarExprSQL && (r.colPl.verdict() != "columnar:fused" || len(r.colPl.exprs) != 1) {
 					t.Fatalf("verdict %q over %d computed columns, want columnar:fused over 1",
 						r.colPl.verdict(), len(r.colPl.exprs))
@@ -475,8 +528,8 @@ func TestColumnarFoldAllocs(t *testing.T) {
 				if r.cs.sweeps == sweeps {
 					t.Fatal("alloc loop never swept a segment")
 				}
-				if mode.profile && r.acc.ns[phaseFold] == 0 {
-					t.Fatal("profiled run recorded no fold time")
+				if r.acc.ns[phaseFold] == 0 {
+					t.Fatal("run recorded no fold time")
 				}
 			})
 		}

@@ -84,16 +84,15 @@ type Options struct {
 	RowPath bool
 	// Seed makes the run deterministic.
 	Seed uint64
-	// Profile enables fine-grained phase timing inside the per-tuple
-	// fold loop (join, fold, weight generation, classification). Coarse
-	// phases (uncertain re-evaluation, range maintenance, recompute,
-	// snapshot) are always timed. The fine timers are monotonic clock
-	// reads into pre-allocated per-worker accumulators — allocation-free
-	// but not free, hence the gate.
+	// Profile turns on the engine's observability surfaces: a bounded
+	// ring of G-OLA events (Engine.Events: range failures, commits,
+	// uncertain flips, recomputes) and a hierarchical span timeline
+	// (Engine.Spans: query → mini-batch → phase → per-worker task, plus
+	// serial retries, reclassification and checkpoint/resume; DESIGN.md
+	// §14), with every ring event mirrored onto it as an instant. The
+	// per-phase profile (Metrics.Phases) is collected either way, and
+	// the traced run executes exactly the kernels the untraced run does.
 	Profile bool
-	// Tracer, when non-nil, receives structured G-OLA events (range
-	// failures, commits, uncertain flips, recomputes). See Tracer.
-	Tracer *Tracer
 	// MaxUncertainRows bounds the cached uncertain set across all blocks
 	// (0 = unbounded). When a batch pushes past the budget, the oldest
 	// cached tuples are force-resolved by their point-estimate truth
@@ -118,15 +117,6 @@ type Options struct {
 	// stragglers, worker-stage corruption, segment-cache drops) into the
 	// runtime for robustness testing. Production queries leave it nil.
 	Chaos *chaos.Injector
-	// Spans, when non-nil, records a hierarchical execution timeline —
-	// query → mini-batch → phase → per-worker fold task, plus serial
-	// retries, reclassification and checkpoint/resume — into
-	// preallocated per-track slabs (internal/otrace, DESIGN.md
-	// §14). Ring Tracer events mirror onto the timeline as instant
-	// events; a Tracer is created internally when only Spans is set.
-	// Span edges are batch/phase-granular: the per-tuple hot path is
-	// untouched and the steady state stays allocation-free.
-	Spans *otrace.Tracer
 }
 
 // Validate rejects nonsensical option values with a typed error.
@@ -233,7 +223,8 @@ type Metrics struct {
 	GCCycles     int64
 	// Phases is the cumulative per-phase time breakdown across the run;
 	// PhasePerBatch holds one breakdown per processed batch (aligned
-	// with BatchDurations). Fine phases require Options.Profile.
+	// with BatchDurations). Phases are collected with or without
+	// Options.Profile.
 	Phases        PhaseTimes
 	PhasePerBatch []PhaseTimes
 	// BlockPhases profiles each lineage block's cumulative cost
@@ -273,11 +264,12 @@ type Engine struct {
 	// te is the controller's persistent classification environment
 	// (triEnv()).
 	te *triEnv
-	// Profiling state: profile gates fine per-tuple phase timing;
-	// stepAcc accrues engine-level phases (recompute) for the batch in
-	// flight; blockAcc[i] is runner i's cumulative profile; cumAcc the
-	// run-wide total. See profile.go.
-	profile  bool
+	// Profiling state: epoch anchors the phase clock (now) when no span
+	// timeline does; trace is the Profile event ring; stepAcc accrues
+	// engine-level phases (recompute) for the batch in flight;
+	// blockAcc[i] is runner i's cumulative profile; cumAcc the run-wide
+	// total. See profile.go.
+	epoch    time.Time
 	trace    *Tracer
 	stepAcc  phaseAcc
 	blockAcc []phaseAcc
@@ -479,19 +471,12 @@ func New(q *plan.Query, cat *storage.Catalog, opt Options) (*Engine, error) {
 	for _, r := range e.runners {
 		r.ensureColPlan()
 	}
-	e.profile = opt.Profile
-	tr := opt.Tracer
-	if tr == nil && opt.Spans != nil {
-		// Instants (faults, flips, retries) should land on the span
-		// timeline even when the caller only asked for spans.
-		tr = NewTracer(0)
+	e.epoch = time.Now()
+	if opt.Profile {
+		e.spans = otrace.NewTracer(0)
+		e.trace = newTracer(traceCap, e.spans)
 	}
-	e.trace = tr
-	e.spans = opt.Spans
 	e.sctl = e.spans.Slab(0)
-	if e.spans != nil {
-		e.trace.setMirror(e.spanInstant)
-	}
 	e.blockAcc = make([]phaseAcc, len(e.runners))
 	// GC telemetry: one sampler per engine (no goroutine — reads happen
 	// synchronously at mini-batch boundaries), baselined now so the
@@ -500,7 +485,7 @@ func New(q *plan.Query, cat *storage.Catalog, opt Options) (*Engine, error) {
 	e.gcPrev = e.gcSampler.Read()
 	// Let bindings stamp trace events with the plan block that owns each
 	// parameter (the bindings only know parameter indexes).
-	e.bind.tracer = tr
+	e.bind.tracer = e.trace
 	e.bind.scalarBlocks = make([]int, len(q.ScalarBlocks))
 	e.bind.groupBlocks = make([]int, len(q.GroupBlocks))
 	e.bind.setBlocks = make([]int, len(q.SetBlocks))
@@ -681,14 +666,12 @@ func (e *Engine) StepContext(ctx context.Context) (*Snapshot, error) {
 		// deterministically so the statistics are unchanged.
 		e.metrics.Recomputes++
 		e.trace.Emit(Event{Kind: EvRecompute, Note: "variation-range failure; replaying processed prefix"})
-		rs := time.Now()
-		rsp := e.sctl.Begin("recompute", e.spanQuery, e.batch+1, -1)
+		rsp, rs := e.phaseBegin("recompute", e.spanQuery, e.batch+1, -1)
 		oldTop := e.spanTop
 		e.spanTop = rsp
 		err = e.replayUpTo(e.batch)
 		e.spanTop = oldTop
-		e.sctl.End(rsp)
-		e.stepAcc.ns[phaseRecompute] += int64(time.Since(rs))
+		e.stepAcc.ns[phaseRecompute] += e.phaseEnd(rsp, rs)
 	}
 	if err != nil {
 		e.fatal = err
@@ -714,11 +697,9 @@ func (e *Engine) StepContext(ctx context.Context) (*Snapshot, error) {
 	bp.merge(&e.stepAcc)
 	e.stepAcc.reset()
 
-	ss := time.Now()
-	ssp := e.sctl.Begin("snapshot", e.spanQuery, e.batch, -1)
+	ssp, ss := e.phaseBegin("snapshot", e.spanQuery, e.batch, -1)
 	snap := e.snapshot(dur)
-	e.sctl.End(ssp)
-	bp.ns[phaseSnapshot] += int64(time.Since(ss))
+	bp.ns[phaseSnapshot] += e.phaseEnd(ssp, ss)
 	e.cumAcc.merge(&bp)
 	e.metrics.PhasePerBatch = append(e.metrics.PhasePerBatch, bp.times())
 	snap.Phases = bp.times()
@@ -830,13 +811,11 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 	}
 	for _, r := range e.runners {
 		te := e.triEnv()
-		t0 := time.Now()
-		rsp := e.sctl.Begin("reclassify", bsp, bi+1, r.b.ID)
+		rsp, t0 := e.phaseBegin("reclassify", bsp, bi+1, r.b.ID)
 		e.spanReclass = rsp
 		folded, dropped := r.reclassify(te)
-		e.sctl.End(rsp)
 		e.spanReclass = 0
-		r.acc.ns[phaseUncertain] += int64(time.Since(t0))
+		r.acc.ns[phaseUncertain] += e.phaseEnd(rsp, t0)
 		e.conv.stepOut += int64(folded + dropped)
 		if e.trace != nil && (folded != 0 || dropped != 0) {
 			e.trace.Emit(Event{Kind: EvFlip, Block: r.b.ID,
@@ -871,11 +850,9 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 			}
 		}
 		if r.b.Kind != plan.RootBlock {
-			t1 := time.Now()
-			gsp := e.sctl.Begin("ranges", bsp, bi+1, r.b.ID)
+			gsp, t1 := e.phaseBegin("ranges", bsp, bi+1, r.b.ID)
 			failed := e.updateBinding(r)
-			e.sctl.End(gsp)
-			r.acc.ns[phaseRanges] += int64(time.Since(t1))
+			r.acc.ns[phaseRanges] += e.phaseEnd(gsp, t1)
 			if failed {
 				return false, nil
 			}

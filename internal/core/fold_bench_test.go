@@ -40,7 +40,7 @@ func foldCatalog(n int, seed uint64) *storage.Catalog {
 // foldBenchEnv builds an engine over the fold catalog, feeds the first
 // mini-batch (so all groups exist) and returns the pieces needed to
 // drive the fold loop by hand.
-func foldBenchEnv(tb testing.TB, multiKey, profile, spanned bool) (*Engine, *blockRunner, *tableStream, *triEnv, []types.Row) {
+func foldBenchEnv(tb testing.TB, multiKey, profile bool) (*Engine, *blockRunner, *tableStream, *triEnv, []types.Row) {
 	cat := foldCatalog(20000, 71)
 	sql := `SELECT a, SUM(x), AVG(x) FROM facts GROUP BY a`
 	if multiKey {
@@ -50,20 +50,9 @@ func foldBenchEnv(tb testing.TB, multiKey, profile, spanned bool) (*Engine, *blo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	opt := Options{Batches: 10, Trials: 100, Seed: 72, Parallelism: 1}
-	if profile {
-		// Full instrumentation on: fine phase timers plus an attached
-		// tracer, the configuration the alloc regression must also hold
-		// under.
-		opt.Profile = true
-		opt.Tracer = NewTracer(0)
-	}
-	if spanned {
-		// Span timelines on top: spans are recorded at batch/phase/task
-		// granularity, never per tuple, so the fold loop must stay
-		// alloc-free with a SpanTracer attached too.
-		opt.Spans = otrace.NewTracer(0)
-	}
+	// Profile attaches the event ring and the span timeline, the
+	// configuration the alloc regression must also hold under.
+	opt := Options{Batches: 10, Trials: 100, Seed: 72, Parallelism: 1, Profile: profile}
 	eng, err := New(q, cat, opt)
 	if err != nil {
 		tb.Fatal(err)
@@ -85,7 +74,7 @@ func (r *blockRunner) feedTuple(fact types.Row, weights []uint8, repW float64, t
 }
 
 func benchFold(b *testing.B, multiKey, sampled bool) {
-	eng, r, ts, te, rows := foldBenchEnv(b, multiKey, false, false)
+	eng, r, ts, te, rows := foldBenchEnv(b, multiKey, false)
 	var weights []uint8
 	var wbuf []uint8
 	repW := 0.0
@@ -110,7 +99,7 @@ func BenchmarkFoldMultiKey(b *testing.B)         { benchFold(b, true, false) }
 func BenchmarkFoldMultiKeySampled(b *testing.B)  { benchFold(b, true, true) }
 
 func TestFoldBenchEnvGroups(t *testing.T) {
-	_, r, _, _, _ := foldBenchEnv(t, true, false, false)
+	_, r, _, _, _ := foldBenchEnv(t, true, false)
 	if got := len(r.tab.order); got != 8*16 {
 		t.Fatalf("expected 128 groups after warmup, got %d", got)
 	}
@@ -119,12 +108,12 @@ func TestFoldBenchEnvGroups(t *testing.T) {
 
 // TestFoldSteadyStateAllocs pins the steady-state fold path (existing
 // groups, sampled and unsampled tuples) to zero allocations per tuple —
-// with instrumentation off ("plain"), with the phase profiler and
-// tracer enabled ("profiled"), and additionally with span timelines
-// attached ("spanned"): phase timers are monotonic clock reads into
-// pre-allocated accumulators and spans are batch-granular slab appends,
-// so turning observability on must not cost allocations. Skipped under
-// the race detector, whose instrumentation allocates.
+// without ("plain") and with Profile ("profiled": event ring and span
+// timeline attached), and additionally with a span recorded around each
+// fold on the engine's own worker slab ("spanned"): the fold loop reads
+// no clock per tuple and spans are preallocated slab appends, so turning
+// observability on must not cost allocations. Skipped under the race
+// detector, whose instrumentation allocates.
 func TestFoldSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -139,7 +128,7 @@ func TestFoldSteadyStateAllocs(t *testing.T) {
 		{"multi-key", true, false},
 		{"multi-key/sampled", true, true},
 	} {
-		for _, mode := range []struct {
+		for _, cfg := range []struct {
 			name             string
 			profile, spanned bool
 		}{
@@ -147,8 +136,15 @@ func TestFoldSteadyStateAllocs(t *testing.T) {
 			{"profiled", true, false},
 			{"spanned", true, true},
 		} {
-			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				eng, r, ts, te, rows := foldBenchEnv(t, tc.multiKey, mode.profile, mode.spanned)
+			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) {
+				eng, r, ts, te, rows := foldBenchEnv(t, tc.multiKey, cfg.profile)
+				// The spanned mode brackets every fold with a span on
+				// worker 0's slab, created here so the measured loop
+				// only appends (or counts a drop once the slab is full).
+				var slab *otrace.Slab
+				if cfg.spanned {
+					slab = eng.workerSlab(0)
+				}
 				var wbuf []uint8
 				repW := 0.0
 				if tc.sampled {
@@ -162,14 +158,22 @@ func TestFoldSteadyStateAllocs(t *testing.T) {
 						wbuf = eng.weightsInto(wbuf, ts, i%len(rows))
 						weights = wbuf
 					}
+					var id otrace.SpanID
+					if cfg.spanned {
+						id = slab.Begin("fold", 0, 0, 0)
+					}
 					r.feedTuple(fact, weights, repW, te)
+					slab.End(id)
 					i++
 				})
 				if allocs != 0 {
 					t.Fatalf("steady-state fold allocates %.1f allocs/tuple, want 0", allocs)
 				}
-				if mode.profile && r.acc.ns[phaseFold] == 0 {
-					t.Fatal("profiled run recorded no fold time")
+				if cfg.profile && eng.Spans() == nil {
+					t.Fatal("Profile attached no span timeline")
+				}
+				if cfg.spanned && len(eng.Spans().Spans())+slab.Dropped() < 2000 {
+					t.Fatal("spanned run recorded no fold spans")
 				}
 			})
 		}

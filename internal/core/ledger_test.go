@@ -153,8 +153,7 @@ func TestBudgetDegradeBitIdentical(t *testing.T) {
 
 			ob := o
 			ob.MaxMemoryBytes = 1
-			tr := NewTracer(0)
-			ob.Tracer = tr
+			ob.Profile = true
 			got, eng := ledgerRun(t, determinismSQL, ob, seed, 5*2048)
 
 			label := "budget-degrade"
@@ -179,7 +178,7 @@ func TestBudgetDegradeBitIdentical(t *testing.T) {
 			}
 			// The ladder announced itself: one EvDegrade per rung, in order.
 			var rungs []int
-			for _, ev := range tr.Events() {
+			for _, ev := range eng.Events().Events() {
 				if ev.Kind == EvDegrade {
 					rungs = append(rungs, ev.Kept)
 				}

@@ -178,24 +178,18 @@ func (ws *weightSource) floats(gi int) ([]float64, float64) {
 // feedPart folds rows (global rows baseIdx..) into st on the calling
 // goroutine. When the block's columnar plan applies, the rows are swept
 // by the vectorized pipeline (colFeed) instead of the row loop below —
-// bit-identically.
+// bit-identically. The row loop is timed as one fold phase per part.
 func (r *blockRunner) feedPart(rows []types.Row, baseIdx int, ts *tableStream, st *stage) {
 	ws := r.newWeightSource(ts, st)
 	if r.colFeed(rows, baseIdx, &ws, st) {
 		return
 	}
-	prof := r.eng.profile
+	t0 := time.Now()
 	for i, fact := range rows {
-		var t0 time.Time
-		if prof {
-			t0 = time.Now()
-		}
 		weights, repW := ws.bytes(baseIdx + i)
-		if prof {
-			st.acc.ns[phaseWeights] += int64(time.Since(t0))
-		}
 		r.feedTupleTo(fact, weights, repW, st)
 	}
+	st.acc.ns[phaseFold] += int64(time.Since(t0))
 }
 
 // foldOn folds rows into wc's persistent stage for r, on the calling

@@ -57,6 +57,15 @@ func determinismCatalog(n int, seed uint64) *storage.Catalog {
 
 func runSnapshots(t *testing.T, cat *storage.Catalog, sql string, o Options) []*Snapshot {
 	t.Helper()
+	snaps, eng := runEngine(t, cat, sql, o)
+	eng.Close()
+	return snaps
+}
+
+// runEngine is runSnapshots that also returns the drained engine, for
+// tests that inspect its state afterwards. It is closed at cleanup.
+func runEngine(t *testing.T, cat *storage.Catalog, sql string, o Options) ([]*Snapshot, *Engine) {
+	t.Helper()
 	q, err := plan.Compile(sql, cat)
 	if err != nil {
 		t.Fatal(err)
@@ -65,12 +74,12 @@ func runSnapshots(t *testing.T, cat *storage.Catalog, sql string, o Options) []*
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
+	t.Cleanup(eng.Close)
 	var snaps []*Snapshot
 	for {
 		snap, err := eng.Step()
 		if err == ErrDone {
-			return snaps
+			return snaps, eng
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +194,7 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 			WHERE x < (SELECT 0.6 * AVG(x) FROM drift)`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			recomputes := func(t *testing.T, o Options) ([]*Snapshot, int) {
+			recomputes := func(t *testing.T, o Options) ([]*Snapshot, int, []Event) {
 				q, err := plan.Compile(tc.sql, cat)
 				if err != nil {
 					t.Fatal(err)
@@ -202,7 +211,7 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 				for {
 					snap, err := eng.Step()
 					if err == ErrDone {
-						return snaps, eng.Metrics().Recomputes
+						return snaps, eng.Metrics().Recomputes, eng.Events().Events()
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -210,8 +219,8 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 					snaps = append(snaps, snap)
 				}
 			}
-			serial, sRec := recomputes(t, opts(1))
-			parallel, pRec := recomputes(t, opts(4))
+			serial, sRec, _ := recomputes(t, opts(1))
+			parallel, pRec, _ := recomputes(t, opts(4))
 			if sRec == 0 {
 				t.Fatal("fixture chosen to force a variation-range failure reported Recomputes = 0")
 			}
@@ -222,8 +231,8 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 
 			o := opts(4)
 			o.Chaos = chaos.New(chaos.Config{Seed: 5, PanicProb: 0.3})
-			o.Tracer = NewTracer(0)
-			faulty, fRec := recomputes(t, o)
+			o.Profile = true
+			faulty, fRec, events := recomputes(t, o)
 			if o.Chaos.Counts()[chaos.KindPanic] == 0 {
 				t.Fatal("panic chaos fired no panics")
 			}
@@ -233,7 +242,7 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 			// A panic traced after a recompute event, at a batch no later than
 			// the one being recomputed, fired inside the replay.
 			replayBatch, replayPanics := 0, 0
-			for _, ev := range o.Tracer.Events() {
+			for _, ev := range events {
 				switch {
 				case ev.Kind == EvRecompute:
 					replayBatch = max(replayBatch, ev.Batch)

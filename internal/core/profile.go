@@ -6,34 +6,33 @@ import (
 	"time"
 )
 
-// The per-phase profiler answers the question PR 1's throughput work
+// The per-phase profiler answers the question the fold throughput work
 // raised: where does batch time actually go? The paper attributes
 // FluoDB's ~60% online overhead to error estimation (§5); the phases
 // below split every mini-batch into the G-OLA stages so that claim is
 // verifiable per block on our own engine.
 //
-// Two granularities, one discipline:
+// Phases are always collected, and never per row:
 //
-//   - Coarse phases (uncertain re-evaluation, range maintenance,
-//     recompute replay, snapshot emission) are timed at call
-//     granularity — two monotonic clock reads per block per batch —
-//     and are always collected.
-//   - Fine phases (join, fold, bootstrap-weight generation, tuple
-//     classification) live inside the per-tuple fold loop and are
-//     gated by Options.Profile: one clock read per phase transition,
-//     zero reads when disabled.
+//   - Classify and fold are timed per columnar segment sweep inside the
+//     kernels every run executes (colFeed): classify is the selection
+//     plus caching of the uncertain run, fold is argument resolution
+//     plus the fold kernel, fused or per row, with the weight
+//     derivation it interleaves. The row loop times a whole part as
+//     fold. That is two clock reads per 4096-row segment, so nothing
+//     needs a gate and Options.Profile does not change the kernels.
+//   - Uncertain re-evaluation, range maintenance, recompute replay and
+//     snapshot emission are timed at their call edges, one clock read
+//     per edge shared with the edge's span (phaseBegin/phaseEnd).
 //
 // Accumulators are plain int64 arrays owned by exactly one goroutine:
 // each parallel worker carries its own phaseAcc in its stage and
-// the runner merges them at the batch boundary, so enabling the
-// profiler keeps the steady-state fold at 0 allocs/tuple (pinned by
-// TestFoldSteadyStateAllocs' profiled subtests).
+// the runner merges them at the batch boundary, so the steady-state
+// fold stays at 0 allocs/tuple (pinned by TestFoldSteadyStateAllocs).
 
 // Phase indices. Keep PhaseNames aligned.
 const (
-	phaseJoin = iota
-	phaseFold
-	phaseWeights
+	phaseFold = iota
 	phaseClassify
 	phaseUncertain
 	phaseRanges
@@ -45,8 +44,7 @@ const (
 // PhaseNames lists the profiler phases in breakdown order, aligned with
 // PhaseTimes.Durations.
 var PhaseNames = []string{
-	"join", "fold", "weights", "classify",
-	"uncertain", "ranges", "recompute", "snapshot",
+	"fold", "classify", "uncertain", "ranges", "recompute", "snapshot",
 }
 
 // phaseAcc accumulates per-phase nanoseconds. An accumulator is owned
@@ -65,9 +63,7 @@ func (a *phaseAcc) reset() { *a = phaseAcc{} }
 
 func (a *phaseAcc) times() PhaseTimes {
 	return PhaseTimes{
-		Join:      time.Duration(a.ns[phaseJoin]),
 		Fold:      time.Duration(a.ns[phaseFold]),
-		Weights:   time.Duration(a.ns[phaseWeights]),
 		Classify:  time.Duration(a.ns[phaseClassify]),
 		Uncertain: time.Duration(a.ns[phaseUncertain]),
 		Ranges:    time.Duration(a.ns[phaseRanges]),
@@ -78,10 +74,11 @@ func (a *phaseAcc) times() PhaseTimes {
 
 // PhaseTimes is a per-phase wall-time breakdown of G-OLA execution.
 //
-//   - Join: dimension-table hash joins of fact tuples
-//   - Fold: deterministic folds into main + replica aggregate state
-//   - Weights: per-tuple Poisson bootstrap multiplicity generation
-//   - Classify: certain-filter evaluation and tri-state classification
+//   - Fold: folds into main + replica aggregate state, including the
+//     bootstrap weight derivation and dimension joins they interleave
+//   - Classify: certain-filter evaluation, tri-state classification and
+//     caching of uncertain tuples (columnar path; the row path counts
+//     its whole loop as Fold)
 //   - Uncertain: re-evaluation of the cached uncertain set (§3.2 delta
 //     maintenance)
 //   - Ranges: parameter estimate/replica/variation-range maintenance
@@ -91,9 +88,12 @@ func (a *phaseAcc) times() PhaseTimes {
 //     which re-accrue during replay — see BatchWork)
 //   - Snapshot: snapshot materialization with bootstrap CIs (runs after
 //     the batch duration is measured)
+//   - Join, Weights: always zero. Joins and weight derivation run
+//     inside the fold kernels and are timed as Fold; the fields remain
+//     for readers that still name them.
 //
-// Under parallel folding the fine phases sum worker time, so a batch's
-// breakdown may legitimately exceed its wall duration; with
+// Under parallel folding Fold and Classify sum worker time, so a
+// batch's breakdown may legitimately exceed its wall duration; with
 // Parallelism 1 it is a wall-time decomposition.
 type PhaseTimes struct {
 	Join      time.Duration
@@ -109,8 +109,7 @@ type PhaseTimes struct {
 // Durations returns the phases in PhaseNames order.
 func (p PhaseTimes) Durations() []time.Duration {
 	return []time.Duration{
-		p.Join, p.Fold, p.Weights, p.Classify,
-		p.Uncertain, p.Ranges, p.Recompute, p.Snapshot,
+		p.Fold, p.Classify, p.Uncertain, p.Ranges, p.Recompute, p.Snapshot,
 	}
 }
 
@@ -119,7 +118,7 @@ func (p PhaseTimes) Durations() []time.Duration {
 // would double-count) and Snapshot (measured after the batch duration).
 // With serial folding, BatchWork ≤ the batch duration.
 func (p PhaseTimes) BatchWork() time.Duration {
-	return p.Join + p.Fold + p.Weights + p.Classify + p.Uncertain + p.Ranges
+	return p.Fold + p.Classify + p.Uncertain + p.Ranges
 }
 
 // Milliseconds returns the non-zero phases as name → milliseconds, the
@@ -134,7 +133,7 @@ func (p PhaseTimes) Milliseconds() map[string]float64 {
 	return out
 }
 
-// String renders the non-zero phases compactly ("join 1.2ms fold 3.4ms").
+// String renders the non-zero phases compactly ("fold 1.2ms classify 3.4ms").
 func (p PhaseTimes) String() string {
 	var b strings.Builder
 	for i, d := range p.Durations() {
@@ -203,9 +202,6 @@ func (e *Engine) Report() string {
 	fmt.Fprintf(&b, "G-OLA profile: %d/%d batches, %d rows, %d recomputes, %d uncertain cached, %s processing\n",
 		m.Batches, e.opt.Batches, m.RowsProcessed, m.Recomputes, e.UncertainRows(), fmtDur(total))
 	fmt.Fprintf(&b, "phase totals: %s\n", m.Phases)
-	if !e.opt.Profile {
-		b.WriteString("(fine phases join/fold/weights/classify require Options.Profile)\n")
-	}
 	if e.spans != nil {
 		b.WriteString(e.timelineSummary())
 	}
@@ -254,9 +250,9 @@ func (e *Engine) Report() string {
 		}
 	}
 	if len(m.PhasePerBatch) > 0 {
-		fmt.Fprintf(&b, "%5s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
+		fmt.Fprintf(&b, "%5s %10s %10s %10s %10s %10s %10s %10s %10s\n",
 			"batch", "dur",
-			"join", "fold", "weights", "classify", "uncertain", "ranges", "recompute", "snapshot", "unc.rows")
+			"fold", "classify", "uncertain", "ranges", "recompute", "snapshot", "unc.rows")
 		for i, p := range m.PhasePerBatch {
 			var dur time.Duration
 			if i < len(m.BatchDurations) {
@@ -266,9 +262,9 @@ func (e *Engine) Report() string {
 			if i < len(m.UncertainPerBatch) {
 				unc = m.UncertainPerBatch[i]
 			}
-			fmt.Fprintf(&b, "%5d %10s %10s %10s %10s %10s %10s %10s %10s %10s %10d\n",
+			fmt.Fprintf(&b, "%5d %10s %10s %10s %10s %10s %10s %10s %10d\n",
 				i+1, fmtDur(dur),
-				fmtDur(p.Join), fmtDur(p.Fold), fmtDur(p.Weights), fmtDur(p.Classify),
+				fmtDur(p.Fold), fmtDur(p.Classify),
 				fmtDur(p.Uncertain), fmtDur(p.Ranges), fmtDur(p.Recompute), fmtDur(p.Snapshot), unc)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fluodb/internal/otrace"
 	"fluodb/internal/plan"
 )
 
@@ -17,7 +18,7 @@ const q17SQL = `SELECT SUM(extendedprice) / 7.0 FROM lineitem l
 	WHERE quantity < (SELECT 0.5 * AVG(quantity) FROM lineitem i WHERE i.partkey = l.partkey)`
 
 // profiledQ17 runs Q17 at a scale/epsilon empirically known to trigger
-// at least one variation-range failure, with full instrumentation on.
+// at least one variation-range failure, with Profile on.
 func profiledQ17(t *testing.T) (*Engine, *Tracer) {
 	t.Helper()
 	cat := synthCatalog(6000, 40, 5)
@@ -25,19 +26,18 @@ func profiledQ17(t *testing.T) (*Engine, *Tracer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer(1 << 14)
 	// Parallelism 1: the consistency checks below compare phase sums
 	// against batch wall time, which only decomposes serially (parallel
 	// workers sum goroutine time).
 	eng, err := New(q, cat, Options{Batches: 10, Trials: 30, Seed: 7,
-		EpsilonSigma: 0.3, Parallelism: 1, Profile: true, Tracer: tr})
+		EpsilonSigma: 0.3, Parallelism: 1, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	return eng, tr
+	return eng, eng.Events()
 }
 
 func TestMetricsPhaseConsistency(t *testing.T) {
@@ -65,14 +65,15 @@ func TestMetricsPhaseConsistency(t *testing.T) {
 		t.Fatal("nested workload never cached uncertain tuples")
 	}
 
-	// Every phase class must be populated: fine phases (Profile on),
-	// coarse phases, and the recompute the workload forces. Join time is
-	// exempt: columnar-eligible blocks (like both of Q17's — no dimension
-	// tables) skip the join dispatch entirely, so join legitimately
-	// profiles as zero.
+	// Every phase class must be populated: the sweep phases, the edge
+	// phases, and the recompute the workload forces. Join and weights
+	// are timed inside fold and always read zero.
 	p := m.Phases
-	if p.Fold == 0 || p.Weights == 0 || p.Classify == 0 {
-		t.Fatalf("fine phases missing with Profile on: %+v", p)
+	if p.Fold == 0 || p.Classify == 0 {
+		t.Fatalf("sweep phases missing: %+v", p)
+	}
+	if p.Join != 0 || p.Weights != 0 {
+		t.Fatalf("join/weights must read zero: %+v", p)
 	}
 	if p.Ranges == 0 || p.Uncertain == 0 {
 		t.Fatalf("coarse phases missing: %+v", p)
@@ -128,6 +129,9 @@ func TestMetricsPhaseConsistency(t *testing.T) {
 	}
 }
 
+// TestMetricsCoarsePhasesWithoutProfile: every measured phase is
+// collected without Profile — the sweep phases as well as the edge
+// phases — and join/weights read zero.
 func TestMetricsCoarsePhasesWithoutProfile(t *testing.T) {
 	cat := synthCatalog(3000, 20, 5)
 	q, err := plan.Compile(q17SQL, cat)
@@ -142,11 +146,14 @@ func TestMetricsCoarsePhasesWithoutProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := eng.Metrics().Phases
-	if p.Join != 0 || p.Fold != 0 || p.Weights != 0 || p.Classify != 0 {
-		t.Fatalf("fine phases recorded without Profile: %+v", p)
+	if p.Fold == 0 || p.Classify == 0 || p.Uncertain == 0 || p.Ranges == 0 || p.Snapshot == 0 {
+		t.Fatalf("measured phases must be collected without Profile: %+v", p)
 	}
-	if p.Ranges == 0 || p.Snapshot == 0 {
-		t.Fatalf("coarse phases must be collected even without Profile: %+v", p)
+	if p.Join != 0 || p.Weights != 0 {
+		t.Fatalf("join/weights must read zero: %+v", p)
+	}
+	if eng.Events() != nil || eng.Spans() != nil {
+		t.Fatal("event ring or span timeline built without Profile")
 	}
 }
 
@@ -183,7 +190,7 @@ func TestReportBreakdown(t *testing.T) {
 	for _, want := range []string{
 		"G-OLA profile:", "recomputes", "phase totals:",
 		"block 0 [", "block 1 [root]", "table=lineitem",
-		"batch", "join", "fold", "weights", "classify", "uncertain", "ranges", "recompute", "snapshot",
+		"batch", "fold", "classify", "uncertain", "ranges", "recompute", "snapshot",
 	} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("Report() missing %q:\n%s", want, rep)
@@ -196,22 +203,96 @@ func TestReportBreakdown(t *testing.T) {
 }
 
 func TestPhaseTimesHelpers(t *testing.T) {
-	p := PhaseTimes{Join: time.Millisecond, Fold: 2 * time.Millisecond,
+	p := PhaseTimes{Classify: time.Millisecond, Fold: 2 * time.Millisecond,
 		Recompute: 4 * time.Millisecond, Snapshot: 8 * time.Millisecond}
 	if got := p.BatchWork(); got != 3*time.Millisecond {
 		t.Fatalf("BatchWork = %v, want 3ms (recompute/snapshot excluded)", got)
 	}
 	ms := p.Milliseconds()
-	if ms["join"] != 1 || ms["fold"] != 2 || ms["recompute"] != 4 || ms["snapshot"] != 8 {
+	if ms["classify"] != 1 || ms["fold"] != 2 || ms["recompute"] != 4 || ms["snapshot"] != 8 {
 		t.Fatalf("Milliseconds = %v", ms)
 	}
-	if _, ok := ms["weights"]; ok {
+	if _, ok := ms["uncertain"]; ok {
 		t.Fatal("zero phases must be omitted from Milliseconds")
 	}
-	if len(PhaseNames) != numPhases {
-		t.Fatalf("PhaseNames length %d != numPhases %d", len(PhaseNames), numPhases)
+	if len(PhaseNames) != numPhases || len(p.Durations()) != numPhases {
+		t.Fatalf("PhaseNames length %d, Durations length %d, numPhases %d",
+			len(PhaseNames), len(p.Durations()), numPhases)
 	}
-	if s := p.String(); !strings.Contains(s, "join 1.0ms") || !strings.Contains(s, "fold 2.0ms") {
+	if s := p.String(); !strings.Contains(s, "classify 1.0ms") || !strings.Contains(s, "fold 2.0ms") {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestSpansMatchPhases: under Profile the reclassify, ranges, recompute
+// and snapshot spans read the same clock edges as the phase profile, so
+// each batch's summed span durations equal its PhasePerBatch entry to
+// the nanosecond — on a run whose recompute replays earlier batches
+// under the recompute span. Every ring event is stamped with its
+// mirrored instant's timestamp.
+func TestSpansMatchPhases(t *testing.T) {
+	eng, tr := profiledQ17(t)
+	m := eng.Metrics()
+	if m.Recomputes == 0 {
+		t.Fatal("workload chosen to recompute reported Recomputes = 0")
+	}
+	spans := eng.Spans().Spans()
+	byID := make(map[otrace.SpanID]otrace.Span, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	// A replayed batch's spans are charged to the step whose recompute
+	// span wraps them.
+	step := func(s otrace.Span) int {
+		b := int(s.Batch)
+		for p := s.Parent; p != 0; p = byID[p].Parent {
+			if byID[p].Name == "recompute" {
+				b = int(byID[p].Batch)
+			}
+		}
+		return b
+	}
+	got := make([]PhaseTimes, m.Batches)
+	for _, s := range spans {
+		var d *time.Duration
+		switch i := step(s) - 1; s.Name {
+		case "reclassify":
+			d = &got[i].Uncertain
+		case "ranges":
+			d = &got[i].Ranges
+		case "recompute":
+			d = &got[i].Recompute
+		case "snapshot":
+			d = &got[i].Snapshot
+		default:
+			continue
+		}
+		*d += s.Dur()
+	}
+	for i, want := range m.PhasePerBatch {
+		g := got[i]
+		if g.Uncertain != want.Uncertain || g.Ranges != want.Ranges ||
+			g.Recompute != want.Recompute || g.Snapshot != want.Snapshot {
+			t.Fatalf("batch %d: spans uncertain/ranges/recompute/snapshot %v/%v/%v/%v, phases %v/%v/%v/%v",
+				i+1, g.Uncertain, g.Ranges, g.Recompute, g.Snapshot,
+				want.Uncertain, want.Ranges, want.Recompute, want.Snapshot)
+		}
+	}
+
+	if eng.Spans().DroppedInstants() != 0 || tr.Dropped() != 0 {
+		t.Fatal("instants or ring events dropped")
+	}
+	ts := map[uint64]int64{}
+	for _, in := range eng.Spans().Instants() {
+		ts[in.Seq] = in.Ts
+	}
+	evs := tr.Events()
+	if len(evs) == 0 || len(ts) != len(evs) {
+		t.Fatalf("%d ring events, %d instants", len(evs), len(ts))
+	}
+	for _, ev := range evs {
+		if at, ok := ts[ev.Seq]; !ok || ev.Ms != float64(at)/1e6 {
+			t.Fatalf("event %d (%s) stamped %vms, its instant at %dns (found %v)", ev.Seq, ev.Kind, ev.Ms, at, ok)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"fluodb/internal/chaos"
 	"fluodb/internal/exec"
 	"fluodb/internal/expr"
@@ -263,66 +261,27 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 // multiplicities and subsample weight) through join → certain filter →
 // classification into st. weights may live in a reusable scratch
 // buffer: tuples that stay uncertain copy them into the stage's arena.
-// When profiling is enabled it splits the work into join, fold and
-// classify time via monotonic clock reads into the stage's accumulator
-// — everything in this function that is neither the join nor a fold
-// counts as classification. time.Now is allocation-free, so the
-// profiled path keeps the steady-state fold at 0 allocs/tuple.
 func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64, st *stage) {
-	prof := r.eng.profile
-	te, tab, acc := st.te, st.tab, &st.acc
-	var t0 time.Time
-	if prof {
-		t0 = time.Now()
-	}
-	rows := st.joiner.Join(fact)
-	if prof {
-		t1 := time.Now()
-		acc.ns[phaseJoin] += int64(t1.Sub(t0))
-		t0 = t1
-	}
-	for _, row := range rows {
+	te, tab := st.te, st.tab
+	for _, row := range st.joiner.Join(fact) {
 		te.pointCtx.Row = row
 		if r.certainWhere != nil && !r.certainWhere.Eval(te.pointCtx).Truthy() {
 			continue
 		}
 		if r.uncertainWhere == nil {
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseClassify] += int64(t1.Sub(t0))
-				t0 = t1
-			}
 			tab.fold(r.b, te.pointCtx, weights, repW)
 			st.folds++
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseFold] += int64(t1.Sub(t0))
-				t0 = t1
-			}
 			continue
 		}
 		switch te.evalTri(r.uncertainWhere, row) {
 		case triTrue:
 			te.pointCtx.Row = row
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseClassify] += int64(t1.Sub(t0))
-				t0 = t1
-			}
 			tab.fold(r.b, te.pointCtx, weights, repW)
 			st.folds++
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseFold] += int64(t1.Sub(t0))
-				t0 = t1
-			}
 		case triFalse:
 			// dropped forever
 		default:
 			st.cache(row, weights, repW)
 		}
-	}
-	if prof {
-		acc.ns[phaseClassify] += int64(time.Since(t0))
 	}
 }

@@ -27,8 +27,8 @@ type BlockStat struct {
 	Table     string // streamed fact table
 	Groups    int    // live groups in the block's aggregate state
 	Uncertain int    // cached uncertain tuples
-	// Phases is the block's cumulative per-phase processing time (fine
-	// phases require Options.Profile; see PhaseTimes).
+	// Phases is the block's cumulative per-phase processing time (see
+	// PhaseTimes).
 	Phases PhaseTimes
 }
 
@@ -43,9 +43,8 @@ type Snapshot struct {
 	Recomputes        int           // cumulative range-failure recomputations
 	Elapsed           time.Duration // processing time of this batch
 	// Phases breaks down where this batch went (including the emission
-	// of this snapshot; fine phases require Options.Profile). Worker
-	// time is summed under parallel folding, so the breakdown may exceed
-	// Elapsed.
+	// of this snapshot). Worker time is summed under parallel folding,
+	// so the breakdown may exceed Elapsed.
 	Phases PhaseTimes
 	// Blocks profiles each lineage block (dependency order, root last) —
 	// the observability the paper's Query Controller exposes (§4).

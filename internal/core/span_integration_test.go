@@ -10,8 +10,8 @@ import (
 	"fluodb/internal/testutil"
 )
 
-// spanEnv runs a P=4 multi-key grouped query to completion with a span
-// tracer attached and returns the tracer.
+// spanEnv runs a P=4 multi-key grouped query to completion with Profile
+// on and returns the engine's span timeline.
 func spanEnv(t *testing.T, opt Options) (*otrace.Tracer, *Engine) {
 	t.Helper()
 	cat := foldCatalog(20000, 71)
@@ -19,14 +19,14 @@ func spanEnv(t *testing.T, opt Options) (*otrace.Tracer, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := otrace.NewTracer(0)
-	sp.SetLabel("span integration")
-	opt.Spans = sp
+	opt.Profile = true
 	eng, err := New(q, cat, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
+	sp := eng.Spans()
+	sp.SetLabel("span integration")
 	for !eng.Done() {
 		if _, err := eng.Step(); err != nil {
 			t.Fatal(err)
@@ -118,8 +118,7 @@ func TestSpanHierarchyParallelQuery(t *testing.T) {
 }
 
 // TestSpanInstantCorrelation: chaos-injected faults must appear as
-// instant events carrying the ring's sequence numbers, even when the
-// caller supplied no ring tracer (the engine creates one internally).
+// instant events carrying the ring's sequence numbers.
 func TestSpanInstantCorrelation(t *testing.T) {
 	sp, _ := spanEnv(t, Options{
 		Batches: 6, Trials: 20, Seed: 11,
@@ -167,13 +166,13 @@ func TestSpanCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := otrace.NewTracer(0)
-	opt := Options{Batches: 6, Trials: 20, Seed: 9, Parallelism: 1, Spans: sp}
+	opt := Options{Batches: 6, Trials: 20, Seed: 9, Parallelism: 1, Profile: true}
 	eng, err := New(q, cat, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	sp := eng.Spans()
 	for i := 0; i < 3; i++ {
 		if _, err := eng.Step(); err != nil {
 			t.Fatal(err)
@@ -184,14 +183,12 @@ func TestSpanCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sp2 := otrace.NewTracer(0)
-	opt2 := opt
-	opt2.Spans = sp2
-	eng2, err := Resume(q, cat, opt2, ck)
+	eng2, err := Resume(q, cat, opt, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
+	sp2 := eng2.Spans()
 	for !eng2.Done() {
 		if _, err := eng2.Step(); err != nil {
 			t.Fatal(err)

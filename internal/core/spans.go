@@ -9,8 +9,9 @@ import (
 	"fluodb/internal/otrace"
 )
 
-// Span timeline integration (DESIGN.md §14). The engine records a
-// hierarchical timeline into the caller-supplied otrace.Tracer:
+// Span timeline integration (DESIGN.md §14). With Options.Profile the
+// engine records a hierarchical timeline into its own otrace.Tracer
+// (Engine.Spans):
 //
 //	query
 //	├── batch (one per mini-batch, also under recompute/resume replays)
@@ -30,30 +31,47 @@ import (
 //
 // Span edges fire at batch/phase granularity — never per tuple — so
 // the fold hot path is untouched and the steady state allocates
-// nothing (pinned by the "spanned" mode of TestFoldSteadyStateAllocs).
+// nothing (pinned by the "profiled" mode of TestFoldSteadyStateAllocs).
+// The reclassify, ranges, recompute and snapshot edges share their one
+// clock reading with the phase profiler (phaseBegin/phaseEnd), so a
+// span's duration is exactly the phase time it accounts for.
 // The currently open ancestry is carried in engine fields rather than
 // threaded through every call: the controller is single-threaded, and
 // workers only read the fields between a barrier's submit and wait.
-// Every otrace call is nil-safe, so disabled spans cost only nil
-// checks on batch-granular paths.
+// Every otrace call is nil-safe, so without Profile spans cost only
+// nil checks on batch-granular paths.
 
-// spanInstant is the Tracer mirror hook: ring events attach to the
-// timeline as instant events, correlated by Seq/Batch. Worker-scoped
-// kinds land on the worker's track; everything else on the controller.
-func (e *Engine) spanInstant(ev Event) {
-	tid := 0
-	switch ev.Kind {
-	case EvFault, EvWorkerPanic:
-		if ev.Worker >= 0 {
-			tid = ev.Worker + 1
-		}
+// now reads the engine's phase clock: nanoseconds since the span epoch
+// under Profile (so phase edges and spans share readings), since
+// construction otherwise.
+func (e *Engine) now() int64 {
+	if e.spans != nil {
+		return e.spans.Now()
 	}
-	note := ev.Note
-	if note == "" {
-		note = ev.Key
-	}
-	e.spans.Instant(ev.Kind, tid, ev.Batch, ev.Seq, note)
+	return int64(time.Since(e.epoch))
 }
+
+// phaseBegin reads the clock once for a phase's opening edge and opens
+// the phase's controller span at that reading.
+func (e *Engine) phaseBegin(name string, parent otrace.SpanID, batch, block int) (otrace.SpanID, int64) {
+	t := e.now()
+	return e.sctl.BeginAt(t, name, parent, batch, block), t
+}
+
+// phaseEnd reads the clock once for the closing edge, closes the span
+// and returns the phase's elapsed nanoseconds — exactly the span's
+// duration.
+func (e *Engine) phaseEnd(id otrace.SpanID, t0 int64) int64 {
+	t := e.now()
+	e.sctl.EndAt(id, t)
+	return t - t0
+}
+
+// Events returns the Profile event ring (nil without Profile).
+func (e *Engine) Events() *Tracer { return e.trace }
+
+// Spans returns the Profile span timeline (nil without Profile).
+func (e *Engine) Spans() *otrace.Tracer { return e.spans }
 
 // workerSlab returns worker w's span slab (tid w+1; tid 0 is the
 // controller). Nil when spans are disabled.

@@ -4,17 +4,18 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"time"
+
+	"fluodb/internal/otrace"
 )
 
 // Structured G-OLA event tracing. The engine's interesting decisions —
 // a partial result escaping its committed variation range (§3.2), the
 // first deterministic commit of a range, uncertain tuples flipping to
 // certain, a recompute being triggered — used to be visible only
-// through an ad-hoc debug printf. The Tracer captures them as typed
-// events in a bounded ring so tools (flbench -trace) and tests can
-// replay exactly why the engine recomputed or how an uncertain set
-// drained, without unbounded memory on long runs.
+// through an ad-hoc debug printf. With Options.Profile the engine
+// captures them as typed events in a bounded ring so tools (flbench
+// -trace) and tests can replay exactly why the engine recomputed or how
+// an uncertain set drained, without unbounded memory on long runs.
 
 // Event kinds.
 const (
@@ -74,7 +75,7 @@ const (
 // uncertain-flip carries Folded/Dropped/Kept tuple counts.
 type Event struct {
 	Seq     uint64  `json:"seq"`
-	Ms      float64 `json:"ms"` // since trace start
+	Ms      float64 `json:"ms"` // since the span epoch
 	Batch   int     `json:"batch"`
 	Block   int     `json:"block,omitempty"`
 	Kind    string  `json:"kind"`
@@ -90,73 +91,64 @@ type Event struct {
 	Note    string  `json:"note,omitempty"`
 }
 
-// Tracer is a bounded ring of Events. Emission is mutex-protected —
+// Tracer is a bounded ring of Events, built by the engine when
+// Options.Profile is on (Engine.Events). Emission is mutex-protected —
 // events fire at block/batch granularity, never per tuple, so the lock
-// is far off the fold hot path. When the ring is full the oldest
-// events are overwritten; Dropped reports how many.
+// is far off the fold hot path. The ring grows on demand up to its
+// limit; past it the oldest events are overwritten and Dropped reports
+// how many. Every event is stamped from the span timeline's clock and
+// mirrored onto it as an instant with the same timestamp, correlated
+// by Seq/Batch.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Event
-	next    uint64 // total events ever emitted
-	batch   int    // current 1-based batch, stamped onto events
-	start   time.Time
-	started bool
-	// mirror, when set, receives a copy of every emitted event after it
-	// is stamped (outside the ring lock). The engine uses it to attach
-	// ring events to the span timeline as instants (internal/otrace),
-	// correlated by Seq/Batch.
-	mirror func(Event)
+	mu    sync.Mutex
+	ring  []Event
+	limit int
+	next  uint64 // total events ever emitted
+	batch int    // current 1-based batch, stamped onto events
+	spans *otrace.Tracer
 }
 
-// DefaultTraceCapacity bounds a Tracer built with NewTracer(0).
-const DefaultTraceCapacity = 4096
+// traceCap bounds the engine's event ring: 64k events hold every commit
+// of the suite queries at benchmark scale.
+const traceCap = 1 << 16
 
-// NewTracer builds a tracer retaining the most recent capacity events
-// (DefaultTraceCapacity if capacity <= 0).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Tracer{ring: make([]Event, 0, capacity)}
+// newTracer builds a ring retaining the most recent limit events,
+// stamped and mirrored through spans.
+func newTracer(limit int, spans *otrace.Tracer) *Tracer {
+	return &Tracer{limit: limit, spans: spans}
 }
 
-// Emit records an event, stamping its sequence number, relative
-// timestamp, and current batch. Nil tracers are safe no-ops so call
-// sites need no guards.
+// Emit records an event, stamping its sequence number, its timestamp
+// (Ms: milliseconds since the span epoch) and the current batch, then
+// mirrors it onto the span timeline as an instant at the same
+// timestamp. Worker-scoped kinds land on the worker's track, everything
+// else on the controller's. Nil tracers are safe no-ops so call sites
+// need no guards.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if !t.started {
-		t.started = true
-		t.start = time.Now()
-	}
+	ts := t.spans.Now()
 	ev.Seq = t.next
-	ev.Ms = float64(time.Since(t.start).Microseconds()) / 1000
+	ev.Ms = float64(ts) / 1e6
 	ev.Batch = t.batch
 	t.next++
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.limit {
 		t.ring = append(t.ring, ev)
 	} else {
-		t.ring[int(ev.Seq)%cap(t.ring)] = ev
+		t.ring[int(ev.Seq)%t.limit] = ev
 	}
-	mirror := t.mirror
 	t.mu.Unlock()
-	if mirror != nil {
-		mirror(ev)
+	tid := 0
+	if (ev.Kind == EvFault || ev.Kind == EvWorkerPanic) && ev.Worker >= 0 {
+		tid = ev.Worker + 1
 	}
-}
-
-// setMirror installs the post-emit hook. Call before the engine runs;
-// emissions are concurrent with it otherwise.
-func (t *Tracer) setMirror(fn func(Event)) {
-	if t == nil {
-		return
+	note := ev.Note
+	if note == "" {
+		note = ev.Key
 	}
-	t.mu.Lock()
-	t.mirror = fn
-	t.mu.Unlock()
+	t.spans.Instant(ts, ev.Kind, tid, ev.Batch, ev.Seq, note)
 }
 
 // setBatch stamps subsequent events with the given 1-based batch.
@@ -177,9 +169,9 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Event, 0, len(t.ring))
-	if int(t.next) > cap(t.ring) {
-		// Ring has wrapped: oldest retained event is at next % cap.
-		at := int(t.next) % cap(t.ring)
+	if int(t.next) > t.limit {
+		// Ring has wrapped: oldest retained event is at next % limit.
+		at := int(t.next) % t.limit
 		out = append(out, t.ring[at:]...)
 		out = append(out, t.ring[:at]...)
 	} else {
@@ -195,10 +187,10 @@ func (t *Tracer) Dropped() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(t.next) <= cap(t.ring) {
+	if int(t.next) <= t.limit {
 		return 0
 	}
-	return int(t.next) - cap(t.ring)
+	return int(t.next) - t.limit
 }
 
 // traceFault emits an EvFault event for an injected or contained fault.

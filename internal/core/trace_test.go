@@ -7,10 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fluodb/internal/otrace"
 )
 
 func TestTracerRingBound(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8, otrace.NewTracer(0))
 	for i := 0; i < 20; i++ {
 		tr.Emit(Event{Kind: EvCommit, Block: i})
 	}
@@ -39,7 +41,7 @@ func TestTracerNilSafe(t *testing.T) {
 }
 
 func TestTracerBatchStamp(t *testing.T) {
-	tr := NewTracer(16)
+	tr := newTracer(16, otrace.NewTracer(0))
 	tr.setBatch(1)
 	tr.Emit(Event{Kind: EvCommit})
 	tr.setBatch(2)
@@ -54,7 +56,7 @@ func TestTracerBatchStamp(t *testing.T) {
 }
 
 func TestTracerWriteJSONL(t *testing.T) {
-	tr := NewTracer(16)
+	tr := newTracer(16, otrace.NewTracer(0))
 	tr.setBatch(4)
 	tr.Emit(Event{Kind: EvRangeFailure, Block: 1, Key: "k7", Point: 3.5, Lo: 1, Hi: 2, Boost: 2})
 	tr.Emit(Event{Kind: EvFlip, Block: 1, Folded: 3, Dropped: 1, Kept: 5})
@@ -153,7 +155,7 @@ func TestEventOmitsEmptyFields(t *testing.T) {
 // under -race in CI): every retained event must be intact — a seq in
 // range, stamped, no torn writes — and the drop accounting must add up.
 func TestTracerConcurrentEmit(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64, otrace.NewTracer(0))
 	const (
 		emitters = 8
 		perG     = 500
@@ -191,31 +193,28 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 }
 
-// TestTracerMirrorHook: the mirror receives every emitted event exactly
-// once with its stamped seq, even past ring wraparound — the contract
-// the span-timeline instant correlation depends on.
+// TestTracerMirrorHook: the span timeline receives every emitted event
+// exactly once as an instant with its stamped seq and the event's own
+// timestamp, even past ring wraparound — the contract the span-timeline
+// instant correlation depends on.
 func TestTracerMirrorHook(t *testing.T) {
-	tr := NewTracer(4)
-	var mu sync.Mutex
-	var got []uint64
-	tr.setMirror(func(ev Event) {
-		mu.Lock()
-		got = append(got, ev.Seq)
-		mu.Unlock()
-	})
+	spans := otrace.NewTracer(0)
+	tr := newTracer(4, spans)
 	for i := 0; i < 10; i++ {
 		tr.Emit(Event{Kind: EvCommit})
 	}
-	if len(got) != 10 {
-		t.Fatalf("mirror saw %d events, want 10 (ring cap 4 must not bound it)", len(got))
+	ins := spans.Instants()
+	if len(ins) != 10 {
+		t.Fatalf("timeline saw %d instants, want 10 (ring cap 4 must not bound it)", len(ins))
 	}
-	for i, s := range got {
-		if s != uint64(i) {
-			t.Fatalf("mirror seq %d at position %d", s, i)
+	for i, in := range ins {
+		if in.Seq != uint64(i) {
+			t.Fatalf("instant seq %d at position %d", in.Seq, i)
 		}
 	}
-	// Nil-tracer setMirror must stay a no-op.
-	var nilTr *Tracer
-	nilTr.setMirror(func(Event) {})
-	nilTr.Emit(Event{Kind: EvCommit})
+	for _, ev := range tr.Events() {
+		if in := ins[ev.Seq]; ev.Ms != float64(in.Ts)/1e6 {
+			t.Fatalf("event %d stamped %vms, its instant %dns", ev.Seq, ev.Ms, in.Ts)
+		}
+	}
 }

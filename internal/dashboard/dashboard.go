@@ -82,9 +82,8 @@ type Server struct {
 }
 
 // New builds a dashboard server over a catalog. opt configures the
-// online executions (zero values take engine defaults); the per-phase
-// profiler is always enabled so the phase histograms and SSE payloads
-// carry real timings.
+// online executions (zero values take engine defaults); Profile is
+// always on so every query records the span timeline /trace serves.
 func New(cat *storage.Catalog, opt core.Options) *Server {
 	opt.Profile = true
 	s := &Server{cat: cat, opt: opt, reg: metrics.NewRegistry()}
@@ -287,17 +286,16 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 		send(SnapshotJSON{Err: err.Error()})
 		return
 	}
-	// Each query records a span timeline; the latest is served by /trace.
-	opt := s.opt
-	opt.Spans = otrace.NewTracer(0)
-	opt.Spans.SetLabel(sql)
-	s.spans.Store(opt.Spans)
-	eng, err := core.New(q, s.cat, opt)
+	eng, err := core.New(q, s.cat, s.opt)
 	if err != nil {
 		send(SnapshotJSON{Err: err.Error()})
 		return
 	}
 	defer eng.Close()
+	// Each query records a span timeline (New forces Profile on); the
+	// latest query that started is served by /trace.
+	eng.Spans().SetLabel(sql)
+	s.spans.Store(eng.Spans())
 	s.queries.Inc()
 	s.active.Add(1)
 	defer s.active.Add(-1)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -614,5 +615,56 @@ func TestMemPayloadAndMetrics(t *testing.T) {
 	}
 	if strings.Contains(text, "gola_mem_total_bytes 0\n") {
 		t.Fatal("mem total gauge never set")
+	}
+}
+
+// TestTraceSurvivesFailedQuery: a query that compiles but that the
+// engine refuses to build (projection-only: nothing to refine) reports
+// its error and leaves /trace serving the previous query's timeline.
+func TestTraceSurvivesFailedQuery(t *testing.T) {
+	srv := httptest.NewServer(testServer(t).Handler())
+	defer srv.Close()
+	stream := func(sql string) (errs int) {
+		resp, err := http.Get(srv.URL + "/query?sql=" + url.QueryEscape(sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			var sj SnapshotJSON
+			if strings.HasPrefix(sc.Text(), "data: ") &&
+				json.Unmarshal([]byte(strings.TrimPrefix(sc.Text(), "data: ")), &sj) == nil && sj.Err != "" {
+				errs++
+			}
+		}
+		return errs
+	}
+	traceSpans := func() int {
+		resp, err := http.Get(srv.URL + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ns, _, err := otrace.ValidateChromeJSON(body)
+		if err != nil {
+			t.Fatalf("trace export invalid: %v", err)
+		}
+		return ns
+	}
+	if errs := stream("SELECT country, AVG(play_time) FROM sessions GROUP BY country"); errs != 0 {
+		t.Fatalf("aggregate query streamed %d error events", errs)
+	}
+	before := traceSpans()
+	if before == 0 {
+		t.Fatal("trace carries no spans after a query")
+	}
+	if errs := stream("SELECT country, play_time FROM sessions"); errs == 0 {
+		t.Fatal("projection-only query should fail to build")
+	}
+	if after := traceSpans(); after != before {
+		t.Fatalf("failed query replaced /trace: %d spans, had %d", after, before)
 	}
 }

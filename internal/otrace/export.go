@@ -34,7 +34,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		_, err := io.WriteString(w, `{"traceEvents":[]}`)
 		return err
 	}
-	now := t.now()
+	now := t.Now()
 	spans := t.Spans()
 	instants := t.Instants()
 	label := t.Label()
@@ -127,7 +127,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	now := t.now()
+	now := t.Now()
 	enc := json.NewEncoder(w)
 	for _, s := range t.Spans() {
 		end := s.End

@@ -4,8 +4,9 @@
 // follows the same discipline as the phase profiler (DESIGN.md §9):
 // span edges happen at batch/phase
 // granularity — never per tuple — each edge costs one monotonic clock
-// read, and spans land in preallocated per-track slabs so the steady
-// state allocates nothing. Every method is nil-safe: a nil *Tracer or
+// read (shared with the phase profiler through BeginAt/EndAt), and
+// spans land in preallocated per-track slabs so the steady state
+// allocates nothing. Every method is nil-safe: a nil *Tracer or
 // nil *Slab is a no-op, so call sites need no `if enabled` guards.
 package otrace
 
@@ -129,8 +130,14 @@ func (t *Tracer) Label() string {
 	return t.label
 }
 
-// now returns nanoseconds since the tracer epoch (monotonic).
-func (t *Tracer) now() int64 { return int64(time.Since(t.epoch)) }
+// Now returns nanoseconds since the tracer epoch (monotonic), the
+// timestamp BeginAt, EndAt and Instant take. A nil tracer reads 0.
+func (t *Tracer) Now() int64 {
+	if t == nil {
+		return 0
+	}
+	return int64(time.Since(t.epoch))
+}
 
 // Slab returns the slab for track tid, creating it (and any gaps) on
 // first use. Slabs are created outside the steady state — at pool
@@ -151,13 +158,22 @@ func (t *Tracer) Slab(tid int) *Slab {
 	return t.slabs[tid]
 }
 
-// Begin opens a span on the slab and returns its ID. A full slab
-// counts a drop and returns 0. batch/block < 0 mean unscoped.
+// Begin opens a span on the slab at the current time and returns its
+// ID. A full slab counts a drop and returns 0. batch/block < 0 mean
+// unscoped.
 func (s *Slab) Begin(name string, parent SpanID, batch, block int) SpanID {
 	if s == nil {
 		return 0
 	}
-	ts := s.tr.now()
+	return s.BeginAt(s.tr.Now(), name, parent, batch, block)
+}
+
+// BeginAt is Begin at a caller-read timestamp (Tracer.Now), so one
+// clock reading can open the span and also feed another account.
+func (s *Slab) BeginAt(ts int64, name string, parent SpanID, batch, block int) SpanID {
+	if s == nil {
+		return 0
+	}
 	s.mu.Lock()
 	if len(s.spans) == cap(s.spans) {
 		s.dropped++
@@ -174,13 +190,20 @@ func (s *Slab) Begin(name string, parent SpanID, batch, block int) SpanID {
 	return id
 }
 
-// End closes a span opened on this slab. Zero or foreign IDs are
-// ignored (a dropped Begin yields a harmless End).
+// End closes a span opened on this slab at the current time. Zero or
+// foreign IDs are ignored (a dropped Begin yields a harmless End).
 func (s *Slab) End(id SpanID) {
 	if s == nil || id == 0 {
 		return
 	}
-	ts := s.tr.now()
+	s.EndAt(id, s.tr.Now())
+}
+
+// EndAt is End at a caller-read timestamp (Tracer.Now).
+func (s *Slab) EndAt(id SpanID, ts int64) {
+	if s == nil || id == 0 {
+		return
+	}
 	s.mu.Lock()
 	if i := id.index(); id.tid() == s.tid && i >= 0 && i < len(s.spans) {
 		s.spans[i].End = ts
@@ -198,12 +221,12 @@ func (s *Slab) Dropped() int {
 	return s.dropped
 }
 
-// Instant records a point event. Safe from any goroutine.
-func (t *Tracer) Instant(name string, tid, batch int, seq uint64, note string) {
+// Instant records a point event at ts (Tracer.Now), the timestamp the
+// mirrored ring event was stamped with. Safe from any goroutine.
+func (t *Tracer) Instant(ts int64, name string, tid, batch int, seq uint64, note string) {
 	if t == nil {
 		return
 	}
-	ts := t.now()
 	t.mu.Lock()
 	if len(t.events) >= t.maxEvents {
 		t.dropped++

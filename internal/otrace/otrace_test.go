@@ -22,7 +22,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Fatalf("nil slab Begin = %d, want 0", id)
 	}
 	sl.End(id)
-	tr.Instant("ev", 0, 0, 1, "")
+	tr.Instant(tr.Now(), "ev", 0, 0, 1, "")
 	tr.SetLabel("q")
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil tracer Spans = %v", got)
@@ -117,7 +117,7 @@ func TestInstantBufferBound(t *testing.T) {
 	tr := NewTracer(8)
 	tr.maxEvents = 4
 	for i := 0; i < 10; i++ {
-		tr.Instant("ev", 0, i, uint64(i), "")
+		tr.Instant(tr.Now(), "ev", 0, i, uint64(i), "")
 	}
 	if got := len(tr.Instants()); got != 4 {
 		t.Fatalf("kept %d instants, want 4", got)
@@ -140,7 +140,7 @@ func TestConcurrentSlabsNoRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				id := sl.Begin("task", q, i, 0)
-				tr.Instant("tick", int(sl.tid), i, uint64(i), "")
+				tr.Instant(tr.Now(), "tick", int(sl.tid), i, uint64(i), "")
 				sl.End(id)
 			}
 		}(sl)
@@ -164,7 +164,7 @@ func TestChromeTraceExportRoundTrip(t *testing.T) {
 	w := tr.Slab(2)
 	task := w.Begin("task", f, 0, 0)
 	time.Sleep(time.Millisecond)
-	tr.Instant("fault-injected", 2, 0, 7, "site=worker")
+	tr.Instant(tr.Now(), "fault-injected", 2, 0, 7, "site=worker")
 	w.End(task)
 	ctl.End(f)
 	ctl.End(b)
@@ -194,7 +194,7 @@ func TestJSONLExport(t *testing.T) {
 	ctl := tr.Slab(0)
 	q := ctl.Begin("query", 0, -1, -1)
 	ctl.End(q)
-	tr.Instant("commit", 0, 0, 3, "")
+	tr.Instant(tr.Now(), "commit", 0, 0, 3, "")
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)

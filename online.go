@@ -29,9 +29,8 @@ type Interval = bootstrap.Interval
 type OnlineMetrics = core.Metrics
 
 // PhaseTimes is a per-phase breakdown of where online execution time
-// went (join, fold, bootstrap weights, classification, uncertain
-// re-evaluation, range maintenance, recompute, snapshot emission).
-// Fine-grained phases require OnlineOptions.Profile.
+// went (fold, classification, uncertain re-evaluation, range
+// maintenance, recompute, snapshot emission), collected on every run.
 type PhaseTimes = core.PhaseTimes
 
 // BlockPhaseStat is one lineage block's cumulative per-phase profile.
@@ -41,25 +40,17 @@ type BlockPhaseStat = core.BlockPhaseStat
 // uncertain flip, recompute trigger).
 type TraceEvent = core.Event
 
-// Tracer is a bounded ring of TraceEvents; attach one via
-// OnlineOptions.Tracer to observe the engine's decisions.
+// Tracer is the bounded ring of TraceEvents an OnlineOptions.Profile
+// query records; read it through OnlineQuery.Events.
 type Tracer = core.Tracer
 
-// NewTracer builds a Tracer retaining the most recent capacity events
-// (a default capacity when capacity <= 0).
-func NewTracer(capacity int) *Tracer { return core.NewTracer(capacity) }
-
-// SpanTracer records a hierarchical execution timeline — query →
-// mini-batch → phase → per-worker fold task, plus retries,
-// reclassification and checkpoint/resume — exportable as Chrome
-// trace-event JSON (Perfetto-loadable) or JSONL. Attach one via
-// OnlineOptions.Spans; ring Tracer events mirror onto the timeline as
-// instant events.
+// SpanTracer is the hierarchical execution timeline an
+// OnlineOptions.Profile query records — query → mini-batch → phase →
+// per-worker fold task, plus retries, reclassification and
+// checkpoint/resume — exportable as Chrome trace-event JSON
+// (Perfetto-loadable) or JSONL, with the ring events attached as
+// instants. Read it through OnlineQuery.Spans.
 type SpanTracer = otrace.Tracer
-
-// NewSpanTracer builds a SpanTracer whose per-track slabs hold up to
-// capacity spans each (a default when capacity <= 0).
-func NewSpanTracer(capacity int) *SpanTracer { return otrace.NewTracer(capacity) }
 
 // ResourceUsage is one mini-batch's memory observation: per-pool byte
 // residency from the engine's resource ledger, GC telemetry attributed
@@ -238,10 +229,17 @@ func (oq *OnlineQuery) AuditInvariants() []Violation { return oq.eng.AuditInvari
 
 // Report renders an EXPLAIN-ANALYZE-style text profile of the execution
 // so far: run totals, the per-phase time breakdown, each lineage block's
-// cumulative cost, and the per-batch trajectory. Enable
-// OnlineOptions.Profile for the fine-grained (join/fold/weights/
-// classify) phases.
+// cumulative cost, and the per-batch trajectory; with
+// OnlineOptions.Profile, also the span timeline's summary.
 func (oq *OnlineQuery) Report() string { return oq.eng.Report() }
+
+// Events returns the query's event ring (nil without
+// OnlineOptions.Profile).
+func (oq *OnlineQuery) Events() *Tracer { return oq.eng.Events() }
+
+// Spans returns the query's span timeline (nil without
+// OnlineOptions.Profile).
+func (oq *OnlineQuery) Spans() *SpanTracer { return oq.eng.Spans() }
 
 // ConvergenceSeries returns the per-batch convergence samples recorded
 // so far (bounded; decimated on very long runs).

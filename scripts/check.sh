@@ -10,7 +10,11 @@
 #                   race instrumentation allocates, so the allocation
 #                   gates (steady-state fold, parallel batch feed,
 #                   columnar sweeps, ledger collection) skip themselves
-#                   under it and need this one plain run
+#                   under it and need this one plain run; the fold gates
+#                   run plain and "profiled" (Options.Profile: event
+#                   ring and span timeline attached), and the steady-state
+#                   fold also "spanned" (a span recorded around each
+#                   fold), 0 allocs/row each
 #   fuzz smoke      10 s of FuzzNumKernel: computed aggregate-argument
 #                   columns vs per-row Eval on generated trees and data
 #   benchmark/      the end-to-end benchmark is a nested module that

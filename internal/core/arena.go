@@ -60,7 +60,10 @@ func (a *weightArena) release() {
 		*c = (*c)[:0]
 		weightChunkPool.Put(c)
 	}
-	a.chunks, a.cur = nil, nil
+	// Keep the chunk list's capacity: a cache that drains and refills
+	// every batch then holds weights without allocating.
+	clear(a.chunks)
+	a.chunks, a.cur = a.chunks[:0], nil
 	a.bytes = 0
 }
 

@@ -34,7 +34,7 @@ func BenchmarkFeedTupleSBI(b *testing.B) {
 			weights = eng.weightsFor(ts, i%len(rows))
 			repW = ts.invP
 		}
-		r.feedTuple(fact, weights, repW, te)
+		r.feedTuple(fact, weights, repW, ts.starts[1]+i%len(rows), te)
 	}
 }
 

@@ -312,11 +312,11 @@ func (b *bindings) newPointCtx() *expr.Ctx {
 func (b *bindings) newTriEnv() *triEnv {
 	te := &triEnv{pointCtx: b.newPointCtx()}
 	te.scalarRanges = make([]paramRange, len(b.scalars))
-	te.groupRanges = make([]func(string) paramRange, len(b.groups))
+	te.groupRanges = make([]func([]byte) paramRange, len(b.groups))
 	for i := range b.groups {
-		te.groupRanges[i] = func(key string) paramRange {
+		te.groupRanges[i] = func(key []byte) paramRange {
 			g := b.groups[i]
-			if r, ok := g.rng[key]; ok {
+			if r, ok := g.rng[string(key)]; ok {
 				return r
 			}
 			if g.complete {
@@ -327,11 +327,11 @@ func (b *bindings) newTriEnv() *triEnv {
 			return paramRange{status: rsUnknown}
 		}
 	}
-	te.setTri = make([]func(string) tri, len(b.sets))
+	te.setTri = make([]func([]byte) tri, len(b.sets))
 	for i := range b.sets {
-		te.setTri[i] = func(key string) tri {
+		te.setTri[i] = func(key []byte) tri {
 			s := b.sets[i]
-			if t, ok := s.tri[key]; ok {
+			if t, ok := s.tri[string(key)]; ok {
 				return t
 			}
 			if s.complete {

@@ -102,12 +102,12 @@ func TestChaosSegSealDrop(t *testing.T) {
 		if ev.Kind == EvFault && ev.Key == "segseal" {
 			segFaults++
 		}
-		if ev.Kind == EvColPlan && ev.Block == r.b.ID && ev.Note == "columnar:fused" {
+		if ev.Kind == EvColPlan && ev.Block == r.b.ID && ev.Note == "columnar:fused,tri:kernel" {
 			colPlans++
 		}
 	}
 	if colPlans != 1 {
-		t.Fatalf("EvColPlan(columnar:fused) events for root = %d, want 1", colPlans)
+		t.Fatalf("EvColPlan(columnar:fused,tri:kernel) events for root = %d, want 1", colPlans)
 	}
 	if segFaults == 0 {
 		t.Fatal("segseal drops fired but no EvFault(segseal) events traced")

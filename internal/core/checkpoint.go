@@ -43,7 +43,7 @@ import (
 
 const (
 	ckMagic   = "FLCP1"
-	ckVersion = 3 // 3: four Poisson(1) multiplicities per hash
+	ckVersion = 4 // 4: uncertain rows carry their fact ordinal, not repW
 
 	ckModeFull   = 0
 	ckModeReplay = 1
@@ -364,7 +364,7 @@ func (e *Engine) Checkpoint() ([]byte, error) {
 			for _, u := range r.uncertain {
 				w.row(u.row)
 				w.bytes(u.weights)
-				w.f64(u.repW)
+				w.i(u.ord)
 			}
 		}
 	}
@@ -555,17 +555,24 @@ func (e *Engine) restore(data []byte) error {
 			if r.err != nil {
 				return r.err
 			}
+			total := e.tables[rn.b.Input.Fact].total
 			for i := 0; i < nUnc; i++ {
 				row := r.row()
 				weights := r.bytes()
-				repW := r.f64()
+				ord := r.i()
 				if r.err != nil {
 					return r.err
 				}
-				if weights != nil {
-					weights = rn.arena.hold(weights)
+				// The kernel re-examines cached rows at their ordinals:
+				// an ordinal outside the table, or out of cache order,
+				// is refused here rather than read.
+				if n := len(rn.uncertain); ord < 0 || ord >= total || (n > 0 && ord < rn.uncertain[n-1].ord) {
+					return queryErr(ErrKindCheckpoint, "uncertain row ordinal out of range")
 				}
-				rn.uncertain = append(rn.uncertain, uncertainRow{row: row, weights: weights, repW: repW})
+				if len(weights) != 0 && len(weights) != e.opt.Trials {
+					return queryErr(ErrKindCheckpoint, "uncertain row weight count mismatch")
+				}
+				rn.uncertain = append(rn.uncertain, uncertainRow{row: row, weights: rn.arena.hold(weights), ord: ord})
 			}
 			rn.invalidateEval()
 		}

@@ -10,6 +10,7 @@ import (
 
 	"fluodb/internal/chaos"
 	"fluodb/internal/plan"
+	"fluodb/internal/storage"
 )
 
 // stepTo runs exactly k mini-batches on a fresh engine and returns it
@@ -47,7 +48,12 @@ func finish(t *testing.T, eng *Engine) []*Snapshot {
 // bit-identical remaining snapshots.
 func roundTrip(t *testing.T, label, sql string, o Options, k int) {
 	t.Helper()
-	cat := determinismCatalog(6*2048, 347)
+	roundTripOn(t, label, determinismCatalog(6*2048, 347), sql, o, k)
+}
+
+// roundTripOn is roundTrip over cat.
+func roundTripOn(t *testing.T, label string, cat *storage.Catalog, sql string, o Options, k int) {
+	t.Helper()
 	q, err := plan.Compile(sql, cat)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -101,6 +107,53 @@ func TestCheckpointResumeReplay(t *testing.T) {
 	sql := `SELECT a, MIN(x), MAX(x), SUM(x) FROM facts GROUP BY a`
 	o := Options{Batches: 6, Trials: 32, Seed: 419, Parallelism: 2, ParallelThreshold: 128}
 	roundTrip(t, "replay", sql, o, 3)
+}
+
+// TestCheckpointResumeKeyed resumes the keyed tri-state shapes — a
+// per-group correlated threshold and a membership — whose cached rows
+// the resumed engine re-examines by kernel at their persisted ordinals,
+// at P=1 and P=4: mid-run, and right after the batch whose range
+// failure forced a recompute. Every continuation is bit-identical to
+// the uninterrupted run.
+func TestCheckpointResumeKeyed(t *testing.T) {
+	cat := driftCatalog()
+	for _, tc := range []struct{ name, sql string }{
+		{"correlated", driftCorrelatedSQL},
+		{"in-set", driftMembershipSQL},
+	} {
+		for _, p := range []int{1, 4} {
+			o := driftOptions(p)
+			// The first batch after which a recompute has happened.
+			q, err := plan.Compile(tc.sql, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := New(q, cat, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const mid = 6
+			recomputed, cached := 0, map[int]int{}
+			for k := 1; k <= mid; k++ {
+				stepTo(t, eng, 1)
+				if recomputed == 0 && eng.Metrics().Recomputes > 0 {
+					recomputed = k
+				}
+				cached[k] = len(eng.runners[len(eng.runners)-1].uncertain)
+			}
+			eng.Close()
+			if recomputed == 0 || recomputed == mid {
+				t.Fatalf("%s: a recompute must force before batch %d (at %d)", tc.name, mid, recomputed)
+			}
+			for _, k := range []int{recomputed, mid} {
+				if cached[k] == 0 {
+					t.Fatalf("%s: batch %d leaves no cached rows to resume", tc.name, k)
+				}
+			}
+			roundTripOn(t, fmt.Sprintf("%s/P=%d/after-recompute", tc.name, p), cat, tc.sql, o, recomputed)
+			roundTripOn(t, fmt.Sprintf("%s/P=%d/mid", tc.name, p), cat, tc.sql, o, mid)
+		}
+	}
 }
 
 // TestCheckpointUnderChaos: a checkpoint taken mid-run with fault
@@ -198,12 +251,46 @@ func TestCheckpointRejections(t *testing.T) {
 	corrupt[len(corrupt)-1] ^= 0xFF
 	wantCkErr("trailing corruption", corrupt, o, q)
 
-	// Version 1 persisted a degradation rung of a different ladder, and
+	// Cached rows whose ordinal the encoding cannot hold, or whose
+	// weight vector is short, are refused at restore, not read later.
+	root := eng.runners[len(eng.runners)-1]
+	if len(root.uncertain) < 2 {
+		t.Fatal("fixture caches too few uncertain rows")
+	}
+	for _, tc := range []struct {
+		label string
+		edit  func(u []uncertainRow)
+	}{
+		{"ordinal past the table", func(u []uncertainRow) { u[len(u)-1].ord = 1 << 40 }},
+		{"negative ordinal", func(u []uncertainRow) { u[0].ord = -1 }},
+		{"ordinals out of order", func(u []uncertainRow) { u[0].ord = u[1].ord + 1 }},
+		{"short weights", func(u []uncertainRow) {
+			for i := range u {
+				if u[i].weights != nil {
+					u[i].weights = u[i].weights[:1]
+					return
+				}
+			}
+			t.Fatal("no sampled cached row")
+		}},
+	} {
+		saved := append([]uncertainRow(nil), root.uncertain...)
+		tc.edit(root.uncertain)
+		bad, err := eng.Checkpoint()
+		copy(root.uncertain, saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCkErr(tc.label, bad, o, q)
+	}
+
+	// Version 1 persisted a degradation rung of a different ladder,
 	// version 2 was written under the one-hash-per-weight stream (a
-	// replay-mode resume would regenerate different weights): both are
-	// refused by the version check, not the checksum (the trailer is
-	// recomputed over the rewritten version byte).
-	for _, v := range []byte{1, 2} {
+	// replay-mode resume would regenerate different weights) and version
+	// 3 stored a replica weight where uncertain rows now carry their fact
+	// ordinal: all are refused by the version check, not the checksum
+	// (the trailer is recomputed over the rewritten version byte).
+	for _, v := range []byte{1, 2, 3} {
 		old := append([]byte(nil), ck...)
 		old[len(ckMagic)] = v
 		binary.LittleEndian.PutUint64(old[len(old)-8:], ckSum(old[:len(old)-8]))

@@ -96,6 +96,9 @@ type colPlan struct {
 	// when all aggregates are COUNTs).
 	fuse      bool
 	fusePrimV int
+	// triKernel records that the block's uncertain predicate compiles to
+	// the tri-state kernel (classifier).
+	triKernel bool
 }
 
 // verdict renders the plan's eligibility for traces and reports.
@@ -107,6 +110,30 @@ func (p *colPlan) verdict() string {
 		return p.reason
 	}
 	return "rowpath:" + p.reason
+}
+
+// classifier names what decides the block's uncertain predicate, for
+// new rows (colSelect) and cached ones (reclassify): "tri:kernel" when
+// the columnar plan holds and the predicate compiled, "tri:interp"
+// otherwise, "" without an uncertain predicate.
+func (r *blockRunner) classifier() string {
+	switch {
+	case r.uncertainWhere == nil:
+		return ""
+	case r.colPl != nil && r.colPl.ok && r.colPl.triKernel:
+		return "tri:kernel"
+	default:
+		return "tri:interp"
+	}
+}
+
+// joinNote renders a block's verdict with its classifier, as EvColPlan
+// and Report() show it ("columnar:fused,tri:kernel").
+func joinNote(verdict, classifier string) string {
+	if classifier == "" {
+		return verdict
+	}
+	return verdict + "," + classifier
 }
 
 // ensureColPlan builds the block's columnar plan on first use. Must run
@@ -268,7 +295,8 @@ func (r *blockRunner) buildColPlan() *colPlan {
 	// dims the sweep classifies fact rows before joining, which is only
 	// sound through the (fact-column-only, by construction) tri-state
 	// kernel.
-	if p.hasDims && r.uncertainWhere != nil && expr.CompileTriKernel(r.uncertainWhere, ct) == nil {
+	p.triKernel = r.uncertainWhere != nil && expr.CompileTriKernel(r.uncertainWhere, ct) != nil
+	if p.hasDims && r.uncertainWhere != nil && !p.triKernel {
 		p.reason = "uncertain:uncompilable"
 		return p
 	}
@@ -356,17 +384,22 @@ type colScratch struct {
 	// were lowered against changes identity or version: incremental
 	// appends grow dictionaries (a previously-absent string constant may
 	// now have a code), and chaos/budget faults swap the table. The gate
-	// compares (kernelCT, kernelVer) against the plan's table in colFeed.
+	// compares (kernelCT, kernelVer) against the plan's table in
+	// ensureKernels.
 	kernel    *expr.Kernel
 	triK      *expr.TriKernel
 	kernelCT  *colstore.Table
 	kernelVer uint64
-	tri       []uint8
-	triU      []uint8
-	sel       []int32
-	selU      []int32
-	wf        []float64
-	wbuf      []uint8
+	// tri/triU hold a segment's certain and uncertain kernel bytes and
+	// sel/selU its certainly-in and uncertain selections; reclassify,
+	// which never overlaps a sweep of its stage, reuses triU for a run's
+	// decisions and selU for its gathered rows.
+	tri  []uint8
+	triU []uint8
+	sel  []int32
+	selU []int32
+	wf   []float64
+	wbuf []uint8
 	// runKey/runF gather one run's sampled, non-NULL rows for the fused
 	// kernel's bank fold (colFoldRuns): each row's first weight key and
 	// argument value. They grow to the longest gathered run (at most a
@@ -388,7 +421,7 @@ type colScratch struct {
 	// memoization, never identity. Reset per sweep: entries may be
 	// recycled by stage tables between batches, so cached pointers never
 	// outlive the colFeed call that resolved them.
-	memo        wordMemo
+	memo        colstore.WordMemo
 	memoEntries []*onlineEntry
 	memoOff     []int32
 	memoCnt     []int32
@@ -401,124 +434,22 @@ type colScratch struct {
 	// the dim extensions of a retained row are ever read — the rest of
 	// its fact part belongs to the first-occurrence row and may differ
 	// from the current row's.
-	jmemo wordMemo
+	jmemo colstore.WordMemo
 	jOff  []int32
 	jCnt  []int32
 	jRows []types.Row
 	sole  *onlineEntry // cached sole entry of scalar blocks
-	// sweeps counts columnar segment sweeps (observability for tests and
-	// the alloc gate: proves the fast path actually engaged).
-	sweeps int64
-}
-
-// wordMemo is an open-addressed index over fixed-stride word-code keys:
-// entry e's key is keys[e*stride:(e+1)*stride], slots holds 1-based
-// entry indices (0 = empty), and the payload lives with the owner in
-// arrays indexed by entry. A lookup stages its key past len(keys), so a
-// miss adds it without copying.
-type wordMemo struct {
-	keys   []uint64
-	slots  []int32
-	mask   uint64
-	stride int
-}
-
-// entries is the number of keys held.
-func (m *wordMemo) entries() int { return len(m.keys) / m.stride }
-
-// reset drops every entry, keeps the capacity and sets the key width.
-func (m *wordMemo) reset(stride int) {
-	clear(m.slots)
-	m.keys = m.keys[:0]
-	m.stride = stride
-}
-
-// stage returns the scratch key past the last entry for the caller to
-// fill before find/add.
-func (m *wordMemo) stage() []uint64 {
-	n := len(m.keys)
-	if cap(m.keys) < n+m.stride {
-		grown := make([]uint64, n, (n+m.stride)*2+m.stride)
-		copy(grown, m.keys)
-		m.keys = grown
-	}
-	return m.keys[n : n+m.stride]
-}
-
-// find returns the entry whose key equals words (h = memoHash(words)),
-// or -1. An empty table probes nothing.
-func (m *wordMemo) find(words []uint64, h uint64) int {
-	for j := h & m.mask; len(m.slots) != 0; j = (j + 1) & m.mask {
-		e := int(m.slots[j]) - 1
-		if e < 0 {
-			break
-		}
-		match := true
-		for x, w := range m.keys[e*m.stride : (e+1)*m.stride] {
-			if w != words[x] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return e
-		}
-	}
-	return -1
-}
-
-// add appends words (absent, by a find miss) as the next entry and
-// returns its index, growing the slot table at 7/8 load.
-func (m *wordMemo) add(words []uint64, h uint64) int {
-	e := m.entries()
-	if (e+1)*8 > len(m.slots)*7 {
-		m.grow()
-	}
-	copy(m.stage(), words) // a no-op when words is the staged key itself
-	m.keys = m.keys[:len(m.keys)+m.stride]
-	m.insert(h, e)
-	return e
-}
-
-// insert claims the first free slot on h's probe chain for entry e.
-func (m *wordMemo) insert(h uint64, e int) {
-	j := h & m.mask
-	for m.slots[j] != 0 {
-		j = (j + 1) & m.mask
-	}
-	m.slots[j] = int32(e + 1)
-}
-
-// grow doubles the slot table and rehashes the held entries.
-func (m *wordMemo) grow() {
-	n := len(m.slots) * 2
-	if n < 64 {
-		n = 64
-	}
-	if cap(m.slots) >= n {
-		m.slots = m.slots[:n]
-		clear(m.slots)
-	} else {
-		m.slots = make([]int32, n)
-	}
-	m.mask = uint64(n - 1)
-	for e, n := 0, m.entries(); e < n; e++ {
-		m.insert(memoHash(m.keys[e*m.stride:(e+1)*m.stride]), e)
-	}
-}
-
-func memoHash(words []uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range words {
-		h = bootstrap.Mix64(h ^ w)
-	}
-	return h
+	// sweeps counts columnar segment sweeps, reclassified the cached rows
+	// the tri-state kernel re-examined (observability for tests and the
+	// alloc gates: proves the fast paths actually engaged).
+	sweeps       int64
+	reclassified int64
 }
 
 // stageKey stages segment-local row i's physical key over cols in m:
 // one word code per column plus a null-bit word.
-func stageKey(m *wordMemo, ct *colstore.Table, seg *colstore.Segment, cols []int, i int) ([]uint64, uint64) {
-	words := m.stage()
+func stageKey(m *colstore.WordMemo, ct *colstore.Table, seg *colstore.Segment, cols []int, i int) ([]uint64, uint64) {
+	words := m.Stage()
 	var nulls uint64
 	for k, c := range cols {
 		w, null := ct.KeyWord(seg, c, i)
@@ -529,7 +460,7 @@ func stageKey(m *wordMemo, ct *colstore.Table, seg *colstore.Segment, cols []int
 		words[k] = w
 	}
 	words[len(cols)] = nulls
-	return words, memoHash(words)
+	return words, colstore.MemoHash(words)
 }
 
 // colFeed sweeps rows[0:len) (= global rows baseIdx..) through the
@@ -556,29 +487,7 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 	if ct == nil || !ct.Aligned(rows, baseIdx) {
 		return false
 	}
-	// (Re)compile the kernels when the encoding changed identity or
-	// version: incremental appends grow dictionaries (constants that had
-	// no code may have one now; compiled code tables are sized to the
-	// old dictionary), and fault recovery swaps the table wholesale. The
-	// join memo keys by dictionary codes, so it resets with the kernels.
-	if cs.kernelCT != ct || cs.kernelVer != ct.Version() {
-		cs.kernel, cs.triK = nil, nil
-		if r.certainWhere != nil {
-			cs.kernel = expr.CompileKernel(r.certainWhere, ct)
-		}
-		if r.uncertainWhere != nil {
-			cs.triK = expr.CompileTriKernel(r.uncertainWhere, ct)
-		}
-		cs.numK = cs.numK[:0]
-		for _, x := range p.exprs {
-			cs.numK = append(cs.numK, expr.CompileNumKernel(x, ct))
-		}
-		cs.jmemo.reset(len(p.memoCols) + 1)
-		cs.jOff, cs.jCnt = cs.jOff[:0], cs.jCnt[:0]
-		clear(cs.jRows)
-		cs.jRows = cs.jRows[:0]
-		cs.kernelCT, cs.kernelVer = ct, ct.Version()
-	}
+	r.ensureKernels(st, ct)
 	if r.certainWhere != nil && cs.kernel == nil {
 		return false
 	}
@@ -615,9 +524,9 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 	}
 	// New sweep, new group memo (the join memo persists).
 	if p.hasDims {
-		cs.memo.reset(len(p.memoCols) + 1)
+		cs.memo.Reset(len(p.memoCols) + 1)
 	} else {
-		cs.memo.reset(len(p.gbCols) + 1)
+		cs.memo.Reset(len(p.gbCols) + 1)
 	}
 	cs.memoEntries = cs.memoEntries[:0]
 	cs.memoOff, cs.memoCnt = cs.memoOff[:0], cs.memoCnt[:0]
@@ -626,12 +535,8 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 	cs.sole = nil
 	tab.initKeyScratch(r.b)
 	if useTri {
-		// Inject the batch's variation ranges for the row-free parameter
-		// sides of the uncertain predicate (constant within a batch).
-		for s, pe := range cs.triK.Slots() {
-			pr := te.evalRange(pe, nil)
-			cs.triK.SetRange(s, pr.r.Lo, pr.r.Hi, uint8(pr.status))
-		}
+		// The batch's bindings: a new classification epoch.
+		bindTri(cs.triK, te)
 	}
 	// Phases are timed per segment sweep, in the kernels every run
 	// executes: classify is the selection plus the uncertain run's
@@ -681,21 +586,80 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 		// cache their joined lineage, exactly as the row path would.
 		for _, si := range cs.selU {
 			i := int(si)
-			weights, repW := ws.bytes(seg.Base + i)
+			weights, _ := ws.bytes(seg.Base + i)
 			if p.hasDims {
 				// Uncertain rows need this row's own joined lineage (the
 				// join memo retains the first-occurrence fact part, which
 				// may differ outside the memo columns): run the real join.
 				for _, jrow := range st.joiner.Join(seg.Rows[i]) {
-					st.cache(jrow, weights, repW)
+					st.cache(jrow, weights, seg.Base+i)
 				}
 			} else {
-				st.cache(seg.Rows[i], weights, repW)
+				st.cache(seg.Rows[i], weights, seg.Base+i)
 			}
 		}
 	}
 	acc.ns[phaseClassify] += int64(time.Since(t0))
 	return true
+}
+
+// ensureKernels (re)compiles st's kernels when the encoding they were
+// lowered against changed identity or version: incremental appends grow
+// dictionaries (constants that had no code may have one now; compiled
+// code tables are sized to the old dictionary), and fault recovery
+// swaps the table wholesale. The join memo and the tri-state kernel's
+// key memos key by dictionary codes, so they reset with the kernels.
+func (r *blockRunner) ensureKernels(st *stage, ct *colstore.Table) {
+	cs := &st.cs
+	if cs.kernelCT == ct && cs.kernelVer == ct.Version() {
+		return
+	}
+	cs.kernel, cs.triK = nil, nil
+	if r.certainWhere != nil {
+		cs.kernel = expr.CompileKernel(r.certainWhere, ct)
+	}
+	if r.uncertainWhere != nil {
+		if cs.triK = expr.CompileTriKernel(r.uncertainWhere, ct); cs.triK != nil {
+			cs.triK.SetResolver(keyedResolver(cs.triK.Keyed(), &st.te))
+		}
+	}
+	cs.numK = cs.numK[:0]
+	for _, x := range r.colPl.exprs {
+		cs.numK = append(cs.numK, expr.CompileNumKernel(x, ct))
+	}
+	cs.jmemo.Reset(len(r.colPl.memoCols) + 1)
+	cs.jOff, cs.jCnt = cs.jOff[:0], cs.jCnt[:0]
+	clear(cs.jRows)
+	cs.jRows = cs.jRows[:0]
+	cs.kernelCT, cs.kernelVer = ct, ct.Version()
+}
+
+// bindTri starts a classification epoch on k under te — at each
+// colFeed set-up and each reclassify, the points where today's bindings
+// are read: the row-free slots get te's variation ranges (constant
+// within the epoch) and every keyed value resolves afresh.
+func bindTri(k *expr.TriKernel, te *triEnv) {
+	for s, pe := range k.Slots() {
+		pr := te.evalRange(pe, nil)
+		k.SetRange(s, pr.r.Lo, pr.r.Hi, uint8(pr.status))
+	}
+	k.NewEpoch()
+}
+
+// keyedResolver resolves a kernel's keyed slots with the interpreter
+// of the environment *env holds at call time, on the row itself: a
+// keyed slot reads only its key column, so the value it resolves for
+// one row is every same-key row's value, and the kernel's decisions
+// are evalTri's by construction.
+func keyedResolver(keyed []expr.KeyedSlot, env **triEnv) expr.KeyResolver {
+	return func(s int, seg *colstore.Segment, i int) (float64, float64, uint8) {
+		te, row := *env, seg.Rows[i]
+		if keyed[s].Pred {
+			return 0, 0, uint8(te.evalTri(keyed[s].Expr, row))
+		}
+		pr := te.evalRange(keyed[s].Expr, row)
+		return pr.r.Lo, pr.r.Hi, uint8(pr.status)
+	}
 }
 
 // colSelect classifies segment rows [lo,hi) into cs.sel (certainly-in)
@@ -749,7 +713,7 @@ func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Ta
 		return cs.sole
 	}
 	words, h := stageKey(&cs.memo, ct, seg, p.gbCols, i)
-	if e := cs.memo.find(words, h); e >= 0 {
+	if e := cs.memo.Find(words, h); e >= 0 {
 		return cs.memoEntries[e]
 	}
 	// Miss: materialize the key row from the aliased source tuple (the
@@ -759,7 +723,7 @@ func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Ta
 		tab.keyRow[k] = row[c]
 	}
 	en := tab.entryCurrent(r.b)
-	cs.memo.add(words, h)
+	cs.memo.Add(words, h)
 	cs.memoEntries = append(cs.memoEntries, en)
 	return en
 }
@@ -774,7 +738,7 @@ func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Ta
 func (r *blockRunner) colEntries(st *stage, ct *colstore.Table, seg *colstore.Segment, i int) []*onlineEntry {
 	p, tab, cs := r.colPl, st.tab, &st.cs
 	words, h := stageKey(&cs.memo, ct, seg, p.memoCols, i)
-	if e := cs.memo.find(words, h); e >= 0 {
+	if e := cs.memo.Find(words, h); e >= 0 {
 		off := cs.memoOff[e]
 		return cs.entArena[off : off+cs.memoCnt[e]]
 	}
@@ -788,7 +752,7 @@ func (r *blockRunner) colEntries(st *stage, ct *colstore.Table, seg *colstore.Se
 		}
 		cs.entArena = append(cs.entArena, tab.entryCurrent(r.b))
 	}
-	cs.memo.add(words, h)
+	cs.memo.Add(words, h)
 	cs.memoOff = append(cs.memoOff, elo)
 	cs.memoCnt = append(cs.memoCnt, int32(len(cs.entArena))-elo)
 	return cs.entArena[elo:]
@@ -801,13 +765,13 @@ func (r *blockRunner) colEntries(st *stage, ct *colstore.Table, seg *colstore.Se
 // batches is safe; the steady state joins each distinct key combination
 // exactly once per query.
 func (cs *colScratch) joinRows(jn *exec.Joiner, words []uint64, h uint64, fact types.Row) (int32, int32) {
-	if e := cs.jmemo.find(words, h); e >= 0 {
+	if e := cs.jmemo.Find(words, h); e >= 0 {
 		return cs.jOff[e], cs.jCnt[e]
 	}
 	rows := jn.Join(fact)
 	off := int32(len(cs.jRows))
 	cs.jRows = append(cs.jRows, rows...)
-	cs.jmemo.add(words, h)
+	cs.jmemo.Add(words, h)
 	cs.jOff = append(cs.jOff, off)
 	cs.jCnt = append(cs.jCnt, int32(len(rows)))
 	return off, int32(len(rows))

@@ -96,8 +96,9 @@ func columnarCatalog(n int, seed uint64) *storage.Catalog {
 // columnarQueries span the eligibility space: plain fold, vectorized
 // certain WHERE (numeric, string/LIKE, IS NULL, AND/OR), scalar blocks,
 // uncertain nested-subquery predicates that compile to the tri-state
-// kernel (scalar parameter) and ones that classify through the
-// interpreted evalTri inside the sweep (correlated, IN-set), and
+// kernel (scalar parameter; correlated and IN-set through keyed slots)
+// and one that classifies through the interpreted evalTri inside the
+// sweep (a correlation on two columns), and
 // arithmetic aggregate arguments folded from computed columns. The
 // scalar shapes fold their whole selection as one run of the fused
 // kernel: over a column with NULLs, over a computed column that is NULL
@@ -124,6 +125,8 @@ var columnarQueries = []struct {
 		WHERE x < (SELECT 0.9 * AVG(x) FROM facts f2 WHERE f2.b = facts.b) GROUP BY a`, false},
 	{"in-set", `SELECT a, COUNT(x), SUM(x) FROM facts
 		WHERE b IN (SELECT b FROM facts GROUP BY b HAVING AVG(x) > 490) GROUP BY a`, false},
+	{"correlated-2key", `SELECT a, COUNT(x), SUM(x) FROM facts
+		WHERE x < (SELECT 0.9 * AVG(x) FROM facts f2 WHERE f2.b = facts.b AND f2.a = facts.a) GROUP BY a`, false},
 	{"dims-join", `SELECT cat, COUNT(x), SUM(x), AVG(x) FROM facts f
 		JOIN bdim d ON f.b = d.bkey GROUP BY cat`, false},
 	{"dims-chain", `SELECT region, cat, COUNT(x), SUM(x) FROM facts f
@@ -445,6 +448,12 @@ const (
 	columnarSingleKeySQL = `SELECT a, SUM(x), AVG(x) FROM facts GROUP BY a`
 	columnarMultiKeySQL  = `SELECT a, b, SUM(x), AVG(x) FROM facts GROUP BY a, b`
 	columnarExprSQL      = `SELECT a, SUM(x * b), AVG(x * b) FROM facts GROUP BY a`
+	// The keyed tri-state shapes: a Q17-style per-key correlated
+	// threshold and a Q18-style membership.
+	columnarCorrelatedSQL = `SELECT SUM(x) FROM facts f
+		WHERE x < (SELECT 0.5 * AVG(x) FROM facts i WHERE i.b = f.b)`
+	columnarMembershipSQL = `SELECT a, SUM(x), AVG(x) FROM facts
+		WHERE b IN (SELECT b FROM facts GROUP BY b HAVING AVG(x) > 49.5) GROUP BY a`
 )
 
 func columnarBenchEnvSQL(tb testing.TB, sql string, sampledAll, profile bool) (*Engine, *blockRunner, *tableStream, *triEnv) {
@@ -475,9 +484,13 @@ func columnarBenchEnvSQL(tb testing.TB, sql string, sampledAll, profile bool) (*
 // TestColumnarFoldAllocs pins the steady-state columnar fold to zero
 // allocations per chunk (and therefore per tuple) after warmup, plain
 // and with Profile (event ring and span timeline attached), for both
-// subsample modes and for a computed argument. It also asserts the
-// columnar path actually engaged (segment sweeps advanced) and that the
-// always-on phase profile recorded fold time.
+// subsample modes, for a computed argument and for the keyed tri-state
+// shapes (each chunk a new epoch that re-resolves its keys; the chunk's
+// cached uncertain rows are dropped between chunks, as the fold
+// benchmarks do). It also asserts the columnar path actually engaged
+// (segment sweeps advanced, the tri kernel compiled) and that the
+// always-on phase profile recorded fold time. The reclassify legs hold
+// re-examining a warm uncertain cache by kernel to zero allocations.
 func TestColumnarFoldAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -491,6 +504,8 @@ func TestColumnarFoldAllocs(t *testing.T) {
 		{"single-key/sampled-all", columnarSingleKeySQL, true},
 		{"multi-key/sampled-all", columnarMultiKeySQL, true},
 		{"expr-arg/sampled-all", columnarExprSQL, true},
+		{"correlated", columnarCorrelatedSQL, false},
+		{"in-set", columnarMembershipSQL, false},
 	} {
 		for _, cfg := range []struct {
 			name    string
@@ -521,6 +536,8 @@ func TestColumnarFoldAllocs(t *testing.T) {
 					}
 					r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te)
 					off += chunk
+					r.uncertain = r.uncertain[:0]
+					r.arena.release()
 				})
 				if allocs != 0 {
 					t.Fatalf("columnar fold allocates %.1f allocs/chunk, want 0", allocs)
@@ -531,8 +548,40 @@ func TestColumnarFoldAllocs(t *testing.T) {
 				if r.acc.ns[phaseFold] == 0 {
 					t.Fatal("run recorded no fold time")
 				}
+				if r.uncertainWhere != nil && r.cs.triK == nil {
+					t.Fatal("uncertain predicate did not compile to the tri kernel")
+				}
 			})
 		}
+	}
+	for _, tc := range []struct{ name, sql string }{
+		{"correlated", columnarCorrelatedSQL},
+		{"in-set", columnarMembershipSQL},
+	} {
+		t.Run("reclassify/"+tc.name, func(t *testing.T) {
+			eng, r, _, _ := columnarBenchEnvSQL(t, tc.sql, false, false)
+			defer eng.Close()
+			if _, err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+			te := eng.triEnv()
+			r.reclassify(te) // the bindings' first pass folds or drops what it can
+			n := len(r.uncertain)
+			if n == 0 {
+				t.Fatal("no cached uncertain rows to re-examine")
+			}
+			before := r.cs.reclassified
+			allocs := testing.AllocsPerRun(40, func() { r.reclassify(te) })
+			if allocs != 0 {
+				t.Fatalf("reclassify allocates %.1f allocs over %d cached rows, want 0", allocs, n)
+			}
+			if len(r.uncertain) != n {
+				t.Fatalf("steady-state reclassify moved %d rows", n-len(r.uncertain))
+			}
+			if r.cs.reclassified == before {
+				t.Fatal("reclassify never ran the kernel")
+			}
+		})
 	}
 }
 
@@ -576,20 +625,44 @@ func BenchmarkFoldColumnarExpr(b *testing.B) {
 }
 
 // BenchmarkFoldColumnarCorrelated sweeps a Q17-shaped root block: the
-// per-group correlated threshold refuses the tri-state kernel, so every
-// certain-filter survivor classifies through the interpreted evalTri,
-// certainly-in rows fold and uncertain rows are cached with weights.
+// per-group correlated threshold classifies through the tri-state
+// kernel's keyed slot (one resolution per key per chunk), certainly-in
+// rows fold and uncertain rows are cached with weights.
 func BenchmarkFoldColumnarCorrelated(b *testing.B) {
-	_, r, ts, te := columnarBenchEnvSQL(b, `SELECT SUM(x) FROM facts f
-		WHERE x < (SELECT 0.5 * AVG(x) FROM facts i WHERE i.b = f.b)`, false, false)
+	_, r, ts, te := columnarBenchEnvSQL(b, columnarCorrelatedSQL, false, false)
 	if r.uncertainWhere == nil || !r.colPl.ok {
 		b.Fatal("bench query must sweep columnar with an uncertain predicate")
 	}
 	benchFeedChunks(b, r, ts, te)
-	if r.cs.triK != nil {
-		b.Fatal("correlated predicate compiled to a tri kernel")
+	if r.cs.triK == nil {
+		b.Fatal("correlated predicate did not compile to a tri kernel")
 	}
 }
+
+// benchReclassify measures re-examining a warm uncertain cache in ns
+// per cached row: each op is one reclassify pass whose bindings leave
+// every row uncertain, the steady state between range commits.
+func benchReclassify(b *testing.B, sql string) {
+	eng, r, _, _ := columnarBenchEnvSQL(b, sql, false, false)
+	defer eng.Close()
+	if _, err := eng.Step(); err != nil {
+		b.Fatal(err)
+	}
+	te := eng.triEnv()
+	r.reclassify(te)
+	n := len(r.uncertain)
+	if n == 0 {
+		b.Fatal("no cached uncertain rows")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += n {
+		r.reclassify(te)
+	}
+}
+
+func BenchmarkReclassifyCorrelated(b *testing.B) { benchReclassify(b, columnarCorrelatedSQL) }
+func BenchmarkReclassifyMembership(b *testing.B) { benchReclassify(b, columnarMembershipSQL) }
 
 // BenchmarkClassifyColumnar measures the vectorized predicate kernel in
 // ns/row over whole segments (the WHERE of a typical filtered fold).
@@ -626,15 +699,20 @@ func BenchmarkClassifyColumnar(b *testing.B) {
 	}
 }
 
-// TestColumnarInterpretedClassifier pins that the correlated and IN-set
-// shapes of columnarQueries really sweep columnar with the interpreted
-// classifier (their GroupParam/SetParam predicates refuse the tri-state
-// kernel) and really cache uncertain rows — so the bit-identity matrix
-// above covers that path against the row loop.
+// TestColumnarInterpretedClassifier pins which classifier decides each
+// uncertain shape of columnarQueries under the columnar sweep, so the
+// bit-identity matrix above covers both against the row loop: the
+// correlated and IN-set predicates compile to the tri-state kernel's
+// keyed slots, which classify new rows and — at their ordinals — the
+// cached set in reclassify; the two-column correlation refuses the
+// kernel, so the interpreter classifies both. Each shape really caches
+// uncertain rows.
 func TestColumnarInterpretedClassifier(t *testing.T) {
 	cat := columnarCatalog(3*8192, 7)
+	kernel := map[string]bool{"correlated": true, "in-set": true, "correlated-2key": false}
 	for _, q := range columnarQueries {
-		if q.name != "correlated" && q.name != "in-set" {
+		useKernel, ok := kernel[q.name]
+		if !ok {
 			continue
 		}
 		t.Run(q.name, func(t *testing.T) {
@@ -666,110 +744,32 @@ func TestColumnarInterpretedClassifier(t *testing.T) {
 			if r.cs.sweeps == 0 {
 				t.Fatal("root block never swept a segment")
 			}
-			if r.cs.triK != nil {
-				t.Fatal("uncertain predicate compiled to a tri kernel: the interpreted classifier is not covered")
-			}
 			if cached == 0 {
 				t.Fatal("the root block never cached an uncertain row")
 			}
+			want := "tri:interp"
+			if useKernel {
+				want = "tri:kernel"
+			}
+			if got := r.classifier(); got != want {
+				t.Fatalf("classifier = %q, want %q", got, want)
+			}
+			if useKernel != (r.cs.triK != nil) {
+				t.Fatalf("tri kernel compiled = %v, want %v", r.cs.triK != nil, useKernel)
+			}
+			if useKernel != (r.cs.reclassified > 0) {
+				t.Fatalf("reclassify re-examined %d cached rows by kernel, want kernel use %v",
+					r.cs.reclassified, useKernel)
+			}
 		})
 	}
 }
 
-// TestWordMemo drives the one open-addressed word-code memo (group and
-// join memo alike) through clustered collisions, growth and reset: after
-// every add exactly one slot per entry is occupied, an entry keeps its
-// index across growths, and reset drops entries but not capacity.
-func TestWordMemo(t *testing.T) {
-	for _, stride := range []int{1, 3} {
-		t.Run(fmt.Sprintf("stride=%d", stride), func(t *testing.T) {
-			fill := func(words []uint64, k uint64) uint64 {
-				for x := range words {
-					words[x] = k*31 + uint64(x)*k
-				}
-				return memoHash(words)
-			}
-			// 40 keys that share one home slot while the table has 64
-			// slots (a forced probe chain), then a plain run long enough
-			// for several growths.
-			var ks []uint64
-			probe := make([]uint64, stride)
-			for k := uint64(1); len(ks) < 40; k++ {
-				if fill(probe, k)&63 == 5 {
-					ks = append(ks, k)
-				}
-			}
-			for k := uint64(1) << 40; len(ks) < 1040; k++ {
-				ks = append(ks, k)
-			}
-			var m wordMemo
-			m.reset(stride)
-			check := func(n int) {
-				t.Helper()
-				occupied := 0
-				for _, s := range m.slots {
-					if s != 0 {
-						occupied++
-					}
-				}
-				if m.entries() != n || occupied != n {
-					t.Fatalf("after %d adds: %d entries, %d occupied slots", n, m.entries(), occupied)
-				}
-			}
-			growths := 0
-			for i, k := range ks {
-				words := m.stage()
-				h := fill(words, k)
-				if e := m.find(words, h); e != -1 {
-					t.Fatalf("key %d found at %d before it was added", i, e)
-				}
-				size := len(m.slots)
-				if e := m.add(words, h); e != i {
-					t.Fatalf("add %d returned index %d", i, e)
-				}
-				check(i + 1)
-				if len(m.slots) != size {
-					growths++
-					for j, kj := range ks[:i+1] {
-						if e := m.find(probe, fill(probe, kj)); e != j {
-							t.Fatalf("after growth to %d slots: key %d found at %d", len(m.slots), j, e)
-						}
-					}
-				}
-			}
-			if growths < 4 {
-				t.Fatalf("only %d growths", growths)
-			}
-			// A key copied in from elsewhere (the join memo's case) adds
-			// like a staged one.
-			h := fill(probe, 7<<50)
-			if e := m.add(probe, h); e != len(ks) || m.find(probe, h) != e {
-				t.Fatalf("foreign key landed at %d", e)
-			}
-			check(len(ks) + 1)
-
-			slotCap, keyCap, size := cap(m.slots), cap(m.keys), len(m.slots)
-			m.reset(stride)
-			check(0)
-			if cap(m.slots) != slotCap || cap(m.keys) != keyCap || len(m.slots) != size {
-				t.Fatal("reset changed capacity")
-			}
-			if e := m.find(probe, fill(probe, ks[0])); e != -1 {
-				t.Fatalf("reset kept key 0 at %d", e)
-			}
-			words := m.stage()
-			if e := m.add(words, fill(words, ks[3])); e != 0 {
-				t.Fatalf("first add after reset returned %d", e)
-			}
-			check(1)
-		})
-	}
-}
-
-// TestSuiteColumnarVerdicts pins the columnar verdict of every block of
-// the paper's evaluation suite (block order as Metrics().BlockPhases
-// lists it: subqueries first, root last), so a change that silently
-// sends a suite block back to the row path fails here. C1's FLOOR(...)
+// TestSuiteColumnarVerdicts pins the columnar verdict and the uncertain
+// predicate's classifier of every block of the paper's evaluation suite
+// (block order as Metrics().BlockPhases lists it: subqueries first, root
+// last), so a change that silently sends a suite block back to the row
+// path, or a suite root back to the interpreter, fails here. C1's FLOOR(...)
 // group key and C2's STDDEV threshold are the shapes still outside.
 func TestSuiteColumnarVerdicts(t *testing.T) {
 	want := map[string][]string{
@@ -781,6 +781,20 @@ func TestSuiteColumnarVerdicts(t *testing.T) {
 		"Q17": {"columnar:fused", "columnar:fused"},
 		"Q18": {"columnar:fused", "columnar:fused"},
 		"Q20": {"columnar:fused", "columnar"},
+	}
+	// The classifier of each block's uncertain predicate: the roots whose
+	// nested parameter is scalar (SBI, C2, C3), correlated (Q17, Q20) or
+	// a membership (Q18) run the tri-state kernel; C1's row-path root
+	// interprets; Q11's only uncertain predicate is a HAVING.
+	wantTri := map[string][]string{
+		"SBI": {"", "tri:kernel"},
+		"C1":  {"", "tri:interp"},
+		"C2":  {"", "tri:kernel"},
+		"C3":  {"", "tri:kernel"},
+		"Q11": {"", ""},
+		"Q17": {"", "tri:kernel"},
+		"Q18": {"", "tri:kernel"},
+		"Q20": {"", "tri:kernel"},
 	}
 	cats := map[string]*storage.Catalog{
 		"conviva": workload.ConvivaCatalog(2000, 1),
@@ -795,13 +809,17 @@ func TestSuiteColumnarVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []string
+		var got, gotTri []string
 		for _, bp := range eng.Metrics().BlockPhases {
 			got = append(got, bp.Columnar)
+			gotTri = append(gotTri, bp.Classifier)
 		}
 		eng.Close()
 		if fmt.Sprint(got) != fmt.Sprint(want[q.Name]) {
 			t.Errorf("%s: block verdicts %q, want %q", q.Name, got, want[q.Name])
+		}
+		if fmt.Sprintf("%q", gotTri) != fmt.Sprintf("%q", wantTri[q.Name]) {
+			t.Errorf("%s: block classifiers %q, want %q", q.Name, gotTri, wantTri[q.Name])
 		}
 	}
 }

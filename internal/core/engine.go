@@ -526,14 +526,15 @@ func (e *Engine) Metrics() Metrics {
 	m.BlockPhases = make([]BlockPhaseStat, len(e.runners))
 	for i, r := range e.runners {
 		m.BlockPhases[i] = BlockPhaseStat{
-			Block:     r.b.ID,
-			Kind:      r.b.Kind.String(),
-			Label:     r.b.Label,
-			Table:     r.b.Input.Fact,
-			Groups:    len(r.tab.order),
-			Uncertain: len(r.uncertain),
-			Columnar:  r.colPl.verdict(),
-			Phases:    e.blockAcc[i].times(),
+			Block:      r.b.ID,
+			Kind:       r.b.Kind.String(),
+			Label:      r.b.Label,
+			Table:      r.b.Input.Fact,
+			Groups:     len(r.tab.order),
+			Uncertain:  len(r.uncertain),
+			Columnar:   r.colPl.verdict(),
+			Classifier: r.classifier(),
+			Phases:     e.blockAcc[i].times(),
 		}
 	}
 	return m
@@ -650,11 +651,12 @@ func (e *Engine) StepContext(ctx context.Context) (*Snapshot, error) {
 	}
 	if e.batch == 0 {
 		// Columnar plans are built at construction, before the tracer is
-		// attached; surface each block's eligibility verdict on the first
-		// step so -trace users see why a block did or didn't vectorize.
+		// attached; surface each block's eligibility verdict (and its
+		// uncertain predicate's classifier) on the first step so -trace
+		// users see why a block did or didn't vectorize.
 		for _, r := range e.runners {
 			e.trace.Emit(Event{Kind: EvColPlan, Block: r.b.ID,
-				Key: r.b.Input.Fact, Note: r.colPl.verdict()})
+				Key: r.b.Input.Fact, Note: joinNote(r.colPl.verdict(), r.classifier())})
 		}
 	}
 	start := time.Now()

@@ -65,11 +65,12 @@ func foldBenchEnv(tb testing.TB, multiKey, profile bool) (*Engine, *blockRunner,
 	return eng, r, ts, eng.triEnv(), ts.batches[1]
 }
 
-// feedTuple folds one fact tuple into the runner's home stage — the
-// per-tuple entry the micro-benchmarks and the alloc gate drive.
-func (r *blockRunner) feedTuple(fact types.Row, weights []uint8, repW float64, te *triEnv) {
+// feedTuple folds one fact tuple (global row ord) into the runner's
+// home stage — the per-tuple entry the micro-benchmarks and the alloc
+// gate drive.
+func (r *blockRunner) feedTuple(fact types.Row, weights []uint8, repW float64, ord int, te *triEnv) {
 	r.te = te
-	r.feedTupleTo(fact, weights, repW, &r.stage)
+	r.feedTupleTo(fact, weights, repW, ord, &r.stage)
 	r.settle()
 }
 
@@ -89,7 +90,7 @@ func benchFold(b *testing.B, multiKey, sampled bool) {
 			wbuf = eng.weightsInto(wbuf, ts, i%len(rows))
 			weights = wbuf
 		}
-		r.feedTuple(fact, weights, repW, te)
+		r.feedTuple(fact, weights, repW, ts.starts[1]+i%len(rows), te)
 	}
 }
 
@@ -162,7 +163,7 @@ func TestFoldSteadyStateAllocs(t *testing.T) {
 					if cfg.spanned {
 						id = slab.Begin("fold", 0, 0, 0)
 					}
-					r.feedTuple(fact, weights, repW, te)
+					r.feedTuple(fact, weights, repW, ts.starts[1]+i%len(rows), te)
 					slab.End(id)
 					i++
 				})

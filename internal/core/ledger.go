@@ -43,7 +43,8 @@ type ResourceUsage = resource.Usage
 const uncertainRowBytes = int64(unsafe.Sizeof(uncertainRow{}))
 
 // memBytes is the colScratch resource charge: every reusable vector,
-// memo array and computed-column bank the sweeper pins between batches.
+// memo array, computed-column bank and tri-state key memo the sweeper
+// pins between batches.
 func (cs *colScratch) memBytes() int64 {
 	var banks int64
 	for _, k := range cs.numK {
@@ -51,15 +52,18 @@ func (cs *colScratch) memBytes() int64 {
 			banks += k.MemBytes()
 		}
 	}
+	if cs.triK != nil {
+		banks += cs.triK.MemBytes()
+	}
 	return banks + int64(cap(cs.tri)) + int64(cap(cs.triU)) +
 		4*int64(cap(cs.sel)) + 4*int64(cap(cs.selU)) +
 		8*int64(cap(cs.wf)) + int64(cap(cs.wbuf)) +
 		8*int64(cap(cs.runKey)) + 8*int64(cap(cs.runF)) +
-		8*int64(cap(cs.memo.keys)) + 4*int64(cap(cs.memo.slots)) +
+		cs.memo.MemBytes() +
 		8*int64(cap(cs.memoEntries)) +
 		4*int64(cap(cs.memoOff)) + 4*int64(cap(cs.memoCnt)) +
 		8*int64(cap(cs.entArena)) +
-		8*int64(cap(cs.jmemo.keys)) + 4*int64(cap(cs.jmemo.slots)) +
+		cs.jmemo.MemBytes() +
 		4*int64(cap(cs.jOff)) + 4*int64(cap(cs.jCnt)) +
 		24*int64(cap(cs.jRows))
 }

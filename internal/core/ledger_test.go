@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -101,8 +102,12 @@ func TestLedgerGroundTruth(t *testing.T) {
 
 // TestLedgerUncertainCharge: the uncertain-cache pool is exactly the
 // cached headers (cap × sizeof), and the weight-arena pool is live when
-// tuples are cached.
+// tuples are cached. A cached row's header stays 56 B on 64-bit hosts:
+// the fact ordinal took the replica weight's slot.
 func TestLedgerUncertainCharge(t *testing.T) {
+	if strconv.IntSize == 64 && uncertainRowBytes != 56 {
+		t.Fatalf("uncertainRow is %d B, want 56", uncertainRowBytes)
+	}
 	o := Options{Batches: 4, Trials: 32, Seed: 331, Parallelism: 1}
 	_, eng := ledgerRun(t, chaosSQL, o, 331, 4*2048)
 	defer eng.Close()

@@ -265,14 +265,14 @@ func (r *blockRunner) overlayFor(trial int) *overlay {
 	}
 	for i := range r.uncertain {
 		u := &r.uncertain[i]
-		if u.repW <= 0 || u.weights[trial] == 0 {
+		if u.weights == nil || u.weights[trial] == 0 {
 			continue
 		}
 		ctx.Row = u.row
 		if r.uncertainWhere != nil && !r.uncertainWhere.Eval(ctx).Truthy() {
 			continue
 		}
-		o.fold(r.b, ctx, float64(u.weights[trial])*u.repW)
+		o.fold(r.b, ctx, float64(u.weights[trial])*r.repW(u))
 	}
 	return o
 }

@@ -48,10 +48,11 @@ type stage struct {
 	// time under parallel folding.
 	acc phaseAcc
 	cs  colScratch
-	// te is the classification environment of the fold in progress,
-	// bound by whoever drives the stage (the controller's per-batch
-	// environment for the home stage, the worker's refreshed one
-	// otherwise).
+	// te is the classification environment of the fold or
+	// reclassification in progress, bound by whoever drives the stage
+	// (the controller's per-batch environment for the home stage, the
+	// worker's refreshed one otherwise); the tri-state kernel's keyed
+	// slots resolve through it.
 	te *triEnv
 }
 
@@ -114,10 +115,11 @@ func (a *cltAcc) merge(b cltAcc) {
 	a.n = n
 }
 
-// cache retains an uncertain row with its lineage. weights may live in
-// reusable scratch, so the stage's arena takes a copy.
-func (st *stage) cache(row types.Row, weights []uint8, repW float64) {
-	st.uncertain = append(st.uncertain, uncertainRow{row: row, weights: st.arena.hold(weights), repW: repW})
+// cache retains an uncertain row with its lineage and its fact row's
+// global ordinal. weights may live in reusable scratch, so the stage's
+// arena takes a copy.
+func (st *stage) cache(row types.Row, weights []uint8, ord int) {
+	st.uncertain = append(st.uncertain, uncertainRow{row: row, weights: st.arena.hold(weights), ord: ord})
 }
 
 // weightSource derives one fold's bootstrap draws: global row gi →
@@ -187,7 +189,7 @@ func (r *blockRunner) feedPart(rows []types.Row, baseIdx int, ts *tableStream, s
 	t0 := time.Now()
 	for i, fact := range rows {
 		weights, repW := ws.bytes(baseIdx + i)
-		r.feedTupleTo(fact, weights, repW, st)
+		r.feedTupleTo(fact, weights, repW, baseIdx+i, st)
 	}
 	st.acc.ns[phaseFold] += int64(time.Since(t0))
 }

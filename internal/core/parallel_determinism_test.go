@@ -84,7 +84,31 @@ func runEngine(t *testing.T, cat *storage.Catalog, sql string, o Options) ([]*Sn
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkCacheOrdinals(t, eng)
 		snaps = append(snaps, snap)
+	}
+}
+
+// checkCacheOrdinals asserts the uncertain-cache invariant the kernel's
+// reclassification relies on: every block's cache is non-decreasing in
+// fact ordinal, and each cached row's fact part is its ordinal's row.
+func checkCacheOrdinals(t *testing.T, eng *Engine) {
+	t.Helper()
+	for _, r := range eng.runners {
+		tbl, _ := eng.cat.Get(r.b.Input.Fact)
+		rows := tbl.Rows()
+		for i := range r.uncertain {
+			u := &r.uncertain[i]
+			if i > 0 && u.ord < r.uncertain[i-1].ord {
+				t.Fatalf("block %d cache row %d: ordinal %d after %d", r.b.ID, i, u.ord, r.uncertain[i-1].ord)
+			}
+			fact := rows[u.ord]
+			for c := range fact {
+				if types.KeyString1(u.row[c]) != types.KeyString1(fact[c]) {
+					t.Fatalf("block %d cache row %d: ordinal %d is row %v, cached %v", r.b.ID, i, u.ord, fact, u.row)
+				}
+			}
+		}
 	}
 }
 
@@ -161,8 +185,10 @@ func TestParallelFoldBitIdentical(t *testing.T) {
 //
 // Every leg runs twice: with a grouped root, and with a scalar root whose
 // certainly-in selection folds as one run of the fused kernel under the
-// full bootstrap.
-func TestRecomputeReplayBitIdentical(t *testing.T) {
+
+// driftCatalog is a table whose x grows with row order, so every
+// estimate of AVG(x) drifts upward batch after batch.
+func driftCatalog() *storage.Catalog {
 	cat := storage.NewCatalog()
 	tb := storage.NewTable("drift", types.NewSchema(
 		"a", types.KindString,
@@ -177,21 +203,44 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 		})
 	}
 	cat.Put(tb)
+	return cat
+}
 
-	opts := func(parallelism int) Options {
-		return Options{
-			Batches: 8, Trials: 40, Seed: 11,
-			BootstrapSampleCap: -1,
-			EpsilonSigma:       0.25, // tight ranges: the drifting AVG must escape
-			Parallelism:        parallelism,
-			ParallelThreshold:  256,
-		}
+// driftOptions run over driftCatalog with ranges tight enough that the
+// drifting estimates escape them.
+func driftOptions(parallelism int) Options {
+	return Options{
+		Batches: 8, Trials: 40, Seed: 11,
+		BootstrapSampleCap: -1,
+		EpsilonSigma:       0.25, // tight ranges: the drifting AVG must escape
+		Parallelism:        parallelism,
+		ParallelThreshold:  256,
 	}
+}
+
+// The keyed tri-state shapes over driftCatalog: a per-group correlated
+// threshold and a membership whose groups cross the HAVING bound.
+const (
+	driftCorrelatedSQL = `SELECT a, COUNT(x), SUM(x) FROM drift d
+			WHERE x < (SELECT 0.6 * AVG(x) FROM drift i WHERE i.a = d.a) GROUP BY a`
+	driftMembershipSQL = `SELECT a, COUNT(x), SUM(x) FROM drift
+			WHERE a IN (SELECT a FROM drift GROUP BY a HAVING AVG(x) > 5000) GROUP BY a`
+)
+
+// full bootstrap.
+func TestRecomputeReplayBitIdentical(t *testing.T) {
+	cat := driftCatalog()
+	opts := driftOptions
 	for _, tc := range []struct{ name, sql string }{
 		{"grouped", `SELECT a, COUNT(x), SUM(x) FROM drift
 			WHERE x < (SELECT 0.6 * AVG(x) FROM drift) GROUP BY a`},
 		{"scalar", `SELECT COUNT(x), SUM(x), AVG(x) FROM drift
 			WHERE x < (SELECT 0.6 * AVG(x) FROM drift)`},
+		// The keyed tri-state shapes: replay re-classifies new and cached
+		// rows through the kernel's keyed slots, against bindings the
+		// reset rebuilt.
+		{"correlated", driftCorrelatedSQL},
+		{"in-set", driftMembershipSQL},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recomputes := func(t *testing.T, o Options) ([]*Snapshot, int, []Event) {
@@ -211,6 +260,15 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 				for {
 					snap, err := eng.Step()
 					if err == ErrDone {
+						// Every shape classifies new and cached rows by kernel.
+						r, reclassified := eng.runners[len(eng.runners)-1], int64(0)
+						for _, st := range runnerStages(eng, r) {
+							reclassified += st.cs.reclassified
+						}
+						if r.classifier() != "tri:kernel" || reclassified == 0 {
+							t.Fatalf("root classifier %q re-examined %d cached rows by kernel",
+								r.classifier(), reclassified)
+						}
 						return snaps, eng.Metrics().Recomputes, eng.Events().Events()
 					}
 					if err != nil {

@@ -160,7 +160,11 @@ type BlockPhaseStat struct {
 	Groups    int    // live groups in the block's aggregate state
 	Uncertain int    // cached uncertain tuples
 	Columnar  string // eligibility verdict: "columnar[:flavor]" or "rowpath:<reason>"
-	Phases    PhaseTimes
+	// Classifier names what decides the block's uncertain predicate:
+	// "tri:kernel" (the tri-state kernel, for new and cached rows),
+	// "tri:interp" (the per-row interpreter), "" without one.
+	Classifier string
+	Phases     PhaseTimes
 }
 
 // fmtBytes renders a byte count in human units (profiles and flbench).
@@ -244,7 +248,7 @@ func (e *Engine) Report() string {
 	}
 	for _, bp := range m.BlockPhases {
 		fmt.Fprintf(&b, "block %d [%s] table=%s groups=%d uncertain=%d plan=%s\n  %s\n",
-			bp.Block, bp.Kind, bp.Table, bp.Groups, bp.Uncertain, bp.Columnar, bp.Phases)
+			bp.Block, bp.Kind, bp.Table, bp.Groups, bp.Uncertain, joinNote(bp.Columnar, bp.Classifier), bp.Phases)
 		if bp.Label != "" {
 			fmt.Fprintf(&b, "  %s\n", strings.ReplaceAll(bp.Label, "\n", " "))
 		}

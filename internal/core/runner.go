@@ -16,11 +16,25 @@ const andOp = sqlparser.OpAnd
 // uncertainRow is a cached tuple whose classification may still flip.
 // The joined row is its lineage within the block (§3.3): everything
 // needed to lazily re-evaluate the uncertain predicate and the block's
-// aggregate arguments.
+// aggregate arguments. ord is the fact row's global ordinal, where the
+// tri-state kernel re-examines it in the columnar encoding; a stage's
+// cache is non-decreasing in ord (rows are appended in row order,
+// filtered stably and merged in part order). A row's replica weight is
+// not stored: it is the fact stream's 1/p when weights are held (the
+// row is in the bootstrap subsample) and 0 otherwise (repW).
 type uncertainRow struct {
 	row     types.Row
 	weights []uint8
-	repW    float64 // 0 when outside the bootstrap subsample, else 1/p
+	ord     int
+}
+
+// repW is u's replica weight: the block's fact-stream 1/p inside the
+// bootstrap subsample, 0 outside it.
+func (r *blockRunner) repW(u *uncertainRow) float64 {
+	if u.weights == nil {
+		return 0
+	}
+	return r.invP
 }
 
 // blockRunner executes one lineage block online. Its embedded home
@@ -61,6 +75,9 @@ type blockRunner struct {
 	// bootstrap-subsample evidence at all.
 	cltKinds []cltKind
 	allCLT   bool
+	// invP is the fact stream's 1/p, every subsampled row's replica
+	// weight (repW).
+	invP float64
 }
 
 func newBlockRunner(b *plan.Block, eng *Engine) (*blockRunner, error) {
@@ -68,7 +85,8 @@ func newBlockRunner(b *plan.Block, eng *Engine) (*blockRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &blockRunner{b: b, eng: eng, stage: stage{joiner: j, tab: newOnlineTable(eng.opt.Trials)}}
+	r := &blockRunner{b: b, eng: eng, stage: stage{joiner: j, tab: newOnlineTable(eng.opt.Trials)},
+		invP: eng.tables[b.Input.Fact].invP}
 	r.cltKinds = make([]cltKind, len(b.Aggs))
 	r.allCLT = len(b.Aggs) > 0
 	for i := range b.Aggs {
@@ -128,29 +146,42 @@ func (r *blockRunner) reclassify(te *triEnv) (folded, dropped int) {
 	if len(r.uncertain) == 0 {
 		return 0, 0
 	}
-	// For large uncertain sets the tri-state decisions are computed on
-	// the worker pool; the fold/drop applications below then run
-	// serially in original cache order, so the result is bit-identical
-	// to the fully serial scan.
+	// Large sets decide on the worker pool first; otherwise the kernel
+	// decides one segment run of the cache ahead of the loop (at each
+	// row's ordinal), or the interpreter decides each row. The fold/drop
+	// applications run serially in original cache order either way, so
+	// the result is bit-identical to the fully serial scan.
 	decisions := r.reclassifyDecisions()
+	var k *expr.TriKernel
+	if decisions == nil {
+		k = r.reclassKernel(&r.stage, te)
+	}
+	run, runLo, runHi := r.cs.triU, 0, 0
 	kept := r.uncertain[:0]
-	for i, u := range r.uncertain {
-		d := triUnknown
-		if decisions != nil {
+	for i := range r.uncertain {
+		u := &r.uncertain[i]
+		var d tri
+		switch {
+		case decisions != nil:
 			d = tri(decisions[i])
-		} else {
+		case k != nil:
+			if i == runHi {
+				runLo, runHi = i, r.decideRun(k, &r.stage, run, i, len(r.uncertain))
+			}
+			d = tri(run[i-runLo])
+		default:
 			d = te.evalTri(r.uncertainWhere, u.row)
 		}
 		switch d {
 		case triTrue:
 			te.pointCtx.Row = u.row
-			r.tab.fold(r.b, te.pointCtx, u.weights, u.repW)
+			r.tab.fold(r.b, te.pointCtx, u.weights, r.repW(u))
 			r.eng.metrics.DeterministicFolds++
 			folded++
 		case triFalse:
 			dropped++
 		default:
-			kept = append(kept, u)
+			kept = append(kept, *u)
 		}
 	}
 	// Zero the tail so dropped rows are collectable.
@@ -179,10 +210,10 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 		n = len(r.uncertain)
 	}
 	for i := 0; i < n; i++ {
-		u := r.uncertain[i]
+		u := &r.uncertain[i]
 		te.pointCtx.Row = u.row
 		if r.uncertainWhere == nil || r.uncertainWhere.Eval(te.pointCtx).Truthy() {
-			r.tab.fold(r.b, te.pointCtx, u.weights, u.repW)
+			r.tab.fold(r.b, te.pointCtx, u.weights, r.repW(u))
 			folded++
 		} else {
 			dropped++
@@ -200,13 +231,15 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 	return folded, dropped
 }
 
-// reclassifyDecisions evaluates the uncertain predicate over the cached
-// uncertain set on the worker pool, one tri decision per row, or nil
-// when the set is too small or parallelism is off — the caller then
-// evaluates inline. The split is the batch feed's; decisions land in a
-// fixed per-row buffer, so worker completion order cannot reorder them.
-// Decisions only fill a scratch buffer — no runner state is touched —
-// so a failed part is simply re-evaluated on this goroutine.
+// reclassifyDecisions decides the cached uncertain set on the worker
+// pool, one tri per row, or returns nil when the set is too small or
+// parallelism is off — the caller then decides inline. The split is the
+// batch feed's, and each part decides on its worker stage's kernel (or
+// the interpreter where the kernel refuses). Decisions land in a fixed
+// per-row buffer, so worker completion order cannot reorder them.
+// Decisions only fill a scratch buffer and kernel caches — no runner
+// state is touched — so a failed part is simply re-evaluated on this
+// goroutine, on a fresh stage.
 func (r *blockRunner) reclassifyDecisions() []uint8 {
 	e := r.eng
 	n := len(r.uncertain)
@@ -225,7 +258,14 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 	parts := storage.SliceRanges(n, workers)
 	decide := func(wc *workerCtx, w int) {
 		wte := wc.refresh(e)
-		for i := parts[w].Lo; i < parts[w].Hi; i++ {
+		lo, hi := parts[w].Lo, parts[w].Hi
+		if st := wc.stage(r); r.reclassKernel(st, wte) != nil {
+			for i := lo; i < hi; {
+				i = r.decideRun(st.cs.triK, st, buf[i:], i, hi)
+			}
+			return
+		}
+		for i := lo; i < hi; i++ {
 			buf[i] = uint8(wte.evalTri(r.uncertainWhere, r.uncertain[i].row))
 		}
 	}
@@ -248,6 +288,10 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 		if _, ok := cause.(*workerPanic); ok && attempt == 1 {
 			e.trace.Emit(Event{Kind: EvWorkerPanic, Key: "reclassify", Worker: w, Note: cause.Error()})
 		}
+		// The failed part may have stopped inside its kernel's key memo:
+		// redo it on a fresh stage (worker stages hold no rows between
+		// batches, so nothing else is lost).
+		pool.ctxs[w].quarantine(r)
 		decide(pool.ctxs[w], w)
 		return nil
 	})
@@ -257,11 +301,58 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 	return buf
 }
 
-// feedTupleTo pushes one fact tuple (with its per-trial bootstrap
-// multiplicities and subsample weight) through join → certain filter →
+// reclassKernel returns st's tri-state kernel, bound to te for a new
+// epoch, to re-examine the cache at its ordinals — or nil when the
+// cache goes through the interpreter: the block has no columnar plan
+// (or lost it to the memory ladder), the predicate refused the kernel,
+// or the encoding does not cover the cached ordinals.
+func (r *blockRunner) reclassKernel(st *stage, te *triEnv) *expr.TriKernel {
+	p := r.colPl
+	if p == nil || !p.ok || p.ct == nil || te.rowRanges != nil ||
+		r.uncertain[len(r.uncertain)-1].ord >= p.ct.NumRows() {
+		return nil
+	}
+	r.ensureKernels(st, p.ct)
+	k := st.cs.triK
+	if k == nil {
+		return nil
+	}
+	if cap(st.cs.triU) < p.ct.SegSize {
+		st.cs.triU = make([]uint8, p.ct.SegSize)
+	}
+	st.cs.triU = st.cs.triU[:p.ct.SegSize]
+	st.te = te
+	bindTri(k, te)
+	return k
+}
+
+// decideRun classifies the cached rows from i on that share row i's
+// segment — at most a segment's worth, none past hi — into out[0:], and
+// returns where the run ends. The cache is ordered by ordinal, so a run
+// is one EvalRows call over the segment's rows.
+func (r *blockRunner) decideRun(k *expr.TriKernel, st *stage, out []uint8, i, hi int) int {
+	ct := r.colPl.ct
+	seg, _ := ct.Segment(r.uncertain[i].ord)
+	rows := st.cs.selU[:0]
+	j := i
+	for ; j < hi && len(rows) < ct.SegSize; j++ {
+		o := r.uncertain[j].ord - seg.Base
+		if o < 0 || o >= seg.N {
+			break
+		}
+		rows = append(rows, int32(o))
+	}
+	k.EvalRows(out, seg, rows)
+	st.cs.selU = rows
+	st.cs.reclassified += int64(j - i)
+	return j
+}
+
+// feedTupleTo pushes one fact tuple (global row ord, with its per-trial
+// bootstrap multiplicities and subsample weight) through join → certain filter →
 // classification into st. weights may live in a reusable scratch
 // buffer: tuples that stay uncertain copy them into the stage's arena.
-func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64, st *stage) {
+func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64, ord int, st *stage) {
 	te, tab := st.te, st.tab
 	for _, row := range st.joiner.Join(fact) {
 		te.pointCtx.Row = row
@@ -281,7 +372,7 @@ func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64,
 		case triFalse:
 			// dropped forever
 		default:
-			st.cache(row, weights, repW)
+			st.cache(row, weights, ord)
 		}
 	}
 }

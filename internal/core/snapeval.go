@@ -469,7 +469,7 @@ func (ev *snapEval) load(en *onlineEntry, donor int32, rows []int32, n int) {
 		}
 		u := &r.uncertain[i]
 		pt := ev.pass[i>>6]&(1<<(uint(i)&63)) != 0
-		sampled := n > 1 && u.repW > 0
+		sampled := n > 1 && u.weights != nil
 		if !pt && !sampled {
 			continue
 		}
@@ -529,7 +529,7 @@ func (ev *snapEval) foldRow(u *uncertainRow, pt, sampled bool) {
 		for j := 1; j < n; j++ {
 			ev.wf[j] = 0
 			if w := u.weights[j-1]; w != 0 && tri[j] == expr.TriTrue {
-				ev.wf[j] = float64(w) * u.repW
+				ev.wf[j] = float64(w) * r.invP
 				ev.touched[j] = true
 				hit = true
 			}

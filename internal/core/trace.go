@@ -65,7 +65,9 @@ const (
 	// EvColPlan: a block's columnar-eligibility verdict, emitted once on
 	// the first batch. Note carries the verdict — the engaged flavor
 	// ("columnar", "columnar:fused", "columnar:dims") or the
-	// disqualifying reason ("rowpath:group:mixed-column", ...).
+	// disqualifying reason ("rowpath:group:mixed-column", ...) — and,
+	// for a block with an uncertain predicate, its classifier after a
+	// comma ("columnar:fused,tri:kernel", "rowpath:forced,tri:interp").
 	EvColPlan = "columnar-plan"
 )
 

@@ -51,8 +51,12 @@ const (
 type triEnv struct {
 	pointCtx     *expr.Ctx
 	scalarRanges []paramRange
-	groupRanges  []func(key string) paramRange
-	setTri       []func(key string) tri
+	// groupRanges/setTri look a canonical key (types.AppendKey bytes)
+	// up in the live bindings; kbuf is the reusable key buffer, so
+	// single-column keys classify without allocating.
+	groupRanges []func(key []byte) paramRange
+	setTri      []func(key []byte) tri
+	kbuf        []byte
 	// rowRanges, when non-nil, gives variation ranges for the columns of
 	// the current row itself. It is used to classify set-block HAVING
 	// predicates, where the group's own (scaled, still-converging)
@@ -143,8 +147,8 @@ func (te *triEnv) evalRange(e expr.Expr, row types.Row) paramRange {
 			return paramRange{status: rsUnknown}
 		}
 		te.pointCtx.Row = row
-		key := x.KeyString(te.pointCtx)
-		return te.groupRanges[x.Idx](key)
+		te.kbuf = x.AppendKey(te.kbuf[:0], te.pointCtx)
+		return te.groupRanges[x.Idx](te.kbuf)
 	case *expr.Neg:
 		in := te.evalRange(x.X, row)
 		if in.status != rsOK {
@@ -343,7 +347,8 @@ func (te *triEnv) evalSetTri(x *expr.SetParam, row types.Row) tri {
 	if x.Idx < 0 || x.Idx >= len(te.setTri) || te.setTri[x.Idx] == nil {
 		return triUnknown
 	}
-	m := te.setTri[x.Idx](types.KeyString1(v))
+	te.kbuf = types.AppendKey(te.kbuf[:0], v)
+	m := te.setTri[x.Idx](te.kbuf)
 	if m == triUnknown {
 		return triUnknown
 	}

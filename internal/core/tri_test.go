@@ -184,8 +184,8 @@ func TestRowRangesClassifyHaving(t *testing.T) {
 func TestSetTriMembership(t *testing.T) {
 	te := &triEnv{
 		pointCtx: &expr.Ctx{},
-		setTri: []func(string) tri{func(key string) tri {
-			switch key {
+		setTri: []func([]byte) tri{func(key []byte) tri {
+			switch string(key) {
 			case types.KeyString1(types.NewInt(1)):
 				return triTrue
 			case types.KeyString1(types.NewInt(2)):
@@ -222,14 +222,14 @@ func TestGroupRangeLookupStatuses(t *testing.T) {
 	}
 	b := &bindings{groups: []*groupBinding{g}}
 	te := b.newTriEnv()
-	if pr := te.groupRanges[0]("k1"); pr.status != rsOK {
+	if pr := te.groupRanges[0]([]byte("k1")); pr.status != rsOK {
 		t.Error("known group")
 	}
-	if pr := te.groupRanges[0]("nope"); pr.status != rsUnknown {
+	if pr := te.groupRanges[0]([]byte("nope")); pr.status != rsUnknown {
 		t.Error("unknown group on incomplete table must be unknown")
 	}
 	g.complete = true
-	if pr := te.groupRanges[0]("nope"); pr.status != rsNull {
+	if pr := te.groupRanges[0]([]byte("nope")); pr.status != rsNull {
 		t.Error("missing group on complete table is NULL")
 	}
 }

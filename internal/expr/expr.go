@@ -132,6 +132,15 @@ func (p *GroupParam) KeyString(ctx *Ctx) string {
 	return row.KeyString(cols)
 }
 
+// AppendKey appends the row's canonical correlation key (KeyString's
+// bytes) to dst; a single key column appends without allocating.
+func (p *GroupParam) AppendKey(dst []byte, ctx *Ctx) []byte {
+	if len(p.Keys) == 1 {
+		return types.AppendKey(dst, p.Keys[0].Eval(ctx))
+	}
+	return append(dst, p.KeyString(ctx)...)
+}
+
 // Eval implements Expr.
 func (p *GroupParam) Eval(ctx *Ctx) types.Value {
 	if p.Idx < 0 || p.Idx >= len(ctx.Groups) || ctx.Groups[p.Idx] == nil {

@@ -7,11 +7,26 @@
 // and TriNull ("uncertain") otherwise — byte-for-byte the engine's
 // triTrue/triFalse/triUnknown encoding.
 //
-// The parameter sides of comparisons are row-free by construction
-// (Slots): the caller evaluates each slot expression's variation range
-// once per mini-batch and injects it via SetRange, so the per-row loop
-// touches only typed banks. The compilable subset mirrors evalTri
-// exactly:
+// Parameter-bearing parts come in two forms, and the per-row loop
+// touches only typed banks and small per-key tables:
+//
+//   - Slots: a row-free parameter side (scalar params, constants) has
+//     one variation range per mini-batch; the caller evaluates it and
+//     injects it via SetRange.
+//   - Keyed slots: a parameter-bearing subtree whose column reads are
+//     all one clean fact column K (a correlated `0.5 * AVG(...)` keyed
+//     by partkey, `orderkey IN (...)`, `$0 + b`) has a value that
+//     depends on K's stored value alone. A numeric subtree gives a
+//     per-key variation range, a predicate a per-key tri. Rows map to a
+//     dense key index through K's KeyWord and a persistent WordMemo
+//     (NULL has its own entry), and each key's value is resolved at
+//     most once per epoch by the caller's KeyResolver, which runs the
+//     interpreter on that row. KeyWord equality is finer than
+//     types.Equal (−0.0 and 0.0 get distinct words), which only costs a
+//     second resolution. The caller starts an epoch (NewEpoch) wherever
+//     the bindings may have moved.
+//
+// The compilable subset mirrors evalTri exactly:
 //
 //   - a param-free subtree collapses to its point truth (NULL → false),
 //     lowered through compileVec;
@@ -20,14 +35,19 @@
 //   - comparisons evaluate interval sides: a constant folds at compile,
 //     a clean column is a per-row point (NULL → range-NULL; a string
 //     column is range-unknown when non-NULL, matching the row path's
-//     AsFloat failure), and a param side becomes an injected slot;
+//     AsFloat failure), a row-free param side is a slot and a one-column
+//     param side a keyed slot;
+//   - set membership over one clean column is a keyed predicate;
 //   - any other param-bearing node the row path answers with a
-//     row-independent triUnknown compiles to a constant; SetParam and
-//     row-dependent param sides refuse compilation (nil) and the caller
-//     stays on the per-row path.
+//     row-independent triUnknown compiles to a constant. A param side
+//     or membership subject reading two or more columns, a mixed
+//     column or a column outside the table refuses compilation (nil),
+//     and the caller stays on the per-row path.
 package expr
 
 import (
+	"math"
+
 	"fluodb/internal/colstore"
 	"fluodb/internal/sqlparser"
 	"fluodb/internal/types"
@@ -40,22 +60,117 @@ const (
 	RangeUnknown uint8 = 2 // unbounded → comparison outcome is uncertain
 )
 
-// slotRange is one injected variation range.
+// slotRange is one injected or resolved variation range. A keyed
+// predicate keeps its tri byte in status.
 type slotRange struct {
 	lo, hi float64
 	status uint8
 }
 
-// triState carries the per-batch injected slot ranges, shared by
-// reference with every compiled comparison node.
-type triState struct{ ranges []slotRange }
+// KeyedSlot is one keyed parameter subtree: Expr reads only its key
+// column, and its value is a variation range, or a tri when Pred is set.
+type KeyedSlot struct {
+	Expr Expr
+	Pred bool
+}
+
+// KeyResolver evaluates keyed slot s on segment-local row i of seg: the
+// variation range (lo, hi, status) of a numeric slot, or the tri byte
+// of a predicate slot in status. It runs once per key per epoch.
+type KeyResolver func(s int, seg *colstore.Segment, i int) (lo, hi float64, status uint8)
+
+// keyedSlot is one keyed slot's per-key table. Memo entry e's value is
+// current when cur[e]>>2 equals the kernel's epoch; a predicate keeps
+// its tri in cur[e]'s low two bits, a numeric slot its range in rng[e].
+// NULL keys share nullCur/nullRng.
+type keyedSlot struct {
+	col     int
+	kind    types.Kind
+	pred    bool
+	memo    colstore.WordMemo
+	cur     []uint32
+	rng     []slotRange
+	nullCur uint32
+	nullRng slotRange
+}
+
+// epochLimit bounds the epoch so it fits cur's upper 30 bits.
+const epochLimit = 1 << 30
+
+// triState carries the injected slot ranges and the keyed slots' tables,
+// shared by reference with every compiled node.
+type triState struct {
+	ranges  []slotRange
+	keyed   []keyedSlot
+	epoch   uint32
+	resolve KeyResolver
+}
+
+// keyedAt returns keyed slot s's value for segment-local row i (a
+// predicate's tri in status), resolving it on the first sight of the
+// row's key this epoch. Without a resolver every keyed value is
+// unknown.
+func (st *triState) keyedAt(s int, seg *colstore.Segment, i int) slotRange {
+	ks := &st.keyed[s]
+	c := &seg.Cols[ks.col]
+	cur, rng := &ks.nullCur, &ks.nullRng
+	if !c.Null(i) {
+		var w uint64
+		switch ks.kind {
+		case types.KindFloat:
+			w = math.Float64bits(c.Floats[i])
+		case types.KindString:
+			w = uint64(c.Codes[i])
+		default: // int and bool banks
+			w = uint64(c.Ints[i])
+		}
+		h := colstore.MemoHash1(w)
+		e := ks.memo.Find1(w, h)
+		if e < 0 {
+			words := ks.memo.Stage()
+			words[0] = w
+			e = ks.memo.Add(words, h)
+			ks.cur = append(ks.cur, 0)
+			if !ks.pred {
+				ks.rng = append(ks.rng, slotRange{})
+			}
+		}
+		cur = &ks.cur[e]
+		if !ks.pred {
+			rng = &ks.rng[e]
+		}
+	}
+	tag := st.epoch << 2
+	if *cur&^3 != tag {
+		v := st.resolveAt(s, seg, i)
+		if ks.pred {
+			*cur = tag | uint32(v.status&3)
+			return v
+		}
+		*cur, *rng = tag, v
+	}
+	if ks.pred {
+		return slotRange{status: uint8(*cur & 3)}
+	}
+	return *rng
+}
+
+func (st *triState) resolveAt(s int, seg *colstore.Segment, i int) slotRange {
+	if st.resolve == nil {
+		return slotRange{status: RangeUnknown}
+	}
+	lo, hi, status := st.resolve(s, seg, i)
+	return slotRange{lo: lo, hi: hi, status: status}
+}
 
 // TriKernel is a compiled segment-at-a-time tri-state classifier. Like
-// Kernel it owns scratch and injected state, so compile one per worker.
+// Kernel it owns scratch, injected state and the keyed memos, so compile
+// one per worker.
 type TriKernel struct {
-	root  vecNode
-	slots []Expr
-	st    *triState
+	root    triNode
+	slots   []Expr
+	keyedEx []KeyedSlot
+	st      *triState
 }
 
 // CompileTriKernel lowers e into a tri-state kernel over ct's layout, or
@@ -64,7 +179,7 @@ func CompileTriKernel(e Expr, ct *colstore.Table) *TriKernel {
 	if ct == nil {
 		return nil
 	}
-	k := &TriKernel{st: &triState{}}
+	k := &TriKernel{st: &triState{epoch: 1}}
 	n := k.compileTri(e, ct)
 	if n == nil {
 		return nil
@@ -79,9 +194,29 @@ func CompileTriKernel(e Expr, ct *colstore.Table) *TriKernel {
 // needs no row.
 func (k *TriKernel) Slots() []Expr { return k.slots }
 
+// Keyed returns the keyed slots, indexed as the resolver's s.
+func (k *TriKernel) Keyed() []KeyedSlot { return k.keyedEx }
+
 // SetRange injects slot's variation range for the current mini-batch.
 func (k *TriKernel) SetRange(slot int, lo, hi float64, status uint8) {
 	k.st.ranges[slot] = slotRange{lo: lo, hi: hi, status: status}
+}
+
+// SetResolver installs the keyed slots' resolver.
+func (k *TriKernel) SetResolver(f KeyResolver) { k.st.resolve = f }
+
+// NewEpoch invalidates every resolved keyed value: the next row of each
+// key resolves again. The memos (key word → index) persist.
+func (k *TriKernel) NewEpoch() {
+	k.st.epoch++
+	if k.st.epoch == epochLimit {
+		for s := range k.st.keyed {
+			ks := &k.st.keyed[s]
+			clear(ks.cur)
+			ks.nullCur = 0
+		}
+		k.st.epoch = 1
+	}
 }
 
 // EvalInto fills out[lo:hi] (segment-local indexes) with the tri-state
@@ -90,7 +225,33 @@ func (k *TriKernel) EvalInto(out []uint8, seg *colstore.Segment, lo, hi int) {
 	k.root.eval(out, seg, lo, hi)
 }
 
-func (k *TriKernel) compileTri(e Expr, ct *colstore.Table) vecNode {
+// EvalRows fills out[j] with the classification of segment-local row
+// rows[j] of seg, for at most the table's segment size of rows (an
+// uncertain cache re-examined in place).
+func (k *TriKernel) EvalRows(out []uint8, seg *colstore.Segment, rows []int32) {
+	if len(rows) > 0 {
+		k.root.gather(out[:len(rows)], seg, rows)
+	}
+}
+
+// MemBytes is the keyed slots' pinned size: memos and per-key values.
+func (k *TriKernel) MemBytes() int64 {
+	var b int64
+	for s := range k.st.keyed {
+		ks := &k.st.keyed[s]
+		b += ks.memo.MemBytes() + 4*int64(cap(ks.cur)) + 24*int64(cap(ks.rng))
+	}
+	return b
+}
+
+// triNode is one compiled node: eval fills a segment range, gather
+// fills out[j] for segment-local row rows[j].
+type triNode interface {
+	vecNode
+	gather(out []uint8, seg *colstore.Segment, rows []int32)
+}
+
+func (k *TriKernel) compileTri(e Expr, ct *colstore.Table) triNode {
 	if !HasParams(e) {
 		// Param-free subtree: the row path evaluates it pointwise and
 		// maps NULL to false (triFromBool of Truthy).
@@ -98,7 +259,7 @@ func (k *TriKernel) compileTri(e Expr, ct *colstore.Table) vecNode {
 		if inner == nil {
 			return nil
 		}
-		return &triCollapse{x: inner}
+		return &triCollapse{x: inner, span: make([]uint8, ct.SegSize)}
 	}
 	switch x := e.(type) {
 	case *Binary:
@@ -114,43 +275,71 @@ func (k *TriKernel) compileTri(e Expr, ct *colstore.Table) vecNode {
 			}
 			// The Kleene tables with Unknown on byte 2 are exactly
 			// evalTri's And/Or combination; evaluating both sides is
-			// observationally identical because operands are pure.
-			tmp := make([]uint8, ct.SegSize)
-			if x.Op == sqlparser.OpAnd {
-				return &vecLogic{l: l, r: r, tmp: tmp, table: &kleeneAnd}
+			// observationally identical because operands are pure (a
+			// keyed resolution only fills a cache).
+			n := &triLogic{l: l, r: r, tmp: make([]uint8, ct.SegSize), table: &kleeneAnd}
+			if x.Op == sqlparser.OpOr {
+				n.table = &kleeneOr
 			}
-			return &vecLogic{l: l, r: r, tmp: tmp, table: &kleeneOr}
+			return n
 		case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe,
 			sqlparser.OpGt, sqlparser.OpGe:
 			return k.compileTriCmp(x, ct)
 		default:
 			// Param-bearing arithmetic/LIKE as a predicate: the row path
 			// answers triUnknown for every row.
-			return vecConst{tri: TriNull}
+			return triConst{tri: TriNull}
 		}
 	case *Not:
 		inner := k.compileTri(x.X, ct)
 		if inner == nil {
 			return nil
 		}
-		return &vecNot{x: inner} // notTable keeps Unknown unknown
+		return &triNot{x: inner} // notTable keeps Unknown unknown
 	case *SetParam:
-		// Row-dependent membership (NULL subject → false, else a per-key
-		// lookup): stays on the per-row path.
-		return nil
+		// Membership depends on the subject's value alone (NULL → false,
+		// else a per-key lookup): one tri per key of its column.
+		s, ok := k.keyedSlot(x, ct, true)
+		if !ok {
+			return nil
+		}
+		return &triKeyed{slot: s, st: k.st}
 	default:
 		// Any other param-bearing node (bare ScalarParam, IN-list or
 		// CASE with params, ...): evalTri's default is triUnknown,
 		// row-independently.
-		return vecConst{tri: TriNull}
+		return triConst{tri: TriNull}
 	}
 }
 
+// keyedSlot registers e as a keyed slot when its column reads are all one
+// clean column of ct.
+func (k *TriKernel) keyedSlot(e Expr, ct *colstore.Table, pred bool) (int, bool) {
+	col, n := -1, 0
+	Walk(e, func(x Expr) bool {
+		if c, ok := x.(*Col); ok && c.Idx != col {
+			col = c.Idx
+			n++
+		}
+		return n < 2
+	})
+	if n != 1 || !cleanCol(ct, col) {
+		return 0, false
+	}
+	s := len(k.keyedEx)
+	k.keyedEx = append(k.keyedEx, KeyedSlot{Expr: e, Pred: pred})
+	k.st.keyed = append(k.st.keyed, keyedSlot{col: col, kind: ct.Schema[col].Type, pred: pred})
+	k.st.keyed[s].memo.Reset(1)
+	return s, true
+}
+
 // Comparison side kinds. A side is evaluated to a variation range per
-// row (columns), per batch (slots), or once at compile (constants).
+// row (columns, keyed slots), per batch (slots), or once at compile
+// (constants).
 const (
 	sideConst  uint8 = iota // fixed range, precomputed
 	sideSlot                // injected via SetRange
+	sideKeyed               // per-key range, resolved per epoch
 	sideIntCol              // int/bool bank point; NULL → RangeNull
 	sideFltCol              // float bank point; NULL → RangeNull
 	sideStrCol              // NULL → RangeNull, else RangeUnknown
@@ -171,6 +360,9 @@ func (s *cmpSide) rangeAt(seg *colstore.Segment, i int, st *triState) (lo, hi fl
 		return s.lo, s.hi, s.status
 	case sideSlot:
 		r := &st.ranges[s.slot]
+		return r.lo, r.hi, r.status
+	case sideKeyed:
+		r := st.keyedAt(s.slot, seg, i)
 		return r.lo, r.hi, r.status
 	case sideIntCol:
 		c := &seg.Cols[s.col]
@@ -194,7 +386,7 @@ func (s *cmpSide) rangeAt(seg *colstore.Segment, i int, st *triState) (lo, hi fl
 	}
 }
 
-func (k *TriKernel) compileTriCmp(b *Binary, ct *colstore.Table) vecNode {
+func (k *TriKernel) compileTriCmp(b *Binary, ct *colstore.Table) triNode {
 	l, ok := k.makeSide(b.L, ct)
 	if !ok {
 		return nil
@@ -209,7 +401,8 @@ func (k *TriKernel) compileTriCmp(b *Binary, ct *colstore.Table) vecNode {
 // makeSide lowers one comparison operand. Param-free operands must be
 // plain constants or clean columns (the row path evaluates them
 // pointwise; anything wider stays on the per-row path); param-bearing
-// operands must be row-free and become injected slots.
+// operands become injected slots when row-free, keyed slots when they
+// read one clean column.
 func (k *TriKernel) makeSide(e Expr, ct *colstore.Table) (cmpSide, bool) {
 	if !HasParams(e) {
 		switch x := e.(type) {
@@ -251,7 +444,8 @@ func (k *TriKernel) makeSide(e Expr, ct *colstore.Table) (cmpSide, bool) {
 		return rowFree
 	})
 	if !rowFree {
-		return cmpSide{}, false
+		s, ok := k.keyedSlot(e, ct, false)
+		return cmpSide{kind: sideKeyed, slot: s}, ok
 	}
 	slot := len(k.slots)
 	k.slots = append(k.slots, e)
@@ -270,64 +464,93 @@ type triCmp struct {
 }
 
 func (n *triCmp) eval(out []uint8, seg *colstore.Segment, lo, hi int) {
-	st := n.st
 	for i := lo; i < hi; i++ {
-		alo, ahi, ast := n.l.rangeAt(seg, i, st)
-		blo, bhi, bst := n.r.rangeAt(seg, i, st)
-		if ast == RangeNull || bst == RangeNull {
-			out[i] = TriFalse
-			continue
+		out[i] = n.at(seg, i)
+	}
+}
+
+func (n *triCmp) gather(out []uint8, seg *colstore.Segment, rows []int32) {
+	for j, i := range rows {
+		out[j] = n.at(seg, int(i))
+	}
+}
+
+func (n *triCmp) at(seg *colstore.Segment, i int) uint8 {
+	alo, ahi, ast := n.l.rangeAt(seg, i, n.st)
+	blo, bhi, bst := n.r.rangeAt(seg, i, n.st)
+	if ast == RangeNull || bst == RangeNull {
+		return TriFalse
+	}
+	if ast != RangeOK || bst != RangeOK {
+		return TriNull
+	}
+	switch n.op {
+	case sqlparser.OpGt:
+		if alo > bhi {
+			return TriTrue
+		} else if ahi <= blo {
+			return TriFalse
 		}
-		if ast != RangeOK || bst != RangeOK {
-			out[i] = TriNull
-			continue
+	case sqlparser.OpGe:
+		if alo >= bhi {
+			return TriTrue
+		} else if ahi < blo {
+			return TriFalse
 		}
-		v := TriNull
-		switch n.op {
-		case sqlparser.OpGt:
-			if alo > bhi {
-				v = TriTrue
-			} else if ahi <= blo {
-				v = TriFalse
-			}
-		case sqlparser.OpGe:
-			if alo >= bhi {
-				v = TriTrue
-			} else if ahi < blo {
-				v = TriFalse
-			}
-		case sqlparser.OpLt:
-			if ahi < blo {
-				v = TriTrue
-			} else if alo >= bhi {
-				v = TriFalse
-			}
-		case sqlparser.OpLe:
-			if ahi <= blo {
-				v = TriTrue
-			} else if alo > bhi {
-				v = TriFalse
-			}
-		case sqlparser.OpEq:
-			if !(alo <= bhi && blo <= ahi) {
-				v = TriFalse
-			} else if alo == ahi && blo == bhi && alo == blo {
-				v = TriTrue
-			}
-		case sqlparser.OpNe:
-			if !(alo <= bhi && blo <= ahi) {
-				v = TriTrue
-			} else if alo == ahi && blo == bhi && alo == blo {
-				v = TriFalse
-			}
+	case sqlparser.OpLt:
+		if ahi < blo {
+			return TriTrue
+		} else if alo >= bhi {
+			return TriFalse
 		}
-		out[i] = v
+	case sqlparser.OpLe:
+		if ahi <= blo {
+			return TriTrue
+		} else if alo > bhi {
+			return TriFalse
+		}
+	case sqlparser.OpEq:
+		if !(alo <= bhi && blo <= ahi) {
+			return TriFalse
+		} else if alo == ahi && blo == bhi && alo == blo {
+			return TriTrue
+		}
+	case sqlparser.OpNe:
+		if !(alo <= bhi && blo <= ahi) {
+			return TriTrue
+		} else if alo == ahi && blo == bhi && alo == blo {
+			return TriFalse
+		}
+	}
+	return TriNull
+}
+
+// triKeyed is a keyed predicate: each row's tri is its key's.
+type triKeyed struct {
+	slot int
+	st   *triState
+}
+
+func (n *triKeyed) eval(out []uint8, seg *colstore.Segment, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		out[i] = n.st.keyedAt(n.slot, seg, i).status
+	}
+}
+
+func (n *triKeyed) gather(out []uint8, seg *colstore.Segment, rows []int32) {
+	for j, i := range rows {
+		out[j] = n.st.keyedAt(n.slot, seg, int(i)).status
 	}
 }
 
 // triCollapse maps a param-free subtree's NULL to false: the row path
-// evaluates such subtrees pointwise as triFromBool(Truthy()).
-type triCollapse struct{ x vecNode }
+// evaluates such subtrees pointwise as triFromBool(Truthy()). The inner
+// kernel has no gather form, so a gather evaluates the rows' span into
+// span and picks.
+type triCollapse struct {
+	x    vecNode
+	span []uint8
+}
 
 func (n *triCollapse) eval(out []uint8, seg *colstore.Segment, lo, hi int) {
 	n.x.eval(out, seg, lo, hi)
@@ -335,5 +558,71 @@ func (n *triCollapse) eval(out []uint8, seg *colstore.Segment, lo, hi int) {
 		if out[i] == TriNull {
 			out[i] = TriFalse
 		}
+	}
+}
+
+func (n *triCollapse) gather(out []uint8, seg *colstore.Segment, rows []int32) {
+	lo, hi := rows[0], rows[0]
+	for _, i := range rows {
+		lo, hi = min(lo, i), max(hi, i)
+	}
+	n.eval(n.span, seg, int(lo), int(hi)+1)
+	for j, i := range rows {
+		out[j] = n.span[i]
+	}
+}
+
+type triConst struct{ tri uint8 }
+
+func (n triConst) eval(out []uint8, _ *colstore.Segment, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		out[i] = n.tri
+	}
+}
+
+func (n triConst) gather(out []uint8, _ *colstore.Segment, _ []int32) {
+	for j := range out {
+		out[j] = n.tri
+	}
+}
+
+type triNot struct{ x triNode }
+
+func (n *triNot) eval(out []uint8, seg *colstore.Segment, lo, hi int) {
+	n.x.eval(out, seg, lo, hi)
+	for i := lo; i < hi; i++ {
+		out[i] = notTable[out[i]]
+	}
+}
+
+func (n *triNot) gather(out []uint8, seg *colstore.Segment, rows []int32) {
+	n.x.gather(out, seg, rows)
+	for j := range out {
+		out[j] = notTable[out[j]]
+	}
+}
+
+type triLogic struct {
+	l, r  triNode
+	tmp   []uint8
+	table *[9]uint8
+}
+
+func (n *triLogic) eval(out []uint8, seg *colstore.Segment, lo, hi int) {
+	n.l.eval(out, seg, lo, hi)
+	n.r.eval(n.tmp, seg, lo, hi)
+	t := n.table
+	for i := lo; i < hi; i++ {
+		out[i] = t[out[i]*3+n.tmp[i]]
+	}
+}
+
+func (n *triLogic) gather(out []uint8, seg *colstore.Segment, rows []int32) {
+	tmp := n.tmp[:len(out)]
+	n.l.gather(out, seg, rows)
+	n.r.gather(tmp, seg, rows)
+	t := n.table
+	for j := range out {
+		out[j] = t[out[j]*3+tmp[j]]
 	}
 }

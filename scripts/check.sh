@@ -14,9 +14,13 @@
 #                   run plain and "profiled" (Options.Profile: event
 #                   ring and span timeline attached), and the steady-state
 #                   fold also "spanned" (a span recorded around each
-#                   fold), 0 allocs/row each
-#   fuzz smoke      10 s of FuzzNumKernel: computed aggregate-argument
-#                   columns vs per-row Eval on generated trees and data
+#                   fold), 0 allocs/row each; the keyed tri-state legs
+#                   (correlated, in-set) and the reclassify legs hold
+#                   classification of new and cached rows to 0 too
+#   fuzz smoke      10 s each of FuzzNumKernel (computed aggregate-
+#                   argument columns vs per-row Eval) and FuzzTriKernel
+#                   (tri-state kernel bytes, keyed slots included, vs
+#                   evalTri), on generated trees and data
 #   benchmark/      the end-to-end benchmark is a nested module that
 #                   imports internal/core but is invisible to the root
 #                   ./... patterns; its tests are the only thing that
@@ -36,8 +40,9 @@ go test -race ./...
 echo "== alloc gates (go test ./internal/core -run Allocs, no -race)"
 go test ./internal/core -run Allocs -count=1
 
-echo "== fuzz smoke (FuzzNumKernel, 10s)"
+echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, 10s each)"
 go test ./internal/expr -run '^$' -fuzz FuzzNumKernel -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz FuzzTriKernel -fuzztime 10s
 
 echo "== benchmark module (cd benchmark && go test ./...)"
 (cd benchmark && go test ./...)

@@ -92,8 +92,11 @@ func snapshotBenchEngine(tb testing.TB, sql string, trials int, catSeed uint64) 
 // benchFirstSnapshot times the snapshot a mini-batch pays for: before
 // each one the root's bucket index is dropped and the lazily materialized
 // replica vectors of every correlated and membership binding are
-// forgotten, as updateBinding leaves them.
+// forgotten, as updateBinding leaves them. It also reports the time per
+// cached uncertain row of the root (ns/cached-row), the unit of
+// BenchmarkReclassify*.
 func benchFirstSnapshot(b *testing.B, eng *Engine) {
+	root := eng.runners[len(eng.runners)-1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -103,8 +106,11 @@ func benchFirstSnapshot(b *testing.B, eng *Engine) {
 		for _, s := range eng.bind.sets {
 			s.reps = map[string][]bool{}
 		}
-		eng.runners[len(eng.runners)-1].invalidateEval()
+		root.invalidateEval()
 		eng.snapshot(0)
+	}
+	if n := len(root.uncertain); n > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/cached-row")
 	}
 }
 

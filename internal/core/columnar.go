@@ -388,6 +388,7 @@ type colScratch struct {
 	// ensureKernels.
 	kernel    *expr.Kernel
 	triK      *expr.TriKernel
+	triRes    expr.KeyResolver // triK's classification resolver
 	kernelCT  *colstore.Table
 	kernelVer uint64
 	// tri/triU hold a segment's certain and uncertain kernel bytes and
@@ -440,10 +441,12 @@ type colScratch struct {
 	jRows []types.Row
 	sole  *onlineEntry // cached sole entry of scalar blocks
 	// sweeps counts columnar segment sweeps, reclassified the cached rows
-	// the tri-state kernel re-examined (observability for tests and the
+	// the tri-state kernel re-examined, pointed the cached rows the
+	// snapshot point pass ran through it (observability for tests and the
 	// alloc gates: proves the fast paths actually engaged).
 	sweeps       int64
 	reclassified int64
+	pointed      int64
 }
 
 // stageKey stages segment-local row i's physical key over cols in m:
@@ -536,6 +539,7 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 	tab.initKeyScratch(r.b)
 	if useTri {
 		// The batch's bindings: a new classification epoch.
+		cs.triK.SetResolver(cs.triRes)
 		bindTri(cs.triK, te)
 	}
 	// Phases are timed per segment sweep, in the kernels every run
@@ -620,7 +624,7 @@ func (r *blockRunner) ensureKernels(st *stage, ct *colstore.Table) {
 	}
 	if r.uncertainWhere != nil {
 		if cs.triK = expr.CompileTriKernel(r.uncertainWhere, ct); cs.triK != nil {
-			cs.triK.SetResolver(keyedResolver(cs.triK.Keyed(), &st.te))
+			cs.triRes = keyedResolver(cs.triK.Keyed(), &st.te, ct)
 		}
 	}
 	cs.numK = cs.numK[:0]
@@ -646,18 +650,28 @@ func bindTri(k *expr.TriKernel, te *triEnv) {
 	k.NewEpoch()
 }
 
-// keyedResolver resolves a kernel's keyed slots with the interpreter
-// of the environment *env holds at call time, on the row itself: a
-// keyed slot reads only its key column, so the value it resolves for
-// one row is every same-key row's value, and the kernel's decisions
-// are evalTri's by construction.
-func keyedResolver(keyed []expr.KeyedSlot, env **triEnv) expr.KeyResolver {
-	return func(s int, seg *colstore.Segment, i int) (float64, float64, uint8) {
-		te, row := *env, seg.Rows[i]
-		if keyed[s].Pred {
-			return 0, 0, uint8(te.evalTri(keyed[s].Expr, row))
+// keyedResolver resolves a kernel's keyed slots over encoding ct with
+// the interpreter of the environment *env holds at call time: a keyed
+// slot reads only its key column, so the value it resolves for one row
+// is every same-key row's value, and the kernel's decisions are
+// evalTri's by construction. The slot is evaluated on a scratch row
+// holding just that column's value, read from its bank (the encoding
+// round-trips every value), so resolving a key never touches the
+// materialised row.
+func keyedResolver(keyed []expr.KeyedSlot, env **triEnv, ct *colstore.Table) expr.KeyResolver {
+	var row types.Row
+	for _, ks := range keyed {
+		if ks.Col >= len(row) {
+			row = make(types.Row, ks.Col+1)
 		}
-		pr := te.evalRange(keyed[s].Expr, row)
+	}
+	return func(s int, seg *colstore.Segment, i int) (float64, float64, uint8) {
+		te, ks := *env, &keyed[s]
+		row[ks.Col] = ct.Value(seg, ks.Col, i)
+		if ks.Pred {
+			return 0, 0, uint8(te.evalTriNeg(ks.Expr, row, ks.Neg))
+		}
+		pr := te.evalRange(ks.Expr, row)
 		return pr.r.Lo, pr.r.Hi, uint8(pr.status)
 	}
 }

@@ -490,7 +490,9 @@ func columnarBenchEnvSQL(tb testing.TB, sql string, sampledAll, profile bool) (*
 // benchmarks do). It also asserts the columnar path actually engaged
 // (segment sweeps advanced, the tri kernel compiled) and that the
 // always-on phase profile recorded fold time. The reclassify legs hold
-// re-examining a warm uncertain cache by kernel to zero allocations.
+// re-examining a warm uncertain cache by kernel to zero allocations, the
+// prepare legs rebuilding a warm snapshot evaluator's bucket index (the
+// point pass by kernel included) over it.
 func TestColumnarFoldAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -582,6 +584,29 @@ func TestColumnarFoldAllocs(t *testing.T) {
 				t.Fatal("reclassify never ran the kernel")
 			}
 		})
+		t.Run("prepare/"+tc.name, func(t *testing.T) {
+			eng, r, _, _ := columnarBenchEnvSQL(t, tc.sql, false, false)
+			defer eng.Close()
+			if _, err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+			n := len(r.uncertain)
+			if n == 0 {
+				t.Fatal("no cached uncertain rows to evaluate")
+			}
+			ev := r.eval() // warm: programs lowered, scratch and key memos sized
+			before := r.cs.pointed
+			allocs := testing.AllocsPerRun(40, func() {
+				ev.valid = false
+				ev.prepare()
+			})
+			if allocs != 0 {
+				t.Fatalf("snapshot prepare allocates %.1f allocs over %d cached rows, want 0", allocs, n)
+			}
+			if r.cs.pointed == before {
+				t.Fatal("the point pass never ran the kernel")
+			}
+		})
 	}
 }
 
@@ -664,6 +689,31 @@ func benchReclassify(b *testing.B, sql string) {
 func BenchmarkReclassifyCorrelated(b *testing.B) { benchReclassify(b, columnarCorrelatedSQL) }
 func BenchmarkReclassifyMembership(b *testing.B) { benchReclassify(b, columnarMembershipSQL) }
 
+// benchSnapshotPrepare measures rebuilding a warm snapshot evaluator's
+// bucket index — the point pass over the cached set and its group sort —
+// in ns per cached row, on the cache benchReclassify re-examines.
+func benchSnapshotPrepare(b *testing.B, sql string) {
+	eng, r, _, _ := columnarBenchEnvSQL(b, sql, false, false)
+	defer eng.Close()
+	if _, err := eng.Step(); err != nil {
+		b.Fatal(err)
+	}
+	n := len(r.uncertain)
+	if n == 0 {
+		b.Fatal("no cached uncertain rows")
+	}
+	ev := r.eval()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += n {
+		ev.valid = false
+		ev.prepare()
+	}
+}
+
+func BenchmarkSnapshotPrepareCorrelated(b *testing.B) { benchSnapshotPrepare(b, columnarCorrelatedSQL) }
+func BenchmarkSnapshotPrepareMembership(b *testing.B) { benchSnapshotPrepare(b, columnarMembershipSQL) }
+
 // BenchmarkClassifyColumnar measures the vectorized predicate kernel in
 // ns/row over whole segments (the WHERE of a typical filtered fold).
 func BenchmarkClassifyColumnar(b *testing.B) {
@@ -704,9 +754,10 @@ func BenchmarkClassifyColumnar(b *testing.B) {
 // bit-identity matrix above covers both against the row loop: the
 // correlated and IN-set predicates compile to the tri-state kernel's
 // keyed slots, which classify new rows and — at their ordinals — the
-// cached set in reclassify; the two-column correlation refuses the
-// kernel, so the interpreter classifies both. Each shape really caches
-// uncertain rows.
+// cached set in reclassify and in the snapshot point pass; the
+// two-column correlation refuses the kernel, so the interpreter
+// classifies both and rowTri decides the point pass. Each shape really
+// caches uncertain rows.
 func TestColumnarInterpretedClassifier(t *testing.T) {
 	cat := columnarCatalog(3*8192, 7)
 	kernel := map[string]bool{"correlated": true, "in-set": true, "correlated-2key": false}
@@ -760,6 +811,10 @@ func TestColumnarInterpretedClassifier(t *testing.T) {
 			if useKernel != (r.cs.reclassified > 0) {
 				t.Fatalf("reclassify re-examined %d cached rows by kernel, want kernel use %v",
 					r.cs.reclassified, useKernel)
+			}
+			if useKernel != (r.cs.pointed > 0) {
+				t.Fatalf("the snapshot point pass ran %d cached rows through the kernel, want kernel use %v",
+					r.cs.pointed, useKernel)
 			}
 		})
 	}
@@ -820,6 +875,36 @@ func TestSuiteColumnarVerdicts(t *testing.T) {
 		}
 		if fmt.Sprintf("%q", gotTri) != fmt.Sprintf("%q", wantTri[q.Name]) {
 			t.Errorf("%s: block classifiers %q, want %q", q.Name, gotTri, wantTri[q.Name])
+		}
+	}
+}
+
+// TestSuiteSnapshotPointKernel pins that the snapshot point pass of the
+// suite roots with a compiled uncertain predicate — scalar (SBI),
+// correlated (Q17, Q20) and membership (Q18) — decides the cached set by
+// the tri-state kernel, not by rowTri.
+func TestSuiteSnapshotPointKernel(t *testing.T) {
+	cats := map[string]*storage.Catalog{
+		"conviva": workload.ConvivaCatalog(2000, 1),
+		"tpch":    workload.TPCHCatalog(3000, 40, 1),
+	}
+	for _, name := range []string{"SBI", "Q17", "Q18", "Q20"} {
+		q, _ := workload.ByName(name)
+		pq, err := plan.Compile(q.SQL, cats[q.Dataset])
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(pq, cats[q.Dataset], Options{Batches: 4, Trials: 10, Seed: 1, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := eng.runners[len(eng.runners)-1]
+		if _, err := eng.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.Close()
+		if root.cs.pointed == 0 {
+			t.Errorf("%s: the root's snapshot point pass never ran the kernel", name)
 		}
 	}
 }

@@ -167,6 +167,7 @@ func (r *blockRunner) reclassify(te *triEnv) (folded, dropped int) {
 		case k != nil:
 			if i == runHi {
 				runLo, runHi = i, r.decideRun(k, &r.stage, run, i, len(r.uncertain))
+				r.cs.reclassified += int64(runHi - runLo)
 			}
 			d = tri(run[i-runLo])
 		default:
@@ -261,7 +262,9 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 		lo, hi := parts[w].Lo, parts[w].Hi
 		if st := wc.stage(r); r.reclassKernel(st, wte) != nil {
 			for i := lo; i < hi; {
-				i = r.decideRun(st.cs.triK, st, buf[i:], i, hi)
+				j := r.decideRun(st.cs.triK, st, buf[i:], i, hi)
+				st.cs.reclassified += int64(j - i)
+				i = j
 			}
 			return
 		}
@@ -303,13 +306,31 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 
 // reclassKernel returns st's tri-state kernel, bound to te for a new
 // epoch, to re-examine the cache at its ordinals — or nil when the
-// cache goes through the interpreter: the block has no columnar plan
-// (or lost it to the memory ladder), the predicate refused the kernel,
-// or the encoding does not cover the cached ordinals.
+// cache goes through the interpreter (cacheKernel), or te carries
+// set-block row ranges the kernel does not model.
 func (r *blockRunner) reclassKernel(st *stage, te *triEnv) *expr.TriKernel {
+	if te.rowRanges != nil {
+		return nil
+	}
+	k := r.cacheKernel(st)
+	if k == nil {
+		return nil
+	}
+	st.te = te
+	k.SetResolver(st.cs.triRes)
+	bindTri(k, te)
+	return k
+}
+
+// cacheKernel returns st's tri-state kernel to decide the non-empty
+// cached set at its ordinals (decideRun), with run scratch sized — or
+// nil when the cache goes through the interpreter: the block has no
+// columnar plan (or lost it to the memory ladder), the predicate
+// refused the kernel, or the encoding does not cover the cached
+// ordinals. The caller binds the epoch.
+func (r *blockRunner) cacheKernel(st *stage) *expr.TriKernel {
 	p := r.colPl
-	if p == nil || !p.ok || p.ct == nil || te.rowRanges != nil ||
-		r.uncertain[len(r.uncertain)-1].ord >= p.ct.NumRows() {
+	if p == nil || !p.ok || p.ct == nil || r.uncertain[len(r.uncertain)-1].ord >= p.ct.NumRows() {
 		return nil
 	}
 	r.ensureKernels(st, p.ct)
@@ -321,8 +342,6 @@ func (r *blockRunner) reclassKernel(st *stage, te *triEnv) *expr.TriKernel {
 		st.cs.triU = make([]uint8, p.ct.SegSize)
 	}
 	st.cs.triU = st.cs.triU[:p.ct.SegSize]
-	st.te = te
-	bindTri(k, te)
 	return k
 }
 
@@ -344,7 +363,6 @@ func (r *blockRunner) decideRun(k *expr.TriKernel, st *stage, out []uint8, i, hi
 	}
 	k.EvalRows(out, seg, rows)
 	st.cs.selU = rows
-	st.cs.reclassified += int64(j - i)
 	return j
 }
 

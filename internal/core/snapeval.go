@@ -2,6 +2,7 @@ package core
 
 import (
 	"fluodb/internal/agg"
+	"fluodb/internal/colstore"
 	"fluodb/internal/expr"
 	"fluodb/internal/types"
 )
@@ -19,7 +20,11 @@ import (
 //     hash probe; groups the table does not hold yet (every row of
 //     theirs is still uncertain) are numbered after the table's. The
 //     same pass records which rows pass uncertainWhere under the point
-//     bindings.
+//     bindings: by the runner's tri-state kernel in a point epoch
+//     (pointKernel), which reads each row at its stored fact ordinal in
+//     same-segment runs and resolves each parameter key once, and by
+//     rowTri only for the rows the kernel leaves undecided or when the
+//     kernel does not apply. The sort's scratch is kept across batches.
 //   - group at a time: a group's accumulators over the whole axis
 //     (column 0 = main state, column 1+j = replica j) are seeded from
 //     its table entry into one reusable scratch, and its rows are
@@ -27,6 +32,10 @@ import (
 //   - trial sweep: per row, the aggregate inputs and every parameter
 //     key are resolved once (trialvec.go); the axis is then swept with
 //     weights[j]·repW masked by the per-trial truth of uncertainWhere.
+//     Where the encoding covers the cache, the predicate's trial lanes
+//     read the row at its fact ordinal: column operands from their
+//     banks, and a one-column correlated or membership key by its stored
+//     word, which resolves the key's vector once per epoch.
 //
 // Each (group, column) cell therefore still sums "base, then its
 // uncertain rows in cache order", and a masked lane adds 0.0, which
@@ -58,6 +67,9 @@ type snapEval struct {
 	having   tvBool  // HAVING over the post-aggregate layout
 	sel      []tvNum // SELECT columns over the post-aggregate layout
 	progMem  int64
+	keys     []*tvKeys // the programs' key indexes
+	keysCT   *colstore.Table
+	keysVer  uint64
 	env      tvEnv
 	ctxs     *ctxSet
 	bare     expr.Ctx // parameter-free context (group keys, aggregate inputs)
@@ -71,9 +83,15 @@ type snapEval struct {
 	start   []int32  // group g owns order[start[g]:start[g+1]]
 	pass    []uint64 // bit i: row i passes uncertainWhere under the point bindings
 	visible []int32  // cache-only groups visible under the point bindings, by first passing row
+	// gid and ex are bucket's build scratch (each row's group id, the
+	// probe table of cache-only groups), kept across batches.
+	gid []int32
+	ex  extraGroups
 	// probe maps canonical key strings to group ids for the groups that
 	// own cached rows; built on the first keyed load.
 	probe map[string]int32
+
+	pt pointProgs // the point pass's kernel epoch (pointKernel)
 
 	// The loaded group.
 	en      *onlineEntry // nil when the table does not hold the group
@@ -101,6 +119,7 @@ func (r *blockRunner) eval() *snapEval {
 		ev := &snapEval{r: r, width: w, ctxs: &ctxSet{b: r.eng.bind}}
 		ev.env = tvEnv{bind: r.eng.bind, stride: w,
 			slotF: make([]float64, na*w), slotNull: make([]bool, na*w)}
+		ev.pt.env = &ev.env
 		ev.accW, ev.accV = make([]float64, na*w), make([]float64, na*w)
 		ev.touched, ev.wf, ev.mask = make([]bool, w), make([]float64, w), make([]uint8, w)
 		ev.argv, ev.argF, ev.argOK = make([]types.Value, na), make([]float64, na), make([]bool, na)
@@ -127,11 +146,21 @@ func (ev *snapEval) memBytes() int64 {
 	if ev == nil {
 		return 0
 	}
-	return 4*int64(cap(ev.order)+cap(ev.start)+cap(ev.visible)) + 8*int64(cap(ev.pass)) +
+	return 4*int64(cap(ev.order)+cap(ev.start)+cap(ev.visible)+cap(ev.gid)+cap(ev.ex.slots)) +
+		8*int64(cap(ev.pass)+cap(ev.ex.shown)) +
 		8*int64(cap(ev.accW)+cap(ev.accV)+cap(ev.wf)+cap(ev.argF)+cap(ev.env.slotF)) +
 		int64(cap(ev.env.slotNull)+cap(ev.touched)+cap(ev.mask)+cap(ev.argOK)) +
 		rowValueBytes*int64(cap(ev.argv)+cap(ev.keyBuf)) +
-		9*int64(ev.width*len(ev.env.scal)) + ev.progMem
+		9*int64(ev.width*len(ev.env.scal)) + ev.progMem + ev.pt.mem + ev.keysBytes()
+}
+
+// keysBytes is the trial sweep's key indexes' charge.
+func (ev *snapEval) keysBytes() int64 {
+	var b int64
+	for _, k := range ev.keys {
+		b += k.memBytes()
+	}
+	return b
 }
 
 func (ev *snapEval) global() bool { return len(ev.r.b.GroupBy) == 0 }
@@ -160,7 +189,7 @@ func (ev *snapEval) compile() {
 			ev.sel[i] = c.num(se)
 		}
 	}
-	ev.progMem = c.mem
+	ev.progMem, ev.keys = c.mem, c.keys
 }
 
 // prepare makes the bucket index and the scalar lanes current.
@@ -171,8 +200,30 @@ func (ev *snapEval) prepare() {
 	ev.compile()
 	ev.env.refreshScalars(ev.width)
 	ev.ctxs.refresh()
+	ev.bindOrdinals()
 	ev.bucket()
 	ev.valid = true
+}
+
+// bindOrdinals starts an evaluation epoch for the trial sweep's keyed
+// reads and decides whether it reads cached rows by ordinal: only when
+// the block's columnar encoding covers every cached ordinal (the
+// kernels' gate). The key indexes reset when the encoding changes.
+func (ev *snapEval) bindOrdinals() {
+	env, u := &ev.env, ev.r.uncertain
+	env.epoch++
+	env.ct = nil
+	p := ev.r.colPl
+	if p == nil || !p.ok || p.ct == nil || (len(u) > 0 && u[len(u)-1].ord >= p.ct.NumRows()) {
+		return
+	}
+	env.ct = p.ct
+	if ev.keysCT != p.ct || ev.keysVer != p.ct.Version() {
+		for _, k := range ev.keys {
+			k.reset()
+		}
+		ev.keysCT, ev.keysVer = p.ct, p.ct.Version()
+	}
 }
 
 // rowTri evaluates uncertainWhere for one cached row over axis columns
@@ -215,9 +266,9 @@ func (ev *snapEval) groupKeyInto(dst types.Row, row types.Row) {
 }
 
 // bucket rebuilds the index: point truth per row, destination group per
-// row, stable counting sort. Only the index proper is retained (and
-// charged to the ledger); the per-row group ids and the probe table of
-// cache-only groups are build-time scratch.
+// row, stable counting sort. The index proper is retained (and charged
+// to the ledger) for the epoch, the per-row group ids and the probe
+// table of cache-only groups as scratch for the next rebuild.
 func (ev *snapEval) bucket() {
 	r := ev.r
 	u := r.uncertain
@@ -230,21 +281,36 @@ func (ev *snapEval) bucket() {
 		ev.pass = make([]uint64, words)
 	}
 	ev.pass = ev.pass[:words]
-	for i := range ev.pass {
-		ev.pass[i] = 0
-	}
+	clear(ev.pass)
 	if len(u) == 0 {
 		return
 	}
 	grouped := !ev.global()
 	var gid []int32
-	var ex extraGroups
+	ex := &ev.ex
 	if grouped {
 		t.initKeyScratch(r.b)
-		gid = make([]int32, len(u))
+		if cap(ev.gid) < len(u) {
+			ev.gid = make([]int32, len(u))
+		}
+		gid = ev.gid[:len(u)]
+		ex.reset(words)
 	}
+	k := ev.pointKernel()
+	run, runLo, runHi := r.cs.triU, 0, 0
 	for i := range u {
-		passes := ev.rowTri(u[i].row, 0, 1)[0] == expr.TriTrue
+		d := expr.TriNull
+		if k != nil {
+			if i == runHi {
+				runLo, runHi = i, r.decideRun(k, &r.stage, run, i, len(u))
+				r.cs.pointed += int64(runHi - runLo)
+			}
+			d = run[i-runLo]
+		}
+		if d == expr.TriNull {
+			d = ev.rowTri(u[i].row, 0, 1)[0]
+		}
+		passes := d == expr.TriTrue
 		if passes {
 			ev.pass[i>>6] |= 1 << (uint(i) & 63)
 		}
@@ -255,7 +321,7 @@ func (ev *snapEval) bucket() {
 		h := t.keyRow.HashKey(t.cols)
 		g := t.findIdx(h, t.keyRow, t.cols)
 		if g < 0 {
-			x := ev.extra(&ex, gid, h, i)
+			x := ev.extra(gid, h, i)
 			if passes && ex.shown[x>>6]&(1<<(uint(x)&63)) == 0 {
 				ex.shown[x>>6] |= 1 << (uint(x) & 63)
 				ev.visible = append(ev.visible, int32(x))
@@ -272,9 +338,7 @@ func (ev *snapEval) bucket() {
 		ev.start = make([]int32, groups+1)
 	}
 	ev.start = ev.start[:groups+1]
-	for i := range ev.start {
-		ev.start[i] = 0
-	}
+	clear(ev.start)
 	for _, g := range gid {
 		ev.start[g+1]++
 	}
@@ -295,43 +359,188 @@ func (ev *snapEval) bucket() {
 	ev.start[0] = 0
 }
 
+// pointKernel returns the runner's tri-state kernel — its home stage's,
+// the one reclassify runs — bound to a point epoch (pointProgs.bind), or
+// nil when the cache goes through rowTri (cacheKernel's gate).
+func (ev *snapEval) pointKernel() *expr.TriKernel {
+	r := ev.r
+	k := r.cacheKernel(&r.stage)
+	if k != nil {
+		ev.pt.bind(k, r.colPl.ct)
+	}
+	return k
+}
+
+// pointProgs evaluates a tri-state kernel's parameter slots under the
+// point bindings of env (column 0 of its scalar lanes and the bindings'
+// point maps), through width-1 programs lowered once per kernel: slots
+// for its row-free slots, num or pred for each keyed slot (numeric or
+// predicate), which read the row by ordinal. res is the point epoch's
+// KeyResolver.
+type pointProgs struct {
+	env   *tvEnv
+	ct    *colstore.Table // the encoding k reads, where keyed slots read their rows
+	k     *expr.TriKernel
+	slots []tvNum
+	num   []tvNum
+	pred  []tvBool
+	mem   int64
+	res   expr.KeyResolver
+}
+
+// bind starts a point epoch on k: each row-free slot is its
+// expression's point value as a zero-width range, and each keyed slot
+// resolves once per key under the point bindings, so a decided byte is
+// the predicate's SQL truth there: TriTrue when it holds, TriFalse when
+// it is FALSE or NULL. A value the programs cannot carry as a float (an
+// integer or string) reads as an unknown range and leaves its rows
+// undecided, as does a NaN bound. The next classification epoch
+// installs its own resolver and ranges again.
+func (pp *pointProgs) bind(k *expr.TriKernel, ct *colstore.Table) {
+	if k != pp.k {
+		pp.lower(k)
+	}
+	pp.ct = ct
+	pp.env.row = nil // slot expressions read no column
+	for s, n := range pp.slots {
+		lo, hi, st := pointRange(n, pp.env)
+		k.SetRange(s, lo, hi, st)
+	}
+	k.SetResolver(pp.res)
+	k.NewEpoch()
+}
+
+// lower compiles k's slot expressions into the point programs.
+func (pp *pointProgs) lower(k *expr.TriKernel) {
+	c := &tvCompiler{bind: pp.env.bind, width: 1, slotBase: int(^uint(0) >> 1)}
+	pp.slots = pp.slots[:0]
+	for _, e := range k.Slots() {
+		pp.slots = append(pp.slots, c.num(e))
+	}
+	keyed := k.Keyed()
+	pp.num, pp.pred = make([]tvNum, len(keyed)), make([]tvBool, len(keyed))
+	for s, ks := range keyed {
+		if ks.Pred {
+			pp.pred[s] = c.pred(ks.Expr)
+		} else {
+			pp.num[s] = c.num(ks.Expr)
+		}
+	}
+	pp.k, pp.mem = k, c.mem
+	if pp.res == nil {
+		pp.res = pp.resolve
+	}
+}
+
+// resolve is the point epoch's KeyResolver: keyed slot s under the point
+// bindings, on segment-local row i of seg.
+func (pp *pointProgs) resolve(s int, seg *colstore.Segment, i int) (lo, hi float64, status uint8) {
+	env := pp.env
+	env.row, env.ct, env.seg, env.i = seg.Rows[i], pp.ct, seg, i
+	ks := pp.k.Keyed()[s]
+	if !ks.Pred {
+		lo, hi, status = pointRange(pp.num[s], env)
+	} else {
+		status = expr.TriNull // unknown unless the program answers
+		if p := pp.pred[s]; p != nil {
+			if t, ok := p.tri(env, 0, 1); ok {
+				// A NULL membership reads by its NOT polarity, as in
+				// classification.
+				if status = t[0]; status == expr.TriNull {
+					status = triOfBool(ks.Neg)
+				}
+			}
+		}
+	}
+	env.seg = nil
+	return lo, hi, status
+}
+
+// pointRange evaluates a width-1 point program to a zero-width range: a
+// float point, NULL, or unknown when the program is missing or refuses.
+func pointRange(n tvNum, env *tvEnv) (float64, float64, uint8) {
+	if n != nil {
+		if f, null, ok := n.num(env, 0, 1); ok {
+			if null[0] {
+				return 0, 0, expr.RangeNull
+			}
+			return f[0], f[0], expr.RangeOK
+		}
+	}
+	return 0, 0, expr.RangeUnknown
+}
+
 // extraGroups is bucket's probe table over the keys of cache-only
-// groups: open addressing on the group-key hash, a slot naming the
-// group's first cached row (its key donor; the group id is that row's).
+// groups: open addressing on the high half of the group-key hash, a
+// slot naming the group's first cached row + 1, its key donor (the
+// group id is that row's). While bucket's first pass runs, ev.start[x]
+// holds cache-only group x's hash half, which a probe compares before
+// any key and the table places groups by when it grows. It stays at
+// most three-quarters full and keeps its size across batches.
 type extraGroups struct {
 	n     int
 	slots []int32  // donor row + 1; 0 = empty
 	shown []uint64 // bit x: group x is already in visible
 }
 
+// reset empties the table for a rebuild over rows that need at most
+// words bitmap words of groups.
+func (ex *extraGroups) reset(words int) {
+	ex.n = 0
+	clear(ex.slots)
+	if cap(ex.shown) < words {
+		ex.shown = make([]uint64, words)
+	}
+	ex.shown = ex.shown[:words]
+	clear(ex.shown)
+}
+
 // extra resolves the key staged in the table's keyRow (hash h, from
 // cached row i) to a cache-only group, numbering it on first touch.
 // Keys are compared against the donor row: no key is copied.
-func (ev *snapEval) extra(ex *extraGroups, gid []int32, h uint64, i int) int {
-	if ex.slots == nil {
-		// At most one group per row not yet placed; sized once, below 7/8
-		// load.
-		size := 16
-		for size*7 < (len(gid)-i)*8 {
-			size *= 2
-		}
-		ex.slots = make([]int32, size)
-		ex.shown = make([]uint64, (len(gid)-i+63)/64)
+func (ev *snapEval) extra(gid []int32, h uint64, i int) int {
+	ex := &ev.ex
+	if 4*(ex.n+1) > 3*len(ex.slots) {
+		ev.growExtra(gid)
 	}
 	t := ev.r.tab
-	mask := uint64(len(ex.slots) - 1)
-	p := h & mask
-	for ex.slots[p] != 0 {
+	hi := uint32(h >> 32)
+	mask := uint32(len(ex.slots) - 1)
+	p := hi & mask
+	for ; ex.slots[p] != 0; p = (p + 1) & mask {
 		d := ex.slots[p] - 1
+		x := int(gid[d]) - ev.nBase
+		if uint32(ev.start[x]) != hi {
+			continue
+		}
 		ev.groupKeyInto(ev.keyBuf, ev.r.uncertain[d].row)
 		if types.KeyEqual(ev.keyBuf, t.keyRow, t.cols) {
-			return int(gid[d]) - ev.nBase
+			return x
 		}
-		p = (p + 1) & mask
 	}
 	ex.slots[p] = int32(i + 1)
+	ev.start = append(ev.start, int32(hi))
 	ex.n++
 	return ex.n - 1
+}
+
+// growExtra doubles the probe table (from 64 slots), placing each group
+// by its stored hash half.
+func (ev *snapEval) growExtra(gid []int32) {
+	ex := &ev.ex
+	old := ex.slots
+	ex.slots = make([]int32, max(64, 2*len(old)))
+	mask := uint32(len(ex.slots) - 1)
+	for _, d := range old {
+		if d == 0 {
+			continue
+		}
+		p := uint32(ev.start[int(gid[d-1])-ev.nBase]) & mask
+		for ex.slots[p] != 0 {
+			p = (p + 1) & mask
+		}
+		ex.slots[p] = d
+	}
 }
 
 // donor returns the cached row carrying cache-only group x's key: its
@@ -493,9 +702,20 @@ func (ev *snapEval) foldRow(u *uncertainRow, pt, sampled bool) {
 			t.argCols[a] = colIdx(r.b.Aggs[a].Arg)
 		}
 	}
+	// Where the encoding covers the cache, a banked block's column inputs
+	// and the predicate's trial lanes read the row at its ordinal.
+	env := &ev.env
+	if env.ct != nil {
+		env.seg, env.i = env.ct.Segment(u.ord)
+	}
 	for a := range r.b.Aggs {
+		c := t.argCols[a]
+		if t.banked && env.ordinal(c) {
+			ev.argF[a], ev.argOK[a] = env.argAt(c, t.cltKinds[a] == cltCount)
+			continue
+		}
 		var v types.Value
-		if c := t.argCols[a]; c >= 0 && c < len(u.row) {
+		if c >= 0 && c < len(u.row) {
 			v = u.row[c]
 		} else {
 			ev.bare.Row = u.row
@@ -535,6 +755,7 @@ func (ev *snapEval) foldRow(u *uncertainRow, pt, sampled bool) {
 			}
 		}
 	}
+	env.seg = nil
 	if !hit {
 		return
 	}

@@ -1,0 +1,231 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"fluodb/internal/bootstrap"
+	"fluodb/internal/expr"
+	"fluodb/internal/plan"
+	"fluodb/internal/storage"
+	"fluodb/internal/types"
+)
+
+// Snapshot evaluation decides the cached uncertain set's point truth by
+// the tri-state kernel in a point epoch and reads its trial lanes by
+// ordinal (snapeval.go). Both must agree with the lowered per-row
+// program (rowTri) that they replace: the point kernel's decided bytes
+// with rowTri's point truth (NULL reading as not TRUE), the ordinal
+// lanes with rowTri's lanes one for one. The tests below check that at
+// every mini-batch of every columnarQueries shape, and of shapes over
+// NULL, NaN and ±0 values and keys, NOT/AND/OR and dictionary-string
+// keys, and hold the snapshots bit-identical to the row path's.
+
+// specialCatalog is a fact table sv(a STRING, b INT, x FLOAT, y FLOAT,
+// f FLOAT): a dictionary-string key, an int key with NULLs, an integral
+// measure with NULLs and ±0, a comparison column with NaN, ±0 and
+// NULLs, and a float key over ±0, NaN and NULL.
+func specialCatalog(n int, seed uint64) *storage.Catalog {
+	cat := storage.NewCatalog()
+	t := storage.NewTable("sv", types.NewSchema(
+		"a", types.KindString, "b", types.KindInt, "x", types.KindFloat,
+		"y", types.KindFloat, "f", types.KindFloat))
+	as := []string{"aa", "bb", "cc", "dd", "ee"}
+	negZero := math.Copysign(0, -1)
+	ys := []float64{0, negZero, math.NaN(), 250, 500, 750}
+	fs := []float64{0, negZero, math.NaN(), 1.5, -2}
+	rng := bootstrap.NewRNG(seed)
+	for i := 0; i < n; i++ {
+		row := types.Row{
+			types.NewString(as[rng.Intn(len(as))]),
+			types.NewInt(int64(rng.Intn(16))),
+			types.NewFloat(float64(rng.Intn(1000))),
+			types.NewFloat(float64(rng.Intn(1000))),
+			types.NewFloat(fs[rng.Intn(len(fs))]),
+		}
+		if rng.Intn(4) == 0 {
+			row[3] = types.NewFloat(ys[rng.Intn(len(ys))])
+		}
+		switch rng.Intn(30) {
+		case 0:
+			row[1] = types.Null
+		case 1:
+			row[2] = types.Null
+		case 2:
+			row[2] = types.NewFloat(negZero)
+		case 3:
+			row[3] = types.Null
+		case 4:
+			row[4] = types.Null
+		}
+		_ = t.Append(row)
+	}
+	cat.Put(t)
+	return cat
+}
+
+// specialQueries are uncertain shapes over specialCatalog.
+var specialQueries = []struct{ name, sql string }{
+	{"not-correlated", `SELECT a, COUNT(x), SUM(x) FROM sv
+		WHERE NOT (y < (SELECT 0.9 * AVG(x) FROM sv s2 WHERE s2.b = sv.b)) GROUP BY a`},
+	{"string-key", `SELECT COUNT(x), SUM(x) FROM sv
+		WHERE y < (SELECT AVG(x) FROM sv s2 WHERE s2.a = sv.a)`},
+	{"float-key", `SELECT b, COUNT(x), SUM(x) FROM sv
+		WHERE y >= (SELECT AVG(x) FROM sv s2 WHERE s2.f = sv.f) GROUP BY b`},
+	{"eq-nan", `SELECT COUNT(x), SUM(x) FROM sv
+		WHERE y = (SELECT 0.5 * AVG(x) FROM sv s2 WHERE s2.b = sv.b) OR y < 100`},
+	{"or-in", `SELECT a, COUNT(x), SUM(x) FROM sv
+		WHERE y < (SELECT 0.8 * AVG(x) FROM sv s2 WHERE s2.b = sv.b)
+		   OR b IN (SELECT b FROM sv GROUP BY b HAVING AVG(x) > 500) GROUP BY a`},
+	{"not-in", `SELECT a, COUNT(x) FROM sv
+		WHERE b NOT IN (SELECT b FROM sv GROUP BY b HAVING AVG(x) > 495) GROUP BY a`},
+	{"not-of-in-and", `SELECT COUNT(x), SUM(x) FROM sv
+		WHERE NOT (b IN (SELECT b FROM sv GROUP BY b HAVING AVG(x) > 495) AND x > 100)`},
+	{"not-scalar", `SELECT b, COUNT(x), SUM(x) FROM sv
+		WHERE NOT (y >= (SELECT AVG(x) FROM sv)) GROUP BY b`},
+}
+
+// checkSnapKernelParity re-derives, for every runner of eng with cached
+// uncertain rows, its evaluator's point truth and trial lanes both ways.
+// It returns the rows whose point truth the kernel decided and the rows
+// whose trial lanes were read by ordinal.
+func checkSnapKernelParity(t *testing.T, name string, eng *Engine) (decided, ordinal int) {
+	t.Helper()
+	for _, r := range eng.runners {
+		u := r.uncertain
+		if r.uncertainWhere == nil || len(u) == 0 {
+			continue
+		}
+		ev := r.eval()
+		pointTruth := func(i int) uint8 {
+			if d := ev.rowTri(u[i].row, 0, 1)[0]; d == expr.TriTrue {
+				return d
+			}
+			return expr.TriFalse
+		}
+		for i := range u {
+			got := triOfBool(ev.pass[i>>6]&(1<<(uint(i)&63)) != 0)
+			if want := pointTruth(i); got != want {
+				t.Fatalf("%s: block %d row %d: bucket point truth %d, rowTri %d", name, r.b.ID, i, got, want)
+			}
+		}
+		if k := ev.pointKernel(); k != nil {
+			run := r.cs.triU
+			for lo := 0; lo < len(u); {
+				hi := r.decideRun(k, &r.stage, run, lo, len(u))
+				for i := lo; i < hi; i++ {
+					if d := run[i-lo]; d != expr.TriNull {
+						if want := pointTruth(i); d != want {
+							t.Fatalf("%s: block %d row %d: point kernel %d, rowTri %d (row %v)",
+								name, r.b.ID, i, d, want, u[i].row)
+						}
+						decided++
+					}
+				}
+				lo = hi
+			}
+		}
+		if ev.env.ct == nil {
+			continue
+		}
+		n := ev.width
+		want := make([]uint8, n)
+		for i := range u {
+			if u[i].weights == nil {
+				continue
+			}
+			copy(want[1:], ev.rowTri(u[i].row, 1, n)[1:n])
+			ev.env.seg, ev.env.i = ev.env.ct.Segment(u[i].ord)
+			got := ev.rowTri(u[i].row, 1, n)
+			ev.env.seg = nil
+			for j := 1; j < n; j++ {
+				if got[j] != want[j] {
+					t.Fatalf("%s: block %d row %d trial %d: by ordinal %d, by row %d (row %v)",
+						name, r.b.ID, i, j-1, got[j], want[j], u[i].row)
+				}
+			}
+			ordinal++
+		}
+	}
+	return decided, ordinal
+}
+
+// runSnapKernelParity steps sql to the end, checking parity after every
+// mini-batch, and returns the snapshots with the totals.
+func runSnapKernelParity(t *testing.T, cat *storage.Catalog, sql string, o Options) (snaps []*Snapshot, decided, ordinal int) {
+	t.Helper()
+	eng := newTestEngine(t, cat, sql, o)
+	for {
+		snap, err := eng.Step()
+		if err == ErrDone {
+			return snaps, decided, ordinal
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+		d, n := checkSnapKernelParity(t, fmt.Sprintf("batch %d", snap.Batch), eng)
+		decided += d
+		ordinal += n
+	}
+}
+
+// newTestEngine compiles sql and builds an engine, closed at cleanup.
+func newTestEngine(t *testing.T, cat *storage.Catalog, sql string, o Options) *Engine {
+	t.Helper()
+	q, err := plan.Compile(sql, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(q, cat, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng
+}
+
+// TestSnapshotKernelParity checks the point kernel and the ordinal trial
+// lanes against rowTri on every columnarQueries shape and every special
+// shape, serially and at P=2, and that the special shapes' snapshots
+// equal the row path's bit for bit. Every shape whose predicate compiles
+// to the kernel must decide rows by it and read lanes by ordinal.
+func TestSnapshotKernelParity(t *testing.T) {
+	type shape struct {
+		name, sql string
+		cat       *storage.Catalog
+		special   bool // must run the kernel; compare snapshots with the row path
+	}
+	var shapes []shape
+	cc := columnarCatalog(3*8192, 7)
+	for _, q := range columnarQueries {
+		shapes = append(shapes, shape{q.name, q.sql, cc, false})
+	}
+	sc := specialCatalog(6000, 5)
+	for _, q := range specialQueries {
+		shapes = append(shapes, shape{q.name, q.sql, sc, true})
+	}
+	for _, s := range shapes {
+		t.Run(s.name, func(t *testing.T) {
+			for _, p := range []int{1, 2} {
+				o := columnarOptions(7, p, false)
+				o.Batches = 4
+				snaps, decided, ordinal := runSnapKernelParity(t, s.cat, s.sql, o)
+				eng := newTestEngine(t, s.cat, s.sql, o)
+				root := eng.runners[len(eng.runners)-1]
+				if root.classifier() == "tri:kernel" && (decided == 0 || ordinal == 0) {
+					t.Fatalf("P=%d: kernel shape decided %d rows by the point kernel, read %d by ordinal",
+						p, decided, ordinal)
+				}
+				if s.special && root.classifier() != "tri:kernel" {
+					t.Fatalf("root classifier %q, want tri:kernel", root.classifier())
+				}
+				if s.special {
+					o.RowPath = true
+					compareSnapshots(t, fmt.Sprintf("P=%d row path", p), runSnapshots(t, s.cat, s.sql, o), snaps)
+				}
+			}
+		})
+	}
+}

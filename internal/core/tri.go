@@ -219,23 +219,38 @@ func max4(a, b, c, d float64) float64 {
 }
 
 // evalTri evaluates a predicate under interval semantics: triTrue and
-// triFalse mean the outcome is the same for every value the uncertain
-// aggregates may still take; triUnknown sends the tuple to the
-// uncertain set.
+// triFalse mean the predicate is TRUE, respectively not TRUE (FALSE or
+// NULL), for every value the uncertain aggregates may still take;
+// triUnknown sends the tuple to the uncertain set.
 func (te *triEnv) evalTri(e expr.Expr, row types.Row) tri {
+	return te.evalTriNeg(e, row, false)
+}
+
+// evalTriNeg is evalTri for a subtree under an odd (neg) or even number
+// of NOTs. A WHERE row passes only when the predicate is TRUE, and NOT
+// maps NULL to NULL, so a NULL outcome must end up "not TRUE" however
+// many NOTs sit above it: under an even count it reads as false, under
+// an odd count as true (which the NOT above turns into false). Kleene
+// AND and OR commute with both readings, so only the leaves depend on
+// neg.
+func (te *triEnv) evalTriNeg(e expr.Expr, row types.Row, neg bool) tri {
 	if !te.hasParams(e) && (te.rowRanges == nil || !te.hasColumns(e)) {
 		te.pointCtx.Row = row
-		return triFromBool(e.Eval(te.pointCtx).Truthy())
+		v := e.Eval(te.pointCtx)
+		if v.IsNull() {
+			return triFromBool(neg)
+		}
+		return triFromBool(v.Truthy())
 	}
 	switch x := e.(type) {
 	case *expr.Binary:
 		switch x.Op {
 		case sqlparser.OpAnd:
-			l := te.evalTri(x.L, row)
+			l := te.evalTriNeg(x.L, row, neg)
 			if l == triFalse {
 				return triFalse
 			}
-			r := te.evalTri(x.R, row)
+			r := te.evalTriNeg(x.R, row, neg)
 			if r == triFalse {
 				return triFalse
 			}
@@ -244,11 +259,11 @@ func (te *triEnv) evalTri(e expr.Expr, row types.Row) tri {
 			}
 			return triUnknown
 		case sqlparser.OpOr:
-			l := te.evalTri(x.L, row)
+			l := te.evalTriNeg(x.L, row, neg)
 			if l == triTrue {
 				return triTrue
 			}
-			r := te.evalTri(x.R, row)
+			r := te.evalTriNeg(x.R, row, neg)
 			if r == triTrue {
 				return triTrue
 			}
@@ -258,12 +273,12 @@ func (te *triEnv) evalTri(e expr.Expr, row types.Row) tri {
 			return triUnknown
 		case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe,
 			sqlparser.OpGt, sqlparser.OpGe:
-			return te.evalCompareTri(x, row)
+			return te.evalCompareTri(x, row, neg)
 		default:
 			return triUnknown
 		}
 	case *expr.Not:
-		switch te.evalTri(x.X, row) {
+		switch te.evalTriNeg(x.X, row, !neg) {
 		case triTrue:
 			return triFalse
 		case triFalse:
@@ -272,19 +287,21 @@ func (te *triEnv) evalTri(e expr.Expr, row types.Row) tri {
 			return triUnknown
 		}
 	case *expr.SetParam:
-		return te.evalSetTri(x, row)
+		return te.evalSetTri(x, row, neg)
 	default:
 		return triUnknown
 	}
 }
 
-// evalCompareTri compares two variation ranges.
-func (te *triEnv) evalCompareTri(x *expr.Binary, row types.Row) tri {
+// evalCompareTri compares two variation ranges (neg as in evalTriNeg).
+// A NaN bound decides nothing: types.Compare orders NaN equal to every
+// float, which no interval test below reproduces.
+func (te *triEnv) evalCompareTri(x *expr.Binary, row types.Row, neg bool) tri {
 	l := te.evalRange(x.L, row)
 	r := te.evalRange(x.R, row)
-	// SQL: a comparison with NULL is never truthy.
+	// SQL: a comparison with NULL is NULL.
 	if l.status == rsNull || r.status == rsNull {
-		return triFalse
+		return triFromBool(neg)
 	}
 	if l.status != rsOK || r.status != rsOK {
 		return triUnknown
@@ -320,14 +337,14 @@ func (te *triEnv) evalCompareTri(x *expr.Binary, row types.Row) tri {
 			return triFalse
 		}
 	case sqlparser.OpEq:
-		if !a.Overlaps(b) {
+		if a.Lo > b.Hi || b.Lo > a.Hi {
 			return triFalse
 		}
 		if a.Lo == a.Hi && b.Lo == b.Hi && a.Lo == b.Lo {
 			return triTrue
 		}
 	case sqlparser.OpNe:
-		if !a.Overlaps(b) {
+		if a.Lo > b.Hi || b.Lo > a.Hi {
 			return triTrue
 		}
 		if a.Lo == a.Hi && b.Lo == b.Hi && a.Lo == b.Lo {
@@ -337,12 +354,13 @@ func (te *triEnv) evalCompareTri(x *expr.Binary, row types.Row) tri {
 	return triUnknown
 }
 
-// evalSetTri resolves uncertain set membership.
-func (te *triEnv) evalSetTri(x *expr.SetParam, row types.Row) tri {
+// evalSetTri resolves uncertain set membership (neg as in evalTriNeg:
+// a NULL subject's membership is NULL).
+func (te *triEnv) evalSetTri(x *expr.SetParam, row types.Row, neg bool) tri {
 	te.pointCtx.Row = row
 	v := x.X.Eval(te.pointCtx)
 	if v.IsNull() {
-		return triFalse
+		return triFromBool(neg)
 	}
 	if x.Idx < 0 || x.Idx >= len(te.setTri) || te.setTri[x.Idx] == nil {
 		return triUnknown

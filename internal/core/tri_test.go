@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"fluodb/internal/bootstrap"
 	"fluodb/internal/expr"
 	"fluodb/internal/sqlparser"
+	"fluodb/internal/storage"
 	"fluodb/internal/types"
 )
 
@@ -289,5 +291,97 @@ func TestBuildRangeGuards(t *testing.T) {
 	// NULL point → null
 	if pr := buildRange(types.Null, mkReps(1, 2, 3), 1); pr.status != rsNull {
 		t.Errorf("null point = %v", pr.status)
+	}
+}
+
+// nullableCatalog is a 400-row table li(k INT, q FLOAT, p FLOAT) with
+// every 7th q NULL and, offset from those, every 7th k NULL.
+func nullableCatalog() *storage.Catalog {
+	cat := storage.NewCatalog()
+	li := storage.NewTable("li", types.NewSchema(
+		"k", types.KindInt, "q", types.KindFloat, "p", types.KindFloat))
+	rng := bootstrap.NewRNG(31)
+	for i := 0; i < 400; i++ {
+		row := types.Row{
+			types.NewInt(int64(rng.Intn(20))),
+			types.NewFloat(1 + rng.Float64()*99),
+			types.NewFloat(rng.Float64() * 50),
+		}
+		if i%7 == 0 {
+			row[1] = types.Null
+		}
+		if i%7 == 3 {
+			row[0] = types.Null
+		}
+		_ = li.Append(row)
+	}
+	cat.Put(li)
+	return cat
+}
+
+// TestNotOverNullMatchesBatch: a comparison or membership with a NULL
+// side is NULL, and NOT NULL is NULL, so such a row never passes; a
+// classifier reading the NULL as a certain false would let NOT turn it
+// into a certain true and fold the row. Each query's final online
+// answer must equal the batch answer, through the interpreter (RowPath)
+// and the tri-state kernel, serially and at P=2.
+func TestNotOverNullMatchesBatch(t *testing.T) {
+	cat := nullableCatalog()
+	for _, q := range []struct{ name, sql string }{
+		{"correlated", `SELECT COUNT(*) FROM li l
+			WHERE NOT (q < (SELECT 0.5 * AVG(q) FROM li i WHERE i.k = l.k))`},
+		{"membership", `SELECT COUNT(*) FROM li
+			WHERE NOT (k IN (SELECT k FROM li GROUP BY k HAVING SUM(q) > 1000))`},
+		{"null-scalar", `SELECT COUNT(*) FROM li
+			WHERE NOT (p < (SELECT AVG(k) FROM li WHERE k > 100))`},
+	} {
+		for _, rowPath := range []bool{true, false} {
+			for _, p := range []int{1, 2} {
+				name := fmt.Sprintf("%s/rowpath=%v/P=%d", q.name, rowPath, p)
+				opt := Options{Batches: 10, Trials: 20, Seed: 3, Parallelism: p,
+					ParallelThreshold: 16, RowPath: rowPath}
+				final, exact, eng := onlineVsExact(t, cat, q.sql, opt)
+				if !rowPath && eng.runners[len(eng.runners)-1].classifier() != "tri:kernel" {
+					t.Fatalf("%s: root classifier %q, want tri:kernel", name,
+						eng.runners[len(eng.runners)-1].classifier())
+				}
+				got, want := final.ValueRows()[0][0], exact.Rows[0][0]
+				if types.Compare(got, want) != 0 {
+					t.Errorf("%s: online %v, batch %v", name, got, want)
+				}
+				eng.Close()
+			}
+		}
+	}
+}
+
+// TestEvalTriNullUnderNot pins the polarity rule on single rows: a NULL
+// comparison, a NULL membership subject and a NULL param-free subtree
+// are false at the top and stay "not true" under one or two NOTs.
+func TestEvalTriNullUnderNot(t *testing.T) {
+	te := env(10, 20)
+	te.setTri = []func([]byte) tri{func([]byte) tri { return triTrue }}
+	cmp := binop(sqlparser.OpLt, col(0), param())
+	set := &expr.SetParam{Idx: 0, X: col(0)}
+	free := binop(sqlparser.OpAnd, binop(sqlparser.OpLt, col(0), cnum(5)), param())
+	null := types.Row{types.Null}
+	for _, e := range []expr.Expr{cmp, set} {
+		if got := te.evalTri(e, null); got != triFalse {
+			t.Errorf("%s on NULL = %v, want false", e, got)
+		}
+		if got := te.evalTri(&expr.Not{X: e}, null); got != triFalse {
+			t.Errorf("NOT %s on NULL = %v, want false", e, got)
+		}
+		if got := te.evalTri(&expr.Not{X: &expr.Not{X: e}}, null); got != triFalse {
+			t.Errorf("NOT NOT %s on NULL = %v, want false", e, got)
+		}
+	}
+	// NULL AND (unknown) is NULL or false, never true; under NOT it is
+	// NULL or true, so undecided.
+	if got := te.evalTri(&expr.Not{X: free}, null); got != triUnknown {
+		t.Errorf("NOT (NULL AND unknown) = %v, want unknown", got)
+	}
+	if got := te.evalTri(free, null); got != triFalse {
+		t.Errorf("NULL AND unknown = %v, want false", got)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+
+	"fluodb/internal/colstore"
 	"fluodb/internal/expr"
 	"fluodb/internal/sqlparser"
 	"fluodb/internal/types"
@@ -28,6 +31,16 @@ import (
 // x/0 = NULL, and types.Compare's float ordering (NaN compares equal).
 // AND/OR evaluate both sides; operands are pure, so the only observable
 // difference is which replica vectors get materialized (and cached).
+//
+// By ordinal: when the caller places the row in the block's columnar
+// encoding (tvEnv.seg, for a cached row at its stored fact ordinal), a
+// WHERE program reads the row's columns without the row. A column
+// operand reads its bank, and a correlated or membership parameter
+// keyed by one column takes its key from the bank; across the trial
+// columns it finds the key by the stored word (tvKeys), so each key
+// resolves its replica or membership vector once per evaluation epoch,
+// and the node keeps a reference to the binding's own vector, never a
+// copy of its lanes.
 
 // tvEnv is what a lowered expression reads besides its own tree.
 type tvEnv struct {
@@ -47,6 +60,46 @@ type tvEnv struct {
 	slotNull []bool
 	stride   int
 	key      []byte // parameter-key scratch
+	// seg/i place row in the columnar encoding ct (seg nil: read the row
+	// itself). epoch advances with every evaluation window, invalidating
+	// the key vectors resolved by ordinal.
+	ct    *colstore.Table
+	seg   *colstore.Segment
+	i     int
+	epoch uint32
+}
+
+// ordinal reports whether column c of the current row reads from its
+// bank at the row's ordinal.
+func (env *tvEnv) ordinal(c int) bool {
+	return env.seg != nil && c >= 0 && c < len(env.ct.Schema) && !env.ct.Mixed[c]
+}
+
+// argAt reads aggregate input column c at the row's ordinal as a banked
+// fold gates it (onlineTable.fold): a COUNT input counts when non-NULL,
+// a SUM/AVG input when numeric.
+func (env *tvEnv) argAt(c int, count bool) (float64, bool) {
+	col := &env.seg.Cols[c]
+	if col.Null(env.i) {
+		return 0, false
+	}
+	switch {
+	case count:
+		return 0, true
+	case col.Floats != nil:
+		return col.Floats[env.i], true
+	case col.Ints != nil: // int and bool banks
+		return float64(col.Ints[env.i]), true
+	}
+	return 0, false // a string is not numeric
+}
+
+// keyAt returns the canonical key of column c's stored value at the
+// row's ordinal (the bytes of the row's own key: the encoding round-trips
+// every value).
+func (env *tvEnv) keyAt(c int) []byte {
+	env.key = types.AppendKey(env.key[:0], env.ct.Value(env.seg, c, env.i))
+	return env.key
 }
 
 // scalarVec is one scalar parameter over the axis.
@@ -107,7 +160,8 @@ type tvCompiler struct {
 	bind     *bindings
 	width    int // axis width, 1+Trials
 	slotBase int
-	mem      int64 // bytes of lane scratch handed to nodes
+	mem      int64     // bytes of lane scratch handed to nodes
+	keys     []*tvKeys // the keyed nodes' key indexes
 }
 
 // varies reports whether e's value can differ between axis columns.
@@ -164,10 +218,22 @@ func (c *tvCompiler) pred(e expr.Expr) tvBool {
 		}
 	case *expr.SetParam:
 		if x.Idx >= 0 && x.Idx < len(c.bind.sets) && !c.varies(x.X) {
-			return &tvSet{p: x, t: c.tris()}
+			return &tvSet{p: x, t: c.tris(), keys: c.keyIndex(x.X)}
 		}
 	}
 	return nil
+}
+
+// keyIndex returns a key index for a parameter keyed by e, or nil when e
+// is not a single column.
+func (c *tvCompiler) keyIndex(e expr.Expr) *tvKeys {
+	col, ok := e.(*expr.Col)
+	if !ok || col.Idx >= c.slotBase {
+		return nil
+	}
+	k := &tvKeys{col: col.Idx}
+	c.keys = append(c.keys, k)
+	return k
 }
 
 // num lowers a numeric expression, or returns nil.
@@ -175,6 +241,9 @@ func (c *tvCompiler) num(e expr.Expr) tvNum {
 	if !c.varies(e) {
 		n := &tvInv{e: e}
 		n.f, n.null = c.floats()
+		if col, ok := e.(*expr.Col); ok {
+			return &tvCol{tvInv: n, col: col.Idx}
+		}
 		return n
 	}
 	switch x := e.(type) {
@@ -195,6 +264,9 @@ func (c *tvCompiler) num(e expr.Expr) tvNum {
 		}
 		n := &tvGroup{p: x}
 		n.f, n.null = c.floats()
+		if len(x.Keys) == 1 {
+			n.keys = c.keyIndex(x.Keys[0])
+		}
 		return n
 	case *expr.Neg:
 		if in := c.num(x.X); in != nil {
@@ -251,6 +323,95 @@ func (n *tvInv) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
 	return n.f, n.null, true
 }
 
+// tvCol is a column operand: read from its bank by ordinal, else from
+// the row as tvInv.
+type tvCol struct {
+	*tvInv
+	col int
+}
+
+func (n *tvCol) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+	if !env.ordinal(n.col) {
+		return n.tvInv.num(env, lo, hi)
+	}
+	c := &env.seg.Cols[n.col]
+	var f float64
+	null := c.Null(env.i)
+	if !null {
+		switch env.ct.Schema[n.col].Type {
+		case types.KindInt, types.KindBool:
+			f = float64(c.Ints[env.i])
+		case types.KindFloat:
+			f = c.Floats[env.i]
+		default: // a string is no float lane (tvInv: AsFloat fails)
+			return nil, nil, false
+		}
+	}
+	for j := lo; j < hi; j++ {
+		n.f[j], n.null[j] = f, null
+	}
+	return n.f, n.null, true
+}
+
+// tvKeys indexes a keyed node's resolved vectors by the stored word of
+// its key column at the row's ordinal: entry e (a WordMemo index, or −1
+// for the NULL key) was resolved in epoch tag[e], to vals[e] (a
+// correlated parameter's replica vector) or mems[e] (a membership
+// vector) — references to the binding's own vectors. KeyWord equality
+// is finer than key equality (−0.0 and 0.0 differ), which only costs a
+// second resolution of the same vector.
+type tvKeys struct {
+	col      int
+	memo     colstore.WordMemo
+	tag      []uint32
+	vals     [][]types.Value
+	mems     [][]bool
+	nullTag  uint32
+	nullVals []types.Value
+}
+
+// at returns the current row's entry and whether it must (re)resolve in
+// env's epoch, which it then counts as done.
+func (k *tvKeys) at(env *tvEnv) (e int, stale bool) {
+	c := &env.seg.Cols[k.col]
+	if c.Null(env.i) {
+		stale, k.nullTag = k.nullTag != env.epoch, env.epoch
+		return -1, stale
+	}
+	var w uint64
+	switch env.ct.Schema[k.col].Type {
+	case types.KindFloat:
+		w = math.Float64bits(c.Floats[env.i])
+	case types.KindString:
+		w = uint64(c.Codes[env.i])
+	default: // int and bool banks
+		w = uint64(c.Ints[env.i])
+	}
+	h := colstore.MemoHash1(w)
+	if e = k.memo.Find1(w, h); e < 0 {
+		words := k.memo.Stage()
+		words[0] = w
+		e = k.memo.Add(words, h)
+		k.tag = append(k.tag, 0)
+	}
+	stale, k.tag[e] = k.tag[e] != env.epoch, env.epoch
+	return e, stale
+}
+
+// reset drops every entry (the encoding's words changed meaning).
+func (k *tvKeys) reset() {
+	k.memo.Reset(1)
+	k.tag = k.tag[:0]
+	clear(k.vals)
+	clear(k.mems)
+	k.nullTag, k.nullVals = 0, nil
+}
+
+// memBytes is the index's charge: memo, tags and vector references.
+func (k *tvKeys) memBytes() int64 {
+	return k.memo.MemBytes() + 4*int64(cap(k.tag)) + 24*int64(cap(k.vals)+cap(k.mems))
+}
+
 // triOf is the interpreter's truth of a value as a tri byte.
 func triOf(v types.Value) uint8 {
 	switch {
@@ -301,19 +462,53 @@ func (env *tvEnv) appendParamKey(keys []expr.Expr) []byte {
 }
 
 // tvGroup resolves a correlated parameter: one key derivation and one
-// probe per row, then the group's replica vector read as floats.
+// probe per row — by ordinal, the key's replica vector once per key and
+// epoch (keys) — then the group's vector read as floats.
 type tvGroup struct {
 	p    *expr.GroupParam
 	f    []float64
 	null []bool
+	keys *tvKeys
+}
+
+// trialVec returns the group's replica vector for a row read by ordinal.
+func (n *tvGroup) trialVec(env *tvEnv) []types.Value {
+	k := n.keys
+	e, stale := k.at(env)
+	if e >= len(k.vals) { // a new entry (entries are numbered densely)
+		k.vals = append(k.vals, nil)
+	}
+	if stale {
+		vs := env.bind.groups[n.p.Idx].repsForKey(env.keyAt(k.col))
+		if e < 0 {
+			k.nullVals = vs
+		} else {
+			k.vals[e] = vs
+		}
+	}
+	if e < 0 {
+		return k.nullVals
+	}
+	return k.vals[e]
 }
 
 func (n *tvGroup) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
-	key := env.appendParamKey(n.p.Keys)
 	g := env.bind.groups[n.p.Idx]
+	byOrd := n.keys != nil && env.ordinal(n.keys.col)
+	var key []byte
+	switch {
+	case !byOrd:
+		key = env.appendParamKey(n.p.Keys)
+	case lo == 0:
+		key = env.keyAt(n.keys.col)
+	}
 	var vs []types.Value
 	if hi > 1 {
-		vs = g.repsForKey(key)
+		if byOrd {
+			vs = n.trialVec(env)
+		} else {
+			vs = g.repsForKey(key)
+		}
 	}
 	for j := lo; j < hi; j++ {
 		v := types.Null
@@ -334,36 +529,69 @@ func (n *tvGroup) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
 	return n.f, n.null, true
 }
 
-// tvSet resolves an IN-subquery membership: one key per row, then the
-// key's per-trial membership vector.
+// tvSet resolves an IN-subquery membership: one key per row — by
+// ordinal, the key's membership vector once per key and epoch (keys) —
+// then the key's per-trial membership vector.
 type tvSet struct {
-	p *expr.SetParam
-	t []uint8
+	p    *expr.SetParam
+	t    []uint8
+	keys *tvKeys
 }
 
 func (n *tvSet) tri(env *tvEnv, lo, hi int) ([]uint8, bool) {
-	env.ctx.Row = env.row
-	x := n.p.X.Eval(&env.ctx)
-	if x.IsNull() {
+	byOrd := n.keys != nil && env.ordinal(n.keys.col)
+	var null bool
+	var key []byte
+	if byOrd {
+		null = env.seg.Cols[n.keys.col].Null(env.i)
+		if !null && lo == 0 {
+			key = env.keyAt(n.keys.col)
+		}
+	} else {
+		env.ctx.Row = env.row
+		x := n.p.X.Eval(&env.ctx)
+		if null = x.IsNull(); !null {
+			key = types.AppendKey(env.key[:0], x)
+			env.key = key
+		}
+	}
+	if null {
 		for j := lo; j < hi; j++ {
 			n.t[j] = expr.TriNull
 		}
 		return n.t, true
 	}
-	key := types.AppendKey(env.key[:0], x)
-	env.key = key
 	s := env.bind.sets[n.p.Idx]
 	if lo == 0 {
 		n.t[0] = triOfBool(s.point[string(key)] != n.p.Negated)
 		lo = 1
 	}
 	if lo < hi {
-		ms := s.repsForKey(key)
+		var ms []bool
+		if byOrd {
+			ms = n.trialVec(env)
+		} else {
+			ms = s.repsForKey(key)
+		}
 		for j := lo; j < hi; j++ {
 			n.t[j] = triOfBool((ms != nil && ms[j-1]) != n.p.Negated)
 		}
 	}
 	return n.t, true
+}
+
+// trialVec returns the key's membership vector for a non-NULL subject
+// read by ordinal.
+func (n *tvSet) trialVec(env *tvEnv) []bool {
+	k := n.keys
+	e, stale := k.at(env)
+	if e >= len(k.mems) { // a new entry
+		k.mems = append(k.mems, nil)
+	}
+	if stale {
+		k.mems[e] = env.bind.sets[n.p.Idx].repsForKey(env.keyAt(k.col))
+	}
+	return k.mems[e]
 }
 
 type tvNeg struct {

@@ -378,7 +378,7 @@ func checkTriParity(t *testing.T, name string, e expr.Expr, k *expr.TriKernel,
 	ct *colstore.Table, te *triEnv, rng *rand.Rand) {
 	t.Helper()
 	env := te
-	k.SetResolver(keyedResolver(k.Keyed(), &env))
+	k.SetResolver(keyedResolver(k.Keyed(), &env, ct))
 	bindTri(k, te)
 	out := make([]uint8, ct.SegSize)
 	var rows []int32
@@ -422,6 +422,7 @@ func testTriKernelKeyedParity(t *testing.T) {
 			if len(k.Keyed()) == 0 {
 				t.Fatalf("%s: no keyed slot", tc.name)
 			}
+			decided := 0
 			for epoch, r0 := range triParityRanges {
 				for _, complete := range []bool{false, true} {
 					kb := newKeyedBinding(rng, complete)
@@ -429,6 +430,13 @@ func testTriKernelKeyedParity(t *testing.T) {
 					checkTriParity(t, fmt.Sprintf("%s/seed=%d/%s/complete=%v", tc.name, seed, r0.name, complete),
 						tc.e, k, ct, te, rng)
 				}
+				// A point epoch on the same kernel, between classification
+				// epochs, as a snapshot's point pass runs it.
+				decided += checkPointParity(t, fmt.Sprintf("%s/seed=%d/point=%d", tc.name, seed, epoch),
+					tc.e, k, ct, newPointBinding(rng), rng)
+			}
+			if decided == 0 {
+				t.Fatalf("%s/seed=%d: the point epochs decided no row", tc.name, seed)
 			}
 		}
 	}
@@ -520,8 +528,93 @@ func FuzzTriKernel(f *testing.F) {
 				triParityRanges[rng.Intn(len(triParityRanges))].pr,
 			}
 			checkTriParity(t, fmt.Sprintf("%s/epoch=%d", e, epoch), e, k, ct, kb.env(scalars), rng)
+			checkPointParity(t, fmt.Sprintf("%s/point=%d", e, epoch), e, k, ct, newPointBinding(rng), rng)
 		}
 	})
+}
+
+// newPointBinding draws point bindings over keyedDomain for two scalar,
+// three group and three set params: float, NULL or (to exercise a lane
+// the point programs cannot carry) integer values, with keys absent.
+func newPointBinding(rng *rand.Rand) *bindings {
+	b := newBindings(2, 3, 3, 0)
+	value := func() types.Value {
+		switch rng.Intn(8) {
+		case 0:
+			return types.Null
+		case 1:
+			return types.NewInt(int64(rng.Intn(1000)))
+		case 2:
+			return types.NewFloat(math.NaN())
+		default:
+			return types.NewFloat(float64(rng.Intn(1000)) - 0.5*float64(rng.Intn(2)))
+		}
+	}
+	for _, s := range b.scalars {
+		s.point = value()
+	}
+	for k, vals := range keyedDomain() {
+		for _, v := range vals {
+			key := types.KeyString1(v)
+			if rng.Intn(5) > 0 {
+				b.groups[k].point[key] = value()
+			}
+			if rng.Intn(5) > 0 {
+				b.sets[k].point[key] = rng.Intn(2) == 0
+			}
+		}
+	}
+	return b
+}
+
+// checkPointParity binds k to a point epoch over pb, as the snapshot
+// point pass does, and checks every decided byte against the
+// interpreter's SQL truth under pb's points: TriTrue exactly where the
+// predicate is TRUE, TriFalse where it is FALSE or NULL — over whole
+// segments and gathered row subsets. Undecided rows make no claim; it
+// returns how many rows were decided.
+func checkPointParity(t *testing.T, name string, e expr.Expr, k *expr.TriKernel,
+	ct *colstore.Table, pb *bindings, rng *rand.Rand) int {
+	t.Helper()
+	env := &tvEnv{bind: pb}
+	env.refreshScalars(1)
+	pp := &pointProgs{env: env}
+	pp.bind(k, ct)
+	ctx := pb.newPointCtx()
+	for i, s := range pb.scalars {
+		ctx.Scalars[i] = s.point
+	}
+	decided := 0
+	check := func(d uint8, row types.Row, where string) {
+		if d == expr.TriNull {
+			return
+		}
+		decided++
+		ctx.Row = row
+		v := e.Eval(ctx)
+		if want := triOfBool(!v.IsNull() && v.Truthy()); d != want {
+			t.Fatalf("%s: %s: point kernel %d, SQL truth %v (row %v)", name, where, d, v, row)
+		}
+	}
+	out := make([]uint8, ct.SegSize)
+	var rows []int32
+	for _, seg := range ct.Segs {
+		k.EvalInto(out, seg, 0, seg.N)
+		for i := 0; i < seg.N; i++ {
+			check(out[i], seg.Rows[i], fmt.Sprintf("seg base %d row %d", seg.Base, i))
+		}
+		rows = rows[:0]
+		for i := 0; i < seg.N; i++ {
+			if rng.Intn(3) == 0 {
+				rows = append(rows, int32(i))
+			}
+		}
+		k.EvalRows(out, seg, rows)
+		for j, i := range rows {
+			check(out[j], seg.Rows[i], fmt.Sprintf("gathered seg base %d row %d", seg.Base, i))
+		}
+	}
+	return decided
 }
 
 // byteSource steers fuzzTriTree by the fuzz input.

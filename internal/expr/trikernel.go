@@ -28,15 +28,20 @@
 //
 // The compilable subset mirrors evalTri exactly:
 //
-//   - a param-free subtree collapses to its point truth (NULL → false),
-//     lowered through compileVec;
+//   - a param-free subtree collapses to its point truth, lowered through
+//     compileVec;
 //   - AND/OR/NOT combine with the same Kleene tables (Unknown and NULL
 //     share byte 2, and the tables coincide);
+//   - a SQL NULL outcome (a param-free subtree, a comparison with a NULL
+//     side, membership of a NULL subject) is decided by the node's NOT
+//     polarity, as evalTri does: false under an even number of NOTs,
+//     true under an odd one, so the predicate reads "not TRUE" at the
+//     top either way;
 //   - comparisons evaluate interval sides: a constant folds at compile,
 //     a clean column is a per-row point (NULL → range-NULL; a string
 //     column is range-unknown when non-NULL, matching the row path's
 //     AsFloat failure), a row-free param side is a slot and a one-column
-//     param side a keyed slot;
+//     param side a keyed slot; a NaN bound decides nothing;
 //   - set membership over one clean column is a keyed predicate;
 //   - any other param-bearing node the row path answers with a
 //     row-independent triUnknown compiles to a constant. A param side
@@ -68,10 +73,14 @@ type slotRange struct {
 }
 
 // KeyedSlot is one keyed parameter subtree: Expr reads only its key
-// column, and its value is a variation range, or a tri when Pred is set.
+// column Col, and its value is a variation range, or a tri when Pred is
+// set. Neg is a predicate's NOT polarity (odd), which decides how its
+// NULL outcome reads.
 type KeyedSlot struct {
 	Expr Expr
+	Col  int
 	Pred bool
+	Neg  bool
 }
 
 // KeyResolver evaluates keyed slot s on segment-local row i of seg: the
@@ -180,7 +189,7 @@ func CompileTriKernel(e Expr, ct *colstore.Table) *TriKernel {
 		return nil
 	}
 	k := &TriKernel{st: &triState{epoch: 1}}
-	n := k.compileTri(e, ct)
+	n := k.compileTri(e, ct, false)
 	if n == nil {
 		return nil
 	}
@@ -251,25 +260,36 @@ type triNode interface {
 	gather(out []uint8, seg *colstore.Segment, rows []int32)
 }
 
-func (k *TriKernel) compileTri(e Expr, ct *colstore.Table) triNode {
+// nullTri is the decided byte of a SQL NULL outcome under NOT polarity
+// neg (odd).
+func nullTri(neg bool) uint8 {
+	if neg {
+		return TriTrue
+	}
+	return TriFalse
+}
+
+// compileTri lowers e, which sits under an odd (neg) or even number of
+// NOTs.
+func (k *TriKernel) compileTri(e Expr, ct *colstore.Table, neg bool) triNode {
 	if !HasParams(e) {
 		// Param-free subtree: the row path evaluates it pointwise and
-		// maps NULL to false (triFromBool of Truthy).
+		// reads NULL by polarity.
 		inner := compileVec(e, ct)
 		if inner == nil {
 			return nil
 		}
-		return &triCollapse{x: inner, span: make([]uint8, ct.SegSize)}
+		return &triCollapse{x: inner, span: make([]uint8, ct.SegSize), null: nullTri(neg)}
 	}
 	switch x := e.(type) {
 	case *Binary:
 		switch x.Op {
 		case sqlparser.OpAnd, sqlparser.OpOr:
-			l := k.compileTri(x.L, ct)
+			l := k.compileTri(x.L, ct, neg)
 			if l == nil {
 				return nil
 			}
-			r := k.compileTri(x.R, ct)
+			r := k.compileTri(x.R, ct, neg)
 			if r == nil {
 				return nil
 			}
@@ -284,22 +304,22 @@ func (k *TriKernel) compileTri(e Expr, ct *colstore.Table) triNode {
 			return n
 		case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe,
 			sqlparser.OpGt, sqlparser.OpGe:
-			return k.compileTriCmp(x, ct)
+			return k.compileTriCmp(x, ct, neg)
 		default:
 			// Param-bearing arithmetic/LIKE as a predicate: the row path
 			// answers triUnknown for every row.
 			return triConst{tri: TriNull}
 		}
 	case *Not:
-		inner := k.compileTri(x.X, ct)
+		inner := k.compileTri(x.X, ct, !neg)
 		if inner == nil {
 			return nil
 		}
 		return &triNot{x: inner} // notTable keeps Unknown unknown
 	case *SetParam:
-		// Membership depends on the subject's value alone (NULL → false,
-		// else a per-key lookup): one tri per key of its column.
-		s, ok := k.keyedSlot(x, ct, true)
+		// Membership depends on the subject's value alone (NULL by
+		// polarity, else a per-key lookup): one tri per key of its column.
+		s, ok := k.keyedSlot(x, ct, true, neg)
 		if !ok {
 			return nil
 		}
@@ -314,7 +334,7 @@ func (k *TriKernel) compileTri(e Expr, ct *colstore.Table) triNode {
 
 // keyedSlot registers e as a keyed slot when its column reads are all one
 // clean column of ct.
-func (k *TriKernel) keyedSlot(e Expr, ct *colstore.Table, pred bool) (int, bool) {
+func (k *TriKernel) keyedSlot(e Expr, ct *colstore.Table, pred, neg bool) (int, bool) {
 	col, n := -1, 0
 	Walk(e, func(x Expr) bool {
 		if c, ok := x.(*Col); ok && c.Idx != col {
@@ -327,7 +347,7 @@ func (k *TriKernel) keyedSlot(e Expr, ct *colstore.Table, pred bool) (int, bool)
 		return 0, false
 	}
 	s := len(k.keyedEx)
-	k.keyedEx = append(k.keyedEx, KeyedSlot{Expr: e, Pred: pred})
+	k.keyedEx = append(k.keyedEx, KeyedSlot{Expr: e, Col: col, Pred: pred, Neg: neg})
 	k.st.keyed = append(k.st.keyed, keyedSlot{col: col, kind: ct.Schema[col].Type, pred: pred})
 	k.st.keyed[s].memo.Reset(1)
 	return s, true
@@ -386,7 +406,7 @@ func (s *cmpSide) rangeAt(seg *colstore.Segment, i int, st *triState) (lo, hi fl
 	}
 }
 
-func (k *TriKernel) compileTriCmp(b *Binary, ct *colstore.Table) triNode {
+func (k *TriKernel) compileTriCmp(b *Binary, ct *colstore.Table, neg bool) triNode {
 	l, ok := k.makeSide(b.L, ct)
 	if !ok {
 		return nil
@@ -395,7 +415,7 @@ func (k *TriKernel) compileTriCmp(b *Binary, ct *colstore.Table) triNode {
 	if !ok {
 		return nil
 	}
-	return &triCmp{op: b.Op, l: l, r: r, st: k.st}
+	return &triCmp{op: b.Op, l: l, r: r, st: k.st, null: nullTri(neg)}
 }
 
 // makeSide lowers one comparison operand. Param-free operands must be
@@ -444,7 +464,7 @@ func (k *TriKernel) makeSide(e Expr, ct *colstore.Table) (cmpSide, bool) {
 		return rowFree
 	})
 	if !rowFree {
-		s, ok := k.keyedSlot(e, ct, false)
+		s, ok := k.keyedSlot(e, ct, false, false)
 		return cmpSide{kind: sideKeyed, slot: s}, ok
 	}
 	slot := len(k.slots)
@@ -454,13 +474,15 @@ func (k *TriKernel) makeSide(e Expr, ct *colstore.Table) (cmpSide, bool) {
 }
 
 // triCmp compares two variation ranges per row, replicating the
-// engine's evalCompareTri decision table: a NULL side is false (SQL),
-// an unbounded side is uncertain, and each operator commits true/false
-// only when the ranges cannot overlap the other outcome.
+// engine's evalCompareTri decision table: a NULL side reads null (the
+// polarity's byte), an unbounded side is uncertain, and each operator
+// commits true/false only when the ranges cannot overlap the other
+// outcome (never on a NaN bound).
 type triCmp struct {
 	op   sqlparser.BinaryOp
 	l, r cmpSide
 	st   *triState
+	null uint8
 }
 
 func (n *triCmp) eval(out []uint8, seg *colstore.Segment, lo, hi int) {
@@ -479,7 +501,7 @@ func (n *triCmp) at(seg *colstore.Segment, i int) uint8 {
 	alo, ahi, ast := n.l.rangeAt(seg, i, n.st)
 	blo, bhi, bst := n.r.rangeAt(seg, i, n.st)
 	if ast == RangeNull || bst == RangeNull {
-		return TriFalse
+		return n.null
 	}
 	if ast != RangeOK || bst != RangeOK {
 		return TriNull
@@ -510,13 +532,13 @@ func (n *triCmp) at(seg *colstore.Segment, i int) uint8 {
 			return TriFalse
 		}
 	case sqlparser.OpEq:
-		if !(alo <= bhi && blo <= ahi) {
+		if alo > bhi || blo > ahi {
 			return TriFalse
 		} else if alo == ahi && blo == bhi && alo == blo {
 			return TriTrue
 		}
 	case sqlparser.OpNe:
-		if !(alo <= bhi && blo <= ahi) {
+		if alo > bhi || blo > ahi {
 			return TriTrue
 		} else if alo == ahi && blo == bhi && alo == blo {
 			return TriFalse
@@ -543,20 +565,21 @@ func (n *triKeyed) gather(out []uint8, seg *colstore.Segment, rows []int32) {
 	}
 }
 
-// triCollapse maps a param-free subtree's NULL to false: the row path
-// evaluates such subtrees pointwise as triFromBool(Truthy()). The inner
-// kernel has no gather form, so a gather evaluates the rows' span into
-// span and picks.
+// triCollapse maps a param-free subtree's NULL to its polarity's byte,
+// as the row path evaluates such subtrees pointwise. The inner kernel
+// has no gather form, so a gather evaluates the rows' span into span and
+// picks.
 type triCollapse struct {
 	x    vecNode
 	span []uint8
+	null uint8
 }
 
 func (n *triCollapse) eval(out []uint8, seg *colstore.Segment, lo, hi int) {
 	n.x.eval(out, seg, lo, hi)
 	for i := lo; i < hi; i++ {
 		if out[i] == TriNull {
-			out[i] = TriFalse
+			out[i] = n.null
 		}
 	}
 }

@@ -16,11 +16,14 @@
 #                   fold also "spanned" (a span recorded around each
 #                   fold), 0 allocs/row each; the keyed tri-state legs
 #                   (correlated, in-set) and the reclassify legs hold
-#                   classification of new and cached rows to 0 too
+#                   classification of new and cached rows to 0 too,
+#                   the prepare legs a warm snapshot evaluator's
+#                   rebuild (point pass by kernel included)
 #   fuzz smoke      10 s each of FuzzNumKernel (computed aggregate-
 #                   argument columns vs per-row Eval) and FuzzTriKernel
 #                   (tri-state kernel bytes, keyed slots included, vs
-#                   evalTri), on generated trees and data
+#                   evalTri, and point-epoch bytes vs the SQL truth
+#                   under point bindings), on generated trees and data
 #   benchmark/      the end-to-end benchmark is a nested module that
 #                   imports internal/core but is invisible to the root
 #                   ./... patterns; its tests are the only thing that

@@ -1,7 +1,8 @@
 .PHONY: check test bench bench-e2e-compare bench-fold audit chaos trace mem
 
 # Tier-1 gate: vet + build + race-enabled tests + non-race alloc gates +
-# a 10 s FuzzNumKernel smoke run + the benchmark/ module's tests.
+# 10 s fuzz smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzResume) + the
+# benchmark/ module's tests.
 check:
 	sh scripts/check.sh
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Checkpoint bytes arriving over a network or from disk can be damaged
-// anywhere: the magic/version/mode header, the options fingerprint, the
+// anywhere: the magic/version header, the options fingerprint, the
 // payload, or the FNV-1a trailer. ResumeOnline must refuse every such
 // mutation with a typed ErrKindCheckpoint error — never panic, and
 // never resume from silently-wrong state.
@@ -82,10 +82,11 @@ func TestCheckpointCorruptionTable(t *testing.T) {
 		{"magic", 0},
 		{"magic-tail", 4},
 		{"version", 5},
-		{"mode", 6},
-		{"fingerprint", 7},
-		{"fingerprint-tail", 14},
-		{"batch-index", 15},
+		{"fingerprint", 6},
+		{"fingerprint-tail", 13},
+		{"batch-index", 14},
+		{"no-commit", 22},
+		{"flips", 23},
 		{"payload-early", len(ck) / 4},
 		{"payload-mid", len(ck) / 2},
 		{"payload-late", len(ck) - 16},
@@ -97,7 +98,7 @@ func TestCheckpointCorruptionTable(t *testing.T) {
 	}
 
 	// Truncations: empty, header-only, mid-payload, missing trailer.
-	for _, n := range []int{0, 3, 5, 7, 15, len(ck) / 2, len(ck) - 8, len(ck) - 1} {
+	for _, n := range []int{0, 3, 5, 6, 14, 22, len(ck) / 2, len(ck) - 8, len(ck) - 1} {
 		mustRefuse(t, db, sql, opt, ck[:n], "truncate")
 	}
 

@@ -7,46 +7,37 @@ import (
 	"sort"
 	"time"
 
-	"fluodb/internal/bootstrap"
 	"fluodb/internal/plan"
 	"fluodb/internal/storage"
-	"fluodb/internal/types"
 )
 
-// Checkpoint/resume. A G-OLA engine at a mini-batch boundary is fully
-// described by (a) the deterministic set — each block's online
-// aggregate table, (b) the uncertain cache, (c) the parameter bindings
-// (points, variation ranges, committed intersections, epsilon boosts),
-// and (d) the RNG cursor — which, with counter-based resampling, is
-// just the seed plus the batch index: weights for any row regenerate as
-// pure hashes. Serializing those lets a cancelled or crashed query
-// resume exactly where it stopped, replay-free.
+// Checkpoint/resume. With counter-based resampling a G-OLA engine at a
+// mini-batch boundary is a pure function of its options, the batch
+// index and the decisions that shaped the prefix: the bindings' epsilon
+// boosts and the no-commit latch. Failure recovery already relies on
+// this — replayUpTo reprocesses batches 0..k−1 under the final boosts
+// and reproduces the engine state at batch k exactly — so a checkpoint
+// stores only those decisions, and resume replays the prefix. Resume
+// costs O(prefix) work; in exchange the deterministic set and the
+// uncertain cache are never persisted, and their in-memory layout can
+// change without a format change.
 //
-// Two modes, chosen automatically:
-//
-//   - full: every block's table is banked (all aggregates CLT-estimable
-//     — SUM/COUNT/AVG, the common OLA shape). Entries are flat float
-//     banks, serialized verbatim in insertion order; resume rebuilds the
-//     tables bit-identically with zero reprocessing.
-//   - replay: some aggregate carries opaque state (MIN/MAX, quantile
-//     digests, HLL sketches). The checkpoint stores only the bindings'
-//     epsilon boosts, the no-commit flag and the batch index; resume
-//     reprocesses batches 0..k−1 — deterministic by the same argument as
-//     failure-recovery replay, at the cost of redoing prefix work.
-//
-// The encoding is hand-rolled (fixed-width little-endian, float bits,
-// sorted map keys) so equal states serialize to equal bytes: the soak
-// asserts checkpoint → resume → checkpoint round-trips byte-identically.
-// An FNV-1a trailer guards the payload: a flipped bit anywhere —
-// including free-form numeric fields no structural check would catch —
-// is refused at restore instead of silently resuming from bad state.
+// A checkpoint is a small header: magic, version, the query-lineage
+// and options fingerprint, the batch index, the no-commit flag and flip
+// count, one epsilon boost per binding, and the metrics history
+// (counters, degradation rung, memory peak, per-batch series), restored
+// verbatim so the resumed engine reports the uninterrupted run's
+// history. The encoding is fixed-width little-endian, so equal states
+// serialize to equal bytes: the soak asserts checkpoint → resume →
+// checkpoint round-trips byte-identically. An FNV-1a trailer guards the
+// payload: a flipped bit anywhere — including free-form numeric fields
+// no structural check would catch — is refused at restore instead of
+// silently resuming from bad state. FNV is no MAC, so every length the
+// decoder reads is also bounded by the bytes left.
 
 const (
 	ckMagic   = "FLCP1"
-	ckVersion = 4 // 4: uncertain rows carry their fact ordinal, not repW
-
-	ckModeFull   = 0
-	ckModeReplay = 1
+	ckVersion = 5 // 5: replay is the only format; no tables or cache rows
 )
 
 // ckSum is FNV-1a 64 over the checkpoint payload.
@@ -73,41 +64,6 @@ func (w *ckWriter) b(v bool) {
 		w.buf = append(w.buf, 1)
 	} else {
 		w.buf = append(w.buf, 0)
-	}
-}
-func (w *ckWriter) byte1(v byte) { w.buf = append(w.buf, v) }
-func (w *ckWriter) str(s string) {
-	w.i(len(s))
-	w.buf = append(w.buf, s...)
-}
-func (w *ckWriter) bytes(b []uint8) {
-	w.i(len(b))
-	w.buf = append(w.buf, b...)
-}
-func (w *ckWriter) floats(fs []float64) {
-	w.i(len(fs))
-	for _, f := range fs {
-		w.f64(f)
-	}
-}
-func (w *ckWriter) value(v types.Value) {
-	w.byte1(byte(v.Kind()))
-	switch v.Kind() {
-	case types.KindNull:
-	case types.KindBool:
-		w.b(v.Bool())
-	case types.KindInt:
-		w.i64(v.Int())
-	case types.KindFloat:
-		w.f64(v.Float())
-	case types.KindString:
-		w.str(v.Str())
-	}
-}
-func (w *ckWriter) row(r types.Row) {
-	w.i(len(r))
-	for _, v := range r {
-		w.value(v)
 	}
 }
 
@@ -138,88 +94,40 @@ func (r *ckReader) u64() uint64 {
 func (r *ckReader) i() int       { return int(int64(r.u64())) }
 func (r *ckReader) i64() int64   { return int64(r.u64()) }
 func (r *ckReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *ckReader) byte1() byte {
+func (r *ckReader) b() bool {
 	if r.err != nil {
-		return 0
+		return false
 	}
 	if r.at >= len(r.buf) {
 		r.fail("truncated checkpoint")
-		return 0
+		return false
 	}
 	v := r.buf[r.at]
 	r.at++
-	return v
+	return v != 0
 }
-func (r *ckReader) b() bool { return r.byte1() != 0 }
-func (r *ckReader) str() string {
+
+// count reads a length prefix for elements of width bytes each,
+// refusing one that is negative or larger than the bytes left could
+// hold — before anything is sized by it.
+func (r *ckReader) count(width int) int {
 	n := r.i()
-	if r.err != nil || n < 0 || r.at+n > len(r.buf) {
-		r.fail("truncated string")
-		return ""
+	if r.err == nil && (n < 0 || n > (len(r.buf)-r.at)/width) {
+		r.fail("length out of range")
 	}
-	s := string(r.buf[r.at : r.at+n])
-	r.at += n
-	return s
-}
-func (r *ckReader) bytes() []uint8 {
-	n := r.i()
-	if r.err != nil || n < 0 || r.at+n > len(r.buf) {
-		r.fail("truncated bytes")
-		return nil
+	if r.err != nil {
+		return 0
 	}
-	b := make([]uint8, n)
-	copy(b, r.buf[r.at:r.at+n])
-	r.at += n
-	return b
-}
-func (r *ckReader) floats() []float64 {
-	n := r.i()
-	if r.err != nil || n < 0 {
-		return nil
-	}
-	fs := make([]float64, n)
-	for i := range fs {
-		fs[i] = r.f64()
-	}
-	return fs
-}
-func (r *ckReader) value() types.Value {
-	switch types.Kind(r.byte1()) {
-	case types.KindNull:
-		return types.Null
-	case types.KindBool:
-		return types.NewBool(r.b())
-	case types.KindInt:
-		return types.NewInt(r.i64())
-	case types.KindFloat:
-		return types.NewFloat(r.f64())
-	case types.KindString:
-		return types.NewString(r.str())
-	}
-	r.fail("unknown value kind")
-	return types.Null
-}
-func (r *ckReader) row() types.Row {
-	n := r.i()
-	if r.err != nil || n < 0 || n > len(r.buf) {
-		r.fail("bad row length")
-		return nil
-	}
-	row := make(types.Row, n)
-	for i := range row {
-		row[i] = r.value()
-	}
-	return row
+	return n
 }
 
 // fingerprint ties a checkpoint to the query shape and the
 // statistics-affecting options; Parallelism and other purely
 // operational knobs may differ between save and resume.
 func (e *Engine) fingerprint() uint64 {
-	s := fmt.Sprintf("seed=%d b=%d t=%d c=%v eps=%v sup=%d cap=%d budget=%d",
+	s := fmt.Sprintf("seed=%d b=%d t=%d c=%v eps=%v sup=%d cap=%d",
 		e.opt.Seed, e.opt.Batches, e.opt.Trials, e.opt.Confidence,
-		e.opt.EpsilonSigma, e.opt.MinGroupSupport, e.opt.BootstrapSampleCap,
-		e.opt.SnapshotEvalBudget)
+		e.opt.EpsilonSigma, e.opt.MinGroupSupport, e.opt.BootstrapSampleCap)
 	full := append([]string(nil), e.opt.FullTables...)
 	sort.Strings(full)
 	for _, f := range full {
@@ -239,16 +147,6 @@ func (e *Engine) fingerprint() uint64 {
 	return hashString(s)
 }
 
-// checkpointMode picks full when every block's table is banked.
-func (e *Engine) checkpointMode() byte {
-	for _, r := range e.runners {
-		if !r.tab.banked {
-			return ckModeReplay
-		}
-	}
-	return ckModeFull
-}
-
 // Checkpoint serializes the engine's state at the current mini-batch
 // boundary. The bytes are self-describing and deterministic: equal
 // engine states produce equal checkpoints.
@@ -258,115 +156,26 @@ func (e *Engine) Checkpoint() ([]byte, error) {
 	}
 	csp := e.sctl.Begin("checkpoint", e.spanQuery, e.batch, -1)
 	defer e.sctl.End(csp)
-	mode := e.checkpointMode()
 	w := &ckWriter{}
 	w.buf = append(w.buf, ckMagic...)
-	w.byte1(ckVersion)
-	w.byte1(mode)
+	w.buf = append(w.buf, ckVersion)
 	w.u64(e.fingerprint())
 	w.i(e.batch)
 
-	// Bindings. Both modes persist the boosts and flags; full mode also
-	// persists points, ranges and committed intersections.
+	// Decisions: with the batch index, all a replay needs.
 	w.b(e.bind.noCommit)
 	w.i(e.bind.flips)
 	w.i(len(e.bind.scalars))
 	for _, s := range e.bind.scalars {
 		w.f64(s.epsBoost)
-		if mode == ckModeFull {
-			w.value(s.point)
-			w.f64(s.rng.r.Lo)
-			w.f64(s.rng.r.Hi)
-			w.byte1(byte(s.rng.status))
-			w.f64(s.committed.Lo)
-			w.f64(s.committed.Hi)
-			w.b(s.hasCommitted)
-		}
 	}
 	w.i(len(e.bind.groups))
 	for _, g := range e.bind.groups {
 		w.f64(g.epsBoost)
-		if mode == ckModeFull {
-			w.b(g.complete)
-			keys := sortedKeys(g.point)
-			w.i(len(keys))
-			for _, k := range keys {
-				w.str(k)
-				w.value(g.point[k])
-			}
-			keys = sortedKeys(g.rng)
-			w.i(len(keys))
-			for _, k := range keys {
-				pr := g.rng[k]
-				w.str(k)
-				w.f64(pr.r.Lo)
-				w.f64(pr.r.Hi)
-				w.byte1(byte(pr.status))
-			}
-			keys = sortedKeys(g.committed)
-			w.i(len(keys))
-			for _, k := range keys {
-				w.str(k)
-				w.f64(g.committed[k].Lo)
-				w.f64(g.committed[k].Hi)
-			}
-		}
 	}
 	w.i(len(e.bind.sets))
 	for _, sb := range e.bind.sets {
 		w.f64(sb.epsBoost)
-		if mode == ckModeFull {
-			w.b(sb.complete)
-			keys := sortedKeys(sb.point)
-			w.i(len(keys))
-			for _, k := range keys {
-				w.str(k)
-				w.b(sb.point[k])
-			}
-			keys = sortedKeys(sb.tri)
-			w.i(len(keys))
-			for _, k := range keys {
-				w.str(k)
-				w.byte1(byte(sb.tri[k]))
-			}
-			keys = sortedKeys(sb.committed)
-			w.i(len(keys))
-			for _, k := range keys {
-				w.str(k)
-				w.b(sb.committed[k])
-			}
-		}
-	}
-
-	// Deterministic set + uncertain cache (full mode only; replay mode
-	// reconstructs both by reprocessing the prefix).
-	if mode == ckModeFull {
-		w.i(len(e.runners))
-		for _, r := range e.runners {
-			t := r.tab
-			w.i(len(t.entries))
-			for _, en := range t.entries {
-				w.row(en.key)
-				w.i(en.n)
-				w.i(en.ns)
-				w.floats(en.mainW)
-				w.floats(en.mainV)
-				w.floats(en.bankW)
-				w.floats(en.bankV)
-				w.i(len(en.clt))
-				for _, c := range en.clt {
-					w.f64(c.n)
-					w.f64(c.mean)
-					w.f64(c.m2)
-				}
-			}
-			w.i(len(r.uncertain))
-			for _, u := range r.uncertain {
-				w.row(u.row)
-				w.bytes(u.weights)
-				w.i(u.ord)
-			}
-		}
 	}
 
 	// Metrics (restored verbatim so a resumed engine reports the same
@@ -395,19 +204,21 @@ func (e *Engine) Checkpoint() ([]byte, error) {
 	// recent checkpoint — the residency a checkpointing loop sustains.
 	e.ckBytes = int64(cap(w.buf))
 	e.trace.Emit(Event{Kind: EvCheckpoint, Kept: e.batch,
-		Note: fmt.Sprintf("mode=%d bytes=%d", mode, len(w.buf))})
+		Note: fmt.Sprintf("bytes=%d", len(w.buf))})
 	return w.buf, nil
 }
 
 // Resume rebuilds an engine from a checkpoint taken by Checkpoint on an
-// engine with the same query and statistics-affecting options.
-// Operational options (Parallelism, tracer, chaos injector) may differ.
+// engine with the same query and statistics-affecting options, by
+// replaying the checkpointed prefix. Operational options (Parallelism,
+// MaxMemoryBytes, Profile, chaos injector) may differ.
 func Resume(q *plan.Query, cat *storage.Catalog, opt Options, data []byte) (*Engine, error) {
 	e, err := New(q, cat, opt)
 	if err != nil {
 		return nil, err
 	}
 	if err := e.restore(data); err != nil {
+		e.Close()
 		return nil, err
 	}
 	return e, nil
@@ -424,202 +235,91 @@ func (e *Engine) restore(data []byte) error {
 	if len(data) < len(ckMagic) || string(data[:len(ckMagic)]) != ckMagic {
 		return queryErr(ErrKindCheckpoint, "bad magic")
 	}
-	if len(data) < len(ckMagic)+8 {
+	if len(data) < len(ckMagic)+1+8 {
 		return queryErr(ErrKindCheckpoint, "truncated checkpoint")
 	}
 	body := data[:len(data)-8]
 	if want := binary.LittleEndian.Uint64(data[len(data)-8:]); ckSum(body) != want {
 		return queryErr(ErrKindCheckpoint, "checksum mismatch: checkpoint bytes corrupted")
 	}
-	r := &ckReader{buf: body}
-	r.at = len(ckMagic)
-	if v := r.byte1(); v != ckVersion {
+	if v := body[len(ckMagic)]; v != ckVersion {
 		return queryErr(ErrKindCheckpoint, fmt.Sprintf("unsupported version %d", v))
 	}
-	mode := r.byte1()
-	if fp := r.u64(); fp != e.fingerprint() {
+	r := &ckReader{buf: body, at: len(ckMagic) + 1}
+	if fp := r.u64(); r.err == nil && fp != e.fingerprint() {
 		return queryErr(ErrKindCheckpoint, "fingerprint mismatch: checkpoint belongs to a different query or options")
 	}
 	batch := r.i()
-	if batch < 0 || batch > e.opt.Batches {
+	if r.err == nil && (batch < 0 || batch > e.opt.Batches) {
 		return queryErr(ErrKindCheckpoint, "batch index out of range")
 	}
 
 	noCommit := r.b()
 	flips := r.i()
-	if n := r.i(); n != len(e.bind.scalars) {
-		return queryErr(ErrKindCheckpoint, "scalar binding count mismatch")
-	}
-	for _, s := range e.bind.scalars {
-		s.epsBoost = r.f64()
-		if mode == ckModeFull {
-			s.point = r.value()
-			s.rng.r.Lo = r.f64()
-			s.rng.r.Hi = r.f64()
-			s.rng.status = rangeStatus(r.byte1())
-			s.committed.Lo = r.f64()
-			s.committed.Hi = r.f64()
-			s.hasCommitted = r.b()
+	boosts := func(what string, n int) []float64 {
+		if got := r.count(8); r.err == nil && got != n {
+			r.fail(what + " binding count mismatch")
 		}
-	}
-	if n := r.i(); n != len(e.bind.groups) {
-		return queryErr(ErrKindCheckpoint, "group binding count mismatch")
-	}
-	for _, g := range e.bind.groups {
-		g.epsBoost = r.f64()
-		if mode == ckModeFull {
-			g.complete = r.b()
-			for n := r.i(); n > 0 && r.err == nil; n-- {
-				k := r.str()
-				g.point[k] = r.value()
-			}
-			for n := r.i(); n > 0 && r.err == nil; n-- {
-				k := r.str()
-				var pr paramRange
-				pr.r.Lo = r.f64()
-				pr.r.Hi = r.f64()
-				pr.status = rangeStatus(r.byte1())
-				g.rng[k] = pr
-			}
-			for n := r.i(); n > 0 && r.err == nil; n-- {
-				k := r.str()
-				lo, hi := r.f64(), r.f64()
-				g.committed[k] = rangeOf(lo, hi)
+		if r.err != nil {
+			return nil
+		}
+		bs := make([]float64, n)
+		for i := range bs {
+			// Boosts start at 1 and only ever double.
+			if bs[i] = r.f64(); !(bs[i] >= 1) || math.IsInf(bs[i], 1) {
+				r.fail("epsilon boost out of range")
 			}
 		}
+		return bs
 	}
-	if n := r.i(); n != len(e.bind.sets) {
-		return queryErr(ErrKindCheckpoint, "set binding count mismatch")
-	}
-	for _, sb := range e.bind.sets {
-		sb.epsBoost = r.f64()
-		if mode == ckModeFull {
-			sb.complete = r.b()
-			for n := r.i(); n > 0 && r.err == nil; n-- {
-				k := r.str()
-				sb.point[k] = r.b()
-			}
-			for n := r.i(); n > 0 && r.err == nil; n-- {
-				k := r.str()
-				sb.tri[k] = tri(r.byte1())
-			}
-			for n := r.i(); n > 0 && r.err == nil; n-- {
-				k := r.str()
-				sb.committed[k] = r.b()
-			}
-		}
-	}
-	e.bind.noCommit = noCommit
-	e.bind.flips = flips
+	scalarBoosts := boosts("scalar", len(e.bind.scalars))
+	groupBoosts := boosts("group", len(e.bind.groups))
+	setBoosts := boosts("set", len(e.bind.sets))
 
-	if mode == ckModeFull {
-		if n := r.i(); n != len(e.runners) {
-			return queryErr(ErrKindCheckpoint, "runner count mismatch")
-		}
-		for _, rn := range e.runners {
-			nEntries := r.i()
-			if r.err != nil {
-				return r.err
-			}
-			for i := 0; i < nEntries; i++ {
-				key := r.row()
-				en := &onlineEntry{
-					key: key,
-					n:   r.i(),
-					ns:  r.i(),
-				}
-				en.mainW = r.floats()
-				en.mainV = r.floats()
-				en.bankW = r.floats()
-				en.bankV = r.floats()
-				nClt := r.i()
-				if nClt > 0 && r.err == nil {
-					en.clt = make([]cltAcc, nClt)
-					for j := range en.clt {
-						en.clt[j].n = r.f64()
-						en.clt[j].mean = r.f64()
-						en.clt[j].m2 = r.f64()
-					}
-				}
-				if r.err != nil {
-					return r.err
-				}
-				cols := identityCols(len(key))
-				en.hash = key.HashKey(cols)
-				rn.tab.insert(en)
-				en.skey = key.KeyString(cols)
-				rn.tab.m[en.skey] = en
-				rn.tab.order = append(rn.tab.order, en.skey)
-			}
-			nUnc := r.i()
-			if r.err != nil {
-				return r.err
-			}
-			total := e.tables[rn.b.Input.Fact].total
-			for i := 0; i < nUnc; i++ {
-				row := r.row()
-				weights := r.bytes()
-				ord := r.i()
-				if r.err != nil {
-					return r.err
-				}
-				// The kernel re-examines cached rows at their ordinals:
-				// an ordinal outside the table, or out of cache order,
-				// is refused here rather than read.
-				if n := len(rn.uncertain); ord < 0 || ord >= total || (n > 0 && ord < rn.uncertain[n-1].ord) {
-					return queryErr(ErrKindCheckpoint, "uncertain row ordinal out of range")
-				}
-				if len(weights) != 0 && len(weights) != e.opt.Trials {
-					return queryErr(ErrKindCheckpoint, "uncertain row weight count mismatch")
-				}
-				rn.uncertain = append(rn.uncertain, uncertainRow{row: row, weights: rn.arena.hold(weights), ord: ord})
-			}
-			rn.invalidateEval()
-		}
-		e.batch = batch
-		// Table progress is a function of the batch index.
-		for _, ts := range e.tables {
-			if batch > 0 && len(ts.batches) > 0 {
-				j := batch - 1
-				if j >= len(ts.batches) {
-					j = len(ts.batches) - 1
-				}
-				ts.seen = ts.starts[j] + len(ts.batches[j])
-			}
+	var m Metrics
+	m.Batches = r.i()
+	m.Recomputes = r.i()
+	m.RowsProcessed = r.i64()
+	m.DeterministicFolds = r.i64()
+	m.UncertainEvictions = r.i64()
+	m.BudgetEvictions = r.i64()
+	rung := r.i()
+	if r.err == nil && (rung < 0 || rung > 2) {
+		r.fail("degradation rung out of range")
+	}
+	memPeak := r.i64()
+	m.GCPauseNS = r.i64()
+	m.GCCycles = r.i64()
+	if n := r.count(8); n > 0 {
+		m.UncertainPerBatch = make([]int, n)
+		for i := range m.UncertainPerBatch {
+			m.UncertainPerBatch[i] = r.i()
 		}
 	}
-
-	// Metrics come after any replay so the replayed prefix's own
-	// bookkeeping is overwritten with the original run's history.
-	mBatches := r.i()
-	mRecomputes := r.i()
-	mRows := r.i64()
-	mFolds := r.i64()
-	mEvict := r.i64()
-	mBudgetEvict := r.i64()
-	mDegradeRung := r.i()
-	mMemPeak := r.i64()
-	mGCPause := r.i64()
-	mGCCycles := r.i64()
-	var perBatch []int
-	if n := r.i(); n > 0 && r.err == nil {
-		perBatch = make([]int, n)
-		for i := range perBatch {
-			perBatch[i] = r.i()
+	if n := r.count(8); n > 0 {
+		m.BatchDurations = make([]time.Duration, n)
+		for i := range m.BatchDurations {
+			m.BatchDurations[i] = time.Duration(r.i64())
 		}
 	}
-	var durs []time.Duration
-	if n := r.i(); n > 0 && r.err == nil {
-		durs = make([]time.Duration, n)
-		for i := range durs {
-			durs[i] = time.Duration(r.i64())
-		}
+	if r.err == nil && r.at != len(r.buf) {
+		r.fail("trailing bytes after checkpoint payload")
 	}
 	if r.err != nil {
 		return r.err
 	}
 
-	if mode == ckModeReplay && batch > 0 {
+	for i, s := range e.bind.scalars {
+		s.epsBoost = scalarBoosts[i]
+	}
+	for i, g := range e.bind.groups {
+		g.epsBoost = groupBoosts[i]
+	}
+	for i, sb := range e.bind.sets {
+		sb.epsBoost = setBoosts[i]
+	}
+	e.bind.noCommit = noCommit
+	if batch > 0 {
 		// Reprocess the prefix with the restored boosts: by the
 		// failure-recovery invariant, fresh processing of batches 0..k−1
 		// under the final boost values reproduces the engine state at
@@ -629,46 +329,37 @@ func (e *Engine) restore(data []byte) error {
 		}
 		e.batch = batch
 	}
-	e.metrics.Batches = mBatches
-	e.metrics.Recomputes = mRecomputes
-	e.metrics.RowsProcessed = mRows
-	e.metrics.DeterministicFolds = mFolds
-	e.metrics.UncertainEvictions = mEvict
-	e.metrics.BudgetEvictions = mBudgetEvict
-	e.metrics.GCPauseNS = mGCPause
-	e.metrics.GCCycles = mGCCycles
-	e.metrics.UncertainPerBatch = perBatch
-	e.metrics.BatchDurations = durs
+
+	// Metrics come after the replay so the replayed prefix's own
+	// bookkeeping is overwritten with the original run's history.
+	e.metrics.Batches = m.Batches
+	e.metrics.Recomputes = m.Recomputes
+	e.metrics.RowsProcessed = m.RowsProcessed
+	e.metrics.DeterministicFolds = m.DeterministicFolds
+	e.metrics.UncertainEvictions = m.UncertainEvictions
+	e.metrics.BudgetEvictions = m.BudgetEvictions
+	e.metrics.GCPauseNS = m.GCPauseNS
+	e.metrics.GCCycles = m.GCCycles
+	e.metrics.UncertainPerBatch = m.UncertainPerBatch
+	e.metrics.BatchDurations = m.BatchDurations
 	e.bind.flips = flips
 	// Re-engage latched degradation rungs: a resumed budget-degraded
 	// query must keep running degraded (un-degrading would re-grow the
-	// freed pools and break the determinism of the latch). A replay-mode
-	// restore may already have re-engaged rungs deterministically during
-	// prefix reprocessing; setDegradeRung is monotone, so this is safe.
-	if mDegradeRung >= 1 && e.degradeRung < 1 {
+	// freed pools and break the determinism of the latch). The replay
+	// may already have re-engaged rungs deterministically during prefix
+	// reprocessing; setDegradeRung is monotone, so this is safe.
+	if rung >= 1 && e.degradeRung < 1 {
 		e.setDegradeRung(1)
 		e.dropSegmentCache()
 	}
-	if mDegradeRung >= 2 {
+	if rung >= 2 {
 		e.setDegradeRung(2)
 	}
 	e.updateDegradeReason()
 	e.metrics.DegradeRung = e.degradeRung
-	e.ledger.RestorePeak(mMemPeak)
+	e.ledger.RestorePeak(memPeak)
 	e.metrics.MemPeakBytes = e.ledger.PeakTotal()
 	e.trace.Emit(Event{Kind: EvResume, Kept: batch,
-		Note: fmt.Sprintf("mode=%d", mode)})
+		Note: fmt.Sprintf("replayed=%d", batch)})
 	return nil
 }
-
-// identityCols returns [0..n) for key-projection calls on stored keys.
-func identityCols(n int) []int {
-	cols := make([]int, n)
-	for i := range cols {
-		cols[i] = i
-	}
-	return cols
-}
-
-// rangeOf builds a bootstrap.Range (helper keeping the reader terse).
-func rangeOf(lo, hi float64) bootstrap.Range { return bootstrap.Range{Lo: lo, Hi: hi} }

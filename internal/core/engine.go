@@ -55,13 +55,6 @@ type Options struct {
 	// stream the big fact table while small inputs load up front).
 	// Dimension tables of joins are always read fully regardless.
 	FullTables []string
-	// SnapshotEvalBudget caps the per-snapshot error-estimation work:
-	// confidence intervals are computed from roughly
-	// budget / output-groups bootstrap trials (at least 8, at most
-	// Trials). Grouped results with thousands of groups would otherwise
-	// pay groups×Trials expression evaluations per refresh.
-	// 0 = default (50000); negative = unlimited.
-	SnapshotEvalBudget int
 	// Parallelism is the number of persistent pool workers folding each
 	// mini-batch (FluoDB is a parallel online execution framework, §1):
 	// the batch splits into contiguous parts, each folded into a
@@ -174,9 +167,6 @@ func (o Options) withDefaults() Options {
 	if o.MinGroupSupport <= 0 {
 		o.MinGroupSupport = 2
 	}
-	if o.SnapshotEvalBudget == 0 {
-		o.SnapshotEvalBudget = 50000
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = defaultParallelism()
 	}
@@ -264,6 +254,9 @@ type Engine struct {
 	// te is the controller's persistent classification environment
 	// (triEnv()).
 	te *triEnv
+	// evalBudget caps the per-snapshot error-estimation work
+	// (snapshotEvalBudget; tests lower it to exercise thinning).
+	evalBudget int
 	// Profiling state: epoch anchors the phase clock (now) when no span
 	// timeline does; trace is the Profile event ring; stepAcc accrues
 	// engine-level phases (recompute) for the batch in flight;
@@ -402,7 +395,8 @@ func New(q *plan.Query, cat *storage.Catalog, opt Options) (*Engine, error) {
 			"(projection-only queries have no converging result to refine)")
 	}
 	e := &Engine{q: q, cat: cat, opt: opt, tables: map[string]*tableStream{},
-		hpCache: map[expr.Expr]bool{}, colCache: map[expr.Expr]bool{}}
+		hpCache: map[expr.Expr]bool{}, colCache: map[expr.Expr]bool{},
+		evalBudget: snapshotEvalBudget}
 	e.bind = newBindings(len(q.ScalarBlocks), len(q.GroupBlocks), len(q.SetBlocks), opt.Trials)
 	for _, b := range q.Blocks {
 		if _, ok := e.tables[b.Input.Fact]; ok {

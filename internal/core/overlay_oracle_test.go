@@ -300,20 +300,7 @@ func oracleRows(e *Engine) [][]CellEstimate {
 	}
 	mainO := rr.overlayFor(-1)
 	keys := mainO.keys()
-	effTrials := e.opt.Trials
-	if e.opt.SnapshotEvalBudget > 0 {
-		groups := len(keys)
-		if groups < 1 {
-			groups = 1
-		}
-		effTrials = e.opt.SnapshotEvalBudget / groups
-		if effTrials < 8 {
-			effTrials = 8
-		}
-		if effTrials > e.opt.Trials {
-			effTrials = e.opt.Trials
-		}
-	}
+	effTrials := min(max(e.evalBudget/max(len(keys), 1), 8), e.opt.Trials)
 	trialOs := make([]*overlay, effTrials)
 	for j := range trialOs {
 		trialOs[j] = rr.overlayFor(j)
@@ -694,7 +681,7 @@ func TestSnapshotMatchesOverlayOracle(t *testing.T) {
 			WHERE quantity < (SELECT 0.5 * AVG(quantity) FROM lineitem i WHERE i.partkey = l.partkey)`, Options{BootstrapSampleCap: 900}},
 		{"thinned", `SELECT orderkey, SUM(quantity) AS total_qty FROM lineitem
 			WHERE orderkey IN (SELECT orderkey FROM lineitem GROUP BY orderkey HAVING SUM(quantity) > 110)
-			GROUP BY orderkey`, Options{BootstrapSampleCap: -1, SnapshotEvalBudget: 4000}},
+			GROUP BY orderkey`, Options{BootstrapSampleCap: -1}},
 	}
 	for _, sh := range shapes {
 		for _, seed := range []uint64{3, 11} {
@@ -711,6 +698,9 @@ func TestSnapshotMatchesOverlayOracle(t *testing.T) {
 				eng, err := New(q, cat, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
+				}
+				if sh.name == "thinned" {
+					eng.evalBudget = 4000
 				}
 				uncertain := 0
 				for !eng.Done() {

@@ -130,10 +130,11 @@ func TestSnapshotEvalBudgetThinsTrials(t *testing.T) {
 	sql := `SELECT country, COUNT(*) FROM sessions GROUP BY country`
 	q, _ := plan.Compile(sql, cat)
 	// 5 groups, budget 16 → effTrials clamps to the floor of 8
-	eng, err := New(q, cat, Options{Batches: 4, Trials: 50, Seed: 13, SnapshotEvalBudget: 16})
+	eng, err := New(q, cat, Options{Batches: 4, Trials: 50, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.evalBudget = 16
 	s, err := eng.Step()
 	if err != nil {
 		t.Fatal(err)

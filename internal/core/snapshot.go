@@ -122,6 +122,13 @@ func columnIsAggregated(e expr.Expr, groupWidth int) bool {
 	return found
 }
 
+// snapshotEvalBudget caps the per-snapshot error-estimation work:
+// confidence intervals are computed from roughly budget / output-groups
+// bootstrap trials (at least 8, at most Trials). Grouped results with
+// thousands of groups would otherwise pay groups×Trials expression
+// evaluations per refresh.
+const snapshotEvalBudget = 50000
+
 // snapshot materializes the current approximate result with error bars.
 func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	b := e.q.Root
@@ -162,20 +169,7 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	// Bound the per-snapshot error-estimation work: with many output
 	// groups, compute the CIs from a prefix of the trials (trials are
 	// exchangeable, so any subset is a valid — coarser — bootstrap).
-	effTrials := e.opt.Trials
-	if e.opt.SnapshotEvalBudget > 0 {
-		groups := ev.numVisible()
-		if groups < 1 {
-			groups = 1
-		}
-		effTrials = e.opt.SnapshotEvalBudget / groups
-		if effTrials < 8 {
-			effTrials = 8
-		}
-		if effTrials > e.opt.Trials {
-			effTrials = e.opt.Trials
-		}
-	}
+	effTrials := min(max(e.evalBudget/max(ev.numVisible(), 1), 8), e.opt.Trials)
 	n := 1 + effTrials
 	pctx := ev.ctxs.point()
 	type scored struct {

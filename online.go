@@ -164,11 +164,13 @@ func (oq *OnlineQuery) RunContext(ctx context.Context, fn func(*Snapshot) bool) 
 	return oq.eng.RunContext(ctx, fn)
 }
 
-// Checkpoint serializes the query's state at the current mini-batch
-// boundary: the deterministic set, the uncertain cache, parameter
-// bindings and the RNG cursor. The bytes are deterministic (equal
-// states produce equal checkpoints) and integrity-checked on restore.
-// Resume with DB.ResumeOnline.
+// Checkpoint serializes the query's position at the current mini-batch
+// boundary: the batch index, the parameter bindings' epsilon boosts and
+// no-commit flag, and the metrics history — a header of under a
+// kilobyte. The deterministic set and the uncertain cache are not
+// stored; resume re-derives them by replaying the prefix. The bytes are
+// deterministic (equal states produce equal checkpoints) and
+// integrity-checked on restore. Resume with DB.ResumeOnline.
 func (oq *OnlineQuery) Checkpoint() ([]byte, error) { return oq.eng.Checkpoint() }
 
 // Done reports whether all mini-batches have been processed.
@@ -199,9 +201,11 @@ func (oq *OnlineQuery) Close() { oq.eng.Close() }
 // the same catalog with the same SQL and statistics-affecting options
 // (seed, batches, trials, confidence; Parallelism, MaxMemoryBytes and
 // observability options may differ — a budget-degraded query resumes
-// with its degradation rungs re-engaged). The resumed query continues from the checkpoint
-// batch with bit-identical snapshots. Mismatched or corrupted bytes are
-// refused with an ErrKindCheckpoint QueryError.
+// with its degradation rungs re-engaged). It replays the checkpointed
+// prefix under the saved epsilon boosts, so it costs O(prefix) work;
+// the resumed query then continues from the checkpoint batch with
+// bit-identical snapshots. Mismatched or corrupted bytes are refused
+// with an ErrKindCheckpoint QueryError.
 func (db *DB) ResumeOnline(sql string, opt OnlineOptions, ckpt []byte) (*OnlineQuery, error) {
 	q, err := plan.Compile(sql, db.cat)
 	if err != nil {

@@ -20,10 +20,13 @@
 #                   the prepare legs a warm snapshot evaluator's
 #                   rebuild (point pass by kernel included)
 #   fuzz smoke      10 s each of FuzzNumKernel (computed aggregate-
-#                   argument columns vs per-row Eval) and FuzzTriKernel
+#                   argument columns vs per-row Eval), FuzzTriKernel
 #                   (tri-state kernel bytes, keyed slots included, vs
 #                   evalTri, and point-epoch bytes vs the SQL truth
-#                   under point bindings), on generated trees and data
+#                   under point bindings), on generated trees and data,
+#                   and FuzzResume (mutated, re-signed checkpoint bytes
+#                   end in a resumed engine or a typed checkpoint error,
+#                   never a panic)
 #   benchmark/      the end-to-end benchmark is a nested module that
 #                   imports internal/core but is invisible to the root
 #                   ./... patterns; its tests are the only thing that
@@ -43,9 +46,10 @@ go test -race ./...
 echo "== alloc gates (go test ./internal/core -run Allocs, no -race)"
 go test ./internal/core -run Allocs -count=1
 
-echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, 10s each)"
+echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, FuzzResume, 10s each)"
 go test ./internal/expr -run '^$' -fuzz FuzzNumKernel -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzTriKernel -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz FuzzResume -fuzztime 10s
 
 echo "== benchmark module (cd benchmark && go test ./...)"
 (cd benchmark && go test ./...)

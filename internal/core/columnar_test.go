@@ -689,6 +689,29 @@ func benchReclassify(b *testing.B, sql string) {
 func BenchmarkReclassifyCorrelated(b *testing.B) { benchReclassify(b, columnarCorrelatedSQL) }
 func BenchmarkReclassifyMembership(b *testing.B) { benchReclassify(b, columnarMembershipSQL) }
 
+// benchUpdateBinding measures republishing a warm parameter block's
+// binding — estimates, ranges, tri-state membership and committed
+// checks — in ns per group: each op is one updateBinding over every
+// visible group of the query's correlated or membership block.
+func benchUpdateBinding(b *testing.B, sql string) {
+	eng, _, _, _ := columnarBenchEnvSQL(b, sql, false, false)
+	defer eng.Close()
+	if _, err := eng.Step(); err != nil {
+		b.Fatal(err)
+	}
+	r := paramRunner(b, eng)
+	n := r.eval().numVisible()
+	eng.updateBinding(r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += n {
+		eng.updateBinding(r)
+	}
+}
+
+func BenchmarkUpdateBindingCorrelated(b *testing.B) { benchUpdateBinding(b, columnarCorrelatedSQL) }
+func BenchmarkUpdateBindingMembership(b *testing.B) { benchUpdateBinding(b, columnarMembershipSQL) }
+
 // benchSnapshotPrepare measures rebuilding a warm snapshot evaluator's
 // bucket index — the point pass over the cached set and its group sort —
 // in ns per cached row, on the cache benchReclassify re-examines.

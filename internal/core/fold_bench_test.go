@@ -101,10 +101,10 @@ func BenchmarkFoldMultiKeySampled(b *testing.B)  { benchFold(b, true, true) }
 
 func TestFoldBenchEnvGroups(t *testing.T) {
 	_, r, _, _, _ := foldBenchEnv(t, true, false)
-	if got := len(r.tab.order); got != 8*16 {
+	if got := len(r.tab.entries); got != 8*16 {
 		t.Fatalf("expected 128 groups after warmup, got %d", got)
 	}
-	fmt.Println("groups:", len(r.tab.order))
+	fmt.Println("groups:", len(r.tab.entries))
 }
 
 // TestFoldSteadyStateAllocs pins the steady-state fold path (existing

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // Deterministic-set invariant monitor. G-OLA's correctness argument
 // (§3.2/§4) rests on two commitments: once a variation range is
 // published, the converging estimate must stay inside it, and once a
@@ -74,28 +72,24 @@ func (e *Engine) AuditInvariants() []Violation {
 		}
 	}
 	for idx, g := range b.groups {
-		keys := sortedKeys(g.committed)
-		for _, key := range keys {
-			committed := g.committed[key]
-			point, ok := g.point[key]
-			if !ok {
+		for _, c := range g.committed.all(&g.keys, g.lookup) {
+			if c.id < 0 {
 				continue
 			}
-			if f, okf := point.AsFloat(); okf && !committed.Contains(f) {
+			if f, okf := g.point[c.id].AsFloat(); okf && !c.v.Contains(f) {
 				out = append(out, Violation{
-					Block: blockOf(b.groupBlocks, idx), Kind: ViolGroupRange, Key: key,
-					Point: f, Lo: committed.Lo, Hi: committed.Hi,
+					Block: blockOf(b.groupBlocks, idx), Kind: ViolGroupRange, Key: c.str,
+					Point: f, Lo: c.v.Lo, Hi: c.v.Hi,
 				})
 			}
 		}
 	}
 	for idx, s := range b.sets {
-		for _, key := range sortedKeys(s.committed) {
-			committed := s.committed[key]
-			if member := s.point[key]; member != committed {
+		for _, c := range s.committed.all(&s.keys, s.lookup) {
+			if member := c.id >= 0 && s.point[c.id]; member != c.v {
 				out = append(out, Violation{
-					Block: blockOf(b.setBlocks, idx), Kind: ViolSetMembership, Key: key,
-					Member: member, Committed: committed,
+					Block: blockOf(b.setBlocks, idx), Kind: ViolSetMembership, Key: c.str,
+					Member: member, Committed: c.v,
 				})
 			}
 		}
@@ -106,15 +100,4 @@ func (e *Engine) AuditInvariants() []Violation {
 	}
 	e.metrics.InvariantViolations = len(out)
 	return out
-}
-
-// sortedKeys orders a committed-range map's keys for deterministic
-// violation reports.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -42,17 +42,18 @@ func TestAuditInvariantsDetectsTampering(t *testing.T) {
 	}
 	g := eng.bind.groups[0]
 	var key string
-	for _, k := range sortedKeys(g.committed) {
-		if _, ok := g.point[k]; ok {
-			key = k
+	var c committedKey[bootstrap.Range]
+	for _, c = range g.committed.all(&g.keys, g.lookup) {
+		if c.id >= 0 {
+			key = c.str
 			break
 		}
 	}
 	if key == "" {
 		t.Fatal("no committed group key with a point estimate")
 	}
-	f, _ := g.point[key].AsFloat()
-	g.committed[key] = bootstrap.Range{Lo: f + 1, Hi: f + 2}
+	f, _ := g.point[c.id].AsFloat()
+	g.committed.set(&g.keys, c.id, c.key, c.key.HashKey(keyCols(len(c.key))), bootstrap.Range{Lo: f + 1, Hi: f + 2})
 
 	vs := eng.AuditInvariants()
 	if len(vs) != 1 {
@@ -93,20 +94,24 @@ func TestBindingsFlipCounting(t *testing.T) {
 		t.Fatalf("flips = %d after scalar escape, want 1", b.flips)
 	}
 
-	if b.updateGroupEntry(0, "g", types.NewFloat(10), commit, true) {
+	gk := types.Row{types.NewString("g")}
+	gid, gh := b.groups[0].keys.pubKey(gk), gk.HashKey(keyCols(1))
+	if b.updateGroupEntry(0, gid, gk, gh, types.NewFloat(10), commit, true) {
 		t.Fatal("first group update must commit, not fail")
 	}
-	if !b.updateGroupEntry(0, "g", types.NewFloat(20), commit, true) {
+	if !b.updateGroupEntry(0, gid, gk, gh, types.NewFloat(20), commit, true) {
 		t.Fatal("escaping group point must report failure")
 	}
 	if b.flips != 2 {
 		t.Fatalf("flips = %d after group escape, want 2", b.flips)
 	}
 
-	if b.updateSetEntry(0, "k", true, triTrue) {
+	sk := types.Row{types.NewString("k")}
+	sid, sh := b.sets[0].keys.pubKey(sk), sk.HashKey(keyCols(1))
+	if b.updateSetEntry(0, sid, sk, sh, true, triTrue) {
 		t.Fatal("first membership must commit, not fail")
 	}
-	if !b.updateSetEntry(0, "k", false, triFalse) {
+	if !b.updateSetEntry(0, sid, sk, sh, false, triFalse) {
 		t.Fatal("membership flip must report failure")
 	}
 	if b.flips != 3 {
@@ -124,12 +129,12 @@ func TestBindingsFlipCounting(t *testing.T) {
 func TestAuditInvariantsSetTampering(t *testing.T) {
 	e := &Engine{bind: newBindings(0, 0, 1, 4)}
 	s := e.bind.sets[0]
-	s.point["a"] = true
-	s.committed["a"] = true
-	s.point["b"] = false
-	s.committed["b"] = true // contradicted: committed member, point says no
+	a, b := types.Row{types.NewString("a")}, types.Row{types.NewString("b")}
+	s.committed.set(&s.keys, s.publishKey(a[0], true, triTrue), a, a.HashKey(keyCols(1)), true)
+	// contradicted: committed member, point says no
+	s.committed.set(&s.keys, s.publishKey(b[0], false, triFalse), b, b.HashKey(keyCols(1)), true)
 	vs := e.AuditInvariants()
-	if len(vs) != 1 || vs[0].Kind != ViolSetMembership || vs[0].Key != "b" {
+	if len(vs) != 1 || vs[0].Kind != ViolSetMembership || vs[0].Key != keyString(b) {
 		t.Fatalf("want one set-membership violation for key b, got %+v", vs)
 	}
 	if vs[0].Committed != true || vs[0].Member != false {

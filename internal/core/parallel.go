@@ -60,7 +60,7 @@ type stage struct {
 // a redone part folds into: a stage whose fold panicked may be partial
 // or poisoned and is dropped, never merged or recycled.
 func (r *blockRunner) newStage() *stage {
-	st := &stage{tab: newStageTable(r.eng.opt.Trials), joiner: r.joiner.CloneForWorker()}
+	st := &stage{tab: newOnlineTable(r.eng.opt.Trials), joiner: r.joiner.CloneForWorker()}
 	st.tab.configure(r.cltKinds)
 	return st
 }

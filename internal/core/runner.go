@@ -63,6 +63,13 @@ type blockRunner struct {
 	// reclassBuf is the reusable per-row decision buffer of the parallel
 	// reclassification pass (one tri per cached uncertain row).
 	reclassBuf []uint8
+	// Replica-evaluation scratch of a correlated or membership block
+	// (fillGroupReps, fillSetReps, setRepPostValues): post rows, the
+	// adjusted key row, per-slot replica floats and the extensive-slot
+	// flags, kept across groups and batches.
+	repPost, repBuf, repInv types.Row
+	repVals                 [][]float64
+	extensive               []bool
 
 	// colPl is the block's columnar-path eligibility plan (see
 	// columnar.go), built once on the controller and shared read-only by

@@ -154,7 +154,7 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 			Kind:      r.b.Kind.String(),
 			Label:     r.b.Label,
 			Table:     r.b.Input.Fact,
-			Groups:    len(r.tab.order),
+			Groups:    len(r.tab.entries),
 			Uncertain: len(r.uncertain),
 			Phases:    e.blockAcc[i].times(),
 		})
@@ -172,11 +172,11 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	effTrials := min(max(e.evalBudget/max(ev.numVisible(), 1), 8), e.opt.Trials)
 	n := 1 + effTrials
 	pctx := ev.ctxs.point()
-	type scored struct {
-		cells []CellEstimate
-		point types.Row
-	}
-	var rows []scored
+	// Every emitted row's cells are cut from one slab, sized for every
+	// visible group; a group HAVING rejects leaves its share unused.
+	width := len(b.Select)
+	slab := make([]CellEstimate, ev.numVisible()*width)
+	rows := make([][]CellEstimate, 0, ev.numVisible())
 
 	// Scratch reused across groups: post rows, per-column replica values,
 	// and the point estimates as floats (for the m-out-of-n adjustment,
@@ -211,16 +211,17 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 		if b.Having != nil && !b.Having.Eval(pctx).Truthy() {
 			return
 		}
-		point := make(types.Row, len(b.Select))
+		k := len(rows) * width
+		cells := slab[k : k+width : k+width]
 		anyInterpret := false
 		for c, se := range b.Select {
 			pctx.Row = post
-			point[c] = se.Eval(pctx)
+			cells[c].Value = se.Eval(pctx)
 			if !hasCI[c] {
 				continue
 			}
 			repVals[c] = repVals[c][:0]
-			pointF[c], pointOk[c] = point[c].AsFloat()
+			pointF[c], pointOk[c] = cells[c].Value.AsFloat()
 			vals, null := ev.selectLanes(c, post, n)
 			interpret[c] = vals == nil
 			if vals == nil {
@@ -251,9 +252,7 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 				}
 			}
 		}
-		cells := make([]CellEstimate, len(b.Select))
 		for c := range cells {
-			cells[c].Value = point[c]
 			if hasCI[c] && len(repVals[c]) > 0 {
 				// RSD first: it sums in trial order, the order the seed
 				// implementation used; the in-place CI sort would perturb
@@ -263,13 +262,13 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 				cells[c].HasCI = true
 			}
 		}
-		rows = append(rows, scored{cells: cells, point: point})
+		rows = append(rows, cells)
 	})
 
 	if len(b.OrderBy) > 0 {
 		sort.SliceStable(rows, func(i, j int) bool {
 			for _, o := range b.OrderBy {
-				c := types.Compare(rows[i].point[o.Col], rows[j].point[o.Col])
+				c := types.Compare(rows[i][o.Col].Value, rows[j][o.Col].Value)
 				if c != 0 {
 					if o.Desc {
 						return c > 0
@@ -282,7 +281,7 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	}
 	if b.Offset > 0 {
 		if b.Offset >= len(rows) {
-			rows = nil
+			rows = rows[:0]
 		} else {
 			rows = rows[b.Offset:]
 		}
@@ -290,9 +289,6 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	if b.Limit >= 0 && len(rows) > b.Limit {
 		rows = rows[:b.Limit]
 	}
-	snap.Rows = make([][]CellEstimate, len(rows))
-	for i, r := range rows {
-		snap.Rows[i] = r.cells
-	}
+	snap.Rows = rows
 	return snap
 }

@@ -11,11 +11,11 @@ import (
 )
 
 // The online group table is an open-addressing hash table keyed by the
-// group-by row itself (types.Row.HashKey + types.KeyEqual): the
-// steady-state lookup never materializes a canonical key string. The
-// string-keyed view (m, order) that parameter bindings and keyed replica
-// probes navigate by is maintained only when a group is created —
-// once per group, not once per tuple.
+// group-by row itself (types.Row.HashKey + types.KeyEqual): no lookup
+// materializes a canonical key string. A group's insertion rank is its
+// identity for everything downstream — snapshot evaluation's bucket
+// index and the parameter bindings' dense arrays (bindings.go) — so the
+// table keeps no string-keyed view.
 //
 // For blocks whose aggregates are all CLT-estimable (SUM/COUNT/AVG,
 // non-DISTINCT — the overwhelmingly common case), the per-trial
@@ -31,7 +31,6 @@ import (
 // state sets).
 type onlineEntry struct {
 	key  types.Row
-	skey string      // canonical key string (computed once, at creation)
 	hash uint64      // HashKey of key (cached for probing and rehash)
 	main []agg.State // nil when the table is banked
 	// mainW/mainV are the banked main accumulators (same per-kind
@@ -69,14 +68,10 @@ type onlineTable struct {
 	// sized, linear probing. Kept below 7/8 load.
 	slots []int32
 	mask  uint64
-	// String-keyed view for binding code and keyed replica probes;
-	// maintained at group creation only. Stage tables (worker-private, merged
-	// into a runner table after every batch) have m == nil: they skip the
-	// string view entirely — skey is computed lazily at adoption time by
-	// merge — and recycle their entries across batches through free.
-	m     map[string]*onlineEntry
-	order []string
-	free  []*onlineEntry
+	// free holds a stage table's recycled entries: stage tables
+	// (worker-private, merged into a runner table after every batch)
+	// recycle theirs across batches (recycle).
+	free []*onlineEntry
 
 	trials   int
 	cltKinds []cltKind // per-aggregate CLT class (shared with the runner)
@@ -116,14 +111,9 @@ type onlineTable struct {
 	bytes int64
 }
 
+// newOnlineTable builds a runner's or a worker stage's group table (a
+// stage's entries are recycled batch to batch via recycle()).
 func newOnlineTable(trials int) *onlineTable {
-	return &onlineTable{m: map[string]*onlineEntry{}, trials: trials}
-}
-
-// newStageTable builds a worker-private stage table: no string-keyed
-// view (nobody navigates a worker stage by key string; merge computes
-// skey at adoption), entries recycled batch to batch via recycle().
-func newStageTable(trials int) *onlineTable {
 	return &onlineTable{trials: trials}
 }
 
@@ -175,7 +165,6 @@ func (t *onlineTable) newEntry(b *plan.Block, key types.Row, hash uint64) *onlin
 		} else {
 			e.key = key.Clone()
 		}
-		e.skey = ""
 		e.hash = hash
 		for i := range e.mainW {
 			e.mainW[i], e.mainV[i] = 0, 0
@@ -305,9 +294,8 @@ func (t *onlineTable) initKeyScratch(b *plan.Block) {
 }
 
 // entryCurrent resolves (creating if needed) the group entry for the key
-// currently staged in t.keyRow: hash, probe, insert, and — when the
-// string-keyed view is live — skey/order maintenance. Callers fill
-// keyRow first (entry for the row path, the columnar memo on a miss).
+// currently staged in t.keyRow: hash, probe, insert. Callers fill keyRow
+// first (entry for the row path, the columnar memo on a miss).
 func (t *onlineTable) entryCurrent(b *plan.Block) *onlineEntry {
 	h := t.keyRow.HashKey(t.cols)
 	if e := t.find(h, t.keyRow, t.cols); e != nil {
@@ -315,11 +303,6 @@ func (t *onlineTable) entryCurrent(b *plan.Block) *onlineEntry {
 	}
 	e := t.newEntry(b, t.keyRow, h)
 	t.insert(e)
-	if t.m != nil {
-		e.skey = t.keyRow.KeyString(t.cols)
-		t.m[e.skey] = e
-		t.order = append(t.order, e.skey)
-	}
 	return e
 }
 
@@ -524,14 +507,6 @@ func (t *onlineTable) merge(o *onlineTable) {
 		e := t.find(oe.hash, oe.key, cols)
 		if e == nil {
 			t.insert(oe)
-			if oe.skey == "" && len(oe.key) > 0 {
-				// Stage tables skip the string key; compute it once, at
-				// adoption. (A scalar block's sole group legitimately has
-				// skey "", and recomputing it would yield "" again.)
-				oe.skey = oe.key.KeyString(cols)
-			}
-			t.m[oe.skey] = oe
-			t.order = append(t.order, oe.skey)
 			o.entries[k] = nil
 			continue
 		}

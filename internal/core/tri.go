@@ -51,36 +51,76 @@ const (
 type triEnv struct {
 	pointCtx     *expr.Ctx
 	scalarRanges []paramRange
-	// groupRanges/setTri look a canonical key (types.AppendKey bytes)
-	// up in the live bindings; kbuf is the reusable key buffer, so
-	// single-column keys classify without allocating.
-	groupRanges []func(key []byte) paramRange
-	setTri      []func(key []byte) tri
-	kbuf        []byte
+	// groupRanges/setTri look a key's values up in the live bindings
+	// (a set key is its one subject value); krow is the reusable key
+	// row, so keys classify without allocating.
+	groupRanges []func(key types.Row) paramRange
+	setTri      []func(key types.Row) tri
+	krow        types.Row
 	// rowRanges, when non-nil, gives variation ranges for the columns of
 	// the current row itself. It is used to classify set-block HAVING
 	// predicates, where the group's own (scaled, still-converging)
 	// aggregates occupy post-aggregate columns.
 	rowRanges []paramRange
-	// hp/hc memoize the HasParams / hasCols tree walks (they run on
-	// every tuple otherwise). Expression trees are immutable after
-	// planning, so caching by node identity is sound.
-	hp func(expr.Expr) bool
-	hc func(expr.Expr) bool
+	// nodes maps every expression node the engine classifies to its
+	// triNode (Engine.warmTriNodes); read-only once built, so worker
+	// goroutines share it. A node outside it is lowered per call.
+	nodes map[expr.Expr]*triNode
 }
 
-func (te *triEnv) hasParams(e expr.Expr) bool {
-	if te.hp != nil {
-		return te.hp(e)
-	}
-	return expr.HasParams(e)
+// triNode is an expression node with the facts interval evaluation
+// branches on fixed once: exact (no parameter below it, so it evaluates
+// pointwise) and cols (it reads a row column, which row ranges
+// replace). Expression trees are immutable after planning, so the
+// facts hold for the plan's lifetime. l and r are the operands of a
+// Binary; l alone that of a Not or Neg.
+type triNode struct {
+	e     expr.Expr
+	exact bool
+	cols  bool
+	l, r  *triNode
 }
 
-func (te *triEnv) hasColumns(e expr.Expr) bool {
-	if te.hc != nil {
-		return te.hc(e)
+// newTriNode lowers e's tree.
+func newTriNode(e expr.Expr) *triNode {
+	n := &triNode{e: e, exact: !expr.HasParams(e), cols: hasCols(e)}
+	switch x := e.(type) {
+	case *expr.Binary:
+		n.l, n.r = newTriNode(x.L), newTriNode(x.R)
+	case *expr.Not:
+		n.l = newTriNode(x.X)
+	case *expr.Neg:
+		n.l = newTriNode(x.X)
 	}
-	return hasCols(e)
+	return n
+}
+
+// register records n and every node below it in m (a node already
+// there keeps its first lowering).
+func (n *triNode) register(m map[expr.Expr]*triNode) {
+	if n == nil {
+		return
+	}
+	if _, ok := m[n.e]; !ok {
+		m[n.e] = n
+	}
+	n.l.register(m)
+	n.r.register(m)
+}
+
+// node returns e's triNode.
+func (te *triEnv) node(e expr.Expr) *triNode {
+	if n, ok := te.nodes[e]; ok {
+		return n
+	}
+	return newTriNode(e)
+}
+
+// pointwise reports whether n evaluates exactly at the point bindings:
+// no parameter below it and, while row ranges are active, no column
+// read either.
+func (te *triEnv) pointwise(n *triNode) bool {
+	return n.exact && (te.rowRanges == nil || !n.cols)
 }
 
 // hasCols reports whether the expression reads any row column.
@@ -105,9 +145,14 @@ func okRange(r bootstrap.Range) paramRange { return paramRange{r: r, status: rsO
 
 // evalRange evaluates a numeric expression to a variation range.
 func (te *triEnv) evalRange(e expr.Expr, row types.Row) paramRange {
+	return te.nodeRange(te.node(e), row)
+}
+
+func (te *triEnv) nodeRange(n *triNode, row types.Row) paramRange {
 	// Sub-expressions without params (and, when row ranges are active,
 	// without column reads) are exact: evaluate pointwise.
-	if !te.hasParams(e) && (te.rowRanges == nil || !te.hasColumns(e)) {
+	e := n.e
+	if te.pointwise(n) {
 		te.pointCtx.Row = row
 		v := e.Eval(te.pointCtx)
 		if v.IsNull() {
@@ -147,32 +192,32 @@ func (te *triEnv) evalRange(e expr.Expr, row types.Row) paramRange {
 			return paramRange{status: rsUnknown}
 		}
 		te.pointCtx.Row = row
-		te.kbuf = x.AppendKey(te.kbuf[:0], te.pointCtx)
-		return te.groupRanges[x.Idx](te.kbuf)
+		te.krow = evalKeys(te.krow, x.Keys, te.pointCtx)
+		return te.groupRanges[x.Idx](te.krow)
 	case *expr.Neg:
-		in := te.evalRange(x.X, row)
+		in := te.nodeRange(n.l, row)
 		if in.status != rsOK {
 			return in
 		}
 		return okRange(bootstrap.Range{Lo: -in.r.Hi, Hi: -in.r.Lo})
 	case *expr.Binary:
-		return te.evalBinaryRange(x, row)
+		return te.binaryRange(x, n, row)
 	default:
 		return paramRange{status: rsUnknown}
 	}
 }
 
-func (te *triEnv) evalBinaryRange(x *expr.Binary, row types.Row) paramRange {
+func (te *triEnv) binaryRange(x *expr.Binary, n *triNode, row types.Row) paramRange {
 	switch x.Op {
 	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
 	default:
 		return paramRange{status: rsUnknown}
 	}
-	l := te.evalRange(x.L, row)
+	l := te.nodeRange(n.l, row)
 	if l.status == rsNull {
 		return l
 	}
-	r := te.evalRange(x.R, row)
+	r := te.nodeRange(n.r, row)
 	if r.status == rsNull {
 		return r
 	}
@@ -223,7 +268,7 @@ func max4(a, b, c, d float64) float64 {
 // NULL), for every value the uncertain aggregates may still take;
 // triUnknown sends the tuple to the uncertain set.
 func (te *triEnv) evalTri(e expr.Expr, row types.Row) tri {
-	return te.evalTriNeg(e, row, false)
+	return te.nodeTri(te.node(e), row, false)
 }
 
 // evalTriNeg is evalTri for a subtree under an odd (neg) or even number
@@ -234,7 +279,13 @@ func (te *triEnv) evalTri(e expr.Expr, row types.Row) tri {
 // AND and OR commute with both readings, so only the leaves depend on
 // neg.
 func (te *triEnv) evalTriNeg(e expr.Expr, row types.Row, neg bool) tri {
-	if !te.hasParams(e) && (te.rowRanges == nil || !te.hasColumns(e)) {
+	return te.nodeTri(te.node(e), row, neg)
+}
+
+// nodeTri is evalTriNeg over a lowered tree.
+func (te *triEnv) nodeTri(n *triNode, row types.Row, neg bool) tri {
+	e := n.e
+	if te.pointwise(n) {
 		te.pointCtx.Row = row
 		v := e.Eval(te.pointCtx)
 		if v.IsNull() {
@@ -246,11 +297,11 @@ func (te *triEnv) evalTriNeg(e expr.Expr, row types.Row, neg bool) tri {
 	case *expr.Binary:
 		switch x.Op {
 		case sqlparser.OpAnd:
-			l := te.evalTriNeg(x.L, row, neg)
+			l := te.nodeTri(n.l, row, neg)
 			if l == triFalse {
 				return triFalse
 			}
-			r := te.evalTriNeg(x.R, row, neg)
+			r := te.nodeTri(n.r, row, neg)
 			if r == triFalse {
 				return triFalse
 			}
@@ -259,11 +310,11 @@ func (te *triEnv) evalTriNeg(e expr.Expr, row types.Row, neg bool) tri {
 			}
 			return triUnknown
 		case sqlparser.OpOr:
-			l := te.evalTriNeg(x.L, row, neg)
+			l := te.nodeTri(n.l, row, neg)
 			if l == triTrue {
 				return triTrue
 			}
-			r := te.evalTriNeg(x.R, row, neg)
+			r := te.nodeTri(n.r, row, neg)
 			if r == triTrue {
 				return triTrue
 			}
@@ -273,12 +324,12 @@ func (te *triEnv) evalTriNeg(e expr.Expr, row types.Row, neg bool) tri {
 			return triUnknown
 		case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe,
 			sqlparser.OpGt, sqlparser.OpGe:
-			return te.evalCompareTri(x, row, neg)
+			return te.compareTri(x, n, row, neg)
 		default:
 			return triUnknown
 		}
 	case *expr.Not:
-		switch te.evalTriNeg(x.X, row, !neg) {
+		switch te.nodeTri(n.l, row, !neg) {
 		case triTrue:
 			return triFalse
 		case triFalse:
@@ -293,12 +344,12 @@ func (te *triEnv) evalTriNeg(e expr.Expr, row types.Row, neg bool) tri {
 	}
 }
 
-// evalCompareTri compares two variation ranges (neg as in evalTriNeg).
+// compareTri compares two variation ranges (neg as in evalTriNeg).
 // A NaN bound decides nothing: types.Compare orders NaN equal to every
 // float, which no interval test below reproduces.
-func (te *triEnv) evalCompareTri(x *expr.Binary, row types.Row, neg bool) tri {
-	l := te.evalRange(x.L, row)
-	r := te.evalRange(x.R, row)
+func (te *triEnv) compareTri(x *expr.Binary, n *triNode, row types.Row, neg bool) tri {
+	l := te.nodeRange(n.l, row)
+	r := te.nodeRange(n.r, row)
 	// SQL: a comparison with NULL is NULL.
 	if l.status == rsNull || r.status == rsNull {
 		return triFromBool(neg)
@@ -365,8 +416,8 @@ func (te *triEnv) evalSetTri(x *expr.SetParam, row types.Row, neg bool) tri {
 	if x.Idx < 0 || x.Idx >= len(te.setTri) || te.setTri[x.Idx] == nil {
 		return triUnknown
 	}
-	te.kbuf = types.AppendKey(te.kbuf[:0], v)
-	m := te.setTri[x.Idx](te.kbuf)
+	te.krow = append(te.krow[:0], v)
+	m := te.setTri[x.Idx](te.krow)
 	if m == triUnknown {
 		return triUnknown
 	}

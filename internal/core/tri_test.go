@@ -186,8 +186,8 @@ func TestRowRangesClassifyHaving(t *testing.T) {
 func TestSetTriMembership(t *testing.T) {
 	te := &triEnv{
 		pointCtx: &expr.Ctx{},
-		setTri: []func([]byte) tri{func(key []byte) tri {
-			switch string(key) {
+		setTri: []func(types.Row) tri{func(key types.Row) tri {
+			switch keyString(key) {
 			case types.KeyString1(types.NewInt(1)):
 				return triTrue
 			case types.KeyString1(types.NewInt(2)):
@@ -217,21 +217,19 @@ func TestSetTriMembership(t *testing.T) {
 }
 
 func TestGroupRangeLookupStatuses(t *testing.T) {
-	g := &groupBinding{
-		rng: map[string]paramRange{
-			"k1": okRange(bootstrap.Range{Lo: 1, Hi: 2}),
-		},
-	}
+	g := &groupBinding{}
+	k1, nope := types.NewString("k1"), types.NewString("nope")
+	g.publishKey(k1, types.NewFloat(1.5), okRange(bootstrap.Range{Lo: 1, Hi: 2}))
 	b := &bindings{groups: []*groupBinding{g}}
 	te := b.newTriEnv()
-	if pr := te.groupRanges[0]([]byte("k1")); pr.status != rsOK {
+	if pr := te.groupRanges[0](types.Row{k1}); pr.status != rsOK {
 		t.Error("known group")
 	}
-	if pr := te.groupRanges[0]([]byte("nope")); pr.status != rsUnknown {
+	if pr := te.groupRanges[0](types.Row{nope}); pr.status != rsUnknown {
 		t.Error("unknown group on incomplete table must be unknown")
 	}
 	g.complete = true
-	if pr := te.groupRanges[0]([]byte("nope")); pr.status != rsNull {
+	if pr := te.groupRanges[0](types.Row{nope}); pr.status != rsNull {
 		t.Error("missing group on complete table is NULL")
 	}
 }
@@ -273,15 +271,15 @@ func TestBuildRangeGuards(t *testing.T) {
 		return out
 	}
 	// too few observations → unknown
-	if pr := buildRange(types.NewFloat(5), mkReps(5, 5), 1); pr.status != rsUnknown {
+	if pr, _ := buildRange(types.NewFloat(5), mkReps(5, 5), 1, nil); pr.status != rsUnknown {
 		t.Errorf("2 reps = %v", pr.status)
 	}
 	// zero variance → unknown (no dispersion information)
-	if pr := buildRange(types.NewFloat(5), mkReps(5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5), 1); pr.status != rsUnknown {
+	if pr, _ := buildRange(types.NewFloat(5), mkReps(5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5), 1, nil); pr.status != rsUnknown {
 		t.Errorf("degenerate reps = %v", pr.status)
 	}
 	// healthy replicas → range covering point and replica spread
-	pr := buildRange(types.NewFloat(5), mkReps(4, 5, 6, 4.5, 5.5, 4, 6, 5, 4.8, 5.2, 4.4, 5.6), 1)
+	pr, _ := buildRange(types.NewFloat(5), mkReps(4, 5, 6, 4.5, 5.5, 4, 6, 5, 4.8, 5.2, 4.4, 5.6), 1, nil)
 	if pr.status != rsOK {
 		t.Fatalf("healthy reps = %v", pr.status)
 	}
@@ -289,7 +287,7 @@ func TestBuildRangeGuards(t *testing.T) {
 		t.Errorf("range %+v should cover point and replica extremes", pr.r)
 	}
 	// NULL point → null
-	if pr := buildRange(types.Null, mkReps(1, 2, 3), 1); pr.status != rsNull {
+	if pr, _ := buildRange(types.Null, mkReps(1, 2, 3), 1, nil); pr.status != rsNull {
 		t.Errorf("null point = %v", pr.status)
 	}
 }
@@ -360,7 +358,7 @@ func TestNotOverNullMatchesBatch(t *testing.T) {
 // are false at the top and stay "not true" under one or two NOTs.
 func TestEvalTriNullUnderNot(t *testing.T) {
 	te := env(10, 20)
-	te.setTri = []func([]byte) tri{func([]byte) tri { return triTrue }}
+	te.setTri = []func(types.Row) tri{func(types.Row) tri { return triTrue }}
 	cmp := binop(sqlparser.OpLt, col(0), param())
 	set := &expr.SetParam{Idx: 0, X: col(0)}
 	free := binop(sqlparser.OpAnd, binop(sqlparser.OpLt, col(0), cnum(5)), param())

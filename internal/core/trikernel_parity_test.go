@@ -294,8 +294,8 @@ func (kb *keyedBinding) env(scalars []paramRange) *triEnv {
 	te := &triEnv{pointCtx: &expr.Ctx{}, scalarRanges: scalars}
 	for k := range kb.group {
 		g, s := kb.group[k], kb.set[k]
-		te.groupRanges = append(te.groupRanges, func(key []byte) paramRange {
-			if r, ok := g[string(key)]; ok {
+		te.groupRanges = append(te.groupRanges, func(key types.Row) paramRange {
+			if r, ok := g[keyString(key)]; ok {
 				return r
 			}
 			if kb.complete {
@@ -303,8 +303,8 @@ func (kb *keyedBinding) env(scalars []paramRange) *triEnv {
 			}
 			return paramRange{status: rsUnknown}
 		})
-		te.setTri = append(te.setTri, func(key []byte) tri {
-			if t, ok := s[string(key)]; ok {
+		te.setTri = append(te.setTri, func(key types.Row) tri {
+			if t, ok := s[keyString(key)]; ok {
 				return t
 			}
 			if kb.complete {
@@ -555,12 +555,11 @@ func newPointBinding(rng *rand.Rand) *bindings {
 	}
 	for k, vals := range keyedDomain() {
 		for _, v := range vals {
-			key := types.KeyString1(v)
 			if rng.Intn(5) > 0 {
-				b.groups[k].point[key] = value()
+				b.groups[k].publishKey(v, value(), paramRange{status: rsUnknown})
 			}
 			if rng.Intn(5) > 0 {
-				b.sets[k].point[key] = rng.Intn(2) == 0
+				b.sets[k].publishKey(v, rng.Intn(2) == 0, triUnknown)
 			}
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // blocks.
 type Env struct {
 	Scalars []types.Value
-	Groups  []func(string) (types.Value, bool)
+	Groups  []expr.GroupLookup
 	Sets    []expr.SetLookup
 }
 
@@ -28,7 +28,7 @@ type Env struct {
 func NewEnv(q *plan.Query) *Env {
 	return &Env{
 		Scalars: make([]types.Value, len(q.ScalarBlocks)),
-		Groups:  make([]func(string) (types.Value, bool), len(q.GroupBlocks)),
+		Groups:  make([]expr.GroupLookup, len(q.GroupBlocks)),
 		Sets:    make([]expr.SetLookup, len(q.SetBlocks)),
 	}
 }
@@ -93,13 +93,13 @@ func InstallBinding(b *plan.Block, tab *AggTable, env *Env, scale float64) {
 		env.Scalars[b.ParamIdx] = scalarValue(b, tab, env, scale)
 	case plan.GroupScalarBlock:
 		m := GroupValues(b, tab, env, scale)
-		env.Groups[b.ParamIdx] = func(key string) (types.Value, bool) {
-			v, ok := m[key]
+		env.Groups[b.ParamIdx] = func(p *expr.GroupParam, ctx *expr.Ctx) (types.Value, bool) {
+			v, ok := m[p.KeyString(ctx)]
 			return v, ok
 		}
 	case plan.SetBlock:
 		m := SetMembers(b, tab, env, scale)
-		env.Sets[b.ParamIdx] = func(key string) bool { return m[key] }
+		env.Sets[b.ParamIdx] = func(x types.Value) bool { return m[types.KeyString1(x)] }
 	}
 }
 

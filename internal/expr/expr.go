@@ -24,9 +24,8 @@ type Ctx struct {
 	// and per bootstrap replica.
 	Scalars []types.Value
 	// Groups holds per-group lookups for equality-correlated subqueries,
-	// indexed by GroupParam.Idx. The key is the correlated column's
-	// canonical key string.
-	Groups []func(key string) (types.Value, bool)
+	// indexed by GroupParam.Idx.
+	Groups []GroupLookup
 	// SetsFns holds membership oracles for IN-subquery placeholders,
 	// indexed by SetParam.Idx.
 	SetsFns []SetLookup
@@ -109,8 +108,8 @@ func (p *ScalarParam) String() string { return fmt.Sprintf("$%d{%s}", p.Idx, p.D
 // GroupParam stands for the value of an equality-correlated aggregate
 // subquery: the inner aggregate grouped by the correlation key. Keys are
 // the bound expressions computing the outer side of the correlation
-// predicate(s); the lookup maps their canonical key string to the
-// group's current aggregate estimate.
+// predicate(s); the lookup maps their values to the group's current
+// aggregate estimate.
 type GroupParam struct {
 	Idx  int
 	Keys []Expr
@@ -132,21 +131,18 @@ func (p *GroupParam) KeyString(ctx *Ctx) string {
 	return row.KeyString(cols)
 }
 
-// AppendKey appends the row's canonical correlation key (KeyString's
-// bytes) to dst; a single key column appends without allocating.
-func (p *GroupParam) AppendKey(dst []byte, ctx *Ctx) []byte {
-	if len(p.Keys) == 1 {
-		return types.AppendKey(dst, p.Keys[0].Eval(ctx))
-	}
-	return append(dst, p.KeyString(ctx)...)
-}
+// GroupLookup answers a correlated parameter for the current row of
+// ctx: it evaluates p.Keys over ctx itself, so a lookup that resolves
+// keys by value needs no canonical key string. ok is false when the
+// key's group is unknown.
+type GroupLookup func(p *GroupParam, ctx *Ctx) (v types.Value, ok bool)
 
 // Eval implements Expr.
 func (p *GroupParam) Eval(ctx *Ctx) types.Value {
 	if p.Idx < 0 || p.Idx >= len(ctx.Groups) || ctx.Groups[p.Idx] == nil {
 		return types.Null
 	}
-	v, ok := ctx.Groups[p.Idx](p.KeyString(ctx))
+	v, ok := ctx.Groups[p.Idx](p, ctx)
 	if !ok {
 		return types.Null
 	}
@@ -431,8 +427,9 @@ type SetParam struct {
 	Desc    string
 }
 
-// SetLookup answers membership queries for a SetParam.
-type SetLookup func(key string) bool
+// SetLookup answers membership queries for a SetParam: x is the
+// subject's value, never NULL.
+type SetLookup func(x types.Value) bool
 
 // Eval implements Expr. The membership function is found in Ctx.Sets.
 func (s *SetParam) Eval(ctx *Ctx) types.Value {
@@ -443,7 +440,7 @@ func (s *SetParam) Eval(ctx *Ctx) types.Value {
 	if s.Idx < 0 || s.Idx >= len(ctx.SetsFns) || ctx.SetsFns[s.Idx] == nil {
 		return types.Null
 	}
-	member := ctx.SetsFns[s.Idx](types.KeyString1(x))
+	member := ctx.SetsFns[s.Idx](x)
 	return types.NewBool(member != s.Negated)
 }
 

@@ -146,13 +146,13 @@ func TestScalarParamBinding(t *testing.T) {
 func TestGroupParamBinding(t *testing.T) {
 	key := &Col{Idx: 0, Name: "partkey", Typ: types.KindInt}
 	p := &GroupParam{Idx: 0, Keys: []Expr{key}, Typ: types.KindFloat, Desc: "AVG(q) BY partkey"}
-	lookup := func(k string) (types.Value, bool) {
-		if k == (types.Row{types.NewInt(7)}).KeyString([]int{0}) {
+	lookup := func(p *GroupParam, ctx *Ctx) (types.Value, bool) {
+		if p.KeyString(ctx) == (types.Row{types.NewInt(7)}).KeyString([]int{0}) {
 			return types.NewFloat(3.5), true
 		}
 		return types.Null, false
 	}
-	ctx := &Ctx{Row: types.Row{types.NewInt(7)}, Groups: []func(string) (types.Value, bool){lookup}}
+	ctx := &Ctx{Row: types.Row{types.NewInt(7)}, Groups: []GroupLookup{lookup}}
 	if got := p.Eval(ctx); got.Float() != 3.5 {
 		t.Errorf("group param = %v", got)
 	}
@@ -164,8 +164,8 @@ func TestGroupParamBinding(t *testing.T) {
 
 func TestSetParamBinding(t *testing.T) {
 	s := &SetParam{Idx: 0, X: &Col{Idx: 0, Name: "k", Typ: types.KindInt}}
-	member := func(k string) bool {
-		return k == (types.Row{types.NewInt(1)}).KeyString([]int{0})
+	member := func(x types.Value) bool {
+		return types.KeyString1(x) == (types.Row{types.NewInt(1)}).KeyString([]int{0})
 	}
 	ctx := &Ctx{Row: types.Row{types.NewInt(1)}, SetsFns: []SetLookup{member}}
 	if !s.Eval(ctx).Bool() {

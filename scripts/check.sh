@@ -18,7 +18,10 @@
 #                   (correlated, in-set) and the reclassify legs hold
 #                   classification of new and cached rows to 0 too,
 #                   the prepare legs a warm snapshot evaluator's
-#                   rebuild (point pass by kernel included)
+#                   rebuild (point pass by kernel included), and
+#                   TestBindingUpdateAllocs (legs set-having and
+#                   correlated) a warm republication of a membership or
+#                   correlated binding, by group id, to 0 allocs
 #   fuzz smoke      10 s each of FuzzNumKernel (computed aggregate-
 #                   argument columns vs per-row Eval), FuzzTriKernel
 #                   (tri-state kernel bytes, keyed slots included, vs

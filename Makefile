@@ -1,8 +1,8 @@
-.PHONY: check test bench bench-e2e-compare bench-fold audit chaos trace mem
+.PHONY: check test bench bench-e2e-compare bench-fold audit chaos trace
 
 # Tier-1 gate: vet + build + race-enabled tests + non-race alloc gates +
 # 10 s fuzz smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzResume) + the
-# benchmark/ module's tests.
+# benchmark/ module's tests + a small-scale flbench smoke run.
 check:
 	sh scripts/check.sh
 
@@ -21,11 +21,9 @@ bench:
 bench-e2e-compare:
 	bash benchmark/run.sh --compare $(A) --against $(B)
 
-# Fold hot-path throughput; append -json/-label via ARGS to record a
-# new BENCH_fold.json entry.
+# Fold hot-path throughput: internal/core's go test micro-benchmarks.
 bench-fold:
 	go test ./internal/core -bench BenchmarkFold -benchmem
-	go run ./cmd/flbench -experiment fold -rows 100000 $(ARGS)
 
 # Statistical-correctness audit: 20 seeded replications measuring
 # empirical CI coverage, relative-error trajectories, and the
@@ -40,15 +38,6 @@ audit:
 # no goroutine may leak. Scale with ARGS="-schedules 5000".
 chaos:
 	go run ./cmd/flbench -experiment chaos $(ARGS)
-
-# Memory observability: per-pool ledger residency across scenarios and
-# worker counts, GC telemetry, and a forced walk down the two-rung
-# MaxMemoryBytes degradation ladder (segment cache, then uncertain
-# eviction) verified bit-identical against the unbudgeted run (the
-# command fails on divergence or when the walk stops below the top
-# rung). Record with ARGS="-json mem.json".
-mem:
-	go run ./cmd/flbench -experiment mem $(ARGS)
 
 # Span-timeline capture: run one traced suite query (default Q17) and
 # write trace.json (Chrome trace-event format — open in ui.perfetto.dev

@@ -1,8 +1,11 @@
-// Package bench regenerates every figure and quantitative claim of the
-// paper's evaluation (§5). Each experiment returns a structured result
-// whose fields correspond to the series/rows the paper reports; the
-// flbench command renders them as tables, and bench_test.go exposes them
-// as testing.B benchmarks. See DESIGN.md §4 for the experiment index.
+// Package bench regenerates the figures and quantitative claims of the
+// paper's evaluation (§5): Figure 3(a), Figure 3(b) and the T2
+// uncertain-set profile (T1's headline numbers are part of Figure
+// 3(a)'s result). Each experiment returns a structured result whose
+// fields correspond to the series/rows the paper reports; the flbench
+// command renders them as tables or CSV. The package also hosts the
+// chaos soak (chaos.go) and the traced single-query run (trace.go).
+// See DESIGN.md §4 for the experiment index.
 package bench
 
 import (
@@ -31,10 +34,6 @@ type Config struct {
 	// SeedSet marks Seed as explicitly chosen, letting a caller request
 	// seed 0 itself (the zero value otherwise means "use the default").
 	SeedSet bool
-	// RowPath forces the engines under measurement onto the legacy
-	// row-at-a-time fold path (core.Options.RowPath), the A/B baseline
-	// for the columnar hot path. Honored by the fold experiment.
-	RowPath bool
 }
 
 // WithDefaults fills unset fields.
@@ -247,33 +246,6 @@ func Figure3b(cfg Config) ([]Fig3bSeries, error) {
 }
 
 // ---------------------------------------------------------------------
-// T1 (§5 prose): headline latency metrics for Q17.
-// ---------------------------------------------------------------------
-
-// T1Result captures the prose claims around Figure 3(a).
-type T1Result struct {
-	Fig3a          *Fig3aResult
-	MeanRefreshMS  float64 // the paper's "refined every ~2.5 s" cadence
-	FinalRSDPct    float64
-	FinalUncertain int
-}
-
-// Table1 runs the experiment.
-func Table1(cfg Config) (*T1Result, error) {
-	f, err := Figure3a(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r := &T1Result{Fig3a: f}
-	if n := len(f.Points); n > 0 {
-		r.MeanRefreshMS = f.TotalOnlineMS / float64(n)
-		r.FinalRSDPct = f.Points[n-1].RSDPercent
-		r.FinalUncertain = f.Points[n-1].Uncertain
-	}
-	return r, nil
-}
-
-// ---------------------------------------------------------------------
 // T2 (§3.2/§5 prose): uncertain sets are very small in practice.
 // ---------------------------------------------------------------------
 
@@ -330,166 +302,6 @@ func Table2(cfg Config) ([]T2Row, error) {
 	return out, nil
 }
 
-// ---------------------------------------------------------------------
-// A1 (ablation, §3.2): the ε slack trades recomputation probability
-// against uncertain-set size.
-// ---------------------------------------------------------------------
-
-// EpsPoint is one (query, ε) setting's outcome.
-type EpsPoint struct {
-	Query        string
-	EpsilonSigma float64
-	Recomputes   int
-	MaxUncertain int
-	TotalMS      float64
-}
-
-// AblationEpsilon sweeps ε over SBI (a stable global threshold, showing
-// the uncertain-set growth) and Q17 (fragile per-group ranges, showing
-// the recomputation side of the trade).
-func AblationEpsilon(cfg Config, epsilons []float64) ([]EpsPoint, error) {
-	cfg = cfg.WithDefaults()
-	if len(epsilons) == 0 {
-		epsilons = []float64{0.05, 0.25, 0.5, 1.0, 2.0, 4.0}
-	}
-	var out []EpsPoint
-	for _, name := range []string{"SBI", "Q17"} {
-		wq, _ := workload.ByName(name)
-		cat := catalogFor(wq, cfg)
-		for _, eps := range epsilons {
-			q, err := plan.Compile(wq.SQL, cat)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := core.New(q, cat, core.Options{
-				Batches: cfg.Batches, Trials: cfg.Trials, Seed: cfg.EngineSeed(), EpsilonSigma: eps,
-			})
-			if err != nil {
-				return nil, err
-			}
-			defer eng.Close()
-			p := EpsPoint{Query: name, EpsilonSigma: eps}
-			t0 := time.Now()
-			for !eng.Done() {
-				s, err := eng.Step()
-				if err != nil {
-					return nil, err
-				}
-				if s.UncertainRows > p.MaxUncertain {
-					p.MaxUncertain = s.UncertainRows
-				}
-			}
-			p.TotalMS = ms(time.Since(t0))
-			p.Recomputes = eng.Metrics().Recomputes
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------
-// A2 (ablation, §2.2): bootstrap trial count vs. CI quality/overhead.
-// ---------------------------------------------------------------------
-
-// TrialPoint is one B setting's outcome.
-type TrialPoint struct {
-	Trials      int
-	TotalMS     float64
-	FirstRSDPct float64
-	LastRSDPct  float64
-}
-
-// AblationBootstrap sweeps the trial count over SBI.
-func AblationBootstrap(cfg Config, trialCounts []int) ([]TrialPoint, error) {
-	cfg = cfg.WithDefaults()
-	if len(trialCounts) == 0 {
-		trialCounts = []int{20, 50, 100, 200}
-	}
-	wq, _ := workload.ByName("SBI")
-	cat := catalogFor(wq, cfg)
-	var out []TrialPoint
-	for _, b := range trialCounts {
-		q, err := plan.Compile(wq.SQL, cat)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := core.New(q, cat, core.Options{
-			Batches: cfg.Batches, Trials: b, Seed: cfg.EngineSeed(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer eng.Close()
-		p := TrialPoint{Trials: b}
-		t0 := time.Now()
-		first := true
-		for !eng.Done() {
-			s, err := eng.Step()
-			if err != nil {
-				return nil, err
-			}
-			if first {
-				p.FirstRSDPct = s.RSD() * 100
-				first = false
-			}
-			p.LastRSDPct = s.RSD() * 100
-		}
-		p.TotalMS = ms(time.Since(t0))
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------
-// A3 (ablation, §2.1): mini-batch granularity vs. cadence and overhead.
-// ---------------------------------------------------------------------
-
-// BatchPoint is one k setting's outcome.
-type BatchPoint struct {
-	Batches       int
-	TotalMS       float64
-	MeanRefreshMS float64
-	FirstAnswerMS float64
-}
-
-// AblationBatches sweeps k over Q17.
-func AblationBatches(cfg Config, ks []int) ([]BatchPoint, error) {
-	cfg = cfg.WithDefaults()
-	if len(ks) == 0 {
-		ks = []int{5, 10, 20, 50}
-	}
-	wq, _ := workload.ByName("Q17")
-	cat := catalogFor(wq, cfg)
-	var out []BatchPoint
-	for _, k := range ks {
-		q, err := plan.Compile(wq.SQL, cat)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := core.New(q, cat, core.Options{
-			Batches: k, Trials: cfg.Trials, Seed: cfg.EngineSeed(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer eng.Close()
-		p := BatchPoint{Batches: k}
-		t0 := time.Now()
-		for !eng.Done() {
-			if _, err := eng.Step(); err != nil {
-				return nil, err
-			}
-			if p.FirstAnswerMS == 0 {
-				p.FirstAnswerMS = ms(time.Since(t0))
-			}
-		}
-		p.TotalMS = ms(time.Since(t0))
-		p.MeanRefreshMS = p.TotalMS / float64(k)
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // ---------------------------------------------------------------------
@@ -507,6 +319,9 @@ func FormatFig3a(r *Fig3aResult) string {
 	}
 	fmt.Fprintf(&b, "first answer: %.1f ms (%.1f%% of batch time)\n", r.FirstAnswerMS, r.FirstAnswerPct)
 	fmt.Fprintf(&b, "total online: %.1f ms (overhead %.0f%% vs batch)\n", r.TotalOnlineMS, r.OverheadPct)
+	if len(r.Points) > 0 {
+		fmt.Fprintf(&b, "mean refresh: %.1f ms per snapshot\n", r.TotalOnlineMS/float64(len(r.Points)))
+	}
 	if r.TimeTo2PctMS >= 0 {
 		fmt.Fprintf(&b, "time to 2%% RSD: %.1f ms (%.1fx faster than batch)\n",
 			r.TimeTo2PctMS, r.SpeedupAt2PctRSD)

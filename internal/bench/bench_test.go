@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"fluodb/internal/chaos"
+	"fluodb/internal/core"
+	"fluodb/internal/plan"
+	"fluodb/internal/workload"
 )
 
 // tiny keeps unit tests fast; shapes are asserted, not absolute times.
@@ -64,13 +67,18 @@ func TestFigure3bShape(t *testing.T) {
 	}
 }
 
+// TestTable1 checks T1's headline numbers, which fig3a prints beside
+// Figure 3(a): the refresh cadence is derived from the same run.
 func TestTable1(t *testing.T) {
-	r, err := Table1(tiny)
+	r, err := Figure3a(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.MeanRefreshMS <= 0 {
+	if n := len(r.Points); n == 0 || r.TotalOnlineMS/float64(n) <= 0 {
 		t.Error("refresh cadence missing")
+	}
+	if out := FormatFig3a(r); !strings.Contains(out, "mean refresh") {
+		t.Errorf("format:\n%s", out)
 	}
 }
 
@@ -96,54 +104,66 @@ func TestTable2AllQueries(t *testing.T) {
 	}
 }
 
+// TestAblationEpsilonTrend pins the ε trade (§3.2) on SBI, a stable
+// global threshold, and Q17, fragile per-part ranges: a larger slack
+// costs no more recomputes and keeps at least as many uncertain tuples.
 func TestAblationEpsilonTrend(t *testing.T) {
-	pts, err := AblationEpsilon(tiny, []float64{0.05, 4.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 { // 2 ε settings × {SBI, Q17}
-		t.Fatalf("points = %d", len(pts))
-	}
-	for i := 0; i < len(pts); i += 2 {
-		small, large := pts[i], pts[i+1]
-		if small.Query != large.Query {
-			t.Fatalf("pairing broken: %s vs %s", small.Query, large.Query)
+	for _, name := range []string{"SBI", "Q17"} {
+		wq, _ := workload.ByName(name)
+		cat := catalogFor(wq, tiny)
+		// run returns the recompute count and the peak uncertain-set size.
+		run := func(eps float64) (int, int) {
+			q, err := plan.Compile(wq.SQL, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := core.New(q, cat, core.Options{
+				Batches: tiny.Batches, Trials: tiny.Trials, Seed: tiny.EngineSeed(), EpsilonSigma: eps,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			peak := 0
+			if _, err := eng.Run(func(s *core.Snapshot) bool {
+				peak = max(peak, s.UncertainRows)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return eng.Metrics().Recomputes, peak
 		}
-		// Larger ε ⇒ no more recomputes than tiny ε (usually fewer) and
-		// at least as many uncertain tuples.
-		if large.Recomputes > small.Recomputes {
-			t.Errorf("%s recomputes: eps=4 → %d > eps=0.05 → %d",
-				small.Query, large.Recomputes, small.Recomputes)
+		smallRe, smallPeak := run(0.05)
+		largeRe, largePeak := run(4)
+		if largeRe > smallRe {
+			t.Errorf("%s recomputes: eps=4 → %d > eps=0.05 → %d", name, largeRe, smallRe)
 		}
-		if large.MaxUncertain < small.MaxUncertain {
-			t.Errorf("%s uncertain: eps=4 → %d < eps=0.05 → %d",
-				small.Query, large.MaxUncertain, small.MaxUncertain)
+		if largePeak < smallPeak {
+			t.Errorf("%s peak uncertain: eps=4 → %d < eps=0.05 → %d", name, largePeak, smallPeak)
 		}
 	}
 }
 
-func TestAblationBootstrap(t *testing.T) {
-	pts, err := AblationBootstrap(tiny, []int{10, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[0].TotalMS <= 0 {
-		t.Fatal("points")
-	}
-}
-
+// TestAblationBatches runs Figure 3(a) at coarse and fine mini-batch
+// granularity (§2.1): one snapshot per mini-batch either way.
 func TestAblationBatches(t *testing.T) {
-	pts, err := AblationBatches(tiny, []int{2, 8})
-	if err != nil {
-		t.Fatal(err)
+	var first [2]float64
+	for i, k := range []int{2, 8} {
+		cfg := tiny
+		cfg.Batches = k
+		r, err := Figure3a(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Points) != k {
+			t.Fatalf("k=%d: points = %d", k, len(r.Points))
+		}
+		first[i] = r.FirstAnswerMS
 	}
-	if len(pts) != 2 {
-		t.Fatal("points")
-	}
-	// More batches ⇒ earlier first answer.
-	if pts[1].FirstAnswerMS >= pts[0].FirstAnswerMS {
+	// More batches ⇒ earlier first answer; too noisy to assert at this scale.
+	if first[1] >= first[0] {
 		t.Logf("note: first answer k=8 (%.2fms) not earlier than k=2 (%.2fms) at tiny scale",
-			pts[1].FirstAnswerMS, pts[0].FirstAnswerMS)
+			first[1], first[0])
 	}
 }
 

@@ -8,12 +8,14 @@ import (
 	"strings"
 	"time"
 
+	"fluodb/internal/bootstrap"
 	"fluodb/internal/chaos"
 	"fluodb/internal/core"
 	"fluodb/internal/otrace"
 	"fluodb/internal/plan"
 	"fluodb/internal/storage"
 	"fluodb/internal/testutil"
+	"fluodb/internal/types"
 )
 
 // The chaos soak: thousands of deterministically seeded fault schedules
@@ -91,13 +93,36 @@ type chaosEnv struct {
 	opt  core.Options
 }
 
+// chaosCatalog builds the soak's fact table: two low-cardinality key
+// columns (a: 8 values, b: 16 values) and one measure, so group
+// creation stops after the first few tuples.
+func chaosCatalog(n int, seed uint64) *storage.Catalog {
+	cat := storage.NewCatalog()
+	t := storage.NewTable("facts", types.NewSchema(
+		"a", types.KindString,
+		"b", types.KindInt,
+		"x", types.KindFloat,
+	))
+	as := []string{"aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh"}
+	rng := bootstrap.NewRNG(seed)
+	for i := 0; i < n; i++ {
+		_ = t.Append(types.Row{
+			types.NewString(as[rng.Intn(len(as))]),
+			types.NewInt(int64(rng.Intn(16))),
+			types.NewFloat(rng.Float64() * 100),
+		})
+	}
+	cat.Put(t)
+	return cat
+}
+
 func chaosBase(cfg Config) (*chaosEnv, error) {
 	cfg = cfg.WithDefaults()
 	// Small fixture: the soak's power comes from schedule count, not data
 	// volume. 4 batches × 4 workers gives 16+ injection sites per pass.
 	rows := 4096
 	env := &chaosEnv{
-		cat: foldBenchCatalog(rows, cfg.EngineSeed()),
+		cat: chaosCatalog(rows, cfg.EngineSeed()),
 		opt: core.Options{
 			Batches: 4, Trials: 16, Seed: cfg.EngineSeed(),
 			Parallelism: 4, ParallelThreshold: 64,

@@ -141,7 +141,7 @@ func TestWorkerPanicReleasesBarrier(t *testing.T) {
 	p := newWorkerPool(2)
 	defer p.stop()
 	var cause *workerPanic
-	_, err := p.scatter(2, 1, 0, func(_ *workerCtx, i int) error {
+	_, err := p.scatter(2, func(_ *workerCtx, i int) error {
 		if i == 0 {
 			panic("boom")
 		}
@@ -164,7 +164,7 @@ func TestWorkerPanicReleasesBarrier(t *testing.T) {
 	}
 	// The pool must stay serviceable for the next barrier.
 	ran := false
-	if _, err := p.scatter(1, 1, 0, func(*workerCtx, int) error {
+	if _, err := p.scatter(1, func(*workerCtx, int) error {
 		ran = true
 		return nil
 	}, func(i, _ int, c error) error {
@@ -193,7 +193,7 @@ func TestScatterLadder(t *testing.T) {
 		return nil
 	}
 	redone := map[int]int{}
-	part, err := p.scatter(3, 7, 0, run, func(i, attempt int, cause error) error {
+	part, err := p.scatter(3, run, func(i, attempt int, cause error) error {
 		redone[i]++
 		if _, panicked := cause.(*workerPanic); panicked != (i == 2) || (i == 1 && cause != boom) {
 			t.Errorf("part %d redone with cause %v", i, cause)
@@ -211,7 +211,7 @@ func TestScatterLadder(t *testing.T) {
 	}
 	// Exhaustion: part 1 keeps failing; part 2's ladder never starts.
 	calls := 0
-	part, err = p.scatter(3, 7, 0, run, func(i, _ int, _ error) error {
+	part, err = p.scatter(3, run, func(i, _ int, _ error) error {
 		calls++
 		return boom
 	})
@@ -222,7 +222,7 @@ func TestScatterLadder(t *testing.T) {
 	// A stopped pool runs nothing: every part is redone inline.
 	p.stop()
 	calls = 0
-	part, err = p.scatter(3, 7, 0, run, func(_, _ int, cause error) error {
+	part, err = p.scatter(3, run, func(_, _ int, cause error) error {
 		calls++
 		if !errors.Is(cause, ErrKindPoolStopped) {
 			t.Errorf("cause = %v, want pool-stopped", cause)

@@ -67,13 +67,13 @@ type Options struct {
 	// batches below 2×threshold fold in place, and the part count is
 	// clamped to rows/threshold — for mini-batches and uncertain-set
 	// reclassification alike. ≤0 resolves to the default (2048). Lower it
-	// to engage more workers on small batches (the scaling bench sweeps
-	// it); raise it when per-tuple work is very cheap.
+	// to engage more workers on small batches; raise it when per-tuple
+	// work is very cheap.
 	ParallelThreshold int
 	// RowPath disables the columnar fold path (columnar.go), forcing the
 	// row-oriented per-tuple loop even for eligible blocks. The two paths
-	// are bit-identical by construction; this is the A/B switch the
-	// benchmarks and the bit-identity tests compare against.
+	// are bit-identical by construction; the bit-identity tests and the
+	// chaos soak's fault-free reference runs set it to compare the two.
 	RowPath bool
 	// Seed makes the run deterministic.
 	Seed uint64

@@ -10,6 +10,7 @@ import (
 	"fluodb/internal/plan"
 	"fluodb/internal/storage"
 	"fluodb/internal/types"
+	"fluodb/internal/workload"
 )
 
 // synthCatalog builds a deterministic synthetic catalog with a sessions
@@ -360,6 +361,44 @@ func TestLargerEpsilonFewerRecomputes(t *testing.T) {
 	small, large := recomputes(0.02), recomputes(4.0)
 	if small < large {
 		t.Errorf("recomputes: eps=0.02 → %d, eps=4 → %d; expected monotone trend", small, large)
+	}
+
+	// The exact-answer side of the ε trade on two suite queries, at the
+	// settings internal/bench's TestAblationEpsilonTrend (ε) and
+	// TestAblationBatches (k) use: ε and k only move work between the
+	// deterministic and uncertain sets, so the final snapshot must equal
+	// the batch answer at every setting.
+	for _, tc := range []struct {
+		name string
+		cat  *storage.Catalog
+	}{
+		{"SBI", workload.ConvivaCatalog(4000, 3)},
+		{"Q17", workload.TPCHCatalog(4000, 30, 3)},
+	} {
+		wq, _ := workload.ByName(tc.name)
+		q, err := plan.Compile(wq.SQL, tc.cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := exec.Run(q, tc.cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{2, 5, 8} {
+			for _, eps := range []float64{0.05, 4} {
+				q, _ := plan.Compile(wq.SQL, tc.cat)
+				eng, err := New(q, tc.cat, Options{Batches: k, Trials: 15, Seed: 3, EpsilonSigma: eps})
+				if err != nil {
+					t.Fatal(err)
+				}
+				final, err := eng.Run(nil)
+				eng.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rowsEqual(t, final.ValueRows(), exact.Rows, 0, 1e-9)
+			}
+		}
 	}
 }
 

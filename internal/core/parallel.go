@@ -257,7 +257,7 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 	fold := func(wc *workerCtx, w int) {
 		r.foldOn(wc, rows[parts[w].Lo:parts[w].Hi], baseIdx+parts[w].Lo, ts)
 	}
-	_, err := pool.scatter(workers, e.opt.Seed, uint64(baseIdx), func(wc *workerCtx, w int) error {
+	_, err := pool.scatter(workers, func(wc *workerCtx, w int) error {
 		switch k := inj.WorkerFault(ts.name, baseIdx, wc.id); k {
 		case chaos.KindPanic:
 			e.traceFault("panic", ts.name, wc.id, "injected worker panic")

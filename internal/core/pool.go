@@ -5,8 +5,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"fluodb/internal/retry"
 )
 
 // The persistent worker pool. PF-OLA's lesson (and our own PR 2
@@ -193,11 +191,12 @@ const ladderAttempts = 3
 // returning an error, panicking (contained, a *workerPanic) or never
 // being submitted (pool stopped). After the barrier every failed part
 // is redone on the calling goroutine, in part order, by redo(i, attempt,
-// cause) — panics contained again — under a bounded backoff (1→8 ms,
-// jitter a pure hash of seed, site and part, so reruns of a schedule
-// sleep identically). It returns the first part whose ladder was
-// exhausted with its last error, or (-1, nil).
-func (p *workerPool) scatter(n int, seed, site uint64, run func(wc *workerCtx, i int) error, redo func(i, attempt int, cause error) error) (int, error) {
+// cause) — panics contained again — sleeping 1 ms before the second
+// attempt and 2 ms before the third. Redos run one at a time on the
+// controller, so there is nothing to de-synchronize and the sleeps carry
+// no jitter. It returns the first part whose ladder was exhausted with
+// its last error, or (-1, nil).
+func (p *workerPool) scatter(n int, run func(wc *workerCtx, i int) error, redo func(i, attempt int, cause error) error) (int, error) {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -213,15 +212,23 @@ func (p *workerPool) scatter(n int, seed, site uint64, run func(wc *workerCtx, i
 		}
 	}
 	wg.Wait()
-	pol := retry.Policy{Attempts: ladderAttempts, Base: time.Millisecond, Cap: 8 * time.Millisecond, Seed: seed}
 	for i, cause := range errs {
 		if cause == nil {
 			continue
 		}
-		err := pol.Do(site<<8^uint64(i), func(attempt int) (err error) {
-			defer recoverPart(i, &err)
-			return redo(i, attempt, cause)
-		})
+		var err error
+		for attempt := 1; attempt <= ladderAttempts; attempt++ {
+			if attempt > 1 {
+				time.Sleep(time.Millisecond << (attempt - 2))
+			}
+			err = func() (err error) {
+				defer recoverPart(i, &err)
+				return redo(i, attempt, cause)
+			}()
+			if err == nil {
+				break
+			}
+		}
 		if err != nil {
 			return i, err
 		}

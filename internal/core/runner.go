@@ -280,7 +280,7 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 		}
 	}
 	inj := e.opt.Chaos
-	_, err := pool.scatter(workers, e.opt.Seed, uint64(e.batch), func(wc *workerCtx, w int) error {
+	_, err := pool.scatter(workers, func(wc *workerCtx, w int) error {
 		switch inj.ReclassFault(r.idx, e.batch, wc.id) {
 		case chaos.KindPanic:
 			e.traceFault("panic", "reclassify", wc.id, "injected reclassification panic")

@@ -34,6 +34,10 @@
 #                   imports internal/core but is invisible to the root
 #                   ./... patterns; its tests are the only thing that
 #                   notices an engine API change breaking it
+#   flbench smoke   the evaluation CLI's dispatch end to end at a small
+#                   scale: -experiment all (fig3a, fig3b, t2) and
+#                   fig3b as CSV; nothing else runs through its flag
+#                   handling and experiment switch
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -56,5 +60,9 @@ go test ./internal/core -run '^$' -fuzz FuzzResume -fuzztime 10s
 
 echo "== benchmark module (cd benchmark && go test ./...)"
 (cd benchmark && go test ./...)
+
+echo "== flbench smoke (-experiment all, fig3b -format csv; 4000 rows)"
+go run ./cmd/flbench -experiment all -rows 4000 -batches 4 -trials 8 >/dev/null
+go run ./cmd/flbench -experiment fig3b -format csv -rows 4000 -batches 4 -trials 8 >/dev/null
 
 echo "== check OK"

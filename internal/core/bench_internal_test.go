@@ -24,16 +24,11 @@ func BenchmarkFeedTupleSBI(b *testing.B) {
 	ts := eng.tables["sessions"]
 	rows := ts.batches[1]
 	te := eng.triEnv()
+	wbuf := make([]float64, eng.opt.Trials)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fact := rows[i%len(rows)]
-		var weights []uint8
-		repW := 0.0
-		if eng.sampled(ts, i%len(rows)) {
-			weights = eng.weightsFor(ts, i%len(rows))
-			repW = ts.invP
-		}
-		r.feedTuple(fact, weights, repW, ts.starts[1]+i%len(rows), te)
+		ord := ts.starts[1] + i%len(rows)
+		r.feedTuple(rows[i%len(rows)], eng.weights(wbuf, ts, ord, eng.opt.Trials), ord, te)
 	}
 }
 
@@ -170,13 +165,14 @@ func TestSnapshotAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkWeightsFor(b *testing.B) {
+func BenchmarkWeights(b *testing.B) {
 	cat := synthCatalog(1000, 10, 67)
 	q, _ := plan.Compile(`SELECT COUNT(*) FROM sessions`, cat)
 	eng, _ := New(q, cat, Options{Batches: 2, Trials: 100, Seed: 68})
 	ts := eng.tables["sessions"]
+	wbuf := make([]float64, eng.opt.Trials)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.weightsFor(ts, i)
+		eng.weights(wbuf, ts, i, eng.opt.Trials)
 	}
 }

@@ -81,10 +81,10 @@ type colPlan struct {
 	// Bank-stream aliases: aliasW[i]/aliasV[i] name the aggregate whose
 	// physical bank cells carry aggregate i's replica stream. Aggregates
 	// over the same plain or computed column receive bit-identical bank
-	// additions — COUNT/SUM/AVG all add Σ w·repW to W (their gates
+	// additions — COUNT/SUM/AVG all add Σ w/p to W (their gates
 	// coincide: SUM/AVG arguments are numeric by eligibility and computed
 	// columns are numeric or NULL, so non-NULL ⟺ folds), and SUM/AVG both
-	// add Σ v·w·repW to V — so the columnar fold writes each distinct
+	// add Σ v·w/p to V — so the columnar fold writes each distinct
 	// stream once; reads redirect through the same aliases (installed on
 	// the runner table).
 	aliasW []int
@@ -399,8 +399,8 @@ type colScratch struct {
 	triU []uint8
 	sel  []int32
 	selU []int32
-	wf   []float64
-	wbuf []uint8
+	// wf holds the weights of the row being folded (rowWeights).
+	wf []float64
 	// runKey/runF gather one run's sampled, non-NULL rows for the fused
 	// kernel's bank fold (colFoldRuns): each row's first weight key and
 	// argument value. They grow to the longest gathered run (at most a
@@ -469,7 +469,7 @@ func stageKey(m *colstore.WordMemo, ct *colstore.Table, seg *colstore.Segment, c
 // colFeed sweeps rows[0:len) (= global rows baseIdx..) through the
 // columnar pipeline into st: per segment range, select (classify every
 // row into certainly-in / uncertain / gone), then weigh and fold the
-// certainly-in run, then weigh and cache the uncertain run. It returns
+// certainly-in run, then cache the uncertain run. It returns
 // false — having touched nothing — when the batch is not aligned with
 // the columnar cache (or the kernels no longer compile against it),
 // letting the caller fall back to the row loop.
@@ -478,9 +478,9 @@ func stageKey(m *colstore.WordMemo, ct *colstore.Table, seg *colstore.Segment, c
 // per-segment stages changes no value: a tri decision is a pure function
 // of (row, this batch's bindings), weights are counter hashes of the row
 // index, folds touch only the table and cache appends only the uncertain
-// buffer and arena — so each of the two runs sees its rows in the same
-// ascending order, against the same state, as the interleaved loop.
-func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, st *stage) bool {
+// buffer — so each of the two runs sees its rows in the same ascending
+// order, against the same state, as the interleaved loop.
+func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, st *stage) bool {
 	p := r.colPl
 	if p == nil || !p.ok {
 		return false
@@ -509,18 +509,11 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 		return true
 	}
 
-	trials := ws.trials
 	if cap(cs.tri) < ct.SegSize {
 		cs.tri = make([]uint8, ct.SegSize)
 	}
 	if useTri && cap(cs.triU) < ct.SegSize {
 		cs.triU = make([]uint8, ct.SegSize)
-	}
-	if cap(cs.wf) < trials {
-		cs.wf = make([]float64, trials)
-	}
-	if cap(cs.wbuf) < trials {
-		cs.wbuf = make([]uint8, trials)
 	}
 	if len(cs.args) != len(p.aggCols) {
 		cs.args = make([]*colstore.Col, len(p.aggCols))
@@ -568,38 +561,37 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ws *weightSource, s
 			cs.resolveArgs(p, seg, int(cs.sel[0]), int(cs.sel[n-1])+1)
 		}
 		if p.fuse {
-			r.colFoldRuns(st, ws, seg)
+			r.colFoldRuns(st, seg)
 		} else {
 			for _, si := range cs.sel {
 				i := int(si)
-				wf, repW := ws.floats(seg.Base + i)
+				wf := r.rowWeights(st, seg.Base+i)
 				if p.hasDims {
 					for _, en := range r.colEntries(st, ct, seg, i) {
-						r.colFold(tab, p, en, cs.args, i, wf, repW)
+						r.colFold(tab, p, en, cs.args, i, wf)
 						st.folds++
 					}
 				} else {
-					r.colFold(tab, p, r.colEntry(tab, cs, ct, seg, i), cs.args, i, wf, repW)
+					r.colFold(tab, p, r.colEntry(tab, cs, ct, seg, i), cs.args, i, wf)
 					st.folds++
 				}
 			}
 		}
 		t0 = time.Now()
 		acc.ns[phaseFold] += int64(t0.Sub(t1))
-		// Uncertain run: these rows retain their byte weight vectors and
-		// cache their joined lineage, exactly as the row path would.
+		// Uncertain run: these rows cache their joined lineage and
+		// ordinal, exactly as the row path would.
 		for _, si := range cs.selU {
 			i := int(si)
-			weights, _ := ws.bytes(seg.Base + i)
 			if p.hasDims {
 				// Uncertain rows need this row's own joined lineage (the
 				// join memo retains the first-occurrence fact part, which
 				// may differ outside the memo columns): run the real join.
 				for _, jrow := range st.joiner.Join(seg.Rows[i]) {
-					st.cache(jrow, weights, seg.Base+i)
+					st.cache(jrow, seg.Base+i)
 				}
 			} else {
-				st.cache(seg.Rows[i], weights, seg.Base+i)
+				st.cache(seg.Rows[i], seg.Base+i)
 			}
 		}
 	}
@@ -819,9 +811,9 @@ func (cs *colScratch) resolveArgs(p *colPlan, seg *colstore.Segment, lo, hi int)
 // is bit-identical. Deduplicated bank streams (plan aliases) are written
 // once, by their owning aggregate; reads resolve through the same
 // aliases.
-func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args []*colstore.Col, i int, wf []float64, repW float64) {
+func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args []*colstore.Col, i int, wf []float64) {
 	e.n++
-	if repW > 0 {
+	if wf != nil {
 		e.ns++
 	}
 	trials := tab.trials
@@ -907,9 +899,10 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args
 // and added to the banks (foldRun) when the next row resolves to another
 // entry or the selection ends. Every bank cell still receives
 // the same additions in the same row order as a per-row loop over
-// ws.floats, so the kernel is bit-identical to the generic and row paths.
-func (r *blockRunner) colFoldRuns(st *stage, ws *weightSource, seg *colstore.Segment) {
-	p, tab, cs := r.colPl, st.tab, &st.cs
+// Engine.weights, so the kernel is bit-identical to the generic and row
+// paths.
+func (r *blockRunner) colFoldRuns(st *stage, seg *colstore.Segment) {
+	p, tab, cs, ts := r.colPl, st.tab, &st.cs, r.ts
 	col, trials := cs.args[0], tab.trials
 	wantF := p.fusePrimV >= 0
 	floats := wantF && p.aggFloats[p.fusePrimV]
@@ -922,13 +915,13 @@ func (r *blockRunner) colFoldRuns(st *stage, ws *weightSource, seg *colstore.Seg
 			// The length check stays here, not in foldRun: grouped blocks
 			// end a run on almost every row and rarely gather one.
 			if len(keys) > 0 {
-				p.foldRun(en, keys, fs, trials, &ws.wlut)
+				p.foldRun(en, keys, fs, trials, &ts.wlut)
 				keys, fs = keys[:0], fs[:0]
 			}
 			en = e
 		}
 		gi := seg.Base + i
-		sampled := ws.e.sampled(ws.ts, gi)
+		sampled := r.eng.sampled(ts, gi)
 		en.n++
 		if sampled {
 			en.ns++
@@ -953,12 +946,12 @@ func (r *blockRunner) colFoldRuns(st *stage, ws *weightSource, seg *colstore.Seg
 			}
 		}
 		if sampled {
-			keys = append(keys, ws.ts.weightKey(gi, trials))
+			keys = append(keys, ts.weightKey(gi, trials))
 			fs = append(fs, f)
 		}
 	}
 	if len(keys) > 0 {
-		p.foldRun(en, keys, fs, trials, &ws.wlut)
+		p.foldRun(en, keys, fs, trials, &ts.wlut)
 	}
 	cs.runKey, cs.runF = keys, fs
 	st.folds += int64(len(cs.sel))

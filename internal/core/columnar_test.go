@@ -407,7 +407,7 @@ func TestColumnarDimsFoldAllocs(t *testing.T) {
 			const chunk = 512
 			// Warm the full batch so the join memo holds every key combo
 			// the alloc loop can encounter.
-			r.feedBatchSerial(rows, base, ts, te)
+			r.feedBatchSerial(rows, base, te)
 			sweeps := r.cs.sweeps
 			if sweeps == 0 {
 				t.Fatal("columnar dims path did not engage")
@@ -417,7 +417,7 @@ func TestColumnarDimsFoldAllocs(t *testing.T) {
 				if off+chunk > len(rows) {
 					off = 0
 				}
-				r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te)
+				r.feedBatchSerial(rows[off:off+chunk], base+off, te)
 				off += chunk
 			})
 			if allocs != 0 {
@@ -526,7 +526,7 @@ func TestColumnarFoldAllocs(t *testing.T) {
 				base := ts.starts[1]
 				const chunk = 512
 				// Warm up: sizes scratch, kernel, memo, group entries.
-				r.feedBatchSerial(rows[:chunk], base, ts, te)
+				r.feedBatchSerial(rows[:chunk], base, te)
 				sweeps := r.cs.sweeps
 				if sweeps == 0 {
 					t.Fatal("columnar path did not engage")
@@ -536,10 +536,9 @@ func TestColumnarFoldAllocs(t *testing.T) {
 					if off+chunk > len(rows) {
 						off = 0
 					}
-					r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te)
+					r.feedBatchSerial(rows[off:off+chunk], base+off, te)
 					off += chunk
 					r.uncertain = r.uncertain[:0]
-					r.arena.release()
 				})
 				if allocs != 0 {
 					t.Fatalf("columnar fold allocates %.1f allocs/chunk, want 0", allocs)
@@ -621,7 +620,7 @@ func benchFeedChunks(b *testing.B, r *blockRunner, ts *tableStream, te *triEnv) 
 	rows := ts.batches[1]
 	base := ts.starts[1]
 	const chunk = 512
-	r.feedBatchSerial(rows[:chunk], base, ts, te)
+	r.feedBatchSerial(rows[:chunk], base, te)
 	b.ReportAllocs()
 	b.ResetTimer()
 	off := 0
@@ -629,11 +628,10 @@ func benchFeedChunks(b *testing.B, r *blockRunner, ts *tableStream, te *triEnv) 
 		if off+chunk > len(rows) {
 			off = 0
 		}
-		r.feedBatchSerial(rows[off:off+chunk], base+off, ts, te)
+		r.feedBatchSerial(rows[off:off+chunk], base+off, te)
 		off += chunk
 		// Re-fed rows would pile up in the uncertain cache: drop them.
 		r.uncertain = r.uncertain[:0]
-		r.arena.release()
 	}
 }
 

@@ -96,8 +96,8 @@ type Options struct {
 	// in the answer.
 	MaxUncertainRows int
 	// MaxMemoryBytes is a soft budget on the bytes the query pins across
-	// its accounted pools (group tables, weight arenas, uncertain cache,
-	// columnar scratch, segment cache; see Snapshot.Resources). 0 =
+	// its accounted pools (group tables, uncertain cache, columnar
+	// scratch, segment cache; see Snapshot.Resources). 0 =
 	// unbudgeted. When a mini-batch commits over budget, a deterministic
 	// degradation ladder engages — drop the columnar segment cache, then
 	// evict uncertain tuples through the MaxUncertainRows path — each
@@ -233,9 +233,11 @@ type tableStream struct {
 	sampleBase uint64
 	// Bootstrap subsampling (see Options.BootstrapSampleCap).
 	sampleP   float64
-	invP      float64
 	sampleCut uint64
 	sqrtP     float64
+	// wlut maps a Poisson(1) multiplicity (≤ 7; 16 slots so the masked
+	// index elides bounds checks) to its pre-scaled weight k·(1/p).
+	wlut [16]float64
 }
 
 // Engine drives G-OLA execution of one query.
@@ -429,7 +431,10 @@ func New(q *plan.Query, cat *storage.Catalog, opt Options) (*Engine, error) {
 		} else {
 			ts.sampleP = float64(capRows) / float64(ts.total)
 		}
-		ts.invP = 1 / ts.sampleP
+		invP := 1 / ts.sampleP
+		for k := range ts.wlut {
+			ts.wlut[k] = float64(k) * invP
+		}
 		ts.sqrtP = math.Sqrt(ts.sampleP)
 		if ts.sampleP >= 1 {
 			ts.sampleCut = ^uint64(0)
@@ -528,25 +533,38 @@ func (e *Engine) Metrics() Metrics {
 // Options returns the effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opt }
 
-// weightsInto derives the per-trial Poisson(1) multiplicities of a
-// tuple, filling buf in place (buf is reallocated only when too small;
-// pass the returned slice back in to stay allocation-free). The
-// derivation is a pure function of (seed, table, row index, trial), so
-// failure-recovery replay regenerates identical resamples.
-func (e *Engine) weightsInto(buf []uint8, ts *tableStream, rowIdx int) []uint8 {
-	trials := e.opt.Trials
-	if cap(buf) < trials {
-		buf = make([]uint8, trials)
+// weights derives global row gi's first n bootstrap weights — its
+// Poisson(1) multiplicities scaled by the fact stream's 1/p — into dst
+// (reallocated only when too small), or returns nil when the row is
+// outside the bootstrap subsample. The derivation is a pure function of
+// (seed, table, row index, trial), so replay and every reader of a
+// cached row regenerate identical weights, and the first n lanes of a
+// full derivation are the n-lane derivation.
+func (e *Engine) weights(dst []float64, ts *tableStream, gi, n int) []float64 {
+	if !e.sampled(ts, gi) {
+		return nil
 	}
-	buf = buf[:trials]
-	key := ts.weightKey(rowIdx, trials)
-	for j := 0; j < trials; j += 4 {
-		var ks [4]uint8
-		ks[0], ks[1], ks[2], ks[3] = bootstrap.PoissonLanes(key)
-		copy(buf[j:], ks[:])
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	key := ts.weightKey(gi, e.opt.Trials)
+	lut := &ts.wlut
+	j := 0
+	// Whole lane blocks store directly: a copy here compiles to a
+	// memmove call per block.
+	for ; j+4 <= n; j += 4 {
+		k0, k1, k2, k3 := bootstrap.PoissonLanes(key)
+		d := dst[j : j+4 : j+4]
+		d[0], d[1], d[2], d[3] = lut[k0&15], lut[k1&15], lut[k2&15], lut[k3&15]
 		key++
 	}
-	return buf
+	if j < n {
+		k0, k1, k2, k3 := bootstrap.PoissonLanes(key)
+		x := [4]float64{lut[k0&15], lut[k1&15], lut[k2&15], lut[k3&15]}
+		copy(dst[j:], x[:])
+	}
+	return dst
 }
 
 // weightKey is row rowIdx's first weight hash key: trial j of the row
@@ -554,11 +572,6 @@ func (e *Engine) weightsInto(buf []uint8, ts *tableStream, rowIdx int) []uint8 {
 // spends ⌈trials/4⌉ consecutive keys.
 func (ts *tableStream) weightKey(rowIdx, trials int) uint64 {
 	return ts.weightBase + uint64(rowIdx)*uint64((trials+3)/4)
-}
-
-// weightsFor is weightsInto with a fresh buffer.
-func (e *Engine) weightsFor(ts *tableStream, rowIdx int) []uint8 {
-	return e.weightsInto(nil, ts, rowIdx)
 }
 
 // sampled reports whether a tuple is in the bootstrap subsample
@@ -829,7 +842,7 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 			}
 			fsp := e.sctl.Begin("feed", bsp, bi+1, r.b.ID)
 			e.spanFeed = fsp
-			err := r.feedBatchParallel(rows, ts.starts[bi], ts, te)
+			err := r.feedBatchParallel(rows, ts.starts[bi], te)
 			e.sctl.End(fsp)
 			e.spanFeed = 0
 			if err != nil {

@@ -68,29 +68,24 @@ func foldBenchEnv(tb testing.TB, multiKey, profile bool) (*Engine, *blockRunner,
 // feedTuple folds one fact tuple (global row ord) into the runner's
 // home stage — the per-tuple entry the micro-benchmarks and the alloc
 // gate drive.
-func (r *blockRunner) feedTuple(fact types.Row, weights []uint8, repW float64, ord int, te *triEnv) {
+func (r *blockRunner) feedTuple(fact types.Row, wf []float64, ord int, te *triEnv) {
 	r.te = te
-	r.feedTupleTo(fact, weights, repW, ord, &r.stage)
+	r.feedTupleTo(fact, wf, ord, &r.stage)
 	r.settle()
 }
 
 func benchFold(b *testing.B, multiKey, sampled bool) {
 	eng, r, ts, te, rows := foldBenchEnv(b, multiKey, false)
-	var weights []uint8
-	var wbuf []uint8
-	repW := 0.0
-	if sampled {
-		repW = ts.invP
-	}
+	wbuf := make([]float64, eng.opt.Trials)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fact := rows[i%len(rows)]
+		ord := ts.starts[1] + i%len(rows)
+		var wf []float64
 		if sampled {
-			wbuf = eng.weightsInto(wbuf, ts, i%len(rows))
-			weights = wbuf
+			wf = eng.weights(wbuf, ts, ord, eng.opt.Trials)
 		}
-		r.feedTuple(fact, weights, repW, ts.starts[1]+i%len(rows), te)
+		r.feedTuple(rows[i%len(rows)], wf, ord, te)
 	}
 }
 
@@ -146,24 +141,19 @@ func TestFoldSteadyStateAllocs(t *testing.T) {
 				if cfg.spanned {
 					slab = eng.workerSlab(0)
 				}
-				var wbuf []uint8
-				repW := 0.0
-				if tc.sampled {
-					repW = ts.invP
-				}
+				wbuf := make([]float64, eng.opt.Trials)
 				i := 0
 				allocs := testing.AllocsPerRun(2000, func() {
-					fact := rows[i%len(rows)]
-					var weights []uint8
+					ord := ts.starts[1] + i%len(rows)
+					var wf []float64
 					if tc.sampled {
-						wbuf = eng.weightsInto(wbuf, ts, i%len(rows))
-						weights = wbuf
+						wf = eng.weights(wbuf, ts, ord, eng.opt.Trials)
 					}
 					var id otrace.SpanID
 					if cfg.spanned {
 						id = slab.Begin("fold", 0, 0, 0)
 					}
-					r.feedTuple(fact, weights, repW, ts.starts[1]+i%len(rows), te)
+					r.feedTuple(rows[i%len(rows)], wf, ord, te)
 					slab.End(id)
 					i++
 				})

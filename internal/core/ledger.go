@@ -7,11 +7,10 @@ import (
 )
 
 // Resource ledger glue (DESIGN.md §15). The engine charges bytes at its
-// existing allocation seams — weight-arena chunk acquisition
-// (arena.go), group-table bank/slot growth (table.go), uncertain-cache
-// and scratch array growth — into worker-local plain int64
-// counters that already travel through the batch barriers (merge/adopt
-// transfer them with the state they describe). Once per committed
+// existing allocation seams — group-table bank/slot growth (table.go),
+// uncertain-cache and scratch array growth — into worker-local plain
+// int64 counters that already travel through the batch barriers (merge
+// transfers them with the state it describes). Once per committed
 // mini-batch the controller folds those counters into a
 // resource.Ledger, reads the runtime/metrics GC sampler, and stamps
 // Snapshot.Resources. The per-tuple hot path is untouched: no atomics,
@@ -37,9 +36,9 @@ import (
 // It rides on Snapshot.Resources.
 type ResourceUsage = resource.Usage
 
-// uncertainRowBytes is the in-cache header cost of one cached uncertain
-// tuple (the retained weight bytes are charged to the arena, the joined
-// row to its table's batch storage).
+// uncertainRowBytes is the in-cache cost of one cached uncertain tuple:
+// its lineage header and fact ordinal (its weights are regenerated, not
+// stored; the joined row belongs to its table's batch storage).
 const uncertainRowBytes = int64(unsafe.Sizeof(uncertainRow{}))
 
 // memBytes is the colScratch resource charge: every reusable vector,
@@ -57,7 +56,7 @@ func (cs *colScratch) memBytes() int64 {
 	}
 	return banks + int64(cap(cs.tri)) + int64(cap(cs.triU)) +
 		4*int64(cap(cs.sel)) + 4*int64(cap(cs.selU)) +
-		8*int64(cap(cs.wf)) + int64(cap(cs.wbuf)) +
+		8*int64(cap(cs.wf)) +
 		8*int64(cap(cs.runKey)) + 8*int64(cap(cs.runF)) +
 		cs.memo.MemBytes() +
 		8*int64(cap(cs.memoEntries)) +
@@ -69,9 +68,8 @@ func (cs *colScratch) memBytes() int64 {
 }
 
 // charge adds the stage's pinned bytes to the per-pool running totals.
-func (st *stage) charge(tables, arenas, uncertain, scratch *int64) {
+func (st *stage) charge(tables, uncertain, scratch *int64) {
 	*tables += st.tab.bytes
-	*arenas += st.arena.bytes
 	*uncertain += uncertainRowBytes * int64(cap(st.uncertain))
 	*scratch += st.cs.memBytes()
 }
@@ -81,16 +79,16 @@ func (st *stage) charge(tables, arenas, uncertain, scratch *int64) {
 // parked: every pool task runs inside a scatter barrier, so none is in
 // flight here.
 func (e *Engine) collectResidency() {
-	var tables, arenas, uncertain, scratch int64
+	var tables, uncertain, scratch int64
 	for _, r := range e.runners {
-		r.charge(&tables, &arenas, &uncertain, &scratch)
+		r.charge(&tables, &uncertain, &scratch)
 		scratch += int64(cap(r.reclassBuf)) + r.ev.memBytes()
 	}
 	if e.pool != nil {
 		for _, wc := range e.pool.ctxs {
 			for _, st := range wc.stages {
 				if st != nil {
-					st.charge(&tables, &arenas, &uncertain, &scratch)
+					st.charge(&tables, &uncertain, &scratch)
 				}
 			}
 		}
@@ -102,7 +100,6 @@ func (e *Engine) collectResidency() {
 		}
 	}
 	e.ledger.Set(resource.GroupTables, tables)
-	e.ledger.Set(resource.WeightArenas, arenas)
 	e.ledger.Set(resource.UncertainCache, uncertain)
 	e.ledger.Set(resource.ColumnarScratch, scratch)
 	e.ledger.Set(resource.SegmentCache, segs)
@@ -198,7 +195,7 @@ func (e *Engine) enforceMemoryBudget() {
 	// Rung 2: shed uncertain-cache residency through the existing
 	// eviction path. Evict enough of the oldest cached tuples to cover
 	// the overage (at least one whole cache's worth of headway is not
-	// forced — eviction frees header+arena bytes gradually and the
+	// forced — eviction frees row-header bytes gradually and the
 	// ladder re-evaluates every batch).
 	over := e.ledger.Total() - budget
 	perRow := uncertainRowBytes

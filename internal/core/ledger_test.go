@@ -76,8 +76,8 @@ func TestLedgerGroundTruth(t *testing.T) {
 	if u.GroupTableBytes < tab.bytes {
 		t.Fatalf("Resources group-tables %d < runner charge %d", u.GroupTableBytes, tab.bytes)
 	}
-	sum := u.GroupTableBytes + u.WeightArenaBytes + u.UncertainBytes +
-		u.ColScratchBytes + u.SegCacheBytes + u.CheckpointBytes
+	sum := u.GroupTableBytes + u.UncertainBytes + u.ColScratchBytes +
+		u.SegCacheBytes + u.CheckpointBytes
 	if u.TotalBytes != sum {
 		t.Fatalf("TotalBytes %d != pool sum %d", u.TotalBytes, sum)
 	}
@@ -101,12 +101,12 @@ func TestLedgerGroundTruth(t *testing.T) {
 }
 
 // TestLedgerUncertainCharge: the uncertain-cache pool is exactly the
-// cached headers (cap × sizeof), and the weight-arena pool is live when
-// tuples are cached. A cached row's header stays 56 B on 64-bit hosts:
-// the fact ordinal took the replica weight's slot.
+// cached entries (cap × sizeof). A cached row is its lineage header and
+// fact ordinal, 32 B on 64-bit hosts: its weights are regenerated from
+// the ordinal, never stored.
 func TestLedgerUncertainCharge(t *testing.T) {
-	if strconv.IntSize == 64 && uncertainRowBytes != 56 {
-		t.Fatalf("uncertainRow is %d B, want 56", uncertainRowBytes)
+	if strconv.IntSize == 64 && uncertainRowBytes != 32 {
+		t.Fatalf("uncertainRow is %d B, want 32", uncertainRowBytes)
 	}
 	o := Options{Batches: 4, Trials: 32, Seed: 331, Parallelism: 1}
 	_, eng := ledgerRun(t, chaosSQL, o, 331, 4*2048)
@@ -114,6 +114,9 @@ func TestLedgerUncertainCharge(t *testing.T) {
 	var want int64
 	for _, r := range eng.runners {
 		want += uncertainRowBytes * int64(cap(r.uncertain))
+	}
+	if want == 0 {
+		t.Fatal("the query cached no uncertain tuples")
 	}
 	eng.collectResidency()
 	if got := eng.ledger.Bytes(resource.UncertainCache); got != want {

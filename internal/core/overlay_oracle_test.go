@@ -279,14 +279,15 @@ func (r *blockRunner) overlayFor(trial int) *overlay {
 	}
 	for i := range r.uncertain {
 		u := &r.uncertain[i]
-		if u.weights == nil || u.weights[trial] == 0 {
+		w := r.eng.weights(nil, r.ts, u.ord, trial+1)
+		if w == nil || w[trial] == 0 {
 			continue
 		}
 		ctx.Row = u.row
 		if r.uncertainWhere != nil && !r.uncertainWhere.Eval(ctx).Truthy() {
 			continue
 		}
-		o.fold(r.b, ctx, float64(u.weights[trial])*r.repW(u))
+		o.fold(r.b, ctx, w[trial])
 	}
 	return o
 }
@@ -875,7 +876,7 @@ func foldInvisible(e *Engine) {
 		for k := len(drop) - 1; k >= 0; k-- {
 			u := &r.uncertain[drop[k]]
 			te.pointCtx.Row = u.row
-			r.tab.fold(r.b, te.pointCtx, u.weights, r.repW(u))
+			r.tab.fold(r.b, te.pointCtx, r.rowWeights(&r.stage, u.ord))
 			r.uncertain = append(r.uncertain[:drop[k]], r.uncertain[drop[k]+1:]...)
 		}
 	}

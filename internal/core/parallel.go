@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"fluodb/internal/bootstrap"
 	"fluodb/internal/chaos"
 	"fluodb/internal/exec"
 	"fluodb/internal/storage"
@@ -38,7 +37,6 @@ import (
 type stage struct {
 	tab       *onlineTable
 	uncertain []uncertainRow
-	arena     weightArena
 	// joiner shares the (read-only) dimension hash tables but its one-row
 	// scratch is per-call state, so every stage owns a clone.
 	joiner *exec.Joiner
@@ -71,7 +69,6 @@ func (r *blockRunner) newStage() *stage {
 func (dst *stage) absorb(src *stage) {
 	dst.tab.merge(src.tab)
 	dst.uncertain = append(dst.uncertain, src.uncertain...)
-	dst.arena.adopt(&src.arena)
 	dst.folds += src.folds
 	dst.acc.merge(&src.acc)
 	src.folds = 0
@@ -116,99 +113,52 @@ func (a *cltAcc) merge(b cltAcc) {
 }
 
 // cache retains an uncertain row with its lineage and its fact row's
-// global ordinal. weights may live in reusable scratch, so the stage's
-// arena takes a copy.
-func (st *stage) cache(row types.Row, weights []uint8, ord int) {
-	st.uncertain = append(st.uncertain, uncertainRow{row: row, weights: st.arena.hold(weights), ord: ord})
+// global ordinal, from which every reader regenerates its weights.
+func (st *stage) cache(row types.Row, ord int) {
+	st.uncertain = append(st.uncertain, uncertainRow{row: row, ord: ord})
 }
 
-// weightSource derives one fold's bootstrap draws: global row gi →
-// (in the subsample?, per-trial multiplicities), as counter hashes
-// computed by the goroutine that folds or caches the row. It lives for
-// one feedPart call (a stage must not retain the *Engine, see
-// workerCtx); its buffers are the stage's.
-type weightSource struct {
-	e      *Engine
-	ts     *tableStream
-	cs     *colScratch
-	trials int
-	// wlut maps a Poisson(1) multiplicity (≤ 7; 16 slots so the masked
-	// index elides bounds checks) to its pre-scaled float weight — the
-	// identical float64(k)·repW product the byte form yields per draw.
-	wlut [16]float64
-}
-
-func (r *blockRunner) newWeightSource(ts *tableStream, st *stage) weightSource {
-	ws := weightSource{e: r.eng, ts: ts, cs: &st.cs, trials: r.eng.opt.Trials}
-	for k := range ws.wlut {
-		ws.wlut[k] = float64(k) * ts.invP
+// rowWeights derives global row gi's weights into st's scratch (nil
+// outside the bootstrap subsample); valid until the stage's next
+// derivation.
+func (r *blockRunner) rowWeights(st *stage, gi int) []float64 {
+	wf := r.eng.weights(st.cs.wf, r.ts, gi, r.eng.opt.Trials)
+	if wf != nil {
+		st.cs.wf = wf
 	}
-	return ws
-}
-
-// bytes returns row gi's multiplicities and replica weight (nil, 0
-// outside the subsample) — the form the row loop folds and every cached
-// uncertain row retains. Valid until the next call.
-func (ws *weightSource) bytes(gi int) ([]uint8, float64) {
-	if !ws.e.sampled(ws.ts, gi) {
-		return nil, 0
-	}
-	ws.cs.wbuf = ws.e.weightsInto(ws.cs.wbuf, ws.ts, gi)
-	return ws.cs.wbuf, ws.ts.invP
-}
-
-// floats returns row gi's multiplicities pre-scaled by the replica
-// weight, for folds that consume them only as float addends: draws go
-// straight through wlut, skipping the byte round trip
-// (float64(uint8(k)) == float64(k) over the Poisson range, so the
-// accumulator additions are bit-identical). Valid until the next call.
-func (ws *weightSource) floats(gi int) ([]float64, float64) {
-	if !ws.e.sampled(ws.ts, gi) {
-		return nil, 0
-	}
-	wf := ws.cs.wf[:ws.trials]
-	key := ws.ts.weightKey(gi, ws.trials)
-	for j := 0; j < len(wf); j += 4 {
-		k0, k1, k2, k3 := bootstrap.PoissonLanes(key)
-		x := [4]float64{ws.wlut[k0&15], ws.wlut[k1&15], ws.wlut[k2&15], ws.wlut[k3&15]}
-		copy(wf[j:], x[:])
-		key++
-	}
-	return wf, ws.ts.invP
+	return wf
 }
 
 // feedPart folds rows (global rows baseIdx..) into st on the calling
 // goroutine. When the block's columnar plan applies, the rows are swept
 // by the vectorized pipeline (colFeed) instead of the row loop below —
 // bit-identically. The row loop is timed as one fold phase per part.
-func (r *blockRunner) feedPart(rows []types.Row, baseIdx int, ts *tableStream, st *stage) {
-	ws := r.newWeightSource(ts, st)
-	if r.colFeed(rows, baseIdx, &ws, st) {
+func (r *blockRunner) feedPart(rows []types.Row, baseIdx int, st *stage) {
+	if r.colFeed(rows, baseIdx, st) {
 		return
 	}
 	t0 := time.Now()
 	for i, fact := range rows {
-		weights, repW := ws.bytes(baseIdx + i)
-		r.feedTupleTo(fact, weights, repW, baseIdx+i, st)
+		r.feedTupleTo(fact, r.rowWeights(st, baseIdx+i), baseIdx+i, st)
 	}
 	st.acc.ns[phaseFold] += int64(time.Since(t0))
 }
 
 // foldOn folds rows into wc's persistent stage for r, on the calling
 // goroutine, under wc's refreshed classification environment.
-func (r *blockRunner) foldOn(wc *workerCtx, rows []types.Row, baseIdx int, ts *tableStream) {
+func (r *blockRunner) foldOn(wc *workerCtx, rows []types.Row, baseIdx int) {
 	st := wc.stage(r)
 	st.te = wc.refresh(r.eng)
-	r.feedPart(rows, baseIdx, ts, st)
+	r.feedPart(rows, baseIdx, st)
 }
 
 // feedBatchSerial folds a mini-batch into the home stage on the
 // caller's goroutine.
-func (r *blockRunner) feedBatchSerial(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv) {
+func (r *blockRunner) feedBatchSerial(rows []types.Row, baseIdx int, te *triEnv) {
 	r.ensureColPlan()
 	r.revalidateColPlan()
 	r.te = te
-	r.feedPart(rows, baseIdx, ts, &r.stage)
+	r.feedPart(rows, baseIdx, &r.stage)
 	r.settle()
 }
 
@@ -236,7 +186,7 @@ func panicNote(v any) string {
 // merge below runs in worker order either way, so the outcome is
 // bit-identical to a clean pass. Only when a part's redo ladder is
 // exhausted does a typed error surface, with nothing merged.
-func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv) error {
+func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, te *triEnv) error {
 	e := r.eng
 	var pool *workerPool
 	workers := storage.ClampParts(len(rows), e.opt.Parallelism, e.opt.ParallelThreshold)
@@ -244,7 +194,7 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 		pool = e.ensurePool()
 	}
 	if pool == nil {
-		r.feedBatchSerial(rows, baseIdx, ts, te)
+		r.feedBatchSerial(rows, baseIdx, te)
 		return nil
 	}
 	// Build the columnar plan on the controller before any worker can
@@ -255,23 +205,23 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 	parts := storage.SliceRanges(len(rows), workers)
 	inj := e.opt.Chaos
 	fold := func(wc *workerCtx, w int) {
-		r.foldOn(wc, rows[parts[w].Lo:parts[w].Hi], baseIdx+parts[w].Lo, ts)
+		r.foldOn(wc, rows[parts[w].Lo:parts[w].Hi], baseIdx+parts[w].Lo)
 	}
 	_, err := pool.scatter(workers, func(wc *workerCtx, w int) error {
-		switch k := inj.WorkerFault(ts.name, baseIdx, wc.id); k {
+		switch k := inj.WorkerFault(r.ts.name, baseIdx, wc.id); k {
 		case chaos.KindPanic:
-			e.traceFault("panic", ts.name, wc.id, "injected worker panic")
+			e.traceFault("panic", r.ts.name, wc.id, "injected worker panic")
 			panic(&chaosFault{kind: k})
 		case chaos.KindStraggler:
 			// A straggler is benign for correctness — merge order is
 			// fixed by worker index — but stresses barrier/scheduling.
-			e.traceFault("straggler", ts.name, wc.id, "injected straggler delay")
+			e.traceFault("straggler", r.ts.name, wc.id, "injected straggler delay")
 			inj.Sleep()
 		case chaos.KindCorrupt:
 			// Poison the private stage (double-fold its rows) and then
 			// fail: the soak's bit-identity check proves the corrupted
 			// stage is quarantined, never merged.
-			e.traceFault("corrupt", ts.name, wc.id, "injected stage corruption")
+			e.traceFault("corrupt", r.ts.name, wc.id, "injected stage corruption")
 			fold(wc, w)
 			panic(&chaosFault{kind: k})
 		}
@@ -284,9 +234,9 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 		// Chaos never fires here (faults are keyed to pool tasks), so an
 		// injected schedule cannot livelock the redo.
 		if _, ok := cause.(*workerPanic); ok && attempt == 1 {
-			e.trace.Emit(Event{Kind: EvWorkerPanic, Key: ts.name, Worker: w, Note: cause.Error()})
+			e.trace.Emit(Event{Kind: EvWorkerPanic, Key: r.ts.name, Worker: w, Note: cause.Error()})
 		}
-		e.trace.Emit(Event{Kind: EvSerialRetry, Key: ts.name, Worker: w, Kept: attempt})
+		e.trace.Emit(Event{Kind: EvSerialRetry, Key: r.ts.name, Worker: w, Kept: attempt})
 		ssp := e.sctl.Begin("serial-retry", e.spanFeed, e.spanBatchNo, r.b.ID)
 		defer e.sctl.End(ssp)
 		pool.ctxs[w].quarantine(r)

@@ -45,7 +45,7 @@ func TestPooledFeedBatchAllocs(t *testing.T) {
 		defer eng.Close()
 		rows := ts.batches[1]
 		feed := func() {
-			if err := r.feedBatchParallel(rows, ts.starts[1], ts, te); err != nil {
+			if err := r.feedBatchParallel(rows, ts.starts[1], te); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -67,12 +67,12 @@ func BenchmarkFoldBatchPooled(b *testing.B) {
 	eng, r, ts, te := pooledBatchEnv(b)
 	defer eng.Close()
 	rows := ts.batches[1]
-	r.feedBatchParallel(rows, ts.starts[1], ts, te)
+	r.feedBatchParallel(rows, ts.starts[1], te)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(rows)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.feedBatchParallel(rows, ts.starts[1], ts, te)
+		r.feedBatchParallel(rows, ts.starts[1], te)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	eng.Close()
 	eng.Close()
 	// The pooled path must fall back to serial on a closed engine.
-	r.feedBatchParallel(ts.batches[1], ts.starts[1], ts, te)
+	r.feedBatchParallel(ts.batches[1], ts.starts[1], te)
 	if eng.pool != nil {
 		t.Fatal("closed engine rebuilt its worker pool")
 	}

@@ -222,9 +222,8 @@ func (e *Engine) Report() string {
 		}
 	}
 	if u := e.lastUsage; u.TotalBytes > 0 || u.PeakBytes > 0 {
-		fmt.Fprintf(&b, "memory: %s resident (peak %s) — tables %s, arenas %s, uncertain %s, scratch %s, segcache %s",
-			fmtBytes(u.TotalBytes), fmtBytes(u.PeakBytes),
-			fmtBytes(u.GroupTableBytes), fmtBytes(u.WeightArenaBytes),
+		fmt.Fprintf(&b, "memory: %s resident (peak %s) — tables %s, uncertain %s, scratch %s, segcache %s",
+			fmtBytes(u.TotalBytes), fmtBytes(u.PeakBytes), fmtBytes(u.GroupTableBytes),
 			fmtBytes(u.UncertainBytes), fmtBytes(u.ColScratchBytes), fmtBytes(u.SegCacheBytes))
 		if u.CheckpointBytes > 0 {
 			fmt.Fprintf(&b, ", checkpoint %s", fmtBytes(u.CheckpointBytes))

@@ -17,24 +17,13 @@ const andOp = sqlparser.OpAnd
 // The joined row is its lineage within the block (§3.3): everything
 // needed to lazily re-evaluate the uncertain predicate and the block's
 // aggregate arguments. ord is the fact row's global ordinal, where the
-// tri-state kernel re-examines it in the columnar encoding; a stage's
-// cache is non-decreasing in ord (rows are appended in row order,
-// filtered stably and merged in part order). A row's replica weight is
-// not stored: it is the fact stream's 1/p when weights are held (the
-// row is in the bootstrap subsample) and 0 otherwise (repW).
+// tri-state kernel re-examines it in the columnar encoding and from
+// which every reader regenerates its bootstrap weights (Engine.weights);
+// a stage's cache is non-decreasing in ord (rows are appended in row
+// order, filtered stably and merged in part order).
 type uncertainRow struct {
-	row     types.Row
-	weights []uint8
-	ord     int
-}
-
-// repW is u's replica weight: the block's fact-stream 1/p inside the
-// bootstrap subsample, 0 outside it.
-func (r *blockRunner) repW(u *uncertainRow) float64 {
-	if u.weights == nil {
-		return 0
-	}
-	return r.invP
+	row types.Row
+	ord int
 }
 
 // blockRunner executes one lineage block online. Its embedded home
@@ -82,9 +71,9 @@ type blockRunner struct {
 	// bootstrap-subsample evidence at all.
 	cltKinds []cltKind
 	allCLT   bool
-	// invP is the fact stream's 1/p, every subsampled row's replica
-	// weight (repW).
-	invP float64
+	// ts is the block's fact stream, whose row ordinals key the
+	// bootstrap weights.
+	ts *tableStream
 }
 
 func newBlockRunner(b *plan.Block, eng *Engine) (*blockRunner, error) {
@@ -93,7 +82,7 @@ func newBlockRunner(b *plan.Block, eng *Engine) (*blockRunner, error) {
 		return nil, err
 	}
 	r := &blockRunner{b: b, eng: eng, stage: stage{joiner: j, tab: newOnlineTable(eng.opt.Trials)},
-		invP: eng.tables[b.Input.Fact].invP}
+		ts: eng.tables[b.Input.Fact]}
 	r.cltKinds = make([]cltKind, len(b.Aggs))
 	r.allCLT = len(b.Aggs) > 0
 	for i := range b.Aggs {
@@ -140,7 +129,6 @@ func (r *blockRunner) reset() {
 		r.tab.bankOfV = r.colPl.aliasV
 	}
 	r.uncertain = nil
-	r.arena.release()
 	r.invalidateEval()
 }
 
@@ -183,7 +171,7 @@ func (r *blockRunner) reclassify(te *triEnv) (folded, dropped int) {
 		switch d {
 		case triTrue:
 			te.pointCtx.Row = u.row
-			r.tab.fold(r.b, te.pointCtx, u.weights, r.repW(u))
+			r.tab.fold(r.b, te.pointCtx, r.rowWeights(&r.stage, u.ord))
 			r.eng.metrics.DeterministicFolds++
 			folded++
 		case triFalse:
@@ -197,20 +185,15 @@ func (r *blockRunner) reclassify(te *triEnv) (folded, dropped int) {
 		r.uncertain[i] = uncertainRow{}
 	}
 	r.uncertain = kept
-	if len(r.uncertain) == 0 {
-		// Nothing references arena-held weight copies anymore: recycle
-		// the chunks.
-		r.arena.release()
-	}
 	r.invalidateEval()
 	return folded, dropped
 }
 
 // evictOldest force-resolves the n oldest cached uncertain tuples by
 // their current point-estimate truth: tuples whose uncertain predicate
-// holds at the point bindings are folded (with their retained bootstrap
-// weights), the rest dropped. This trades statistical caution for
-// bounded memory — an evicted tuple can no longer flip when ranges
+// holds at the point bindings are folded (with their regenerated
+// bootstrap weights), the rest dropped. This trades statistical caution
+// for bounded memory — an evicted tuple can no longer flip when ranges
 // tighten, though a contradiction surfacing later still triggers the
 // usual failure-recovery replay.
 func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
@@ -221,7 +204,7 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 		u := &r.uncertain[i]
 		te.pointCtx.Row = u.row
 		if r.uncertainWhere == nil || r.uncertainWhere.Eval(te.pointCtx).Truthy() {
-			r.tab.fold(r.b, te.pointCtx, u.weights, r.repW(u))
+			r.tab.fold(r.b, te.pointCtx, r.rowWeights(&r.stage, u.ord))
 			folded++
 		} else {
 			dropped++
@@ -232,9 +215,6 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 		r.uncertain[i] = uncertainRow{}
 	}
 	r.uncertain = r.uncertain[:kept]
-	if len(r.uncertain) == 0 {
-		r.arena.release()
-	}
 	r.invalidateEval()
 	return folded, dropped
 }
@@ -373,11 +353,11 @@ func (r *blockRunner) decideRun(k *expr.TriKernel, st *stage, out []uint8, i, hi
 	return j
 }
 
-// feedTupleTo pushes one fact tuple (global row ord, with its per-trial
-// bootstrap multiplicities and subsample weight) through join → certain filter →
-// classification into st. weights may live in a reusable scratch
-// buffer: tuples that stay uncertain copy them into the stage's arena.
-func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64, ord int, st *stage) {
+// feedTupleTo pushes one fact tuple (global row ord, with its bootstrap
+// weights wf, nil outside the subsample) through join → certain filter →
+// classification into st. Tuples that stay uncertain cache only their
+// lineage and ord: their weights are regenerated where they are read.
+func (r *blockRunner) feedTupleTo(fact types.Row, wf []float64, ord int, st *stage) {
 	te, tab := st.te, st.tab
 	for _, row := range st.joiner.Join(fact) {
 		te.pointCtx.Row = row
@@ -385,19 +365,19 @@ func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64,
 			continue
 		}
 		if r.uncertainWhere == nil {
-			tab.fold(r.b, te.pointCtx, weights, repW)
+			tab.fold(r.b, te.pointCtx, wf)
 			st.folds++
 			continue
 		}
 		switch te.evalTri(r.uncertainWhere, row) {
 		case triTrue:
 			te.pointCtx.Row = row
-			tab.fold(r.b, te.pointCtx, weights, repW)
+			tab.fold(r.b, te.pointCtx, wf)
 			st.folds++
 		case triFalse:
 			// dropped forever
 		default:
-			st.cache(row, weights, ord)
+			st.cache(row, ord)
 		}
 	}
 }

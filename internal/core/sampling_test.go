@@ -37,7 +37,10 @@ func TestBootstrapSubsampleDeterministic(t *testing.T) {
 		}
 		if s1 {
 			nSampled++
-			w1, w2 := a.weightsFor(ts1, i), b.weightsFor(ts2, i)
+			w1, w2 := a.weights(nil, ts1, i, 10), b.weights(nil, ts2, i, 10)
+			if len(w1) != 10 || len(w2) != 10 {
+				t.Fatalf("row %d: %d and %d weight lanes, want 10", i, len(w1), len(w2))
+			}
 			for j := range w1 {
 				if w1[j] != w2[j] {
 					t.Fatal("weights not deterministic")
@@ -48,6 +51,74 @@ func TestBootstrapSubsampleDeterministic(t *testing.T) {
 	// Bernoulli(0.1) over 5000 rows: expect ~500 ± a generous margin.
 	if nSampled < 380 || nSampled > 620 {
 		t.Errorf("sampled = %d of 5000 at p=0.1", nSampled)
+	}
+}
+
+// TestWeightsPrefix pins the contract the thinned trial sweep relies on:
+// deriving a row's first n weight lanes (n < Trials, multiple of 4 or
+// not) yields exactly the first n lanes of the full derivation, the
+// lanes are the Poisson multiplicities scaled by 1/p, and a row outside
+// the bootstrap subsample derives nil at any width.
+func TestWeightsPrefix(t *testing.T) {
+	cat := synthCatalog(4000, 50, 34)
+	q, _ := plan.Compile(`SELECT AVG(play_time) FROM sessions`, cat)
+	const trials = 30
+	eng, err := New(q, cat, Options{Batches: 4, Trials: trials, Seed: 11, BootstrapSampleCap: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := eng.tables["sessions"]
+	invP := 1 / ts.sampleP
+	var in, out int
+	for gi := 0; gi < 400; gi++ {
+		full := eng.weights(nil, ts, gi, trials)
+		if !eng.sampled(ts, gi) {
+			out++
+			if full != nil {
+				t.Fatalf("row %d outside the subsample derived %d lanes", gi, len(full))
+			}
+			for _, n := range []int{1, 7, 12} {
+				if w := eng.weights(make([]float64, trials), ts, gi, n); w != nil {
+					t.Fatalf("row %d outside the subsample derived %d of %d lanes", gi, len(w), n)
+				}
+			}
+			continue
+		}
+		in++
+		if len(full) != trials {
+			t.Fatalf("row %d: %d lanes, want %d", gi, len(full), trials)
+		}
+		for j, x := range full {
+			k := x / invP
+			if k != math.Trunc(k) || k < 0 || k > 15 || float64(int(k))*invP != x {
+				t.Fatalf("row %d lane %d: weight %v is not a multiplicity times 1/p = %v", gi, j, x, invP)
+			}
+		}
+		// Scratch pre-filled with a sentinel: a prefix derivation must
+		// leave every lane past n untouched.
+		dst := make([]float64, trials)
+		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 13, trials - 1} {
+			for j := range dst {
+				dst[j] = -1
+			}
+			w := eng.weights(dst, ts, gi, n)
+			if len(w) != n || &w[0] != &dst[0] {
+				t.Fatalf("row %d n=%d: got %d lanes (in place %v)", gi, n, len(w), len(w) > 0 && &w[0] == &dst[0])
+			}
+			for j := 0; j < n; j++ {
+				if w[j] != full[j] {
+					t.Fatalf("row %d n=%d lane %d: %v, full derivation has %v", gi, n, j, w[j], full[j])
+				}
+			}
+			for j := n; j < trials; j++ {
+				if dst[j] != -1 {
+					t.Fatalf("row %d n=%d: lane %d written past the prefix", gi, n, j)
+				}
+			}
+		}
+	}
+	if in == 0 || out == 0 {
+		t.Fatalf("want rows both in and outside the subsample, got %d in, %d out", in, out)
 	}
 }
 

@@ -31,7 +31,9 @@ import (
 //     folded in cache order.
 //   - trial sweep: per row, the aggregate inputs and every parameter
 //     key are resolved once (trialvec.go); the axis is then swept with
-//     weights[j]·repW masked by the per-trial truth of uncertainWhere.
+//     the row's regenerated weights (Engine.weights, only the lanes the
+//     loaded columns read) masked by the per-trial truth of
+//     uncertainWhere.
 //     Where the encoding covers the cache, the predicate's trial lanes
 //     read the row at its fact ordinal: column operands from their
 //     banks, and a one-column correlated or membership key by its stored
@@ -688,7 +690,9 @@ func (ev *snapEval) load(en *onlineEntry, donor int32, rows []int32, n int) {
 		}
 		u := &r.uncertain[i]
 		pt := ev.pass[i>>6]&(1<<(uint(i)&63)) != 0
-		sampled := n > 1 && u.weights != nil
+		// Trial column j reads weight lane j-1: derive the first n-1 lanes
+		// straight into the weight scratch, which foldRow then masks.
+		sampled := n > 1 && r.eng.weights(ev.wf[1:n], r.ts, u.ord, n-1) != nil
 		if !pt && !sampled {
 			continue
 		}
@@ -697,8 +701,9 @@ func (ev *snapEval) load(en *onlineEntry, donor int32, rows []int32, n int) {
 }
 
 // foldRow adds one cached row to the loaded group: weight 1 into column
-// 0 when it passes under the point bindings, weights[j]·repW into every
-// trial column whose bindings it passes under.
+// 0 when it passes under the point bindings, and its weight into every
+// trial column whose bindings it passes under (sampled: load derived
+// the weights into ev.wf[1:n]).
 func (ev *snapEval) foldRow(u *uncertainRow, pt, sampled bool) {
 	r := ev.r
 	t := r.tab
@@ -757,11 +762,11 @@ func (ev *snapEval) foldRow(u *uncertainRow, pt, sampled bool) {
 		hi = n
 		tri := ev.rowTri(u.row, 1, n)
 		for j := 1; j < n; j++ {
-			ev.wf[j] = 0
-			if w := u.weights[j-1]; w != 0 && tri[j] == expr.TriTrue {
-				ev.wf[j] = float64(w) * r.invP
+			if ev.wf[j] != 0 && tri[j] == expr.TriTrue {
 				ev.touched[j] = true
 				hit = true
+			} else {
+				ev.wf[j] = 0
 			}
 		}
 	}

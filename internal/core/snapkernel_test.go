@@ -132,7 +132,7 @@ func checkSnapKernelParity(t *testing.T, name string, eng *Engine) (decided, ord
 		n := ev.width
 		want := make([]uint8, n)
 		for i := range u {
-			if u[i].weights == nil {
+			if !r.eng.sampled(r.ts, u[i].ord) {
 				continue
 			}
 			copy(want[1:], ev.rowTri(u[i].row, 1, n)[1:n])

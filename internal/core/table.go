@@ -41,8 +41,8 @@ type onlineEntry struct {
 	reps  [][]agg.State // [trial][agg]; nil when the table is banked
 	// bankW/bankV are the banked replica accumulators, indexed
 	// [agg*trials + trial]. Per aggregate kind:
-	//   COUNT: bankW = Σ w·repW over non-NULL inputs (bankV unused)
-	//   SUM:   bankW = Σ w·repW, bankV = Σ v·w·repW over numeric inputs
+	//   COUNT: bankW = Σ w/p over non-NULL inputs (bankV unused)
+	//   SUM:   bankW = Σ w/p, bankV = Σ v·w/p over numeric inputs
 	//   AVG:   same sums as SUM; result is bankV/bankW
 	// bankW > 0 ⟺ the replica has evidence (weights are positive).
 	bankW []float64
@@ -79,8 +79,8 @@ type onlineTable struct {
 	// bankOfW/bankOfV redirect per-aggregate replica-bank reads to the
 	// aggregate that owns the physical stream (nil = identity). Two
 	// aggregates over the same plain column receive bit-identical bank
-	// additions (COUNT/SUM/AVG all add Σ w·repW to W; SUM/AVG both add
-	// Σ v·w·repW to V), so the columnar fold writes each distinct stream
+	// additions (COUNT/SUM/AVG all add Σ w/p to W; SUM/AVG both add
+	// Σ v·w/p to V), so the columnar fold writes each distinct stream
 	// once and reads resolve through these aliases. The row-oriented
 	// fold keeps writing every aggregate's cells — twin cells then carry
 	// redundant (identical) data, which aliased reads simply ignore —
@@ -99,10 +99,6 @@ type onlineTable struct {
 	// dispatch in the overwhelmingly common case.
 	gbCols  []int
 	argCols []int
-	// wf holds the tuple's bootstrap weights as pre-scaled floats
-	// (w·repW), so the banked fold is a branch-free add loop: a zero
-	// weight adds 0.0, which is exact.
-	wf []float64
 	// bytes is the resource-ledger charge: bytes pinned by this table's
 	// probe slots and entry-owned arrays (including free-listed recycled
 	// entries, whose backing arrays stay live). Charged only where
@@ -323,13 +319,14 @@ func (t *onlineTable) entry(b *plan.Block, ctx *expr.Ctx) *onlineEntry {
 }
 
 // fold adds the row in ctx into the main state (weight 1) and — when the
-// tuple is in the bootstrap subsample (repW > 0, carrying the 1/p
-// inverse sampling weight) — into each replica with its Poisson(1)
-// multiplicity.
-func (t *onlineTable) fold(b *plan.Block, ctx *expr.Ctx, weights []uint8, repW float64) {
+// tuple is in the bootstrap subsample (wf non-nil: its multiplicities
+// pre-scaled by the 1/p inverse sampling weight, Engine.weights) — into
+// each replica. A zero weight adds 0.0 to a banked replica, which is
+// exact, so the bank folds are branch-free float loops.
+func (t *onlineTable) fold(b *plan.Block, ctx *expr.Ctx, wf []float64) {
 	e := t.entry(b, ctx)
 	e.n++
-	if repW > 0 {
+	if wf != nil {
 		e.ns++
 	}
 	if t.argCols == nil {
@@ -339,18 +336,6 @@ func (t *onlineTable) fold(b *plan.Block, ctx *expr.Ctx, weights []uint8, repW f
 		}
 	}
 	if t.banked {
-		var wf []float64
-		if repW > 0 && len(weights) > 0 {
-			// Pre-scale the multiplicities once per tuple; the
-			// per-aggregate bank folds become branch-free float loops.
-			if cap(t.wf) < len(weights) {
-				t.wf = make([]float64, len(weights))
-			}
-			wf = t.wf[:len(weights)]
-			for j, w := range weights {
-				wf[j] = float64(w) * repW
-			}
-		}
 		row := ctx.Row
 		for i := range b.Aggs {
 			var v types.Value
@@ -395,22 +380,19 @@ func (t *onlineTable) fold(b *plan.Block, ctx *expr.Ctx, weights []uint8, repW f
 				}
 			}
 		}
-		if repW <= 0 {
-			continue
-		}
-		for j, w := range weights {
-			if w > 0 {
-				e.reps[j][i].Add(v, float64(w)*repW)
+		for j, x := range wf {
+			if x > 0 {
+				e.reps[j][i].Add(v, x)
 			}
 		}
 	}
 }
 
 // foldBank folds one aggregate input into the banked replicas, given
-// the tuple's pre-scaled weights (w·repW). The add is gated exactly as
-// the corresponding State.Add would gate it (COUNT skips NULLs, SUM/AVG
-// skip non-numerics); a zero weight adds 0.0, which leaves the
-// accumulator bit-identical to skipping it.
+// the tuple's pre-scaled weights (Engine.weights). The add is gated
+// exactly as the corresponding State.Add would gate it (COUNT skips
+// NULLs, SUM/AVG skip non-numerics); a zero weight adds 0.0, which
+// leaves the accumulator bit-identical to skipping it.
 func (t *onlineTable) foldBank(e *onlineEntry, i int, v types.Value, wf []float64) {
 	base := i * t.trials
 	bw := e.bankW[base : base+len(wf)]

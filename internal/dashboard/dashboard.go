@@ -356,9 +356,8 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 			s.etaBits.Store(math.Float64bits(eta.Seconds()))
 		}
 		u := snap.Resources
-		for i, v := range [...]int64{u.GroupTableBytes, u.WeightArenaBytes,
-			u.UncertainBytes, u.ColScratchBytes, u.SegCacheBytes,
-			u.CheckpointBytes} {
+		for i, v := range [...]int64{u.GroupTableBytes, u.UncertainBytes,
+			u.ColScratchBytes, u.SegCacheBytes, u.CheckpointBytes} {
 			s.memPool[i].Set(v)
 		}
 		s.memTotal.Set(u.TotalBytes)
@@ -531,8 +530,7 @@ function run() {
       memSeries.push(s.mem.total || 0);
       let line = 'mem <span class="spark">' + sparkline(memSeries) + '</span> ' +
         fmtB(s.mem.total) + ' (peak ' + fmtB(s.mem.peak) + ') — tables ' +
-        fmtB(s.mem.group_tables) + ' · arenas ' + fmtB(s.mem.weight_arenas) +
-        ' · uncertain ' + fmtB(s.mem.uncertain) + ' · segcache ' + fmtB(s.mem.segment_cache);
+        fmtB(s.mem.group_tables) + ' · uncertain ' + fmtB(s.mem.uncertain) + ' · segcache ' + fmtB(s.mem.segment_cache);
       if (s.mem.heap_live) line += ' — heap ' + fmtB(s.mem.heap_live);
       if (s.degraded) line += ' <span class="degrade">degraded: ' + s.degraded + '</span>';
       document.getElementById('mem').innerHTML = line;

@@ -589,7 +589,6 @@ func TestMemPayloadAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE gola_mem_bytes gauge",
 		`gola_mem_bytes{pool="group-tables"}`,
-		`gola_mem_bytes{pool="weight-arenas"}`,
 		`gola_mem_bytes{pool="uncertain-cache"}`,
 		`gola_mem_bytes{pool="col-scratch"}`,
 		`gola_mem_bytes{pool="segment-cache"}`,

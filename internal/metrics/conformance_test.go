@@ -351,13 +351,13 @@ func TestEngineRegistryConformance(t *testing.T) {
 // /metrics payload of a budgeted query is scraper-clean.
 func TestMemFamiliesConformance(t *testing.T) {
 	r := NewRegistry()
-	pools := []string{"group-tables", "weight-arenas", "uncertain-cache",
-		"col-scratch", "segment-cache", "checkpoint"}
+	pools := []string{"group-tables", "uncertain-cache", "col-scratch",
+		"segment-cache", "checkpoint"}
 	for i, p := range pools {
 		r.Gauge(fmt.Sprintf("gola_mem_bytes{pool=%q}", p),
 			"Resource-ledger residency per pool (bytes).").Set(int64(100 * (i + 1)))
 	}
-	r.Gauge("gola_mem_total_bytes", "Total ledger residency (bytes).").Set(2100)
+	r.Gauge("gola_mem_total_bytes", "Total ledger residency (bytes).").Set(1500)
 	r.Gauge("gola_mem_peak_bytes", "High-water ledger residency (bytes).").Set(4096)
 	r.Gauge("gola_mem_degrade_rung", "Highest degradation rung engaged.").Set(2)
 	r.Counter("gola_gc_pause_ns_total", "GC pause nanoseconds.").Add(12345)

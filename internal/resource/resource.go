@@ -1,7 +1,7 @@
 // Package resource implements the per-query memory ledger behind
 // fluodb's soft memory budgets: byte counters for every pool an online
-// query pins (group-table banks, weight arenas, the uncertain cache,
-// columnar scratch, the segment cache, checkpoint encode buffers) plus
+// query pins (group-table banks, the uncertain cache, columnar scratch,
+// the segment cache, checkpoint encode buffers) plus
 // a process-level GC sampler over runtime/metrics.
 //
 // The ledger itself is passive arithmetic: the engine charges bytes at
@@ -23,11 +23,8 @@ const (
 	// main/bootstrap accumulator banks, generic per-trial states
 	// (including free-listed recycled entries still pinned).
 	GroupTables Category = iota
-	// WeightArenas: pooled chunks holding per-tuple bootstrap weight
-	// rows for cached uncertain tuples.
-	WeightArenas
-	// UncertainCache: the uncertainRow slices themselves (headers +
-	// replay metadata; weight bytes are counted under WeightArenas).
+	// UncertainCache: the uncertainRow slices (lineage headers and fact
+	// ordinals; a cached tuple's weights are regenerated, not stored).
 	UncertainCache
 	// ColumnarScratch: per-worker tri-state/selection/weight vectors of
 	// the vectorized classify/fold path.
@@ -43,7 +40,6 @@ const (
 
 var categoryNames = [NumCategories]string{
 	"group-tables",
-	"weight-arenas",
 	"uncertain-cache",
 	"col-scratch",
 	"segment-cache",
@@ -155,12 +151,11 @@ func (l *Ledger) RestorePeak(total int64) {
 type Usage struct {
 	// Per-pool residency in bytes at the most recent mini-batch
 	// boundary.
-	GroupTableBytes  int64 `json:"group_tables"`
-	WeightArenaBytes int64 `json:"weight_arenas"`
-	UncertainBytes   int64 `json:"uncertain"`
-	ColScratchBytes  int64 `json:"col_scratch"`
-	SegCacheBytes    int64 `json:"segment_cache"`
-	CheckpointBytes  int64 `json:"checkpoint,omitempty"`
+	GroupTableBytes int64 `json:"group_tables"`
+	UncertainBytes  int64 `json:"uncertain"`
+	ColScratchBytes int64 `json:"col_scratch"`
+	SegCacheBytes   int64 `json:"segment_cache"`
+	CheckpointBytes int64 `json:"checkpoint,omitempty"`
 	// TotalBytes sums the pools; PeakBytes is the query's high-water
 	// total so far.
 	TotalBytes int64 `json:"total"`
@@ -189,13 +184,12 @@ func (l *Ledger) Snapshot() Usage {
 		return Usage{}
 	}
 	u := Usage{
-		GroupTableBytes:  l.bytes[GroupTables],
-		WeightArenaBytes: l.bytes[WeightArenas],
-		UncertainBytes:   l.bytes[UncertainCache],
-		ColScratchBytes:  l.bytes[ColumnarScratch],
-		SegCacheBytes:    l.bytes[SegmentCache],
-		CheckpointBytes:  l.bytes[Checkpoint],
-		PeakBytes:        l.peakTotal,
+		GroupTableBytes: l.bytes[GroupTables],
+		UncertainBytes:  l.bytes[UncertainCache],
+		ColScratchBytes: l.bytes[ColumnarScratch],
+		SegCacheBytes:   l.bytes[SegmentCache],
+		CheckpointBytes: l.bytes[Checkpoint],
+		PeakBytes:       l.peakTotal,
 	}
 	u.TotalBytes = l.Total()
 	if u.TotalBytes > u.PeakBytes {

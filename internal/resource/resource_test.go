@@ -11,7 +11,6 @@ import (
 func TestCategoryNames(t *testing.T) {
 	want := map[Category]string{
 		GroupTables:     "group-tables",
-		WeightArenas:    "weight-arenas",
 		UncertainCache:  "uncertain-cache",
 		ColumnarScratch: "col-scratch",
 		SegmentCache:    "segment-cache",
@@ -51,7 +50,7 @@ func TestLedgerNilSafety(t *testing.T) {
 func TestLedgerPeaks(t *testing.T) {
 	l := &Ledger{}
 	l.Set(GroupTables, 100)
-	l.Set(WeightArenas, 50)
+	l.Set(UncertainCache, 50)
 	l.Observe()
 	if l.Total() != 150 || l.PeakTotal() != 150 {
 		t.Fatalf("after first observe: total %d peak %d", l.Total(), l.PeakTotal())
@@ -59,13 +58,13 @@ func TestLedgerPeaks(t *testing.T) {
 	// Categories peak at different batches: the total peak is the max
 	// simultaneous sum, not the sum of per-category peaks.
 	l.Set(GroupTables, 20)
-	l.Set(WeightArenas, 120)
+	l.Set(UncertainCache, 120)
 	l.Observe()
 	if got := l.Peak(GroupTables); got != 100 {
 		t.Errorf("group-tables peak %d, want 100", got)
 	}
-	if got := l.Peak(WeightArenas); got != 120 {
-		t.Errorf("weight-arenas peak %d, want 120", got)
+	if got := l.Peak(UncertainCache); got != 120 {
+		t.Errorf("uncertain-cache peak %d, want 120", got)
 	}
 	if got := l.PeakTotal(); got != 150 {
 		t.Errorf("total peak %d, want 150 (max simultaneous)", got)
@@ -95,13 +94,13 @@ func TestLedgerPeaks(t *testing.T) {
 // reports PeakBytes >= TotalBytes.
 func TestSnapshotFields(t *testing.T) {
 	l := &Ledger{}
-	vals := []int64{1, 2, 4, 8, 16, 32} // one per category
+	vals := []int64{1, 2, 4, 8, 16} // one per category
 	for c := Category(0); c < NumCategories; c++ {
 		l.Set(c, vals[c])
 	}
 	u := l.Snapshot() // no Observe: peak must still cover the live total
-	got := []int64{u.GroupTableBytes, u.WeightArenaBytes, u.UncertainBytes,
-		u.ColScratchBytes, u.SegCacheBytes, u.CheckpointBytes}
+	got := []int64{u.GroupTableBytes, u.UncertainBytes, u.ColScratchBytes,
+		u.SegCacheBytes, u.CheckpointBytes}
 	var sum int64
 	for c := range vals {
 		if got[c] != vals[c] {

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 gate: everything a PR must keep green.
 #
+#   gofmt           no tracked Go file differs from gofmt's output
 #   go vet          static checks
 #   go build        the whole tree compiles
 #   go test -race   the full suite under the race detector — every
@@ -32,14 +33,18 @@
 #                   never a panic)
 #   benchmark/      the end-to-end benchmark is a nested module that
 #                   imports internal/core but is invisible to the root
-#                   ./... patterns; its tests are the only thing that
-#                   notices an engine API change breaking it
+#                   ./... patterns; go vet and its tests there are the
+#                   only things that notice an engine API change
+#                   breaking it
 #   flbench smoke   the evaluation CLI's dispatch end to end at a small
 #                   scale: -experiment all (fig3a, fig3b, t2) and
 #                   fig3b as CSV; nothing else runs through its flag
 #                   handling and experiment switch
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l"
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 
 echo "== go vet ./..."
 go vet ./...
@@ -58,7 +63,8 @@ go test ./internal/expr -run '^$' -fuzz FuzzNumKernel -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzTriKernel -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzResume -fuzztime 10s
 
-echo "== benchmark module (cd benchmark && go test ./...)"
+echo "== benchmark module (cd benchmark && go vet ./... && go test ./...)"
+(cd benchmark && go vet ./...)
 (cd benchmark && go test ./...)
 
 echo "== flbench smoke (-experiment all, fig3b -format csv; 4000 rows)"

@@ -43,10 +43,11 @@ var chaosProfiles = []chaosProfile{
 	{name: "mixed", cfg: chaos.Config{PanicProb: 0.15, StragglerProb: 0.2, CorruptProb: 0.15,
 		StragglerDelay: 50 * time.Microsecond}},
 	// colstress targets the columnar hot path's fallback seams: panics
-	// force worker containment and part redos, corrupt flips rows so
-	// reclassification re-runs — all while the reference ran on the row
-	// path, so any divergence between the two fold implementations under
-	// faults is caught, not just fault handling.
+	// force worker containment and part redos, corrupt poisons a
+	// worker's private stage that must be quarantined and refolded — all
+	// while the reference ran on the row path, so any divergence between
+	// the two fold implementations under faults is caught, not just
+	// fault handling.
 	{name: "colstress", cfg: chaos.Config{PanicProb: 0.2, CorruptProb: 0.1}},
 	// segseal targets the incremental segment-seal seam: the columnar
 	// segment cache is dropped between batches, forcing an incremental

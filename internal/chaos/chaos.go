@@ -80,7 +80,7 @@ type Config struct {
 	// panic during a part fold.
 	PanicProb float64
 	// StragglerProb is the probability of a straggler delay at a fold
-	// or reclassification site.
+	// site.
 	StragglerProb float64
 	// CorruptProb is the probability that a worker's stage is corrupted
 	// before its part fails.
@@ -135,7 +135,6 @@ const (
 	saltPanic     = 0x9E3779B97F4A7C15
 	saltStraggler = 0xC2B2AE3D27D4EB4F
 	saltCorrupt   = 0x165667B19E3779F9
-	saltReclass   = 0x85EBCA77C2B2AE63
 	saltSegSeal   = 0xA0761D6478BD642F
 )
 
@@ -167,25 +166,6 @@ func (in *Injector) WorkerFault(table string, start, w int) Kind {
 		in.counts[KindCorrupt].Add(1)
 		return KindCorrupt
 	case in.decide(siteHash(saltStraggler, table, start, w), in.cfg.StragglerProb):
-		in.counts[KindStraggler].Add(1)
-		return KindStraggler
-	}
-	return KindNone
-}
-
-// ReclassFault reports the fault (if any) to inject into worker w's
-// share of block's uncertain-cache reclassification at batch. Only
-// panic and straggler apply (reclassification reads cached rows, so
-// there is nothing to corrupt without breaking replay determinism).
-func (in *Injector) ReclassFault(block, batch, w int) Kind {
-	if in == nil {
-		return KindNone
-	}
-	switch {
-	case in.decide(siteHash(saltPanic^saltReclass, "reclass", block*1024+batch, w), in.cfg.PanicProb):
-		in.counts[KindPanic].Add(1)
-		return KindPanic
-	case in.decide(siteHash(saltStraggler^saltReclass, "reclass", block*1024+batch, w), in.cfg.StragglerProb):
 		in.counts[KindStraggler].Add(1)
 		return KindStraggler
 	}

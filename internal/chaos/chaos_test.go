@@ -13,9 +13,6 @@ func TestDeterministic(t *testing.T) {
 			if got, want := a.WorkerFault("facts", batch*512, w), b.WorkerFault("facts", batch*512, w); got != want {
 				t.Fatalf("worker site (%d,%d): %v vs %v", batch, w, got, want)
 			}
-			if got, want := a.ReclassFault(1, batch, w), b.ReclassFault(1, batch, w); got != want {
-				t.Fatalf("reclass site (%d,%d): %v vs %v", batch, w, got, want)
-			}
 		}
 		if got, want := a.SegSealDrop("facts", batch), b.SegSealDrop("facts", batch); got != want {
 			t.Fatalf("segseal site %d: %v vs %v", batch, got, want)

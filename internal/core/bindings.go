@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"fluodb/internal/bootstrap"
 	"fluodb/internal/expr"
@@ -818,10 +816,6 @@ func (b *bindings) updateGroupEntry(idx, id int, key types.Row, h uint64, point 
 	}
 	if escapes(committed, point) {
 		b.flips++
-		if debugFailures.Load() {
-			fmt.Printf("core: group range failure key=%q committed=[%g,%g] point=%v boost=%g\n",
-				keyString(key), committed.Lo, committed.Hi, point, g.epsBoost)
-		}
 		b.emitKeyed(Event{Kind: EvRangeFailure, Block: blockOf(b.groupBlocks, idx),
 			Point: pfloat(point), Lo: committed.Lo, Hi: committed.Hi, Boost: g.epsBoost}, key)
 		return true
@@ -839,11 +833,6 @@ func (b *bindings) emitKeyed(ev Event, key types.Row) {
 	ev.Key = keyString(key)
 	b.tracer.Emit(ev)
 }
-
-// debugFailures enables failure-path printf tracing (tests only). It is
-// read from worker goroutines, hence atomic; structured observation
-// should use the Tracer instead.
-var debugFailures atomic.Bool
 
 // updateSetEntry publishes a fresh membership classification for
 // group id of set param idx (key and h as in updateGroupEntry); it

@@ -64,11 +64,11 @@ type Options struct {
 	// value.
 	Parallelism int
 	// ParallelThreshold is the minimum part size (rows) worth a worker:
-	// batches below 2×threshold fold in place, and the part count is
-	// clamped to rows/threshold — for mini-batches and uncertain-set
-	// reclassification alike. ≤0 resolves to the default (2048). Lower it
-	// to engage more workers on small batches; raise it when per-tuple
-	// work is very cheap.
+	// mini-batches below 2×threshold fold in place, and the part count
+	// is clamped to rows/threshold. The cached uncertain set is always
+	// reclassified on the controller. ≤0 resolves to the default (2048).
+	// Lower it to engage more workers on small batches; raise it when
+	// per-tuple work is very cheap.
 	ParallelThreshold int
 	// RowPath disables the columnar fold path (columnar.go), forcing the
 	// row-oriented per-tuple loop even for eligible blocks. The two paths
@@ -80,11 +80,12 @@ type Options struct {
 	// Profile turns on the engine's observability surfaces: a bounded
 	// ring of G-OLA events (Engine.Events: range failures, commits,
 	// uncertain flips, recomputes) and a hierarchical span timeline
-	// (Engine.Spans: query → mini-batch → phase → per-worker task, plus
-	// serial retries, reclassification and checkpoint/resume; DESIGN.md
-	// §14), with every ring event mirrored onto it as an instant. The
-	// per-phase profile (Metrics.Phases) is collected either way, and
-	// the traced run executes exactly the kernels the untraced run does.
+	// (Engine.Spans: query → mini-batch → phase (reclassify, feed,
+	// ranges) → per-worker feed task, plus serial retries and
+	// checkpoint/resume; DESIGN.md §14), with every ring event mirrored
+	// onto it as an instant. The per-phase profile (Metrics.Phases) is
+	// collected either way, and the traced run executes exactly the
+	// kernels the untraced run does.
 	Profile bool
 	// MaxUncertainRows bounds the cached uncertain set across all blocks
 	// (0 = unbounded). When a batch pushes past the budget, the oldest
@@ -288,7 +289,7 @@ type Engine struct {
 	fatal    error
 	lastSnap *Snapshot
 	// Span timeline state (spans.go): sctl is the controller-track
-	// slab; the spanQuery/spanTop/spanBatch/spanFeed/spanReclass fields
+	// slab; the spanQuery/spanTop/spanBatch/spanFeed fields
 	// carry the currently open ancestry so deeper layers (worker tasks,
 	// retries) parent their spans without plumbing IDs
 	// through every signature. spanBatchNo is the 1-based batch stamped
@@ -299,7 +300,6 @@ type Engine struct {
 	spanTop     otrace.SpanID
 	spanBatch   otrace.SpanID
 	spanFeed    otrace.SpanID
-	spanReclass otrace.SpanID
 	spanBatchNo int
 	// Convergence observatory state (converge.go): bounded per-batch
 	// series of CI half-width quantiles, churn and throughput, plus the
@@ -812,9 +812,7 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 	for _, r := range e.runners {
 		te := e.triEnv()
 		rsp, t0 := e.phaseBegin("reclassify", bsp, bi+1, r.b.ID)
-		e.spanReclass = rsp
 		folded, dropped := r.reclassify(te)
-		e.spanReclass = 0
 		r.acc.ns[phaseUncertain] += e.phaseEnd(rsp, t0)
 		e.conv.stepOut += int64(folded + dropped)
 		if e.trace != nil && (folded != 0 || dropped != 0) {

@@ -82,7 +82,7 @@ func (e *Engine) collectResidency() {
 	var tables, uncertain, scratch int64
 	for _, r := range e.runners {
 		r.charge(&tables, &uncertain, &scratch)
-		scratch += int64(cap(r.reclassBuf)) + r.ev.memBytes()
+		scratch += r.ev.memBytes()
 	}
 	if e.pool != nil {
 		for _, wc := range e.pool.ctxs {

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fluodb/internal/bootstrap"
 	"fluodb/internal/chaos"
+	"fluodb/internal/otrace"
 	"fluodb/internal/plan"
 	"fluodb/internal/storage"
 	"fluodb/internal/types"
@@ -260,14 +262,21 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 				for {
 					snap, err := eng.Step()
 					if err == ErrDone {
-						// Every shape classifies new and cached rows by kernel.
-						r, reclassified := eng.runners[len(eng.runners)-1], int64(0)
-						for _, st := range runnerStages(eng, r) {
-							reclassified += st.cs.reclassified
-						}
-						if r.classifier() != "tri:kernel" || reclassified == 0 {
+						// Every shape classifies new and cached rows by kernel,
+						// and the cache is re-examined on the controller only
+						// (the home stage), however large it grows.
+						r := eng.runners[len(eng.runners)-1]
+						if r.classifier() != "tri:kernel" || r.cs.reclassified == 0 {
 							t.Fatalf("root classifier %q re-examined %d cached rows by kernel",
-								r.classifier(), reclassified)
+								r.classifier(), r.cs.reclassified)
+						}
+						for _, st := range runnerStages(eng, r)[1:] {
+							if st.cs.reclassified != 0 {
+								t.Fatalf("a worker stage re-examined %d cached rows", st.cs.reclassified)
+							}
+						}
+						if o.Parallelism > 1 {
+							assertPoolOnlyFeeds(t, eng, o.ParallelThreshold)
 						}
 						return snaps, eng.Metrics().Recomputes, eng.Events().Events()
 					}
@@ -313,5 +322,38 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 			}
 			compareSnapshots(t, "recompute P=4 under panic chaos", serial, faulty)
 		})
+	}
+}
+
+// assertPoolOnlyFeeds checks that a parallel run whose uncertain cache
+// outgrew two pool parts still used the worker pool for feed tasks
+// alone: the cache is reclassified on the controller, so under Profile
+// every worker-track span is a "task" under a controller "feed" span.
+func assertPoolOnlyFeeds(t *testing.T, eng *Engine, threshold int) {
+	t.Helper()
+	if m := slices.Max(eng.Metrics().UncertainPerBatch); m <= 2*threshold {
+		t.Fatalf("uncertain cache peaked at %d rows, want > 2×ParallelThreshold (%d)", m, 2*threshold)
+	}
+	sp := eng.Spans()
+	if sp == nil {
+		return
+	}
+	spans := sp.Spans()
+	byID := make(map[otrace.SpanID]otrace.Span, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	tasks := 0
+	for _, s := range spans {
+		if s.Tid == 0 {
+			continue
+		}
+		if p := byID[s.Parent]; s.Name != "task" || p.Name != "feed" {
+			t.Fatalf("worker span %q under %q, want task under feed", s.Name, p.Name)
+		}
+		tasks++
+	}
+	if tasks == 0 {
+		t.Fatal("no worker task spans recorded")
 	}
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fluodb/internal/chaos"
 	"fluodb/internal/exec"
 	"fluodb/internal/expr"
 	"fluodb/internal/plan"
 	"fluodb/internal/sqlparser"
-	"fluodb/internal/storage"
 	"fluodb/internal/types"
 )
 
@@ -49,9 +47,6 @@ type blockRunner struct {
 	// plus the cached uncertain set — for snapshots and bindings
 	// (snapeval.go); created on first use.
 	ev *snapEval
-	// reclassBuf is the reusable per-row decision buffer of the parallel
-	// reclassification pass (one tri per cached uncertain row).
-	reclassBuf []uint8
 	// Replica-evaluation scratch of a correlated or membership block
 	// (fillGroupReps, fillSetReps, setRepPostValues): post rows, the
 	// adjusted key row, per-slot replica floats and the extensive-slot
@@ -141,31 +136,22 @@ func (r *blockRunner) reclassify(te *triEnv) (folded, dropped int) {
 	if len(r.uncertain) == 0 {
 		return 0, 0
 	}
-	// Large sets decide on the worker pool first; otherwise the kernel
-	// decides one segment run of the cache ahead of the loop (at each
-	// row's ordinal), or the interpreter decides each row. The fold/drop
-	// applications run serially in original cache order either way, so
-	// the result is bit-identical to the fully serial scan.
-	decisions := r.reclassifyDecisions()
-	var k *expr.TriKernel
-	if decisions == nil {
-		k = r.reclassKernel(&r.stage, te)
-	}
+	// The kernel decides one segment run of the cache ahead of the loop
+	// (at each row's ordinal), or the interpreter decides each row; the
+	// fold/drop applications run in cache order.
+	k := r.reclassKernel(te)
 	run, runLo, runHi := r.cs.triU, 0, 0
 	kept := r.uncertain[:0]
 	for i := range r.uncertain {
 		u := &r.uncertain[i]
 		var d tri
-		switch {
-		case decisions != nil:
-			d = tri(decisions[i])
-		case k != nil:
+		if k != nil {
 			if i == runHi {
-				runLo, runHi = i, r.decideRun(k, &r.stage, run, i, len(r.uncertain))
+				runLo, runHi = i, r.decideRun(k, run, i, len(r.uncertain))
 				r.cs.reclassified += int64(runHi - runLo)
 			}
 			d = tri(run[i-runLo])
-		default:
+		} else {
 			d = te.evalTri(r.uncertainWhere, u.row)
 		}
 		switch d {
@@ -203,7 +189,7 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 	for i := 0; i < n; i++ {
 		u := &r.uncertain[i]
 		te.pointCtx.Row = u.row
-		if r.uncertainWhere == nil || r.uncertainWhere.Eval(te.pointCtx).Truthy() {
+		if r.uncertainWhere.Eval(te.pointCtx).Truthy() {
 			r.tab.fold(r.b, te.pointCtx, r.rowWeights(&r.stage, u.ord))
 			folded++
 		} else {
@@ -219,116 +205,44 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 	return folded, dropped
 }
 
-// reclassifyDecisions decides the cached uncertain set on the worker
-// pool, one tri per row, or returns nil when the set is too small or
-// parallelism is off — the caller then decides inline. The split is the
-// batch feed's, and each part decides on its worker stage's kernel (or
-// the interpreter where the kernel refuses). Decisions land in a fixed
-// per-row buffer, so worker completion order cannot reorder them.
-// Decisions only fill a scratch buffer and kernel caches — no runner
-// state is touched — so a failed part is simply re-evaluated on this
-// goroutine, on a fresh stage.
-func (r *blockRunner) reclassifyDecisions() []uint8 {
-	e := r.eng
-	n := len(r.uncertain)
-	workers := storage.ClampParts(n, e.opt.Parallelism, e.opt.ParallelThreshold)
-	if workers == 1 {
-		return nil
-	}
-	pool := e.ensurePool()
-	if pool == nil {
-		return nil
-	}
-	if cap(r.reclassBuf) < n {
-		r.reclassBuf = make([]uint8, n)
-	}
-	buf := r.reclassBuf[:n]
-	parts := storage.SliceRanges(n, workers)
-	decide := func(wc *workerCtx, w int) {
-		wte := wc.refresh(e)
-		lo, hi := parts[w].Lo, parts[w].Hi
-		if st := wc.stage(r); r.reclassKernel(st, wte) != nil {
-			for i := lo; i < hi; {
-				j := r.decideRun(st.cs.triK, st, buf[i:], i, hi)
-				st.cs.reclassified += int64(j - i)
-				i = j
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			buf[i] = uint8(wte.evalTri(r.uncertainWhere, r.uncertain[i].row))
-		}
-	}
-	inj := e.opt.Chaos
-	_, err := pool.scatter(workers, func(wc *workerCtx, w int) error {
-		switch inj.ReclassFault(r.idx, e.batch, wc.id) {
-		case chaos.KindPanic:
-			e.traceFault("panic", "reclassify", wc.id, "injected reclassification panic")
-			panic(&chaosFault{kind: chaos.KindPanic})
-		case chaos.KindStraggler:
-			e.traceFault("straggler", "reclassify", wc.id, "injected reclassification straggler")
-			inj.Sleep()
-		}
-		sl := e.workerSlab(wc.id)
-		tsp := sl.Begin("reclass-task", e.spanReclass, e.spanBatchNo, r.b.ID)
-		decide(wc, w)
-		sl.End(tsp)
-		return nil
-	}, func(w, attempt int, cause error) error {
-		if _, ok := cause.(*workerPanic); ok && attempt == 1 {
-			e.trace.Emit(Event{Kind: EvWorkerPanic, Key: "reclassify", Worker: w, Note: cause.Error()})
-		}
-		// The failed part may have stopped inside its kernel's key memo:
-		// redo it on a fresh stage (worker stages hold no rows between
-		// batches, so nothing else is lost).
-		pool.ctxs[w].quarantine(r)
-		decide(pool.ctxs[w], w)
-		return nil
-	})
-	if err != nil {
-		return nil
-	}
-	return buf
-}
-
-// reclassKernel returns st's tri-state kernel, bound to te for a new
-// epoch, to re-examine the cache at its ordinals — or nil when the
-// cache goes through the interpreter (cacheKernel), or te carries
+// reclassKernel returns the home stage's tri-state kernel, bound to te
+// for a new epoch, to re-examine the cache at its ordinals — or nil when
+// the cache goes through the interpreter (cacheKernel), or te carries
 // set-block row ranges the kernel does not model.
-func (r *blockRunner) reclassKernel(st *stage, te *triEnv) *expr.TriKernel {
+func (r *blockRunner) reclassKernel(te *triEnv) *expr.TriKernel {
 	if te.rowRanges != nil {
 		return nil
 	}
-	k := r.cacheKernel(st)
+	k := r.cacheKernel()
 	if k == nil {
 		return nil
 	}
-	st.te = te
-	k.SetResolver(st.cs.triRes)
+	r.te = te
+	k.SetResolver(r.cs.triRes)
 	bindTri(k, te)
 	return k
 }
 
-// cacheKernel returns st's tri-state kernel to decide the non-empty
-// cached set at its ordinals (decideRun), with run scratch sized — or
-// nil when the cache goes through the interpreter: the block has no
-// columnar plan (or lost it to the memory ladder), the predicate
+// cacheKernel returns the home stage's tri-state kernel to decide the
+// non-empty cached set at its ordinals (decideRun), with run scratch
+// sized — or nil when the cache goes through the interpreter: the block
+// has no columnar plan (or lost it to the memory ladder), the predicate
 // refused the kernel, or the encoding does not cover the cached
 // ordinals. The caller binds the epoch.
-func (r *blockRunner) cacheKernel(st *stage) *expr.TriKernel {
+func (r *blockRunner) cacheKernel() *expr.TriKernel {
 	p := r.colPl
 	if p == nil || !p.ok || p.ct == nil || r.uncertain[len(r.uncertain)-1].ord >= p.ct.NumRows() {
 		return nil
 	}
-	r.ensureKernels(st, p.ct)
-	k := st.cs.triK
+	r.ensureKernels(&r.stage, p.ct)
+	k := r.cs.triK
 	if k == nil {
 		return nil
 	}
-	if cap(st.cs.triU) < p.ct.SegSize {
-		st.cs.triU = make([]uint8, p.ct.SegSize)
+	if cap(r.cs.triU) < p.ct.SegSize {
+		r.cs.triU = make([]uint8, p.ct.SegSize)
 	}
-	st.cs.triU = st.cs.triU[:p.ct.SegSize]
+	r.cs.triU = r.cs.triU[:p.ct.SegSize]
 	return k
 }
 
@@ -336,10 +250,10 @@ func (r *blockRunner) cacheKernel(st *stage) *expr.TriKernel {
 // segment — at most a segment's worth, none past hi — into out[0:], and
 // returns where the run ends. The cache is ordered by ordinal, so a run
 // is one EvalRows call over the segment's rows.
-func (r *blockRunner) decideRun(k *expr.TriKernel, st *stage, out []uint8, i, hi int) int {
+func (r *blockRunner) decideRun(k *expr.TriKernel, out []uint8, i, hi int) int {
 	ct := r.colPl.ct
 	seg, _ := ct.Segment(r.uncertain[i].ord)
-	rows := st.cs.selU[:0]
+	rows := r.cs.selU[:0]
 	j := i
 	for ; j < hi && len(rows) < ct.SegSize; j++ {
 		o := r.uncertain[j].ord - seg.Base
@@ -349,7 +263,7 @@ func (r *blockRunner) decideRun(k *expr.TriKernel, st *stage, out []uint8, i, hi
 		rows = append(rows, int32(o))
 	}
 	k.EvalRows(out, seg, rows)
-	st.cs.selU = rows
+	r.cs.selU = rows
 	return j
 }
 

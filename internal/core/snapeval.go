@@ -238,14 +238,6 @@ func (ev *snapEval) rowTri(row types.Row, lo, hi int) []uint8 {
 		}
 	}
 	where := ev.r.uncertainWhere
-	if where == nil {
-		// Only a restored checkpoint can cache a row without an uncertain
-		// predicate to re-evaluate; it passes everywhere.
-		for j := lo; j < hi; j++ {
-			ev.mask[j] = expr.TriTrue
-		}
-		return ev.mask
-	}
 	ctxs := ev.ctxs.axis(hi)
 	for j := lo; j < hi; j++ {
 		ctxs[j].Row = row
@@ -303,7 +295,7 @@ func (ev *snapEval) bucket() {
 		d := expr.TriNull
 		if k != nil {
 			if i == runHi {
-				runLo, runHi = i, r.decideRun(k, &r.stage, run, i, len(u))
+				runLo, runHi = i, r.decideRun(k, run, i, len(u))
 				r.cs.pointed += int64(runHi - runLo)
 			}
 			d = run[i-runLo]
@@ -365,7 +357,7 @@ func (ev *snapEval) bucket() {
 // nil when the cache goes through rowTri (cacheKernel's gate).
 func (ev *snapEval) pointKernel() *expr.TriKernel {
 	r := ev.r
-	k := r.cacheKernel(&r.stage)
+	k := r.cacheKernel()
 	if k != nil {
 		ev.pt.bind(k, r.colPl.ct)
 	}

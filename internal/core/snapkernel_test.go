@@ -113,7 +113,7 @@ func checkSnapKernelParity(t *testing.T, name string, eng *Engine) (decided, ord
 		if k := ev.pointKernel(); k != nil {
 			run := r.cs.triU
 			for lo := 0; lo < len(u); {
-				hi := r.decideRun(k, &r.stage, run, lo, len(u))
+				hi := r.decideRun(k, run, lo, len(u))
 				for i := lo; i < hi; i++ {
 					if d := run[i-lo]; d != expr.TriNull {
 						if want := pointTruth(i); d != want {

@@ -72,8 +72,8 @@ func TestSpanHierarchyParallelQuery(t *testing.T) {
 		t.Fatal("no worker task spans recorded at P=4")
 	}
 	// No pool work outlives its batch barrier: every worker-track span is
-	// a task or reclass-task under a controller feed/reclassify span of
-	// the same batch, and lies inside that parent's [start, end].
+	// a task under a controller feed span of the same batch, and lies
+	// inside that parent's [start, end].
 	byID := make(map[otrace.SpanID]otrace.Span, len(spans))
 	for _, s := range spans {
 		byID[s.ID] = s
@@ -82,11 +82,10 @@ func TestSpanHierarchyParallelQuery(t *testing.T) {
 		if s.Tid == 0 {
 			continue
 		}
-		want := map[string]string{"task": "feed", "reclass-task": "reclassify"}[s.Name]
 		p, ok := byID[s.Parent]
-		if want == "" || !ok || p.Name != want || p.Tid != 0 || p.Batch != s.Batch {
-			t.Fatalf("worker span %q (batch %d, track %d) has parent %q (batch %d, track %d), want controller %q of the same batch",
-				s.Name, s.Batch, s.Tid, p.Name, p.Batch, p.Tid, want)
+		if s.Name != "task" || !ok || p.Name != "feed" || p.Tid != 0 || p.Batch != s.Batch {
+			t.Fatalf("worker span %q (batch %d, track %d) has parent %q (batch %d, track %d), want a task under the controller feed of the same batch",
+				s.Name, s.Batch, s.Tid, p.Name, p.Batch, p.Tid)
 		}
 		if s.Start < p.Start || s.End > p.End {
 			t.Fatalf("worker span %q [%d,%d] escapes its %q parent [%d,%d] (batch %d)",

@@ -16,7 +16,6 @@ import (
 //	query
 //	├── batch (one per mini-batch, also under recompute/resume replays)
 //	│   ├── reclassify        controller track, per block
-//	│   │   └── reclass-task  worker tracks (parallel tri-decisions)
 //	│   ├── feed              controller track, per block
 //	│   │   ├── task          worker tracks (part folds)
 //	│   │   └── serial-retry  controller track (containment redo)
@@ -25,9 +24,9 @@ import (
 //	├── snapshot              result materialization
 //	└── checkpoint / resume
 //
-// Worker-track spans exist only under a feed or reclassify span of their
-// own batch: every pool task runs inside a workerPool.scatter barrier,
-// so none outlives the phase that submitted it.
+// Worker-track spans exist only under a feed span of their own batch:
+// every pool task runs inside a workerPool.scatter barrier, so none
+// outlives the phase that submitted it.
 //
 // Span edges fire at batch/phase granularity — never per tuple — so
 // the fold hot path is untouched and the steady state allocates

@@ -121,23 +121,6 @@ func TestEngineTraceEvents(t *testing.T) {
 	}
 }
 
-func TestDebugFailuresConcurrentToggle(t *testing.T) {
-	// The old plain-bool global raced when toggled while an engine ran;
-	// now it is atomic. Exercised under -race in CI.
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 1000; i++ {
-			DebugFailures(i%2 == 0)
-		}
-		close(done)
-	}()
-	for i := 0; i < 1000; i++ {
-		_ = debugFailures.Load()
-	}
-	<-done
-	DebugFailures(false)
-}
-
 func TestEventOmitsEmptyFields(t *testing.T) {
 	b, err := json.Marshal(Event{Kind: EvRecompute, Batch: 2})
 	if err != nil {

@@ -107,55 +107,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(chromeTrace{TraceEvents: evs})
 }
 
-// jsonlSpan is the JSONL export shape — one span or instant per line.
-type jsonlSpan struct {
-	Kind   string `json:"kind"` // "span" or "instant"
-	Name   string `json:"name"`
-	Tid    int32  `json:"tid"`
-	Batch  int32  `json:"batch,omitempty"`
-	Block  int32  `json:"block,omitempty"`
-	ID     uint64 `json:"id,omitempty"`
-	Parent uint64 `json:"parent,omitempty"`
-	Seq    uint64 `json:"seq,omitempty"`
-	StartN int64  `json:"start_ns"`
-	EndN   int64  `json:"end_ns,omitempty"`
-	Note   string `json:"note,omitempty"`
-}
-
-// WriteJSONL writes spans then instants, one JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	now := t.Now()
-	enc := json.NewEncoder(w)
-	for _, s := range t.Spans() {
-		end := s.End
-		if end < s.Start {
-			end = now
-		}
-		rec := jsonlSpan{
-			Kind: "span", Name: s.Name, Tid: s.Tid,
-			Batch: s.Batch, Block: s.Block,
-			ID: uint64(s.ID), Parent: uint64(s.Parent),
-			StartN: s.Start, EndN: end,
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	for _, i := range t.Instants() {
-		rec := jsonlSpan{
-			Kind: "instant", Name: i.Name, Tid: i.Tid,
-			Batch: i.Batch, Seq: i.Seq, StartN: i.Ts, Note: i.Note,
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ValidateNesting checks the structural invariants of a span set:
 // every non-zero parent exists, every child interval lies within its
 // parent's, and every worker "task" span has a "batch" ancestor.

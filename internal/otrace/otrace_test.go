@@ -41,9 +41,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("nil export not valid JSON: %v", err)
 	}
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSpanHierarchyRecording(t *testing.T) {
@@ -186,31 +183,6 @@ func TestChromeTraceExportRoundTrip(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("export missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestJSONLExport(t *testing.T) {
-	tr := NewTracer(8)
-	ctl := tr.Slab(0)
-	q := ctl.Begin("query", 0, -1, -1)
-	ctl.End(q)
-	tr.Instant(tr.Now(), "commit", 0, 0, 3, "")
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var rec map[string]any
-	for _, ln := range lines {
-		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", ln, err)
-		}
-	}
-	if rec["kind"] != "instant" || rec["seq"] != float64(3) {
-		t.Fatalf("last line = %v", rec)
 	}
 }
 

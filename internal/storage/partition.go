@@ -1,12 +1,11 @@
 package storage
 
-// Deterministic partitioning for every partition → fold → ordered-merge
-// step in the runtime (core/parallel.go): pool workers and parallel
-// reclassification both split with SliceRanges, after sizing the split
-// with ClampParts. Contiguity is what keeps every parallel trajectory
-// bit-identical to the serial run — merging contiguous slices in slice
-// order reproduces the serial group insertion order exactly, for any
-// part count.
+// Deterministic partitioning for the runtime's partition → fold →
+// ordered-merge step (core/parallel.go): the parallel batch feed splits
+// with SliceRanges, after sizing the split with ClampParts. Contiguity
+// is what keeps every parallel trajectory bit-identical to the serial
+// run — merging contiguous slices in slice order reproduces the serial
+// group insertion order exactly, for any part count.
 
 // SliceRange is one part's contiguous [Lo, Hi) row range.
 type SliceRange struct {

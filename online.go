@@ -48,8 +48,8 @@ type Tracer = core.Tracer
 // OnlineOptions.Profile query records — query → mini-batch → phase →
 // per-worker fold task, plus retries, reclassification and
 // checkpoint/resume — exportable as Chrome trace-event JSON
-// (Perfetto-loadable) or JSONL, with the ring events attached as
-// instants. Read it through OnlineQuery.Spans.
+// (Perfetto-loadable), with the ring events attached as instants. Read
+// it through OnlineQuery.Spans.
 type SpanTracer = otrace.Tracer
 
 // ResourceUsage is one mini-batch's memory observation: per-pool byte

@@ -4,7 +4,10 @@
 #   gofmt           no tracked Go file differs from gofmt's output
 #   go vet          static checks
 #   go build        the whole tree compiles
-#   go test -race   the full suite under the race detector — every
+#   go test -race   the full suite under the race detector, in shuffled
+#                   order (-shuffle=on: a test that leans on another's
+#                   leftover state fails; go test prints the seed, and
+#                   -shuffle=<seed> replays the order) — every
 #                   determinism, replay, checkpoint, chaos, ledger,
 #                   span, audit and conformance test runs here
 #   alloc gates     go test ./internal/core -run Allocs without -race:
@@ -52,8 +55,8 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-echo "== go test -race ./..."
-go test -race ./...
+echo "== go test -race -shuffle=on ./..."
+go test -race -shuffle=on ./...
 
 echo "== alloc gates (go test ./internal/core -run Allocs, no -race)"
 go test ./internal/core -run Allocs -count=1

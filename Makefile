@@ -40,8 +40,9 @@ chaos:
 	go run ./cmd/flbench -experiment chaos $(ARGS)
 
 # Span-timeline capture: run one traced suite query (default Q17) and
-# write trace.json (Chrome trace-event format — open in ui.perfetto.dev
-# or chrome://tracing) plus trace.jsonl (the structured G-OLA event
-# ring). Pick a query with ARGS="-tracequery SBI".
+# write trace.jsonl (the structured G-OLA event ring) plus trace.json
+# (Chrome trace-event format — open in ui.perfetto.dev or
+# chrome://tracing), whose instants are the same ring events. Pick a
+# query with ARGS="-tracequery SBI".
 trace:
 	go run ./cmd/flbench -spans trace.json -trace trace.jsonl $(ARGS)

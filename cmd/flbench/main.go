@@ -21,9 +21,11 @@
 // recompute triggers — as JSON Lines, followed by the per-phase profile
 // on stdout.
 // -spans out.json additionally (or instead) records the run's span
-// timeline — query → mini-batch → phase → worker task, with ring events
-// as instants — and writes it as Chrome trace-event JSON; open the file
-// in ui.perfetto.dev or chrome://tracing.
+// timeline — query → mini-batch → phase → worker task — and writes it as
+// Chrome trace-event JSON, with the same events the JSONL holds attached
+// as instants; open the file in ui.perfetto.dev or chrome://tracing. The
+// summary reports the ring's drop count (the only event-drop figure)
+// and the instants written, which equal the events captured.
 //
 // Throughput and latency of the engine are measured by the end-to-end
 // benchmark under benchmark/ (BENCHMARK.json) and by the go test

@@ -37,6 +37,10 @@ type Update struct {
 	// RowsRecomputed counts tuples re-read this batch (the wasted work
 	// Figure 3(b) visualizes for CDM).
 	RowsRecomputed int64
+	// RootRows counts the tuples the root block read this batch: the
+	// new mini-batch when it is maintained incrementally, the whole
+	// prefix when it is recomputed.
+	RootRows int64
 }
 
 // CDM executes a query with classical delta maintenance.
@@ -108,7 +112,7 @@ func (c *CDM) Step() (*Update, error) {
 		}
 	}
 	env := exec.NewEnv(c.q)
-	var recomputed int64
+	var recomputed, rootRows int64
 	for _, cb := range c.blocks {
 		ts := c.tables[cb.b.Input.Fact]
 		var rows []types.Row
@@ -134,6 +138,8 @@ func (c *CDM) Step() (*Update, error) {
 		if cb.b.Kind != plan.RootBlock {
 			scale := c.scaleFor(cb.b)
 			exec.InstallBinding(cb.b, cb.tab, env, scale)
+		} else {
+			rootRows = int64(len(rows))
 		}
 	}
 	c.batch++
@@ -147,6 +153,7 @@ func (c *CDM) Step() (*Update, error) {
 		Rows:              out,
 		Elapsed:           time.Since(start),
 		RowsRecomputed:    recomputed,
+		RootRows:          rootRows,
 	}, nil
 }
 

@@ -170,12 +170,20 @@ func Figure3a(cfg Config) (*Fig3aResult, error) {
 // mini-batches for C1, C2, C3, Q11, Q17, Q18, Q20.
 // ---------------------------------------------------------------------
 
-// Fig3bSeries is one query's curve.
+// Fig3bSeries is one query's curve. Besides the per-batch times it
+// carries the work behind them, which repeats bit-for-bit under a seed:
+// the root block's tuples touched per batch. CDM's (CdmRows) is the new
+// mini-batch when it maintains the root incrementally and the whole
+// prefix when it recomputes it; G-OLA's (GolaRows, from engine Metrics)
+// is the new mini-batch (plus any replayed prefix) and the uncertain
+// cache it re-examined.
 type Fig3bSeries struct {
-	Query  string
-	GolaMS []float64
-	CdmMS  []float64
-	Ratio  []float64
+	Query    string
+	GolaMS   []float64
+	CdmMS    []float64
+	Ratio    []float64
+	GolaRows []int64
+	CdmRows  []int64
 }
 
 // Fig3bQueries lists the queries Figure 3(b) plots.
@@ -210,11 +218,17 @@ func Figure3b(cfg Config) ([]Fig3bSeries, error) {
 		}
 		defer eng.Close()
 		for i := 0; i < window; i++ {
+			before := eng.Metrics()
 			t0 := time.Now()
 			if _, err := eng.Step(); err != nil {
 				return nil, err
 			}
 			s.GolaMS = append(s.GolaMS, ms(time.Since(t0)))
+			rows := eng.Metrics().RowsProcessed - before.RowsProcessed
+			if n := len(before.UncertainPerBatch); n > 0 {
+				rows += int64(before.UncertainPerBatch[n-1])
+			}
+			s.GolaRows = append(s.GolaRows, rows)
 		}
 
 		qc, err := plan.Compile(wq.SQL, cat)
@@ -227,10 +241,12 @@ func Figure3b(cfg Config) ([]Fig3bSeries, error) {
 		}
 		for i := 0; i < window; i++ {
 			t0 := time.Now()
-			if _, err := cdm.Step(); err != nil {
+			u, err := cdm.Step()
+			if err != nil {
 				return nil, err
 			}
 			s.CdmMS = append(s.CdmMS, ms(time.Since(t0)))
+			s.CdmRows = append(s.CdmRows, u.RootRows)
 		}
 
 		for i := range s.GolaMS {
@@ -331,33 +347,42 @@ func FormatFig3a(r *Fig3aResult) string {
 	return b.String()
 }
 
-// FormatFig3b renders the Figure 3(b) ratios.
+// FormatFig3b renders the Figure 3(b) ratios, then the root tuples
+// each engine touched per batch.
 func FormatFig3b(series []Fig3bSeries) string {
 	var b strings.Builder
-	b.WriteString("Figure 3(b): per-batch time ratio CDM / G-OLA\n")
-	fmt.Fprintf(&b, "%6s", "batch")
+	fig3bTable(&b, "Figure 3(b): per-batch time ratio CDM / G-OLA", series,
+		func(s Fig3bSeries, i int) string { return fmt.Sprintf("%.2f", s.Ratio[i]) })
+	fig3bTable(&b, "root tuples touched per batch, G-OLA (new batch + uncertain cache)", series,
+		func(s Fig3bSeries, i int) string { return fmt.Sprint(s.GolaRows[i]) })
+	fig3bTable(&b, "root tuples touched per batch, CDM (new batch, or the prefix when recomputed)", series,
+		func(s Fig3bSeries, i int) string { return fmt.Sprint(s.CdmRows[i]) })
+	return b.String()
+}
+
+// fig3bTable writes one batch × query table of cell(s, batch index).
+func fig3bTable(b *strings.Builder, title string, series []Fig3bSeries, cell func(Fig3bSeries, int) string) {
+	b.WriteString(title + "\n")
+	fmt.Fprintf(b, "%6s", "batch")
 	for _, s := range series {
-		fmt.Fprintf(&b, " %8s", s.Query)
+		fmt.Fprintf(b, " %8s", s.Query)
 	}
 	b.WriteString("\n")
 	n := 0
 	for _, s := range series {
-		if len(s.Ratio) > n {
-			n = len(s.Ratio)
-		}
+		n = max(n, len(s.Ratio))
 	}
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%6d", i+1)
+		fmt.Fprintf(b, "%6d", i+1)
 		for _, s := range series {
+			v := "-"
 			if i < len(s.Ratio) {
-				fmt.Fprintf(&b, " %8.2f", s.Ratio[i])
-			} else {
-				fmt.Fprintf(&b, " %8s", "-")
+				v = cell(s, i)
 			}
+			fmt.Fprintf(b, " %8s", v)
 		}
 		b.WriteString("\n")
 	}
-	return b.String()
 }
 
 // FormatT2 renders the uncertain-set profile.

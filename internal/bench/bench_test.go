@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -62,8 +63,8 @@ func TestFigure3bShape(t *testing.T) {
 	// EXPERIMENTS.md. Here we only log it.
 	t.Logf("mean CDM/G-OLA ratio: batch 1 = %.3f, batch %d = %.3f", first, tiny.Batches, last)
 	out := FormatFig3b(series)
-	if !strings.Contains(out, "Q17") {
-		t.Error("format")
+	if !strings.Contains(out, "Q17") || !strings.Contains(out, "tuples touched per batch, CDM") {
+		t.Errorf("format:\n%s", out)
 	}
 }
 
@@ -198,14 +199,64 @@ func TestHeadlineShapesMediumScale(t *testing.T) {
 
 	// Figure 3(b): averaged over the suite, CDM/G-OLA grows through the
 	// window (CDM re-reads the prefix; G-OLA touches ΔD + uncertain).
-	fb, err := Figure3b(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The work behind the claim is deterministic and asserted exactly;
+	// the wall-clock ratio is taken per point as the median of three
+	// runs, so load from concurrently tested packages cannot flip it.
+	const runs = 3
+	fbs := make([][]Fig3bSeries, runs)
+	for r := range fbs {
+		if fbs[r], err = Figure3b(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fb := fbs[0]
+	for r := 1; r < runs; r++ {
+		for qi, s := range fbs[r] {
+			if !reflect.DeepEqual(s.GolaRows, fb[qi].GolaRows) || !reflect.DeepEqual(s.CdmRows, fb[qi].CdmRows) {
+				t.Fatalf("%s: tuples touched differ between runs under one seed", s.Query)
+			}
+		}
+	}
+	var rowsFirst, rowsSecond float64
+	for _, s := range fb {
+		half := len(s.CdmRows) / 2
+		for i, c := range s.CdmRows {
+			// CDM maintains Q11's root incrementally (its nested
+			// aggregate sits in HAVING) and re-reads the whole prefix of
+			// every other root: exactly i+1 equal mini-batches.
+			want := s.CdmRows[0] * int64(i+1)
+			if s.Query == "Q11" {
+				want = s.CdmRows[0]
+			}
+			if c != want {
+				t.Errorf("%s batch %d: CDM touched %d root tuples, want %d", s.Query, i+1, c, want)
+			}
+			g := s.GolaRows[i]
+			if g < s.GolaRows[0] {
+				t.Errorf("%s batch %d: G-OLA touched %d root tuples, fewer than the first batch's %d", s.Query, i+1, g, s.GolaRows[0])
+			}
+			switch s.Query {
+			case "C1", "C2", "C3":
+				// Tiny uncertain sets: ΔD plus at most a third more.
+				if 3*g > 4*s.GolaRows[0] {
+					t.Errorf("%s batch %d: G-OLA touched %d root tuples for a %d-tuple batch", s.Query, i+1, g, s.GolaRows[0])
+				}
+			}
+			if i < half {
+				rowsFirst += float64(c) / float64(g)
+			} else {
+				rowsSecond += float64(c) / float64(g)
+			}
+		}
+	}
+	if rowsSecond <= rowsFirst {
+		t.Errorf("mean tuples-touched ratio did not grow: first half %.2f, second half %.2f", rowsFirst, rowsSecond)
 	}
 	var first, second float64
-	for _, s := range fb {
+	for qi, s := range fb {
 		half := len(s.Ratio) / 2
-		for i, r := range s.Ratio {
+		for i := range s.Ratio {
+			r := median3(fbs[0][qi].Ratio[i], fbs[1][qi].Ratio[i], fbs[2][qi].Ratio[i])
 			if i < half {
 				first += r
 			} else {
@@ -214,7 +265,7 @@ func TestHeadlineShapesMediumScale(t *testing.T) {
 		}
 	}
 	if second <= first {
-		t.Errorf("mean ratio did not grow: first half %.2f, second half %.2f", first, second)
+		t.Errorf("median-of-%d mean ratio did not grow: first half %.2f, second half %.2f", runs, first, second)
 	}
 
 	// T2: the Conviva-style queries keep tiny uncertain sets (the
@@ -238,6 +289,11 @@ func TestHeadlineShapesMediumScale(t *testing.T) {
 			}
 		}
 	}
+}
+
+// median3 returns the middle of three values.
+func median3(a, b, c float64) float64 {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 func TestAsciiChart(t *testing.T) {

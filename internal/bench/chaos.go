@@ -152,7 +152,7 @@ func chaosBase(cfg Config) (*chaosEnv, error) {
 }
 
 // runAll drains a fresh engine and returns every snapshot.
-func runAll(q *plan.Query, cat *storage.Catalog, opt core.Options) ([]*core.Snapshot, *otrace.Tracer, error) {
+func runAll(q *plan.Query, cat *storage.Catalog, opt core.Options) ([]*core.Snapshot, *core.Engine, error) {
 	eng, err := core.New(q, cat, opt)
 	if err != nil {
 		return nil, nil, err
@@ -166,7 +166,7 @@ func runAll(q *plan.Query, cat *storage.Catalog, opt core.Options) ([]*core.Snap
 		}
 		snaps = append(snaps, s)
 	}
-	return snaps, eng.Spans(), nil
+	return snaps, eng, nil
 }
 
 // snapsEqual demands bit-identical result rows (values, CIs, RSDs).
@@ -197,7 +197,7 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 	// The mixed profile also records span timelines: every engine the
 	// schedule builds adds its own to timelines.
 	opt.Profile = mix.name == "mixed"
-	var timelines []*otrace.Tracer
+	var timelines []*core.Engine
 
 	r.ModeCounts[mode]++
 	r.Profiles[mix.name]++
@@ -210,8 +210,8 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 
 	switch mode {
 	case "plain":
-		got, spans, err := runAll(q, env.cat, opt)
-		timelines = append(timelines, spans)
+		got, eng, err := runAll(q, env.cat, opt)
+		timelines = append(timelines, eng)
 		if err != nil {
 			return fmt.Errorf("schedule %d (%s/%s): %w", i, mix.name, mode, err)
 		}
@@ -226,7 +226,7 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 			return err
 		}
 		defer eng.Close()
-		timelines = append(timelines, eng.Spans())
+		timelines = append(timelines, eng)
 		stop := i % (env.opt.Batches + 1) // cancel after 0..Batches batches
 		var got []*core.Snapshot
 		for b := 0; b < stop; b++ {
@@ -270,7 +270,7 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 			return err
 		}
 		defer eng.Close()
-		timelines = append(timelines, eng.Spans())
+		timelines = append(timelines, eng)
 		k := 1 + i%env.opt.Batches // checkpoint after 1..Batches batches
 		var got []*core.Snapshot
 		for b := 0; b < k; b++ {
@@ -289,7 +289,7 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 			return fmt.Errorf("schedule %d (%s/%s) resume: %w", i, mix.name, mode, err)
 		}
 		defer res.Close()
-		timelines = append(timelines, res.Spans())
+		timelines = append(timelines, res)
 		ck2, err := res.Checkpoint()
 		if err != nil {
 			return fmt.Errorf("schedule %d (%s/%s) re-checkpoint: %w", i, mix.name, mode, err)
@@ -317,16 +317,20 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 	// The fault-riddled run already matched the reference bit-for-bit
 	// above; now its timelines must also be structurally sound and
 	// export to valid, correctly nested Chrome trace JSON.
-	for _, spans := range timelines {
-		if err := otrace.ValidateNesting(spans.Spans()); err != nil {
+	for _, eng := range timelines {
+		if err := otrace.ValidateNesting(eng.Spans().Spans()); err != nil {
 			return fmt.Errorf("schedule %d (%s/%s): span nesting under faults: %w", i, mix.name, mode, err)
 		}
 		var buf bytes.Buffer
-		if err := spans.WriteChromeTrace(&buf); err != nil {
+		if err := eng.Events().WriteChromeTrace(&buf); err != nil {
 			return fmt.Errorf("schedule %d (%s/%s): span export: %w", i, mix.name, mode, err)
 		}
-		if _, _, err := otrace.ValidateChromeJSON(buf.Bytes()); err != nil {
+		_, ni, err := otrace.ValidateChromeJSON(buf.Bytes())
+		if err != nil {
 			return fmt.Errorf("schedule %d (%s/%s): exported trace invalid: %w", i, mix.name, mode, err)
+		}
+		if n := len(eng.Events().Events()); ni != n {
+			return fmt.Errorf("schedule %d (%s/%s): exported %d instants for %d ring events", i, mix.name, mode, ni, n)
 		}
 	}
 	r.SpanRuns++

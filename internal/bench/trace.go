@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
 	"fluodb/internal/core"
+	"fluodb/internal/otrace"
 	"fluodb/internal/plan"
 	"fluodb/internal/workload"
 )
@@ -12,19 +14,24 @@ import (
 // Structured trace capture: run one suite query with the engine's event
 // tracer and phase profiler enabled and dump everything the engine
 // decided — range commits, variation-range failures, uncertain flips,
-// recompute triggers — as JSON Lines. This is flbench -trace.
+// recompute triggers — as JSON Lines, and optionally the span timeline
+// as Chrome trace JSON. Both files read the one event ring, so the
+// JSONL lines and the Chrome instants are the same events. This is
+// flbench -trace.
 
 // TraceResult summarizes a traced run.
 type TraceResult struct {
 	Query      string
 	Events     int
-	Dropped    int
+	Dropped    int // events the ring overwrote; the only event-drop figure
 	ByKind     map[string]int
 	Recomputes int
 	Report     string // the engine's per-phase text profile
-	// Span-timeline capture (flbench -spans): recorded span count and
-	// slab overflow drops. Zero when no spans writer was supplied.
+	// Span-timeline capture (flbench -spans): span and instant counts
+	// read back from the written Chrome JSON, and slab overflow drops.
+	// Zero when no spans writer was supplied.
 	Spans        int
+	Instants     int
 	DroppedSpans int
 }
 
@@ -32,7 +39,8 @@ type TraceResult struct {
 // non-monotonic workload) with Options.Profile, streaming the engine's
 // retained ring events to w as JSONL. When spansW is non-nil it also
 // writes the run's span timeline there as Chrome trace-event JSON
-// (Perfetto-loadable), with the ring events attached as instants.
+// (Perfetto-loadable), with the same ring events attached as instants;
+// the written JSON is validated before it is returned.
 func TraceRun(cfg Config, queryName string, w, spansW io.Writer) (*TraceResult, error) {
 	cfg = cfg.WithDefaults()
 	if queryName == "" {
@@ -75,11 +83,19 @@ func TraceRun(cfg Config, queryName string, w, spansW io.Writer) (*TraceResult, 
 		res.ByKind[ev.Kind]++
 	}
 	if spansW != nil {
-		if err := spans.WriteChromeTrace(spansW); err != nil {
+		var buf bytes.Buffer
+		if err := tracer.WriteChromeTrace(&buf); err != nil {
 			return nil, err
 		}
-		res.Spans = len(spans.Spans())
-		res.DroppedSpans = int(spans.DroppedSpans())
+		ns, ni, err := otrace.ValidateChromeJSON(buf.Bytes())
+		if err != nil {
+			return nil, err
+		}
+		if _, err := spansW.Write(buf.Bytes()); err != nil {
+			return nil, err
+		}
+		res.Spans, res.Instants = ns, ni
+		res.DroppedSpans = spans.DroppedSpans()
 	}
 	return res, nil
 }
@@ -89,8 +105,8 @@ func FormatTrace(r *TraceResult) string {
 	s := fmt.Sprintf("trace: %s — %d events captured (%d dropped), %d recomputes\n",
 		r.Query, r.Events, r.Dropped, r.Recomputes)
 	if r.Spans > 0 {
-		s += fmt.Sprintf("  spans: %d recorded (%d dropped) — load the JSON into ui.perfetto.dev\n",
-			r.Spans, r.DroppedSpans)
+		s += fmt.Sprintf("  spans: %d recorded (%d dropped), %d instants — load the JSON into ui.perfetto.dev\n",
+			r.Spans, r.DroppedSpans, r.Instants)
 	}
 	for _, kind := range []string{core.EvCommit, core.EvRangeFailure, core.EvFlip, core.EvRecompute, core.EvNoCommit} {
 		if n := r.ByKind[kind]; n > 0 {

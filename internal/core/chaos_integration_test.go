@@ -252,7 +252,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Confidence: -0.5},
 		{EpsilonSigma: -1},
 		{MinGroupSupport: -3},
-		{MaxUncertainRows: -1},
 	}
 	for _, o := range bad {
 		if _, err := New(q, cat, o); err == nil {
@@ -339,20 +338,22 @@ func TestDeadlineReturnsBoundedAnswer(t *testing.T) {
 	}
 }
 
-// TestUncertainEviction pins the MaxUncertainRows budget: the cache
-// stays bounded, evictions are counted and surfaced as Degraded, and
-// the engine still completes with a plausible answer.
+// TestUncertainEviction pins the uncertain cache's one bound, rung 2 of
+// the MaxMemoryBytes ladder: a 1-byte budget leaves an overage larger
+// than the whole cache, so every batch ends with the cache shed;
+// evictions are counted and surfaced as Degraded, and the engine still
+// completes with a plausible answer. The fixture is fixed-seed and
+// caches uncertain rows, so an unreached eviction path is a failure.
 func TestUncertainEviction(t *testing.T) {
 	cat := determinismCatalog(6*2048, 331)
 	q, err := plan.Compile(chaosSQL, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 64
 	eng, err := New(q, cat, Options{
 		Batches: 6, Trials: 32, Seed: 411,
 		Parallelism: 2, ParallelThreshold: 128,
-		MaxUncertainRows: budget,
+		MaxMemoryBytes: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -364,28 +365,21 @@ func TestUncertainEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := eng.UncertainRows(); got > budget {
-			t.Fatalf("uncertain cache %d exceeds budget %d after batch %d", got, budget, s.Batch)
+		if got := eng.UncertainRows(); got != 0 {
+			t.Fatalf("uncertain cache %d survived rung 2 of a 1-byte budget after batch %d", got, s.Batch)
 		}
 		last = s
 	}
 	m := eng.Metrics()
 	if m.UncertainEvictions == 0 {
-		t.Skip("workload kept uncertain cache under budget; eviction path not reached")
+		t.Fatal("workload cached no uncertain rows; eviction path not reached")
 	}
-	if last.Degraded == "" {
-		t.Fatal("snapshot not marked Degraded despite evictions")
+	if last.Degraded != "budget:segcache+evict" {
+		t.Fatalf("Degraded = %q despite evictions, want the budget ladder named", last.Degraded)
 	}
 	if len(last.Rows) == 0 {
 		t.Fatal("degraded run produced no rows")
 	}
-	found := false
-	for _, ev := range eng.trace.Events() {
-		if ev.Kind == EvEvict {
-			found = true
-		}
-	}
-	_ = found // trace is nil-tracer by default; eviction metric is the contract
 }
 
 // TestUncertainEvictionTraced re-runs the eviction scenario with a
@@ -398,7 +392,7 @@ func TestUncertainEvictionTraced(t *testing.T) {
 	}
 	eng, err := New(q, cat, Options{
 		Batches: 6, Trials: 32, Seed: 411,
-		Parallelism: 1, MaxUncertainRows: 32, Profile: true,
+		Parallelism: 1, MaxMemoryBytes: 1, Profile: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +404,7 @@ func TestUncertainEvictionTraced(t *testing.T) {
 		}
 	}
 	if eng.Metrics().UncertainEvictions == 0 {
-		t.Skip("no evictions under this workload")
+		t.Fatal("no evictions under this fixed-seed workload; eviction path not reached")
 	}
 	evicts := 0
 	for _, ev := range eng.Events().Events() {

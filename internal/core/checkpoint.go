@@ -37,7 +37,7 @@ import (
 
 const (
 	ckMagic   = "FLCP1"
-	ckVersion = 5 // 5: replay is the only format; no tables or cache rows
+	ckVersion = 6 // 6: one eviction counter (5: replay is the only format)
 )
 
 // ckSum is FNV-1a 64 over the checkpoint payload.
@@ -185,7 +185,6 @@ func (e *Engine) Checkpoint() ([]byte, error) {
 	w.i64(e.metrics.RowsProcessed)
 	w.i64(e.metrics.DeterministicFolds)
 	w.i64(e.metrics.UncertainEvictions)
-	w.i64(e.metrics.BudgetEvictions)
 	w.i(e.degradeRung)
 	w.i64(e.ledger.PeakTotal())
 	w.i64(e.metrics.GCPauseNS)
@@ -282,7 +281,6 @@ func (e *Engine) restore(data []byte) error {
 	m.RowsProcessed = r.i64()
 	m.DeterministicFolds = r.i64()
 	m.UncertainEvictions = r.i64()
-	m.BudgetEvictions = r.i64()
 	rung := r.i()
 	if r.err == nil && (rung < 0 || rung > 2) {
 		r.fail("degradation rung out of range")
@@ -337,7 +335,6 @@ func (e *Engine) restore(data []byte) error {
 	e.metrics.RowsProcessed = m.RowsProcessed
 	e.metrics.DeterministicFolds = m.DeterministicFolds
 	e.metrics.UncertainEvictions = m.UncertainEvictions
-	e.metrics.BudgetEvictions = m.BudgetEvictions
 	e.metrics.GCPauseNS = m.GCPauseNS
 	e.metrics.GCCycles = m.GCCycles
 	e.metrics.UncertainPerBatch = m.UncertainPerBatch
@@ -355,7 +352,6 @@ func (e *Engine) restore(data []byte) error {
 	if rung >= 2 {
 		e.setDegradeRung(2)
 	}
-	e.updateDegradeReason()
 	e.metrics.DegradeRung = e.degradeRung
 	e.ledger.RestorePeak(memPeak)
 	e.metrics.MemPeakBytes = e.ledger.PeakTotal()

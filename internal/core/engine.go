@@ -82,28 +82,22 @@ type Options struct {
 	// uncertain flips, recomputes) and a hierarchical span timeline
 	// (Engine.Spans: query → mini-batch → phase (reclassify, feed,
 	// ranges) → per-worker feed task, plus serial retries and
-	// checkpoint/resume; DESIGN.md §14), with every ring event mirrored
-	// onto it as an instant. The per-phase profile (Metrics.Phases) is
-	// collected either way, and the traced run executes exactly the
-	// kernels the untraced run does.
+	// checkpoint/resume; DESIGN.md §14). The ring is the one event
+	// store: the Chrome export (Tracer.WriteChromeTrace) attaches its
+	// events to the timeline as instants. The per-phase profile
+	// (Metrics.Phases) is collected either way, and the traced run
+	// executes exactly the kernels the untraced run does.
 	Profile bool
-	// MaxUncertainRows bounds the cached uncertain set across all blocks
-	// (0 = unbounded). When a batch pushes past the budget, the oldest
-	// cached tuples are force-resolved by their point-estimate truth
-	// (folded or dropped) instead of waiting for their ranges to decide;
-	// snapshots are then marked Degraded. A later contradiction still
-	// triggers the usual failure-recovery replay, so results stay
-	// correct — the degradation is in deterministic-set precision, not
-	// in the answer.
-	MaxUncertainRows int
 	// MaxMemoryBytes is a soft budget on the bytes the query pins across
 	// its accounted pools (group tables, uncertain cache, columnar
 	// scratch, segment cache; see Snapshot.Resources). 0 =
 	// unbudgeted. When a mini-batch commits over budget, a deterministic
 	// degradation ladder engages — drop the columnar segment cache, then
-	// evict uncertain tuples through the MaxUncertainRows path — each
-	// rung falling back to a bit-identical slower/leaner mode
-	// (ledger.go).
+	// evict the oldest cached uncertain tuples, force-resolving them by
+	// their point-estimate truth (ledger.go). Rung 1 falls back to a
+	// bit-identical path; rung 2 marks snapshots Degraded and trades
+	// deterministic-set precision, never the answer: a later
+	// contradiction still triggers the usual failure-recovery replay.
 	// Like Parallelism, the budget is operational: it may differ between
 	// a checkpoint and its resume.
 	MaxMemoryBytes int64
@@ -141,9 +135,6 @@ func (o Options) Validate() error {
 	}
 	if o.ParallelThreshold < 0 {
 		return bad("ParallelThreshold", o.ParallelThreshold)
-	}
-	if o.MaxUncertainRows < 0 {
-		return bad("MaxUncertainRows", o.MaxUncertainRows)
 	}
 	if o.MaxMemoryBytes < 0 {
 		return bad("MaxMemoryBytes", o.MaxMemoryBytes)
@@ -196,13 +187,9 @@ type Metrics struct {
 	DetFlips            int
 	InvariantViolations int
 	// UncertainEvictions counts cached uncertain tuples force-resolved
-	// by the MaxUncertainRows cap or the MaxMemoryBytes budget; nonzero
-	// marks snapshots Degraded. BudgetEvictions is the subset forced by
-	// the memory budget (ladder rung 2); the cap-driven share is the
-	// difference (the reason split behind
-	// gola_uncertain_evictions{reason}).
+	// by rung 2 of the MaxMemoryBytes ladder; nonzero marks snapshots
+	// Degraded.
 	UncertainEvictions int64
-	BudgetEvictions    int64
 	// Resource-ledger headline numbers (ledger.go): latest / high-water
 	// total byte residency across the accounted pools, the highest
 	// degradation rung engaged by MaxMemoryBytes (0 = none), and GC
@@ -311,13 +298,12 @@ type Engine struct {
 	// MaxMemoryBytes ladder with its cached reason string (rebuilt only
 	// on state change, so snapshots assign it allocation-free), the
 	// latest stamped usage, and the most recent checkpoint buffer size.
-	ledger        resource.Ledger
-	gcSampler     *resource.Sampler
-	gcPrev        resource.GCStats
-	degradeRung   int
-	degradeReason string
-	lastUsage     ResourceUsage
-	ckBytes       int64
+	ledger      resource.Ledger
+	gcSampler   *resource.Sampler
+	gcPrev      resource.GCStats
+	degradeRung int
+	lastUsage   ResourceUsage
+	ckBytes     int64
 }
 
 // triEnv returns the controller's classification environment, rebound
@@ -856,30 +842,12 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 			}
 		}
 	}
-	// Enforce the uncertain-cache cap and the soft memory budget before
-	// the batch commits: both evaluation points are deterministic (same
-	// state → same evictions / same ladder rungs), so failure-recovery
-	// replay re-degrades identically — and every ladder rung falls back
-	// to a bit-identical path anyway (ledger.go).
-	e.enforceUncertainBudget()
+	// Enforce the soft memory budget before the batch commits: the
+	// evaluation point is deterministic (same state → same ladder rungs,
+	// same evictions), so failure-recovery replay re-degrades
+	// identically (ledger.go).
 	e.enforceMemoryBudget()
 	return true, nil
-}
-
-// enforceUncertainBudget applies Options.MaxUncertainRows: while the
-// cached uncertain set exceeds the budget, the oldest tuples of the
-// largest block cache are force-resolved by point-estimate truth
-// (graceful degradation — bounded memory at the cost of deterministic-
-// set precision, surfaced via Metrics.UncertainEvictions and
-// Snapshot.Degraded).
-func (e *Engine) enforceUncertainBudget() {
-	budget := e.opt.MaxUncertainRows
-	if budget <= 0 {
-		return
-	}
-	if over := e.UncertainRows() - budget; over > 0 {
-		e.evictUncertain(over, "cap")
-	}
 }
 
 // replayUpTo resets all online state and reprocesses batches 0..upto.

@@ -17,16 +17,16 @@ import (
 // no per-tuple arithmetic, 0 allocs/tuple with the ledger on.
 //
 // On top of the ledger sits the soft budget Options.MaxMemoryBytes with
-// a two-rung degradation ladder, evaluated at the same deterministic
-// pre-commit point as the uncertain-cache cap (end of processBatch, so
-// failure-recovery replay re-degrades identically). Every rung falls
-// back to a path that is bit-identical by construction:
+// a two-rung degradation ladder, evaluated at a deterministic pre-commit
+// point (end of processBatch, so failure-recovery replay re-degrades
+// identically):
 //
 //	rung 1 — drop the columnar segment cache: colFeed reports
 //	         ineligibility and the row loop takes over (the PR 6
 //	         equivalence gates pin the two paths bit-identical);
-//	rung 2 — run the existing MaxUncertainRows eviction path against
-//	         the remaining overage (reason "budget" instead of "cap").
+//	rung 2 — evict the oldest cached uncertain tuples against the
+//	         remaining overage, force-resolving each by point-estimate
+//	         truth (the cache's only bound).
 //
 // Rungs latch for the rest of the query: un-degrading mid-run would
 // re-grow the freed pools and oscillate around the budget.
@@ -107,9 +107,8 @@ func (e *Engine) collectResidency() {
 }
 
 // observeResources commits one mini-batch's memory observation: collect
-// residency, advance peaks, attribute GC deltas, stamp snap.Resources
-// and the degradation reason, and mirror the headline numbers into
-// Metrics.
+// residency, advance peaks, attribute GC deltas, stamp snap.Resources,
+// and copy the headline numbers into Metrics.
 func (e *Engine) observeResources(snap *Snapshot) {
 	e.collectResidency()
 	e.ledger.Observe()
@@ -128,7 +127,6 @@ func (e *Engine) observeResources(snap *Snapshot) {
 	}
 	u.BudgetBytes = e.opt.MaxMemoryBytes
 	u.DegradeRung = e.degradeRung
-	u.BudgetEvictions = e.metrics.BudgetEvictions
 	e.lastUsage = u
 	e.metrics.MemBytes = u.TotalBytes
 	e.metrics.MemPeakBytes = u.PeakBytes
@@ -136,44 +134,15 @@ func (e *Engine) observeResources(snap *Snapshot) {
 	snap.Resources = u
 }
 
-// Degradation reason strings, ordered by rung; combined ladder states
-// concatenate ("budget:segcache+evict"), and cap-driven
-// evictions append their own tag so Snapshot.Degraded names every cause.
-const (
-	degradeSegCache = "segcache"
-	degradeEvict    = "evict"
-)
-
-// updateDegradeReason rebuilds the cached Snapshot.Degraded string.
-// Called only when degradation state changes, so steady-state snapshots
-// assign a prebuilt string (no per-batch allocation).
-func (e *Engine) updateDegradeReason() {
-	budget := ""
-	if e.degradeRung >= 1 {
-		budget = degradeSegCache
-	}
-	if e.degradeRung >= 2 {
-		budget += "+" + degradeEvict
-	}
-	reason := ""
-	if budget != "" {
-		reason = "budget:" + budget
-	}
-	if e.metrics.UncertainEvictions > e.metrics.BudgetEvictions {
-		if reason != "" {
-			reason += ","
-		}
-		reason += "cap:" + degradeEvict
-	}
-	e.degradeReason = reason
-}
+// degradeReasons is Snapshot.Degraded by rung: each rung names every
+// ladder step engaged so far.
+var degradeReasons = [...]string{"", "budget:segcache", "budget:segcache+evict"}
 
 // enforceMemoryBudget applies Options.MaxMemoryBytes at the
-// deterministic pre-commit point (end of processBatch, next to the
-// uncertain-cache cap): while the ledger total exceeds the soft budget,
-// engage the next rung of the degradation ladder. Residency is
-// re-collected between rungs so a rung that frees enough memory stops
-// the ladder.
+// deterministic pre-commit point (end of processBatch): while the ledger
+// total exceeds the soft budget, engage the next rung of the
+// degradation ladder. Residency is re-collected between rungs so a rung
+// that frees enough memory stops the ladder.
 func (e *Engine) enforceMemoryBudget() {
 	budget := e.opt.MaxMemoryBytes
 	if budget <= 0 {
@@ -192,11 +161,11 @@ func (e *Engine) enforceMemoryBudget() {
 		}
 	}
 	e.setDegradeRung(2)
-	// Rung 2: shed uncertain-cache residency through the existing
-	// eviction path. Evict enough of the oldest cached tuples to cover
-	// the overage (at least one whole cache's worth of headway is not
-	// forced — eviction frees row-header bytes gradually and the
-	// ladder re-evaluates every batch).
+	// Rung 2: shed uncertain-cache residency. Evict enough of the
+	// oldest cached tuples to cover the overage (at least one whole
+	// cache's worth of headway is not forced — eviction frees
+	// row-header bytes gradually and the ladder re-evaluates every
+	// batch).
 	over := e.ledger.Total() - budget
 	perRow := uncertainRowBytes
 	if perRow < 1 {
@@ -206,17 +175,15 @@ func (e *Engine) enforceMemoryBudget() {
 	if evict < 1 {
 		evict = 1
 	}
-	e.evictUncertain(evict, "budget")
+	e.evictUncertain(evict)
 }
 
-// setDegradeRung latches a new (higher) rung, emits the trace event and
-// rebuilds the degradation reason.
+// setDegradeRung latches a new (higher) rung and emits the trace event.
 func (e *Engine) setDegradeRung(rung int) {
 	if rung <= e.degradeRung {
 		return
 	}
 	e.degradeRung = rung
-	e.updateDegradeReason()
 	note := ""
 	switch rung {
 	case 1:
@@ -245,9 +212,8 @@ func (e *Engine) dropSegmentCache() {
 }
 
 // evictUncertain force-resolves up to n cached uncertain tuples through
-// the evictOldest path, charging the given reason ("cap" | "budget")
-// into the metrics split behind gola_uncertain_evictions{reason}.
-func (e *Engine) evictUncertain(n int, reason string) {
+// the evictOldest path, largest block cache first.
+func (e *Engine) evictUncertain(n int) {
 	remaining := n
 	for remaining > 0 {
 		var victim *blockRunner
@@ -265,12 +231,8 @@ func (e *Engine) evictUncertain(n int, reason string) {
 		}
 		folded, dropped := victim.evictOldest(evict, e.triEnv())
 		e.metrics.UncertainEvictions += int64(evict)
-		if reason == "budget" {
-			e.metrics.BudgetEvictions += int64(evict)
-		}
-		e.updateDegradeReason()
 		e.conv.stepOut += int64(evict)
-		e.trace.Emit(Event{Kind: EvEvict, Block: victim.b.ID, Key: reason,
+		e.trace.Emit(Event{Kind: EvEvict, Block: victim.b.ID,
 			Folded: folded, Dropped: dropped, Kept: len(victim.uncertain)})
 		remaining -= evict
 	}

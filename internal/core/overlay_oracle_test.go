@@ -733,14 +733,16 @@ func TestSnapshotMatchesOverlayOracle(t *testing.T) {
 		{"thinned", `SELECT orderkey, SUM(quantity) AS total_qty FROM lineitem
 			WHERE orderkey IN (SELECT orderkey FROM lineitem GROUP BY orderkey HAVING SUM(quantity) > 110)
 			GROUP BY orderkey`, Options{BootstrapSampleCap: -1}},
-		// The uncertain-row cap folds cached rows into the set block's
+		// Budget rung 2 evicts cached rows into the set block's
 		// table after its binding published: their groups, published as
-		// cache-only, are read back from the table.
+		// cache-only, are read back from the table. At 256 KiB every
+		// seed and worker count here first sheds part of the cache
+		// (batch 2 at P4, batch 4 at P1) and then all of it.
 		{"evicted-set", `SELECT partkey, COUNT(*), SUM(extendedprice) FROM lineitem
 			WHERE orderkey IN (SELECT orderkey FROM lineitem
 				WHERE quantity > (SELECT AVG(quantity) FROM lineitem)
 				GROUP BY orderkey HAVING SUM(quantity) > 60)
-			GROUP BY partkey`, Options{BootstrapSampleCap: -1, MaxUncertainRows: 8}},
+			GROUP BY partkey`, Options{BootstrapSampleCap: -1, MaxMemoryBytes: 1 << 18}},
 	}
 	invisible := 0
 	for _, sh := range shapes {
@@ -773,9 +775,13 @@ func TestSnapshotMatchesOverlayOracle(t *testing.T) {
 					// in emission order, as the oracle's are.
 					invisible += checkAgainstOracle(t, fmt.Sprintf("%s batch %d", label, eng.Batch()), eng, snap.Rows).invisible
 				}
+				evictions := eng.Metrics().UncertainEvictions
 				eng.Close()
 				if uncertain == 0 {
 					t.Fatalf("%s: no uncertain rows were ever cached; the shape exercises nothing", label)
+				}
+				if opt.MaxMemoryBytes > 0 && evictions == 0 {
+					t.Fatalf("%s: the budget never reached rung 2", label)
 				}
 			}
 		}

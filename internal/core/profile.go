@@ -236,11 +236,11 @@ func (e *Engine) Report() string {
 		}
 		if u.BudgetBytes > 0 {
 			fmt.Fprintf(&b, "budget: %s soft limit, degrade rung %d", fmtBytes(u.BudgetBytes), u.DegradeRung)
-			if e.degradeReason != "" {
-				fmt.Fprintf(&b, " (%s)", e.degradeReason)
+			if r := degradeReasons[e.degradeRung]; r != "" {
+				fmt.Fprintf(&b, " (%s)", r)
 			}
-			if m.BudgetEvictions > 0 {
-				fmt.Fprintf(&b, ", %d budget evictions", m.BudgetEvictions)
+			if m.UncertainEvictions > 0 {
+				fmt.Fprintf(&b, ", %d budget evictions", m.UncertainEvictions)
 			}
 			b.WriteByte('\n')
 		}

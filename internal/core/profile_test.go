@@ -228,8 +228,8 @@ func TestPhaseTimesHelpers(t *testing.T) {
 // and snapshot spans read the same clock edges as the phase profile, so
 // each batch's summed span durations equal its PhasePerBatch entry to
 // the nanosecond — on a run whose recompute replays earlier batches
-// under the recompute span. Every ring event is stamped with its
-// mirrored instant's timestamp.
+// under the recompute span. Every ring event is exported as an instant
+// at its own timestamp.
 func TestSpansMatchPhases(t *testing.T) {
 	eng, tr := profiledQ17(t)
 	m := eng.Metrics()
@@ -279,20 +279,20 @@ func TestSpansMatchPhases(t *testing.T) {
 		}
 	}
 
-	if eng.Spans().DroppedInstants() != 0 || tr.Dropped() != 0 {
-		t.Fatal("instants or ring events dropped")
+	if tr.Dropped() != 0 {
+		t.Fatal("ring events dropped")
 	}
-	ts := map[uint64]int64{}
-	for _, in := range eng.Spans().Instants() {
-		ts[in.Seq] = in.Ts
+	ins := map[uint64]chromeInstant{}
+	for _, in := range exportedInstants(t, tr) {
+		ins[in.Args.Seq] = in
 	}
 	evs := tr.Events()
-	if len(evs) == 0 || len(ts) != len(evs) {
-		t.Fatalf("%d ring events, %d instants", len(evs), len(ts))
+	if len(evs) == 0 || len(ins) != len(evs) {
+		t.Fatalf("%d ring events, %d instants", len(evs), len(ins))
 	}
 	for _, ev := range evs {
-		if at, ok := ts[ev.Seq]; !ok || ev.Ms != float64(at)/1e6 {
-			t.Fatalf("event %d (%s) stamped %vms, its instant at %dns (found %v)", ev.Seq, ev.Kind, ev.Ms, at, ok)
+		if in, ok := ins[ev.Seq]; !ok || !sameStamp(ev, in) {
+			t.Fatalf("event %d (%s) stamped %vms, its instant at %vµs (found %v)", ev.Seq, ev.Kind, ev.Ms, in.Ts, ok)
 		}
 	}
 }

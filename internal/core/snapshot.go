@@ -55,12 +55,11 @@ type Snapshot struct {
 	// prefix). InterruptReason carries the context error.
 	Interrupted     bool
 	InterruptReason string
-	// Degraded names every degradation in force, empty when none:
-	// "budget:..." lists the MaxMemoryBytes ladder rungs engaged
-	// (segcache, evict), "cap:evict" marks MaxUncertainRows evictions.
-	// The answer is still a valid estimate — budget rung 1 is a
-	// bit-identical fallback, and evictions trade deterministic-set
-	// precision for bounded memory.
+	// Degraded names the MaxMemoryBytes ladder rungs engaged, empty when
+	// none: "budget:segcache", then "budget:segcache+evict". The answer
+	// is still a valid estimate — rung 1 is a bit-identical fallback,
+	// and rung 2's evictions trade deterministic-set precision for
+	// bounded memory.
 	Degraded string
 	// Resources is this batch's memory observation: per-pool byte
 	// residency from the resource ledger, GC telemetry attributed to the
@@ -143,7 +142,7 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 		UncertainRows: e.UncertainRows(),
 		Recomputes:    e.metrics.Recomputes,
 		Elapsed:       elapsed,
-		Degraded:      e.degradeReason,
+		Degraded:      degradeReasons[e.degradeRung],
 	}
 	if ts.total > 0 {
 		snap.FractionProcessed = float64(ts.seen) / float64(ts.total)

@@ -97,7 +97,7 @@ func TestSpanHierarchyParallelQuery(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := sp.WriteChromeTrace(&buf); err != nil {
+	if err := eng.Events().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	ns, _, err := otrace.ValidateChromeJSON(buf.Bytes())
@@ -117,27 +117,28 @@ func TestSpanHierarchyParallelQuery(t *testing.T) {
 }
 
 // TestSpanInstantCorrelation: chaos-injected faults must appear as
-// instant events carrying the ring's sequence numbers.
+// exported instant events carrying the ring's sequence numbers, on a
+// worker's track.
 func TestSpanInstantCorrelation(t *testing.T) {
-	sp, _ := spanEnv(t, Options{
+	sp, eng := spanEnv(t, Options{
 		Batches: 6, Trials: 20, Seed: 11,
 		Parallelism: 4, ParallelThreshold: 64,
 		Chaos: chaos.New(chaos.Config{Seed: 5, PanicProb: 0.4}),
 	})
-	ins := sp.Instants()
+	ins := exportedInstants(t, eng.Events())
 	if len(ins) == 0 {
-		t.Fatal("no instant events mirrored")
+		t.Fatal("no instant events exported")
 	}
 	havePanic := false
 	seqSeen := map[uint64]bool{}
 	for _, i := range ins {
 		if i.Name == EvWorkerPanic || i.Name == EvFault {
-			havePanic = true
+			havePanic = havePanic || i.Tid > 0
 		}
-		if seqSeen[i.Seq] {
-			t.Fatalf("duplicate mirrored seq %d", i.Seq)
+		if seqSeen[i.Args.Seq] {
+			t.Fatalf("duplicate exported seq %d", i.Args.Seq)
 		}
-		seqSeen[i.Seq] = true
+		seqSeen[i.Args.Seq] = true
 	}
 	if !havePanic {
 		t.Fatal("fault/panic instants missing under chaos")

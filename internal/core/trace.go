@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"sync"
 
 	"fluodb/internal/otrace"
@@ -47,8 +48,8 @@ const (
 	// EvSerialRetry: a failed part of a parallel pass was redone on the
 	// controller (Worker carries the part, Kept the attempt number).
 	EvSerialRetry = "serial-retry"
-	// EvEvict: the uncertain cache exceeded Options.MaxUncertainRows and
-	// the oldest cached tuples were force-resolved by point estimate
+	// EvEvict: rung 2 of the MaxMemoryBytes ladder force-resolved the
+	// oldest cached uncertain tuples of a block by point estimate
 	// (Folded/Dropped counts, Kept = rows remaining).
 	EvEvict = "uncertain-evict"
 	// EvDegrade: the MaxMemoryBytes soft budget engaged a degradation
@@ -93,14 +94,15 @@ type Event struct {
 	Note    string  `json:"note,omitempty"`
 }
 
-// Tracer is a bounded ring of Events, built by the engine when
-// Options.Profile is on (Engine.Events). Emission is mutex-protected —
-// events fire at block/batch granularity, never per tuple, so the lock
-// is far off the fold hot path. The ring grows on demand up to its
-// limit; past it the oldest events are overwritten and Dropped reports
-// how many. Every event is stamped from the span timeline's clock and
-// mirrored onto it as an instant with the same timestamp, correlated
-// by Seq/Batch.
+// Tracer is the engine's one event store: a bounded ring of Events,
+// built when Options.Profile is on (Engine.Events). Emission is
+// mutex-protected — events fire at block/batch granularity, never per
+// tuple, so the lock is far off the fold hot path. The ring grows on
+// demand up to its limit; past it the oldest events are overwritten and
+// Dropped reports how many. Every event is stamped from the span
+// timeline's clock, and WriteChromeTrace attaches the retained events
+// to that timeline as instants, so Events, the JSONL export and the
+// Chrome trace all carry the same events.
 type Tracer struct {
 	mu    sync.Mutex
 	ring  []Event
@@ -115,17 +117,14 @@ type Tracer struct {
 const traceCap = 1 << 16
 
 // newTracer builds a ring retaining the most recent limit events,
-// stamped and mirrored through spans.
+// stamped from the spans clock.
 func newTracer(limit int, spans *otrace.Tracer) *Tracer {
 	return &Tracer{limit: limit, spans: spans}
 }
 
 // Emit records an event, stamping its sequence number, its timestamp
-// (Ms: milliseconds since the span epoch) and the current batch, then
-// mirrors it onto the span timeline as an instant at the same
-// timestamp. Worker-scoped kinds land on the worker's track, everything
-// else on the controller's. Nil tracers are safe no-ops so call sites
-// need no guards.
+// (Ms: milliseconds since the span epoch) and the current batch. Nil
+// tracers are safe no-ops so call sites need no guards.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
@@ -142,15 +141,6 @@ func (t *Tracer) Emit(ev Event) {
 		t.ring[int(ev.Seq)%t.limit] = ev
 	}
 	t.mu.Unlock()
-	tid := 0
-	if (ev.Kind == EvFault || ev.Kind == EvWorkerPanic) && ev.Worker >= 0 {
-		tid = ev.Worker + 1
-	}
-	note := ev.Note
-	if note == "" {
-		note = ev.Key
-	}
-	t.spans.Instant(ts, ev.Kind, tid, ev.Batch, ev.Seq, note)
 }
 
 // setBatch stamps subsequent events with the given 1-based batch.
@@ -200,6 +190,33 @@ func (t *Tracer) Dropped() int {
 // (-1 when not worker-scoped).
 func (e *Engine) traceFault(key, where string, w int, note string) {
 	e.trace.Emit(Event{Kind: EvFault, Key: key, Note: where + ": " + note, Worker: w})
+}
+
+// WriteChromeTrace writes the span timeline as Chrome trace-event JSON
+// with the retained events attached as instants at their own
+// timestamps, correlated by Seq and Batch: faults and worker panics on
+// the worker's track, everything else on the controller's. A nil tracer
+// writes an empty trace.
+func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+	var spans *otrace.Tracer
+	if t != nil {
+		spans = t.spans
+	}
+	evs := t.Events()
+	ins := make([]otrace.Instant, len(evs))
+	for i, ev := range evs {
+		tid := 0
+		if (ev.Kind == EvFault || ev.Kind == EvWorkerPanic) && ev.Worker >= 0 {
+			tid = ev.Worker + 1
+		}
+		note := ev.Note
+		if note == "" {
+			note = ev.Key
+		}
+		ins[i] = otrace.Instant{Name: ev.Kind, Tid: int32(tid), Batch: int32(ev.Batch),
+			Seq: ev.Seq, Ts: int64(math.Round(ev.Ms * 1e6)), Note: note}
+	}
+	return spans.WriteChromeTrace(w, ins)
 }
 
 // WriteJSONL streams the retained events as JSON Lines, oldest first.

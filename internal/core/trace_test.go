@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -176,28 +177,72 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 }
 
-// TestTracerMirrorHook: the span timeline receives every emitted event
-// exactly once as an instant with its stamped seq and the event's own
-// timestamp, even past ring wraparound — the contract the span-timeline
-// instant correlation depends on.
-func TestTracerMirrorHook(t *testing.T) {
-	spans := otrace.NewTracer(0)
-	tr := newTracer(4, spans)
-	for i := 0; i < 10; i++ {
-		tr.Emit(Event{Kind: EvCommit})
+// chromeInstant is one instant ("i") entry of a Chrome trace export.
+type chromeInstant struct {
+	Name  string  `json:"name"`
+	Phase string  `json:"ph"`
+	Ts    float64 `json:"ts"` // µs since the span epoch
+	Tid   int     `json:"tid"`
+	Args  struct {
+		Seq  uint64 `json:"seq"`
+		Note string `json:"note"`
+	} `json:"args"`
+}
+
+// exportedInstants writes tr's Chrome trace and returns its instants in
+// file order.
+func exportedInstants(t *testing.T, tr *Tracer) []chromeInstant {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
 	}
-	ins := spans.Instants()
-	if len(ins) != 10 {
-		t.Fatalf("timeline saw %d instants, want 10 (ring cap 4 must not bound it)", len(ins))
+	var doc struct {
+		TraceEvents []chromeInstant `json:"traceEvents"`
 	}
-	for i, in := range ins {
-		if in.Seq != uint64(i) {
-			t.Fatalf("instant seq %d at position %d", in.Seq, i)
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome export not valid JSON: %v", err)
+	}
+	var out []chromeInstant
+	for _, ev := range doc.TraceEvents {
+		if ev.Phase == "i" {
+			out = append(out, ev)
 		}
 	}
-	for _, ev := range tr.Events() {
-		if in := ins[ev.Seq]; ev.Ms != float64(in.Ts)/1e6 {
-			t.Fatalf("event %d stamped %vms, its instant %dns", ev.Seq, ev.Ms, in.Ts)
+	return out
+}
+
+// sameStamp reports whether an exported instant carries the event's
+// own timestamp (the export rounds nanoseconds through microseconds).
+func sameStamp(ev Event, in chromeInstant) bool {
+	return math.Round(ev.Ms*1e6) == math.Round(in.Ts*1e3)
+}
+
+// TestChromeInstantsFromRing: the Chrome export attaches exactly the
+// ring's retained events — past wraparound too, so the ring's Dropped is
+// the only drop figure — each once, with its seq, its own timestamp and
+// today's track mapping (faults on the worker's track).
+func TestChromeInstantsFromRing(t *testing.T) {
+	tr := newTracer(4, otrace.NewTracer(0))
+	for i := 0; i < 9; i++ {
+		tr.Emit(Event{Kind: EvCommit, Key: "k"})
+	}
+	tr.Emit(Event{Kind: EvFault, Key: "panic", Note: "feed: injected", Worker: 2})
+	evs := tr.Events()
+	ins := exportedInstants(t, tr)
+	if len(ins) != len(evs) || len(ins) != 4 || tr.Dropped() != 6 {
+		t.Fatalf("%d instants, %d retained events, %d dropped; want 4, 4, 6", len(ins), len(evs), tr.Dropped())
+	}
+	for i, ev := range evs {
+		in := ins[i]
+		if in.Args.Seq != ev.Seq || in.Name != ev.Kind || !sameStamp(ev, in) {
+			t.Fatalf("instant %+v does not carry event %+v", in, ev)
 		}
+	}
+	if last := ins[3]; last.Tid != 3 || last.Args.Note != "feed: injected" {
+		t.Fatalf("fault instant on track %d note %q, want worker 2's track (3)", last.Tid, last.Args.Note)
+	}
+	if first := ins[0]; first.Tid != 0 || first.Args.Note != "k" {
+		t.Fatalf("commit instant on track %d note %q, want the controller and its key", first.Tid, first.Args.Note)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"fluodb/internal/audit"
 	"fluodb/internal/core"
 	"fluodb/internal/metrics"
-	"fluodb/internal/otrace"
 	"fluodb/internal/plan"
 	"fluodb/internal/resource"
 	"fluodb/internal/storage"
@@ -49,10 +48,9 @@ type Server struct {
 	// answer, so these track the estimator, not just the runtime.
 	detFlips   *metrics.Counter
 	violations *metrics.Counter
-	// Uncertain evictions split by cause: reason="cap" is the
-	// MaxUncertainRows row-count cap, reason="budget" is rung 2 of the
-	// MaxMemoryBytes degradation ladder.
-	evictionsCap    *metrics.Counter
+	// Uncertain evictions by rung 2 of the MaxMemoryBytes degradation
+	// ladder, the only eviction route (the series keeps its
+	// reason="budget" label).
 	evictionsBudget *metrics.Counter
 	relErr          *metrics.Histogram
 	ciWidth         *metrics.Histogram
@@ -75,8 +73,9 @@ type Server struct {
 	gcCycles    *metrics.Counter
 	heapLive    *metrics.Gauge
 	heapGoal    *metrics.Gauge
-	// spans holds the most recent query's span timeline for /trace.
-	spans atomic.Pointer[otrace.Tracer]
+	// events holds the most recent query's event ring, which exports
+	// its span timeline for /trace.
+	events atomic.Pointer[core.Tracer]
 
 	log *slog.Logger
 }
@@ -103,9 +102,8 @@ func New(cat *storage.Catalog, opt core.Options) *Server {
 		"Committed deterministic decisions contradicted in flight (recovered by replay).")
 	s.violations = s.reg.Counter("gola_invariant_violations_total",
 		"Committed decisions still contradicted when the invariant audit ran (bugs).")
-	const evictHelp = "Uncertain tuples force-resolved by a budget, by reason: cap = MaxUncertainRows, budget = MaxMemoryBytes degradation rung 2 (degraded precision)."
-	s.evictionsCap = s.reg.Counter(`gola_uncertain_evictions{reason="cap"}`, evictHelp)
-	s.evictionsBudget = s.reg.Counter(`gola_uncertain_evictions{reason="budget"}`, evictHelp)
+	s.evictionsBudget = s.reg.Counter(`gola_uncertain_evictions{reason="budget"}`,
+		"Uncertain tuples force-resolved by MaxMemoryBytes degradation rung 2 (degraded precision).")
 	s.relErr = s.reg.Histogram("gola_relative_error",
 		"Per-batch mean relative error of audited estimates vs ground truth (unitless).")
 	s.ciWidth = s.reg.Histogram("gola_ci_width",
@@ -199,7 +197,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) trace(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="fluodb-trace.json"`)
-	_ = s.spans.Load().WriteChromeTrace(w)
+	_ = s.events.Load().WriteChromeTrace(w)
 }
 
 // SnapshotJSON is the wire form of one refinement step.
@@ -221,9 +219,9 @@ type SnapshotJSON struct {
 	MaxErr   float64 `json:"max_err,omitempty"`
 	CIWidth  float64 `json:"ci_width,omitempty"`
 	Coverage float64 `json:"coverage,omitempty"`
-	// Degraded names every degradation in force ("budget:..." rungs of
-	// the MaxMemoryBytes ladder, "cap:evict" for MaxUncertainRows); the
-	// answer is still a valid estimate.
+	// Degraded names the MaxMemoryBytes ladder rungs in force
+	// ("budget:segcache", "budget:segcache+evict"); the answer is still
+	// a valid estimate.
 	Degraded string `json:"degraded,omitempty"`
 	// Mem is this batch's memory observation (per-pool residency, GC
 	// telemetry, budget state), absent until the ledger has observed.
@@ -295,7 +293,7 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 	// Each query records a span timeline (New forces Profile on); the
 	// latest query that started is served by /trace.
 	eng.Spans().SetLabel(sql)
-	s.spans.Store(eng.Spans())
+	s.events.Store(eng.Events())
 	s.queries.Inc()
 	s.active.Add(1)
 	defer s.active.Add(-1)
@@ -310,7 +308,7 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.Info("online query started", "sql", sql, "batches", s.opt.Batches)
 	ctx := r.Context()
-	var prevRows, prevCapEvict, prevBudgetEvict int64
+	var prevRows, prevEvict int64
 	var prevRecomputes, prevFlips int
 	for !eng.Done() {
 		snap, err := eng.StepContext(ctx)
@@ -331,11 +329,9 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 		s.rows.Add(m.RowsProcessed - prevRows)
 		s.recomputes.Add(int64(m.Recomputes - prevRecomputes))
 		s.detFlips.Add(int64(m.DetFlips - prevFlips))
-		capEvict := m.UncertainEvictions - m.BudgetEvictions
-		s.evictionsCap.Add(capEvict - prevCapEvict)
-		s.evictionsBudget.Add(m.BudgetEvictions - prevBudgetEvict)
+		s.evictionsBudget.Add(m.UncertainEvictions - prevEvict)
 		prevRows, prevRecomputes, prevFlips = m.RowsProcessed, m.Recomputes, m.DetFlips
-		prevCapEvict, prevBudgetEvict = capEvict, m.BudgetEvictions
+		prevEvict = m.UncertainEvictions
 		s.uncertain.Set(int64(snap.UncertainRows))
 		s.batchSeconds.Observe(snap.Elapsed)
 		for i, d := range snap.Phases.Durations() {

@@ -530,7 +530,7 @@ func TestConvergencePayloadAndTrace(t *testing.T) {
 
 // TestMemPayloadAndMetrics: SSE events carry the per-batch memory
 // observation, and /metrics the gola_mem_* / gola_gc_* resource-ledger
-// families with the eviction counter split by reason. The server runs
+// families with the budget eviction counter. The server runs
 // under a 1-byte MaxMemoryBytes so the full degradation ladder engages
 // and the budget gauges move.
 func TestMemPayloadAndMetrics(t *testing.T) {
@@ -601,12 +601,15 @@ func TestMemPayloadAndMetrics(t *testing.T) {
 		"# TYPE gola_gc_heap_live_bytes gauge",
 		"# TYPE gola_gc_heap_goal_bytes gauge",
 		"# TYPE gola_uncertain_evictions counter",
-		`gola_uncertain_evictions{reason="cap"}`,
 		`gola_uncertain_evictions{reason="budget"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
 		}
+	}
+	// Rung 2 is the only eviction route: no other reason is exported.
+	if strings.Contains(text, `gola_uncertain_evictions{reason="cap"}`) {
+		t.Fatal("/metrics still exports the removed row-cap eviction series")
 	}
 	// The heap gauges reflect a live process, and the total moved.
 	if strings.Contains(text, "gola_gc_heap_live_bytes 0\n") {

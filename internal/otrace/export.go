@@ -25,18 +25,18 @@ type chromeTrace struct {
 	TraceEvents []chromeEvent `json:"traceEvents"`
 }
 
-// WriteChromeTrace serializes the tracer's spans and instants as a
-// Chrome trace-event JSON object: pid 1 is the query, tids map to the
-// controller (0) and pool workers (1..P). Open spans are clamped to
-// the current clock so a mid-flight export still nests.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+// WriteChromeTrace serializes the tracer's spans, with the given point
+// events attached, as a Chrome trace-event JSON object: pid 1 is the
+// query, tids map to the controller (0) and pool workers (1..P). Open
+// spans are clamped to the current clock so a mid-flight export still
+// nests. A nil tracer writes an empty trace.
+func (t *Tracer) WriteChromeTrace(w io.Writer, instants []Instant) error {
 	if t == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[]}`)
 		return err
 	}
 	now := t.Now()
 	spans := t.Spans()
-	instants := t.Instants()
 	label := t.Label()
 	if label == "" {
 		label = "online query"

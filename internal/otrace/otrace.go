@@ -51,8 +51,9 @@ func (s Span) Dur() time.Duration {
 	return time.Duration(s.End - s.Start)
 }
 
-// Instant is a point event attached to the timeline — the span-side
-// mirror of a core.Tracer ring event, correlated by Seq and Batch.
+// Instant is a point event attached to the timeline at export
+// (WriteChromeTrace) — one core.Tracer ring event, correlated by Seq
+// and Batch. The tracer itself stores none.
 type Instant struct {
 	Name  string
 	Tid   int32
@@ -74,27 +75,19 @@ type Slab struct {
 	dropped int
 }
 
-// Tracer holds the epoch, the per-track slabs and the instant-event
-// buffer for one query.
+// Tracer holds the epoch and the per-track slabs for one query.
 type Tracer struct {
-	mu        sync.Mutex
-	epoch     time.Time
-	slabs     []*Slab
-	events    []Instant
-	maxEvents int
-	dropped   int // instants dropped after the buffer filled
-	slabCap   int
-	label     string
+	mu      sync.Mutex
+	epoch   time.Time
+	slabs   []*Slab
+	slabCap int
+	label   string
 }
 
-const (
-	// DefaultSlabCapacity bounds spans per track. Batch-granularity
-	// spans accrue a handful per batch per track, so this covers
-	// thousands of batches.
-	DefaultSlabCapacity = 1 << 14
-	// DefaultEventCapacity bounds mirrored instant events.
-	DefaultEventCapacity = 1 << 13
-)
+// DefaultSlabCapacity bounds spans per track. Batch-granularity spans
+// accrue a handful per batch per track, so this covers thousands of
+// batches.
+const DefaultSlabCapacity = 1 << 14
 
 // NewTracer creates a span tracer. cap <= 0 picks DefaultSlabCapacity
 // for each slab.
@@ -102,11 +95,7 @@ func NewTracer(cap int) *Tracer {
 	if cap <= 0 {
 		cap = DefaultSlabCapacity
 	}
-	return &Tracer{
-		epoch:     time.Now(),
-		maxEvents: DefaultEventCapacity,
-		slabCap:   cap,
-	}
+	return &Tracer{epoch: time.Now(), slabCap: cap}
 }
 
 // SetLabel names the traced query; exporters surface it as the
@@ -131,7 +120,7 @@ func (t *Tracer) Label() string {
 }
 
 // Now returns nanoseconds since the tracer epoch (monotonic), the
-// timestamp BeginAt, EndAt and Instant take. A nil tracer reads 0.
+// timestamp BeginAt, EndAt and Instant.Ts carry. A nil tracer reads 0.
 func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
@@ -221,35 +210,6 @@ func (s *Slab) Dropped() int {
 	return s.dropped
 }
 
-// Instant records a point event at ts (Tracer.Now), the timestamp the
-// mirrored ring event was stamped with. Safe from any goroutine.
-func (t *Tracer) Instant(ts int64, name string, tid, batch int, seq uint64, note string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if len(t.events) >= t.maxEvents {
-		t.dropped++
-	} else {
-		t.events = append(t.events, Instant{
-			Name: name, Tid: int32(tid), Batch: int32(batch),
-			Seq: seq, Ts: ts, Note: note,
-		})
-	}
-	t.mu.Unlock()
-}
-
-// DroppedInstants reports instant events discarded after the buffer
-// filled.
-func (t *Tracer) DroppedInstants() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Spans snapshots all recorded spans across slabs, ordered by track
 // then record order. Open spans are returned with End = -1.
 func (t *Tracer) Spans() []Span {
@@ -269,16 +229,6 @@ func (t *Tracer) Spans() []Span {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// Instants snapshots recorded instant events in emit order.
-func (t *Tracer) Instants() []Instant {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Instant(nil), t.events...)
 }
 
 // DroppedSpans totals drops across all slabs.

@@ -22,19 +22,15 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Fatalf("nil slab Begin = %d, want 0", id)
 	}
 	sl.End(id)
-	tr.Instant(tr.Now(), "ev", 0, 0, 1, "")
 	tr.SetLabel("q")
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil tracer Spans = %v", got)
 	}
-	if got := tr.Instants(); got != nil {
-		t.Fatalf("nil tracer Instants = %v", got)
-	}
-	if tr.DroppedSpans() != 0 || tr.DroppedInstants() != 0 {
+	if tr.DroppedSpans() != 0 {
 		t.Fatalf("nil tracer reports drops")
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf, []Instant{{Name: "ev", Seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	var parsed map[string]any
@@ -110,20 +106,6 @@ func TestSlabOverflowDropsNotCorrupts(t *testing.T) {
 	}
 }
 
-func TestInstantBufferBound(t *testing.T) {
-	tr := NewTracer(8)
-	tr.maxEvents = 4
-	for i := 0; i < 10; i++ {
-		tr.Instant(tr.Now(), "ev", 0, i, uint64(i), "")
-	}
-	if got := len(tr.Instants()); got != 4 {
-		t.Fatalf("kept %d instants, want 4", got)
-	}
-	if got := tr.DroppedInstants(); got != 6 {
-		t.Fatalf("DroppedInstants = %d, want 6", got)
-	}
-}
-
 func TestConcurrentSlabsNoRace(t *testing.T) {
 	base := testutil.GoroutineBaseline()
 	tr := NewTracer(4096)
@@ -137,7 +119,6 @@ func TestConcurrentSlabsNoRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				id := sl.Begin("task", q, i, 0)
-				tr.Instant(tr.Now(), "tick", int(sl.tid), i, uint64(i), "")
 				sl.End(id)
 			}
 		}(sl)
@@ -161,14 +142,14 @@ func TestChromeTraceExportRoundTrip(t *testing.T) {
 	w := tr.Slab(2)
 	task := w.Begin("task", f, 0, 0)
 	time.Sleep(time.Millisecond)
-	tr.Instant(tr.Now(), "fault-injected", 2, 0, 7, "site=worker")
+	fault := Instant{Name: "fault-injected", Tid: 2, Seq: 7, Ts: tr.Now(), Note: "site=worker"}
 	w.End(task)
 	ctl.End(f)
 	ctl.End(b)
 	ctl.End(q)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf, []Instant{fault}); err != nil {
 		t.Fatal(err)
 	}
 	ns, ni, err := ValidateChromeJSON(buf.Bytes())
@@ -219,7 +200,7 @@ func TestOpenSpansClampInExport(t *testing.T) {
 	q := ctl.Begin("query", 0, -1, -1)
 	ctl.Begin("batch", q, 0, -1) // deliberately left open
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ValidateChromeJSON(buf.Bytes()); err != nil {

@@ -169,12 +169,11 @@ type Usage struct {
 	GCPauseNS     int64 `json:"gc_pause_ns,omitempty"`
 	GCCycles      int64 `json:"gc_cycles,omitempty"`
 	AllocBytes    int64 `json:"alloc_bytes,omitempty"`
-	// Budget state: the soft budget (0 = unbudgeted), the highest
+	// Budget state: the soft budget (0 = unbudgeted) and the highest
 	// degradation rung engaged (0 = none, 1 = segment cache dropped,
-	// 2 = uncertain eviction), and tuples evicted for budget reasons.
-	BudgetBytes     int64 `json:"budget,omitempty"`
-	DegradeRung     int   `json:"degrade_rung,omitempty"`
-	BudgetEvictions int64 `json:"budget_evictions,omitempty"`
+	// 2 = uncertain eviction).
+	BudgetBytes int64 `json:"budget,omitempty"`
+	DegradeRung int   `json:"degrade_rung,omitempty"`
 }
 
 // Snapshot fills the ledger-owned fields of a Usage (pool residencies,

@@ -41,15 +41,17 @@ type BlockPhaseStat = core.BlockPhaseStat
 type TraceEvent = core.Event
 
 // Tracer is the bounded ring of TraceEvents an OnlineOptions.Profile
-// query records; read it through OnlineQuery.Events.
+// query records, its one event store; read it through
+// OnlineQuery.Events. Tracer.WriteJSONL exports the events, and
+// Tracer.WriteChromeTrace exports the span timeline (Perfetto-loadable
+// Chrome trace-event JSON) with the same events attached as instants.
 type Tracer = core.Tracer
 
 // SpanTracer is the hierarchical execution timeline an
 // OnlineOptions.Profile query records — query → mini-batch → phase →
 // per-worker fold task, plus retries, reclassification and
-// checkpoint/resume — exportable as Chrome trace-event JSON
-// (Perfetto-loadable), with the ring events attached as instants. Read
-// it through OnlineQuery.Spans.
+// checkpoint/resume. It stores spans only; export it through
+// Tracer.WriteChromeTrace. Read it through OnlineQuery.Spans.
 type SpanTracer = otrace.Tracer
 
 // ResourceUsage is one mini-batch's memory observation: per-pool byte

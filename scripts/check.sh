@@ -40,9 +40,12 @@
 #                   only things that notice an engine API change
 #                   breaking it
 #   flbench smoke   the evaluation CLI's dispatch end to end at a small
-#                   scale: -experiment all (fig3a, fig3b, t2) and
-#                   fig3b as CSV; nothing else runs through its flag
-#                   handling and experiment switch
+#                   scale: -experiment all (fig3a, fig3b, t2), fig3b as
+#                   CSV, and the trace dispatch (-trace <tmp>.jsonl
+#                   -spans <tmp>.json -tracequery Q18: the event ring as
+#                   JSONL and the span timeline as validated Chrome
+#                   JSON); nothing else runs through its flag handling
+#                   and experiment switch
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -70,8 +73,11 @@ echo "== benchmark module (cd benchmark && go vet ./... && go test ./...)"
 (cd benchmark && go vet ./...)
 (cd benchmark && go test ./...)
 
-echo "== flbench smoke (-experiment all, fig3b -format csv; 4000 rows)"
+echo "== flbench smoke (-experiment all, fig3b -format csv, -trace Q18; 4000 rows)"
 go run ./cmd/flbench -experiment all -rows 4000 -batches 4 -trials 8 >/dev/null
 go run ./cmd/flbench -experiment fig3b -format csv -rows 4000 -batches 4 -trials 8 >/dev/null
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/flbench -trace "$tmp/trace.jsonl" -spans "$tmp/trace.json" -tracequery Q18 -rows 4000 -batches 4 -trials 8 >/dev/null
 
 echo "== check OK"

@@ -1,7 +1,8 @@
 .PHONY: check test bench bench-e2e-compare bench-fold audit chaos trace
 
 # Tier-1 gate: gofmt + vet + build + race-enabled tests + non-race alloc
-# gates + 10 s fuzz smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzResume)
+# gates + 10 s fuzz smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzResume,
+# FuzzColumnarEncode)
 # + the benchmark/ module's vet and tests + a small-scale flbench smoke run.
 check:
 	sh scripts/check.sh

@@ -8,6 +8,16 @@
 // abstraction, and PF-OLA's lesson is that online aggregation lives or
 // dies on the tightness of this per-chunk loop.
 //
+// Encoding is one pass per segment: encodeSegment walks a segment's rows
+// once and writes every bank, null bitmap and a segment-local string
+// dictionary, and the segments are encoded in parallel on
+// min(GOMAXPROCS, #segments) goroutines. install then merges them in
+// segment order — local strings enter the table dictionaries in
+// first-occurrence order, codes are remapped, and a column found mixed
+// in any segment loses its banks everywhere — so the result equals a
+// serial first-occurrence scan whatever the worker count. Build, Update
+// and the full rebuild all encode this way.
+//
 // The encoding is strictly a cache: the source rows stay authoritative
 // (segments alias them for row-path fallback and uncertain-set lineage),
 // and scanning a column back yields values equal to the originals —
@@ -18,6 +28,9 @@ package colstore
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"fluodb/internal/types"
 )
@@ -142,34 +155,78 @@ func Build(schema types.Schema, rows []types.Row, segSize int) *Table {
 			t.Dicts[c] = newDict()
 		}
 	}
-	// First pass: find mixed columns, so their banks are never built
-	// half-filled.
-	for _, row := range rows {
-		for c := range schema {
-			if c >= len(row) {
-				continue
-			}
-			v := row[c]
-			if !v.IsNull() && v.Kind() != schema[c].Type {
-				t.Mixed[c] = true
-			}
+	encs := encodeSegments(schema, t.Mixed, rows, 0, segSize)
+	for _, e := range encs {
+		for c, m := range e.mixed {
+			t.Mixed[c] = t.Mixed[c] || m
 		}
 	}
-	for base := 0; base < len(rows); base += segSize {
-		hi := base + segSize
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		t.Segs = append(t.Segs, t.buildSegment(rows[base:hi], base))
-	}
+	t.install(encs)
 	return t
 }
 
-func (t *Table) buildSegment(rows []types.Row, base int) *Segment {
+// segEnc is one segment encoded on its own, before install merges it
+// into the table.
+type segEnc struct {
+	seg *Segment
+	// mixed flags the columns holding a non-NULL value of another kind
+	// than declared (nil: none). Their banks are partly written and are
+	// dropped by install once the flag is table-wide.
+	mixed []bool
+	// strs holds, per VARCHAR column, the segment's distinct strings in
+	// first-occurrence order; the segment's Codes index it until install
+	// remaps them into the table dictionary.
+	strs  [][]string
+	touch types.Kind // see encodeSegment
+}
+
+// lookahead is how many rows ahead of the one it encodes encodeSegment
+// touches a row.
+const lookahead = 8
+
+// encodeSegments encodes rows[from:] (from is a segment boundary) into
+// segments of segSize rows on min(GOMAXPROCS, #segments) goroutines.
+// Columns flagged in skip (already Mixed) get no bank. Each segment is
+// encoded independently of the others, so the result does not depend on
+// the number of goroutines or on which one took which segment.
+func encodeSegments(schema types.Schema, skip []bool, rows []types.Row, from, segSize int) []segEnc {
+	nseg := (len(rows) - from + segSize - 1) / segSize
+	encs := make([]segEnc, nseg)
+	var next atomic.Int64
+	work := func() {
+		local := make([]map[string]uint32, len(schema)) // reused across segments
+		for {
+			s := int(next.Add(1)) - 1
+			if s >= nseg {
+				return
+			}
+			base := from + s*segSize
+			encs[s] = encodeSegment(schema, skip, rows[base:min(base+segSize, len(rows))], base, local)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), nseg); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return encs
+}
+
+// encodeSegment encodes one segment in a single pass over its rows,
+// writing every column's typed bank and null bitmap as it goes. Strings
+// get segment-local codes through local (per-column scratch maps,
+// cleared here). A row shorter than the schema reads NULL past its end.
+func encodeSegment(schema types.Schema, skip []bool, rows []types.Row, base int, local []map[string]uint32) segEnc {
 	n := len(rows)
-	seg := &Segment{Base: base, N: n, Cols: make([]Col, len(t.Schema)), Rows: rows}
-	for c, sc := range t.Schema {
-		if t.Mixed[c] {
+	seg := &Segment{Base: base, N: n, Cols: make([]Col, len(schema)), Rows: rows}
+	e := segEnc{seg: seg}
+	for c, sc := range schema {
+		if skip[c] {
 			continue
 		}
 		col := &seg.Cols[c]
@@ -180,24 +237,49 @@ func (t *Table) buildSegment(rows []types.Row, base int) *Segment {
 			col.Floats = make([]float64, n)
 		case types.KindString:
 			col.Codes = make([]uint32, n)
-		default:
-			// Declared NULL-kind column: every value is NULL (anything else
-			// would have marked it mixed).
-			for i := 0; i < n; i++ {
-				col.setNull(i, n)
+			if e.strs == nil {
+				e.strs = make([][]string, len(schema))
 			}
-			continue
+			if local[c] == nil {
+				local[c] = map[string]uint32{}
+			}
+			clear(local[c])
 		}
-		for i, row := range rows {
-			var v types.Value
-			if c < len(row) {
-				v = row[c]
+	}
+	// The rows of a shuffled table lie scattered in memory, and the loop
+	// stalls on each one's first load. Reading both ends of a row
+	// lookahead rows early starts those cache misses sooner; the loaded
+	// kinds go to e.touch so the reads are not optimised away.
+	var touch types.Kind
+	for i, row := range rows {
+		if j := i + lookahead; j < n {
+			if r := rows[j]; len(r) > 0 {
+				touch ^= r[0].Kind() ^ r[len(r)-1].Kind()
 			}
-			if v.IsNull() {
+		}
+		for c := range schema {
+			if skip[c] {
+				continue
+			}
+			col := &seg.Cols[c]
+			if c >= len(row) {
 				col.setNull(i, n)
 				continue
 			}
-			switch sc.Type {
+			v := &row[c]
+			k := v.Kind()
+			if k == types.KindNull {
+				col.setNull(i, n)
+				continue
+			}
+			if k != schema[c].Type {
+				if e.mixed == nil {
+					e.mixed = make([]bool, len(schema))
+				}
+				e.mixed[c] = true
+				continue
+			}
+			switch k {
 			case types.KindInt:
 				col.Ints[i] = v.Int()
 			case types.KindBool:
@@ -207,11 +289,52 @@ func (t *Table) buildSegment(rows []types.Row, base int) *Segment {
 			case types.KindFloat:
 				col.Floats[i] = v.Float()
 			case types.KindString:
-				col.Codes[i] = t.Dicts[c].code(v.Str())
+				s := v.Str()
+				code, ok := local[c][s]
+				if !ok {
+					code = uint32(len(e.strs[c]))
+					e.strs[c] = append(e.strs[c], s)
+					local[c][s] = code
+				}
+				col.Codes[i] = code
 			}
 		}
 	}
-	return seg
+	e.touch = touch
+	return e
+}
+
+// install appends encoded segments to the table in segment order. A
+// column flagged Mixed loses its banks and null bitmap. Every other
+// VARCHAR column's local strings enter the table dictionary segment by
+// segment in first-occurrence order, and the segment's codes are
+// remapped to the table codes (NULL slots keep code 0): the dictionary
+// and codes are exactly those of one serial first-occurrence scan of the
+// rows, which is what keeps Update's codes append-only.
+func (t *Table) install(encs []segEnc) {
+	var remap []uint32
+	for _, e := range encs {
+		for c := range e.seg.Cols {
+			col := &e.seg.Cols[c]
+			if t.Mixed[c] {
+				*col = Col{}
+				continue
+			}
+			if e.strs == nil || len(e.strs[c]) == 0 {
+				continue
+			}
+			remap = remap[:0]
+			for _, s := range e.strs[c] {
+				remap = append(remap, t.Dicts[c].code(s))
+			}
+			for i, l := range col.Codes {
+				if !col.Null(i) {
+					col.Codes[i] = remap[l]
+				}
+			}
+		}
+		t.Segs = append(t.Segs, e.seg)
+	}
 }
 
 // Update brings the encoding up to date with rows, which must be the
@@ -220,54 +343,38 @@ func (t *Table) buildSegment(rows []types.Row, base int) *Segment {
 // segments are kept untouched (their typed banks are never rebuilt,
 // asserted by backing-pointer identity tests), only the open tail
 // segment is re-encoded together with the appended suffix, and
-// dictionary codes stay stable because re-encoding the tail replays the
-// exact first-occurrence order of a full build. A shrunk table or a
-// suffix value whose kind newly flags a column as Mixed falls back to a
-// full rebuild (Mixed banks must be absent table-wide, not per
+// dictionary codes stay stable because install merges the re-encoded
+// segments in the exact first-occurrence order of a full build. A shrunk
+// table or a suffix value whose kind newly flags a column as Mixed falls
+// back to a full rebuild (Mixed banks must be absent table-wide, not per
 // segment). Either way the version advances, so cached kernels
 // recompile against the current dictionaries.
 func (t *Table) Update(rows []types.Row) {
 	t.version++
-	old := len(t.src)
-	if len(rows) < old {
+	if len(rows) < len(t.src) {
 		t.rebuildAll(rows)
 		return
 	}
-	for _, row := range rows[old:] {
-		for c := range t.Schema {
-			if t.Mixed[c] || c >= len(row) {
-				continue
-			}
-			v := row[c]
-			if !v.IsNull() && v.Kind() != t.Schema[c].Type {
-				t.Mixed[c] = true
-				t.rebuildAll(rows)
-				return
-			}
+	keep := len(t.Segs)
+	if keep > 0 && t.Segs[keep-1].N < t.SegSize {
+		keep-- // open tail: re-encoded with the suffix
+	}
+	encs := encodeSegments(t.Schema, t.Mixed, rows, keep*t.SegSize, t.SegSize)
+	for _, e := range encs {
+		if e.mixed != nil {
+			t.rebuildAll(rows)
+			return
 		}
 	}
 	t.src = rows
+	t.Segs = t.Segs[:keep]
 	// Appending may have moved the backing array; re-alias every sealed
 	// segment's row window so Aligned and row-path fallbacks keep seeing
 	// the live tuples.
-	if n := len(t.Segs); n > 0 && t.Segs[n-1].N < t.SegSize {
-		t.Segs = t.Segs[:n-1] // open tail: rebuilt below with the suffix
-	}
 	for _, seg := range t.Segs {
 		seg.Rows = rows[seg.Base : seg.Base+seg.N]
 	}
-	base := 0
-	if n := len(t.Segs); n > 0 {
-		last := t.Segs[n-1]
-		base = last.Base + last.N
-	}
-	for ; base < len(rows); base += t.SegSize {
-		hi := base + t.SegSize
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		t.Segs = append(t.Segs, t.buildSegment(rows[base:hi], base))
-	}
+	t.install(encs)
 }
 
 // rebuildAll re-encodes from scratch, preserving the (already bumped)

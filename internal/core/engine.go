@@ -199,6 +199,11 @@ type Metrics struct {
 	DegradeRung  int
 	GCPauseNS    int64
 	GCCycles     int64
+	// GCCPUNS is the runtime's GC CPU time over this query's mini-batches
+	// (process-wide, so concurrent queries share it). Unlike GCPauseNS
+	// and GCCycles it is not checkpointed: a resumed query counts from
+	// its resume.
+	GCCPUNS int64
 	// Phases is the cumulative per-phase time breakdown across the run;
 	// PhasePerBatch holds one breakdown per processed batch (aligned
 	// with BatchDurations). Phases are collected with or without

@@ -120,10 +120,12 @@ func (e *Engine) observeResources(snap *Snapshot) {
 		u.HeapLiveBytes = d.HeapLiveBytes
 		u.HeapGoalBytes = d.HeapGoalBytes
 		u.GCPauseNS = d.PauseTotalNS
+		u.GCCPUNS = d.GCCPUNS
 		u.GCCycles = d.Cycles
 		u.AllocBytes = d.AllocBytes
 		e.metrics.GCPauseNS += d.PauseTotalNS
 		e.metrics.GCCycles += d.Cycles
+		e.metrics.GCCPUNS += d.GCCPUNS
 	}
 	u.BudgetBytes = e.opt.MaxMemoryBytes
 	u.DegradeRung = e.degradeRung
@@ -161,21 +163,11 @@ func (e *Engine) enforceMemoryBudget() {
 		}
 	}
 	e.setDegradeRung(2)
-	// Rung 2: shed uncertain-cache residency. Evict enough of the
-	// oldest cached tuples to cover the overage (at least one whole
-	// cache's worth of headway is not forced — eviction frees
-	// row-header bytes gradually and the ladder re-evaluates every
-	// batch).
+	// Rung 2: shed uncertain-cache residency. Evict the fewest oldest
+	// cached tuples whose charge covers the overage (evictOldest releases
+	// each evicted row's bytes); the ladder re-evaluates every batch.
 	over := e.ledger.Total() - budget
-	perRow := uncertainRowBytes
-	if perRow < 1 {
-		perRow = 1
-	}
-	evict := int(over / perRow)
-	if evict < 1 {
-		evict = 1
-	}
-	e.evictUncertain(evict)
+	e.evictUncertain(int((over + uncertainRowBytes - 1) / uncertainRowBytes))
 }
 
 // setDegradeRung latches a new (higher) rung and emits the trace event.

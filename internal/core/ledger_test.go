@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"fluodb/internal/plan"
@@ -279,6 +281,101 @@ func TestBudgetEvictionReason(t *testing.T) {
 	}
 	if len(last.Rows) == 0 {
 		t.Fatal("degraded run produced no rows")
+	}
+}
+
+// TestBudgetRung2PartialEviction: at a budget between the non-cache
+// residency and the total, rung 2 evicts the fewest oldest cached rows
+// whose charge covers the overage. The uncertain pool falls by exactly
+// those rows' bytes, the total lands at or under the budget, and the
+// rest of the cache stays.
+func TestBudgetRung2PartialEviction(t *testing.T) {
+	o := Options{Batches: 6, Trials: 32, Seed: 411, Parallelism: 1}
+	cat := determinismCatalog(6*2048, 331)
+	q, err := plan.Compile(chaosSQL, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(q, cat, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached := 0
+	for _, r := range eng.runners {
+		cached += len(r.uncertain)
+	}
+	var snap Snapshot
+	eng.observeResources(&snap)
+	before := eng.Resources()
+	if cached < 8 || before.UncertainBytes == 0 {
+		t.Fatalf("fixture cached %d rows (%d B); need a cache to evict from", cached, before.UncertainBytes)
+	}
+	// Rung 1 frees the segment cache; the budget leaves half the uncertain
+	// pool over it.
+	budget := before.TotalBytes - before.SegCacheBytes - before.UncertainBytes/2
+	eng.opt.MaxMemoryBytes = budget
+	eng.enforceMemoryBudget()
+	eng.observeResources(&snap)
+	after := eng.Resources()
+
+	if eng.degradeRung != 2 {
+		t.Fatalf("rung %d, want 2", eng.degradeRung)
+	}
+	evicted := eng.Metrics().UncertainEvictions
+	if evicted == 0 || evicted >= int64(cached) {
+		t.Fatalf("evicted %d of %d cached rows, want part of the cache", evicted, cached)
+	}
+	if drop := before.UncertainBytes - after.UncertainBytes; drop != evicted*uncertainRowBytes {
+		t.Fatalf("uncertain pool fell %d B for %d evicted rows, want %d B",
+			drop, evicted, evicted*uncertainRowBytes)
+	}
+	if after.TotalBytes > budget {
+		t.Fatalf("total %d B still over the %d B budget after rung 2", after.TotalBytes, budget)
+	}
+	if after.TotalBytes+uncertainRowBytes <= budget {
+		t.Fatalf("total %d B: rung 2 kept evicting under the %d B budget", after.TotalBytes, budget)
+	}
+}
+
+// TestLedgerGCCPU: a GC forced between batches shows as GC CPU on the
+// next batch's usage, and Metrics.GCCPUNS is the sum over batches.
+func TestLedgerGCCPU(t *testing.T) {
+	o := Options{Batches: 4, Trials: 16, Seed: 911, Parallelism: 1}
+	cat := determinismCatalog(4*1024, 911)
+	q, err := plan.Compile(determinismSQL, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(q, cat, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var sum int64
+	for b := 0; !eng.Done(); b++ {
+		if b > 0 {
+			runtime.GC()
+		}
+		s, err := eng.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b > 0 && s.Resources.GCCPUNS <= 0 {
+			t.Fatalf("batch %d: forced GC not in its usage: %+v", b+1, s.Resources)
+		}
+		sum += s.Resources.GCCPUNS
+	}
+	if m := eng.Metrics(); m.GCCPUNS != sum {
+		t.Fatalf("Metrics.GCCPUNS %d, per-batch sum %d", m.GCCPUNS, sum)
+	}
+	if !strings.Contains(eng.Report(), "gc cpu: ") {
+		t.Fatalf("Report has no GC CPU line:\n%s", eng.Report())
 	}
 }
 

@@ -234,6 +234,14 @@ func (e *Engine) Report() string {
 				fmtBytes(u.HeapLiveBytes), fmtBytes(u.HeapGoalBytes),
 				m.GCCycles, fmtDur(time.Duration(m.GCPauseNS)))
 		}
+		if m.GCCPUNS > 0 {
+			var wall time.Duration
+			for _, d := range m.BatchDurations {
+				wall += d
+			}
+			fmt.Fprintf(&b, "gc cpu: %s, %.1f%% of the batches' %s wall time\n",
+				fmtDur(time.Duration(m.GCCPUNS)), 100*float64(m.GCCPUNS)/float64(max(wall, 1)), fmtDur(wall))
+		}
 		if u.BudgetBytes > 0 {
 			fmt.Fprintf(&b, "budget: %s soft limit, degrade rung %d", fmtBytes(u.BudgetBytes), u.DegradeRung)
 			if r := degradeReasons[e.degradeRung]; r != "" {

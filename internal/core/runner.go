@@ -196,11 +196,12 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 			dropped++
 		}
 	}
-	kept := copy(r.uncertain, r.uncertain[n:])
-	for i := kept; i < len(r.uncertain); i++ {
-		r.uncertain[i] = uncertainRow{}
-	}
-	r.uncertain = r.uncertain[:kept]
+	// Move the kept rows to a backing array n rows shorter and release
+	// the old one: the ledger charges the cache by capacity, and rung 2
+	// sizes its eviction in rows, so the charge must fall with them.
+	kept := make([]uncertainRow, len(r.uncertain)-n, cap(r.uncertain)-n)
+	copy(kept, r.uncertain[n:])
+	r.uncertain = kept
 	r.invalidateEval()
 	return folded, dropped
 }

@@ -162,11 +162,12 @@ type Usage struct {
 	PeakBytes  int64 `json:"peak"`
 	// Process-level GC telemetry (runtime/metrics), attributed to the
 	// mini-batch that just committed: live heap and GC goal at the
-	// boundary, plus pause time and GC cycles that elapsed during the
-	// batch.
+	// boundary, plus pause time, GC CPU time and GC cycles that elapsed
+	// during the batch.
 	HeapLiveBytes int64 `json:"heap_live,omitempty"`
 	HeapGoalBytes int64 `json:"heap_goal,omitempty"`
 	GCPauseNS     int64 `json:"gc_pause_ns,omitempty"`
+	GCCPUNS       int64 `json:"gc_cpu_ns,omitempty"`
 	GCCycles      int64 `json:"gc_cycles,omitempty"`
 	AllocBytes    int64 `json:"alloc_bytes,omitempty"`
 	// Budget state: the soft budget (0 = unbudgeted) and the highest

@@ -130,14 +130,14 @@ func TestSnapshotFields(t *testing.T) {
 // and counter regressions (process restart, runtime quirk) clamp to
 // zero instead of going negative.
 func TestGCStatsSub(t *testing.T) {
-	prev := GCStats{HeapLiveBytes: 10, HeapGoalBytes: 20, PauseTotalNS: 100, Cycles: 5, AllocBytes: 1000}
-	cur := GCStats{HeapLiveBytes: 30, HeapGoalBytes: 40, PauseTotalNS: 160, Cycles: 7, AllocBytes: 1500}
+	prev := GCStats{HeapLiveBytes: 10, HeapGoalBytes: 20, PauseTotalNS: 100, GCCPUNS: 900, Cycles: 5, AllocBytes: 1000}
+	cur := GCStats{HeapLiveBytes: 30, HeapGoalBytes: 40, PauseTotalNS: 160, GCCPUNS: 1300, Cycles: 7, AllocBytes: 1500}
 	d := cur.Sub(prev)
-	want := GCStats{HeapLiveBytes: 30, HeapGoalBytes: 40, PauseTotalNS: 60, Cycles: 2, AllocBytes: 500}
+	want := GCStats{HeapLiveBytes: 30, HeapGoalBytes: 40, PauseTotalNS: 60, GCCPUNS: 400, Cycles: 2, AllocBytes: 500}
 	if d != want {
 		t.Fatalf("Sub = %+v, want %+v", d, want)
 	}
-	if d = prev.Sub(cur); d.PauseTotalNS != 0 || d.Cycles != 0 || d.AllocBytes != 0 {
+	if d = prev.Sub(cur); d.PauseTotalNS != 0 || d.GCCPUNS != 0 || d.Cycles != 0 || d.AllocBytes != 0 {
 		t.Fatalf("regressed counters not clamped: %+v", d)
 	}
 }
@@ -175,6 +175,32 @@ func TestSamplerRead(t *testing.T) {
 	}
 	if d.AllocBytes < 64*(64<<10) {
 		t.Fatalf("allocations under-counted: delta %+v", d)
+	}
+}
+
+// TestSamplerGCCPU: the GC CPU counter never decreases between reads
+// and grows across a forced GC that has live heap to mark.
+func TestSamplerGCCPU(t *testing.T) {
+	s := NewSampler()
+	prev := s.Read()
+	live := make([][]byte, 0, 256)
+	for i := 0; i < 256; i++ {
+		live = append(live, make([]byte, 16<<10))
+		if i%64 == 63 {
+			runtime.GC()
+		}
+		g := s.Read()
+		if g.GCCPUNS < prev.GCCPUNS {
+			t.Fatalf("GC CPU went back: %d -> %d ns", prev.GCCPUNS, g.GCCPUNS)
+		}
+		prev = g
+	}
+	before := s.Read()
+	runtime.GC()
+	after := s.Read()
+	runtime.KeepAlive(live)
+	if after.GCCPUNS <= before.GCCPUNS {
+		t.Fatalf("forced GC added no GC CPU: %d -> %d ns", before.GCCPUNS, after.GCCPUNS)
 	}
 }
 

@@ -4,7 +4,8 @@ import "runtime/metrics"
 
 // GCStats is one reading of the process-level memory telemetry the
 // sampler tracks: absolute gauges (heap live, GC goal) and cumulative
-// counters (pause time, cycles, allocated bytes). Subtracting two
+// counters (pause time, GC CPU time, cycles, allocated bytes).
+// Subtracting two
 // readings' cumulative fields attributes GC work to the interval
 // between them — the engine does this per mini-batch.
 type GCStats struct {
@@ -18,6 +19,11 @@ type GCStats struct {
 	// integrated from the /sched/pauses/total/gc:seconds (or legacy
 	// /gc/pauses:seconds) histogram by bucket midpoints.
 	PauseTotalNS int64
+	// GCCPUNS is the cumulative CPU time the runtime estimates it spent
+	// on GC work (mark assists, background and idle marking, pauses),
+	// /cpu/classes/gc/total:cpu-seconds, in nanoseconds. The runtime
+	// updates it as GC cycles finish.
+	GCCPUNS int64
 	// Cycles is the cumulative completed GC cycle count,
 	// /gc/cycles/total:gc-cycles.
 	Cycles int64
@@ -33,11 +39,15 @@ func (g GCStats) Sub(prev GCStats) GCStats {
 		HeapLiveBytes: g.HeapLiveBytes,
 		HeapGoalBytes: g.HeapGoalBytes,
 		PauseTotalNS:  g.PauseTotalNS - prev.PauseTotalNS,
+		GCCPUNS:       g.GCCPUNS - prev.GCCPUNS,
 		Cycles:        g.Cycles - prev.Cycles,
 		AllocBytes:    g.AllocBytes - prev.AllocBytes,
 	}
 	if d.PauseTotalNS < 0 {
 		d.PauseTotalNS = 0
+	}
+	if d.GCCPUNS < 0 {
+		d.GCCPUNS = 0
 	}
 	if d.Cycles < 0 {
 		d.Cycles = 0
@@ -67,6 +77,7 @@ const (
 	idxHeapGoal
 	idxCycles
 	idxAllocs
+	idxGCCPU
 	idxPause // must stay last: the pause metric name is probed
 )
 
@@ -79,6 +90,7 @@ func NewSampler() *Sampler {
 			{Name: "/gc/heap/goal:bytes"},
 			{Name: "/gc/cycles/total:gc-cycles"},
 			{Name: "/gc/heap/allocs:bytes"},
+			{Name: "/cpu/classes/gc/total:cpu-seconds"},
 		},
 		pauseIdx: -1,
 	}
@@ -109,6 +121,9 @@ func (s *Sampler) Read() GCStats {
 	g.HeapGoalBytes = uintSample(s.samples[idxHeapGoal])
 	g.Cycles = uintSample(s.samples[idxCycles])
 	g.AllocBytes = uintSample(s.samples[idxAllocs])
+	if v := s.samples[idxGCCPU].Value; v.Kind() == metrics.KindFloat64 {
+		g.GCCPUNS = int64(v.Float64() * 1e9)
+	}
 	if s.pauseIdx >= 0 {
 		if h := s.samples[s.pauseIdx].Value; h.Kind() == metrics.KindFloat64Histogram {
 			g.PauseTotalNS = int64(histTotal(h.Float64Histogram()) * 1e9)

@@ -73,9 +73,12 @@ func (t *Table) AppendAll(rows []types.Row) error {
 // Columnar returns the table's columnar encoding, building it on first
 // use and updating it incrementally after the row count changes
 // (Append/AppendAll are the only mutators; they always change the
-// count). Growth re-encodes only the open tail segment plus the
-// appended suffix — sealed segments and dictionary codes are untouched
-// (colstore.Table.Update). The encoding aliases the current backing
+// count). Both encode segment by segment in parallel, one pass over
+// each segment's rows, and merge the segments' local dictionaries in
+// order, so codes equal a serial first-occurrence scan's (colstore
+// package comment). Growth re-encodes only the open tail segment plus
+// the appended suffix — sealed segments and dictionary codes are
+// untouched (colstore.Table.Update). The encoding aliases the current backing
 // rows, and consumers re-verify per batch with colstore.Table.Aligned
 // before trusting it, so a stale cache can cause a slow row-path batch
 // but never a wrong answer.

@@ -9,7 +9,10 @@
 #                   leftover state fails; go test prints the seed, and
 #                   -shuffle=<seed> replays the order) — every
 #                   determinism, replay, checkpoint, chaos, ledger,
-#                   span, audit and conformance test runs here
+#                   span, audit and conformance test runs here; the
+#                   colstore encoder tests force GOMAXPROCS 2, so the
+#                   segment-parallel encode runs under the race detector
+#                   on a 1-vCPU runner too
 #   alloc gates     go test ./internal/core -run Allocs without -race:
 #                   race instrumentation allocates, so the allocation
 #                   gates (steady-state fold, parallel batch feed,
@@ -31,9 +34,12 @@
 #                   (tri-state kernel bytes, keyed slots included, vs
 #                   evalTri, and point-epoch bytes vs the SQL truth
 #                   under point bindings), on generated trees and data,
-#                   and FuzzResume (mutated, re-signed checkpoint bytes
+#                   FuzzResume (mutated, re-signed checkpoint bytes
 #                   end in a resumed engine or a typed checkpoint error,
-#                   never a panic)
+#                   never a panic) and FuzzColumnarEncode (Build and
+#                   Update over generated rows, field for field against
+#                   the column-at-a-time reference encoder, at GOMAXPROCS
+#                   1 and 2)
 #   benchmark/      the end-to-end benchmark is a nested module that
 #                   imports internal/core but is invisible to the root
 #                   ./... patterns; go vet and its tests there are the
@@ -64,10 +70,11 @@ go test -race -shuffle=on ./...
 echo "== alloc gates (go test ./internal/core -run Allocs, no -race)"
 go test ./internal/core -run Allocs -count=1
 
-echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, FuzzResume, 10s each)"
+echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, FuzzResume, FuzzColumnarEncode, 10s each)"
 go test ./internal/expr -run '^$' -fuzz FuzzNumKernel -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzTriKernel -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzResume -fuzztime 10s
+go test ./internal/colstore -run '^$' -fuzz FuzzColumnarEncode -fuzztime 10s
 
 echo "== benchmark module (cd benchmark && go vet ./... && go test ./...)"
 (cd benchmark && go vet ./...)

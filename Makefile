@@ -3,7 +3,10 @@
 # Tier-1 gate: gofmt + vet + build + race-enabled tests + non-race alloc
 # gates + 10 s fuzz smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzResume,
 # FuzzColumnarEncode)
-# + the benchmark/ module's vet and tests + a small-scale flbench smoke run.
+# + the benchmark/ module's vet and tests + a small-scale flbench smoke run
+# + the audit gate: the regenerated audit must equal BENCH_accuracy.json
+# byte for byte (a change that moves the estimator stream on purpose
+# commits the file `make audit` regenerates).
 check:
 	sh scripts/check.sh
 

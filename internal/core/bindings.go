@@ -34,11 +34,11 @@ type groupBinding struct {
 	rng       []paramRange
 	committed commitSet[bootstrap.Range]
 	reps      repSlab[types.Value]
-	// scale and sqrtP are the publication's multiplicity and m-out-of-n
-	// factor, which its replica vectors are computed under.
-	scale, sqrtP float64
-	complete     bool
-	epsBoost     float64
+	// scale is the publication's multiplicity, which its replica vectors
+	// are computed under.
+	scale    float64
+	complete bool
+	epsBoost float64
 }
 
 // lookup returns the published id of key, or -1.

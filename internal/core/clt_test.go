@@ -176,22 +176,34 @@ func (r *testRNG) norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*r.next())
 }
 
-func TestAdjustRep(t *testing.T) {
-	p := types.NewFloat(10)
+// TestReplicaRule pins the replica readers' rule on one value: a
+// deviation from a numeric point shrinks by √p, a NULL point or replica
+// passes unchanged, and an empty SUM/COUNT slot carries zero mass.
+func TestReplicaRule(t *testing.T) {
 	r := types.NewFloat(20)
 	// p = 1 → no change
-	if got := adjustRep(p, r, 1); got.Float() != 20 {
+	if got := (repRule{pf: 10, sqrtP: 1}).value(r); got.Float() != 20 {
 		t.Errorf("sqrtP=1: %v", got)
 	}
 	// sqrtP = 0.5 → deviation halves
-	if got := adjustRep(p, r, 0.5); got.Float() != 15 {
+	half := repRule{pf: 10, sqrtP: 0.5, shrink: true}
+	if got := half.value(r); got.Float() != 15 {
 		t.Errorf("sqrtP=0.5: %v", got)
 	}
-	// non-numeric passthrough
-	if got := adjustRep(types.Null, r, 0.5); got.Float() != 20 {
+	// non-numeric passthrough: a NULL point does not shrink, and an int
+	// stays an int
+	if got := (repRule{sqrtP: 0.5}).value(r); got.Float() != 20 {
 		t.Errorf("null point: %v", got)
 	}
-	if got := adjustRep(p, types.Null, 0.5); !got.IsNull() {
+	if got := (repRule{sqrtP: 0.5}).value(types.NewInt(20)); got.Kind() != types.KindInt {
+		t.Errorf("unshrunk int: %v", got)
+	}
+	if got := half.value(types.Null); !got.IsNull() {
 		t.Errorf("null rep: %v", got)
+	}
+	// zero mass: an empty SUM/COUNT slot reads 0, shrunk about the point
+	half.zero = true
+	if got := half.value(types.Null); got.IsNull() || got.Float() != 5 {
+		t.Errorf("empty extensive slot: %v", got)
 	}
 }

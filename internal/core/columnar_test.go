@@ -843,7 +843,7 @@ func TestColumnarInterpretedClassifier(t *testing.T) {
 
 // TestSuiteColumnarVerdicts pins the columnar verdict and the uncertain
 // predicate's classifier of every block of the paper's evaluation suite
-// (block order as Metrics().BlockPhases lists it: subqueries first, root
+// (block order as Metrics().Blocks lists it: subqueries first, root
 // last), so a change that silently sends a suite block back to the row
 // path, or a suite root back to the interpreter, fails here. C1's FLOOR(...)
 // group key and C2's STDDEV threshold are the shapes still outside.
@@ -886,7 +886,7 @@ func TestSuiteColumnarVerdicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got, gotTri []string
-		for _, bp := range eng.Metrics().BlockPhases {
+		for _, bp := range eng.Metrics().Blocks {
 			got = append(got, bp.Columnar)
 			gotTri = append(gotTri, bp.Classifier)
 		}

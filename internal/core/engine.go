@@ -210,9 +210,9 @@ type Metrics struct {
 	// Options.Profile.
 	Phases        PhaseTimes
 	PhasePerBatch []PhaseTimes
-	// BlockPhases profiles each lineage block's cumulative cost
+	// Blocks profiles each lineage block: its state and cumulative cost
 	// (dependency order, root last).
-	BlockPhases []BlockPhaseStat
+	Blocks []BlockStat
 }
 
 // tableStream is one streamed fact table partitioned into mini-batches.
@@ -504,20 +504,7 @@ func (e *Engine) Metrics() Metrics {
 	m := e.metrics
 	m.DetFlips = e.bind.flips
 	m.Phases = e.cumAcc.times()
-	m.BlockPhases = make([]BlockPhaseStat, len(e.runners))
-	for i, r := range e.runners {
-		m.BlockPhases[i] = BlockPhaseStat{
-			Block:      r.b.ID,
-			Kind:       r.b.Kind.String(),
-			Label:      r.b.Label,
-			Table:      r.b.Input.Fact,
-			Groups:     len(r.tab.entries),
-			Uncertain:  len(r.uncertain),
-			Columnar:   r.colPl.verdict(),
-			Classifier: r.classifier(),
-			Phases:     e.blockAcc[i].times(),
-		}
-	}
+	m.Blocks = e.blockStats()
 	return m
 }
 
@@ -572,30 +559,6 @@ func (e *Engine) sampled(ts *tableStream, rowIdx int) bool {
 		return true
 	}
 	return bootstrap.Mix64(ts.sampleBase+uint64(rowIdx)) <= ts.sampleCut
-}
-
-// adjustRep applies the m-out-of-n bootstrap correction: replicas are
-// computed over a subsample of fraction p, so their dispersion around
-// the point estimate is √(1/p) too large; shrink deviations by √p.
-func adjustRep(point, rep types.Value, sqrtP float64) types.Value {
-	if sqrtP >= 1 {
-		return rep
-	}
-	p, ok1 := point.AsFloat()
-	r, ok2 := rep.AsFloat()
-	if !ok1 || !ok2 {
-		return rep
-	}
-	return types.NewFloat(p + (r-p)*sqrtP)
-}
-
-// adjustLane is adjustRep for a float replica lane, given the point
-// estimate as a float (pok false when it is not numeric).
-func adjustLane(pf float64, pok bool, rep, sqrtP float64) types.Value {
-	if sqrtP < 1 && pok {
-		rep = pf + (rep-pf)*sqrtP
-	}
-	return types.NewFloat(rep)
 }
 
 // scaleFor is the multiset multiplicity m = k/i of §2.2 for a block's
@@ -957,31 +920,14 @@ func (e *Engine) updateScalarBinding(r *blockRunner, scale float64, complete boo
 	n := 1 + trials
 	var post types.Row
 	ev.eachVisible(n, func() {
-		ev.finalize(scale, 0, n)
-		post = ev.post(0, scale, nil)
+		ev.finalize(scale)
+		post = ev.post(0, nil)
 	})
 	pctx := ev.ctxs.point()
 	pctx.Row = post
 	point := b.Select[0].Eval(pctx)
-
-	sqrtP := e.tables[b.Input.Fact].sqrtP
 	reps := make([]types.Value, trials)
-	if vals, null := ev.selectLanes(0, post, n); vals != nil {
-		pf, pok := point.AsFloat()
-		for j := range reps { // the zero Value is NULL
-			if !null[1+j] {
-				reps[j] = adjustLane(pf, pok, vals[1+j], sqrtP)
-			}
-		}
-	} else {
-		ctxs := ev.ctxs.axis(n)
-		var buf types.Row
-		for j := range reps {
-			buf = ev.post(1+j, scale, buf)
-			ctxs[1+j].Row = buf
-			reps[j] = adjustRep(point, b.Select[0].Eval(ctxs[1+j]), sqrtP)
-		}
-	}
+	ev.outputReps(0, post, point, reps, nil)
 	var rng paramRange
 	if complete {
 		rng = pointOnlyRange(point)
@@ -1013,15 +959,15 @@ func (e *Engine) updateGroupBinding(r *blockRunner, scale float64, complete bool
 	// groups probed by snapshot error estimation (or by a bootstrap range
 	// fallback) pay for per-trial evaluation.
 	g.begin(ev, r.uncertainWhere != nil)
-	g.scale, g.sqrtP = scale, e.tables[b.Input.Fact].sqrtP
+	g.scale = scale
 	te := e.triEnv()
 	sel := te.node(b.Select[0])
 	failed := false
 	ev.eachVisible(1, func() {
 		en := ev.en
 		id, key, h := g.keys.visit(ev)
-		ev.finalize(scale, 0, 1)
-		e.postBuf = ev.post(0, scale, e.postBuf)
+		ev.finalize(scale)
+		e.postBuf = ev.post(0, e.postBuf)
 		post := e.postBuf
 		pctx.Row = post
 		point := b.Select[0].Eval(pctx)
@@ -1052,38 +998,16 @@ func (e *Engine) updateGroupBinding(r *blockRunner, scale float64, complete bool
 	return failed
 }
 
-// fillGroupReps evaluates group id's replica vector into dst (zeroed:
-// the zero Value is NULL) for the current publication, by its key: the
-// group's bucket alone is evaluated, and its trial values are read from
-// its bank row as float lanes. A probed id (no published group) has a
-// NULL point.
+// fillGroupReps evaluates group id's replica vector into dst for the
+// current publication, by its key: the group's bucket alone is
+// evaluated, and the output reader shrinks its trial values about the
+// published point. A probed id (no published group) has a NULL point.
 func (e *Engine) fillGroupReps(r *blockRunner, id int, dst []types.Value) {
-	b := r.b
-	g := e.bind.groups[b.ParamIdx]
-	scale, sqrtP := g.scale, g.sqrtP
-	n := 1 + e.opt.Trials
+	g := e.bind.groups[r.b.ParamIdx]
 	ev := r.eval()
-	ev.loadKey(g.keys.keyOf(id), n)
-	ev.finalize(scale, 0, n)
-	point := g.pointOf(id) // NULL while the group is not (yet) published
-	r.repPost = ev.post(0, scale, r.repPost)
-	if vals, null := ev.selectLanes(0, r.repPost, n); vals != nil {
-		pf, pok := point.AsFloat()
-		for j := range dst {
-			if ev.evidence(1+j) && !null[1+j] {
-				dst[j] = adjustLane(pf, pok, vals[1+j], sqrtP)
-			}
-		}
-		return
-	}
-	ctxs := ev.ctxs.axis(n)
-	for j := range dst {
-		if ev.evidence(1 + j) {
-			r.repBuf = ev.post(1+j, scale, r.repBuf)
-			ctxs[1+j].Row = r.repBuf
-			dst[j] = adjustRep(point, b.Select[0].Eval(ctxs[1+j]), sqrtP)
-		}
-	}
+	ev.loadKey(g.keys.keyOf(id), g.scale)
+	ev.ptRow = ev.post(0, ev.ptRow)
+	ev.outputReps(0, ev.ptRow, g.pointOf(id), dst, nil)
 }
 
 // updateSetBinding republishes a membership block's point membership
@@ -1111,8 +1035,8 @@ func (e *Engine) updateSetBinding(r *blockRunner, scale float64, complete bool) 
 	ev.eachVisible(1, func() {
 		en := ev.en
 		id, key, h := sb.keys.visit(ev)
-		ev.finalize(scale, 0, 1)
-		e.postBuf = ev.post(0, scale, e.postBuf)
+		ev.finalize(scale)
+		e.postBuf = ev.post(0, e.postBuf)
 		post := e.postBuf
 		// Point membership.
 		pctx.Row = post
@@ -1178,7 +1102,7 @@ func (e *Engine) setRowRanges(r *blockRunner, baseEn *onlineEntry, id int, post 
 		}
 		if pr.status == rsUnknown {
 			if repVals == nil {
-				repVals = e.setRepPostValues(r, id, post, scale)
+				repVals = e.setRepPostValues(r, id, scale)
 			}
 			pr = buildRangeFromFloats(post[c], repVals[c], e.opt.EpsilonSigma*boost, e.opt.Trials)
 		}
@@ -1188,44 +1112,29 @@ func (e *Engine) setRowRanges(r *blockRunner, baseEn *onlineEntry, id int, post 
 }
 
 // setRepPostValues evaluates a set-block group's (published id)
-// adjusted per-trial aggregate values, indexed by post-aggregate column
-// (the bootstrap fallback for non-CLT slots; key columns stay empty),
-// into the runner's scratch: valid until the next call.
-func (e *Engine) setRepPostValues(r *blockRunner, id int, post types.Row, scale float64) [][]float64 {
-	b := r.b
-	sqrtP := e.tables[b.Input.Fact].sqrtP
-	if r.extensive == nil {
-		r.extensive = extensiveSlots(b)
-	}
-	extensive := r.extensive
-	for len(r.repVals) < len(post) {
-		r.repVals = append(r.repVals, nil)
-	}
-	repVals := r.repVals[:len(post)]
-	for c := range repVals {
-		repVals[c] = repVals[c][:0]
-	}
-	n := 1 + e.opt.Trials
+// replica floats through the slot reader, per post-aggregate column
+// over the trials with evidence (the bootstrap fallback for non-CLT
+// slots; key columns stay empty), into the evaluator's scratch: valid
+// until the next call.
+func (e *Engine) setRepPostValues(r *blockRunner, id int, scale float64) [][]float64 {
 	ev := r.eval()
-	ev.loadKey(e.bind.sets[b.ParamIdx].keys.keyOf(id), n)
-	ev.finalize(scale, 1, n)
-	for j := 1; j < n; j++ {
-		if !ev.evidence(j) {
+	ev.loadKey(e.bind.sets[r.b.ParamIdx].keys.keyOf(id), scale)
+	vals := ev.slotVals
+	for c := range vals {
+		vals[c] = vals[c][:0]
+	}
+	for t, live := range ev.slotReps() {
+		if !live {
 			continue
 		}
-		r.repBuf = ev.post(j, scale, r.repBuf)
-		for c := len(b.GroupBy); c < len(r.repBuf); c++ {
-			v := r.repBuf[c]
-			if v.IsNull() && extensive[c] {
-				v = types.NewFloat(0)
-			}
-			v = adjustRep(post[c], v, sqrtP)
-			if f, ok := v.AsFloat(); ok {
-				repVals[c] = append(repVals[c], f)
+		row := ev.slotRow(1 + t)
+		for c := len(r.b.GroupBy); c < len(row); c++ {
+			if f, ok := row[c].AsFloat(); ok {
+				vals[c] = append(vals[c], f)
 			}
 		}
 	}
-	return repVals
+	return vals
 }
 
 // extensiveSlots flags the post-aggregate slots holding SUM/COUNT: a
@@ -1241,77 +1150,36 @@ func extensiveSlots(b *plan.Block) []bool {
 	return out
 }
 
-// fillSetReps evaluates key id's per-trial membership into dst (zeroed)
-// for the current publication, by its key. A probed key costs its own
-// bucket — point row included — never a pass over the block's whole
-// uncertain set.
+// fillSetReps evaluates key id's per-trial membership into reps (zeroed)
+// for the current publication, by its key, through the slot reader. A
+// probed key costs its own bucket — point row included — never a pass
+// over the block's whole uncertain set.
 func (e *Engine) fillSetReps(r *blockRunner, id int, reps []bool) {
 	b := r.b
 	sb := e.bind.sets[b.ParamIdx]
-	scale := sb.scale
-	sqrtP := e.tables[b.Input.Fact].sqrtP
-	if r.extensive == nil {
-		r.extensive = extensiveSlots(b)
-	}
-	extensive := r.extensive
-	nKeys := len(b.GroupBy)
-	n := 1 + e.opt.Trials
 	ev := r.eval()
-	ev.loadKey(sb.keys.keyOf(id), n)
-	ev.finalize(scale, 0, n)
-	// Point post row of the key, for the m-out-of-n adjustment.
-	havePost := ev.visibleAtPoint()
-	if havePost {
-		r.repPost = ev.post(0, scale, r.repPost)
-	}
-	post := r.repPost
-	// adjust is the replica adjustment of post-aggregate column c: an
-	// empty extensive slot carries zero mass, and deviations from the
-	// point row shrink by √p.
-	adjust := func(c int, v types.Value) types.Value {
-		if v.IsNull() && extensive[c] {
-			v = types.NewFloat(0)
-		}
-		if havePost {
-			v = adjustRep(post[c], v, sqrtP)
-		}
-		return v
-	}
+	ev.loadKey(sb.keys.keyOf(id), sb.scale)
+	live, n := ev.slotReps(), ev.n
 	if b.Having == nil {
-		for j := range reps {
-			reps[j] = ev.evidence(1 + j)
-		}
+		copy(reps, live)
 		return
 	}
+	// HAVING over the adjusted trial lanes when lowered, else per trial
+	// through the interpreter.
 	if ev.having != nil {
-		// HAVING over the trial lanes: adjust the slots in place, as
-		// floats, and hand the adjusted keys to the row-only subtrees.
-		r.repInv = r.repInv[:0]
-		for c := 0; c < nKeys && c < len(ev.key); c++ {
-			r.repInv = append(r.repInv, adjust(c, ev.key[c]))
-		}
-		ev.adjustSlots(post, havePost, extensive, sqrtP, n)
-		ev.env.row = r.repInv
 		if t, ok := ev.having.tri(&ev.env, 1, n); ok {
 			for j := range reps {
-				reps[j] = ev.evidence(1+j) && t[1+j] == expr.TriTrue
+				reps[j] = live[j] && t[1+j] == expr.TriTrue
 			}
 			return
 		}
-		ev.finalize(scale, 1, n) // undo the adjustment for the interpreter
 	}
 	ctxs := ev.ctxs.axis(n)
 	for j := range reps {
-		if !ev.evidence(1 + j) {
-			continue
+		if live[j] {
+			ctxs[1+j].Row = ev.slotRow(1 + j)
+			reps[j] = b.Having.Eval(ctxs[1+j]).Truthy()
 		}
-		r.repBuf = ev.post(1+j, scale, r.repBuf)
-		buf := r.repBuf
-		for c := range buf {
-			buf[c] = adjust(c, buf[c])
-		}
-		ctxs[1+j].Row = buf
-		reps[j] = b.Having.Eval(ctxs[1+j]).Truthy()
 	}
 }
 

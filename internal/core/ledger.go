@@ -77,7 +77,10 @@ func (st *stage) charge(tables, uncertain, scratch *int64) {
 // collectResidency folds every charge counter into the ledger. Runs on
 // the controller at mini-batch boundaries, where worker stages are
 // parked: every pool task runs inside a scatter barrier, so none is in
-// flight here.
+// flight here. The uncertain-cache pool holds the runners' caches only,
+// what rung 2 can evict: a worker stage's uncertain buffer is emptied
+// at every merge and kept as scratch. Each fact table's segment cache
+// is charged once, however many blocks stream it.
 func (e *Engine) collectResidency() {
 	var tables, uncertain, scratch int64
 	for _, r := range e.runners {
@@ -88,14 +91,14 @@ func (e *Engine) collectResidency() {
 		for _, wc := range e.pool.ctxs {
 			for _, st := range wc.stages {
 				if st != nil {
-					st.charge(&tables, &uncertain, &scratch)
+					st.charge(&tables, &scratch, &scratch)
 				}
 			}
 		}
 	}
 	var segs int64
-	for _, r := range e.runners {
-		if t, ok := e.cat.Get(r.b.Input.Fact); ok {
+	for i, r := range e.runners {
+		if t, ok := e.cat.Get(r.b.Input.Fact); ok && !e.streamedBefore(i) {
 			segs += t.ColumnarBytes()
 		}
 	}
@@ -104,6 +107,17 @@ func (e *Engine) collectResidency() {
 	e.ledger.Set(resource.ColumnarScratch, scratch)
 	e.ledger.Set(resource.SegmentCache, segs)
 	e.ledger.Set(resource.Checkpoint, e.ckBytes)
+}
+
+// streamedBefore reports whether a runner before runner i streams its
+// fact table.
+func (e *Engine) streamedBefore(i int) bool {
+	for _, r := range e.runners[:i] {
+		if r.b.Input.Fact == e.runners[i].b.Input.Fact {
+			return true
+		}
+	}
+	return false
 }
 
 // observeResources commits one mini-batch's memory observation: collect

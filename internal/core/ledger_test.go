@@ -125,6 +125,67 @@ func TestLedgerUncertainCharge(t *testing.T) {
 	}
 }
 
+// TestLedgerSegCacheOncePerTable: a fact table's columnar segments are
+// one encoding however many blocks stream it, so the segment-cache pool
+// of a two-block query over one table is that table's ColumnarBytes.
+func TestLedgerSegCacheOncePerTable(t *testing.T) {
+	o := Options{Batches: 4, Trials: 32, Seed: 331, Parallelism: 1}
+	_, eng := ledgerRun(t, chaosSQL, o, 331, 4*2048)
+	defer eng.Close()
+	if len(eng.runners) != 2 || eng.runners[0].b.Input.Fact != eng.runners[1].b.Input.Fact {
+		t.Fatal("the fixture is not two blocks over one table")
+	}
+	tbl, _ := eng.cat.Get(eng.runners[0].b.Input.Fact)
+	want := tbl.ColumnarBytes()
+	if want == 0 {
+		t.Fatal("no columnar encoding is resident")
+	}
+	if got := eng.Resources().SegCacheBytes; got != want {
+		t.Fatalf("segment-cache pool %d B, the table's encoding %d B", got, want)
+	}
+}
+
+// TestLedgerWorkerStagesNotInUncertainPool: rung 2 can evict only the
+// runners' caches, so the uncertain-cache pool holds exactly those at
+// Parallelism 2; the worker stages' uncertain buffers, emptied at every
+// merge with their capacity kept, are charged as scratch.
+func TestLedgerWorkerStagesNotInUncertainPool(t *testing.T) {
+	o := Options{Batches: 6, Trials: 32, Seed: 411, Parallelism: 2, ParallelThreshold: 128}
+	cat := determinismCatalog(6*2048, 331)
+	q, err := plan.Compile(chaosSQL, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(q, cat, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var staged, want int64
+	for _, wc := range eng.pool.ctxs {
+		for _, st := range wc.stages {
+			if st != nil {
+				staged += uncertainRowBytes * int64(cap(st.uncertain))
+			}
+		}
+	}
+	for _, r := range eng.runners {
+		want += uncertainRowBytes * int64(cap(r.uncertain))
+	}
+	if staged == 0 || want == 0 {
+		t.Fatalf("worker stages %d B, runner caches %d B: the fixture exercises nothing", staged, want)
+	}
+	eng.collectResidency()
+	if got := eng.ledger.Bytes(resource.UncertainCache); got != want {
+		t.Fatalf("uncertain pool %d B, runner caches %d B (worker stages %d B)", got, want, staged)
+	}
+}
+
 // TestLedgerCollectAllocs pins the per-batch collection itself —
 // residency walk, peak observe, GC read, usage stamp — to zero
 // allocations, so the ledger can stay always-on.

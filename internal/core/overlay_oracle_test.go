@@ -511,6 +511,21 @@ func oracleSetRepPostValues(e *Engine, r *blockRunner, key string, post types.Ro
 	return repVals
 }
 
+// adjustRep is the oracle's own m-out-of-n correction, as the replaced
+// evaluators applied it per value: replicas are computed over a
+// subsample of fraction p, so deviations from the point shrink by √p.
+func adjustRep(point, rep types.Value, sqrtP float64) types.Value {
+	if sqrtP >= 1 {
+		return rep
+	}
+	p, ok1 := point.AsFloat()
+	r, ok2 := rep.AsFloat()
+	if !ok1 || !ok2 {
+		return rep
+	}
+	return types.NewFloat(p + (r-p)*sqrtP)
+}
+
 // sameValue is bit-level equality of two values.
 func sameValue(a, b types.Value) bool {
 	if a.Kind() != b.Kind() {
@@ -621,7 +636,7 @@ func checkAgainstOracle(t *testing.T, label string, e *Engine, emitted [][]CellE
 					continue
 				}
 				post := exec.PostRow(b, r.overlayFor(-1).entry(key), e.scaleFor(b))
-				gotV, wantV := e.setRepPostValues(r, s.keys.repID(kr), post, e.scaleFor(b)), oracleSetRepPostValues(e, r, key, post)
+				gotV, wantV := e.setRepPostValues(r, s.keys.repID(kr), e.scaleFor(b)), oracleSetRepPostValues(e, r, key, post)
 				for c := len(b.GroupBy); c < len(post); c++ {
 					if len(gotV[c]) != len(wantV[c]) {
 						t.Fatalf("%s: block %d set key %q slot %d: %d replica values, oracle %d", label, b.ID, key, c, len(gotV[c]), len(wantV[c]))

@@ -151,22 +151,6 @@ func (p PhaseTimes) String() string {
 	return b.String()
 }
 
-// BlockPhaseStat is one lineage block's cumulative profile.
-type BlockPhaseStat struct {
-	Block     int    // plan block ID
-	Kind      string // "root", "scalar", "group-scalar", "set"
-	Label     string // the block's SQL
-	Table     string // streamed fact table
-	Groups    int    // live groups in the block's aggregate state
-	Uncertain int    // cached uncertain tuples
-	Columnar  string // eligibility verdict: "columnar[:flavor]" or "rowpath:<reason>"
-	// Classifier names what decides the block's uncertain predicate:
-	// "tri:kernel" (the tri-state kernel, for new and cached rows),
-	// "tri:interp" (the per-row interpreter), "" without one.
-	Classifier string
-	Phases     PhaseTimes
-}
-
 // fmtBytes renders a byte count in human units (profiles and flbench).
 func fmtBytes(b int64) string {
 	switch {
@@ -253,11 +237,11 @@ func (e *Engine) Report() string {
 			b.WriteByte('\n')
 		}
 	}
-	for _, bp := range m.BlockPhases {
+	for _, bs := range m.Blocks {
 		fmt.Fprintf(&b, "block %d [%s] table=%s groups=%d uncertain=%d plan=%s\n  %s\n",
-			bp.Block, bp.Kind, bp.Table, bp.Groups, bp.Uncertain, joinNote(bp.Columnar, bp.Classifier), bp.Phases)
-		if bp.Label != "" {
-			fmt.Fprintf(&b, "  %s\n", strings.ReplaceAll(bp.Label, "\n", " "))
+			bs.ID, bs.Kind, bs.Table, bs.Groups, bs.Uncertain, joinNote(bs.Columnar, bs.Classifier), bs.Phases)
+		if bs.Label != "" {
+			fmt.Fprintf(&b, "  %s\n", strings.ReplaceAll(bs.Label, "\n", " "))
 		}
 	}
 	if len(m.PhasePerBatch) > 0 {

@@ -110,18 +110,18 @@ func TestMetricsPhaseConsistency(t *testing.T) {
 	// Per-block profiles: one per lineage block, sub-block maintains
 	// ranges, root never does, and block fold time sums (≤) into the
 	// run total.
-	if len(m.BlockPhases) != 2 {
-		t.Fatalf("BlockPhases = %d entries, want 2", len(m.BlockPhases))
+	if len(m.Blocks) != 2 {
+		t.Fatalf("Blocks = %d entries, want 2", len(m.Blocks))
 	}
 	var blockFold time.Duration
-	for _, bp := range m.BlockPhases {
+	for _, bp := range m.Blocks {
 		blockFold += bp.Phases.Fold
 		if bp.Kind == "root" {
 			if bp.Phases.Ranges != 0 {
 				t.Fatalf("root block accrued range-maintenance time: %+v", bp.Phases)
 			}
 		} else if bp.Phases.Ranges == 0 {
-			t.Fatalf("parameter block %d accrued no range-maintenance time", bp.Block)
+			t.Fatalf("parameter block %d accrued no range-maintenance time", bp.ID)
 		}
 	}
 	if blockFold != p.Fold {

@@ -47,13 +47,6 @@ type blockRunner struct {
 	// plus the cached uncertain set — for snapshots and bindings
 	// (snapeval.go); created on first use.
 	ev *snapEval
-	// Replica-evaluation scratch of a correlated or membership block
-	// (fillGroupReps, fillSetReps, setRepPostValues): post rows, the
-	// adjusted key row, per-slot replica floats and the extensive-slot
-	// flags, kept across groups and batches.
-	repPost, repBuf, repInv types.Row
-	repVals                 [][]float64
-	extensive               []bool
 
 	// colPl is the block's columnar-path eligibility plan (see
 	// columnar.go), built once on the controller and shared read-only by

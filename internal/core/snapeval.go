@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"fluodb/internal/agg"
 	"fluodb/internal/colstore"
 	"fluodb/internal/expr"
@@ -47,10 +49,6 @@ import (
 //
 // Rules every consumer relies on:
 //
-//   - a group counts in trial j only with bootstrap evidence there: its
-//     table entry has subsampled tuples (ns > 0) or a cached row
-//     actually folded into it in trial j (touched); global blocks
-//     always count;
 //   - a group absent from the table is visible (iterated, emitted) only
 //     if a cached row passes under the point bindings, ordered by the
 //     cache position of its first passing row;
@@ -58,7 +56,19 @@ import (
 //   - all of it is a pure function of the runner's table and cache and
 //     of the bindings it depends on, which are fixed from the runner's
 //     feed to the next mini-batch: the bucket index is rebuilt only
-//     after invalidate.
+//     after invalidate;
+//   - a consumer reads the loaded group's trial columns through one of
+//     two replica readers, one per adjustment point: outputReps after the
+//     select expression (snapshot confidence intervals, scalar and
+//     correlated replica vectors), slotReps/slotRow on the post-aggregate
+//     slots before HAVING (membership vectors, a set block's bootstrap
+//     slot ranges). The readers alone apply the three replica rules:
+//     a group counts in trial j only with bootstrap evidence there
+//     (evidence); an empty SUM/COUNT slot carries zero mass, 0 and not
+//     NULL (slots only: after the select expression a NULL is the
+//     column's value); and, the replicas being drawn over a subsample of
+//     fraction p of the fact stream, a numeric deviation from the point
+//     shrinks by √p (the m-out-of-n correction).
 type snapEval struct {
 	r     *blockRunner
 	width int // axis width: 1 + Trials
@@ -111,6 +121,16 @@ type snapEval struct {
 	// states holds the non-banked accumulators: one cloned state set per
 	// touched column, nil where the table's own states still stand.
 	states [][]agg.State
+	scale  float64 // the multiplicity finalize was given, for post rows
+
+	// Replica-reader scratch (outputReps, slotReps, slotRow), kept across
+	// groups and batches: the point and a trial's post row, the adjusted
+	// key row, the slot rule of each post column, the trials with
+	// evidence, and a set block's per-slot replica floats.
+	ptRow, trRow, keyRep types.Row
+	rules                []repRule
+	live                 []bool
+	slotVals             [][]float64
 }
 
 // eval returns the runner's evaluator, creating it on first use.
@@ -126,6 +146,11 @@ func (r *blockRunner) eval() *snapEval {
 		ev.touched, ev.wf, ev.mask = make([]bool, w), make([]float64, w), make([]uint8, w)
 		ev.argv, ev.argF, ev.argOK = make([]types.Value, na), make([]float64, na), make([]bool, na)
 		ev.keyBuf = make(types.Row, len(r.b.GroupBy))
+		nc := r.b.PostAggWidth()
+		ev.rules, ev.live, ev.slotVals = make([]repRule, nc), make([]bool, w), make([][]float64, nc)
+		for c, zero := range extensiveSlots(r.b) {
+			ev.rules[c].zero = zero
+		}
 		if !r.tab.banked {
 			ev.states = make([][]agg.State, w)
 		}
@@ -148,19 +173,18 @@ func (ev *snapEval) memBytes() int64 {
 	if ev == nil {
 		return 0
 	}
-	return 4*int64(cap(ev.order)+cap(ev.start)+cap(ev.visible)+cap(ev.gid)+cap(ev.ex.slots)) +
+	b := 4*int64(cap(ev.order)+cap(ev.start)+cap(ev.visible)+cap(ev.gid)+cap(ev.ex.slots)) +
 		8*int64(cap(ev.pass)+cap(ev.ex.shown)) +
 		8*int64(cap(ev.accW)+cap(ev.accV)+cap(ev.wf)+cap(ev.argF)+cap(ev.env.slotF)) +
-		int64(cap(ev.env.slotNull)+cap(ev.touched)+cap(ev.mask)+cap(ev.argOK)) +
-		rowValueBytes*int64(cap(ev.argv)+cap(ev.keyBuf)) +
-		9*int64(ev.width*len(ev.env.scal)) + ev.progMem + ev.pt.mem + ev.keysBytes()
-}
-
-// keysBytes is the trial sweep's key indexes' charge.
-func (ev *snapEval) keysBytes() int64 {
-	var b int64
-	for _, k := range ev.keys {
+		int64(cap(ev.env.slotNull)+cap(ev.touched)+cap(ev.mask)+cap(ev.argOK)+
+			cap(ev.live)) + int64(unsafe.Sizeof(repRule{}))*int64(cap(ev.rules)) +
+		rowValueBytes*int64(cap(ev.argv)+cap(ev.keyBuf)+cap(ev.ptRow)+cap(ev.trRow)+cap(ev.keyRep)) +
+		9*int64(ev.width*len(ev.env.scal)) + ev.progMem + ev.pt.mem
+	for _, k := range ev.keys { // the trial sweep's key indexes
 		b += k.memBytes()
+	}
+	for _, v := range ev.slotVals {
+		b += 8 * int64(cap(v))
 	}
 	return b
 }
@@ -607,10 +631,11 @@ func (ev *snapEval) eachVisible(n int, fn func()) {
 	}
 }
 
-// loadKey loads the group with the given key over axis columns [0,n): a
-// table group, a cache-only group (visible or not), or — both missing —
-// an empty group without evidence anywhere.
-func (ev *snapEval) loadKey(key types.Row, n int) {
+// loadKey loads the group with the given key over the whole axis and
+// finalizes it under scale: a table group, a cache-only group (visible
+// or not), or — both missing — an empty group without evidence
+// anywhere.
+func (ev *snapEval) loadKey(key types.Row, scale float64) {
 	t := ev.r.tab
 	cols := keyCols(len(key))
 	h := key.HashKey(cols)
@@ -619,14 +644,13 @@ func (ev *snapEval) loadKey(key types.Row, n int) {
 		if g < ev.nBase {
 			rows = ev.rowsOf(g)
 		}
-		ev.load(t.entries[g], -1, rows, n)
-		return
+		ev.load(t.entries[g], -1, rows, ev.width)
+	} else if x := ev.findExtra(key, h); x >= 0 {
+		ev.load(nil, ev.donor(x), ev.rowsOf(ev.nBase+x), ev.width)
+	} else {
+		ev.load(nil, -1, nil, ev.width)
 	}
-	if x := ev.findExtra(key, h); x >= 0 {
-		ev.load(nil, ev.donor(x), ev.rowsOf(ev.nBase+x), n)
-		return
-	}
-	ev.load(nil, -1, nil, n)
+	ev.finalize(scale)
 }
 
 // load positions the evaluator on one group — table entry en (nil when
@@ -828,19 +852,21 @@ func (ev *snapEval) cloneBase(j int) []agg.State {
 }
 
 // finalize turns the loaded group's banked accumulators into aggregate
-// results over axis columns [lo,hi), as float lanes for the lowered
-// programs and the post-row builders. Non-banked blocks finalize per
-// post row instead.
-func (ev *snapEval) finalize(scale float64, lo, hi int) {
+// results over its loaded axis columns, as float lanes for the lowered
+// programs and the post-row builders, and records scale for post.
+// Non-banked blocks finalize per post row instead.
+func (ev *snapEval) finalize(scale float64) {
+	ev.scale = scale
+	n := ev.n
 	t := ev.r.tab
 	if !t.banked {
 		return
 	}
 	W := ev.width
 	for a, k := range t.cltKinds {
-		w, v := ev.accW[a*W:a*W+hi], ev.accV[a*W:a*W+hi]
-		f, null := ev.env.slotF[a*W:a*W+hi], ev.env.slotNull[a*W:a*W+hi]
-		for j := lo; j < hi; j++ {
+		w, v := ev.accW[a*W:a*W+n], ev.accV[a*W:a*W+n]
+		f, null := ev.env.slotF[a*W:a*W+n], ev.env.slotNull[a*W:a*W+n]
+		for j := range n {
 			switch {
 			case k == cltCount:
 				f[j], null[j] = w[j]*scale, false
@@ -861,15 +887,26 @@ func (ev *snapEval) visibleAtPoint() bool {
 	return ev.en != nil || ev.touched[0] || ev.global()
 }
 
-// evidence reports whether the loaded group counts in axis column j ≥ 1.
-func (ev *snapEval) evidence(j int) bool {
-	return ev.touched[j] || (ev.en != nil && ev.en.ns > 0) || ev.global()
+// evidence reports, per loaded trial t, whether the loaded group counts
+// in axis column 1+t: its table entry has subsampled tuples (ns > 0), a
+// cached row actually folded into it in that trial (touched), or the
+// block is global. Only the replica readers ask.
+func (ev *snapEval) evidence() []bool {
+	live := ev.live[:ev.n-1]
+	if (ev.en != nil && ev.en.ns > 0) || ev.global() {
+		for t := range live {
+			live[t] = true
+		}
+	} else {
+		copy(live, ev.touched[1:ev.n])
+	}
+	return live
 }
 
 // post writes the loaded group's post-aggregate row
 // [keys..., results...] of axis column j into buf (finalize must have
 // covered j).
-func (ev *snapEval) post(j int, scale float64, buf types.Row) types.Row {
+func (ev *snapEval) post(j int, buf types.Row) types.Row {
 	buf = append(buf[:0], ev.key...)
 	if ev.r.tab.banked {
 		W := ev.width
@@ -889,51 +926,153 @@ func (ev *snapEval) post(j int, scale float64, buf types.Row) types.Row {
 		}
 	}
 	for _, s := range st {
-		buf = append(buf, s.Result(scale))
+		buf = append(buf, s.Result(ev.scale))
 	}
 	return buf
 }
 
-// selectLanes evaluates select column c of the loaded group over axis
-// columns [1,n) as float lanes (post is the group's point post-aggregate
-// row; finalize must have covered the columns). It returns nil when the
-// column is not lowered or refuses, and the caller interprets per trial.
-func (ev *snapEval) selectLanes(c int, post types.Row, n int) ([]float64, []bool) {
-	if ev.sel[c] == nil {
-		return nil, nil
+// outputReps is the replica reader after the select expression: select
+// column c of the loaded group in each loaded trial column j — NULL
+// where the group has no evidence, else the column's value, from the
+// lowered lanes when the column is lowered and through the interpreter
+// over the trial's post row otherwise, with a numeric deviation from
+// point shrunk by √p. It writes trial j's value into dst[j-1] when dst
+// is given, and otherwise appends the numeric values, in trial order,
+// to vals (the form confidence intervals read) and returns it. post is
+// the group's point post-aggregate row; finalize must have run.
+func (ev *snapEval) outputReps(c int, post types.Row, point types.Value, dst []types.Value, vals []float64) []float64 {
+	n := ev.n
+	rl := repRule{sqrtP: ev.r.ts.sqrtP}
+	rl.pf, rl.shrink = point.AsFloat()
+	rl.shrink = rl.shrink && rl.sqrtP < 1
+	var lanes []float64
+	var null []bool
+	lowered := false
+	if sel := ev.sel[c]; sel != nil {
+		ev.env.row = post
+		lanes, null, lowered = sel.num(&ev.env, 1, n)
 	}
-	ev.env.row = post
-	f, null, ok := ev.sel[c].num(&ev.env, 1, n)
-	if !ok {
-		return nil, nil
+	live := ev.evidence()
+	if lowered {
+		for t, ok := range live {
+			f, none := rl.apply(lanes[1+t], !ok || null[1+t])
+			switch {
+			case dst == nil:
+				if !none {
+					vals = append(vals, f)
+				}
+			case none:
+				dst[t] = types.Null
+			default:
+				dst[t] = types.NewFloat(f)
+			}
+		}
+		return vals
 	}
-	return f, null
+	ctxs, se := ev.ctxs.axis(n), ev.r.b.Select[c]
+	for t, ok := range live {
+		v := types.Null
+		if ok {
+			ev.trRow = ev.post(1+t, ev.trRow)
+			ctxs[1+t].Row = ev.trRow
+			v = rl.value(se.Eval(ctxs[1+t]))
+		}
+		if dst != nil {
+			dst[t] = v
+		} else if f, ok := v.AsFloat(); ok {
+			vals = append(vals, f)
+		}
+	}
+	return vals
 }
 
-// adjustSlots applies the set-block replica adjustment to the loaded
-// group's finalized trial lanes [1,n): an empty extensive slot carries
-// zero mass, and deviations from the point row shrink by √p (adjustRep,
-// in float).
-func (ev *snapEval) adjustSlots(post types.Row, havePost bool, extensive []bool, sqrtP float64, n int) {
-	W := ev.width
-	nKeys := len(ev.r.b.GroupBy)
-	for a := range ev.r.b.Aggs {
-		f, null := ev.env.slotF[a*W:a*W+n], ev.env.slotNull[a*W:a*W+n]
-		var pf float64
-		pok := false
-		if havePost && sqrtP < 1 {
-			pf, pok = post[nKeys+a].AsFloat()
+// slotReps is the replica reader before HAVING: it applies the slot
+// rules to the loaded group's post-aggregate slots in its loaded trial
+// columns (finalize must have run) and returns, per trial t, whether the
+// group has evidence in axis column 1+t. A banked block's lanes are
+// adjusted in place, and the adjusted key row is left as the lowered
+// programs' row (env.row); slotRow reads a whole trial row.
+func (ev *snapEval) slotReps() []bool {
+	n, sqrtP := ev.n, ev.r.ts.sqrtP
+	// Deviations shrink about the point post row, which a group has only
+	// when it is visible at the point.
+	have := sqrtP < 1 && ev.visibleAtPoint()
+	if have {
+		ev.ptRow = ev.post(0, ev.ptRow)
+	}
+	for c := range ev.rules {
+		rl := &ev.rules[c]
+		rl.pf, rl.shrink, rl.sqrtP = 0, false, sqrtP
+		if have {
+			rl.pf, rl.shrink = ev.ptRow[c].AsFloat()
 		}
-		for j := 1; j < n; j++ {
-			if null[j] {
-				if !extensive[nKeys+a] {
-					continue
+	}
+	nKeys := len(ev.r.b.GroupBy)
+	ev.keyRep = ev.keyRep[:0]
+	for c := 0; c < nKeys && c < len(ev.key); c++ {
+		ev.keyRep = append(ev.keyRep, ev.rules[c].value(ev.key[c]))
+	}
+	ev.env.row = ev.keyRep
+	if ev.r.tab.banked {
+		W := ev.width
+		for a := range ev.r.b.Aggs {
+			if rl := ev.rules[nKeys+a]; rl.zero || rl.shrink {
+				f, null := ev.env.slotF[a*W:a*W+n], ev.env.slotNull[a*W:a*W+n]
+				for j := 1; j < n; j++ {
+					f[j], null[j] = rl.apply(f[j], null[j])
 				}
-				f[j], null[j] = 0, false
-			}
-			if pok {
-				f[j] = pf + (f[j]-pf)*sqrtP
 			}
 		}
 	}
+	return ev.evidence()
+}
+
+// slotRow returns the loaded group's post-aggregate row in trial column
+// j under the slot rules (slotReps must have run): a banked block's from
+// its adjusted lanes, another's from its trial states. The row is
+// scratch, valid until the next call.
+func (ev *snapEval) slotRow(j int) types.Row {
+	ev.trRow = ev.post(j, ev.trRow)
+	copy(ev.trRow, ev.keyRep)
+	if !ev.r.tab.banked {
+		for c := len(ev.keyRep); c < len(ev.trRow); c++ {
+			ev.trRow[c] = ev.rules[c].value(ev.trRow[c])
+		}
+	}
+	return ev.trRow
+}
+
+// repRule is the replica readers' rule for one column: an empty
+// SUM/COUNT slot (zero; slots only) carries zero mass, and a deviation
+// from a numeric point pf shrinks by sqrtP (shrink).
+type repRule struct {
+	pf, sqrtP    float64
+	shrink, zero bool
+}
+
+// apply adjusts one replica value f (null: NULL).
+func (rl repRule) apply(f float64, null bool) (float64, bool) {
+	if null {
+		if !rl.zero {
+			return f, true
+		}
+		f = 0
+	}
+	if rl.shrink {
+		f = rl.pf + (f-rl.pf)*rl.sqrtP
+	}
+	return f, false
+}
+
+// value is apply over a value: a non-numeric value, and a numeric one
+// that does not shrink, pass unchanged.
+func (rl repRule) value(v types.Value) types.Value {
+	f, ok := v.AsFloat()
+	if ok && !rl.shrink || !ok && !v.IsNull() {
+		return v
+	}
+	if f, null := rl.apply(f, !ok); !null {
+		return types.NewFloat(f)
+	}
+	return v
 }

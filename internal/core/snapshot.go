@@ -19,7 +19,8 @@ type CellEstimate struct {
 	HasCI bool
 }
 
-// BlockStat is one lineage block's online state at snapshot time.
+// BlockStat is one lineage block's online state and cumulative profile,
+// as Snapshot.Blocks and Metrics.Blocks report it (blockStats).
 type BlockStat struct {
 	ID        int
 	Kind      string // "root", "scalar", "group-scalar", "set"
@@ -27,9 +28,33 @@ type BlockStat struct {
 	Table     string // streamed fact table
 	Groups    int    // live groups in the block's aggregate state
 	Uncertain int    // cached uncertain tuples
+	Columnar  string // eligibility verdict: "columnar[:flavor]" or "rowpath:<reason>"
+	// Classifier names what decides the block's uncertain predicate:
+	// "tri:kernel" (the tri-state kernel, for new and cached rows),
+	// "tri:interp" (the per-row interpreter), "" without one.
+	Classifier string
 	// Phases is the block's cumulative per-phase processing time (see
 	// PhaseTimes).
 	Phases PhaseTimes
+}
+
+// blockStats profiles every lineage block (dependency order, root last).
+func (e *Engine) blockStats() []BlockStat {
+	out := make([]BlockStat, len(e.runners))
+	for i, r := range e.runners {
+		out[i] = BlockStat{
+			ID:         r.b.ID,
+			Kind:       r.b.Kind.String(),
+			Label:      r.b.Label,
+			Table:      r.b.Input.Fact,
+			Groups:     len(r.tab.entries),
+			Uncertain:  len(r.uncertain),
+			Columnar:   r.colPl.verdict(),
+			Classifier: r.classifier(),
+			Phases:     e.blockAcc[i].times(),
+		}
+	}
+	return out
 }
 
 // Snapshot is the refined approximate answer after one mini-batch.
@@ -143,20 +168,10 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 		Recomputes:    e.metrics.Recomputes,
 		Elapsed:       elapsed,
 		Degraded:      degradeReasons[e.degradeRung],
+		Blocks:        e.blockStats(),
 	}
 	if ts.total > 0 {
 		snap.FractionProcessed = float64(ts.seen) / float64(ts.total)
-	}
-	for i, r := range e.runners {
-		snap.Blocks = append(snap.Blocks, BlockStat{
-			ID:        r.b.ID,
-			Kind:      r.b.Kind.String(),
-			Label:     r.b.Label,
-			Table:     r.b.Input.Fact,
-			Groups:    len(r.tab.entries),
-			Uncertain: len(r.uncertain),
-			Phases:    e.blockAcc[i].times(),
-		})
 	}
 
 	hasCI := make([]bool, len(b.Select))
@@ -177,87 +192,34 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	slab := make([]CellEstimate, ev.numVisible()*width)
 	rows := make([][]CellEstimate, 0, ev.numVisible())
 
-	// Scratch reused across groups: post rows, per-column replica values,
-	// and the point estimates as floats (for the m-out-of-n adjustment,
-	// applied inline to avoid boxing a Value per replica).
-	var post, tbuf types.Row
-	repVals := make([][]float64, len(b.Select))
-	for c := range repVals {
-		if hasCI[c] {
-			repVals[c] = make([]float64, 0, effTrials)
-		}
-	}
-	pointF := make([]float64, len(b.Select))
-	pointOk := make([]bool, len(b.Select))
-	interpret := make([]bool, len(b.Select))
-	adjust := ts.sqrtP < 1
-	// push records one replica value of column c, with the m-out-of-n
-	// adjustment.
-	push := func(c int, f float64) {
-		if adjust && pointOk[c] {
-			f = pointF[c] + (f-pointF[c])*ts.sqrtP
-		}
-		repVals[c] = append(repVals[c], f)
-	}
-	// Score each visible group: the point row under the point
-	// bindings, then each CI column over the trial lanes — straight from
-	// the group's bank row when the column is lowered, else per trial
-	// through the interpreter. A trial counts only with evidence.
+	// Scratch reused across groups: the point post row, and one column's
+	// replica floats (the output reader's).
+	var post types.Row
+	vals := make([]float64, 0, effTrials)
+	// Score each visible group: the point row under the point bindings,
+	// then each CI column over the trial lanes through the output reader.
 	ev.eachVisible(n, func() {
-		ev.finalize(scale, 0, n)
-		post = ev.post(0, scale, post)
+		ev.finalize(scale)
+		post = ev.post(0, post)
 		pctx.Row = post
 		if b.Having != nil && !b.Having.Eval(pctx).Truthy() {
 			return
 		}
 		k := len(rows) * width
 		cells := slab[k : k+width : k+width]
-		anyInterpret := false
 		for c, se := range b.Select {
 			pctx.Row = post
 			cells[c].Value = se.Eval(pctx)
 			if !hasCI[c] {
 				continue
 			}
-			repVals[c] = repVals[c][:0]
-			pointF[c], pointOk[c] = cells[c].Value.AsFloat()
-			vals, null := ev.selectLanes(c, post, n)
-			interpret[c] = vals == nil
-			if vals == nil {
-				anyInterpret = true
-				continue
-			}
-			for j := 1; j < n; j++ {
-				if !null[j] && ev.evidence(j) {
-					push(c, vals[j])
-				}
-			}
-		}
-		if anyInterpret {
-			ctxs := ev.ctxs.axis(n)
-			for j := 1; j < n; j++ {
-				if !ev.evidence(j) {
-					continue
-				}
-				tbuf = ev.post(j, scale, tbuf)
-				for c, se := range b.Select {
-					if !hasCI[c] || !interpret[c] {
-						continue
-					}
-					ctxs[j].Row = tbuf
-					if f, ok := se.Eval(ctxs[j]).AsFloat(); ok {
-						push(c, f)
-					}
-				}
-			}
-		}
-		for c := range cells {
-			if hasCI[c] && len(repVals[c]) > 0 {
+			vals = ev.outputReps(c, post, cells[c].Value, nil, vals[:0])
+			if len(vals) > 0 {
 				// RSD first: it sums in trial order, the order the seed
 				// implementation used; the in-place CI sort would perturb
 				// the floating-point summation otherwise.
-				cells[c].RSD = bootstrap.RSD(repVals[c])
-				cells[c].CI = bootstrap.PercentileCIInPlace(repVals[c], e.opt.Confidence)
+				cells[c].RSD = bootstrap.RSD(vals)
+				cells[c].CI = bootstrap.PercentileCIInPlace(vals, e.opt.Confidence)
 				cells[c].HasCI = true
 			}
 		}

@@ -236,14 +236,16 @@ type SnapshotJSON struct {
 	ETAKnown   bool                   `json:"eta_known,omitempty"`
 }
 
-// BlockJS profiles one lineage block on the wire. PhaseMS is the
-// block's cumulative per-phase cost so far, phase → milliseconds.
+// BlockJS is one lineage block's core.BlockStat on the wire. PhaseMS is
+// the block's cumulative per-phase cost so far, phase → milliseconds.
 type BlockJS struct {
-	Kind      string             `json:"kind"`
-	Table     string             `json:"table"`
-	Groups    int                `json:"groups"`
-	Uncertain int                `json:"uncertain"`
-	PhaseMS   map[string]float64 `json:"phase_ms,omitempty"`
+	Kind       string             `json:"kind"`
+	Table      string             `json:"table"`
+	Groups     int                `json:"groups"`
+	Uncertain  int                `json:"uncertain"`
+	Columnar   string             `json:"columnar"`
+	Classifier string             `json:"classifier,omitempty"`
+	PhaseMS    map[string]float64 `json:"phase_ms,omitempty"`
 }
 
 // CellJS is one output cell on the wire.
@@ -417,7 +419,7 @@ func EncodeSnapshot(snap *core.Snapshot) SnapshotJSON {
 	for _, b := range snap.Blocks {
 		out.Blocks = append(out.Blocks, BlockJS{
 			Kind: b.Kind, Table: b.Table, Groups: b.Groups, Uncertain: b.Uncertain,
-			PhaseMS: b.Phases.Milliseconds(),
+			Columnar: b.Columnar, Classifier: b.Classifier, PhaseMS: b.Phases.Milliseconds(),
 		})
 	}
 	limit := len(snap.Rows)

@@ -209,6 +209,11 @@ func TestBlocksInPayload(t *testing.T) {
 		if s.Blocks[0].Kind != "scalar" || s.Blocks[1].Kind != "root" {
 			t.Fatalf("block kinds = %+v", s.Blocks)
 		}
+		// The root's plan verdict and the classifier of its uncertain
+		// predicate ride along.
+		if s.Blocks[1].Columnar == "" || s.Blocks[1].Classifier == "" {
+			t.Fatalf("root block plan = %+v", s.Blocks[1])
+		}
 		break
 	}
 }

@@ -2,7 +2,10 @@
 // fluodb's soft memory budgets: byte counters for every pool an online
 // query pins (group-table banks, the uncertain cache, columnar scratch,
 // the segment cache, checkpoint encode buffers) plus
-// a process-level GC sampler over runtime/metrics.
+// a process-level GC sampler over runtime/metrics. Each byte is charged
+// to one pool once: a fact table's segments once however many blocks
+// stream it, and the pool workers' staged uncertain rows as scratch, so
+// the uncertain-cache pool is what budget eviction can free.
 //
 // The ledger itself is passive arithmetic: the engine charges bytes at
 // its existing allocation seams (worker-local plain int64 counters,
@@ -23,14 +26,18 @@ const (
 	// main/bootstrap accumulator banks, generic per-trial states
 	// (including free-listed recycled entries still pinned).
 	GroupTables Category = iota
-	// UncertainCache: the uncertainRow slices (lineage headers and fact
-	// ordinals; a cached tuple's weights are regenerated, not stored).
+	// UncertainCache: the blocks' uncertainRow caches (lineage headers
+	// and fact ordinals; a cached tuple's weights are regenerated, not
+	// stored) — exactly what budget eviction can free.
 	UncertainCache
 	// ColumnarScratch: per-worker tri-state/selection/weight vectors of
-	// the vectorized classify/fold path.
+	// the vectorized classify/fold path, the snapshot evaluators'
+	// scratch, and the pool workers' stage buffers of uncertain rows
+	// (emptied by every merge, their capacity kept).
 	ColumnarScratch
 	// SegmentCache: storage.Table columnar segment residency (typed
-	// banks, null bitmaps, dictionaries).
+	// banks, null bitmaps, dictionaries), charged once per fact table
+	// however many blocks stream it.
 	SegmentCache
 	// Checkpoint: the most recent checkpoint encode buffer.
 	Checkpoint

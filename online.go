@@ -33,8 +33,9 @@ type OnlineMetrics = core.Metrics
 // maintenance, recompute, snapshot emission), collected on every run.
 type PhaseTimes = core.PhaseTimes
 
-// BlockPhaseStat is one lineage block's cumulative per-phase profile.
-type BlockPhaseStat = core.BlockPhaseStat
+// BlockStat is one lineage block's online state and cumulative
+// per-phase profile, on every Snapshot and in OnlineMetrics.Blocks.
+type BlockStat = core.BlockStat
 
 // TraceEvent is one structured G-OLA event (range commit/failure,
 // uncertain flip, recompute trigger).

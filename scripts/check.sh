@@ -52,6 +52,11 @@
 #                   JSONL and the span timeline as validated Chrome
 #                   JSON); nothing else runs through its flag handling
 #                   and experiment switch
+#   audit gate      the estimator stream: the statistical audit
+#                   (flbench -experiment audit) regenerated into a temp
+#                   file must equal the committed BENCH_accuracy.json
+#                   byte for byte; a change that moves the stream on
+#                   purpose commits the regenerated file (make audit)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -86,5 +91,9 @@ go run ./cmd/flbench -experiment fig3b -format csv -rows 4000 -batches 4 -trials
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/flbench -trace "$tmp/trace.jsonl" -spans "$tmp/trace.json" -tracequery Q18 -rows 4000 -batches 4 -trials 8 >/dev/null
+
+echo "== audit gate (flbench -experiment audit must reproduce BENCH_accuracy.json)"
+go run ./cmd/flbench -experiment audit -json "$tmp/acc.json" >/dev/null
+cmp "$tmp/acc.json" BENCH_accuracy.json
 
 echo "== check OK"

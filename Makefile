@@ -1,8 +1,9 @@
 .PHONY: check test bench bench-e2e-compare bench-fold audit chaos trace
 
 # Tier-1 gate: gofmt + vet + build + race-enabled tests + non-race alloc
-# gates + 10 s fuzz smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzResume,
-# FuzzColumnarEncode)
+# gates + one-iteration smoke runs of the internal/core snapshot, reclassify
+# and binding-update benchmarks (their b.Fatal fixture guards) + 10 s fuzz
+# smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzResume, FuzzColumnarEncode)
 # + the benchmark/ module's vet and tests + a small-scale flbench smoke run
 # + the audit gate: the regenerated audit must equal BENCH_accuracy.json
 # byte for byte (a change that moves the estimator stream on purpose

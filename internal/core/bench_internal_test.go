@@ -64,9 +64,14 @@ func BenchmarkSnapshotGlobalAgg(b *testing.B) {
 }
 
 // snapshotBenchEngine runs sql over the 20k-row synthetic catalog for 10
-// of 20 mini-batches: mid-run, where the uncertain set is large.
+// of 20 mini-batches: mid-run, where the uncertain set is large. The
+// lineitem fact table streams pre-shuffled (Shuffled, the paper's §2
+// pre-processing and the end-to-end benchmark's), so its cached rows lie
+// scattered over the heap as they do there, not in allocation order.
 func snapshotBenchEngine(tb testing.TB, sql string, trials int, catSeed uint64) *Engine {
 	cat := synthCatalog(20000, 50, catSeed)
+	li, _ := cat.Get("lineitem")
+	cat.Put(li.Shuffled(int64(catSeed)))
 	q, err := plan.Compile(sql, cat)
 	if err != nil {
 		tb.Fatal(err)

@@ -442,11 +442,14 @@ type colScratch struct {
 	sole  *onlineEntry // cached sole entry of scalar blocks
 	// sweeps counts columnar segment sweeps, reclassified the cached rows
 	// the tri-state kernel re-examined, pointed the cached rows the
-	// snapshot point pass ran through it (observability for tests and the
-	// alloc gates: proves the fast paths actually engaged).
+	// snapshot point pass ran through it, encKeys the cached rows whose
+	// group key the snapshot's bucket read from the encoding
+	// (observability for tests and the alloc gates: proves the fast paths
+	// actually engaged).
 	sweeps       int64
 	reclassified int64
 	pointed      int64
+	encKeys      int64
 }
 
 // stageKey stages segment-local row i's physical key over cols in m:

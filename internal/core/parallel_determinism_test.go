@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -127,12 +126,29 @@ func compareSnapshots(t *testing.T, label string, serial, parallel []*Snapshot) 
 			t.Fatalf("%s: batch %d: row count: serial %d, parallel %d", label, i+1, len(s.Rows), len(p.Rows))
 		}
 		for r := range s.Rows {
-			if !reflect.DeepEqual(s.Rows[r], p.Rows[r]) {
+			if !sameCells(s.Rows[r], p.Rows[r]) {
 				t.Errorf("%s: batch %d row %d differs:\n serial:   %+v\n parallel: %+v",
 					label, i+1, r, s.Rows[r], p.Rows[r])
 			}
 		}
 	}
+}
+
+// sameCells is bit-level equality of two snapshot rows: float values,
+// bounds and RSDs compare by their bits, so ±0 differ and NaN equals
+// itself.
+func sameCells(a, b []CellEstimate) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if !sameValue(x.Value, y.Value) || x.HasCI != y.HasCI || !sameBits(x.RSD, y.RSD) ||
+			!sameBits(x.CI.Lo, y.CI.Lo) || !sameBits(x.CI.Hi, y.CI.Hi) {
+			return false
+		}
+	}
+	return true
 }
 
 const determinismSQL = `SELECT a, b, COUNT(x), SUM(x), AVG(x) FROM facts GROUP BY a, b`

@@ -29,6 +29,13 @@
 #                   TestBindingUpdateAllocs (legs set-having and
 #                   correlated) a warm republication of a membership or
 #                   correlated binding, by group id, to 0 allocs
+#   bench smoke     one iteration (-benchtime 1x) of the internal/core
+#                   BenchmarkSnapshot*, BenchmarkReclassify* and
+#                   BenchmarkUpdateBinding* benchmarks: nothing is timed,
+#                   but their fixture guards (b.Fatal on "no cached
+#                   uncertain rows", "did not compile to a tri kernel")
+#                   run, so a fixture that stops exercising its path
+#                   fails here instead of measuring nothing
 #   fuzz smoke      10 s each of FuzzNumKernel (computed aggregate-
 #                   argument columns vs per-row Eval), FuzzTriKernel
 #                   (tri-state kernel bytes, keyed slots included, vs
@@ -74,6 +81,9 @@ go test -race -shuffle=on ./...
 
 echo "== alloc gates (go test ./internal/core -run Allocs, no -race)"
 go test ./internal/core -run Allocs -count=1
+
+echo "== bench smoke (BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding, 1 iteration)"
+go test ./internal/core -run '^$' -bench 'BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding' -benchtime 1x
 
 echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, FuzzResume, FuzzColumnarEncode, 10s each)"
 go test ./internal/expr -run '^$' -fuzz FuzzNumKernel -fuzztime 10s

@@ -1,8 +1,9 @@
 .PHONY: check test bench bench-e2e-compare bench-fold audit chaos trace
 
 # Tier-1 gate: gofmt + vet + build + race-enabled tests + non-race alloc
-# gates + one-iteration smoke runs of the internal/core snapshot, reclassify
-# and binding-update benchmarks (their b.Fatal fixture guards) + 10 s fuzz
+# gates + one-iteration smoke runs of the internal/core snapshot, reclassify,
+# binding-update, columnar fold and columnar classify benchmarks (their
+# b.Fatal fixture guards) + 10 s fuzz
 # smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzResume, FuzzColumnarEncode)
 # + the benchmark/ module's vet and tests + a small-scale flbench smoke run
 # + the audit gate: the regenerated audit must equal BENCH_accuracy.json

@@ -14,7 +14,6 @@ package audit
 
 import (
 	"fluodb/internal/exec"
-	"fluodb/internal/expr"
 	"fluodb/internal/plan"
 	"fluodb/internal/storage"
 	"fluodb/internal/types"
@@ -42,8 +41,8 @@ func NewOracle(q *plan.Query, cat *storage.Catalog) (*Oracle, error) {
 	}
 	b := q.Root
 	o := &Oracle{Schema: res.Schema, rows: make(map[string]types.Row, len(res.Rows))}
-	for c, se := range b.Select {
-		if columnIsAggregated(se, len(b.GroupBy)) {
+	for c, est := range b.EstimatedColumns() {
+		if est {
 			o.AggCols = append(o.AggCols, c)
 		} else {
 			o.KeyCols = append(o.KeyCols, c)
@@ -66,22 +65,3 @@ func (o *Oracle) Truth(estimated types.Row) (types.Row, bool) {
 
 // Rows returns the number of exact result rows.
 func (o *Oracle) Rows() int { return len(o.rows) }
-
-// columnIsAggregated mirrors the engine's snapshot rule for which output
-// columns carry confidence intervals: a column depending on aggregate
-// slots (post-aggregate row positions at or beyond the group-by width)
-// or on nested-subquery parameters is an estimate; anything else is a
-// key passed through exactly.
-func columnIsAggregated(e expr.Expr, groupWidth int) bool {
-	if expr.HasParams(e) {
-		return true
-	}
-	found := false
-	expr.Walk(e, func(x expr.Expr) bool {
-		if c, ok := x.(*expr.Col); ok && c.Idx >= groupWidth {
-			found = true
-		}
-		return !found
-	})
-	return found
-}

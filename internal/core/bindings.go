@@ -746,6 +746,52 @@ func (b *bindings) refreshTriEnv(te *triEnv) {
 	}
 }
 
+// newPointEnv builds newTriEnv's point-valued counterpart, the snapshot
+// point pass's environment (snapEval.bucket): every parameter's range
+// is its point estimate (pointParam), a key the binding did not publish
+// reads NULL, and a set key is its point membership. A row the
+// environment decides is then decided as the interpreter does under the
+// point bindings. refreshPointEnv fills the scalars before each use.
+func (b *bindings) newPointEnv() *triEnv {
+	te := &triEnv{pointCtx: b.newPointCtx()}
+	te.scalarRanges = make([]paramRange, len(b.scalars))
+	te.groupRanges = make([]func(types.Row) paramRange, len(b.groups))
+	for i, g := range b.groups {
+		te.groupRanges[i] = func(key types.Row) paramRange {
+			return pointParam(g.pointOf(g.lookup(key)))
+		}
+	}
+	te.setTri = make([]func(types.Row) tri, len(b.sets))
+	for i, s := range b.sets {
+		te.setTri[i] = func(key types.Row) tri {
+			return triFromBool(s.member(s.lookup(key)))
+		}
+	}
+	return te
+}
+
+// refreshPointEnv re-snapshots a point environment's scalars.
+func (b *bindings) refreshPointEnv(te *triEnv) {
+	for i, s := range b.scalars {
+		te.scalarRanges[i] = pointParam(s.point)
+		te.pointCtx.Scalars[i] = s.point
+	}
+}
+
+// pointParam is point estimate v as a range: a float is a zero-width
+// range and NULL is NULL. Any other value — an integer, which a float
+// range cannot carry exactly past 2^53, a string, a bool — and a NaN,
+// which compares equal to every float, is unknown and decides nothing.
+func pointParam(v types.Value) paramRange {
+	switch {
+	case v.IsNull():
+		return paramRange{status: rsNull}
+	case v.Kind() == types.KindFloat && !math.IsNaN(v.Float()):
+		return okRange(bootstrap.Point(v.Float()))
+	}
+	return paramRange{status: rsUnknown}
+}
+
 // updateScalar installs a fresh estimate and variation range for scalar
 // param idx; it reports whether a committed-range failure was detected.
 func (b *bindings) updateScalar(idx int, point types.Value, reps []types.Value, rng paramRange) bool {

@@ -385,10 +385,10 @@ type colScratch struct {
 	// appends grow dictionaries (a previously-absent string constant may
 	// now have a code), and chaos/budget faults swap the table. The gate
 	// compares (kernelCT, kernelVer) against the plan's table in
-	// ensureKernels.
+	// ensureKernels, which also installs triK's one resolver: the keyed
+	// slots resolve through the stage's te, whatever epoch it binds.
 	kernel    *expr.Kernel
 	triK      *expr.TriKernel
-	triRes    expr.KeyResolver // triK's classification resolver
 	kernelCT  *colstore.Table
 	kernelVer uint64
 	// tri/triU hold a segment's certain and uncertain kernel bytes and
@@ -441,9 +441,10 @@ type colScratch struct {
 	jRows []types.Row
 	sole  *onlineEntry // cached sole entry of scalar blocks
 	// sweeps counts columnar segment sweeps, reclassified the cached rows
-	// the tri-state kernel re-examined, pointed the cached rows the
-	// snapshot point pass ran through it, encKeys the cached rows whose
-	// group key the snapshot's bucket read from the encoding
+	// the tri-state kernel re-examined under a classification
+	// environment, pointed the cached rows it re-examined under the
+	// snapshot's point environment (the point pass), encKeys the cached
+	// rows whose group key the snapshot's bucket read from the encoding
 	// (observability for tests and the alloc gates: proves the fast paths
 	// actually engaged).
 	sweeps       int64
@@ -535,7 +536,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, st *stage) bool {
 	tab.initKeyScratch(r.b)
 	if useTri {
 		// The batch's bindings: a new classification epoch.
-		cs.triK.SetResolver(cs.triRes)
 		bindTri(cs.triK, te)
 	}
 	// Phases are timed per segment sweep, in the kernels every run
@@ -619,7 +619,7 @@ func (r *blockRunner) ensureKernels(st *stage, ct *colstore.Table) {
 	}
 	if r.uncertainWhere != nil {
 		if cs.triK = expr.CompileTriKernel(r.uncertainWhere, ct); cs.triK != nil {
-			cs.triRes = keyedResolver(cs.triK.Keyed(), &st.te, ct)
+			cs.triK.SetResolver(keyedResolver(cs.triK.Keyed(), &st.te, ct))
 		}
 	}
 	cs.numK = cs.numK[:0]
@@ -634,9 +634,10 @@ func (r *blockRunner) ensureKernels(st *stage, ct *colstore.Table) {
 }
 
 // bindTri starts a classification epoch on k under te — at each
-// colFeed set-up and each reclassify, the points where today's bindings
-// are read: the row-free slots get te's variation ranges (constant
-// within the epoch) and every keyed value resolves afresh.
+// colFeed set-up, each reclassify and each snapshot point pass, the
+// points where today's bindings are read: the row-free slots get te's
+// variation ranges (constant within the epoch; zero-width under the
+// point environment) and every keyed value resolves afresh.
 func bindTri(k *expr.TriKernel, te *triEnv) {
 	for s, pe := range k.Slots() {
 		pr := te.evalRange(pe, nil)

@@ -312,10 +312,10 @@ func checkHostileKernels(t *testing.T, label string, eng *Engine, root *blockRun
 		}
 	}
 	pk := expr.CompileTriKernel(where, ct)
-	penv := &tvEnv{bind: eng.bind, stride: 1}
-	penv.refreshScalars(1)
-	pp := &pointProgs{env: penv}
-	pp.bind(pk, ct)
+	pe := eng.bind.newPointEnv()
+	eng.bind.refreshPointEnv(pe)
+	pk.SetResolver(keyedResolver(pk.Keyed(), &pe, ct))
+	bindTri(pk, pe)
 	for _, seg := range ct.Segs {
 		pk.EvalInto(out, seg, 0, seg.N)
 		for i := 0; i < seg.N; i++ {

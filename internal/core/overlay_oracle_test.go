@@ -309,10 +309,7 @@ func oracleRows(e *Engine) [][]CellEstimate {
 	rr := e.runners[len(e.runners)-1]
 	scale := e.scaleFor(b)
 	ts := e.tables[b.Input.Fact]
-	hasCI := make([]bool, len(b.Select))
-	for c, se := range b.Select {
-		hasCI[c] = columnIsAggregated(se, len(b.GroupBy))
-	}
+	hasCI := b.EstimatedColumns()
 	mainO := rr.overlayFor(-1)
 	keys := mainO.keys()
 	effTrials := min(max(e.evalBudget/max(len(keys), 1), 8), e.opt.Trials)

@@ -46,11 +46,11 @@ type stage struct {
 	// time under parallel folding.
 	acc phaseAcc
 	cs  colScratch
-	// te is the classification environment of the fold or
-	// reclassification in progress, bound by whoever drives the stage
-	// (the controller's per-batch environment for the home stage, the
-	// worker's refreshed one otherwise); the tri-state kernel's keyed
-	// slots resolve through it.
+	// te is the classification environment of the fold, reclassification
+	// or snapshot point pass in progress, bound by whoever drives the
+	// stage (the controller's per-batch environment or the snapshot's
+	// point environment for the home stage, the worker's refreshed one
+	// otherwise); the tri-state kernel's keyed slots resolve through it.
 	te *triEnv
 }
 

@@ -200,32 +200,19 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 }
 
 // reclassKernel returns the home stage's tri-state kernel, bound to te
-// for a new epoch, to re-examine the cache at its ordinals — or nil when
-// the cache goes through the interpreter (cacheKernel), or te carries
-// set-block row ranges the kernel does not model.
+// for a new epoch, to decide the non-empty cached set at its ordinals
+// (decideRun), with run scratch sized — or nil when the cache goes
+// through the interpreter: te carries set-block row ranges the kernel
+// does not model, the block has no columnar plan (or lost it to the
+// memory ladder), the predicate refused the kernel, or the encoding does
+// not cover the cached ordinals. te is a classification environment for
+// reclassify and the point environment for the snapshot point pass
+// (snapEval.bucket); the kernel's keyed slots resolve through whichever
+// the stage holds (r.te).
 func (r *blockRunner) reclassKernel(te *triEnv) *expr.TriKernel {
-	if te.rowRanges != nil {
-		return nil
-	}
-	k := r.cacheKernel()
-	if k == nil {
-		return nil
-	}
-	r.te = te
-	k.SetResolver(r.cs.triRes)
-	bindTri(k, te)
-	return k
-}
-
-// cacheKernel returns the home stage's tri-state kernel to decide the
-// non-empty cached set at its ordinals (decideRun), with run scratch
-// sized — or nil when the cache goes through the interpreter: the block
-// has no columnar plan (or lost it to the memory ladder), the predicate
-// refused the kernel, or the encoding does not cover the cached
-// ordinals. The caller binds the epoch.
-func (r *blockRunner) cacheKernel() *expr.TriKernel {
 	p := r.colPl
-	if p == nil || !p.ok || p.ct == nil || r.uncertain[len(r.uncertain)-1].ord >= p.ct.NumRows() {
+	if te.rowRanges != nil || p == nil || !p.ok || p.ct == nil ||
+		r.uncertain[len(r.uncertain)-1].ord >= p.ct.NumRows() {
 		return nil
 	}
 	r.ensureKernels(&r.stage, p.ct)
@@ -237,6 +224,8 @@ func (r *blockRunner) cacheKernel() *expr.TriKernel {
 		r.cs.triU = make([]uint8, p.ct.SegSize)
 	}
 	r.cs.triU = r.cs.triU[:p.ct.SegSize]
+	r.te = te
+	bindTri(k, te)
 	return k
 }
 

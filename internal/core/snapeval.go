@@ -28,11 +28,14 @@ import (
 //     still uncertain) are numbered after the table's, the first
 //     storedExtraKeys of them with a copy of their key. The same pass
 //     records which rows pass uncertainWhere under the point
-//     bindings: by the runner's tri-state kernel in a point epoch
-//     (pointKernel), which reads each row at its stored fact ordinal in
-//     same-segment runs and resolves each parameter key once, and by
-//     rowTri only for the rows the kernel leaves undecided or when the
-//     kernel does not apply. The sort's scratch is kept across batches.
+//     bindings: by the runner's tri-state kernel, bound as reclassify
+//     binds it but under the point environment (pointEnv: every
+//     parameter at its point, as a zero-width range), which reads each
+//     row at its stored fact ordinal in same-segment runs and resolves
+//     each parameter key once from its bank; and by rowTri only for the
+//     rows the kernel leaves undecided (an integer, string or NaN point
+//     decides nothing) or when the kernel does not apply. The sort's
+//     scratch is kept across batches.
 //   - group at a time: a group's accumulators over the whole axis
 //     (column 0 = main state, column 1+j = replica j) are seeded from
 //     its table entry into one reusable scratch, and its rows are
@@ -109,7 +112,10 @@ type snapEval struct {
 	gid []int32
 	ex  extraGroups
 
-	pt pointProgs // the point pass's kernel epoch (pointKernel)
+	// pointEnv is the point pass's classification environment: every
+	// parameter at its point estimate, as a zero-width range
+	// (bindings.newPointEnv).
+	pointEnv *triEnv
 
 	// The loaded group.
 	gi      int          // its group id while eachVisible visits it
@@ -148,7 +154,8 @@ func (r *blockRunner) eval() *snapEval {
 		ev := &snapEval{r: r, width: w, ctxs: &ctxSet{b: r.eng.bind}}
 		ev.env = tvEnv{bind: r.eng.bind, stride: w,
 			slotF: make([]float64, na*w), slotNull: make([]bool, na*w)}
-		ev.pt.env = &ev.env
+		ev.pointEnv = r.eng.bind.newPointEnv()
+		ev.pointEnv.nodes = r.eng.triNodes
 		ev.accW, ev.accV = make([]float64, na*w), make([]float64, na*w)
 		ev.touched, ev.wf, ev.mask = make([]bool, w), make([]float64, w), make([]uint8, w)
 		ev.argv, ev.argF, ev.argOK = make([]types.Value, na), make([]float64, na), make([]bool, na)
@@ -187,7 +194,7 @@ func (ev *snapEval) memBytes() int64 {
 			cap(ev.live)) + int64(unsafe.Sizeof(repRule{}))*int64(cap(ev.rules)) +
 		rowValueBytes*int64(cap(ev.argv)+cap(ev.keyBuf)+cap(ev.ptRow)+cap(ev.trRow)+cap(ev.keyRep)+
 			cap(ev.ex.keys)) +
-		9*int64(ev.width*len(ev.env.scal)) + ev.progMem + ev.pt.mem
+		9*int64(ev.width*len(ev.env.scal)) + ev.progMem
 	for _, k := range ev.keys { // the trial sweep's key indexes
 		b += k.memBytes()
 	}
@@ -233,6 +240,7 @@ func (ev *snapEval) prepare() {
 	}
 	ev.compile()
 	ev.env.refreshScalars(ev.width)
+	ev.r.eng.bind.refreshPointEnv(ev.pointEnv)
 	ev.ctxs.refresh()
 	ev.bindOrdinals()
 	ev.bucket()
@@ -343,7 +351,7 @@ func (ev *snapEval) bucket() {
 		gid = ev.gid[:len(u)]
 		ex.reset(words)
 	}
-	k := ev.pointKernel()
+	k := r.reclassKernel(ev.pointEnv)
 	run, runLo, runHi := r.cs.triU, 0, 0
 	for i := range u {
 		d := expr.TriNull
@@ -406,117 +414,6 @@ func (ev *snapEval) bucket() {
 	}
 	copy(ev.start[1:], ev.start[:groups])
 	ev.start[0] = 0
-}
-
-// pointKernel returns the runner's tri-state kernel — its home stage's,
-// the one reclassify runs — bound to a point epoch (pointProgs.bind), or
-// nil when the cache goes through rowTri (cacheKernel's gate).
-func (ev *snapEval) pointKernel() *expr.TriKernel {
-	r := ev.r
-	k := r.cacheKernel()
-	if k != nil {
-		ev.pt.bind(k, r.colPl.ct)
-	}
-	return k
-}
-
-// pointProgs evaluates a tri-state kernel's parameter slots under the
-// point bindings of env (column 0 of its scalar lanes and the bindings'
-// point maps), through width-1 programs lowered once per kernel: slots
-// for its row-free slots, num or pred for each keyed slot (numeric or
-// predicate), which read the row by ordinal. res is the point epoch's
-// KeyResolver.
-type pointProgs struct {
-	env   *tvEnv
-	ct    *colstore.Table // the encoding k reads, where keyed slots read their rows
-	k     *expr.TriKernel
-	slots []tvNum
-	num   []tvNum
-	pred  []tvBool
-	mem   int64
-	res   expr.KeyResolver
-}
-
-// bind starts a point epoch on k: each row-free slot is its
-// expression's point value as a zero-width range, and each keyed slot
-// resolves once per key under the point bindings, so a decided byte is
-// the predicate's SQL truth there: TriTrue when it holds, TriFalse when
-// it is FALSE or NULL. A value the programs cannot carry as a float (an
-// integer or string) reads as an unknown range and leaves its rows
-// undecided, as does a NaN bound. The next classification epoch
-// installs its own resolver and ranges again.
-func (pp *pointProgs) bind(k *expr.TriKernel, ct *colstore.Table) {
-	if k != pp.k {
-		pp.lower(k)
-	}
-	pp.ct = ct
-	pp.env.row = nil // slot expressions read no column
-	for s, n := range pp.slots {
-		lo, hi, st := pointRange(n, pp.env)
-		k.SetRange(s, lo, hi, st)
-	}
-	k.SetResolver(pp.res)
-	k.NewEpoch()
-}
-
-// lower compiles k's slot expressions into the point programs.
-func (pp *pointProgs) lower(k *expr.TriKernel) {
-	c := &tvCompiler{bind: pp.env.bind, width: 1, slotBase: int(^uint(0) >> 1)}
-	pp.slots = pp.slots[:0]
-	for _, e := range k.Slots() {
-		pp.slots = append(pp.slots, c.num(e))
-	}
-	keyed := k.Keyed()
-	pp.num, pp.pred = make([]tvNum, len(keyed)), make([]tvBool, len(keyed))
-	for s, ks := range keyed {
-		if ks.Pred {
-			pp.pred[s] = c.pred(ks.Expr)
-		} else {
-			pp.num[s] = c.num(ks.Expr)
-		}
-	}
-	pp.k, pp.mem = k, c.mem
-	if pp.res == nil {
-		pp.res = pp.resolve
-	}
-}
-
-// resolve is the point epoch's KeyResolver: keyed slot s under the point
-// bindings, on segment-local row i of seg.
-func (pp *pointProgs) resolve(s int, seg *colstore.Segment, i int) (lo, hi float64, status uint8) {
-	env := pp.env
-	env.row, env.ct, env.seg, env.i = seg.Rows[i], pp.ct, seg, i
-	ks := pp.k.Keyed()[s]
-	if !ks.Pred {
-		lo, hi, status = pointRange(pp.num[s], env)
-	} else {
-		status = expr.TriNull // unknown unless the program answers
-		if p := pp.pred[s]; p != nil {
-			if t, ok := p.tri(env, 0, 1); ok {
-				// A NULL membership reads by its NOT polarity, as in
-				// classification.
-				if status = t[0]; status == expr.TriNull {
-					status = triOfBool(ks.Neg)
-				}
-			}
-		}
-	}
-	env.seg = nil
-	return lo, hi, status
-}
-
-// pointRange evaluates a width-1 point program to a zero-width range: a
-// float point, NULL, or unknown when the program is missing or refuses.
-func pointRange(n tvNum, env *tvEnv) (float64, float64, uint8) {
-	if n != nil {
-		if f, null, ok := n.num(env, 0, 1); ok {
-			if null[0] {
-				return 0, 0, expr.RangeNull
-			}
-			return f[0], f[0], expr.RangeOK
-		}
-	}
-	return 0, 0, expr.RangeUnknown
 }
 
 // extraGroups is bucket's probe table over the keys of cache-only

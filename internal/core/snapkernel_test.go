@@ -136,7 +136,7 @@ func checkSnapKernelParity(t *testing.T, name string, eng *Engine, n *parityCoun
 				t.Fatalf("%s: block %d row %d: bucket point truth %d, rowTri %d", name, r.b.ID, i, got, want)
 			}
 		}
-		if k := ev.pointKernel(); k != nil {
+		if k := r.reclassKernel(ev.pointEnv); k != nil {
 			run := r.cs.triU
 			for lo := 0; lo < len(u); {
 				hi := r.decideRun(k, run, lo, len(u))

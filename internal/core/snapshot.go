@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fluodb/internal/bootstrap"
-	"fluodb/internal/expr"
 	"fluodb/internal/types"
 )
 
@@ -130,22 +129,6 @@ func (s *Snapshot) ValueRows() []types.Row {
 	return out
 }
 
-// columnIsAggregated reports whether a root select column depends on
-// aggregate slots or uncertain params (and therefore deserves a CI).
-func columnIsAggregated(e expr.Expr, groupWidth int) bool {
-	if expr.HasParams(e) {
-		return true
-	}
-	found := false
-	expr.Walk(e, func(x expr.Expr) bool {
-		if c, ok := x.(*expr.Col); ok && c.Idx >= groupWidth {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // snapshotEvalBudget caps the per-snapshot error-estimation work:
 // confidence intervals are computed from roughly budget / output-groups
 // bootstrap trials (at least 8, at most Trials). Grouped results with
@@ -174,10 +157,7 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 		snap.FractionProcessed = float64(ts.seen) / float64(ts.total)
 	}
 
-	hasCI := make([]bool, len(b.Select))
-	for c, se := range b.Select {
-		hasCI[c] = columnIsAggregated(se, len(b.GroupBy))
-	}
+	hasCI := b.EstimatedColumns()
 
 	ev := rr.eval()
 	// Bound the per-snapshot error-estimation work: with many output

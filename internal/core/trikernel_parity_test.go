@@ -534,8 +534,9 @@ func FuzzTriKernel(f *testing.F) {
 }
 
 // newPointBinding draws point bindings over keyedDomain for two scalar,
-// three group and three set params: float, NULL or (to exercise a lane
-// the point programs cannot carry) integer values, with keys absent.
+// three group and three set params: float, NULL or (to exercise a point
+// the point environment leaves unknown) integer values, with keys
+// absent.
 func newPointBinding(rng *rand.Rand) *bindings {
 	b := newBindings(2, 3, 3, 0)
 	value := func() types.Value {
@@ -575,10 +576,10 @@ func newPointBinding(rng *rand.Rand) *bindings {
 func checkPointParity(t *testing.T, name string, e expr.Expr, k *expr.TriKernel,
 	ct *colstore.Table, pb *bindings, rng *rand.Rand) int {
 	t.Helper()
-	env := &tvEnv{bind: pb}
-	env.refreshScalars(1)
-	pp := &pointProgs{env: env}
-	pp.bind(k, ct)
+	pe := pb.newPointEnv()
+	pb.refreshPointEnv(pe)
+	k.SetResolver(keyedResolver(k.Keyed(), &pe, ct))
+	bindTri(k, pe)
 	ctx := pb.newPointCtx()
 	for i, s := range pb.scalars {
 		ctx.Scalars[i] = s.point
@@ -614,6 +615,48 @@ func checkPointParity(t *testing.T, name string, e expr.Expr, k *expr.TriKernel,
 		}
 	}
 	return decided
+}
+
+// TestPointEpochIntegerPastFloat: an integer point that a float cannot
+// carry must decide nothing. Column b holds 2^53 and the points are
+// 2^53+1, which SQL compares exactly (b < point is TRUE); read as a
+// zero-width float range the point rounds to 2^53 and the kernel would
+// decide FALSE.
+func TestPointEpochIntegerPastFloat(t *testing.T) {
+	const col, point = int64(1) << 53, int64(1)<<53 + 1
+	rows := make([]types.Row, 150)
+	for i := range rows {
+		b := types.NewInt(col)
+		if i%50 == 7 {
+			b = types.Null
+		}
+		rows[i] = types.Row{types.NewString("aa"), b, types.NewFloat(1), types.NewString(""), types.NewFloat(0)}
+	}
+	ct := colstore.Build(keyedSchema, rows, 64)
+	pb := newBindings(2, 3, 3, 0)
+	pb.scalars[0].point = types.NewInt(point)
+	pb.groups[1].publishKey(types.NewInt(col), types.NewInt(point), paramRange{status: rsUnknown})
+	ctx := pb.newPointCtx()
+	ctx.Scalars[0] = pb.scalars[0].point
+	ctx.Row = rows[0]
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name string
+		e    expr.Expr
+	}{
+		{"scalar", kCmp(sqlparser.OpLt, kB, &expr.ScalarParam{Idx: 0})},
+		{"keyed", kCmp(sqlparser.OpLt, kB, kGroup(1))},
+		{"keyed-ne", kCmp(sqlparser.OpNe, kGroup(1), kB)},
+	} {
+		if v := tc.e.Eval(ctx); !v.Truthy() {
+			t.Fatalf("%s: %s is %v on %v, want TRUE", tc.name, tc.e, v, rows[0])
+		}
+		k := expr.CompileTriKernel(tc.e, ct)
+		if k == nil {
+			t.Fatalf("%s: kernel should compile", tc.name)
+		}
+		checkPointParity(t, tc.name, tc.e, k, ct, pb, rng)
+	}
 }
 
 // byteSource steers fuzzTriTree by the fuzz input.

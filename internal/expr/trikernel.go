@@ -211,11 +211,16 @@ func (k *TriKernel) SetRange(slot int, lo, hi float64, status uint8) {
 	k.st.ranges[slot] = slotRange{lo: lo, hi: hi, status: status}
 }
 
-// SetResolver installs the keyed slots' resolver.
+// SetResolver installs the keyed slots' resolver, once per compiled
+// kernel: the resolver reads the caller's current bindings at call time,
+// so one resolver serves every epoch.
 func (k *TriKernel) SetResolver(f KeyResolver) { k.st.resolve = f }
 
 // NewEpoch invalidates every resolved keyed value: the next row of each
-// key resolves again. The memos (key word → index) persist.
+// key resolves again, under whatever bindings the resolver reads now.
+// Start one wherever those bindings may have moved — a new mini-batch,
+// or a switch between variation ranges and point estimates. The memos
+// (key word → index) persist.
 func (k *TriKernel) NewEpoch() {
 	k.st.epoch++
 	if k.st.epoch == epochLimit {

@@ -325,49 +325,14 @@ func shortLabel(sql string) string {
 // descending into nested subqueries) resolves within the given input.
 func astResolvable(ast sqlparser.Expr, in *Input) bool {
 	ok := true
-	var walk func(sqlparser.Expr)
-	walk = func(e sqlparser.Expr) {
-		if !ok || e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *sqlparser.ColumnRef:
+	sqlparser.Walk(ast, func(e sqlparser.Expr) bool {
+		if x, isCol := e.(*sqlparser.ColumnRef); isCol {
 			if _, _, err := in.resolve(x.Table, x.Name); err != nil {
 				ok = false
 			}
-		case *sqlparser.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *sqlparser.Unary:
-			walk(x.X)
-		case *sqlparser.FuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *sqlparser.Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *sqlparser.IsNull:
-			walk(x.X)
-		case *sqlparser.InExpr:
-			walk(x.X)
-			for _, a := range x.List {
-				walk(a)
-			}
-		case *sqlparser.Case:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(x.Else)
-		case *sqlparser.Subquery, *sqlparser.ExistsExpr:
-			// opaque: nested subqueries resolve in their own scope
-		case *sqlparser.Literal:
 		}
-	}
-	walk(ast)
+		return ok
+	})
 	return ok
 }
 

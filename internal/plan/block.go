@@ -12,7 +12,6 @@ import (
 
 	"fluodb/internal/agg"
 	"fluodb/internal/expr"
-	"fluodb/internal/sqlparser"
 	"fluodb/internal/types"
 )
 
@@ -154,6 +153,25 @@ func (b *Block) OutSchema() types.Schema {
 // PostAggWidth is the width of the post-aggregate layout.
 func (b *Block) PostAggWidth() int { return len(b.GroupBy) + len(b.Aggs) }
 
+// EstimatedColumns reports, per select column, whether it is an
+// estimate and so carries a confidence interval: it depends on
+// aggregate slots (post-aggregate positions at or beyond the group-by
+// width) or on nested-subquery parameters. Any other column is a key
+// passed through exactly.
+func (b *Block) EstimatedColumns() []bool {
+	out := make([]bool, len(b.Select))
+	for c, e := range b.Select {
+		out[c] = expr.HasParams(e)
+		expr.Walk(e, func(x expr.Expr) bool {
+			if col, ok := x.(*expr.Col); ok && col.Idx >= len(b.GroupBy) {
+				out[c] = true
+			}
+			return !out[c]
+		})
+	}
+	return out
+}
+
 // Query is a compiled query: blocks in dependency order (every block
 // appears after the blocks it depends on; the root is last).
 type Query struct {
@@ -266,6 +284,3 @@ func validateNoParamsInAggArgs(b *Block) error {
 	}
 	return nil
 }
-
-// binaryIsComparison is re-exported for core's classifier tests.
-func binaryIsComparison(op sqlparser.BinaryOp) bool { return op.IsComparison() }

@@ -139,46 +139,12 @@ func (p *Planner) buildInput(from sqlparser.TableRef) (Input, []DimJoin, error) 
 // outside nested subqueries.
 func astHasAggregate(ast sqlparser.Expr) bool {
 	found := false
-	var walk func(sqlparser.Expr)
-	walk = func(e sqlparser.Expr) {
-		if found || e == nil {
-			return
+	sqlparser.Walk(ast, func(e sqlparser.Expr) bool {
+		if x, ok := e.(*sqlparser.FuncCall); ok && agg.IsAggregate(x.Name) {
+			found = true
 		}
-		switch x := e.(type) {
-		case *sqlparser.FuncCall:
-			if agg.IsAggregate(x.Name) {
-				found = true
-				return
-			}
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *sqlparser.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *sqlparser.Unary:
-			walk(x.X)
-		case *sqlparser.Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *sqlparser.IsNull:
-			walk(x.X)
-		case *sqlparser.InExpr:
-			walk(x.X)
-			for _, a := range x.List {
-				walk(a)
-			}
-		case *sqlparser.Case:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(x.Else)
-		}
-	}
-	walk(ast)
+		return !found
+	})
 	return found
 }
 
@@ -658,47 +624,14 @@ func BindConst(ast sqlparser.Expr) (types.Value, error) {
 // planner to compile them with).
 func hasSubqueryAST(ast sqlparser.Expr) bool {
 	found := false
-	var walk func(sqlparser.Expr)
-	walk = func(e sqlparser.Expr) {
-		if found || e == nil {
-			return
-		}
+	sqlparser.Walk(ast, func(e sqlparser.Expr) bool {
 		switch x := e.(type) {
 		case *sqlparser.Subquery, *sqlparser.ExistsExpr:
 			found = true
-		case *sqlparser.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *sqlparser.Unary:
-			walk(x.X)
-		case *sqlparser.FuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *sqlparser.Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *sqlparser.IsNull:
-			walk(x.X)
 		case *sqlparser.InExpr:
-			if x.Sub != nil {
-				found = true
-				return
-			}
-			walk(x.X)
-			for _, a := range x.List {
-				walk(a)
-			}
-		case *sqlparser.Case:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(x.Else)
+			found = found || x.Sub != nil
 		}
-	}
-	walk(ast)
+		return !found
+	})
 	return found
 }

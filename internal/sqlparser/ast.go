@@ -209,6 +209,45 @@ func (*Case) exprNode()       {}
 func (*BaseTable) tableRefNode() {}
 func (*Join) tableRefNode()      {}
 
+// Walk visits e and its sub-expressions pre-order. If f returns false the
+// node's children are skipped. A nested query is opaque: Walk visits a
+// Subquery, an ExistsExpr and an InExpr itself but never descends into
+// their SELECT (an InExpr's X and List are its children).
+func Walk(e Expr, f func(Expr) bool) {
+	if e == nil || !f(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *Binary:
+		Walk(x.L, f)
+		Walk(x.R, f)
+	case *Unary:
+		Walk(x.X, f)
+	case *FuncCall:
+		for _, a := range x.Args {
+			Walk(a, f)
+		}
+	case *InExpr:
+		Walk(x.X, f)
+		for _, a := range x.List {
+			Walk(a, f)
+		}
+	case *Between:
+		Walk(x.X, f)
+		Walk(x.Lo, f)
+		Walk(x.Hi, f)
+	case *IsNull:
+		Walk(x.X, f)
+	case *Case:
+		Walk(x.Operand, f)
+		for _, w := range x.Whens {
+			Walk(w.Cond, f)
+			Walk(w.Result, f)
+		}
+		Walk(x.Else, f)
+	}
+}
+
 // --- SQL rendering ---
 
 // SQL implements Node.

@@ -30,17 +30,22 @@
 #                   correlated) a warm republication of a membership or
 #                   correlated binding, by group id, to 0 allocs
 #   bench smoke     one iteration (-benchtime 1x) of the internal/core
-#                   BenchmarkSnapshot*, BenchmarkReclassify* and
-#                   BenchmarkUpdateBinding* benchmarks: nothing is timed,
-#                   but their fixture guards (b.Fatal on "no cached
-#                   uncertain rows", "did not compile to a tri kernel")
+#                   BenchmarkSnapshot*, BenchmarkReclassify*,
+#                   BenchmarkUpdateBinding*, BenchmarkFoldColumnar* and
+#                   BenchmarkClassifyColumnar benchmarks: nothing is
+#                   timed, but their fixture guards (b.Fatal on "no
+#                   cached uncertain rows", "did not compile to a tri
+#                   kernel", "bench query must sweep columnar with an
+#                   uncertain predicate", "bench WHERE must compile")
 #                   run, so a fixture that stops exercising its path
 #                   fails here instead of measuring nothing
 #   fuzz smoke      10 s each of FuzzNumKernel (computed aggregate-
 #                   argument columns vs per-row Eval), FuzzTriKernel
 #                   (tri-state kernel bytes, keyed slots included, vs
-#                   evalTri, and point-epoch bytes vs the SQL truth
-#                   under point bindings), on generated trees and data,
+#                   evalTri, and the bytes the same kernel decides under
+#                   the point environment — every parameter at its point
+#                   estimate as a zero-width range — vs the SQL truth
+#                   under those points), on generated trees and data,
 #                   FuzzResume (mutated, re-signed checkpoint bytes
 #                   end in a resumed engine or a typed checkpoint error,
 #                   never a panic) and FuzzColumnarEncode (Build and
@@ -82,8 +87,8 @@ go test -race -shuffle=on ./...
 echo "== alloc gates (go test ./internal/core -run Allocs, no -race)"
 go test ./internal/core -run Allocs -count=1
 
-echo "== bench smoke (BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding, 1 iteration)"
-go test ./internal/core -run '^$' -bench 'BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding' -benchtime 1x
+echo "== bench smoke (BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding|BenchmarkFoldColumnar|BenchmarkClassifyColumnar, 1 iteration)"
+go test ./internal/core -run '^$' -bench 'BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding|BenchmarkFoldColumnar|BenchmarkClassifyColumnar' -benchtime 1x
 
 echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, FuzzResume, FuzzColumnarEncode, 10s each)"
 go test ./internal/expr -run '^$' -fuzz FuzzNumKernel -fuzztime 10s

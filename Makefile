@@ -4,7 +4,8 @@
 # gates + one-iteration smoke runs of the internal/core snapshot, reclassify,
 # binding-update, columnar fold and columnar classify benchmarks (their
 # b.Fatal fixture guards) + 10 s fuzz
-# smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzResume, FuzzColumnarEncode)
+# smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzReplicaRange, FuzzResume,
+# FuzzColumnarEncode)
 # + the benchmark/ module's vet and tests + a small-scale flbench smoke run
 # + the audit gate: the regenerated audit must equal BENCH_accuracy.json
 # byte for byte (a change that moves the estimator stream on purpose

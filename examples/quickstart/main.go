@@ -43,7 +43,9 @@ func main() {
 		fmt.Printf("  %3.0f%% of data: AVG(play_time) = %8.2f  95%% CI [%8.2f, %8.2f]  rsd %.3f%%  uncertain %d\n",
 			s.FractionProcessed*100, f(cell.Value), cell.CI.Lo, cell.CI.Hi,
 			cell.RSD*100, s.UncertainRows)
-		return s.RSD() > 0.005 // keep going while above 0.5%
+		// keep going while above 0.5%, or while RSD is +Inf: no cell
+		// carries an error estimate yet
+		return s.RSD() > 0.005
 	})
 	if err != nil {
 		log.Fatal(err)

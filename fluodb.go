@@ -23,7 +23,8 @@
 //	for !oq.Done() {
 //	    snap, err := oq.Step()
 //	    // snap.Rows carries point estimates + confidence intervals;
-//	    // stop whenever snap.RSD() is small enough.
+//	    // stop whenever snap.RSD() is small enough (it is +Inf while
+//	    // no cell has an error estimate yet).
 //	}
 package fluodb
 

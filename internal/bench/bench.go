@@ -9,7 +9,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -84,9 +86,25 @@ func catalogFor(q workload.Query, cfg Config) *storage.Catalog {
 type Fig3aPoint struct {
 	Batch       int
 	ElapsedMS   float64 // cumulative G-OLA time when the snapshot appeared
-	RSDPercent  float64
+	RSDPercent  float64 // +Inf when the snapshot had no error estimate yet
 	Uncertain   int
 	FractionPct float64
+}
+
+// MarshalJSON writes a non-finite RSDPercent (no error estimate yet) as
+// null, since JSON has no infinity.
+func (p Fig3aPoint) MarshalJSON() ([]byte, error) {
+	var rsd *float64
+	if !math.IsInf(p.RSDPercent, 0) && !math.IsNaN(p.RSDPercent) {
+		rsd = &p.RSDPercent
+	}
+	return json.Marshal(struct {
+		Batch       int
+		ElapsedMS   float64
+		RSDPercent  *float64
+		Uncertain   int
+		FractionPct float64
+	}{p.Batch, p.ElapsedMS, rsd, p.Uncertain, p.FractionPct})
 }
 
 // Fig3aResult is the full Figure 3(a) data.
@@ -404,10 +422,12 @@ func AsciiChart(r *Fig3aResult, width, height int) string {
 	if len(r.Points) == 0 || width < 16 || height < 4 {
 		return ""
 	}
+	// A point without an error estimate (RSD +Inf) has no place on the
+	// y axis: it is skipped, or it would scale every other point to 0.
 	maxRSD := 0.0
 	maxT := r.Points[len(r.Points)-1].ElapsedMS
 	for _, p := range r.Points {
-		if p.RSDPercent > maxRSD {
+		if p.RSDPercent > maxRSD && !math.IsInf(p.RSDPercent, 0) {
 			maxRSD = p.RSDPercent
 		}
 	}
@@ -419,6 +439,9 @@ func AsciiChart(r *Fig3aResult, width, height int) string {
 		grid[y] = []byte(strings.Repeat(" ", width))
 	}
 	for _, p := range r.Points {
+		if math.IsInf(p.RSDPercent, 0) {
+			continue
+		}
 		x := int(p.ElapsedMS / maxT * float64(width-1))
 		y := height - 1 - int(p.RSDPercent/maxRSD*float64(height-1))
 		if x >= 0 && x < width && y >= 0 && y < height {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -310,6 +312,23 @@ func TestAsciiChart(t *testing.T) {
 	}
 	if AsciiChart(&Fig3aResult{}, 60, 10) != "" {
 		t.Error("empty result should yield empty chart")
+	}
+	// A point without an error estimate (RSD +Inf) is skipped, not used
+	// to scale the axis, and its JSON form is null.
+	inf := &Fig3aResult{BatchEngineMS: 10, Points: []Fig3aPoint{
+		{Batch: 1, ElapsedMS: 1, RSDPercent: math.Inf(1)},
+		{Batch: 2, ElapsedMS: 2, RSDPercent: 5},
+	}}
+	chart = AsciiChart(inf, 60, 10)
+	if !strings.Contains(chart, "max 5.00") || strings.Count(chart, "*") != 1 {
+		t.Errorf("chart with a +Inf point = %q", chart)
+	}
+	b, err := json.Marshal(inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"RSDPercent":null`) || !strings.Contains(string(b), `"RSDPercent":5`) {
+		t.Errorf("JSON = %s", b)
 	}
 }
 

@@ -803,24 +803,27 @@ func (b *bindings) updateScalar(idx int, point types.Value, reps []types.Value, 
 		return false
 	}
 	s.rng = rng
-	if s.rng.status != rsOK {
-		return false
-	}
-	if !s.hasCommitted {
-		s.committed = s.rng.r
-		s.hasCommitted = true
-		b.tracer.Emit(Event{Kind: EvCommit, Block: blockOf(b.scalarBlocks, idx),
-			Point: pfloat(point), Lo: s.committed.Lo, Hi: s.committed.Hi, Boost: s.epsBoost})
-		return false
-	}
-	if escapes(s.committed, point) {
+	// The committed range is held to every new point, whatever evidence
+	// this batch's range carries: an exact integer at completion has an
+	// unknown range (pointParam) and must still overturn a wrong commit.
+	if s.hasCommitted && escapes(s.committed, point) {
 		b.flips++
 		b.tracer.Emit(Event{Kind: EvRangeFailure, Block: blockOf(b.scalarBlocks, idx),
 			Point: pfloat(point), Lo: s.committed.Lo, Hi: s.committed.Hi, Boost: s.epsBoost})
 		s.epsBoost *= 2
 		return true
 	}
-	s.committed = intersect(s.committed, s.rng.r)
+	if rng.status != rsOK {
+		return false
+	}
+	if !s.hasCommitted {
+		s.committed = rng.r
+		s.hasCommitted = true
+		b.tracer.Emit(Event{Kind: EvCommit, Block: blockOf(b.scalarBlocks, idx),
+			Point: pfloat(point), Lo: s.committed.Lo, Hi: s.committed.Hi, Boost: s.epsBoost})
+		return false
+	}
+	s.committed = intersect(s.committed, rng.r)
 	return false
 }
 
@@ -829,42 +832,33 @@ func (b *bindings) updateScalar(idx int, point types.Value, reps []types.Value, 
 // hash); it reports whether a committed-range failure was detected.
 // When commit is false (group below the minimum support), the range
 // publishes as unknown so downstream tuples stay uncertain and no
-// decision is committed.
+// decision is committed. As for a scalar, an earlier committed range is
+// held to the point either way (support below the threshold after one
+// is possible only through replay).
 func (b *bindings) updateGroupEntry(idx, id int, key types.Row, h uint64, point types.Value, rng paramRange, commit bool) bool {
 	g := b.groups[idx]
 	if b.noCommit || !commit {
-		g.publish(id, point, paramRange{status: rsUnknown})
-		if b.noCommit {
-			return false
-		}
-		// An earlier committed range may still be violated (possible
-		// only through replay; in the forward path support is
-		// monotone), so check it if present.
-		if committed, ok := g.committed.get(&g.keys, id, key, h); ok && escapes(committed, point) {
-			b.flips++
-			b.emitKeyed(Event{Kind: EvRangeFailure, Block: blockOf(b.groupBlocks, idx),
-				Point: pfloat(point), Lo: committed.Lo, Hi: committed.Hi, Boost: g.epsBoost,
-				Note: "support dropped below commit threshold during replay"}, key)
-			return true
-		}
-		return false
+		rng = paramRange{status: rsUnknown}
 	}
 	g.publish(id, point, rng)
-	if rng.status != rsOK {
+	if b.noCommit {
 		return false
 	}
 	committed, ok := g.committed.get(&g.keys, id, key, h)
+	if ok && escapes(committed, point) {
+		b.flips++
+		b.emitKeyed(Event{Kind: EvRangeFailure, Block: blockOf(b.groupBlocks, idx),
+			Point: pfloat(point), Lo: committed.Lo, Hi: committed.Hi, Boost: g.epsBoost}, key)
+		return true
+	}
+	if rng.status != rsOK {
+		return false
+	}
 	if !ok {
 		g.committed.set(&g.keys, id, key, h, rng.r)
 		b.emitKeyed(Event{Kind: EvCommit, Block: blockOf(b.groupBlocks, idx),
 			Point: pfloat(point), Lo: rng.r.Lo, Hi: rng.r.Hi, Boost: g.epsBoost}, key)
 		return false
-	}
-	if escapes(committed, point) {
-		b.flips++
-		b.emitKeyed(Event{Kind: EvRangeFailure, Block: blockOf(b.groupBlocks, idx),
-			Point: pfloat(point), Lo: committed.Lo, Hi: committed.Hi, Boost: g.epsBoost}, key)
-		return true
 	}
 	g.committed.set(&g.keys, id, key, h, intersect(committed, rng.r))
 	return false
@@ -911,59 +905,34 @@ func (b *bindings) updateSetEntry(idx, id int, key types.Row, h uint64, point bo
 	return false
 }
 
-// buildRange derives the variation range of an uncertain numeric value
-// from its point estimate and bootstrap replicas, with slack
-// ε = epsSigma · stddev(replicas) (§3.2: ε equal to one standard
+// replicaRange derives the variation range of an uncertain value from
+// its point estimate and the floats of its bootstrap replicas, with
+// slack ε = epsSigma · stddev(replicas) (§3.2: ε equal to one standard
 // deviation balances recomputation probability against uncertain-set
-// size). The replicas' floats go through buf, returned for reuse.
-func buildRange(point types.Value, reps []types.Value, epsSigma float64, buf []float64) (paramRange, []float64) {
-	buf = buf[:0]
-	for _, r := range reps {
-		if f, ok := r.AsFloat(); ok {
-			buf = append(buf, f)
-		}
-	}
-	return floatRange(point, buf, minReplicaObs(len(reps)), epsSigma), buf
-}
-
-// floatRange is buildRange's core over replica floats already
-// extracted: minObs is the replica evidence a range needs.
-func floatRange(point types.Value, vals []float64, minObs int, epsSigma float64) paramRange {
+// size). It is the one evidence rule for replica ranges before the scan
+// completes, so it returns unknown, never NULL, when the evidence cannot
+// bound the value:
+//   - a point that is not a finite number: a NULL estimate may still
+//     become non-NULL, so NULL is not certain either;
+//   - fewer than max(3, trials/4) replica observations (a group whose
+//     rows fall outside the bootstrap subsample);
+//   - a hairline replica spread, relative to the point's magnitude:
+//     every replica of an AVG over one sampled tuple equals that tuple,
+//     and the epsilon boost, which multiplies the spread, could not
+//     recover from a wrong commit against it. A non-finite replica makes
+//     the spread NaN, which counts as hairline.
+func replicaRange(point types.Value, vals []float64, trials int, epsSigma float64) paramRange {
 	p, ok := point.AsFloat()
-	if !ok {
-		if point.IsNull() {
-			return paramRange{status: rsNull}
-		}
-		return paramRange{status: rsUnknown}
-	}
-	// Without enough replica evidence (e.g. a group whose rows fall
-	// outside the bootstrap subsample) no range can be trusted: stay
-	// uncertain rather than committing against a degenerate interval.
-	if len(vals) < minObs {
+	if !ok || len(vals) < max(3, trials/4) {
 		return paramRange{status: rsUnknown}
 	}
 	sd := bootstrap.StdDev(vals)
-	// (Near-)zero replica variance before completion means the
-	// bootstrap has no dispersion information — e.g. every replica of
-	// an AVG over a single sampled tuple equals that tuple, up to
-	// floating-point noise. Such hairline ranges must never commit
-	// deterministic decisions: the epsilon boost multiplies the (tiny)
-	// variance and could not recover from a wrong commit. The
-	// threshold is relative to the value magnitude.
-	if sd <= 1e-9*(1+math.Abs(p)) {
+	// Written as !(sd > ·) so a NaN spread or a non-finite point (whose
+	// threshold is +Inf or NaN) is refused too.
+	if !(sd > 1e-9*(1+math.Abs(p))) {
 		return paramRange{status: rsUnknown}
 	}
 	return okRange(bootstrap.VariationRange(p, vals, epsSigma*sd))
-}
-
-// minReplicaObs is the minimum number of replica observations required
-// to trust a variation range.
-func minReplicaObs(trials int) int {
-	m := trials / 4
-	if m < 3 {
-		m = 3
-	}
-	return m
 }
 
 // escapes reports whether the running point estimate left the committed

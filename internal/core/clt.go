@@ -76,28 +76,21 @@ func (a *cltAcc) variance() float64 {
 //	scale — extensive multiplicity 1/f
 //	z     — total half-width multiplier (base z + ε, times any boost)
 //
-// It returns rsUnknown when the accumulator carries too little evidence
-// (n < 2 leaves the variance unidentified).
+// It returns rsUnknown when the accumulator carries too little evidence:
+// no input at all (SUM and AVG read NULL and COUNT reads 0 so far, but
+// the rest of the table may hold input), too few observations to
+// identify the variance, or a hairline standard error before completion.
 func cltRange(kind cltKind, a *cltAcc, scale, f, z float64) paramRange {
-	if kind == cltNone {
+	if kind == cltNone || a.n == 0 {
 		return paramRange{status: rsUnknown}
 	}
-	if a.n == 0 {
-		// No qualifying input yet: SUM/AVG are NULL, COUNT is 0.
-		if kind == cltCount {
-			return okRange(bootstrap.Point(0))
-		}
-		return paramRange{status: rsNull}
-	}
-	rem := 1 - f
-	if rem < 0 {
-		rem = 0
-	}
+	rem := max(1-f, 0)
 	sd := math.Sqrt(a.variance())
 	// The sample standard deviation from few observations underestimates
 	// σ often enough to make committed ranges fragile; inflate by a
 	// rough χ²-style small-sample factor (→1 as n grows).
 	smallN := math.Sqrt((a.n + 3) / math.Max(a.n-1, 1))
+	var point, se float64
 	switch kind {
 	case cltAvg:
 		// The AVG range is pure sd — a handful of (possibly identical)
@@ -105,27 +98,24 @@ func cltRange(kind cltKind, a *cltAcc, scale, f, z float64) paramRange {
 		if a.n < 4 {
 			return paramRange{status: rsUnknown}
 		}
-		se := sd * smallN / math.Sqrt(a.n) * math.Sqrt(rem)
-		if rem > 0 && se <= 1e-9*(1+math.Abs(a.mean)) {
-			return paramRange{status: rsUnknown} // degenerate: no dispersion info
-		}
-		return okRange(bootstrap.Range{Lo: a.mean - z*se, Hi: a.mean + z*se})
+		point = a.mean
+		se = sd * smallN / math.Sqrt(a.n) * math.Sqrt(rem)
 	case cltSum:
 		if a.n < 2 {
 			return paramRange{status: rsUnknown}
 		}
-		point := scale * a.n * a.mean
-		se := scale * math.Sqrt(a.n*rem*(sd*sd*smallN*smallN+a.mean*a.mean))
-		if rem > 0 && se <= 1e-9*(1+math.Abs(point)) {
-			return paramRange{status: rsUnknown}
-		}
-		return okRange(bootstrap.Range{Lo: point - z*se, Hi: point + z*se})
+		point = scale * a.n * a.mean
+		se = scale * math.Sqrt(a.n*rem*(sd*sd*smallN*smallN+a.mean*a.mean))
 	case cltCount:
-		point := scale * a.n
-		se := scale * math.Sqrt(a.n*rem)
-		return okRange(bootstrap.Range{Lo: point - z*se, Hi: point + z*se})
+		point = scale * a.n
+		se = scale * math.Sqrt(a.n*rem)
 	}
-	return paramRange{status: rsUnknown}
+	// Degenerate: no dispersion information. Written as !(se > ·) so a
+	// NaN error or a non-finite point is refused too.
+	if rem > 0 && !(se > 1e-9*(1+math.Abs(point))) {
+		return paramRange{status: rsUnknown}
+	}
+	return okRange(bootstrap.Range{Lo: point - z*se, Hi: point + z*se})
 }
 
 // cltZBase is the base half-width multiplier, matching the effective

@@ -109,15 +109,13 @@ func TestCltRangeSumAndCount(t *testing.T) {
 	if rc.status != rsOK || !rc.r.Contains(scale*100) {
 		t.Errorf("count range = %+v", rc)
 	}
-	// COUNT over empty input is exactly 0
+	// No input before completion is no evidence: COUNT reads 0 and
+	// SUM/AVG read NULL so far, but the unread rows may hold input.
 	var empty cltAcc
-	rc0 := cltRange(cltCount, &empty, scale, f, 3.6)
-	if rc0.status != rsOK || rc0.r.Lo != 0 || rc0.r.Hi != 0 {
-		t.Errorf("empty count range = %+v", rc0)
-	}
-	// SUM/AVG over empty input is NULL
-	if cltRange(cltSum, &empty, scale, f, 3.6).status != rsNull {
-		t.Error("empty sum should be NULL")
+	for _, k := range []cltKind{cltCount, cltSum, cltAvg} {
+		if pr := cltRange(k, &empty, scale, f, 3.6); pr.status != rsUnknown {
+			t.Errorf("kind %d over empty input = %+v, want unknown", k, pr)
+		}
 	}
 	// single observation leaves the variance unidentified
 	var one cltAcc

@@ -880,14 +880,6 @@ func (e *Engine) updateBinding(r *blockRunner) bool {
 	}
 }
 
-// pointOnlyRange collapses an exact value into its degenerate range.
-func pointOnlyRange(point types.Value) paramRange {
-	if f, ok := point.AsFloat(); ok {
-		return okRange(bootstrap.Point(f))
-	}
-	return paramRange{status: rsNull}
-}
-
 // paramRangeFor derives a parameter block's variation range for one
 // group: CLT slot ranges propagated through the select expression (sel,
 // its lowering) by interval arithmetic where possible, bootstrap
@@ -908,9 +900,13 @@ func (e *Engine) paramRangeFor(te *triEnv, r *blockRunner, sel *triNode, en *onl
 			return pr
 		}
 	}
-	var pr paramRange
-	pr, e.rangeBuf = buildRange(point, repsFn(), e.opt.EpsilonSigma*boost, e.rangeBuf)
-	return pr
+	e.rangeBuf = e.rangeBuf[:0]
+	for _, v := range repsFn() {
+		if f, ok := v.AsFloat(); ok {
+			e.rangeBuf = append(e.rangeBuf, f)
+		}
+	}
+	return replicaRange(point, e.rangeBuf, e.opt.Trials, e.opt.EpsilonSigma*boost)
 }
 
 func (e *Engine) updateScalarBinding(r *blockRunner, scale float64, complete bool) bool {
@@ -930,7 +926,7 @@ func (e *Engine) updateScalarBinding(r *blockRunner, scale float64, complete boo
 	ev.outputReps(0, post, point, reps, nil)
 	var rng paramRange
 	if complete {
-		rng = pointOnlyRange(point)
+		rng = pointParam(point)
 	} else {
 		// The global group's table entry holds the CLT moments; cached
 		// uncertain rows are excluded from them, which only widens the
@@ -971,15 +967,11 @@ func (e *Engine) updateGroupBinding(r *blockRunner, scale float64, complete bool
 		post := e.postBuf
 		pctx.Row = post
 		point := b.Select[0].Eval(pctx)
-		// Support counts deterministically folded tuples only (cached
-		// uncertain rows excluded); ranges need at least two subsampled
-		// ones to carry dispersion.
-		commit := en != nil && en.n >= e.opt.MinGroupSupport &&
-			(r.allCLT || en.ns >= e.opt.MinGroupSupport)
+		commit := r.supported(en)
 		var rng paramRange
 		switch {
 		case complete:
-			rng = pointOnlyRange(point)
+			rng = pointParam(point)
 			commit = true // an exact value always classifies
 		case commit:
 			rng = e.paramRangeFor(te, r, sel, en, post, point,
@@ -1047,22 +1039,31 @@ func (e *Engine) updateSetBinding(r *blockRunner, scale float64, complete bool) 
 		if en == nil {
 			t = triUnknown
 		}
-		// Tri-state membership via row ranges on the post-agg layout.
-		// Groups below the minimum support (deterministically folded
-		// tuples only) never classify deterministically — their bootstrap
-		// ranges are unreliable; once the table is fully consumed the
-		// point answer is exact.
+		// Tri-state membership via row ranges on the post-agg layout:
+		// CLT slot ranges, the replica range for the slots they leave
+		// unknown. Groups below the minimum support never classify
+		// deterministically; once the table is fully consumed the point
+		// answer is exact.
 		if b.Having != nil {
 			switch {
 			case complete:
 				t = triFromBool(member)
-			case en == nil || en.n < e.opt.MinGroupSupport ||
-				(!r.allCLT && en.ns < e.opt.MinGroupSupport):
+			case !r.supported(en):
 				t = triUnknown
 			default:
 				boost := sb.epsBoost
 				z := (cltZBase + e.opt.EpsilonSigma) * boost
-				e.rowRanges = e.setRowRanges(r, en, id, post, scale, fracSeen, z, boost, e.rowRanges)
+				e.rowRanges = e.cltRowRanges(r, en, post, scale, fracSeen, z, e.rowRanges)
+				var repVals [][]float64 // evaluated once, on the first unknown slot
+				for c := len(b.GroupBy); c < len(post); c++ {
+					if e.rowRanges[c].status != rsUnknown {
+						continue
+					}
+					if repVals == nil {
+						repVals = e.setRepPostValues(r, id, scale)
+					}
+					e.rowRanges[c] = replicaRange(post[c], repVals[c], e.opt.Trials, e.opt.EpsilonSigma*boost)
+				}
 				te.rowRanges = e.rowRanges
 				t = te.nodeTri(having, post, false)
 				te.rowRanges = nil
@@ -1076,39 +1077,6 @@ func (e *Engine) updateSetBinding(r *blockRunner, scale float64, complete bool) 
 		sb.epsBoost *= 2
 	}
 	return failed
-}
-
-// setRowRanges builds the per-slot variation ranges for a set block's
-// group (published id): exact points for key slots, CLT ranges for
-// estimable aggregates, bootstrap replica ranges as the fallback.
-func (e *Engine) setRowRanges(r *blockRunner, baseEn *onlineEntry, id int, post types.Row, scale, fracSeen, z, boost float64, out []paramRange) []paramRange {
-	b := r.b
-	out = out[:0]
-	var repVals [][]float64 // built lazily only if a fallback is needed
-	for c := range post {
-		if c < len(b.GroupBy) {
-			if fv, ok := post[c].AsFloat(); ok {
-				out = append(out, okRange(bootstrap.Point(fv)))
-			} else {
-				out = append(out, paramRange{status: rsUnknown})
-			}
-			continue
-		}
-		var pr paramRange
-		pr.status = rsUnknown
-		ia := c - len(b.GroupBy)
-		if baseEn != nil && baseEn.clt != nil && r.cltKinds[ia] != cltNone {
-			pr = cltRange(r.cltKinds[ia], &baseEn.clt[ia], scale, fracSeen, z)
-		}
-		if pr.status == rsUnknown {
-			if repVals == nil {
-				repVals = e.setRepPostValues(r, id, scale)
-			}
-			pr = buildRangeFromFloats(post[c], repVals[c], e.opt.EpsilonSigma*boost, e.opt.Trials)
-		}
-		out = append(out, pr)
-	}
-	return out
 }
 
 // setRepPostValues evaluates a set-block group's (published id)
@@ -1181,14 +1149,4 @@ func (e *Engine) fillSetReps(r *blockRunner, id int, reps []bool) {
 			reps[j] = b.Having.Eval(ctxs[1+j]).Truthy()
 		}
 	}
-}
-
-// buildRangeFromFloats is buildRange over already-extracted replica
-// floats; trials is the configured trial count, against which replica
-// evidence is judged sufficient.
-func buildRangeFromFloats(point types.Value, reps []float64, epsSigma float64, trials int) paramRange {
-	if len(reps) < minReplicaObs(trials) {
-		return paramRange{status: rsUnknown}
-	}
-	return floatRange(point, reps, minReplicaObs(len(reps)), epsSigma)
 }

@@ -8,6 +8,7 @@ import (
 	"fluodb/internal/bootstrap"
 	"fluodb/internal/exec"
 	"fluodb/internal/plan"
+	"fluodb/internal/storage"
 	"fluodb/internal/types"
 )
 
@@ -15,17 +16,22 @@ import (
 // nested-aggregate queries and checks, for each, that the G-OLA final
 // snapshot equals the exact batch answer. This is the engine's core
 // soundness property: whatever the thresholds, aggregate mixes, nesting
-// or grouping, finishing the scan must yield the exact result.
+// or grouping, finishing the scan must yield the exact result. A second
+// generator varies two things the first leaves fixed: the subquery may
+// be correlated on country (a per-group threshold), and the inner
+// aggregate's column may be NULL for a random subset of countries in
+// the early rows, so those groups' estimates start with no evidence.
 func TestRandomizedQueryEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized battery")
 	}
 	rng := bootstrap.NewRNG(0xFACADE)
+	vary := bootstrap.NewRNG(0x5EED)
 	aggs := []string{"AVG", "SUM", "COUNT", "MIN", "MAX", "STDDEV"}
 	cols := []string{"buffer_time", "play_time"}
 	cmps := []string{">", "<", ">=", "<="}
 
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		cat := synthCatalog(1500+rng.Intn(2000), 30, uint64(trial)+100)
 
 		innerAgg := aggs[rng.Intn(len(aggs))]
@@ -45,10 +51,17 @@ func TestRandomizedQueryEquivalence(t *testing.T) {
 			groupSel = "country, "
 			keyCols = 1
 		}
+		correlate := ""
+		if vary.Intn(2) == 0 {
+			correlate = "WHERE i.country = o.country"
+		}
+		if vary.Intn(2) == 0 {
+			nullEarly(cat, innerCol, vary)
+		}
 		sql := fmt.Sprintf(
-			`SELECT %s%s(play_time), %s(buffer_time) FROM sessions
-			 WHERE %s %s (SELECT %.4f * %s(%s) FROM sessions) %s`,
-			groupSel, outAgg1, outAgg2, outerCol, cmp, factor, innerAgg, innerCol, groupBy)
+			`SELECT %s%s(play_time), %s(buffer_time) FROM sessions o
+			 WHERE %s %s (SELECT %.4f * %s(%s) FROM sessions i %s) %s`,
+			groupSel, outAgg1, outAgg2, outerCol, cmp, factor, innerAgg, innerCol, correlate, groupBy)
 
 		q, err := plan.Compile(sql, cat)
 		if err != nil {
@@ -97,6 +110,28 @@ func TestRandomizedQueryEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nullEarly sets column col of the sessions table to NULL in the first
+// 1/12 to 1/4 of its rows, for each country with probability 1/2.
+func nullEarly(cat *storage.Catalog, col string, rng *bootstrap.RNG) {
+	src, _ := cat.Get("sessions")
+	sch := src.Schema()
+	c, country := sch.ColumnIndex(col), sch.ColumnIndex("country")
+	nulled := map[string]bool{}
+	for _, k := range []string{"US", "DE", "FR", "BR", "IN"} {
+		nulled[k] = rng.Intn(2) == 0
+	}
+	cut := src.NumRows() * (1 + rng.Intn(3)) / 12
+	rows := make([]types.Row, src.NumRows())
+	for i, r := range src.Rows() {
+		if i < cut && nulled[r[country].Str()] {
+			r = r.Clone()
+			r[c] = types.Null
+		}
+		rows[i] = r
+	}
+	cat.Put(storage.FromRows("sessions", sch, rows))
 }
 
 func seqCols(n int) []int {

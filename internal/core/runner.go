@@ -120,6 +120,16 @@ func (r *blockRunner) reset() {
 	r.invalidateEval()
 }
 
+// supported reports whether group entry en may commit deterministic
+// decisions of a correlated or membership block: at least
+// MinGroupSupport deterministically folded tuples (cached uncertain rows
+// excluded) and, unless every aggregate has a closed-form range, as many
+// inside the bootstrap subsample, so its replicas carry dispersion.
+func (r *blockRunner) supported(en *onlineEntry) bool {
+	m := r.eng.opt.MinGroupSupport
+	return en != nil && en.n >= m && (r.allCLT || en.ns >= m)
+}
+
 // reclassify re-examines the cached uncertain set against the current
 // variation ranges: tuples that became deterministic are folded (or
 // dropped) permanently; the rest stay cached. This is the delta

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -94,11 +96,18 @@ type Snapshot struct {
 	// fit behind ETA (converge.go). Zero-valued when no batch has
 	// committed (e.g. an interrupted first batch).
 	Convergence ConvergencePoint
+	// estimated records that the root block has estimated columns, whose
+	// cells carry a CI once replicas give evidence (RSD).
+	estimated bool
 }
 
 // RSD returns the mean relative standard deviation across all cells
 // that carry a confidence interval — the y-axis of the paper's
-// Figure 3(a).
+// Figure 3(a). Before the last batch, a snapshot with estimated columns
+// but no cell carrying a CI has no error estimate at all (every group's
+// replicas lack evidence so far), and RSD returns +Inf: no estimate is
+// not certainty, so an ε-stop on RSD keeps going. Otherwise a snapshot
+// with no CI cell (no estimated columns, or the last batch) returns 0.
 func (s *Snapshot) RSD() float64 {
 	var sum float64
 	var n int
@@ -111,6 +120,9 @@ func (s *Snapshot) RSD() float64 {
 		}
 	}
 	if n == 0 {
+		if s.estimated && s.Batch < s.TotalBatches {
+			return math.Inf(1)
+		}
 		return 0
 	}
 	return sum / float64(n)
@@ -158,6 +170,7 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	}
 
 	hasCI := b.EstimatedColumns()
+	snap.estimated = slices.Contains(hasCI, true)
 
 	ev := rr.eval()
 	// Bound the per-snapshot error-estimation work: with many output

@@ -263,31 +263,27 @@ func TestIntersect(t *testing.T) {
 }
 
 func TestBuildRangeGuards(t *testing.T) {
-	mkReps := func(vals ...float64) []types.Value {
-		out := make([]types.Value, len(vals))
-		for i, v := range vals {
-			out[i] = types.NewFloat(v)
-		}
-		return out
+	rr := func(point types.Value, vals ...float64) paramRange {
+		return replicaRange(point, vals, len(vals), 1)
 	}
 	// too few observations → unknown
-	if pr, _ := buildRange(types.NewFloat(5), mkReps(5, 5), 1, nil); pr.status != rsUnknown {
+	if pr := rr(types.NewFloat(5), 5, 5); pr.status != rsUnknown {
 		t.Errorf("2 reps = %v", pr.status)
 	}
 	// zero variance → unknown (no dispersion information)
-	if pr, _ := buildRange(types.NewFloat(5), mkReps(5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5), 1, nil); pr.status != rsUnknown {
+	if pr := rr(types.NewFloat(5), 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5); pr.status != rsUnknown {
 		t.Errorf("degenerate reps = %v", pr.status)
 	}
 	// healthy replicas → range covering point and replica spread
-	pr, _ := buildRange(types.NewFloat(5), mkReps(4, 5, 6, 4.5, 5.5, 4, 6, 5, 4.8, 5.2, 4.4, 5.6), 1, nil)
+	pr := rr(types.NewFloat(5), 4, 5, 6, 4.5, 5.5, 4, 6, 5, 4.8, 5.2, 4.4, 5.6)
 	if pr.status != rsOK {
 		t.Fatalf("healthy reps = %v", pr.status)
 	}
 	if !pr.r.Contains(5) || !pr.r.Contains(4) || !pr.r.Contains(6) {
 		t.Errorf("range %+v should cover point and replica extremes", pr.r)
 	}
-	// NULL point → null
-	if pr, _ := buildRange(types.Null, mkReps(1, 2, 3), 1, nil); pr.status != rsNull {
+	// NULL point → unknown: a NULL estimate may still become non-NULL
+	if pr := rr(types.Null, 1, 2, 3); pr.status != rsUnknown {
 		t.Errorf("null point = %v", pr.status)
 	}
 }

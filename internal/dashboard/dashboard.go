@@ -205,7 +205,7 @@ type SnapshotJSON struct {
 	Batch     int                `json:"batch"`
 	Total     int                `json:"total"`
 	Fraction  float64            `json:"fraction"`
-	RSD       float64            `json:"rsd"`
+	RSD       *float64           `json:"rsd"` // null while Snapshot.RSD is not finite (+Inf: no CI yet)
 	Uncertain int                `json:"uncertain"`
 	Phases    map[string]float64 `json:"phases,omitempty"` // this batch, phase → ms
 	Columns   []string           `json:"columns"`
@@ -397,10 +397,12 @@ func EncodeSnapshot(snap *core.Snapshot) SnapshotJSON {
 		Batch:     snap.Batch,
 		Total:     snap.TotalBatches,
 		Fraction:  snap.FractionProcessed,
-		RSD:       snap.RSD(),
 		Uncertain: snap.UncertainRows,
 		Phases:    snap.Phases.Milliseconds(),
 		Degraded:  snap.Degraded,
+	}
+	if rsd := snap.RSD(); !math.IsInf(rsd, 0) && !math.IsNaN(rsd) {
+		out.RSD = &rsd
 	}
 	if u := snap.Resources; u.TotalBytes > 0 || u.PeakBytes > 0 {
 		out.Mem = &u
@@ -509,7 +511,8 @@ function run() {
     document.getElementById('prog').value = s.fraction;
     document.getElementById('status').textContent =
       'batch ' + s.batch + '/' + s.total + ' — ' + (100*s.fraction).toFixed(0) +
-      '% of data — rsd ' + (100*s.rsd).toFixed(3) + '% — uncertain tuples ' + s.uncertain;
+      '% of data — rsd ' + (s.rsd == null ? 'n/a (no estimate yet)' : (100*s.rsd).toFixed(3) + '%') +
+      ' — uncertain tuples ' + s.uncertain;
     if (s.phases) {
       const top = Object.entries(s.phases).sort((a, b) => b[1] - a[1]).slice(0, 4)
         .map(([k, v]) => k + ' ' + v.toFixed(1) + 'ms').join(' · ');

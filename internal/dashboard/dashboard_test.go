@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -15,7 +16,10 @@ import (
 	"fluodb/internal/chaos"
 	"fluodb/internal/core"
 	"fluodb/internal/otrace"
+	"fluodb/internal/plan"
+	"fluodb/internal/storage"
 	"fluodb/internal/testutil"
+	"fluodb/internal/types"
 	"fluodb/internal/workload"
 )
 
@@ -84,9 +88,13 @@ func TestQueryStreamsSnapshots(t *testing.T) {
 	if !last.Rows[0][0].HasCI {
 		t.Error("aggregate cell should carry a CI")
 	}
-	// RSD tightens from first to last snapshot.
-	if snaps[0].RSD < last.RSD {
-		t.Errorf("rsd grew: %v → %v", snaps[0].RSD, last.RSD)
+	// RSD tightens from first to last snapshot; a snapshot with no
+	// estimate yet (rsd null) reads as +Inf.
+	if last.RSD == nil {
+		t.Fatal("last snapshot has no rsd")
+	}
+	if snaps[0].RSD != nil && *snaps[0].RSD < *last.RSD {
+		t.Errorf("rsd grew: %v → %v", *snaps[0].RSD, *last.RSD)
 	}
 }
 
@@ -182,6 +190,45 @@ func TestEncodeSnapshotRowCap(t *testing.T) {
 		if len(snap.Rows) > maxRowsPerEvent {
 			t.Fatalf("event carries %d rows", len(snap.Rows))
 		}
+	}
+}
+
+// TestEncodeSnapshotNoEstimate: before the last batch, a snapshot whose
+// estimated column has no CI yet (every value read so far is NULL) has
+// RSD +Inf, which encodes as rsd null; encoding/json rejects +Inf.
+func TestEncodeSnapshotNoEstimate(t *testing.T) {
+	tab := storage.NewTable("t", types.NewSchema("x", types.KindFloat))
+	for i := 0; i < 40; i++ {
+		v := types.NewFloat(float64(i))
+		if i < 10 {
+			v = types.Null
+		}
+		_ = tab.Append(types.Row{v})
+	}
+	cat := storage.NewCatalog()
+	cat.Put(tab)
+	q, err := plan.Compile("SELECT AVG(x) FROM t", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.New(q, cat, core.Options{Batches: 4, Trials: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	snap, err := eng.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(snap.RSD(), 1) {
+		t.Fatalf("RSD = %v, want +Inf", snap.RSD())
+	}
+	b, err := json.Marshal(EncodeSnapshot(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"rsd":null`) {
+		t.Errorf("payload = %s", b)
 	}
 }
 

@@ -46,6 +46,11 @@
 #                   the point environment — every parameter at its point
 #                   estimate as a zero-width range — vs the SQL truth
 #                   under those points), on generated trees and data,
+#                   FuzzReplicaRange (the replica and CLT range
+#                   builders over generated points, replicas and
+#                   accumulators: before completion never NULL, and an
+#                   OK range has enough finite evidence, a width above
+#                   the hairline and contains its point),
 #                   FuzzResume (mutated, re-signed checkpoint bytes
 #                   end in a resumed engine or a typed checkpoint error,
 #                   never a panic) and FuzzColumnarEncode (Build and
@@ -90,9 +95,10 @@ go test ./internal/core -run Allocs -count=1
 echo "== bench smoke (BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding|BenchmarkFoldColumnar|BenchmarkClassifyColumnar, 1 iteration)"
 go test ./internal/core -run '^$' -bench 'BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding|BenchmarkFoldColumnar|BenchmarkClassifyColumnar' -benchtime 1x
 
-echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, FuzzResume, FuzzColumnarEncode, 10s each)"
+echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, FuzzReplicaRange, FuzzResume, FuzzColumnarEncode, 10s each)"
 go test ./internal/expr -run '^$' -fuzz FuzzNumKernel -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzTriKernel -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz FuzzReplicaRange -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzResume -fuzztime 10s
 go test ./internal/colstore -run '^$' -fuzz FuzzColumnarEncode -fuzztime 10s
 

@@ -147,8 +147,8 @@ func TestQueryOnlinePublic(t *testing.T) {
 		}
 		last = s
 		steps++
-		if !s.Rows[0][0].HasCI {
-			t.Fatal("aggregate cell must carry a CI")
+		if want := !oq.Done(); s.Rows[0][0].HasCI != want {
+			t.Fatalf("batch %d: HasCI = %v, want %v (only the exact final answer has none)", s.Batch, s.Rows[0][0].HasCI, want)
 		}
 	}
 	if steps != 10 || oq.Batch() != 10 {

@@ -97,7 +97,8 @@ type Snapshot struct {
 	// committed (e.g. an interrupted first batch).
 	Convergence ConvergencePoint
 	// estimated records that the root block has estimated columns, whose
-	// cells carry a CI once replicas give evidence (RSD).
+	// cells carry a CI once replicas give evidence (RSD); false once every
+	// fact table is complete and the answer is exact.
 	estimated bool
 }
 
@@ -107,7 +108,8 @@ type Snapshot struct {
 // but no cell carrying a CI has no error estimate at all (every group's
 // replicas lack evidence so far), and RSD returns +Inf: no estimate is
 // not certainty, so an ε-stop on RSD keeps going. Otherwise a snapshot
-// with no CI cell (no estimated columns, or the last batch) returns 0.
+// with no CI cell (no estimated columns, or every fact table complete)
+// returns 0.
 func (s *Snapshot) RSD() float64 {
 	var sum float64
 	var n int
@@ -169,7 +171,16 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 		snap.FractionProcessed = float64(ts.seen) / float64(ts.total)
 	}
 
+	// Once every fact table is complete the answer is exact: no cell
+	// carries an interval, and RSD reads 0.
+	complete := true
+	for _, t := range e.tables {
+		complete = complete && t.seen >= t.total
+	}
 	hasCI := b.EstimatedColumns()
+	if complete {
+		hasCI = make([]bool, len(hasCI))
+	}
 	snap.estimated = slices.Contains(hasCI, true)
 
 	ev := rr.eval()

@@ -85,13 +85,17 @@ func TestQueryStreamsSnapshots(t *testing.T) {
 	if len(last.Columns) != 1 || len(last.Rows) != 1 {
 		t.Errorf("shape: cols=%v rows=%d", last.Columns, len(last.Rows))
 	}
-	if !last.Rows[0][0].HasCI {
-		t.Error("aggregate cell should carry a CI")
+	if !snaps[len(snaps)-2].Rows[0][0].HasCI {
+		t.Error("aggregate cell should carry a CI before completion")
 	}
-	// RSD tightens from first to last snapshot; a snapshot with no
-	// estimate yet (rsd null) reads as +Inf.
-	if last.RSD == nil {
-		t.Fatal("last snapshot has no rsd")
+	if last.Rows[0][0].HasCI {
+		t.Error("the exact final answer should carry no CI")
+	}
+	// RSD tightens from first to last snapshot, and reads 0 once the
+	// answer is exact; a snapshot with no estimate yet (rsd null) reads
+	// as +Inf.
+	if last.RSD == nil || *last.RSD != 0 {
+		t.Fatalf("last snapshot rsd = %v, want 0", last.RSD)
 	}
 	if snaps[0].RSD != nil && *snaps[0].RSD < *last.RSD {
 		t.Errorf("rsd grew: %v → %v", *snaps[0].RSD, *last.RSD)
@@ -547,8 +551,9 @@ func TestConvergencePayloadAndTrace(t *testing.T) {
 	text := string(mbody)
 	for _, want := range []string{
 		"# TYPE gola_ci_halfwidth histogram",
-		`gola_ci_halfwidth_count{q="p50"} 5`,
-		`gola_ci_halfwidth_count{q="max"} 5`,
+		// Five snapshots, the last exact: four carry a CI.
+		`gola_ci_halfwidth_count{q="p50"} 4`,
+		`gola_ci_halfwidth_count{q="max"} 4`,
 		"# TYPE gola_uncertain_churn_total counter",
 		`gola_uncertain_churn_total{dir="in"}`,
 		`gola_uncertain_churn_total{dir="out"}`,

@@ -14,8 +14,8 @@ import (
 )
 
 // AuditQueries is the default query set of the accuracy harness, chosen
-// to cover the estimator's three structurally distinct paths on the
-// TPC-H-style workload:
+// to cover the estimator's structurally distinct paths on the TPC-H-style
+// and Conviva-style workloads:
 //
 //   - SPJA: a monotone grouped aggregation — the only shape the classic
 //     OLA baseline supports, so it is also where G-OLA bootstrap CIs
@@ -23,7 +23,11 @@ import (
 //   - Q11: grouped HAVING against an uncertain scalar-subquery
 //     threshold (set-style deterministic decisions per group);
 //   - Q17: the correlated per-group AVG threshold (the recomputing
-//     nested workload — range commits, failures, replays).
+//     nested workload — range commits, failures, replays);
+//   - SBI: a scalar AVG filtered by an uncorrelated scalar AVG over the
+//     same sessions table — one large group per block, the shape whose
+//     replica lanes the fold draws from batch moments once it is large
+//     (DESIGN.md §7).
 func AuditQueries() []workload.Query {
 	return []workload.Query{
 		{
@@ -34,6 +38,7 @@ FROM lineitem GROUP BY brand`,
 		},
 		mustSuiteQuery("Q11"),
 		mustSuiteQuery("Q17"),
+		mustSuiteQuery("SBI"),
 	}
 }
 
@@ -212,7 +217,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			if !found {
-				return nil, fmt.Errorf("audit: unknown audit query %q (have SPJA, Q11, Q17)", name)
+				return nil, fmt.Errorf("audit: unknown audit query %q (have SPJA, Q11, Q17, SBI)", name)
 			}
 		}
 		queries = sel
@@ -237,11 +242,19 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.Seeds = append(res.Seeds, seed)
 		cat := workload.TPCHCatalog(cfg.Rows, cfg.Parts, seed)
+		var conviva *storage.Catalog // built on first use, same world seed
 		opt := core.Options{Batches: cfg.Batches, Trials: cfg.Trials,
 			Seed: seed, Parallelism: cfg.Parallelism,
 			BootstrapSampleCap: cfg.SampleCap}
 		for _, q := range queries {
-			run, err := RunQuery(q.Name, q.SQL, cat, opt)
+			qcat := cat
+			if q.Dataset == "conviva" {
+				if conviva == nil {
+					conviva = workload.ConvivaCatalog(cfg.Rows, seed)
+				}
+				qcat = conviva
+			}
+			run, err := RunQuery(q.Name, q.SQL, qcat, opt)
 			if err != nil {
 				return nil, err
 			}

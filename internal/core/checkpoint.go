@@ -36,8 +36,11 @@ import (
 // decoder reads is also bounded by the bytes left.
 
 const (
-	ckMagic   = "FLCP1"
-	ckVersion = 6 // 6: one eviction counter (5: replay is the only format)
+	ckMagic = "FLCP1"
+	// 7: large groups draw their replica lanes from batch moments (a
+	// replay under 6 regenerated per-row Poisson lanes); 6: one eviction
+	// counter; 5: replay is the only format.
+	ckVersion = 7
 )
 
 // ckSum is FNV-1a 64 over the checkpoint payload.

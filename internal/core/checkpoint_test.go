@@ -301,11 +301,13 @@ func TestCheckpointRejections(t *testing.T) {
 	// version 2 was written under the one-hash-per-weight stream (a
 	// replay would regenerate different weights), version 3 stored a
 	// replica weight where uncertain rows later carried their fact
-	// ordinal, and version 4 carried a mode byte and, in full mode, the
-	// tables and uncertain cache: all are refused by the version check,
-	// not the checksum (the trailer is recomputed over the rewritten
-	// version byte).
-	for _, v := range []byte{1, 2, 3, 4} {
+	// ordinal, version 4 carried a mode byte and, in full mode, the
+	// tables and uncertain cache, and versions 5 and 6 were written under
+	// per-row Poisson lanes for every group, where a resume would now
+	// replay moment-drawn lanes for the large ones — a different stream:
+	// all are refused by the version check, not the checksum (the trailer
+	// is recomputed over the rewritten version byte).
+	for _, v := range []byte{1, 2, 3, 4, 5, 6} {
 		old := append([]byte(nil), ck...)
 		old[len(ckMagic)] = v
 		resign(old)

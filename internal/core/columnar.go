@@ -568,15 +568,15 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, st *stage) bool {
 		} else {
 			for _, si := range cs.sel {
 				i := int(si)
-				wf := r.rowWeights(st, seg.Base+i)
+				gi := seg.Base + i
+				sampled := r.eng.sampled(r.ts, gi)
+				var wf []float64
 				if p.hasDims {
 					for _, en := range r.colEntries(st, ct, seg, i) {
-						r.colFold(tab, p, en, cs.args, i, wf)
-						st.folds++
+						wf = r.colFoldAt(st, en, i, gi, sampled, wf)
 					}
 				} else {
-					r.colFold(tab, p, r.colEntry(tab, cs, ct, seg, i), cs.args, i, wf)
-					st.folds++
+					r.colFoldAt(st, r.colEntry(tab, cs, ct, seg, i), i, gi, sampled, nil)
 				}
 			}
 		}
@@ -808,16 +808,39 @@ func (cs *colScratch) resolveArgs(p *colPlan, seg *colstore.Segment, lo, hi int)
 	}
 }
 
+// colFoldAt folds segment-local row i (global row gi) into en: a sampled
+// row adds to en's batch moments when the feed draws en's lanes from
+// them (moment.go), else its weights to the lanes — derived on the first
+// entry that needs them and returned, so a dims row's later entries reuse
+// them (pass the returned slice back; nil before the first derivation).
+func (r *blockRunner) colFoldAt(st *stage, en *onlineEntry, i, gi int, sampled bool, wf []float64) []float64 {
+	tab := st.tab
+	var acc *momentAcc
+	var w []float64
+	if sampled {
+		if acc = tab.momentOf(en); acc == nil {
+			if wf == nil {
+				wf = r.rowWeights(st, gi)
+			}
+			w = wf
+		}
+	}
+	r.colFold(tab, r.colPl, en, st.cs.args, i, w, acc)
+	st.folds++
+	return wf
+}
+
 // colFold adds segment-local row i into the entry's banked accumulators
 // straight from the argument banks (resolveArgs), mirroring
 // onlineTable.fold/foldBank cell for cell: same per-aggregate order,
 // same gating, same pre-scaled weight values — so every float addition
 // is bit-identical. Deduplicated bank streams (plan aliases) are written
 // once, by their owning aggregate; reads resolve through the same
-// aliases.
-func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args []*colstore.Col, i int, wf []float64) {
+// aliases. A sampled row of a moment-mode entry (acc non-nil, wf nil)
+// adds its stream values to acc instead (moment.go).
+func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args []*colstore.Col, i int, wf []float64, acc *momentAcc) {
 	e.n++
-	if wf != nil {
+	if wf != nil || acc != nil {
 		e.ns++
 	}
 	trials := tab.trials
@@ -830,6 +853,9 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args
 				null = col.Null(i)
 			} else {
 				null = p.aggConstNull[a]
+			}
+			if acc != nil {
+				tab.mom.stageValue(a, 0, !null)
 			}
 			if !null {
 				e.mainW[a]++
@@ -857,6 +883,9 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args
 			}
 		} else {
 			f, fok = p.aggConstF[a], p.aggConstOK[a]
+		}
+		if acc != nil {
+			tab.mom.stageValue(a, f, fok)
 		}
 		if !fok {
 			continue
@@ -888,6 +917,9 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args
 			}
 		}
 	}
+	if acc != nil {
+		acc.add(tab.mom.x)
+	}
 }
 
 // colFoldRuns is the fused generate+fold kernel over the certainly-in
@@ -905,6 +937,10 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args
 // the same additions in the same row order as a per-row loop over
 // Engine.weights, so the kernel is bit-identical to the generic and row
 // paths.
+//
+// A run of a moment-mode entry (acc non-nil) gathers nothing: its
+// sampled rows add to the entry's batch moments (moment.go), so the
+// trial axis leaves the row loop.
 func (r *blockRunner) colFoldRuns(st *stage, seg *colstore.Segment) {
 	p, tab, cs, ts := r.colPl, st.tab, &st.cs, r.ts
 	col, trials := cs.args[0], tab.trials
@@ -912,6 +948,7 @@ func (r *blockRunner) colFoldRuns(st *stage, seg *colstore.Segment) {
 	floats := wantF && p.aggFloats[p.fusePrimV]
 	keys, fs := cs.runKey[:0], cs.runF[:0]
 	var en *onlineEntry
+	var acc *momentAcc
 	for _, si := range cs.sel {
 		i := int(si)
 		if e := r.colEntry(tab, cs, p.ct, seg, i); e != en {
@@ -923,6 +960,7 @@ func (r *blockRunner) colFoldRuns(st *stage, seg *colstore.Segment) {
 				keys, fs = keys[:0], fs[:0]
 			}
 			en = e
+			acc = tab.momentOf(en)
 		}
 		gi := seg.Base + i
 		sampled := r.eng.sampled(ts, gi)
@@ -949,9 +987,15 @@ func (r *blockRunner) colFoldRuns(st *stage, seg *colstore.Segment) {
 				en.clt[a].add(f)
 			}
 		}
-		if sampled {
+		switch {
+		case !sampled:
+		case acc == nil:
 			keys = append(keys, ts.weightKey(gi, trials))
 			fs = append(fs, f)
+		case wantF:
+			acc.addWV(f)
+		default:
+			acc.addW()
 		}
 	}
 	if len(keys) > 0 {

@@ -635,6 +635,42 @@ func benchFeedChunks(b *testing.B, r *blockRunner, ts *tableStream, te *triEnv) 
 	}
 }
 
+// benchFoldScalar measures the SBI-shaped fused fold — one group, an AVG
+// over the full bootstrap (T = 100) — in ns/row, its group already past
+// momentMin: each chunk is one feed, through real Poisson lanes, or
+// (moments) into batch moments with the closing draw.
+func benchFoldScalar(b *testing.B, moments bool) {
+	_, r, ts, te := columnarBenchEnvSQL(b, `SELECT AVG(x) FROM facts`, true, false)
+	if !r.colPl.fuse || r.tab.entries[0].ns < momentMin {
+		b.Fatal("bench query must fold one group past momentMin through the fused kernel")
+	}
+	rows, base := ts.batches[1], ts.starts[1]
+	const chunk = 512
+	feed := func(off int) {
+		if moments {
+			r.beginMoments()
+		}
+		r.feedBatchSerial(rows[off:off+chunk], base+off, te)
+		if moments {
+			r.drawMoments(1)
+		}
+	}
+	feed(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	off := 0
+	for n := 0; n < b.N; n += chunk {
+		if off+chunk > len(rows) {
+			off = 0
+		}
+		feed(off)
+		off += chunk
+	}
+}
+
+func BenchmarkFoldColumnarScalarLanes(b *testing.B)   { benchFoldScalar(b, false) }
+func BenchmarkFoldColumnarScalarMoments(b *testing.B) { benchFoldScalar(b, true) }
+
 func BenchmarkFoldColumnarSingleKey(b *testing.B)        { benchFoldColumnar(b, false, false) }
 func BenchmarkFoldColumnarSingleKeySampled(b *testing.B) { benchFoldColumnar(b, false, true) }
 func BenchmarkFoldColumnarMultiKey(b *testing.B)         { benchFoldColumnar(b, true, false) }

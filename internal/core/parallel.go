@@ -149,6 +149,7 @@ func (r *blockRunner) feedPart(rows []types.Row, baseIdx int, st *stage) {
 func (r *blockRunner) foldOn(wc *workerCtx, rows []types.Row, baseIdx int) {
 	st := wc.stage(r)
 	st.te = wc.refresh(r.eng)
+	st.tab.stageMoments(r.tab)
 	r.feedPart(rows, baseIdx, st)
 }
 

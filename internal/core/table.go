@@ -89,6 +89,10 @@ type onlineTable struct {
 	// columns; see colPlan bank aliasing).
 	bankOfW []int
 	bankOfV []int
+	// mom is the sparse moment storage of the groups whose replica lanes
+	// the feed in progress draws from batch moments (moment.go); nil
+	// until a banked table's first feed.
+	mom *momentSide
 	// scratch buffers for per-tuple group-key evaluation (the engine is
 	// single-threaded per table).
 	keyRow types.Row
@@ -336,6 +340,12 @@ func (t *onlineTable) fold(b *plan.Block, ctx *expr.Ctx, wf []float64) {
 		}
 	}
 	if t.banked {
+		// A moment-mode group adds the row's stream values to its batch
+		// moments instead of its weights to the lanes (moment.go).
+		var acc *momentAcc
+		if wf != nil {
+			acc = t.momentOf(e)
+		}
 		row := ctx.Row
 		for i := range b.Aggs {
 			var v types.Value
@@ -346,19 +356,27 @@ func (t *onlineTable) fold(b *plan.Block, ctx *expr.Ctx, wf []float64) {
 			}
 			// Gate exactly as State.Add + cltAcc would: COUNT folds any
 			// non-NULL input, SUM/AVG fold numeric inputs.
+			var f float64
+			var ok bool
 			if t.cltKinds[i] == cltCount {
-				if !v.IsNull() {
+				if ok = !v.IsNull(); ok {
 					e.mainW[i]++
 					e.clt[i].add(1)
 				}
-			} else if f, ok := v.AsFloat(); ok {
+			} else if f, ok = v.AsFloat(); ok {
 				e.mainW[i]++
 				e.mainV[i] += f
 				e.clt[i].add(f)
 			}
-			if wf != nil {
+			switch {
+			case acc != nil:
+				t.mom.stageValue(i, f, ok)
+			case wf != nil:
 				t.foldBank(e, i, v, wf)
 			}
+		}
+		if acc != nil {
+			acc.add(t.mom.x)
 		}
 		return
 	}
@@ -493,6 +511,7 @@ func (t *onlineTable) merge(o *onlineTable) {
 			continue
 		}
 		e.mergeEntry(oe)
+		t.mergeMoments(e, o, oe)
 	}
 }
 
@@ -502,6 +521,9 @@ func (t *onlineTable) merge(o *onlineTable) {
 // truncates. The backing arrays all survive, so a steady-state batch
 // creates no per-group garbage.
 func (t *onlineTable) recycle() {
+	if t.mom != nil {
+		t.mom.resetStage()
+	}
 	for i, e := range t.entries {
 		if e != nil && t.banked {
 			t.free = append(t.free, e)

@@ -712,7 +712,11 @@ func (ev *snapEval) foldRow(u *uncertainRow, pt, sampled bool) {
 	// Lanes [lo,hi): column 0 only when the row passes under the point
 	// bindings, the trial columns only for subsampled rows. A masked
 	// trial lane adds 0.0, which leaves its accumulator bit-identical to
-	// skipping it (the banked fold's own invariant).
+	// skipping it (the banked fold's own invariant). The mask multiplies
+	// each weight by its lane's pass factor, without a branch on the
+	// Poisson zeros or the predicate: a lane is touched, and the row
+	// hits, where the product is nonzero (weights are non-negative, so
+	// their sum is nonzero exactly when one of them is).
 	lo, hi := 1, 1
 	if pt {
 		lo = 0
@@ -722,15 +726,17 @@ func (ev *snapEval) foldRow(u *uncertainRow, pt, sampled bool) {
 	hit := pt
 	if sampled {
 		hi = n
-		tri := ev.rowTri(u.row, 1, n)
-		for j := 1; j < n; j++ {
-			if ev.wf[j] != 0 && tri[j] == expr.TriTrue {
-				ev.touched[j] = true
-				hit = true
-			} else {
-				ev.wf[j] = 0
-			}
+		tri := ev.rowTri(u.row, 1, n)[1:n]
+		wf, touched := ev.wf[1:n], ev.touched[1:n]
+		touched = touched[:len(wf)]
+		var sum float64
+		for j := range tri {
+			x := wf[j] * passFactor[tri[j]&3]
+			wf[j] = x
+			touched[j] = touched[j] || x != 0
+			sum += x
 		}
+		hit = hit || sum != 0
 	}
 	env.seg = nil
 	if !hit {
@@ -772,6 +778,10 @@ func (ev *snapEval) foldRow(u *uncertainRow, pt, sampled bool) {
 		}
 	}
 }
+
+// passFactor is a trial lane's weight factor by its predicate byte: 1
+// where the row passes (expr.TriTrue), else 0.
+var passFactor = [4]float64{expr.TriTrue: 1}
 
 // baseStates returns the table's own states of axis column j for the
 // loaded group (nil when the table does not hold the group).

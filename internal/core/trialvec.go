@@ -211,6 +211,13 @@ func (c *tvCompiler) pred(e expr.Expr) tvBool {
 			if l == nil || r == nil {
 				return nil
 			}
+			// At most one side is invariant (else the comparison is).
+			if k, ok := l.(tvInvariant); ok {
+				return &tvCmpK{op: expr.FlipOp(x.Op), k: k, x: r, kFirst: true, t: c.tris()}
+			}
+			if k, ok := r.(tvInvariant); ok {
+				return &tvCmpK{op: x.Op, k: k, x: l, t: c.tris()}
+			}
 			return &tvCmp{op: x.Op, l: l, r: r, t: c.tris()}
 		}
 	case *expr.Not:
@@ -312,14 +319,33 @@ func (n *tvInv) tri(env *tvEnv, lo, hi int) ([]uint8, bool) {
 	return n.t, true
 }
 
-func (n *tvInv) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+// tvInvariant is a numeric operand with one value in every column
+// (tvInv, tvCol): scalar reads it once as a lane — f, or NULL — and
+// refuses (ok=false) where num would.
+type tvInvariant interface {
+	scalar(env *tvEnv) (f float64, null, ok bool)
+}
+
+func (n *tvInv) scalar(env *tvEnv) (float64, bool, bool) {
 	v := n.eval(env)
 	f, isNum := v.AsFloat()
 	if !isNum && !v.IsNull() {
+		return 0, false, false
+	}
+	return f, !isNum, true
+}
+
+func (n *tvInv) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+	f, null, ok := n.scalar(env)
+	return n.broadcast(f, null, ok, lo, hi)
+}
+
+func (n *tvInv) broadcast(f float64, null, ok bool, lo, hi int) ([]float64, []bool, bool) {
+	if !ok {
 		return nil, nil, false
 	}
 	for j := lo; j < hi; j++ {
-		n.f[j], n.null[j] = f, !isNum
+		n.f[j], n.null[j] = f, null
 	}
 	return n.f, n.null, true
 }
@@ -331,27 +357,26 @@ type tvCol struct {
 	col int
 }
 
-func (n *tvCol) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+func (n *tvCol) scalar(env *tvEnv) (float64, bool, bool) {
 	if !env.ordinal(n.col) {
-		return n.tvInv.num(env, lo, hi)
+		return n.tvInv.scalar(env)
 	}
 	c := &env.seg.Cols[n.col]
-	var f float64
-	null := c.Null(env.i)
-	if !null {
-		switch env.ct.Schema[n.col].Type {
-		case types.KindInt, types.KindBool:
-			f = float64(c.Ints[env.i])
-		case types.KindFloat:
-			f = c.Floats[env.i]
-		default: // a string is no float lane (tvInv: AsFloat fails)
-			return nil, nil, false
-		}
+	if c.Null(env.i) {
+		return 0, true, true
 	}
-	for j := lo; j < hi; j++ {
-		n.f[j], n.null[j] = f, null
+	switch env.ct.Schema[n.col].Type {
+	case types.KindInt, types.KindBool:
+		return float64(c.Ints[env.i]), false, true
+	case types.KindFloat:
+		return c.Floats[env.i], false, true
 	}
-	return n.f, n.null, true
+	return 0, false, false // a string is no float lane (tvInv: AsFloat fails)
+}
+
+func (n *tvCol) num(env *tvEnv, lo, hi int) ([]float64, []bool, bool) {
+	f, null, ok := n.scalar(env)
+	return n.broadcast(f, null, ok, lo, hi)
 }
 
 // tvKeys indexes a keyed node's resolved group ids by the stored word of
@@ -658,6 +683,93 @@ func (n *tvCmp) tri(env *tvEnv, lo, hi int) ([]uint8, bool) {
 		n.t[j] = triOfBool(holds)
 	}
 	return n.t, true
+}
+
+// tvCmpK is tvCmp with one invariant side k, moved to the right (FlipOp:
+// types.Compare's ordering is antisymmetric): k is read once, and one
+// loop per operator compares the other side's lanes against it with
+// tvCmp's formulas, which give types.Compare's NaN ordering. The
+// operands still run in source order (kFirst), as tvCmp runs them.
+type tvCmpK struct {
+	op     sqlparser.BinaryOp
+	k      tvInvariant
+	x      tvNum
+	kFirst bool
+	t      []uint8
+}
+
+func (n *tvCmpK) tri(env *tvEnv, lo, hi int) ([]uint8, bool) {
+	var (
+		f         []float64
+		null      []bool
+		k         float64
+		kNull, ok bool
+	)
+	if n.kFirst {
+		if k, kNull, ok = n.k.scalar(env); !ok {
+			return nil, false
+		}
+	}
+	if f, null, ok = n.x.num(env, lo, hi); !ok {
+		return nil, false
+	}
+	if !n.kFirst {
+		if k, kNull, ok = n.k.scalar(env); !ok {
+			return nil, false
+		}
+	}
+	t := n.t[lo:hi]
+	if kNull {
+		for j := range t {
+			t[j] = expr.TriNull
+		}
+		return n.t, true
+	}
+	f, null = f[lo:hi], null[lo:hi]
+	switch n.op {
+	// a < k and a > k never both hold, so tvCmp's !(a < k) && !(a > k)
+	// is (a < k) == (a > k), which needs no branch, and a < k || a > k
+	// is their difference.
+	case sqlparser.OpEq:
+		for j, a := range f {
+			t[j] = laneTri((a < k) == (a > k), null[j])
+		}
+	case sqlparser.OpNe:
+		for j, a := range f {
+			t[j] = laneTri((a < k) != (a > k), null[j])
+		}
+	case sqlparser.OpLt:
+		for j, a := range f {
+			t[j] = laneTri(a < k, null[j])
+		}
+	case sqlparser.OpLe:
+		for j, a := range f {
+			t[j] = laneTri(!(a > k), null[j])
+		}
+	case sqlparser.OpGt:
+		for j, a := range f {
+			t[j] = laneTri(a > k, null[j])
+		}
+	default: // OpGe
+		for j, a := range f {
+			t[j] = laneTri(!(a < k), null[j])
+		}
+	}
+	return n.t, true
+}
+
+// laneTri is one compared lane's byte: NULL when the lane is. It picks
+// in an int, which the compiler selects without a branch (it emits no
+// conditional move on bytes).
+func laneTri(holds, null bool) uint8 {
+	t := int(expr.TriFalse)
+	if holds {
+		t = int(expr.TriTrue)
+	}
+	if null {
+		t = int(expr.TriNull)
+	}
+	return uint8(t)
 }
 
 type tvLogic struct {

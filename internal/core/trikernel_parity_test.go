@@ -84,6 +84,9 @@ var triParityRanges = []struct {
 	{"low", paramRange{r: bootstrap.Range{Lo: 2, Hi: 9}, status: rsOK}},
 	{"null", paramRange{status: rsNull}},
 	{"unknown", paramRange{status: rsUnknown}},
+	// NaN bounds decide nothing a comparison with NaN would not.
+	{"nan", paramRange{r: bootstrap.Range{Lo: math.NaN(), Hi: math.NaN()}, status: rsOK}},
+	{"nan-hi", paramRange{r: bootstrap.Range{Lo: 3, Hi: math.NaN()}, status: rsOK}},
 }
 
 // TestTriKernelParity pins kernel-vs-evalTri decision identity across
@@ -215,10 +218,12 @@ var (
 )
 
 // keyedTable builds n rows under keyedSchema in small segments, so
-// sweeps cross many segments and an open tail.
+// sweeps cross many segments and an open tail. Every third segment holds
+// no NULL, so the kernels' NULL-free column loops run too.
 func keyedTable(rng *rand.Rand, n int) *colstore.Table {
 	rows := make([]types.Row, n)
 	for i := range rows {
+		nullFree := i/64%3 == 1
 		row := types.Row{
 			types.NewString(keyedAs[rng.Intn(len(keyedAs))]),
 			types.NewInt(int64(rng.Intn(12))),
@@ -227,7 +232,7 @@ func keyedTable(rng *rand.Rand, n int) *colstore.Table {
 			types.NewFloat(keyedFs[rng.Intn(len(keyedFs))]),
 		}
 		for c := 1; c < len(row); c++ {
-			if c != 3 && rng.Intn(15) == 0 {
+			if c != 3 && !nullFree && rng.Intn(15) == 0 {
 				row[c] = types.Null
 			}
 		}
@@ -442,11 +447,65 @@ func testTriKernelKeyedParity(t *testing.T) {
 	}
 }
 
+// TestTriKernelColumnSides pins the column-against-slot loops: an int, a
+// float and a special-valued float column on either side of each
+// operator against a scalar slot (plain, or scaled by a special
+// constant), with and without NOT, under every range regime, over
+// segments with and without NULLs — whole segments (EvalInto) and
+// gathered rows (EvalRows) against evalTri.
+func TestTriKernelColumnSides(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ct := keyedTable(rng, 260) // an open tail past four full segments
+	nullFree := 0
+	for _, seg := range ct.Segs {
+		if !seg.Cols[1].HasNulls() && !seg.Cols[2].HasNulls() && !seg.Cols[4].HasNulls() {
+			nullFree++
+		}
+	}
+	if nullFree == 0 || nullFree == len(ct.Segs) {
+		t.Fatalf("%d of %d segments NULL-free; both kinds must occur", nullFree, len(ct.Segs))
+	}
+	p0 := &expr.ScalarParam{Idx: 0}
+	sides := []expr.Expr{p0}
+	for _, c := range []types.Value{types.NewFloat(math.NaN()), types.Null, types.NewFloat(math.Inf(1)),
+		types.NewFloat(math.Copysign(0, -1)), types.NewInt(2)} {
+		sides = append(sides, &expr.Binary{Op: sqlparser.OpMul, L: &expr.Const{V: c}, R: p0})
+	}
+	ops := []sqlparser.BinaryOp{sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt,
+		sqlparser.OpGe, sqlparser.OpEq, sqlparser.OpNe}
+	for _, col := range []*expr.Col{kB, kX, kF} {
+		for _, side := range sides {
+			for _, op := range ops {
+				for _, colLeft := range []bool{true, false} {
+					e := kCmp(op, side, col)
+					if colLeft {
+						e = kCmp(op, col, side)
+					}
+					for _, not := range []bool{false, true} {
+						if not {
+							e = &expr.Not{X: e}
+						}
+						k := expr.CompileTriKernel(e, ct)
+						if k == nil {
+							t.Fatalf("%s: kernel should compile", e)
+						}
+						for _, r := range triParityRanges {
+							te := (&keyedBinding{}).env([]paramRange{r.pr})
+							checkTriParity(t, fmt.Sprintf("%s/%s", e, r.name), e, k, ct, te, rng)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // fuzzTriTree draws a predicate over keyedSchema: Kleene combinations
-// of comparisons whose sides are columns, constants, scalar params,
-// keyed group params (scaled, or plus their key column) and two-column
-// param sides (which refuse), set memberships, param-free comparisons
-// and bare params.
+// of comparisons whose sides are columns (the float column f holding
+// NaN, ±Inf and ±0), constants, scalar params (scaled, also by NaN,
+// NULL, +Inf and −0), keyed group params (scaled, or plus their key
+// column) and two-column param sides (which refuse), set memberships,
+// param-free comparisons and bare params.
 func fuzzTriTree(pick func(int) int, depth int) expr.Expr {
 	if depth > 0 && pick(3) != 0 {
 		l := fuzzTriTree(pick, depth-1)
@@ -461,8 +520,12 @@ func fuzzTriTree(pick func(int) int, depth int) expr.Expr {
 	}
 	ops := []sqlparser.BinaryOp{sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt,
 		sqlparser.OpGe, sqlparser.OpEq, sqlparser.OpNe}
+	// Special constants scale a scalar param into a NaN-bounded, NULL or
+	// unbounded slot.
+	specials := []types.Value{types.NewFloat(math.NaN()), types.Null,
+		types.NewFloat(math.Inf(1)), types.NewFloat(math.Copysign(0, -1))}
 	side := func() expr.Expr {
-		switch pick(8) {
+		switch pick(10) {
 		case 0:
 			return kX
 		case 1:
@@ -478,8 +541,13 @@ func fuzzTriTree(pick func(int) int, depth int) expr.Expr {
 			return kAdd(kGroup(k), kKeys[k])
 		case 6:
 			return kAdd(&expr.ScalarParam{Idx: pick(2)}, kKeys[pick(3)])
-		default:
+		case 7:
 			return kAdd(kGroup(pick(3)), kX) // two columns: refuses
+		case 8:
+			return kF // NaN, ±Inf and ±0 values
+		default:
+			return &expr.Binary{Op: sqlparser.OpMul, L: &expr.Const{V: specials[pick(len(specials))]},
+				R: &expr.ScalarParam{Idx: pick(2)}}
 		}
 	}
 	switch pick(4) {

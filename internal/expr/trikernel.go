@@ -52,6 +52,7 @@ package expr
 
 import (
 	"math"
+	"math/bits"
 
 	"fluodb/internal/colstore"
 	"fluodb/internal/sqlparser"
@@ -420,8 +421,18 @@ func (k *TriKernel) compileTriCmp(b *Binary, ct *colstore.Table, neg bool) triNo
 	if !ok {
 		return nil
 	}
-	return &triCmp{op: b.Op, l: l, r: r, st: k.st, null: nullTri(neg)}
+	null := nullTri(neg)
+	switch {
+	case numColSide(l.kind) && rowFreeSide(r.kind):
+		return &triColCmp{op: b.Op, col: l.col, float: l.kind == sideFltCol, side: r, st: k.st, null: null}
+	case rowFreeSide(l.kind) && numColSide(r.kind):
+		return &triColCmp{op: FlipOp(b.Op), col: r.col, float: r.kind == sideFltCol, side: l, st: k.st, null: null}
+	}
+	return &triCmp{op: b.Op, l: l, r: r, st: k.st, null: null}
 }
+
+func numColSide(kind uint8) bool  { return kind == sideIntCol || kind == sideFltCol }
+func rowFreeSide(kind uint8) bool { return kind == sideConst || kind == sideSlot }
 
 // makeSide lowers one comparison operand. Param-free operands must be
 // plain constants or clean columns (the row path evaluates them
@@ -552,6 +563,168 @@ func (n *triCmp) at(seg *colstore.Segment, i int) uint8 {
 	return TriNull
 }
 
+// triColCmp is triCmp for a clean int or float column against a
+// row-free side (a slot or a constant), with the column moved to the
+// left: FlipOp maps each interval test onto its mirror (slot > col
+// decides as col < slot), so the bytes are the same. The side's range
+// is read once per call. Under a RangeOK side one loop per operator
+// runs over the column's bank (a gather first copies the rows' values
+// out of it), deciding each value v by at's own comparisons against
+// [lo, hi], so a NaN value or bound decides exactly what at decides. A
+// NULL side fills the run with the polarity's byte and an unknown side
+// with TriNull; then every NULL row, read from the segment's NULL
+// words, takes the polarity's byte, as at checks a NULL side first.
+type triColCmp struct {
+	op    sqlparser.BinaryOp
+	col   int
+	float bool
+	side  cmpSide
+	st    *triState
+	null  uint8
+}
+
+func (n *triColCmp) eval(out []uint8, seg *colstore.Segment, lo, hi int) {
+	c := &seg.Cols[n.col]
+	out = out[lo:hi]
+	rlo, rhi, status := n.side.rangeAt(seg, 0, n.st)
+	switch {
+	case status == RangeNull:
+		fillTri(out, n.null)
+		return
+	case status != RangeOK:
+		fillTri(out, TriNull)
+	case n.float:
+		cmpRun(n.op, out, c.Floats[lo:hi], rlo, rhi)
+	default:
+		cmpRun(n.op, out, c.Ints[lo:hi], rlo, rhi)
+	}
+	nw := c.NullWords()
+	if nw == nil {
+		return
+	}
+	for w := lo >> 6; w <= (hi-1)>>6; w++ {
+		for m := nw[w]; m != 0; m &= m - 1 {
+			if i := w<<6 | bits.TrailingZeros64(m); i >= lo && i < hi {
+				out[i-lo] = n.null
+			}
+		}
+	}
+}
+
+func (n *triColCmp) gather(out []uint8, seg *colstore.Segment, rows []int32) {
+	c := &seg.Cols[n.col]
+	rlo, rhi, status := n.side.rangeAt(seg, 0, n.st)
+	switch {
+	case status == RangeNull:
+		fillTri(out, n.null)
+		return
+	case status != RangeOK:
+		fillTri(out, TriNull)
+	default:
+		// The rows' values, copied a chunk at a time into a stack buffer.
+		var buf [256]float64
+		for j := 0; j < len(rows); j += len(buf) {
+			chunk := rows[j:min(j+len(buf), len(rows))]
+			vs := buf[:len(chunk)]
+			if n.float {
+				for k, i := range chunk {
+					vs[k] = c.Floats[i]
+				}
+			} else {
+				for k, i := range chunk {
+					vs[k] = float64(c.Ints[i])
+				}
+			}
+			cmpRun(n.op, out[j:j+len(chunk)], vs, rlo, rhi)
+		}
+	}
+	if nw := c.NullWords(); nw != nil {
+		for j, i := range rows {
+			if nw[i>>6]>>(uint(i)&63)&1 != 0 {
+				out[j] = n.null
+			}
+		}
+	}
+}
+
+func fillTri(out []uint8, t uint8) {
+	for i := range out {
+		out[i] = t
+	}
+}
+
+// cmpRun decides out[i] for the point vs[i] against the range [lo, hi]
+// under op, with triCmp.at's tests and precedence (the first outcome at
+// tests wins, so it is assigned last). NULL rows hold 0 in the bank and
+// are overwritten by the caller.
+func cmpRun[T int64 | float64](op sqlparser.BinaryOp, out []uint8, vs []T, lo, hi float64) {
+	out = out[:len(vs)]
+	switch op {
+	case sqlparser.OpGt:
+		for i, x := range vs {
+			v, b := float64(x), int(TriNull)
+			if v <= lo {
+				b = int(TriFalse)
+			}
+			if v > hi {
+				b = int(TriTrue)
+			}
+			out[i] = uint8(b)
+		}
+	case sqlparser.OpGe:
+		for i, x := range vs {
+			v, b := float64(x), int(TriNull)
+			if v < lo {
+				b = int(TriFalse)
+			}
+			if v >= hi {
+				b = int(TriTrue)
+			}
+			out[i] = uint8(b)
+		}
+	case sqlparser.OpLt:
+		for i, x := range vs {
+			v, b := float64(x), int(TriNull)
+			if v >= hi {
+				b = int(TriFalse)
+			}
+			if v < lo {
+				b = int(TriTrue)
+			}
+			out[i] = uint8(b)
+		}
+	case sqlparser.OpLe:
+		for i, x := range vs {
+			v, b := float64(x), int(TriNull)
+			if v > hi {
+				b = int(TriFalse)
+			}
+			if v <= lo {
+				b = int(TriTrue)
+			}
+			out[i] = uint8(b)
+		}
+	case sqlparser.OpEq, sqlparser.OpNe:
+		// Apart: no value of the range equals v. Equal: both are the
+		// one point (v == lo fails for a NaN v).
+		apart, equal := int(TriFalse), int(TriTrue)
+		if op == sqlparser.OpNe {
+			apart, equal = int(TriTrue), int(TriFalse)
+		}
+		point := lo == hi
+		for i, x := range vs {
+			v, b := float64(x), int(TriNull)
+			if point && v == lo {
+				b = equal
+			}
+			if v > hi || lo > v {
+				b = apart
+			}
+			out[i] = uint8(b)
+		}
+	}
+}
+
 // triKeyed is a keyed predicate: each row's tri is its key's.
 type triKeyed struct {
 	slot int
@@ -603,15 +776,11 @@ func (n *triCollapse) gather(out []uint8, seg *colstore.Segment, rows []int32) {
 type triConst struct{ tri uint8 }
 
 func (n triConst) eval(out []uint8, _ *colstore.Segment, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = n.tri
-	}
+	fillTri(out[lo:hi], n.tri)
 }
 
 func (n triConst) gather(out []uint8, _ *colstore.Segment, _ []int32) {
-	for j := range out {
-		out[j] = n.tri
-	}
+	fillTri(out, n.tri)
 }
 
 type triNot struct{ x triNode }

@@ -172,8 +172,9 @@ func opTable(op sqlparser.BinaryOp) ([3]uint8, bool) {
 	}
 }
 
-// flipOp reverses a comparison so `const op col` becomes `col op' const`.
-func flipOp(op sqlparser.BinaryOp) sqlparser.BinaryOp {
+// FlipOp reverses a comparison so `const op col` becomes `col op' const`:
+// b FlipOp(op) a holds exactly when a op b does.
+func FlipOp(op sqlparser.BinaryOp) sqlparser.BinaryOp {
 	switch op {
 	case sqlparser.OpLt:
 		return sqlparser.OpGt
@@ -254,7 +255,7 @@ func compileCmp(b *Binary, ct *colstore.Table) vecNode {
 		lIsCol, rIsCol = true, false
 		rk = lk
 		rIsConst = true
-		b = &Binary{Op: flipOp(b.Op), L: lc, R: rk}
+		b = &Binary{Op: FlipOp(b.Op), L: lc, R: rk}
 	}
 	tt, _ := opTable(b.Op)
 	if lIsCol && rIsConst {

@@ -28,7 +28,11 @@
 #                   rebuild (point pass by kernel included), and
 #                   TestBindingUpdateAllocs (legs set-having and
 #                   correlated) a warm republication of a membership or
-#                   correlated binding, by group id, to 0 allocs
+#                   correlated binding, by group id, to 0 allocs;
+#                   TestSnapshotAllocs holds a snapshot to a fixed
+#                   handful on the Q18 membership shape and on SBI's
+#                   global AVG (the trial sweep's column-vs-scalar
+#                   compare by ordinal), nothing per cached row
 #   bench smoke     one iteration (-benchtime 1x) of the internal/core
 #                   BenchmarkSnapshot*, BenchmarkReclassify*,
 #                   BenchmarkUpdateBinding*, BenchmarkFoldColumnar* and

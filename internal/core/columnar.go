@@ -23,9 +23,11 @@ import (
 // the typed banks (an arithmetic argument's computed by a numeric
 // kernel per segment range); group keys resolve through a word-code memo that
 // touches the canonical (hash + KeyEqual) path once per distinct key
-// per sweep, and dimension fan-out resolves through a persistent join
-// memo keyed by the same word codes (dimension tables are read once and
-// never change mid-query, so the (key → joined rows) expansion is a
+// for as long as the group table it resolves into lives — once per
+// query on a runner's table, once per batch on a worker stage's
+// recycled one — and dimension fan-out resolves through a persistent
+// join memo keyed by the same word codes (dimension tables are read once
+// and never change mid-query, so the (key → joined rows) expansion is a
 // pure function of the key words).
 //
 // The path is strictly an execution strategy, never a semantics change:
@@ -419,14 +421,21 @@ type colScratch struct {
 	// Word codes are equal for identical stored values but may differ for
 	// values that merely compare equal (-0.0 vs 0.0), so a memo miss
 	// resolves through the canonical entryCurrent path — the memo is pure
-	// memoization, never identity. Reset per sweep: entries may be
-	// recycled by stage tables between batches, so cached pointers never
-	// outlive the colFeed call that resolved them.
+	// memoization, never identity. It lives as long as the table it
+	// resolves into: memoTab at generation memoGen (bindMemo). A runner
+	// keeps it across sweeps and batches until replay replaces its table
+	// (memoTab holds the old one, so the new one cannot reuse its
+	// address); a worker stage restarts it every batch, when its table
+	// is recycled; either restarts it when the encoding its word codes
+	// index changes (ensureKernels), and the budget ladder's rung 1
+	// releases it (dropMemo).
 	memo        colstore.WordMemo
 	memoEntries []*onlineEntry
 	memoOff     []int32
 	memoCnt     []int32
 	entArena    []*onlineEntry
+	memoTab     *onlineTable
+	memoGen     uint64
 	// Join memo: word codes → retained joined rows (jRows[jOff:jOff+jCnt])
 	// for dims blocks. Dimension hash tables are built once per query and
 	// never change, so the expansion of a fact key combination is stable:
@@ -439,8 +448,9 @@ type colScratch struct {
 	jOff  []int32
 	jCnt  []int32
 	jRows []types.Row
-	sole  *onlineEntry // cached sole entry of scalar blocks
-	// sweeps counts columnar segment sweeps, reclassified the cached rows
+	sole  *onlineEntry // the scalar block's one entry, under the group memo's lifetime
+	// sweeps counts columnar segment sweeps, memoMisses the group memo's
+	// misses (each a canonical resolution), reclassified the cached rows
 	// the tri-state kernel re-examined under a classification
 	// environment, pointed the cached rows it re-examined under the
 	// snapshot's point environment (the point pass), encKeys the cached
@@ -448,6 +458,7 @@ type colScratch struct {
 	// (observability for tests and the alloc gates: proves the fast paths
 	// actually engaged).
 	sweeps       int64
+	memoMisses   int64
 	reclassified int64
 	pointed      int64
 	encKeys      int64
@@ -522,17 +533,11 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, st *stage) bool {
 	if len(cs.args) != len(p.aggCols) {
 		cs.args = make([]*colstore.Col, len(p.aggCols))
 	}
-	// New sweep, new group memo (the join memo persists).
 	if p.hasDims {
-		cs.memo.Reset(len(p.memoCols) + 1)
+		cs.bindMemo(tab, len(p.memoCols)+1)
 	} else {
-		cs.memo.Reset(len(p.gbCols) + 1)
+		cs.bindMemo(tab, len(p.gbCols)+1)
 	}
-	cs.memoEntries = cs.memoEntries[:0]
-	cs.memoOff, cs.memoCnt = cs.memoOff[:0], cs.memoCnt[:0]
-	clear(cs.entArena)
-	cs.entArena = cs.entArena[:0]
-	cs.sole = nil
 	tab.initKeyScratch(r.b)
 	if useTri {
 		// The batch's bindings: a new classification epoch.
@@ -602,12 +607,42 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, st *stage) bool {
 	return true
 }
 
+// bindMemo keeps the group memo while it resolves into tab at tab's
+// current generation, and otherwise restarts it empty with key width
+// width, bound to tab: a replaced table (replay's reset) or a recycled
+// one (a worker stage between batches) holds none of the entries the
+// memo points at. The capacity survives, so a worker stage's per-batch
+// restart allocates nothing.
+func (cs *colScratch) bindMemo(tab *onlineTable, width int) {
+	if cs.memoTab == tab && cs.memoGen == tab.gen {
+		return
+	}
+	cs.memo.Reset(width)
+	clear(cs.memoEntries)
+	cs.memoEntries = cs.memoEntries[:0]
+	cs.memoOff, cs.memoCnt = cs.memoOff[:0], cs.memoCnt[:0]
+	clear(cs.entArena)
+	cs.entArena = cs.entArena[:0]
+	cs.sole = nil
+	cs.memoTab, cs.memoGen = tab, tab.gen
+}
+
+// dropMemo releases the group memo and its table: the next sweep
+// restarts it (bindMemo).
+func (cs *colScratch) dropMemo() {
+	cs.memo = colstore.WordMemo{}
+	cs.memoEntries, cs.entArena = nil, nil
+	cs.memoOff, cs.memoCnt = nil, nil
+	cs.sole, cs.memoTab = nil, nil
+}
+
 // ensureKernels (re)compiles st's kernels when the encoding they were
 // lowered against changed identity or version: incremental appends grow
 // dictionaries (constants that had no code may have one now; compiled
 // code tables are sized to the old dictionary), and fault recovery
-// swaps the table wholesale. The join memo and the tri-state kernel's
-// key memos key by dictionary codes, so they reset with the kernels.
+// swaps the table wholesale. The join memo, the group memo and the
+// tri-state kernel's key memos key by dictionary codes, so they reset
+// with the kernels.
 func (r *blockRunner) ensureKernels(st *stage, ct *colstore.Table) {
 	cs := &st.cs
 	if cs.kernelCT == ct && cs.kernelVer == ct.Version() {
@@ -630,6 +665,7 @@ func (r *blockRunner) ensureKernels(st *stage, ct *colstore.Table) {
 	cs.jOff, cs.jCnt = cs.jOff[:0], cs.jCnt[:0]
 	clear(cs.jRows)
 	cs.jRows = cs.jRows[:0]
+	cs.memoTab = nil // the group memo restarts at bindMemo
 	cs.kernelCT, cs.kernelVer = ct, ct.Version()
 }
 
@@ -718,6 +754,7 @@ func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Ta
 	p := r.colPl
 	if len(p.gbCols) == 0 {
 		if cs.sole == nil {
+			cs.memoMisses++
 			cs.sole = tab.entryCurrent(r.b)
 		}
 		return cs.sole
@@ -726,11 +763,12 @@ func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Ta
 	if e := cs.memo.Find(words, h); e >= 0 {
 		return cs.memoEntries[e]
 	}
-	// Miss: materialize the key row from the aliased source tuple (the
-	// exact Values the row path would have used) and resolve canonically.
-	row := seg.Rows[i]
+	// Miss: build the key row from the encoding, which round-trips every
+	// value (the exact Values the row path would have used), and resolve
+	// canonically.
+	cs.memoMisses++
 	for k, c := range p.gbCols {
-		tab.keyRow[k] = row[c]
+		tab.keyRow[k] = ct.Value(seg, c, i)
 	}
 	en := tab.entryCurrent(r.b)
 	cs.memo.Add(words, h)
@@ -742,9 +780,10 @@ func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Ta
 // dims block: one entry per joined row, in join order — exactly the
 // entries (and, on first occurrence, the creation order) the row path
 // would produce by folding each joined row. The group memo caches the
-// entry list per distinct memo-key word combination for the current
-// sweep; the underlying join fan-out comes from the persistent join
-// memo (joinRows).
+// entry list per distinct memo-key word combination for the table's
+// lifetime (bindMemo); the underlying join fan-out comes from the
+// persistent join memo (joinRows). A miss still reads the materialised
+// row, seg.Rows[i], but only for joiner.Join's probe on a join-memo miss.
 func (r *blockRunner) colEntries(st *stage, ct *colstore.Table, seg *colstore.Segment, i int) []*onlineEntry {
 	p, tab, cs := r.colPl, st.tab, &st.cs
 	words, h := stageKey(&cs.memo, ct, seg, p.memoCols, i)
@@ -754,6 +793,7 @@ func (r *blockRunner) colEntries(st *stage, ct *colstore.Table, seg *colstore.Se
 	}
 	// Miss: expand the join (memoized across sweeps) and resolve each
 	// joined row's entry canonically, in join order.
+	cs.memoMisses++
 	jlo, jcnt := cs.joinRows(st.joiner, words, h, seg.Rows[i])
 	elo := int32(len(cs.entArena))
 	for _, jrow := range cs.jRows[jlo : jlo+jcnt] {

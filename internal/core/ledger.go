@@ -201,16 +201,19 @@ func (e *Engine) setDegradeRung(rung int) {
 }
 
 // dropSegmentCache is rung 1: disable every block's columnar plan (the
-// row loop is bit-identical by the PR 6 equivalence gates) and release
-// the storage-level segment cache. The plan's bank-stream aliases stay
-// installed on the live tables — the row path writes every cell, so
-// aliased reads remain consistent.
+// row loop is bit-identical by the PR 6 equivalence gates), release
+// the storage-level segment cache and each runner's group memo, which
+// only a columnar sweep reads and which holds every key the query has
+// seen (a worker stage's holds one batch's). The plan's bank-stream aliases stay installed
+// on the live tables — the row path writes every cell, so aliased reads
+// remain consistent.
 func (e *Engine) dropSegmentCache() {
 	for _, r := range e.runners {
 		if r.colPl != nil && r.colPl.ok {
 			r.colPl.ok = false
 			r.colPl.ct = nil
 		}
+		r.cs.dropMemo()
 		if t, ok := e.cat.Get(r.b.Input.Fact); ok {
 			t.DropColumnar()
 		}

@@ -72,6 +72,10 @@ type onlineTable struct {
 	// (worker-private, merged into a runner table after every batch)
 	// recycle theirs across batches (recycle).
 	free []*onlineEntry
+	// gen counts recycles: an entry pointer resolved from this table is
+	// valid while gen is unchanged (the columnar group memo keys its
+	// lifetime on it, colScratch.bindMemo).
+	gen uint64
 
 	trials   int
 	cltKinds []cltKind // per-aggregate CLT class (shared with the runner)
@@ -519,8 +523,10 @@ func (t *onlineTable) merge(o *onlineTable) {
 // by the merge target return to the free list (banked tables only —
 // generic agg.States have no reset), probe slots clear, the entry list
 // truncates. The backing arrays all survive, so a steady-state batch
-// creates no per-group garbage.
+// creates no per-group garbage. Every entry pointer handed out before
+// is stale afterwards, which the new generation records.
 func (t *onlineTable) recycle() {
+	t.gen++
 	if t.mom != nil {
 		t.mom.resetStage()
 	}

@@ -7,6 +7,7 @@
 # smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzReplicaRange, FuzzResume,
 # FuzzColumnarEncode)
 # + the benchmark/ module's vet and tests + a small-scale flbench smoke run
+# (with one 36-schedule rotation of the chaos soak)
 # + the audit gate: the regenerated audit must equal BENCH_accuracy.json
 # byte for byte (a change that moves the estimator stream on purpose
 # commits the file `make audit` regenerates).
@@ -42,7 +43,8 @@ audit:
 # (worker panics, stragglers, stage corruption, segment-cache drops)
 # against the chaos-hardened runtime; every run must be bit-identical to its
 # fault-free reference, every checkpoint round-trip byte-identical, and
-# no goroutine may leak. Scale with ARGS="-schedules 5000".
+# no goroutine may leak. Scale with ARGS="-schedules 5000". `make check`
+# runs one rotation of it (36 schedules).
 chaos:
 	go run ./cmd/flbench -experiment chaos $(ARGS)
 

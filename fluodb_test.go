@@ -3,6 +3,8 @@ package fluodb_test
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -474,5 +476,23 @@ func TestApproxCountDistinctEndToEnd(t *testing.T) {
 	gotOnline, _ := final.Rows[0][0].Value.AsFloat()
 	if math.Abs(gotOnline-want)/want > 0.07 {
 		t.Errorf("online approx = %v, exact = %v", gotOnline, want)
+	}
+}
+
+// TestOnlineOptionsSurface pins the public option set to the controls a
+// user sets. Test seams (the fault injector, the row-path reference and
+// the pool part size) live on core.Seams, which this package cannot name.
+func TestOnlineOptionsSurface(t *testing.T) {
+	want := []string{"Batches", "Trials", "Confidence", "EpsilonSigma",
+		"MinGroupSupport", "BootstrapSampleCap", "FullTables", "Parallelism",
+		"Seed", "Profile", "MaxMemoryBytes"}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(fluodb.OnlineOptions{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("OnlineOptions exports %v, want %v", got, want)
 	}
 }

@@ -86,6 +86,10 @@ type ChaosResult struct {
 	ElapsedMS            float64          `json:"elapsed_ms"`
 }
 
+// chaosPartRows is the soak's pool part size: 64-row parts put all four
+// workers on every 1024-row mini-batch.
+const chaosPartRows = 64
+
 // chaosEnv is the fixed workload the soak runs every schedule against.
 type chaosEnv struct {
 	cat  *storage.Catalog
@@ -125,8 +129,7 @@ func chaosBase(cfg Config) (*chaosEnv, error) {
 	env := &chaosEnv{
 		cat: chaosCatalog(rows, cfg.EngineSeed()),
 		opt: core.Options{
-			Batches: 4, Trials: 16, Seed: cfg.EngineSeed(),
-			Parallelism: 4, ParallelThreshold: 64,
+			Batches: 4, Trials: 16, Seed: cfg.EngineSeed(), Parallelism: 4,
 		},
 	}
 	// References run fault-free on the legacy row-at-a-time fold path;
@@ -134,8 +137,7 @@ func chaosBase(cfg Config) (*chaosEnv, error) {
 	// check in the soak is therefore also a cross-path equivalence check:
 	// the vectorized classify/fold pipeline must agree with the row loop
 	// exactly, under every fault mix.
-	refOpt := env.opt
-	refOpt.RowPath = true
+	refOpt := core.WithSeams(env.opt, core.Seams{PartRows: chaosPartRows, RowPath: true})
 	for _, sql := range chaosQueries {
 		q, err := plan.Compile(sql, env.cat)
 		if err != nil {
@@ -192,8 +194,7 @@ func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
 	ccfg := mix.cfg
 	ccfg.Seed = uint64(i)*0x9E3779B97F4A7C15 + 1
 	inj := chaos.New(ccfg)
-	opt := env.opt
-	opt.Chaos = inj
+	opt := core.WithSeams(env.opt, core.Seams{PartRows: chaosPartRows, Chaos: inj})
 	// The mixed profile also records span timelines: every engine the
 	// schedule builds adds its own to timelines.
 	opt.Profile = mix.name == "mixed"

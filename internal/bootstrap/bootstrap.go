@@ -60,12 +60,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Fork derives an independent generator (for per-trial or per-worker
-// streams) without sharing state.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xD1B54A32D192ED03)
-}
-
 // poisson1Thresholds holds cumulative P(X<=k) for X ~ Poisson(1), scaled
 // to 64-bit fixed point, so a multiplicity costs one RNG draw plus a tiny
 // scan. P(X<=7) > 1 - 1e-7; the tail falls through to k=8.
@@ -87,11 +81,6 @@ var poisson1Thresholds = func() [8]uint64 {
 	}
 	return out
 }()
-
-// Poisson1 draws a Poisson(1)-distributed multiplicity.
-func (r *RNG) Poisson1() int {
-	return poissonFromBits(r.Uint64())
-}
 
 // poisson1Lut maps the top 8 bits of a draw to its multiplicity when
 // every draw in that bucket resolves to the same k (all but the ~8
@@ -248,24 +237,11 @@ func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
 // Contains reports whether x lies in [Lo, Hi].
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
-// PercentileCI computes a percentile-method bootstrap confidence interval
-// at the given confidence level (e.g. 0.95) from replica estimates. The
-// input slice is not modified. For empty input it returns a degenerate
-// zero interval.
-func PercentileCI(replicas []float64, confidence float64) Interval {
-	if len(replicas) == 0 {
-		return Interval{}
-	}
-	if confidence <= 0 || confidence >= 1 {
-		confidence = 0.95
-	}
-	s := append([]float64(nil), replicas...)
-	return PercentileCIInPlace(s, confidence)
-}
-
-// PercentileCIInPlace is PercentileCI without the defensive copy: it
-// reorders the caller's slice in place. For reusable scratch buffers on
-// per-snapshot hot paths.
+// PercentileCIInPlace computes a percentile-method bootstrap confidence
+// interval at the given confidence level (e.g. 0.95; outside (0, 1) it
+// falls back to 0.95) from replica estimates. It reorders the caller's
+// slice in place, so hot paths pass reusable scratch. For empty input
+// it returns a degenerate zero interval.
 //
 // The interval only needs four order statistics (the two quantile
 // positions and their interpolation neighbors), so instead of fully
@@ -483,11 +459,6 @@ func VariationRange(point float64, replicas []float64, eps float64) Range {
 
 // Contains reports whether x lies in the range.
 func (r Range) Contains(x float64) bool { return x >= r.Lo && x <= r.Hi }
-
-// Overlaps reports whether two ranges intersect (the uncertain-set test:
-// tuples whose operand ranges overlap may flip their predicate decision
-// in a later batch).
-func (r Range) Overlaps(o Range) bool { return r.Lo <= o.Hi && o.Lo <= r.Hi }
 
 // Point builds a degenerate range {x} (the variation range of a
 // deterministic value, as the paper defines R(d) = {d}).

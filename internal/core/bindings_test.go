@@ -233,9 +233,9 @@ func TestPublishedDecisionsAreCommitted(t *testing.T) {
 					t.Fatal(err)
 				}
 				q, _ = plan.Compile(sql, cat)
-				eng, err := New(q, cat, Options{Batches: 8, Trials: 20, Seed: 3 * seed,
+				eng, err := New(q, cat, WithSeams(Options{Batches: 8, Trials: 20, Seed: 3 * seed,
 					FullTables: []string{"tb"}, MinGroupSupport: 1,
-					Parallelism: p, ParallelThreshold: 16})
+					Parallelism: p}, Seams{PartRows: 16}))
 				if err != nil {
 					t.Fatal(err)
 				}

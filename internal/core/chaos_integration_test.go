@@ -18,11 +18,8 @@ const chaosSQL = `SELECT a, COUNT(x), SUM(x), AVG(x) FROM facts
 	WHERE x < (SELECT 0.8 * AVG(x) FROM facts) GROUP BY a`
 
 func chaosOptions(inj *chaos.Injector) Options {
-	return Options{
-		Batches: 6, Trials: 32, Seed: 411,
-		Parallelism: 4, ParallelThreshold: 128,
-		Chaos: inj,
-	}
+	return WithSeams(Options{Batches: 6, Trials: 32, Seed: 411, Parallelism: 4},
+		Seams{PartRows: 128, Chaos: inj})
 }
 
 // TestChaosPanicContainment: every injected worker panic is contained
@@ -64,13 +61,12 @@ func TestChaosSegSealDrop(t *testing.T) {
 	cat := columnarCatalog(6*2048, 319)
 	sql := `SELECT a, COUNT(x), SUM(x), AVG(x) FROM facts
 		WHERE x < (SELECT 0.8 * AVG(x) FROM facts) GROUP BY a`
-	o := Options{Batches: 6, Trials: 32, Seed: 411,
-		Parallelism: 2, ParallelThreshold: 128}
+	o := WithSeams(Options{Batches: 6, Trials: 32, Seed: 411, Parallelism: 2},
+		Seams{PartRows: 128})
 	clean := runSnapshots(t, cat, sql, o)
 
 	inj := chaos.New(chaos.Config{Seed: 5, SegSealDropProb: 0.5})
-	of := o
-	of.Chaos = inj
+	of := WithSeams(o, Seams{PartRows: 128, Chaos: inj})
 	of.Profile = true
 	q, err := plan.Compile(sql, cat)
 	if err != nil {
@@ -247,11 +243,11 @@ func TestOptionsValidate(t *testing.T) {
 		{Parallelism: -2},
 		{Batches: -1},
 		{Trials: -5},
-		{ParallelThreshold: -1},
 		{Confidence: 1.5},
 		{Confidence: -0.5},
 		{EpsilonSigma: -1},
 		{MinGroupSupport: -3},
+		WithSeams(Options{}, Seams{PartRows: -1}),
 	}
 	for _, o := range bad {
 		if _, err := New(q, cat, o); err == nil {
@@ -350,11 +346,10 @@ func TestUncertainEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(q, cat, Options{
+	eng, err := New(q, cat, WithSeams(Options{
 		Batches: 6, Trials: 32, Seed: 411,
-		Parallelism: 2, ParallelThreshold: 128,
-		MaxMemoryBytes: 1,
-	})
+		Parallelism: 2, MaxMemoryBytes: 1,
+	}, Seams{PartRows: 128}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func resign(ck []byte) {
 // single format: the checkpoint stores decisions only, and resume
 // replays the prefix like any other shape.
 func TestCheckpointResumeFull(t *testing.T) {
-	o := Options{Batches: 6, Trials: 32, Seed: 419, Parallelism: 2, ParallelThreshold: 128}
+	o := WithSeams(Options{Batches: 6, Trials: 32, Seed: 419, Parallelism: 2}, Seams{PartRows: 128})
 	roundTrip(t, "banked", chaosSQL, o, 3)
 }
 
@@ -113,7 +113,7 @@ func TestCheckpointResumeFull(t *testing.T) {
 // re-derives the state by replaying the prefix.
 func TestCheckpointResumeReplay(t *testing.T) {
 	sql := `SELECT a, MIN(x), MAX(x), SUM(x) FROM facts GROUP BY a`
-	o := Options{Batches: 6, Trials: 32, Seed: 419, Parallelism: 2, ParallelThreshold: 128}
+	o := WithSeams(Options{Batches: 6, Trials: 32, Seed: 419, Parallelism: 2}, Seams{PartRows: 128})
 	roundTrip(t, "min-max", sql, o, 3)
 }
 
@@ -169,10 +169,10 @@ func TestCheckpointResumeKeyed(t *testing.T) {
 // itself runs fault-free; the faults already contained before the
 // checkpoint must leave no trace in the state).
 func TestCheckpointUnderChaos(t *testing.T) {
-	o := Options{
-		Batches: 6, Trials: 32, Seed: 419, Parallelism: 4, ParallelThreshold: 128,
-		Chaos: chaos.New(chaos.Config{Seed: 21, PanicProb: 0.25, CorruptProb: 0.15}),
-	}
+	o := WithSeams(Options{Batches: 6, Trials: 32, Seed: 419, Parallelism: 4}, Seams{
+		PartRows: 128,
+		Chaos:    chaos.New(chaos.Config{Seed: 21, PanicProb: 0.25, CorruptProb: 0.15}),
+	})
 	roundTrip(t, "chaos", chaosSQL, o, 3)
 }
 
@@ -335,8 +335,7 @@ func TestCheckpointRejections(t *testing.T) {
 	// Parallelism is execution strategy, not state: it may differ.
 	oP := o
 	oP.Parallelism = 4
-	oP.ParallelThreshold = 128
-	res, err := Resume(q, cat, oP, ck)
+	res, err := Resume(q, cat, WithSeams(oP, Seams{PartRows: 128}), ck)
 	if err != nil {
 		t.Fatalf("parallelism change rejected: %v", err)
 	}
@@ -356,7 +355,7 @@ func TestCheckpointCrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := Options{Batches: 6, Trials: 32, Seed: 11, Parallelism: 1}
-	pooled := Options{Batches: 6, Trials: 32, Seed: 11, Parallelism: 4, ParallelThreshold: 128}
+	pooled := WithSeams(Options{Batches: 6, Trials: 32, Seed: 11, Parallelism: 4}, Seams{PartRows: 128})
 
 	engS, err := New(q, cat, serial)
 	if err != nil {

@@ -39,7 +39,7 @@ import (
 // bit-identical (pinned by TestColumnarBitIdentical across seeds and
 // parallelism). Anything outside the shape falls back per batch (or per
 // block, with the disqualifying reason recorded on the plan) to the row
-// path; Options.RowPath forces the fallback globally.
+// path; Seams.RowPath forces the fallback globally.
 
 // colPlan is a block's columnar eligibility decision plus the resolved
 // column layout, built once on the controller and shared read-only by
@@ -170,7 +170,7 @@ func (r *blockRunner) buildColPlan() *colPlan {
 	e := r.eng
 	b := r.b
 	switch {
-	case e.opt.RowPath:
+	case e.opt.seams.RowPath:
 		p.reason = "forced"
 		return p
 	case len(b.Aggs) == 0:

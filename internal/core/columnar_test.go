@@ -16,7 +16,7 @@ import (
 // The columnar path (columnar.go) is pinned to be bit-identical to the
 // row path: same snapshots, same CIs, same group order, across seeds and
 // parallelism, with NULLs, dictionary strings, compilable WHERE clauses
-// and nested-subquery (uncertain) predicates in play. Options.RowPath
+// and nested-subquery (uncertain) predicates in play. Seams.RowPath
 // provides the reference run.
 
 // columnarCatalog builds a fact table exercising every columnar feature:
@@ -149,13 +149,11 @@ var columnarQueries = []struct {
 }
 
 func columnarOptions(seed uint64, parallelism int, rowPath bool) Options {
-	return Options{
+	return WithSeams(Options{
 		Batches: 3, Trials: 40, Seed: seed,
 		BootstrapSampleCap: -1,
 		Parallelism:        parallelism,
-		ParallelThreshold:  512,
-		RowPath:            rowPath,
-	}
+	}, Seams{PartRows: 512, RowPath: rowPath})
 }
 
 // columnarTrialTails are trial counts off the fused kernel's four-trial
@@ -305,7 +303,7 @@ func TestColumnarPlanEligibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := Options{Batches: 2, Trials: 10, Seed: 3, Parallelism: 1, RowPath: rowPath}
+		o := WithSeams(Options{Batches: 2, Trials: 10, Seed: 3, Parallelism: 1}, Seams{RowPath: rowPath})
 		eng, err := New(q, cat, o)
 		if err != nil {
 			t.Fatal(err)

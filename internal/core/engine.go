@@ -18,7 +18,9 @@ import (
 	"fluodb/internal/types"
 )
 
-// Options configure a G-OLA execution.
+// Options configure a G-OLA execution: the controls a user sets. Test
+// seams are not among them; they ride on an unexported field set only
+// through WithSeams.
 type Options struct {
 	// Batches is k, the number of uniform mini-batches (§2.1). The batch
 	// granularity controls how often the user sees a refined result.
@@ -63,18 +65,6 @@ type Options struct {
 	// up to group ordering; full run-to-run determinism requires a fixed
 	// value.
 	Parallelism int
-	// ParallelThreshold is the minimum part size (rows) worth a worker:
-	// mini-batches below 2×threshold fold in place, and the part count
-	// is clamped to rows/threshold. The cached uncertain set is always
-	// reclassified on the controller. ≤0 resolves to the default (2048).
-	// Lower it to engage more workers on small batches; raise it when
-	// per-tuple work is very cheap.
-	ParallelThreshold int
-	// RowPath disables the columnar fold path (columnar.go), forcing the
-	// row-oriented per-tuple loop even for eligible blocks. The two paths
-	// are bit-identical by construction; the bit-identity tests and the
-	// chaos soak's fault-free reference runs set it to compare the two.
-	RowPath bool
 	// Seed makes the run deterministic.
 	Seed uint64
 	// Profile turns on the engine's observability surfaces: a bounded
@@ -101,10 +91,37 @@ type Options struct {
 	// Like Parallelism, the budget is operational: it may differ between
 	// a checkpoint and its resume.
 	MaxMemoryBytes int64
+	// seams holds the test seams; only WithSeams sets them.
+	seams Seams
+}
+
+// partRows is the minimum part size (rows) worth a pool worker:
+// mini-batches below 2·partRows fold in place, and the part count is
+// clamped to rows/partRows. Seams.PartRows overrides it.
+const partRows = 2048
+
+// Seams are the engine's test seams. None of them changes an answer;
+// each lets a test or the chaos soak reach a path the defaults do not.
+type Seams struct {
 	// Chaos, when non-nil, injects deterministic faults (worker panics,
-	// stragglers, worker-stage corruption, segment-cache drops) into the
-	// runtime for robustness testing. Production queries leave it nil.
+	// stragglers, worker-stage corruption, segment-cache drops) at the
+	// runtime's instrumented sites.
 	Chaos *chaos.Injector
+	// RowPath disables the columnar fold path (columnar.go), forcing the
+	// row-oriented per-tuple loop even for eligible blocks. The two paths
+	// are bit-identical by construction; the bit-identity tests and the
+	// chaos soak's fault-free reference runs set it to compare the two.
+	RowPath bool
+	// PartRows overrides partRows, so that small fixtures engage pool
+	// workers. 0 keeps partRows.
+	PartRows int
+}
+
+// WithSeams returns opt with its test seams set to s. It is a function,
+// not a method, so the public alias of Options does not carry it.
+func WithSeams(opt Options, s Seams) Options {
+	opt.seams = s
+	return opt
 }
 
 // Validate rejects nonsensical option values with a typed error.
@@ -133,8 +150,8 @@ func (o Options) Validate() error {
 	if o.Parallelism < 0 {
 		return bad("Parallelism", o.Parallelism)
 	}
-	if o.ParallelThreshold < 0 {
-		return bad("ParallelThreshold", o.ParallelThreshold)
+	if o.seams.PartRows < 0 {
+		return bad("PartRows", o.seams.PartRows)
 	}
 	if o.MaxMemoryBytes < 0 {
 		return bad("MaxMemoryBytes", o.MaxMemoryBytes)
@@ -162,8 +179,8 @@ func (o Options) withDefaults() Options {
 	if o.Parallelism <= 0 {
 		o.Parallelism = defaultParallelism()
 	}
-	if o.ParallelThreshold <= 0 {
-		o.ParallelThreshold = 2048
+	if o.seams.PartRows <= 0 {
+		o.seams.PartRows = partRows
 	}
 	if o.Seed == 0 {
 		o.Seed = 0x60A11DB
@@ -776,7 +793,7 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 		ts := e.tables[r.b.Input.Fact]
 		if bi < len(ts.batches) {
 			if r.colPl != nil && r.colPl.ok && r.colPl.ct != nil &&
-				e.opt.Chaos.SegSealDrop(r.b.Input.Fact, bi) {
+				e.opt.seams.Chaos.SegSealDrop(r.b.Input.Fact, bi) {
 				// Injected fault on the segment-seal seam: release the
 				// sealed segments mid-query. revalidateColPlan re-acquires
 				// the encoding (an incremental re-encode) before the feed,

@@ -67,8 +67,8 @@ func TestNoEvidenceIsNotCertain(t *testing.T) {
 						t.Fatal(err)
 					}
 					q2, _ := plan.Compile(sql, cat)
-					eng, err := New(q2, cat, Options{Batches: 4, Trials: 20, Seed: 3,
-						RowPath: rowPath, Parallelism: par, ParallelThreshold: 8})
+					eng, err := New(q2, cat, WithSeams(Options{Batches: 4, Trials: 20, Seed: 3,
+						Parallelism: par}, Seams{RowPath: rowPath, PartRows: 8}))
 					if err != nil {
 						t.Fatal(err)
 					}

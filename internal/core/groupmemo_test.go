@@ -64,8 +64,8 @@ const (
 )
 
 func memoOptions(p int, rowPath bool) Options {
-	return Options{Batches: memoBatches, Trials: 16, Seed: 5, BootstrapSampleCap: -1,
-		Parallelism: p, ParallelThreshold: 128, RowPath: rowPath}
+	return WithSeams(Options{Batches: memoBatches, Trials: 16, Seed: 5, BootstrapSampleCap: -1,
+		Parallelism: p}, Seams{PartRows: 128, RowPath: rowPath})
 }
 
 // newMemoEngine compiles sql over cat into an engine closed at cleanup.
@@ -175,8 +175,7 @@ func TestGroupMemoInvalidation(t *testing.T) {
 		ref := runSnapshots(t, cat, groupSQL, memoOptions(1, true))
 		cat = memoCatalog(n) // the drops below release this catalog's encoding
 		inj := chaos.New(chaos.Config{Seed: 3, SegSealDropProb: 0.5})
-		o := memoOptions(1, false)
-		o.Chaos = inj
+		o := WithSeams(memoOptions(1, false), Seams{PartRows: 128, Chaos: inj})
 		eng := newMemoEngine(t, cat, groupSQL, o)
 		r := eng.runners[0]
 		var got []*Snapshot

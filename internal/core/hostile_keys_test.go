@@ -66,8 +66,8 @@ func TestHostileKeyParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			q, _ = plan.Compile(tc.sql, cat)
-			eng, err := New(q, cat, Options{Batches: 6, Trials: 24, Seed: 31,
-				Parallelism: p, ParallelThreshold: 16})
+			eng, err := New(q, cat, WithSeams(Options{Batches: 6, Trials: 24, Seed: 31,
+				Parallelism: p}, Seams{PartRows: 16}))
 			if err != nil {
 				t.Fatal(err)
 			}

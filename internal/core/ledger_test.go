@@ -150,7 +150,7 @@ func TestLedgerSegCacheOncePerTable(t *testing.T) {
 // Parallelism 2; the worker stages' uncertain buffers, emptied at every
 // merge with their capacity kept, are charged as scratch.
 func TestLedgerWorkerStagesNotInUncertainPool(t *testing.T) {
-	o := Options{Batches: 6, Trials: 32, Seed: 411, Parallelism: 2, ParallelThreshold: 128}
+	o := WithSeams(Options{Batches: 6, Trials: 32, Seed: 411, Parallelism: 2}, Seams{PartRows: 128})
 	cat := determinismCatalog(6*2048, 331)
 	q, err := plan.Compile(chaosSQL, cat)
 	if err != nil {
@@ -214,10 +214,9 @@ func TestLedgerCollectAllocs(t *testing.T) {
 func TestBudgetDegradeBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{411, 1213} {
 		for _, p := range []int{1, 2, 4, 8} {
-			o := Options{
-				Batches: 5, Trials: 32, Seed: seed,
-				Parallelism: p, ParallelThreshold: 128,
-			}
+			o := WithSeams(Options{
+				Batches: 5, Trials: 32, Seed: seed, Parallelism: p,
+			}, Seams{PartRows: 128})
 			clean, cleanEng := ledgerRun(t, determinismSQL, o, seed, 5*2048)
 			cleanEng.Close()
 
@@ -266,11 +265,10 @@ func TestBudgetDegradeBitIdentical(t *testing.T) {
 // unbudgeted), with the memory peak surviving the round trip.
 func TestBudgetCheckpointResume(t *testing.T) {
 	const seed = 617
-	o := Options{
+	o := WithSeams(Options{
 		Batches: 6, Trials: 32, Seed: seed,
-		Parallelism: 2, ParallelThreshold: 128,
-		MaxMemoryBytes: 1,
-	}
+		Parallelism: 2, MaxMemoryBytes: 1,
+	}, Seams{PartRows: 128})
 	full, fullEng := ledgerRun(t, determinismSQL, o, seed, 6*2048)
 	peak := fullEng.Resources().PeakBytes
 	fullEng.Close()
@@ -326,11 +324,10 @@ func TestBudgetCheckpointResume(t *testing.T) {
 // budget reaches rung 2 with real evictions, which Degraded names. The
 // fixture is fixed-seed, so an unreached eviction path is a failure.
 func TestBudgetEvictionReason(t *testing.T) {
-	o := Options{
+	o := WithSeams(Options{
 		Batches: 6, Trials: 32, Seed: 411,
-		Parallelism: 2, ParallelThreshold: 128,
-		MaxMemoryBytes: 1,
-	}
+		Parallelism: 2, MaxMemoryBytes: 1,
+	}, Seams{PartRows: 128})
 	snaps, eng := ledgerRun(t, chaosSQL, o, 331, 6*2048)
 	defer eng.Close()
 	if eng.Metrics().UncertainEvictions == 0 {
@@ -446,11 +443,10 @@ func TestLedgerGCCPU(t *testing.T) {
 func TestSamplerNoGoroutineLeak(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
 	for i := 0; i < 3; i++ {
-		o := Options{
+		o := WithSeams(Options{
 			Batches: 3, Trials: 16, Seed: uint64(100 + i),
-			Parallelism: 4, ParallelThreshold: 128,
-			MaxMemoryBytes: 1,
-		}
+			Parallelism: 4, MaxMemoryBytes: 1,
+		}, Seams{PartRows: 128})
 		_, eng := ledgerRun(t, determinismSQL, o, uint64(100+i), 3*1024)
 		eng.Close()
 	}

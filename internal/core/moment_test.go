@@ -68,8 +68,8 @@ func TestMomentLanesMatchPoisson(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := New(q, cat, Options{Batches: 2, Trials: trials, Seed: 9,
-				BootstrapSampleCap: -1, Parallelism: 1, RowPath: rowPath})
+			eng, err := New(q, cat, WithSeams(Options{Batches: 2, Trials: trials, Seed: 9,
+				BootstrapSampleCap: -1, Parallelism: 1}, Seams{RowPath: rowPath}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,8 +147,8 @@ const momentSQL = `SELECT a, COUNT(x), SUM(x), AVG(x) FROM mm
 	WHERE x > (SELECT AVG(x) FROM mm) GROUP BY a`
 
 func momentOptions(p int, rowPath bool) Options {
-	return Options{Batches: 8, Trials: 40, Seed: 17, BootstrapSampleCap: -1,
-		Parallelism: p, ParallelThreshold: 128, RowPath: rowPath}
+	return WithSeams(Options{Batches: 8, Trials: 40, Seed: 17, BootstrapSampleCap: -1,
+		Parallelism: p}, Seams{PartRows: 128, RowPath: rowPath})
 }
 
 // TestMomentModeDeterminism: on a fixture whose large groups cross

@@ -785,8 +785,8 @@ func TestSnapshotMatchesOverlayOracle(t *testing.T) {
 				}
 				opt := sh.opt
 				opt.Batches, opt.Trials, opt.Seed = 8, 24, seed
-				opt.Parallelism, opt.ParallelThreshold = par, 64
-				eng, err := New(q, cat, opt)
+				opt.Parallelism = par
+				eng, err := New(q, cat, WithSeams(opt, Seams{PartRows: 64}))
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -848,8 +848,8 @@ func TestUnpublishedKeysMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := New(q, cat, Options{Batches: 8, Trials: 24, Seed: 3, BootstrapSampleCap: -1,
-				Parallelism: par, ParallelThreshold: 64})
+			eng, err := New(q, cat, WithSeams(Options{Batches: 8, Trials: 24, Seed: 3, BootstrapSampleCap: -1,
+				Parallelism: par}, Seams{PartRows: 64}))
 			if err != nil {
 				t.Fatal(err)
 			}

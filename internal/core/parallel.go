@@ -190,7 +190,7 @@ func panicNote(v any) string {
 func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, te *triEnv) error {
 	e := r.eng
 	var pool *workerPool
-	workers := storage.ClampParts(len(rows), e.opt.Parallelism, e.opt.ParallelThreshold)
+	workers := storage.ClampParts(len(rows), e.opt.Parallelism, e.opt.seams.PartRows)
 	if workers > 1 {
 		pool = e.ensurePool()
 	}
@@ -204,7 +204,7 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, te *triEn
 	r.ensureColPlan()
 	r.revalidateColPlan()
 	parts := storage.SliceRanges(len(rows), workers)
-	inj := e.opt.Chaos
+	inj := e.opt.seams.Chaos
 	fold := func(wc *workerCtx, w int) {
 		r.foldOn(wc, rows[parts[w].Lo:parts[w].Hi], baseIdx+parts[w].Lo)
 	}

@@ -154,13 +154,12 @@ func sameCells(a, b []CellEstimate) bool {
 const determinismSQL = `SELECT a, b, COUNT(x), SUM(x), AVG(x) FROM facts GROUP BY a, b`
 
 func determinismOptions(seed uint64) Options {
-	return Options{
+	// Parts small enough that P=8 engages on the 8192-row batches (the
+	// worker clamp caps workers at rows/PartRows).
+	return WithSeams(Options{
 		Batches: 3, Trials: 50, Seed: seed,
 		BootstrapSampleCap: -1, Parallelism: 1,
-		// Threshold low enough that P=8 engages on the 8192-row batches
-		// (the worker clamp caps workers at rows/threshold).
-		ParallelThreshold: 512,
-	}
+	}, Seams{PartRows: 512})
 }
 
 // TestParallelFoldBitIdentical sweeps the pooled runtime across
@@ -224,16 +223,18 @@ func driftCatalog() *storage.Catalog {
 	return cat
 }
 
+// driftPartRows is the drift fixtures' pool part size.
+const driftPartRows = 256
+
 // driftOptions run over driftCatalog with ranges tight enough that the
 // drifting estimates escape them.
 func driftOptions(parallelism int) Options {
-	return Options{
+	return WithSeams(Options{
 		Batches: 8, Trials: 40, Seed: 11,
 		BootstrapSampleCap: -1,
 		EpsilonSigma:       0.25, // tight ranges: the drifting AVG must escape
 		Parallelism:        parallelism,
-		ParallelThreshold:  256,
-	}
+	}, Seams{PartRows: driftPartRows})
 }
 
 // The keyed tri-state shapes over driftCatalog: a per-group correlated
@@ -292,7 +293,7 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 							}
 						}
 						if o.Parallelism > 1 {
-							assertPoolOnlyFeeds(t, eng, o.ParallelThreshold)
+							assertPoolOnlyFeeds(t, eng, driftPartRows)
 						}
 						return snaps, eng.Metrics().Recomputes, eng.Events().Events()
 					}
@@ -312,11 +313,11 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 			}
 			compareSnapshots(t, "recompute P=4", serial, parallel)
 
-			o := opts(4)
-			o.Chaos = chaos.New(chaos.Config{Seed: 5, PanicProb: 0.3})
+			inj := chaos.New(chaos.Config{Seed: 5, PanicProb: 0.3})
+			o := WithSeams(opts(4), Seams{PartRows: driftPartRows, Chaos: inj})
 			o.Profile = true
 			faulty, fRec, events := recomputes(t, o)
-			if o.Chaos.Counts()[chaos.KindPanic] == 0 {
+			if inj.Counts()[chaos.KindPanic] == 0 {
 				t.Fatal("panic chaos fired no panics")
 			}
 			if fRec != sRec {
@@ -345,10 +346,10 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 // outgrew two pool parts still used the worker pool for feed tasks
 // alone: the cache is reclassified on the controller, so under Profile
 // every worker-track span is a "task" under a controller "feed" span.
-func assertPoolOnlyFeeds(t *testing.T, eng *Engine, threshold int) {
+func assertPoolOnlyFeeds(t *testing.T, eng *Engine, partLen int) {
 	t.Helper()
-	if m := slices.Max(eng.Metrics().UncertainPerBatch); m <= 2*threshold {
-		t.Fatalf("uncertain cache peaked at %d rows, want > 2×ParallelThreshold (%d)", m, 2*threshold)
+	if m := slices.Max(eng.Metrics().UncertainPerBatch); m <= 2*partLen {
+		t.Fatalf("uncertain cache peaked at %d rows, want > 2×PartRows (%d)", m, 2*partLen)
 	}
 	sp := eng.Spans()
 	if sp == nil {

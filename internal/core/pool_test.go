@@ -16,10 +16,9 @@ func pooledBatchEnv(tb testing.TB) (*Engine, *blockRunner, *tableStream, *triEnv
 	if err != nil {
 		tb.Fatal(err)
 	}
-	eng, err := New(q, cat, Options{
-		Batches: 3, Trials: 100, Seed: 72,
-		Parallelism: 4, ParallelThreshold: 512,
-	})
+	eng, err := New(q, cat, WithSeams(Options{
+		Batches: 3, Trials: 100, Seed: 72, Parallelism: 4,
+	}, Seams{PartRows: 512}))
 	if err != nil {
 		tb.Fatal(err)
 	}

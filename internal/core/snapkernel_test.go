@@ -270,8 +270,9 @@ func TestSnapshotKernelParity(t *testing.T) {
 					t.Fatalf("root classifier %q, want tri:kernel", root.classifier())
 				}
 				if s.special {
-					o.RowPath = true
-					compareSnapshots(t, fmt.Sprintf("P=%d row path", p), runSnapshots(t, s.cat, s.sql, o), snaps)
+					ro := columnarOptions(7, p, true)
+					ro.Batches = o.Batches
+					compareSnapshots(t, fmt.Sprintf("P=%d row path", p), runSnapshots(t, s.cat, s.sql, ro), snaps)
 				}
 			}
 		})

@@ -40,10 +40,9 @@ func spanEnv(t *testing.T, opt Options) (*otrace.Tracer, *Engine) {
 // query→batch→phase→task timeline whose Chrome export round-trips.
 func TestSpanHierarchyParallelQuery(t *testing.T) {
 	base := testutil.GoroutineBaseline()
-	sp, eng := spanEnv(t, Options{
-		Batches: 8, Trials: 50, Seed: 7,
-		Parallelism: 4, ParallelThreshold: 64,
-	})
+	sp, eng := spanEnv(t, WithSeams(Options{
+		Batches: 8, Trials: 50, Seed: 7, Parallelism: 4,
+	}, Seams{PartRows: 64}))
 	spans := sp.Spans()
 	if err := otrace.ValidateNesting(spans); err != nil {
 		t.Fatalf("nesting: %v", err)
@@ -120,11 +119,9 @@ func TestSpanHierarchyParallelQuery(t *testing.T) {
 // exported instant events carrying the ring's sequence numbers, on a
 // worker's track.
 func TestSpanInstantCorrelation(t *testing.T) {
-	sp, eng := spanEnv(t, Options{
-		Batches: 6, Trials: 20, Seed: 11,
-		Parallelism: 4, ParallelThreshold: 64,
-		Chaos: chaos.New(chaos.Config{Seed: 5, PanicProb: 0.4}),
-	})
+	sp, eng := spanEnv(t, WithSeams(Options{
+		Batches: 6, Trials: 20, Seed: 11, Parallelism: 4,
+	}, Seams{PartRows: 64, Chaos: chaos.New(chaos.Config{Seed: 5, PanicProb: 0.4})}))
 	ins := exportedInstants(t, eng.Events())
 	if len(ins) == 0 {
 		t.Fatal("no instant events exported")

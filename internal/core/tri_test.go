@@ -332,8 +332,8 @@ func TestNotOverNullMatchesBatch(t *testing.T) {
 		for _, rowPath := range []bool{true, false} {
 			for _, p := range []int{1, 2} {
 				name := fmt.Sprintf("%s/rowpath=%v/P=%d", q.name, rowPath, p)
-				opt := Options{Batches: 10, Trials: 20, Seed: 3, Parallelism: p,
-					ParallelThreshold: 16, RowPath: rowPath}
+				opt := WithSeams(Options{Batches: 10, Trials: 20, Seed: 3, Parallelism: p},
+					Seams{PartRows: 16, RowPath: rowPath})
 				final, exact, eng := onlineVsExact(t, cat, q.sql, opt)
 				if !rowPath && eng.runners[len(eng.runners)-1].classifier() != "tri:kernel" {
 					t.Fatalf("%s: root classifier %q, want tri:kernel", name,

@@ -76,8 +76,6 @@ type Server struct {
 	// events holds the most recent query's event ring, which exports
 	// its span timeline for /trace.
 	events atomic.Pointer[core.Tracer]
-
-	log *slog.Logger
 }
 
 // New builds a dashboard server over a catalog. opt configures the
@@ -147,16 +145,7 @@ func New(cat *storage.Catalog, opt core.Options) *Server {
 		"Live heap bytes at the most recent mini-batch boundary.")
 	s.heapGoal = s.reg.Gauge("gola_gc_heap_goal_bytes",
 		"GC heap goal bytes at the most recent mini-batch boundary.")
-	s.log = slog.Default()
 	return s
-}
-
-// SetLogger installs a structured logger for query lifecycle events
-// (start, completion, failure). The default is slog.Default().
-func (s *Server) SetLogger(l *slog.Logger) {
-	if l != nil {
-		s.log = l
-	}
 }
 
 // ActiveQueries reports how many query handlers are currently running —
@@ -308,7 +297,7 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 	if oerr != nil {
 		oracle = nil
 	}
-	s.log.Info("online query started", "sql", sql, "batches", s.opt.Batches)
+	slog.Info("online query started", "sql", sql, "batches", s.opt.Batches)
 	ctx := r.Context()
 	var prevRows, prevEvict int64
 	var prevRecomputes, prevFlips int
@@ -318,11 +307,11 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 			// Client disconnected (or stopped the query): the engine quit
 			// at the mini-batch boundary; the bounded-time answer is snap,
 			// but there is no one left to send it to.
-			s.log.Info("online query interrupted", "sql", sql, "batch", eng.Batch())
+			slog.Info("online query interrupted", "sql", sql, "batch", eng.Batch())
 			return
 		}
 		if err != nil {
-			s.log.Error("online query failed", "sql", sql, "batch", eng.Batch(), "err", err)
+			slog.Error("online query failed", "sql", sql, "batch", eng.Batch(), "err", err)
 			send(SnapshotJSON{Err: err.Error()})
 			return
 		}
@@ -385,7 +374,7 @@ func (s *Server) Query(w http.ResponseWriter, r *http.Request) {
 	// must agree with the exact final state.
 	s.violations.Add(int64(len(eng.AuditInvariants())))
 	m := eng.Metrics()
-	s.log.Info("online query completed", "sql", sql,
+	slog.Info("online query completed", "sql", sql,
 		"batches", m.Batches, "rows", m.RowsProcessed,
 		"recomputes", m.Recomputes, "mem_peak", m.MemPeakBytes,
 		"degrade_rung", m.DegradeRung)

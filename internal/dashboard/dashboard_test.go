@@ -447,11 +447,12 @@ func TestAccuracySeriesAndGolaMetrics(t *testing.T) {
 // goroutines — the contained-panic path cannot strand pool workers.
 func TestClientDisconnectMidChaos(t *testing.T) {
 	cat := workload.ConvivaCatalog(4000, 9)
-	s := New(cat, core.Options{
-		Batches: 8, Trials: 16, Seed: 3,
-		Parallelism: 4, ParallelThreshold: 64,
-		Chaos: chaos.New(chaos.Config{Seed: 77, PanicProb: 0.3, CorruptProb: 0.2}),
-	})
+	s := New(cat, core.WithSeams(core.Options{
+		Batches: 8, Trials: 16, Seed: 3, Parallelism: 4,
+	}, core.Seams{
+		PartRows: 64,
+		Chaos:    chaos.New(chaos.Config{Seed: 77, PanicProb: 0.3, CorruptProb: 0.2}),
+	}))
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}

@@ -43,14 +43,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// epoch anchors Nanotime; only differences are meaningful.
-var epoch = time.Now()
-
-// Nanotime returns monotonic nanoseconds since process start. It is a
-// plain time.Since under the hood (vDSO-backed on the major platforms)
-// and does not allocate, so it is safe in per-tuple hot paths.
-func Nanotime() int64 { return int64(time.Since(epoch)) }
-
 // DurationBuckets are the fixed histogram bucket upper bounds in
 // seconds: a 1-2-5 ladder from 1µs to 10s. Batch work at any realistic
 // scale lands inside; everything slower lands in +Inf.

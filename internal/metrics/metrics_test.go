@@ -97,15 +97,6 @@ func TestGaugeFunc(t *testing.T) {
 	}
 }
 
-func TestNanotimeMonotonic(t *testing.T) {
-	a := Nanotime()
-	time.Sleep(time.Millisecond)
-	b := Nanotime()
-	if b <= a {
-		t.Errorf("Nanotime not monotonic: %d then %d", a, b)
-	}
-}
-
 // Concurrent observation must be clean under -race.
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()

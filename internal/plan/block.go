@@ -185,16 +185,6 @@ type Query struct {
 	SetBlocks    []*Block
 }
 
-// BlockByID returns the block with the given ID.
-func (q *Query) BlockByID(id int) *Block {
-	for _, b := range q.Blocks {
-		if b.ID == id {
-			return b
-		}
-	}
-	return nil
-}
-
 // Explain renders a human-readable plan.
 func (q *Query) Explain() string {
 	var sb strings.Builder

@@ -352,16 +352,6 @@ func TestExplainMentionsBlocksAndParams(t *testing.T) {
 	}
 }
 
-func TestBlockByID(t *testing.T) {
-	q := compile(t, sbiSQL)
-	if q.BlockByID(q.Root.ID) != q.Root {
-		t.Error("BlockByID root")
-	}
-	if q.BlockByID(999) != nil {
-		t.Error("BlockByID missing")
-	}
-}
-
 func TestOutSchemaAndKinds(t *testing.T) {
 	q := compile(t, `SELECT country, COUNT(*) AS c, MIN(session_id) AS m FROM sessions GROUP BY country`)
 	s := q.Root.OutSchema()

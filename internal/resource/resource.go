@@ -62,15 +62,14 @@ func (c Category) String() string {
 	return categoryNames[c]
 }
 
-// Ledger tracks per-category byte residency and peaks for one query.
+// Ledger tracks per-category byte residency and the total's peak for
+// one query.
 // It is owned by the engine's controller goroutine and updated only at
 // mini-batch boundaries; it is not safe for concurrent use.
 type Ledger struct {
 	bytes [NumCategories]int64
-	peak  [NumCategories]int64
 	// peakTotal is the high-water mark of the summed residency.
 	peakTotal int64
-	observes  int64
 }
 
 // Set records the current residency of one category. Negative values
@@ -106,31 +105,15 @@ func (l *Ledger) Total() int64 {
 }
 
 // Observe commits the current residency as one sample, advancing the
-// per-category and total peaks. Call once per committed mini-batch,
-// after every category has been Set.
+// total peak. Call once per committed mini-batch, after every category
+// has been Set.
 func (l *Ledger) Observe() {
 	if l == nil {
 		return
 	}
-	var t int64
-	for c, b := range l.bytes {
-		if b > l.peak[c] {
-			l.peak[c] = b
-		}
-		t += b
-	}
-	if t > l.peakTotal {
+	if t := l.Total(); t > l.peakTotal {
 		l.peakTotal = t
 	}
-	l.observes++
-}
-
-// Peak reports the high-water residency of one category.
-func (l *Ledger) Peak(c Category) int64 {
-	if l == nil || c < 0 || c >= NumCategories {
-		return 0
-	}
-	return l.peak[c]
 }
 
 // PeakTotal reports the high-water summed residency.

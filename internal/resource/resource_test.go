@@ -36,7 +36,7 @@ func TestLedgerNilSafety(t *testing.T) {
 	l.Set(GroupTables, 100)
 	l.Observe()
 	l.RestorePeak(5)
-	if l.Bytes(GroupTables) != 0 || l.Total() != 0 || l.Peak(GroupTables) != 0 || l.PeakTotal() != 0 {
+	if l.Bytes(GroupTables) != 0 || l.Total() != 0 || l.PeakTotal() != 0 {
 		t.Fatal("nil ledger reported non-zero residency")
 	}
 	if u := l.Snapshot(); u != (Usage{}) {
@@ -44,9 +44,8 @@ func TestLedgerNilSafety(t *testing.T) {
 	}
 }
 
-// TestLedgerPeaks: Observe advances per-category and total peaks
-// independently; shrinking residency never lowers a peak; RestorePeak
-// only raises the total high-water mark.
+// TestLedgerPeaks: Observe advances the total peak; shrinking residency
+// never lowers it; RestorePeak only raises it.
 func TestLedgerPeaks(t *testing.T) {
 	l := &Ledger{}
 	l.Set(GroupTables, 100)
@@ -60,12 +59,6 @@ func TestLedgerPeaks(t *testing.T) {
 	l.Set(GroupTables, 20)
 	l.Set(UncertainCache, 120)
 	l.Observe()
-	if got := l.Peak(GroupTables); got != 100 {
-		t.Errorf("group-tables peak %d, want 100", got)
-	}
-	if got := l.Peak(UncertainCache); got != 120 {
-		t.Errorf("uncertain-cache peak %d, want 120", got)
-	}
 	if got := l.PeakTotal(); got != 150 {
 		t.Errorf("total peak %d, want 150 (max simultaneous)", got)
 	}

@@ -152,20 +152,6 @@ func (t *Table) MiniBatches(k int) [][]types.Row {
 	return out
 }
 
-// SortBy sorts the table in place by the given column indexes ascending
-// (used by tests and by deterministic generators before shuffling).
-func (t *Table) SortBy(cols ...int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		for _, c := range cols {
-			cmp := types.Compare(t.rows[i][c], t.rows[j][c])
-			if cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-}
-
 // header renders "name:KIND" CSV header cells.
 func headerFor(schema types.Schema) []string {
 	h := make([]string, len(schema))

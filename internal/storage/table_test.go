@@ -132,20 +132,6 @@ func TestMiniBatchesCoverEverythingQuick(t *testing.T) {
 
 func nil2(t *testing.T) *testing.T { return t }
 
-func TestSortBy(t *testing.T) {
-	tab := NewTable("t", types.NewSchema("a", types.KindInt, "b", types.KindInt))
-	_ = tab.Append(types.Row{types.NewInt(2), types.NewInt(1)})
-	_ = tab.Append(types.Row{types.NewInt(1), types.NewInt(2)})
-	_ = tab.Append(types.Row{types.NewInt(1), types.NewInt(1)})
-	tab.SortBy(0, 1)
-	want := [][2]int64{{1, 1}, {1, 2}, {2, 1}}
-	for i, w := range want {
-		if tab.Rows()[i][0].Int() != w[0] || tab.Rows()[i][1].Int() != w[1] {
-			t.Fatalf("row %d = %v", i, tab.Rows()[i])
-		}
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tab := NewTable("t", types.NewSchema(
 		"id", types.KindInt, "name", types.KindString,

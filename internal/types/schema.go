@@ -150,30 +150,6 @@ func KeyString1(v Value) string {
 	}
 }
 
-// AppendKey appends KeyString1(v) to dst without building the string:
-// callers that only probe a map (m[string(dst)] does not allocate) keep
-// the per-row lookup allocation-free.
-func AppendKey(dst []byte, v Value) []byte {
-	switch v.kind {
-	case KindNull:
-		return append(dst, 'Z')
-	case KindString:
-		dst = append(dst, 'S')
-		return append(dst, v.s...)
-	case KindBool, KindInt:
-		if v.i > -(1<<53) && v.i < 1<<53 {
-			dst = append(dst, 'N')
-			return strconv.AppendInt(dst, v.i, 10)
-		}
-	default:
-		if f := v.f; f == math.Trunc(f) && f > -(1<<53) && f < 1<<53 {
-			dst = append(dst, 'N')
-			return strconv.AppendInt(dst, int64(f), 10)
-		}
-	}
-	return append(dst, KeyString1(v)...)
-}
-
 // appendKey writes one value's canonical key segment.
 func appendKey(b *strings.Builder, v Value) {
 	switch v.kind {

@@ -74,21 +74,6 @@ func TestKeyStringDistinguishesKindsButNotNumericWidth(t *testing.T) {
 	}
 }
 
-func TestAppendKeyMatchesKeyString1(t *testing.T) {
-	vals := []Value{
-		Null, NewString(""), NewString("N12"), NewBool(true), NewBool(false),
-		NewInt(0), NewInt(-42), NewInt(1 << 53), NewInt(-(1 << 53)), NewInt(1<<62 + 1),
-		NewFloat(0), NewFloat(-3), NewFloat(2.5), NewFloat(1e300), NewFloat(-1e-9),
-		NewFloat(float64(1 << 53)),
-	}
-	for _, v := range vals {
-		got := string(AppendKey([]byte("p|"), v))
-		if want := "p|" + KeyString1(v); got != want {
-			t.Errorf("AppendKey(%v) = %q, want %q", v, got, want)
-		}
-	}
-}
-
 func TestKeyStringSeparatorSafety(t *testing.T) {
 	// ("a","b") and ("a\x1fb",) style collisions across different column
 	// *counts* are impossible since cols is fixed per query; but two

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"fluodb/internal/bootstrap"
-	"fluodb/internal/chaos"
 	"fluodb/internal/core"
 	"fluodb/internal/otrace"
 	"fluodb/internal/plan"
@@ -90,30 +89,10 @@ const (
 	ErrKindCheckpoint     = core.ErrKindCheckpoint
 )
 
-// ErrPoolStopped is returned by internal pool submission after Close;
-// callers see it only wrapped in a QueryError if a race made a Step
-// observe a closing pool (the Step still completes serially).
-var ErrPoolStopped = core.ErrPoolStopped
-
 // IsInterrupted reports whether err is a QueryError carrying a context
 // deadline/cancellation (the snapshot returned alongside it is the
 // bounded-time answer).
 func IsInterrupted(err error) bool { return core.IsInterrupted(err) }
-
-// ChaosConfig configures deterministic fault injection: seeded
-// probabilities for worker panics, stragglers, worker-stage corruption
-// and segment-cache drops. All decisions are pure
-// functions of (Seed, site), so a failing schedule replays exactly from
-// its seed.
-type ChaosConfig = chaos.Config
-
-// ChaosInjector injects faults at the runtime's instrumented sites.
-// Attach one via OnlineOptions.Chaos (tests and the chaos soak only —
-// never in production paths).
-type ChaosInjector = chaos.Injector
-
-// NewChaosInjector builds an injector for the given config.
-func NewChaosInjector(cfg ChaosConfig) *ChaosInjector { return chaos.New(cfg) }
 
 // OnlineQuery is a running G-OLA execution. Each Step processes one
 // mini-batch and returns a refined Snapshot; the caller may stop at any

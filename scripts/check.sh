@@ -71,8 +71,12 @@
 #                   CSV, and the trace dispatch (-trace <tmp>.jsonl
 #                   -spans <tmp>.json -tracequery Q18: the event ring as
 #                   JSONL and the span timeline as validated Chrome
-#                   JSON); nothing else runs through its flag handling
-#                   and experiment switch
+#                   JSON), and the chaos soak's dispatch (-experiment
+#                   chaos -schedules 36: one full rotation of the six
+#                   fault profiles × three modes × two queries, every
+#                   schedule bit-identical to its fault-free row-path
+#                   reference); nothing else runs through its flag
+#                   handling and experiment switch
 #   audit gate      the estimator stream: the statistical audit
 #                   (flbench -experiment audit) regenerated into a temp
 #                   file must equal the committed BENCH_accuracy.json
@@ -110,12 +114,13 @@ echo "== benchmark module (cd benchmark && go vet ./... && go test ./...)"
 (cd benchmark && go vet ./...)
 (cd benchmark && go test ./...)
 
-echo "== flbench smoke (-experiment all, fig3b -format csv, -trace Q18; 4000 rows)"
+echo "== flbench smoke (-experiment all, fig3b -format csv, -trace Q18; 4000 rows; chaos, 36 schedules)"
 go run ./cmd/flbench -experiment all -rows 4000 -batches 4 -trials 8 >/dev/null
 go run ./cmd/flbench -experiment fig3b -format csv -rows 4000 -batches 4 -trials 8 >/dev/null
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/flbench -trace "$tmp/trace.jsonl" -spans "$tmp/trace.json" -tracequery Q18 -rows 4000 -batches 4 -trials 8 >/dev/null
+go run ./cmd/flbench -experiment chaos -schedules 36 >/dev/null
 
 echo "== audit gate (flbench -experiment audit must reproduce BENCH_accuracy.json)"
 go run ./cmd/flbench -experiment audit -json "$tmp/acc.json" >/dev/null

@@ -5,7 +5,7 @@
 # binding-update, columnar fold and columnar classify benchmarks (their
 # b.Fatal fixture guards) + 10 s fuzz
 # smoke runs (FuzzNumKernel, FuzzTriKernel, FuzzReplicaRange, FuzzResume,
-# FuzzColumnarEncode)
+# FuzzColumnarEncode, FuzzColumnarFold)
 # + the benchmark/ module's vet and tests + a small-scale flbench smoke run
 # (with one 36-schedule rotation of the chaos soak)
 # + the audit gate: the regenerated audit must equal BENCH_accuracy.json

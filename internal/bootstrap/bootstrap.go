@@ -159,7 +159,7 @@ var laneCuts = func() [8]uint32 {
 // A 4096-entry table on the top 12 bits (4 KiB instead of 64 KiB) would
 // stay in L1, but resolving its ambiguous buckets costs enough code that
 // PoissonLanes would no longer inline — and an out-of-line call in the
-// fused fold spills the bank cells it keeps in registers.
+// columnar fold's lane loop spills the bank cells it keeps in registers.
 var laneLut = func() [1 << 16]uint8 {
 	var lut [1 << 16]uint8
 	k := 0
@@ -176,9 +176,9 @@ var laneLut = func() [1 << 16]uint8 {
 // one hash: lane l is bits [16l, 16l+16) of Mix64(key), inverted through
 // the 16-bit CDF (laneCuts). Every value is in 0..7. This is the engine's
 // one bootstrap weight stream — the byte weights cached uncertain rows
-// retain, the float weights of the generic fold and the fused run kernel
-// all read it, so replay, resume, serial and parallel runs draw identical
-// multiplicities.
+// retain, the float weights of the row fold and the columnar fold's lane
+// loop all read it, so replay, resume, serial and parallel runs draw
+// identical multiplicities.
 func PoissonLanes(key uint64) (k0, k1, k2, k3 uint8) {
 	h := Mix64(key)
 	return laneLut[uint16(h)], laneLut[uint16(h>>16)], laneLut[uint16(h>>32)], laneLut[h>>48]

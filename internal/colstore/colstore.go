@@ -3,10 +3,11 @@
 // []int64 for BIGINT/BOOLEAN, []float64 for DOUBLE, dictionary codes for
 // VARCHAR — plus per-column null bitmaps. The mini-batch hot loops in
 // internal/core sweep these banks directly (vectorized classification
-// into selection vectors, fused banked folds) instead of walking boxed
-// types.Row values; OLA-RAW's chunked in-situ layout is the same segment
-// abstraction, and PF-OLA's lesson is that online aggregation lives or
-// dies on the tightness of this per-chunk loop.
+// into selection vectors, one banked fold kernel over runs of rows)
+// instead of walking boxed types.Row values; OLA-RAW's chunked in-situ
+// layout is the same segment abstraction, and PF-OLA's lesson is that
+// online aggregation lives or dies on the tightness of this per-chunk
+// loop.
 //
 // Encoding is one pass per segment: encodeSegment walks a segment's rows
 // once and writes every bank, null bitmap and a segment-local string

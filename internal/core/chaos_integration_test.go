@@ -98,12 +98,12 @@ func TestChaosSegSealDrop(t *testing.T) {
 		if ev.Kind == EvFault && ev.Key == "segseal" {
 			segFaults++
 		}
-		if ev.Kind == EvColPlan && ev.Block == r.b.ID && ev.Note == "columnar:fused,tri:kernel" {
+		if ev.Kind == EvColPlan && ev.Block == r.b.ID && ev.Note == "columnar,tri:kernel" {
 			colPlans++
 		}
 	}
 	if colPlans != 1 {
-		t.Fatalf("EvColPlan(columnar:fused,tri:kernel) events for root = %d, want 1", colPlans)
+		t.Fatalf("EvColPlan(columnar,tri:kernel) events for root = %d, want 1", colPlans)
 	}
 	if segFaults == 0 {
 		t.Fatal("segseal drops fired but no EvFault(segseal) events traced")

@@ -20,8 +20,9 @@ import (
 // (or, where it does not compile, through the interpreter per surviving
 // row), and the surviving rows split into certainly-in / uncertain
 // runs. Certainly-in rows feed the banked accumulators straight from
-// the typed banks (an arithmetic argument's computed by a numeric
-// kernel per segment range); group keys resolve through a word-code memo that
+// the typed banks through one fold kernel (colFoldRuns; an arithmetic
+// argument's bank computed by a numeric kernel per segment range);
+// group keys resolve through a word-code memo that
 // touches the canonical (hash + KeyEqual) path once per distinct key
 // for as long as the group table it resolves into lives — once per
 // query on a runner's table, once per batch on a worker stage's
@@ -47,12 +48,11 @@ import (
 type colPlan struct {
 	ok bool
 	// reason records the eligibility verdict: the disqualifying shape
-	// when !ok, the engaged flavor when ok (see verdict()).
+	// when !ok, "columnar" when ok (see verdict()).
 	reason string
 	ct     *colstore.Table
 	// hasDims marks a block with dimension joins: group entries resolve
-	// per joined row through the join memo (colEntries), and fusing is
-	// off.
+	// per joined row through the join memo (colEntries).
 	hasDims bool
 	// memoCols are the deduplicated fact columns whose word codes key
 	// both the group memo and the join memo for dims blocks: every dim
@@ -64,10 +64,8 @@ type colPlan struct {
 	// (fact-schema when the block has no dims).
 	gbCols []int
 	// aggCols is the column each aggregate argument reads — a fact-schema
-	// column, a virtual computed column compBase+k, or -1 for a constant;
-	// aggFloats flags float banks (else int).
-	aggCols   []int
-	aggFloats []bool
+	// column, a virtual computed column compBase+k, or -1 for a constant.
+	aggCols []int
 	// Virtual computed columns: the distinct compilable expression
 	// arguments (deduplicated by expr.NumKernel.Key), read as columns
 	// compBase+k. Each sweeper compiles them (colScratch.numK) and
@@ -75,11 +73,6 @@ type colPlan struct {
 	// aggregate over `x * y` folds from a typed bank like one over `x`.
 	compBase int
 	exprs    []expr.Expr
-	// Constant-argument values, pre-gated: aggConstNull flags SQL NULL,
-	// aggConstF holds the AsFloat value, aggConstOK its validity.
-	aggConstNull []bool
-	aggConstF    []float64
-	aggConstOK   []bool
 	// Bank-stream aliases: aliasW[i]/aliasV[i] name the aggregate whose
 	// physical bank cells carry aggregate i's replica stream. Aggregates
 	// over the same plain or computed column receive bit-identical bank
@@ -91,16 +84,33 @@ type colPlan struct {
 	// the runner table).
 	aliasW []int
 	aliasV []int
-	// Fused kernel shape: when every aggregate reads the same (plain or
-	// computed) column, the whole bank fold collapses to at most one W
-	// stream and one V stream, and weight generation fuses into the fold
-	// loop. fuse is that eligibility; fusePrimV the V-stream owner (-1
-	// when all aggregates are COUNTs).
-	fuse      bool
-	fusePrimV int
+	// srcs are the fold's argument sources, one per W stream owner
+	// (aliasW[a] == a), in aggregate order.
+	srcs []colSource
 	// triKernel records that the block's uncertain predicate compiles to
 	// the tri-state kernel (classifier).
 	triKernel bool
+}
+
+// colSource is one argument source of the columnar fold: a plain
+// column, a computed column or a constant, with the W stream it owns and
+// the V stream its aggregates share. Every aggregate of a source folds
+// under one gate — the column's non-NULL rows, or, for a constant, all
+// rows or none — so the fold gathers a source's passing rows once and
+// adds them to its two streams together (colFoldRuns).
+type colSource struct {
+	// col is the column the source reads (aggCols' numbering), -1 for a
+	// constant; aggs are the aggregates it feeds, ascending.
+	col  int
+	aggs []int
+	// w owns the W stream; v owns the V stream, -1 when every aggregate
+	// of the source is a COUNT. floats marks a V read from the Floats
+	// bank (else Ints).
+	w, v   int
+	floats bool
+	// A constant's gate and AsFloat value, fixed for every row.
+	ok bool
+	f  float64
 }
 
 // verdict renders the plan's eligibility for traces and reports.
@@ -130,7 +140,7 @@ func (r *blockRunner) classifier() string {
 }
 
 // joinNote renders a block's verdict with its classifier, as EvColPlan
-// and Report() show it ("columnar:fused,tri:kernel").
+// and Report() show it ("columnar,tri:kernel").
 func joinNote(verdict, classifier string) string {
 	if classifier == "" {
 		return verdict
@@ -239,8 +249,11 @@ func (r *blockRunner) buildColPlan() *colPlan {
 		p.gbCols = append(p.gbCols, c.Idx)
 	}
 	na := len(b.Aggs)
-	p.aggCols, p.aggFloats = make([]int, na), make([]bool, na)
-	p.aggConstNull, p.aggConstF, p.aggConstOK = make([]bool, na), make([]float64, na), make([]bool, na)
+	p.aggCols = make([]int, na)
+	// Each aggregate's value bank kind, and a constant argument's gate
+	// and value: COUNT folds a non-NULL constant, SUM/AVG an
+	// AsFloat-convertible one.
+	floats, konstOK, konstF := make([]bool, na), make([]bool, na), make([]float64, na)
 	p.compBase = factW
 	computed := map[string]int{} // NumKernel.Key → virtual column
 	for i := range b.Aggs {
@@ -263,11 +276,13 @@ func (r *blockRunner) buildColPlan() *colPlan {
 				return p
 			}
 			p.aggCols[i] = a.Idx
-			p.aggFloats[i] = k == types.KindFloat
+			floats[i] = k == types.KindFloat
 		case *expr.Const:
 			p.aggCols[i] = -1
-			p.aggConstNull[i] = a.V.IsNull()
-			p.aggConstF[i], p.aggConstOK[i] = a.V.AsFloat()
+			konstF[i], konstOK[i] = a.V.AsFloat()
+			if r.cltKinds[i] == cltCount {
+				konstOK[i] = !a.V.IsNull()
+			}
 		default:
 			if readsDims(a, factW) {
 				p.reason = "agg:dim-column"
@@ -285,7 +300,7 @@ func (r *blockRunner) buildColPlan() *colPlan {
 				p.exprs = append(p.exprs, a)
 			}
 			p.aggCols[i] = c
-			p.aggFloats[i] = k.Kind() == types.KindFloat
+			floats[i] = k.Kind() == types.KindFloat
 		}
 	}
 	if r.certainWhere != nil && expr.CompileKernel(r.certainWhere, ct) == nil {
@@ -338,29 +353,23 @@ func (r *blockRunner) buildColPlan() *colPlan {
 	r.tab.bankOfW = p.aliasW
 	r.tab.bankOfV = p.aliasV
 
-	// Fused-kernel eligibility: one shared (plain or computed) column
-	// means one W stream (owned by aggregate 0) and at most one V
-	// stream. Dims blocks fold once per joined row, so they keep the
-	// generic loop.
-	p.fuse = !p.hasDims
-	p.fusePrimV = -1
-	for i, c := range p.aggCols {
-		if c < 0 || c != p.aggCols[0] {
-			p.fuse = false
-			break
+	// The fold's sources: one per W stream owner, each taking the
+	// aggregates aliased to it and the V stream they share.
+	srcOf := make([]int, na)
+	for a, c := range p.aggCols {
+		if w := p.aliasW[a]; w != a {
+			srcOf[a] = srcOf[w]
+		} else {
+			srcOf[a] = len(p.srcs)
+			p.srcs = append(p.srcs, colSource{col: c, w: a, v: -1, ok: konstOK[a], f: konstF[a]})
 		}
-		if r.cltKinds[i] != cltCount && p.fusePrimV < 0 {
-			p.fusePrimV = i
+		src := &p.srcs[srcOf[a]]
+		src.aggs = append(src.aggs, a)
+		if r.cltKinds[a] != cltCount && p.aliasV[a] == a {
+			src.v, src.floats = a, floats[a]
 		}
 	}
-	switch {
-	case p.fuse:
-		p.reason = "columnar:fused"
-	case p.hasDims:
-		p.reason = "columnar:dims"
-	default:
-		p.reason = "columnar"
-	}
+	p.reason = "columnar"
 	return p
 }
 
@@ -401,18 +410,23 @@ type colScratch struct {
 	triU []uint8
 	sel  []int32
 	selU []int32
-	// wf holds the weights of the row being folded (rowWeights).
+	// wf holds the weights of the row the row loop folds (rowWeights).
 	wf []float64
-	// runKey/runF gather one run's sampled, non-NULL rows for the fused
-	// kernel's bank fold (colFoldRuns): each row's first weight key and
-	// argument value. They grow to the longest gathered run (at most a
-	// segment) and are reused, so the steady state allocates nothing.
-	runKey []uint64
-	runF   []float64
+	// runs gather one run's sampled rows for the bank fold, one per plan
+	// source (colFoldRuns): each row that passes the source's gate
+	// contributes its first weight key and argument value. They grow to
+	// the longest gathered run (at most a segment's rows times a dims
+	// row's fan-out) and are reused, so the steady state allocates
+	// nothing.
+	runs []colRun
+	// pairRow/pairEnt are a dims block's (row, entry) pairs of the
+	// selection being folded (colPairs).
+	pairRow []int32
+	pairEnt []*onlineEntry
 	// numK compiles the plan's computed columns (exprs) behind the same
-	// gate as kernel/triK; args holds each aggregate's argument column
-	// for the segment range being folded (resolveArgs): a stored bank, a
-	// numK bank, or nil for a constant.
+	// gate as kernel/triK; args holds each source's column for the
+	// segment range being folded (resolveArgs): a stored bank, a numK
+	// bank, or nil for a constant.
 	numK []*expr.NumKernel
 	args []*colstore.Col
 	// Group memo: the key's word codes (one 64-bit physical code per memo
@@ -462,6 +476,13 @@ type colScratch struct {
 	reclassified int64
 	pointed      int64
 	encKeys      int64
+}
+
+// colRun is one source's gathered rows of the run being folded: their
+// weight keys and argument values (see foldLanes).
+type colRun struct {
+	keys []uint64
+	fs   []float64
 }
 
 // stageKey stages segment-local row i's physical key over cols in m:
@@ -530,8 +551,8 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, st *stage) bool {
 	if useTri && cap(cs.triU) < ct.SegSize {
 		cs.triU = make([]uint8, ct.SegSize)
 	}
-	if len(cs.args) != len(p.aggCols) {
-		cs.args = make([]*colstore.Col, len(p.aggCols))
+	if len(cs.args) != len(p.srcs) {
+		cs.args, cs.runs = make([]*colstore.Col, len(p.srcs)), make([]colRun, len(p.srcs))
 	}
 	if p.hasDims {
 		cs.bindMemo(tab, len(p.memoCols)+1)
@@ -567,23 +588,7 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, st *stage) bool {
 		// computed over the run's span.
 		if n := len(cs.sel); n > 0 {
 			cs.resolveArgs(p, seg, int(cs.sel[0]), int(cs.sel[n-1])+1)
-		}
-		if p.fuse {
 			r.colFoldRuns(st, seg)
-		} else {
-			for _, si := range cs.sel {
-				i := int(si)
-				gi := seg.Base + i
-				sampled := r.eng.sampled(r.ts, gi)
-				var wf []float64
-				if p.hasDims {
-					for _, en := range r.colEntries(st, ct, seg, i) {
-						wf = r.colFoldAt(st, en, i, gi, sampled, wf)
-					}
-				} else {
-					r.colFoldAt(st, r.colEntry(tab, cs, ct, seg, i), i, gi, sampled, nil)
-				}
-			}
 		}
 		t0 = time.Now()
 		acc.ns[phaseFold] += int64(t0.Sub(t1))
@@ -749,14 +754,21 @@ func (r *blockRunner) colSelect(st *stage, seg *colstore.Segment, lo, hi int, us
 
 // colEntry resolves the group entry of segment-local row i through the
 // word-code memo, falling back to the canonical hash path on a miss so
-// entry identity (and creation order) matches the row loop exactly.
+// entry identity (and creation order) matches the row loop exactly. A
+// scalar block's one entry, once resolved, returns inline.
 func (r *blockRunner) colEntry(tab *onlineTable, cs *colScratch, ct *colstore.Table, seg *colstore.Segment, i int) *onlineEntry {
+	if cs.sole != nil {
+		return cs.sole
+	}
+	return r.colLookup(tab, cs, ct, seg, i)
+}
+
+// colLookup is colEntry's memo path.
+func (r *blockRunner) colLookup(tab *onlineTable, cs *colScratch, ct *colstore.Table, seg *colstore.Segment, i int) *onlineEntry {
 	p := r.colPl
 	if len(p.gbCols) == 0 {
-		if cs.sole == nil {
-			cs.memoMisses++
-			cs.sole = tab.entryCurrent(r.b)
-		}
+		cs.memoMisses++
+		cs.sole = tab.entryCurrent(r.b)
 		return cs.sole
 	}
 	words, h := stageKey(&cs.memo, ct, seg, p.gbCols, i)
@@ -827,177 +839,91 @@ func (cs *colScratch) joinRows(jn *exec.Joiner, words []uint64, h uint64, fact t
 	return off, int32(len(rows))
 }
 
-// resolveArgs points cs.args at each aggregate's argument column for
-// segment rows [lo,hi), once per range so the fold loops read banks
-// without a per-row branch on where they live: a stored column is
-// seg's own bank, a computed one is evaluated into its kernel's bank
-// (once per distinct expression — aliased aggregates share their
-// owner's column), a constant is nil.
+// colPairs expands a dims block's selection into (row, entry) pairs,
+// cs.pairRow/pairEnt: each selected row's entries (colEntries) in join
+// order. It returns the pairs' rows.
+func (r *blockRunner) colPairs(st *stage, seg *colstore.Segment) []int32 {
+	cs := &st.cs
+	rows, ents := cs.pairRow[:0], cs.pairEnt[:0]
+	for _, si := range cs.sel {
+		for _, e := range r.colEntries(st, r.colPl.ct, seg, int(si)) {
+			rows = append(rows, si)
+			ents = append(ents, e)
+		}
+	}
+	cs.pairRow, cs.pairEnt = rows, ents
+	return rows
+}
+
+// resolveArgs points cs.args at each source's column for segment rows
+// [lo,hi), once per range so the fold loop reads banks without a per-row
+// branch on where they live: a stored column is seg's own bank, a
+// computed one is evaluated into its kernel's bank (once per distinct
+// expression), a constant is nil.
 func (cs *colScratch) resolveArgs(p *colPlan, seg *colstore.Segment, lo, hi int) {
-	for a, c := range p.aggCols {
-		switch {
+	for s, src := range p.srcs {
+		switch c := src.col; {
 		case c < 0:
-			cs.args[a] = nil
-		case p.aliasW[a] != a:
-			cs.args[a] = cs.args[p.aliasW[a]]
+			cs.args[s] = nil
 		case c < p.compBase:
-			cs.args[a] = &seg.Cols[c]
+			cs.args[s] = &seg.Cols[c]
 		default:
-			cs.args[a] = cs.numK[c-p.compBase].Eval(seg, lo, hi)
+			cs.args[s] = cs.numK[c-p.compBase].Eval(seg, lo, hi)
 		}
 	}
 }
 
-// colFoldAt folds segment-local row i (global row gi) into en: a sampled
-// row adds to en's batch moments when the feed draws en's lanes from
-// them (moment.go), else its weights to the lanes — derived on the first
-// entry that needs them and returned, so a dims row's later entries reuse
-// them (pass the returned slice back; nil before the first derivation).
-func (r *blockRunner) colFoldAt(st *stage, en *onlineEntry, i, gi int, sampled bool, wf []float64) []float64 {
-	tab := st.tab
-	var acc *momentAcc
-	var w []float64
-	if sampled {
-		if acc = tab.momentOf(en); acc == nil {
-			if wf == nil {
-				wf = r.rowWeights(st, gi)
-			}
-			w = wf
-		}
-	}
-	r.colFold(tab, r.colPl, en, st.cs.args, i, w, acc)
-	st.folds++
-	return wf
-}
-
-// colFold adds segment-local row i into the entry's banked accumulators
-// straight from the argument banks (resolveArgs), mirroring
-// onlineTable.fold/foldBank cell for cell: same per-aggregate order,
-// same gating, same pre-scaled weight values — so every float addition
-// is bit-identical. Deduplicated bank streams (plan aliases) are written
-// once, by their owning aggregate; reads resolve through the same
-// aliases. A sampled row of a moment-mode entry (acc non-nil, wf nil)
-// adds its stream values to acc instead (moment.go).
-func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, args []*colstore.Col, i int, wf []float64, acc *momentAcc) {
-	e.n++
-	if wf != nil || acc != nil {
-		e.ns++
-	}
-	trials := tab.trials
-	for a := range p.aggCols {
-		if tab.cltKinds[a] == cltCount {
-			// COUNT folds any non-NULL input: only the null bitmap is read
-			// (the column may be a string column with no numeric bank).
-			var null bool
-			if col := args[a]; col != nil {
-				null = col.Null(i)
-			} else {
-				null = p.aggConstNull[a]
-			}
-			if acc != nil {
-				tab.mom.stageValue(a, 0, !null)
-			}
-			if !null {
-				e.mainW[a]++
-				e.clt[a].add(1)
-				if wf != nil && p.aliasW[a] == a {
-					bw := e.bankW[a*trials : a*trials+len(wf)]
-					for j, x := range wf {
-						bw[j] += x
-					}
-				}
-			}
-			continue
-		}
-		// SUM/AVG fold numeric inputs (AsFloat-convertible: NULLs and the
-		// plan's kind gate exclude everything else).
-		var f float64
-		var fok bool
-		if col := args[a]; col != nil {
-			if !col.Null(i) {
-				if p.aggFloats[a] {
-					f, fok = col.Floats[i], true
-				} else {
-					f, fok = float64(col.Ints[i]), true
-				}
-			}
-		} else {
-			f, fok = p.aggConstF[a], p.aggConstOK[a]
-		}
-		if acc != nil {
-			tab.mom.stageValue(a, f, fok)
-		}
-		if !fok {
-			continue
-		}
-		e.mainW[a]++
-		e.mainV[a] += f
-		e.clt[a].add(f)
-		if wf != nil {
-			base := a * trials
-			wOwn, vOwn := p.aliasW[a] == a, p.aliasV[a] == a
-			switch {
-			case wOwn && vOwn:
-				bw := e.bankW[base : base+len(wf)]
-				bv := e.bankV[base : base+len(wf)]
-				for j, x := range wf {
-					bw[j] += x
-					bv[j] += f * x
-				}
-			case vOwn:
-				bv := e.bankV[base : base+len(wf)]
-				for j, x := range wf {
-					bv[j] += f * x
-				}
-			case wOwn:
-				bw := e.bankW[base : base+len(wf)]
-				for j, x := range wf {
-					bw[j] += x
-				}
-			}
-		}
-	}
-	if acc != nil {
-		acc.add(tab.mom.x)
-	}
-}
-
-// colFoldRuns is the fused generate+fold kernel over the certainly-in
-// selection cs.sel when every aggregate reads one column (plan.fuse):
-// there is then one W stream (aggregate 0's) and at most one V stream
-// (fusePrimV's), and a row's weights are consumed nowhere else, so they
-// are generated where they are folded, with no per-row weight vector.
+// colFoldRuns is the columnar fold: it adds the certainly-in selection
+// cs.sel into the banked accumulators straight from the source columns
+// (resolveArgs), mirroring onlineTable.fold/foldBank cell for cell —
+// same gates, same pre-scaled weights, so every float addition is
+// bit-identical to the row path.
 //
-// It walks sel in runs — maximal stretches of consecutive rows resolving
-// to the same entry (the whole selection when the block has no GROUP
-// BY). A run's rows fold their main state (n, ns, mainW, mainV, clt) in
-// row order; its sampled, non-NULL rows are gathered into cs.runKey/runF
-// and added to the banks (foldRun) when the next row resolves to another
-// entry or the selection ends. Every bank cell still receives
-// the same additions in the same row order as a per-row loop over
-// Engine.weights, so the kernel is bit-identical to the generic and row
-// paths.
+// It walks (row, entry) pairs: one per selected row, or, in a dims
+// block, one per joined row in join order (colEntries), so a row that
+// fans out folds into each of its entries as the row path folds each
+// joined row. A run is a maximal stretch of consecutive pairs with the
+// same entry (the whole selection when the block has no GROUP BY). Its
+// pairs fold their main state (n, ns, mainW, mainV, clt) in order; each
+// sampled pair appends its weight key and value to the gather of every
+// source whose gate it passes (cs.runs), and when the run ends each
+// source's gathered rows are added to its W and V streams (foldLanes),
+// with the weights generated where they are folded. Every bank cell
+// still receives the same additions in the same row order as a per-row
+// loop over Engine.weights.
 //
-// A run of a moment-mode entry (acc non-nil) gathers nothing: its
-// sampled rows add to the entry's batch moments (moment.go), so the
-// trial axis leaves the row loop.
+// A run of a moment-mode entry (acc non-nil) gathers nothing: each
+// sampled pair adds its aggregates' gated values to the entry's batch
+// moments (moment.go), so the trial axis leaves the row loop.
 func (r *blockRunner) colFoldRuns(st *stage, seg *colstore.Segment) {
 	p, tab, cs, ts := r.colPl, st.tab, &st.cs, r.ts
-	col, trials := cs.args[0], tab.trials
-	wantF := p.fusePrimV >= 0
-	floats := wantF && p.aggFloats[p.fusePrimV]
-	keys, fs := cs.runKey[:0], cs.runF[:0]
+	srcs, kinds, trials := p.srcs, tab.cltKinds, tab.trials
+	args, runs := cs.args[:len(srcs)], cs.runs[:len(srcs)]
+	// A one-source plan's moment streams are its own W and V, in that
+	// order, so a row adds its values straight to the moments
+	// (addWV/addW); with more sources each row stages every stream's value
+	// and adds the vector (add).
+	staged := len(srcs) > 1
+	rows, dims := cs.sel, p.hasDims
+	if dims {
+		rows = r.colPairs(st, seg)
+	}
 	var en *onlineEntry
 	var acc *momentAcc
-	for _, si := range cs.sel {
+	gathered := false
+	for k, si := range rows {
 		i := int(si)
-		if e := r.colEntry(tab, cs, p.ct, seg, i); e != en {
+		var e *onlineEntry
+		if dims {
+			e = cs.pairEnt[k]
+		} else {
+			e = r.colEntry(tab, cs, p.ct, seg, i)
+		}
+		if e != en {
 			// A run ends: its gathered rows fold into its entry's banks.
-			// The length check stays here, not in foldRun: grouped blocks
-			// end a run on almost every row and rarely gather one.
-			if len(keys) > 0 {
-				p.foldRun(en, keys, fs, trials, &ts.wlut)
-				keys, fs = keys[:0], fs[:0]
+			if gathered {
+				cs.foldGathered(p, en, trials, &ts.wlut)
+				gathered = false
 			}
 			en = e
 			acc = tab.momentOf(en)
@@ -1008,51 +934,76 @@ func (r *blockRunner) colFoldRuns(st *stage, seg *colstore.Segment) {
 		if sampled {
 			en.ns++
 		}
-		if col.Null(i) {
-			continue
-		}
-		var f float64
-		switch {
-		case floats:
-			f = col.Floats[i]
-		case wantF:
-			f = float64(col.Ints[i])
-		}
-		for a := range p.aggCols {
-			en.mainW[a]++
-			if tab.cltKinds[a] == cltCount {
-				en.clt[a].add(1)
-			} else {
-				en.mainV[a] += f
-				en.clt[a].add(f)
+		for s := range srcs {
+			src := &srcs[s]
+			f, ok := src.f, src.ok
+			if col := args[s]; col != nil {
+				f, ok = 0, !col.Null(i)
+				if ok && src.v >= 0 {
+					if src.floats {
+						f = col.Floats[i]
+					} else {
+						f = float64(col.Ints[i])
+					}
+				}
+			}
+			if ok {
+				for _, a := range src.aggs {
+					en.mainW[a]++
+					if kinds[a] == cltCount {
+						en.clt[a].add(1)
+					} else {
+						en.mainV[a] += f
+						en.clt[a].add(f)
+					}
+				}
+			}
+			switch {
+			case !sampled:
+			case acc == nil:
+				if ok {
+					run := &runs[s]
+					run.keys = append(run.keys, ts.weightKey(gi, trials))
+					run.fs = append(run.fs, f)
+					gathered = true
+				}
+			case staged:
+				for _, a := range src.aggs {
+					tab.mom.stageValue(a, f, ok)
+				}
+			case !ok:
+			case src.v >= 0:
+				acc.addWV(f)
+			default:
+				acc.addW()
 			}
 		}
-		switch {
-		case !sampled:
-		case acc == nil:
-			keys = append(keys, ts.weightKey(gi, trials))
-			fs = append(fs, f)
-		case wantF:
-			acc.addWV(f)
-		default:
-			acc.addW()
+		if sampled && acc != nil && staged {
+			acc.add(tab.mom.x)
 		}
 	}
-	if len(keys) > 0 {
-		p.foldRun(en, keys, fs, trials, &ts.wlut)
+	if gathered {
+		cs.foldGathered(p, en, trials, &ts.wlut)
 	}
-	cs.runKey, cs.runF = keys, fs
-	st.folds += int64(len(cs.sel))
+	st.folds += int64(len(rows))
 }
 
-// foldRun adds one run's gathered rows to entry en's fused W stream and,
-// when the plan has one, its V stream.
-func (p *colPlan) foldRun(en *onlineEntry, keys []uint64, fs []float64, trials int, wlut *[16]float64) {
-	var bv []float64
-	if p.fusePrimV >= 0 {
-		bv = en.bankV[p.fusePrimV*trials : (p.fusePrimV+1)*trials]
+// foldGathered adds each source's gathered rows to entry en's streams
+// and empties the gathers.
+func (cs *colScratch) foldGathered(p *colPlan, en *onlineEntry, trials int, wlut *[16]float64) {
+	for s := range cs.runs {
+		run := &cs.runs[s]
+		if len(run.keys) == 0 {
+			continue
+		}
+		src := &p.srcs[s]
+		var bv []float64
+		if src.v >= 0 {
+			bv = en.bankV[src.v*trials : (src.v+1)*trials]
+		}
+		foldLanes(en.bankW[src.w*trials:(src.w+1)*trials], bv, run.keys, run.fs, wlut)
+		run.keys, run.fs = run.keys[:0], run.fs[:0]
 	}
-	foldLanes(en.bankW[:trials], bv, keys, fs, wlut)
 }
 
 // foldLanes adds the gathered rows' weights into the bank cells: bw[j]

@@ -100,7 +100,7 @@ func columnarCatalog(n int, seed uint64) *storage.Catalog {
 // and one that classifies through the interpreted evalTri inside the
 // sweep (a correlation on two columns), and
 // arithmetic aggregate arguments folded from computed columns. The
-// scalar shapes fold their whole selection as one run of the fused
+// scalar shapes fold their whole selection as one run of the fold
 // kernel: over a column with NULLs, over a computed column that is NULL
 // wherever either operand is, and as a W-only (COUNT) stream.
 //
@@ -146,6 +146,17 @@ var columnarQueries = []struct {
 		WHERE x < (SELECT 0.9 * AVG(x) FROM facts) GROUP BY a`, false},
 	{"expr-dims", `SELECT cat, SUM(x * b), AVG(x + b) FROM facts f
 		JOIN bdim d ON f.b = d.bkey GROUP BY cat`, false},
+	// Multi-source folds: a constant source beside a column (the C3/Q20
+	// root shape), two columns whose NULLs fall on different rows (x's
+	// and b's are drawn independently), and a dims block whose
+	// duplicated dim keys fan a fact row out twice into the same group
+	// (GROUP BY a) — all past momentMin by the last batch, so moment-mode
+	// rows add three or four streams.
+	{"const-source", `SELECT a, COUNT(*), AVG(x) FROM facts GROUP BY a`, false},
+	{"two-sources", `SELECT a, SUM(x), AVG(b), COUNT(b) FROM facts GROUP BY a`, false},
+	{"scalar-sources", `SELECT COUNT(*), SUM(b), AVG(x * b) FROM facts`, false},
+	{"dims-fanout", `SELECT a, COUNT(*), SUM(x), AVG(b * 2) FROM facts f
+		JOIN bdim d ON f.b = d.bkey GROUP BY a`, false},
 }
 
 func columnarOptions(seed uint64, parallelism int, rowPath bool) Options {
@@ -156,7 +167,7 @@ func columnarOptions(seed uint64, parallelism int, rowPath bool) Options {
 	}, Seams{PartRows: 512, RowPath: rowPath})
 }
 
-// columnarTrialTails are trial counts off the fused kernel's four-trial
+// columnarTrialTails are trial counts off the fold kernel's four-trial
 // blocks: a lone partial block (1, 3) and a tail after full blocks (41).
 var columnarTrialTails = []int{1, 3, 41}
 
@@ -238,12 +249,49 @@ func TestColumnarSubsampleBitIdentical(t *testing.T) {
 	}
 }
 
+// TestColumnarMultiSourceFold pins what the multi-source legs of
+// columnarQueries put through the fold kernel: more than one source, a
+// moment side of three or more streams holding groups in moment mode by
+// the end of the run, and — for dims-fanout — a row folded twice in a
+// row into the same entry.
+func TestColumnarMultiSourceFold(t *testing.T) {
+	cat := columnarCatalog(3*8192, 7)
+	for _, q := range columnarQueries {
+		switch q.name {
+		case "const-source", "two-sources", "scalar-sources", "dims-fanout":
+		default:
+			continue
+		}
+		t.Run(q.name, func(t *testing.T) {
+			_, eng := runEngine(t, cat, q.sql, columnarOptions(7, 1, false))
+			r := eng.runners[len(eng.runners)-1]
+			if v := r.colPl.verdict(); v != "columnar" || len(r.colPl.srcs) < 2 {
+				t.Fatalf("verdict %q over %d sources, want columnar over several", v, len(r.colPl.srcs))
+			}
+			m := r.tab.mom
+			if m == nil || len(m.streams) < 3 || len(m.order) == 0 {
+				t.Fatal("no group folded into moments over three or more streams")
+			}
+			if q.name != "dims-fanout" {
+				return
+			}
+			cs := &r.cs
+			for k := 1; k < len(cs.pairRow); k++ {
+				if cs.pairRow[k] == cs.pairRow[k-1] && cs.pairEnt[k] == cs.pairEnt[k-1] {
+					return
+				}
+			}
+			t.Fatal("no row fanned out twice into one entry")
+		})
+	}
+}
+
 // TestProfileRunsSameKernels: Options.Profile observes the kernels the
 // untraced run executes. For every columnar query at P∈{1,2}, the
 // profiled and unprofiled runs agree on each block's columnar verdict
 // and segment-sweep count and produce bit-identical snapshots at every
-// batch, and every columnar:fused block gathers its runs into the run
-// scratch (so the fused kernel ran) under Profile as well.
+// batch, and every columnar block gathers its runs into the run scratch
+// (so the fold kernel ran) under Profile as well.
 func TestProfileRunsSameKernels(t *testing.T) {
 	cat := columnarCatalog(2*8192, 5)
 	for _, q := range columnarQueries {
@@ -263,7 +311,9 @@ func TestProfileRunsSameKernels(t *testing.T) {
 					runs := false
 					for _, st := range runnerStages(ee, r) {
 						sweeps += st.cs.sweeps
-						runs = runs || cap(st.cs.runKey) > 0
+						for _, run := range st.cs.runs {
+							runs = runs || cap(run.keys) > 0
+						}
 					}
 					for _, st := range runnerStages(pe, pr) {
 						want += st.cs.sweeps
@@ -271,8 +321,8 @@ func TestProfileRunsSameKernels(t *testing.T) {
 					if sweeps != want {
 						t.Fatalf("P=%d block %d: %d sweeps under Profile, %d without", p, r.b.ID, sweeps, want)
 					}
-					if r.colPl.verdict() == "columnar:fused" && !runs {
-						t.Fatalf("P=%d block %d: fused kernel never ran under Profile", p, r.b.ID)
+					if r.colPl.ok && !runs {
+						t.Fatalf("P=%d block %d: the fold kernel never gathered a run under Profile", p, r.b.ID)
 					}
 				}
 			}
@@ -321,28 +371,28 @@ func TestColumnarPlanEligibility(t *testing.T) {
 		rowPath bool
 		want    string
 	}{
-		{`SELECT a, SUM(x) FROM facts GROUP BY a`, false, "columnar:fused"},
+		{`SELECT a, SUM(x) FROM facts GROUP BY a`, false, "columnar"},
 		{`SELECT a, b, SUM(x), COUNT(s) FROM facts GROUP BY a, b`, false, "columnar"},
 		{`SELECT a, SUM(x) FROM facts GROUP BY a`, true, "rowpath:forced"},
 		{`SELECT b + 1, SUM(x) FROM facts GROUP BY b + 1`, false, "rowpath:group:expr-key"},
 		{`SELECT a, MIN(x) FROM facts GROUP BY a`, false, "rowpath:agg:not-estimable"},
-		{`SELECT a, SUM(x + 1) FROM facts GROUP BY a`, false, "columnar:fused"},
-		{`SELECT a, SUM(x * b), AVG(x * b) FROM facts GROUP BY a`, false, "columnar:fused"},
+		{`SELECT a, SUM(x + 1) FROM facts GROUP BY a`, false, "columnar"},
+		{`SELECT a, SUM(x * b), AVG(x * b) FROM facts GROUP BY a`, false, "columnar"},
 		{`SELECT a, SUM(x), SUM(x * b) FROM facts GROUP BY a`, false, "columnar"},
-		{`SELECT SUM(x * b), AVG(x * b) FROM facts`, false, "columnar:fused"},
-		{`SELECT COUNT(x) FROM facts WHERE s LIKE 'a%'`, false, "columnar:fused"},
+		{`SELECT SUM(x * b), AVG(x * b) FROM facts`, false, "columnar"},
+		{`SELECT COUNT(x) FROM facts WHERE s LIKE 'a%'`, false, "columnar"},
 		{`SELECT a, SUM(CASE WHEN b > 3 THEN x ELSE 0 END) FROM facts GROUP BY a`,
 			false, "rowpath:agg:expr-arg"},
 		{`SELECT cat, SUM(x + bkey) FROM facts f JOIN bdim d ON f.b = d.bkey GROUP BY cat`,
 			false, "rowpath:agg:dim-column"},
 		{`SELECT cat, SUM(x * b) FROM facts f JOIN bdim d ON f.b = d.bkey GROUP BY cat`,
-			false, "columnar:dims"},
+			false, "columnar"},
 		{`SELECT cat, SUM(x) FROM facts f JOIN bdim d ON f.b = d.bkey GROUP BY cat`,
-			false, "columnar:dims"},
+			false, "columnar"},
 		{`SELECT region, cat, SUM(x) FROM facts f
 			JOIN bdim d ON f.b = d.bkey
 			JOIN adim e ON f.a = e.akey GROUP BY region, cat`,
-			false, "columnar:dims"},
+			false, "columnar"},
 		{`SELECT cat, SUM(x) FROM facts f JOIN bdim d ON f.b + 1 = d.bkey GROUP BY cat`,
 			false, "rowpath:join:expr-key"},
 		{`SELECT cat, SUM(bkey) FROM facts f JOIN bdim d ON f.b = d.bkey GROUP BY cat`,
@@ -395,8 +445,8 @@ func TestColumnarDimsFoldAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := eng.runners[len(eng.runners)-1]
-			if got := r.colPl.verdict(); got != "columnar:dims" {
-				t.Fatalf("plan verdict = %q, want columnar:dims", got)
+			if got := r.colPl.verdict(); got != "columnar" {
+				t.Fatalf("plan verdict = %q, want columnar", got)
 			}
 			ts := eng.tables["facts"]
 			te := eng.triEnv()
@@ -441,11 +491,15 @@ func columnarBenchEnv(tb testing.TB, multiKey, sampledAll, profile bool) (*Engin
 
 // The fold shapes the alloc gate and the fold benchmarks drive; the
 // expression shape folds two aggregates over one computed column (the
-// fused kernel reading a NumKernel bank).
+// kernel reading a NumKernel bank).
 const (
 	columnarSingleKeySQL = `SELECT a, SUM(x), AVG(x) FROM facts GROUP BY a`
 	columnarMultiKeySQL  = `SELECT a, b, SUM(x), AVG(x) FROM facts GROUP BY a, b`
 	columnarExprSQL      = `SELECT a, SUM(x * b), AVG(x * b) FROM facts GROUP BY a`
+	// The multi-source shape (the C3/Q20 root: a constant source beside a
+	// column) and a dims block.
+	columnarMultiSourceSQL = `SELECT a, COUNT(*), AVG(x) FROM facts GROUP BY a`
+	columnarDimsSQL        = `SELECT cat, SUM(x), AVG(x) FROM facts f JOIN bdim d ON f.b = d.bkey GROUP BY cat`
 	// The keyed tri-state shapes: a Q17-style per-key correlated
 	// threshold and a Q18-style membership.
 	columnarCorrelatedSQL = `SELECT SUM(x) FROM facts f
@@ -504,6 +558,8 @@ func TestColumnarFoldAllocs(t *testing.T) {
 		{"single-key/sampled-all", columnarSingleKeySQL, true},
 		{"multi-key/sampled-all", columnarMultiKeySQL, true},
 		{"expr-arg/sampled-all", columnarExprSQL, true},
+		{"multi-source/sampled-all", columnarMultiSourceSQL, true},
+		{"dims/sampled-all", columnarDimsSQL, true},
 		{"correlated", columnarCorrelatedSQL, false},
 		{"in-set", columnarMembershipSQL, false},
 	} {
@@ -516,8 +572,8 @@ func TestColumnarFoldAllocs(t *testing.T) {
 		} {
 			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) {
 				_, r, ts, te := columnarBenchEnvSQL(t, tc.sql, tc.sampledAll, cfg.profile)
-				if tc.sql == columnarExprSQL && (r.colPl.verdict() != "columnar:fused" || len(r.colPl.exprs) != 1) {
-					t.Fatalf("verdict %q over %d computed columns, want columnar:fused over 1",
+				if tc.sql == columnarExprSQL && (r.colPl.verdict() != "columnar" || len(r.colPl.exprs) != 1) {
+					t.Fatalf("verdict %q over %d computed columns, want columnar over 1",
 						r.colPl.verdict(), len(r.colPl.exprs))
 				}
 				rows := ts.batches[1]
@@ -633,14 +689,14 @@ func benchFeedChunks(b *testing.B, r *blockRunner, ts *tableStream, te *triEnv) 
 	}
 }
 
-// benchFoldScalar measures the SBI-shaped fused fold — one group, an AVG
+// benchFoldScalar measures the SBI-shaped columnar fold — one group, an AVG
 // over the full bootstrap (T = 100) — in ns/row, its group already past
 // momentMin: each chunk is one feed, through real Poisson lanes, or
 // (moments) into batch moments with the closing draw.
 func benchFoldScalar(b *testing.B, moments bool) {
 	_, r, ts, te := columnarBenchEnvSQL(b, `SELECT AVG(x) FROM facts`, true, false)
-	if !r.colPl.fuse || r.tab.entries[0].ns < momentMin {
-		b.Fatal("bench query must fold one group past momentMin through the fused kernel")
+	if r.colPl.verdict() != "columnar" || r.tab.entries[0].ns < momentMin {
+		b.Fatal("bench query must fold one group past momentMin through the columnar kernel")
 	}
 	rows, base := ts.batches[1], ts.starts[1]
 	const chunk = 512
@@ -679,6 +735,25 @@ func BenchmarkFoldColumnarMultiKeySampled(b *testing.B)  { benchFoldColumnar(b, 
 func BenchmarkFoldColumnarExpr(b *testing.B) {
 	_, r, ts, te := columnarBenchEnvSQL(b, columnarExprSQL, false, false)
 	benchFeedChunks(b, r, ts, te)
+}
+
+// BenchmarkFoldColumnarMultiSource folds COUNT(*), AVG(x) GROUP BY a:
+// two sources, a constant beside a column.
+func BenchmarkFoldColumnarMultiSource(b *testing.B) { benchFoldSwept(b, columnarMultiSourceSQL) }
+
+// BenchmarkFoldColumnarDims folds SUM/AVG(x) of a dims block grouped by
+// a dim column, in ns per fact row.
+func BenchmarkFoldColumnarDims(b *testing.B) { benchFoldSwept(b, columnarDimsSQL) }
+
+// benchFoldSwept is benchFeedChunks over sql that fails unless the
+// measured feeds swept segments through the columnar path.
+func benchFoldSwept(b *testing.B, sql string) {
+	_, r, ts, te := columnarBenchEnvSQL(b, sql, false, false)
+	sweeps := r.cs.sweeps
+	benchFeedChunks(b, r, ts, te)
+	if !r.colPl.ok || r.cs.sweeps == sweeps {
+		b.Fatalf("verdict %q: the columnar sweep did not run", r.colPl.verdict())
+	}
 }
 
 // BenchmarkFoldColumnarCorrelated sweeps a Q17-shaped root block: the
@@ -883,14 +958,14 @@ func TestColumnarInterpretedClassifier(t *testing.T) {
 // group key and C2's STDDEV threshold are the shapes still outside.
 func TestSuiteColumnarVerdicts(t *testing.T) {
 	want := map[string][]string{
-		"SBI": {"columnar:fused", "columnar:fused"},
-		"C1":  {"columnar:fused", "rowpath:group:expr-key"},
+		"SBI": {"columnar", "columnar"},
+		"C1":  {"columnar", "rowpath:group:expr-key"},
 		"C2":  {"rowpath:agg:not-estimable", "columnar"},
-		"C3":  {"columnar:fused", "columnar"},
-		"Q11": {"columnar:fused", "columnar:fused"},
-		"Q17": {"columnar:fused", "columnar:fused"},
-		"Q18": {"columnar:fused", "columnar:fused"},
-		"Q20": {"columnar:fused", "columnar"},
+		"C3":  {"columnar", "columnar"},
+		"Q11": {"columnar", "columnar"},
+		"Q17": {"columnar", "columnar"},
+		"Q18": {"columnar", "columnar"},
+		"Q20": {"columnar", "columnar"},
 	}
 	// The classifier of each block's uncertain predicate: the roots whose
 	// nested parameter is scalar (SBI, C2, C3), correlated (Q17, Q20) or

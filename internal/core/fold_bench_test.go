@@ -16,7 +16,9 @@ import (
 
 // foldCatalog builds a fact table with two low-cardinality key columns
 // (a: 8 values, b: 16 values) and one measure, so every benchmark tuple
-// hits an existing group (the steady state).
+// hits an existing group (the steady state), and a dimension table
+// bdim(bkey, cat) covering every b, with two rows for b = 5 (a fact row
+// there joins twice).
 func foldCatalog(n int, seed uint64) *storage.Catalog {
 	cat := storage.NewCatalog()
 	t := storage.NewTable("facts", types.NewSchema(
@@ -34,6 +36,12 @@ func foldCatalog(n int, seed uint64) *storage.Catalog {
 		})
 	}
 	cat.Put(t)
+	d := storage.NewTable("bdim", types.NewSchema("bkey", types.KindInt, "cat", types.KindString))
+	for k := 0; k < 16; k++ {
+		_ = d.Append(types.Row{types.NewInt(int64(k)), types.NewString([]string{"lo", "mid", "hi", "top"}[k%4])})
+	}
+	_ = d.Append(types.Row{types.NewInt(5), types.NewString("dup")})
+	cat.Put(d)
 	return cat
 }
 

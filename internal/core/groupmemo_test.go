@@ -49,13 +49,13 @@ func memoCatalog(n int) *storage.Catalog {
 	return cat
 }
 
-// memoQueries are one grouped block per memo flavour: the fused kernel,
-// the generic fold over a two-column key, and a dims block, whose memo
-// key is the join column g.
+// memoQueries are one grouped block per memo shape: one column key and
+// one argument source, a two-column key over two sources, and a dims
+// block, whose memo key is the join column g.
 var memoQueries = []struct{ name, sql, verdict string }{
-	{"fused", `SELECT g, SUM(x), AVG(x) FROM cyc GROUP BY g`, "columnar:fused"},
+	{"fused", `SELECT g, SUM(x), AVG(x) FROM cyc GROUP BY g`, "columnar"},
 	{"generic", `SELECT g, s, COUNT(x), SUM(x), SUM(g) FROM cyc GROUP BY g, s`, "columnar"},
-	{"dims", `SELECT cat, g, SUM(x) FROM cyc c JOIN gdim d ON c.g = d.gkey GROUP BY cat, g`, "columnar:dims"},
+	{"dims", `SELECT cat, g, SUM(x) FROM cyc c JOIN gdim d ON c.g = d.gkey GROUP BY cat, g`, "columnar"},
 }
 
 const (
@@ -136,7 +136,7 @@ func TestGroupMemoLifetime(t *testing.T) {
 func TestGroupMemoInvalidation(t *testing.T) {
 	// The replay runs under an uncertain predicate, whose cached rows
 	// fold into the same table through reclassify; the other legs use
-	// the one-block fused query, so every segment-seal drop re-encodes
+	// the one-block one-source query, so every segment-seal drop re-encodes
 	// the table the root reads.
 	const uncertainSQL = `SELECT g, SUM(x), AVG(x) FROM cyc
 		WHERE x < (SELECT 0.9 * AVG(x) FROM cyc) GROUP BY g`
@@ -259,7 +259,7 @@ func TestGroupMemoInvalidation(t *testing.T) {
 
 // BenchmarkFoldColumnarGroupedBatches measures the grouped fold on
 // q11's shape in ns/row: 3000 groups over 20 mini-batches of 15 000
-// rows, each batch one feed of SUM(c * q) GROUP BY k through the fused
+// rows, each batch one feed of SUM(c * q) GROUP BY k through the fold
 // kernel, with a fresh group table (a new query's) every 20 batches. A
 // batch holds about 99% of the groups, so per-batch key resolution is
 // what the memo's lifetime decides.
@@ -299,7 +299,7 @@ func BenchmarkFoldColumnarGroupedBatches(b *testing.B) {
 		r.feedBatchSerial(ts.batches[bi], ts.starts[bi], te)
 	}
 	b.StopTimer()
-	if r.colPl.verdict() != "columnar:fused" || r.cs.sweeps == 0 {
-		b.Fatalf("verdict %q after %d sweeps: the fused columnar fold did not run", r.colPl.verdict(), r.cs.sweeps)
+	if r.colPl.verdict() != "columnar" || r.cs.sweeps == 0 {
+		b.Fatalf("verdict %q after %d sweeps: the columnar fold did not run", r.colPl.verdict(), r.cs.sweeps)
 	}
 }

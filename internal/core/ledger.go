@@ -54,17 +54,21 @@ func (cs *colScratch) memBytes() int64 {
 	if cs.triK != nil {
 		banks += cs.triK.MemBytes()
 	}
-	return banks + int64(cap(cs.tri)) + int64(cap(cs.triU)) +
+	var runs int64
+	for _, run := range cs.runs {
+		runs += 8*int64(cap(run.keys)) + 8*int64(cap(run.fs))
+	}
+	return banks + runs + int64(cap(cs.tri)) + int64(cap(cs.triU)) +
 		4*int64(cap(cs.sel)) + 4*int64(cap(cs.selU)) +
 		8*int64(cap(cs.wf)) +
-		8*int64(cap(cs.runKey)) + 8*int64(cap(cs.runF)) +
 		cs.memo.MemBytes() +
 		8*int64(cap(cs.memoEntries)) +
 		4*int64(cap(cs.memoOff)) + 4*int64(cap(cs.memoCnt)) +
 		8*int64(cap(cs.entArena)) +
 		cs.jmemo.MemBytes() +
 		4*int64(cap(cs.jOff)) + 4*int64(cap(cs.jCnt)) +
-		24*int64(cap(cs.jRows))
+		24*int64(cap(cs.jRows)) +
+		4*int64(cap(cs.pairRow)) + 8*int64(cap(cs.pairEnt))
 }
 
 // charge adds the stage's pinned bytes to the per-pool running totals.

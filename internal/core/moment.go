@@ -100,8 +100,8 @@ func (a *momentAcc) add(x []float64) {
 	}
 }
 
-// addWV is add for the fused kernel's two streams, W (value 1) and V
-// (value f): the same float operations, in the same order.
+// addWV is add for a one-source columnar fold's two streams, W (value
+// 1) and V (value f): the same float operations, in the same order.
 func (a *momentAcc) addWV(f float64) {
 	a.rows++
 	a.s[0]++
@@ -111,7 +111,8 @@ func (a *momentAcc) addWV(f float64) {
 	a.c[2] += f * f
 }
 
-// addW is add for the fused kernel's lone W stream (all COUNTs).
+// addW is add for a one-source columnar fold's lone W stream (all
+// COUNTs).
 func (a *momentAcc) addW() {
 	a.rows++
 	a.s[0]++

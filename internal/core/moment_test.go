@@ -250,7 +250,7 @@ func sameCellRows(a, b [][]CellEstimate) bool {
 }
 
 // TestMomentFoldAllocs: a warm feed that folds its group into moments —
-// the mode decision, the fused kernel's moment sums and the closing
+// the mode decision, the fold kernel's moment sums and the closing
 // draw — allocates nothing.
 func TestMomentFoldAllocs(t *testing.T) {
 	if raceEnabled {

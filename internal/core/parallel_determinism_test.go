@@ -165,7 +165,7 @@ func determinismOptions(seed uint64) Options {
 // TestParallelFoldBitIdentical sweeps the pooled runtime across
 // P∈{1,2,4,8}, asserting every configuration reproduces the serial
 // snapshots bit for bit. Weights are derived inside each worker's fold,
-// so at P∈{2,4,8} this pins the fused kernel against the serial run on
+// so at P∈{2,4,8} this pins the fold kernel against the serial run on
 // every batch.
 func TestParallelFoldBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
@@ -185,7 +185,7 @@ func TestParallelFoldBitIdentical(t *testing.T) {
 // TestRecomputeReplayBitIdentical forces a variation-range failure
 // mid-run and asserts the replayed parallel result is byte-identical to
 // a serial run — the guard for stage reuse across replayUpTo, with the
-// fused kernel folding every pooled batch at P=4 (meaningful
+// fold kernel folding every pooled batch at P=4 (meaningful
 // under -race too: no pool work is in flight when replay resets the
 // runners).
 //
@@ -201,7 +201,7 @@ func TestParallelFoldBitIdentical(t *testing.T) {
 // (seed, probability) pair fires at least one panic inside a replay.
 //
 // Every leg runs twice: with a grouped root, and with a scalar root whose
-// certainly-in selection folds as one run of the fused kernel under the
+// certainly-in selection folds as one run of the fold kernel under the
 
 // driftCatalog is a table whose x grows with row order, so every
 // estimate of AVG(x) drifts upward batch after batch.
@@ -272,8 +272,8 @@ func TestRecomputeReplayBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer eng.Close()
-				if v := eng.runners[len(eng.runners)-1].colPl.verdict(); v != "columnar:fused" {
-					t.Fatalf("root verdict %q, want columnar:fused", v)
+				if v := eng.runners[len(eng.runners)-1].colPl.verdict(); v != "columnar" {
+					t.Fatalf("root verdict %q, want columnar", v)
 				}
 				var snaps []*Snapshot
 				for {

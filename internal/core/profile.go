@@ -17,8 +17,8 @@ import (
 //   - Classify and fold are timed per columnar segment sweep inside the
 //     kernels every run executes (colFeed): classify is the selection
 //     plus caching of the uncertain run, fold is argument resolution
-//     plus the fold kernel, fused or per row, with the weight
-//     derivation it interleaves. The row loop times a whole part as
+//     plus the fold kernel (colFoldRuns) with the weight derivation it
+//     interleaves. The row loop times a whole part as
 //     fold. That is two clock reads per 4096-row segment, so nothing
 //     needs a gate and Options.Profile does not change the kernels.
 //   - Uncertain re-evaluation, range maintenance, recompute replay and

@@ -29,7 +29,7 @@ type BlockStat struct {
 	Table     string // streamed fact table
 	Groups    int    // live groups in the block's aggregate state
 	Uncertain int    // cached uncertain tuples
-	Columnar  string // eligibility verdict: "columnar[:flavor]" or "rowpath:<reason>"
+	Columnar  string // eligibility verdict: "columnar" or "rowpath:<reason>"
 	// Classifier names what decides the block's uncertain predicate:
 	// "tri:kernel" (the tri-state kernel, for new and cached rows),
 	// "tri:interp" (the per-row interpreter), "" without one.

@@ -64,11 +64,10 @@ const (
 	EvCheckpoint = "checkpoint"
 	EvResume     = "resume"
 	// EvColPlan: a block's columnar-eligibility verdict, emitted once on
-	// the first batch. Note carries the verdict — the engaged flavor
-	// ("columnar", "columnar:fused", "columnar:dims") or the
+	// the first batch. Note carries the verdict — "columnar" or the
 	// disqualifying reason ("rowpath:group:mixed-column", ...) — and,
 	// for a block with an uncertain predicate, its classifier after a
-	// comma ("columnar:fused,tri:kernel", "rowpath:forced,tri:interp").
+	// comma ("columnar,tri:kernel", "rowpath:forced,tri:interp").
 	EvColPlan = "columnar-plan"
 )
 

@@ -21,7 +21,9 @@
 #                   run plain and "profiled" (Options.Profile: event
 #                   ring and span timeline attached), and the steady-state
 #                   fold also "spanned" (a span recorded around each
-#                   fold), 0 allocs/row each; the keyed tri-state legs
+#                   fold), 0 allocs/row each, the columnar legs over
+#                   every shape the fold kernel serves (scalar, grouped,
+#                   computed, multi-source, dims); the keyed tri-state legs
 #                   (correlated, in-set) and the reclassify legs hold
 #                   classification of new and cached rows to 0 too,
 #                   the prepare legs a warm snapshot evaluator's
@@ -57,10 +59,15 @@
 #                   the hairline and contains its point),
 #                   FuzzResume (mutated, re-signed checkpoint bytes
 #                   end in a resumed engine or a typed checkpoint error,
-#                   never a panic) and FuzzColumnarEncode (Build and
+#                   never a panic), FuzzColumnarEncode (Build and
 #                   Update over generated rows, field for field against
 #                   the column-at-a-time reference encoder, at GOMAXPROCS
-#                   1 and 2)
+#                   1 and 2) and FuzzColumnarFold (generated COUNT/SUM/AVG
+#                   lists over columns, constants and computed arguments,
+#                   scalar or grouped, with and without a fanning-out dim
+#                   join, over tables with independent NULL patterns:
+#                   the columnar fold kernel's snapshots bit for bit
+#                   against the row path at P 1 and 2)
 #   benchmark/      the end-to-end benchmark is a nested module that
 #                   imports internal/core but is invisible to the root
 #                   ./... patterns; go vet and its tests there are the
@@ -103,12 +110,13 @@ go test ./internal/core -run Allocs -count=1
 echo "== bench smoke (BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding|BenchmarkFoldColumnar|BenchmarkClassifyColumnar, 1 iteration)"
 go test ./internal/core -run '^$' -bench 'BenchmarkSnapshot|BenchmarkReclassify|BenchmarkUpdateBinding|BenchmarkFoldColumnar|BenchmarkClassifyColumnar' -benchtime 1x
 
-echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, FuzzReplicaRange, FuzzResume, FuzzColumnarEncode, 10s each)"
+echo "== fuzz smoke (FuzzNumKernel, FuzzTriKernel, FuzzReplicaRange, FuzzResume, FuzzColumnarEncode, FuzzColumnarFold, 10s each)"
 go test ./internal/expr -run '^$' -fuzz FuzzNumKernel -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzTriKernel -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzReplicaRange -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzResume -fuzztime 10s
 go test ./internal/colstore -run '^$' -fuzz FuzzColumnarEncode -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz FuzzColumnarFold -fuzztime 10s
 
 echo "== benchmark module (cd benchmark && go vet ./... && go test ./...)"
 (cd benchmark && go vet ./...)
